@@ -4,8 +4,8 @@
 //! nearest ancestor of `p` (inclusive) colored `c`.
 //!
 //! **Naive variant** ([`ColoredAncestorsNaive`], the paper's naive skeleton
-//! trees): one Lemma 2.7 pass per distinct color — `O(n · |C|)` work,
-//! `O(1)` query.
+//! trees): one Lemma 2.7 pass per distinct color, all on the same Euler
+//! tour — `O(n · |C|)` work, `O(1)` query.
 //!
 //! **Efficient variant** ([`ColoredAncestors`], the paper's real skeleton
 //! trees + van Emde Boas): per color, the colored nodes' Euler-tour
@@ -16,18 +16,23 @@
 //! means the answer is `w`'s own color-parent, precomputed for all colored
 //! nodes with one nearest-larger-values pass. Preprocessing `O(n + C)`
 //! work; queries `O(log log n)` — exactly the paper's trade-off.
+//!
+//! Both variants number nodes by a *borrowed* Euler tour of the forest (the
+//! suffix tree already owns one); the seed-taking `build`s are wrappers
+//! that construct a tour first.
 
 use crate::marked::{NearestMarkedAncestor, NONE as NMA_NONE};
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{radix_sort_by_key, Pram};
 use pardict_rmq::{ansv_seq, Side, Strictness};
 use pardict_veb::VebTree;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The efficient (real-skeleton + vEB) nearest colored ancestor structure.
 #[derive(Debug)]
 pub struct ColoredAncestors {
-    tour: EulerTour,
+    /// Euler entry position of every node.
+    entry: Vec<u32>,
     /// Per color: endpoint set and metadata.
     per_color: HashMap<u32, PerColor>,
 }
@@ -38,39 +43,46 @@ struct PerColor {
     endpoints: VebTree,
     /// Euler position → the colored node with an endpoint there. The only
     /// possible collision is a leaf's entry with its own exit.
-    role: HashMap<u32, u32>,
-    /// Color-parent: nearest strictly-enclosing same-colored node.
-    up: HashMap<u32, u32>,
+    role: HashMap<u32, Endpoint>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Endpoint {
+    node: u32,
+    /// Euler exit position of `node`.
+    exit: u32,
+    /// Color-parent: nearest strictly-enclosing same-colored node
+    /// (`u32::MAX` if none).
+    up: u32,
 }
 
 impl ColoredAncestors {
     /// Build over `forest` with `colors` = (node, color) pairs (a node may
-    /// appear with several colors). `O(n + C)` work beyond the Euler tour.
+    /// appear with several colors): one Euler tour, then
+    /// [`ColoredAncestors::on_tour`].
     #[must_use]
     pub fn build(pram: &Pram, forest: &Forest, colors: &[(usize, u32)], seed: u64) -> Self {
         let tour = EulerTour::build(pram, forest, seed ^ 0xC010);
-        Self::from_tour(pram, tour, colors)
+        Self::on_tour(pram, &tour, colors)
     }
 
-    /// Build from an existing Euler tour of the forest.
+    /// Build on an existing Euler tour of the forest. `O(n + C)` work.
     #[must_use]
-    pub fn from_tour(pram: &Pram, tour: EulerTour, colors: &[(usize, u32)]) -> Self {
+    pub fn on_tour(pram: &Pram, tour: &EulerTour, colors: &[(usize, u32)]) -> Self {
+        let universe = tour.seq.len().max(1);
+        assert!(
+            universe < u32::MAX as usize,
+            "tour positions must fit in u32"
+        );
+        let entry: Vec<u32> = pram.map(&tour.first, |_, &p| p as u32);
+
         // Group the (node, color) pairs by color with a stable radix sort,
         // then slice the groups out sequentially (O(C) work).
         let sorted = radix_sort_by_key(pram, colors, |&(_, c)| u64::from(c));
         pram.ledger().round(sorted.len() as u64);
 
         let mut per_color: HashMap<u32, PerColor> = HashMap::new();
-        let universe = tour.seq.len().max(1);
-        let mut i = 0usize;
-        while i < sorted.len() {
-            let c = sorted[i].1;
-            let mut j = i;
-            while j < sorted.len() && sorted[j].1 == c {
-                j += 1;
-            }
-            let group = &sorted[i..j];
-
+        for group in sorted.chunk_by(|a, b| a.1 == b.1) {
             // Laminar intervals of this color, ordered by entry position.
             let by_entry = {
                 let mut g: Vec<usize> = group.iter().map(|&(v, _)| v).collect();
@@ -88,98 +100,101 @@ impl ColoredAncestors {
 
             let mut endpoints = VebTree::with_universe(universe);
             let mut role = HashMap::with_capacity(2 * group.len());
-            let mut up = HashMap::with_capacity(group.len());
             for (k, &v) in by_entry.iter().enumerate() {
                 let (fi, la) = (tour.first[v] as u32, tour.last[v] as u32);
+                let end = Endpoint {
+                    node: v as u32,
+                    exit: la,
+                    up: match encl[k] {
+                        usize::MAX => u32::MAX,
+                        j => by_entry[j] as u32,
+                    },
+                };
                 endpoints.insert(fi);
                 endpoints.insert(la);
-                role.insert(fi, v as u32);
-                role.insert(la, v as u32);
-                if encl[k] != usize::MAX {
-                    up.insert(v as u32, by_entry[encl[k]] as u32);
-                }
+                role.insert(fi, end);
+                role.insert(la, end);
             }
-            per_color.insert(
-                c,
-                PerColor {
-                    endpoints,
-                    role,
-                    up,
-                },
-            );
-            i = j;
+            per_color.insert(group[0].1, PerColor { endpoints, role });
         }
-        Self { tour, per_color }
+        Self { entry, per_color }
     }
 
     /// Nearest ancestor of `p` (inclusive) colored `c`. `O(log log n)`.
     #[must_use]
     pub fn find(&self, p: usize, c: u32) -> Option<usize> {
         let pc = self.per_color.get(&c)?;
-        let q = self.tour.first[p] as u32;
+        let q = self.entry[p];
         let e = pc.endpoints.predecessor_or_equal(q)?;
-        let &v = pc.role.get(&e).expect("endpoint has a role");
-        if self.tour.first[v as usize] as u32 <= q && q <= self.tour.last[v as usize] as u32 {
-            // Entry endpoint of a still-open interval: v encloses p.
-            debug_assert!(self.tour.is_ancestor(v as usize, p));
-            Some(v as usize)
+        let end = pc.role.get(&e).expect("endpoint has a role");
+        if q <= end.exit {
+            // An endpoint of a still-open interval (entered at or before
+            // `e <= q`): the node encloses p.
+            Some(end.node as usize)
         } else {
-            // v's interval closed before p: the answer is v's color-parent
-            // (no endpoint separates v's exit from p, so the innermost open
-            // c-interval at p is exactly the one that enclosed v).
-            pc.up.get(&v).map(|&u| u as usize)
+            // The interval closed before p: the answer is the node's
+            // color-parent (no endpoint separates its exit from p, so the
+            // innermost open c-interval at p is exactly the one that
+            // enclosed it).
+            (end.up != u32::MAX).then_some(end.up as usize)
         }
-    }
-
-    /// The Euler tour used for numbering (shared with callers).
-    #[must_use]
-    pub fn tour(&self) -> &EulerTour {
-        &self.tour
     }
 }
 
-/// The naive variant: one Lemma 2.7 structure per distinct color.
+/// The naive variant: one Lemma 2.7 answer table per distinct color.
 /// `O(n · |C|)` preprocessing work, `O(1)` queries.
 #[derive(Debug)]
 pub struct ColoredAncestorsNaive {
-    per_color: HashMap<u32, NearestMarkedAncestor>,
+    /// Sorted by color.
+    per_color: Vec<(u32, NearestMarkedAncestor)>,
 }
 
 impl ColoredAncestorsNaive {
-    /// Build over `forest` with `colors` = (node, color) pairs.
+    /// Build over `forest` with `colors` = (node, color) pairs: one Euler
+    /// tour, then [`ColoredAncestorsNaive::on_tour`].
     #[must_use]
     pub fn build(pram: &Pram, forest: &Forest, colors: &[(usize, u32)], seed: u64) -> Self {
-        let n = forest.len();
-        let mut by_color: HashMap<u32, Vec<usize>> = HashMap::new();
+        let tour = EulerTour::build(pram, forest, seed);
+        Self::on_tour(pram, &tour, colors)
+    }
+
+    /// Build on an existing Euler tour of the forest, shared by every
+    /// color's pass.
+    #[must_use]
+    pub fn on_tour(pram: &Pram, tour: &EulerTour, colors: &[(usize, u32)]) -> Self {
+        let mut by_color: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         pram.ledger().round(colors.len() as u64);
         for &(v, c) in colors {
             by_color.entry(c).or_default().push(v);
         }
-        let mut per_color = HashMap::with_capacity(by_color.len());
-        for (c, nodes) in by_color {
-            let mut marked = vec![false; n];
-            pram.ledger().round(n as u64);
-            for v in nodes {
-                marked[v] = true;
-            }
-            per_color.insert(
-                c,
-                NearestMarkedAncestor::build(pram, forest, &marked, seed ^ u64::from(c)),
-            );
-        }
+        // One mark buffer for all passes; each pass sets and clears only
+        // its own color's nodes.
+        let mut marked = vec![false; tour.num_nodes()];
+        pram.ledger().round(marked.len() as u64);
+        let per_color = by_color
+            .into_iter()
+            .map(|(c, nodes)| {
+                pram.ledger().round(nodes.len() as u64);
+                for &v in &nodes {
+                    marked[v] = true;
+                }
+                let nma = NearestMarkedAncestor::on_tour(pram, tour, &marked);
+                for &v in &nodes {
+                    marked[v] = false;
+                }
+                (c, nma)
+            })
+            .collect();
         Self { per_color }
     }
 
-    /// Nearest ancestor of `p` (inclusive) colored `c`. `O(1)`.
+    /// Nearest ancestor of `p` (inclusive) colored `c`. `O(1)` for the
+    /// constant alphabets this variant serves.
     #[must_use]
     pub fn find(&self, p: usize, c: u32) -> Option<usize> {
-        let nma = self.per_color.get(&c)?;
-        let a = nma.inclusive(p);
-        if a == NMA_NONE {
-            None
-        } else {
-            Some(a)
-        }
+        let k = self.per_color.binary_search_by_key(&c, |&(c, _)| c).ok()?;
+        let a = self.per_color[k].1.inclusive(p);
+        (a != NMA_NONE).then_some(a)
     }
 }
 
@@ -305,29 +320,35 @@ mod tests {
                 }
             })
             .collect();
-        let num_colors = 64u64;
-        let mut colors: Vec<(usize, u32)> = Vec::new();
-        for v in 0..n {
-            if rng.next_below(2) == 0 {
-                colors.push((v, rng.next_below(num_colors) as u32));
+        let pram = Pram::seq();
+        let f = Forest::from_parents(&pram, &parent);
+        let tour = EulerTour::build(&pram, &f, 1);
+        // (vEB work, naive work) of the on-tour builds at `num_colors`.
+        let mut work = |num_colors: u64| {
+            let mut colors: Vec<(usize, u32)> = Vec::new();
+            for v in 0..n {
+                if rng.next_below(2) == 0 {
+                    colors.push((v, rng.next_below(num_colors) as u32));
+                }
             }
-        }
-
-        let pram_fast = Pram::seq();
-        let f = Forest::from_parents(&pram_fast, &parent);
-        let before = pram_fast.cost();
-        let _ = ColoredAncestors::build(&pram_fast, &f, &colors, 1);
-        let fast_work = pram_fast.cost().since(before).work;
-
-        let pram_naive = Pram::seq();
-        let f2 = Forest::from_parents(&pram_naive, &parent);
-        let before = pram_naive.cost();
-        let _ = ColoredAncestorsNaive::build(&pram_naive, &f2, &colors, 1);
-        let naive_work = pram_naive.cost().since(before).work;
-
+            let (_, fast) = pram.metered(|p| ColoredAncestors::on_tour(p, &tour, &colors));
+            let (_, naive) = pram.metered(|p| ColoredAncestorsNaive::on_tour(p, &tour, &colors));
+            (fast.work, naive.work)
+        };
+        let (fast8, naive8) = work(8);
+        let (fast64, naive64) = work(64);
+        // Naive is Θ(n·|C|), vEB is flat in |C|.
         assert!(
-            fast_work * 4 < naive_work,
-            "expected ≥4x preprocessing gap, fast={fast_work} naive={naive_work}"
+            naive64 > 6 * naive8,
+            "naive should grow with |C|: {naive8} at 8 colors, {naive64} at 64"
+        );
+        assert!(
+            fast64 * 4 < fast8 * 5,
+            "vEB should be flat in |C|: {fast8} at 8 colors, {fast64} at 64"
+        );
+        assert!(
+            fast64 * 16 < naive64,
+            "expected ≥16x preprocessing gap at 64 colors, fast={fast64} naive={naive64}"
         );
     }
 }

@@ -6,7 +6,8 @@
 //!
 //! * [`NearestMarkedAncestor`] — Lemma 2.7: given a rooted forest with some
 //!   nodes marked, find every node's nearest marked ancestor in `O(n)` work
-//!   and `O(log n)` depth (used by Step 2A's pattern-prefix lookup).
+//!   and `O(log n)` depth (Lemma 4.1's LZ1 match table, and each pass of the
+//!   naive colored variant).
 //! * [`ColoredAncestors`] / [`ColoredAncestorsNaive`] — §3.2, the paper's
 //!   novel primitive: nodes carry *colors* (here: "has an `a`-Weiner-link"),
 //!   and `Find(p, c)` returns the nearest ancestor of `p` colored `c`.
@@ -15,6 +16,12 @@
 //!   count) for `O(log log n)` queries via van Emde Boas predecessor search
 //!   over Euler-tour numbers — the exact trade-off the paper proves, and
 //!   experiment E7's ablation.
+//!
+//! All three number nodes by an Euler tour of the forest. Their `on_tour`
+//! constructors borrow one the caller already holds (a suffix tree owns the
+//! tour behind its LCA structure), so any number of marked or colored
+//! passes over one forest share a single tour; the seed-taking `build`s
+//! construct a tour first.
 //!
 //! ```
 //! use pardict_pram::Pram;
@@ -39,7 +46,8 @@ pub use marked::NearestMarkedAncestor;
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use pardict_graph::Forest;
+    use crate::marked::tests::oracle_inclusive;
+    use pardict_graph::{EulerTour, Forest};
     use pardict_pram::{Pram, SplitMix64};
     use proptest::prelude::*;
 
@@ -89,26 +97,53 @@ mod proptests {
         }
 
         #[test]
-        fn marked_ancestors_match_chain_walk(seed in 0u64..10_000, n in 1usize..200) {
+        fn marked_ancestors_match_chain_walk(
+            seed in 0u64..10_000,
+            n in 1usize..200,
+            num_roots in 1usize..5,
+            chain in any::<bool>(),
+        ) {
             let mut rng = SplitMix64::new(seed);
+            // A forest of `num_roots` trees: random attachment, or chains.
+            let num_roots = num_roots.min(n);
             let parent: Vec<usize> = (0..n)
-                .map(|v| if v == 0 { 0 } else { rng.next_below(v as u64) as usize })
+                .map(|v| {
+                    if v < num_roots {
+                        v
+                    } else if chain {
+                        v - num_roots
+                    } else {
+                        rng.next_below(v as u64) as usize
+                    }
+                })
                 .collect();
-            let marked: Vec<bool> = (0..n).map(|_| rng.next_below(3) == 0).collect();
+            let is_leaf = {
+                let mut leaf = vec![true; n];
+                for v in num_roots..n {
+                    leaf[parent[v]] = false;
+                }
+                leaf
+            };
             let pram = Pram::seq();
             let f = Forest::from_parents(&pram, &parent);
-            let nma = NearestMarkedAncestor::build(&pram, &f, &marked, seed);
-            for v in 0..n {
-                let mut u = v;
-                let mut want = usize::MAX;
-                while parent[u] != u {
-                    u = parent[u];
-                    if marked[u] {
-                        want = u;
-                        break;
-                    }
+            let tour = EulerTour::build(&pram, &f, seed);
+            // Nothing, everything, exactly the leaves (entry = exit
+            // position), the roots plus a sprinkle, a random third.
+            for marks in 0..5 {
+                let marked: Vec<bool> = (0..n)
+                    .map(|v| match marks {
+                        0 => false,
+                        1 => true,
+                        2 => is_leaf[v],
+                        3 => v < num_roots || rng.next_below(6) == 0,
+                        _ => rng.next_below(3) == 0,
+                    })
+                    .collect();
+                let nma = NearestMarkedAncestor::on_tour(&pram, &tour, &marked);
+                for v in 0..n {
+                    prop_assert_eq!(nma.inclusive(v), oracle_inclusive(&parent, &marked, v));
+                    prop_assert_eq!(nma.is_marked(v), marked[v]);
                 }
-                prop_assert_eq!(nma.strict(v), want);
             }
         }
     }

@@ -10,6 +10,7 @@
 //! logarithmic time (depth/log n flat), and the comparisons against the
 //! implemented baselines. See DESIGN.md §4 for the index.
 
+use pardict_ancestors::NearestMarkedAncestor;
 use pardict_bench::{per, per_log, sample};
 use pardict_compress::{
     bfs_parse, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decompress,
@@ -410,6 +411,10 @@ fn e7_colored(quick: bool) {
             }
         })
         .collect();
+    // Both variants number nodes by one shared Euler tour, as the suffix
+    // tree's consumers do; its (color-independent) build is E10's row.
+    let setup = Pram::seq();
+    let tour = EulerTour::build(&setup, &Forest::from_parents(&setup, &parent), 1);
     println!("\ntree n = {n}:\n");
     println!("| |C| (distinct) | naive build work | vEB build work | naive q ns | vEB q ns |");
     println!("|----------------|-------------------|-----------------|------------|-----------|");
@@ -421,11 +426,9 @@ fn e7_colored(quick: bool) {
             }
         }
         let p1 = Pram::seq();
-        let f1 = Forest::from_parents(&p1, &parent);
-        let (naive, s_naive) = sample(&p1, |p| ColoredAncestorsNaive::build(p, &f1, &colors, 1));
+        let (naive, s_naive) = sample(&p1, |p| ColoredAncestorsNaive::on_tour(p, &tour, &colors));
         let p2 = Pram::seq();
-        let f2 = Forest::from_parents(&p2, &parent);
-        let (fast, s_fast) = sample(&p2, |p| ColoredAncestors::build(p, &f2, &colors, 1));
+        let (fast, s_fast) = sample(&p2, |p| ColoredAncestors::on_tour(p, &tour, &colors));
         // Query timing.
         let queries: Vec<(usize, u32)> = (0..20_000)
             .map(|_| {
@@ -576,8 +579,14 @@ fn e10_substrates(quick: bool) {
             .collect();
         let pram = Pram::seq();
         let forest = Forest::from_parents(&pram, &parent);
-        let (_, s) = sample(&pram, |p| EulerTour::build(p, &forest, 5));
+        let (tour, s) = sample(&pram, |p| EulerTour::build(p, &forest, 5));
         row("Euler tour", n, s.cost);
+        // Nearest marked ancestors on that tour (Lemma 2.7)
+        let mut mark_rng = SplitMix64::new(11);
+        let marked: Vec<bool> = (0..n).map(|_| mark_rng.next_below(8) == 0).collect();
+        let pram = Pram::seq();
+        let (_, s) = sample(&pram, |p| NearestMarkedAncestor::on_tour(p, &tour, &marked));
+        row("marked ancestors (on tour)", n, s.cost);
         // ANSV (Lemma 2.4)
         let vals: Vec<i64> = (0..n).map(|_| rng.next_below(1000) as i64).collect();
         let pram = Pram::seq();

@@ -4,10 +4,11 @@
 //! tree quantities: with `Lmin[v]` = smallest text position below `v`, the
 //! longest previous match of suffix `i` is `(Lmin[A[i]], depth(A[i]))`
 //! where `A[i]` is the deepest ancestor of leaf `i` whose `Lmin` is not `i`
-//! itself. `A[i]` falls out of one nearest-marked-ancestor pass (mark nodes
-//! whose `Lmin` differs from their parent's), and the parse positions are
-//! the ancestors of node 0 in the jump tree `i → i + max(k_i, 1)` — an
-//! Euler-tour ancestor test. Everything is `O(n)` work, polylog depth.
+//! itself. `A[i]` falls out of one nearest-marked-ancestor pass on the suffix
+//! tree's own Euler tour (mark nodes whose `Lmin` differs from their
+//! parent's), and the parse positions are the ancestors of node 0 in the
+//! jump tree `i → i + max(k_i, 1)` — an Euler-tour ancestor test. Everything
+//! is `O(n)` work, polylog depth.
 //!
 //! **Uncompression.** Prefix sums place the phrases; each copied position
 //! points at its source (strictly earlier, even for self-overlapping
@@ -16,6 +17,7 @@
 //! that avoids pointer-jumping's extra log factor.
 
 use crate::tokens::Token;
+use pardict_ancestors::NearestMarkedAncestor;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_rmq::{LinearRmq, SparseTable};
@@ -63,7 +65,7 @@ fn previous_matches(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
         let p = st.parent(v);
         p == v || lmin[p] != lmin[v]
     });
-    let nma = pardict_ancestors::NearestMarkedAncestor::build(pram, st.forest(), &marked, 0x17EE);
+    let nma = NearestMarkedAncestor::on_tour(pram, st.tree_lca().tour(), &marked);
 
     pram.tabulate(n, |i| {
         let leaf = st.leaf_node(i);

@@ -120,13 +120,16 @@ impl SubstringMatcher {
 
     /// [`SubstringMatcher::from_tree`] with per-stage ledger costs
     /// (stage name, cost) — feeds the E1 preprocessing breakdown.
+    ///
+    /// Both stages are deterministic given the tree (the colored ancestors
+    /// are numbered by the tree's own Euler tour), so `_seed` is unused; it
+    /// stays because callers draw one seed per preprocessing stage.
     #[must_use]
     pub fn from_tree_profiled(
         pram: &Pram,
         st: SuffixTree,
-        seed: u64,
+        _seed: u64,
     ) -> (Self, Vec<(&'static str, pardict_pram::Cost)>) {
-        let mut rng = SplitMix64::new(seed);
         let (centroid, c_centroid) = pram.metered(|p| CentroidIndex::build(p, &st));
 
         // Colors: node y gets color a iff some node x has slink(x) = y and
@@ -135,6 +138,7 @@ impl SubstringMatcher {
         let root = st.root();
         let m = st.num_leaves();
         let mut colors: Vec<(usize, u32)> = Vec::new();
+        let mut seen = [false; 257]; // sym_code ranges over 1..=256
         pram.ledger().round(n_nodes as u64);
         for v in 0..n_nodes {
             if v == root || st.str_depth(v) == 0 {
@@ -147,26 +151,17 @@ impl SubstringMatcher {
             if lp >= st.text().len() {
                 continue; // label starts at the sentinel
             }
-            let code = u32::from(sym_code(st.text()[lp]));
-            colors.push((st.slink(v), code));
+            let code = sym_code(st.text()[lp]);
+            seen[usize::from(code)] = true;
+            colors.push((st.slink(v), u32::from(code)));
         }
-        let distinct: std::collections::HashSet<u32> = colors.iter().map(|&(_, c)| c).collect();
-        let num_colors = distinct.len();
+        let num_colors = seen.iter().filter(|&&s| s).count();
+        let tour = st.tree_lca().tour();
         let (colored, c_colored) = pram.metered(|p| {
             if num_colors <= NAIVE_COLOR_LIMIT {
-                ColoredEngine::Naive(ColoredAncestorsNaive::build(
-                    p,
-                    st.forest(),
-                    &colors,
-                    rng.next_u64(),
-                ))
+                ColoredEngine::Naive(ColoredAncestorsNaive::on_tour(p, tour, &colors))
             } else {
-                ColoredEngine::Veb(ColoredAncestors::build(
-                    p,
-                    st.forest(),
-                    &colors,
-                    rng.next_u64(),
-                ))
+                ColoredEngine::Veb(ColoredAncestors::on_tour(p, tour, &colors))
             }
         });
         (

@@ -19,6 +19,12 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+echo "== benchmark package check"
+# benchmark/ is a workspace of its own that the steps above never see: its
+# fmt, clippy and unit tests compile every workload against crates/*, so a
+# crate API change that would break the ruler fails here.
+benchmark/run.sh check
+
 echo "== stream container smoke"
 # End-to-end over the release binary: multi-block streaming round-trip,
 # random-access slice, and corruption detection with a nonzero exit.

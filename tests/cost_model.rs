@@ -141,3 +141,21 @@ fn preprocessing_depth_is_logarithmic() {
         "preprocessing depth grew multiplicatively: {depths:?}"
     );
 }
+
+#[test]
+fn preprocessing_constant_stays_below_2000_ops_per_dictionary_byte() {
+    // Absolute guard on the E1 constant: with one forest + Euler-tour
+    // build per alphabet color the 16 KB DNA row read 3 967 ops/byte; on
+    // the suffix tree's shared tour it reads about 1 600.
+    let d = 1usize << 14;
+    let dict = Dictionary::new(random_dictionary(d as u64, d / 8, 4, 12, Alphabet::dna()));
+    let bytes = dict.total_len() as u64;
+    let pram = Pram::seq();
+    let (_, c) = pram.metered(|p| DictMatcher::build(p, dict, 1));
+    assert!(
+        c.work <= 2000 * bytes,
+        "DictMatcher::build: {} ops for {bytes} dictionary bytes ({} per byte)",
+        c.work,
+        c.work / bytes
+    );
+}

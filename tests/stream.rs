@@ -294,3 +294,56 @@ fn stream_output_is_mode_independent() {
     assert_eq!(ca, cb);
     assert_eq!(sa.blocks, sb.blocks);
 }
+
+/// The LZ1 factorisation is a function of the text alone: token streams and
+/// containers stay byte-identical to the ones captured before the Lemma 4.1
+/// match table moved onto the suffix tree's own Euler tour, so ratio,
+/// phrase count and container size cannot drift. `(seed, alphabet,
+/// encoded-token bytes, their CRC, container bytes, its CRC)`.
+#[test]
+fn lz1_tokens_and_container_match_golden_bytes() {
+    use pardict::compress::encode_tokens;
+    use pardict::core::crc32;
+    let golden = [
+        (
+            0x601D_0001u64,
+            Alphabet::dna(),
+            7243usize,
+            3_035_925_029u32,
+            8943usize,
+            2_777_614_253u32,
+        ),
+        (
+            0x601D_0002,
+            Alphabet::lowercase(),
+            15014,
+            4_052_124_922,
+            17784,
+            3_932_012_609,
+        ),
+        (
+            0x601D_0003,
+            Alphabet::binary(),
+            3761,
+            3_480_263_721,
+            4711,
+            2_460_640_068,
+        ),
+    ];
+    let pram = Pram::seq();
+    for (seed, alphabet, token_len, token_crc, packed_len, packed_crc) in golden {
+        let data = markov_text(seed, 24_000, alphabet);
+        let tokens = encode_tokens(&lz1_compress(&pram, &data, seed));
+        assert_eq!(
+            (tokens.len(), crc32(&tokens)),
+            (token_len, token_crc),
+            "lz1_compress tokens, seed {seed:#x}"
+        );
+        let packed = pack(&data, 4096);
+        assert_eq!(
+            (packed.len(), crc32(&packed)),
+            (packed_len, packed_crc),
+            "compress_stream container, seed {seed:#x}"
+        );
+    }
+}
