@@ -1,12 +1,11 @@
-//! # pardict-bench — the experiment harness
+//! # pardict-bench — the experiment regenerator
 //!
-//! Two entry points:
-//!
-//! * `cargo run --release -p pardict-bench --bin tables -- all [--quick]`
-//!   regenerates every experiment table in EXPERIMENTS.md (E1–E11): ledger
-//!   work/depth measurements plus wall-clock timings.
-//! * `cargo bench -p pardict-bench` runs the Criterion wall-clock benches
-//!   (one group per paper result).
+//! One entry point:
+//! `cargo run --release -p pardict-bench --bin tables -- all [--quick]`
+//! regenerates every scaling-sweep table in EXPERIMENTS.md (E1–E13): ledger
+//! work/depth measurements plus wall-clock timings. Fixed-workload
+//! end-to-end and per-layer numbers are the job of `benchmark/` at the
+//! repository root, not of this crate.
 
 use pardict_pram::{Cost, Pram};
 use std::time::Instant;

@@ -5,22 +5,17 @@
 //! [`WireResponse::ClusterHits`] carrying the degraded-mode flag.
 
 use crate::router::{ClusterError, Router};
-use pardict_service::wire::{self, read_frame, write_frame, WireRequest, WireResponse};
+use pardict_service::server::FrameServer;
+use pardict_service::wire::{self, WireRequest, WireResponse};
 use pardict_service::ServiceError;
-use pardict_trace::{SpanId, TraceCtx, TraceId};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A running cluster front end bound to a local address.
 pub struct RouterServer {
     router: Arc<Router>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    frames: FrameServer,
 }
 
 impl RouterServer {
@@ -29,28 +24,17 @@ impl RouterServer {
     /// # Errors
     /// Socket bind/configuration failures.
     pub fn start(router: Arc<Router>, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_router = Arc::clone(&router);
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pardict-cluster-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_router, &accept_stop))
-            .expect("spawn cluster accept thread");
-        Ok(Self {
-            router,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let handler_router = Arc::clone(&router);
+        let frames = FrameServer::start(addr, "pardict-cluster", move |req| {
+            handle(&handler_router, req)
+        })?;
+        Ok(Self { router, frames })
     }
 
     /// The bound address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frames.addr()
     }
 
     /// The router this server fronts.
@@ -61,52 +45,8 @@ impl RouterServer {
 
     /// Stop accepting; existing connections drain on client EOF.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.frames.stop();
     }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Arc<Router>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let router = Arc::clone(router);
-                let _ = std::thread::Builder::new()
-                    .name("pardict-cluster-conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &router);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, router: &Router) -> io::Result<()> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    while let Some(payload) = read_frame(&mut reader)? {
-        let resp = match WireRequest::decode(&payload) {
-            Err(e) => WireResponse::Error {
-                code: ServiceError::BadRequest(String::new()).code(),
-                message: format!("malformed request: {e}"),
-            },
-            Ok(req) => handle(router, req),
-        };
-        write_frame(&mut writer, &resp.encode())?;
-    }
-    Ok(())
 }
 
 fn error_response(e: &ClusterError) -> WireResponse {
@@ -115,36 +55,10 @@ fn error_response(e: &ClusterError) -> WireResponse {
 }
 
 fn handle(router: &Router, req: WireRequest) -> WireResponse {
-    // Unwrap the trace envelope first: the context only takes effect when
-    // this router is actually tracing (a tracer-less router serves the
-    // inner request and drops the context on the floor, by design).
-    let (req, trace) = match req {
-        WireRequest::Traced {
-            trace,
-            parent,
-            inner,
-        } => {
-            let ctx = router.tracer().is_some().then_some(TraceCtx {
-                trace: TraceId(trace),
-                parent: SpanId(parent),
-            });
-            (*inner, ctx)
-        }
-        other => (other, None),
-    };
+    let (req, trace) = req.untraced(router.tracer().is_some());
     match req {
         WireRequest::Ping => WireResponse::Pong,
-        WireRequest::Hello { extensions: _ } => WireResponse::Hello {
-            // The front accepts delta publishes unconditionally (it
-            // converts them per shard as needed); tracing only when a
-            // tracer exists.
-            extensions: wire::EXT_DELTA
-                | if router.tracer().is_some() {
-                    wire::EXT_TRACE
-                } else {
-                    0
-                },
-        },
+        WireRequest::Hello { .. } => WireResponse::hello(router.tracer().is_some()),
         WireRequest::Traced { .. } => unreachable!("nested Traced rejected by the decoder"),
         WireRequest::Dicts => WireResponse::DictList(router.dict_digests()),
         WireRequest::Metrics => WireResponse::MetricsReport(router.report()),

@@ -143,26 +143,10 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    if items.len() > 1 {
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .into_iter()
-                .enumerate()
-                .map(|(k, item)| s.spawn(move || f(k, item)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fan-out worker panicked"))
-                .collect()
-        })
-    } else {
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(k, item)| f(k, item))
-            .collect()
-    }
+    run_slots(true, items, &|k, item| (f(k, item), Cost::default()))
+        .into_iter()
+        .map(|(out, _)| out)
+        .collect()
 }
 
 /// A zero-width wave: a serial section that should appear in traces like

@@ -8,7 +8,7 @@
 use crate::engine::Engine;
 use crate::types::{OpRequest, Request, ServiceError};
 use crate::wire::{self, error_from_wire, read_frame, write_frame, WireRequest, WireResponse};
-use pardict_trace::{SpanId, TraceCtx, TraceId};
+use pardict_trace::TraceCtx;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,32 +16,44 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A running TCP server bound to a local address.
-pub struct Server {
-    engine: Engine,
+/// What a front end does with one decoded request.
+type Handler = dyn Fn(WireRequest) -> WireResponse + Send + Sync;
+
+/// The accept loop and per-connection frame loop shared by every front
+/// end speaking the wire protocol ([`Server`] here, the cluster's
+/// `RouterServer`): bind, accept without blocking so `stop` is prompt,
+/// one detached thread per connection, one response frame per request
+/// frame. What a decoded request *means* is the handler's business.
+pub struct FrameServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start accepting.
+impl FrameServer {
+    /// Bind `addr` (use port 0 for an ephemeral port) and answer every
+    /// well-formed request frame with `handler`'s response. Threads are
+    /// named `{thread_prefix}-accept` and `{thread_prefix}-conn`.
     ///
     /// # Errors
     /// Socket bind/configuration failures.
-    pub fn start(engine: Engine, addr: impl ToSocketAddrs) -> io::Result<Self> {
+    pub fn start(
+        addr: impl ToSocketAddrs,
+        thread_prefix: &str,
+        handler: impl Fn(WireRequest) -> WireResponse + Send + Sync + 'static,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_engine = engine.clone();
         let accept_stop = Arc::clone(&stop);
+        let conn_name = format!("{thread_prefix}-conn");
+        let handler: Arc<Handler> = Arc::new(handler);
         let accept_thread = std::thread::Builder::new()
-            .name("pardict-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_engine, &accept_stop))
+            .name(format!("{thread_prefix}-accept"))
+            .spawn(move || accept_loop(&listener, &conn_name, &handler, &accept_stop))
             .expect("spawn accept thread");
         Ok(Self {
-            engine,
             addr,
             stop,
             accept_thread: Some(accept_thread),
@@ -54,15 +66,8 @@ impl Server {
         self.addr
     }
 
-    /// The engine this server fronts.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Stop accepting connections and join the accept thread. Existing
-    /// connections keep serving until their clients disconnect, and the
-    /// engine is not shut down — the owner decides that.
+    /// connections keep serving until their clients disconnect.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
@@ -71,24 +76,24 @@ impl Server {
     }
 }
 
-impl Drop for Server {
+impl Drop for FrameServer {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-fn accept_loop(listener: &TcpListener, engine: &Engine, stop: &Arc<AtomicBool>) {
+fn accept_loop(listener: &TcpListener, conn_name: &str, handler: &Arc<Handler>, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let engine = engine.clone();
+                let handler = Arc::clone(handler);
                 // Detached: a connection thread exits on client EOF or I/O
                 // error. Joining here would deadlock `stop()` against
                 // clients that outlive the server handle.
                 let _ = std::thread::Builder::new()
-                    .name("pardict-conn".into())
+                    .name(conn_name.into())
                     .spawn(move || {
-                        let _ = serve_connection(stream, &engine);
+                        let _ = serve_connection(stream, &*handler);
                     });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -100,7 +105,7 @@ fn accept_loop(listener: &TcpListener, engine: &Engine, stop: &Arc<AtomicBool>) 
 }
 
 /// Serve one connection until EOF or an I/O error.
-fn serve_connection(stream: TcpStream, engine: &Engine) -> io::Result<()> {
+fn serve_connection(stream: TcpStream, handler: &Handler) -> io::Result<()> {
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     while let Some(payload) = read_frame(&mut reader)? {
@@ -109,43 +114,55 @@ fn serve_connection(stream: TcpStream, engine: &Engine) -> io::Result<()> {
                 code: ServiceError::BadRequest(String::new()).code(),
                 message: format!("malformed request: {e}"),
             },
-            Ok(req) => handle(engine, req),
+            Ok(req) => handler(req),
         };
         write_frame(&mut writer, &resp.encode())?;
     }
     Ok(())
 }
 
+/// A running TCP server bound to a local address.
+pub struct Server {
+    engine: Engine,
+    frames: FrameServer,
+}
+
+impl Server {
+    /// Bind `addr` (use port 0 for an ephemeral port) and start accepting.
+    ///
+    /// # Errors
+    /// Socket bind/configuration failures.
+    pub fn start(engine: Engine, addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let handler_engine = engine.clone();
+        let frames = FrameServer::start(addr, "pardict", move |req| handle(&handler_engine, req))?;
+        Ok(Self { engine, frames })
+    }
+
+    /// The bound address (useful with ephemeral ports).
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.frames.addr()
+    }
+
+    /// The engine this server fronts.
+    #[must_use]
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// Stop accepting connections and join the accept thread. Existing
+    /// connections keep serving until their clients disconnect, and the
+    /// engine is not shut down — the owner decides that.
+    pub fn stop(&mut self) {
+        self.frames.stop();
+    }
+}
+
 fn handle(engine: &Engine, req: WireRequest) -> WireResponse {
-    // Strip the trace wrapper first: the context only takes effect when
-    // this engine actually has a tracer (we advertised EXT_TRACE), but a
-    // bare Traced frame from a misconfigured peer still executes cleanly.
-    let (trace, req) = match req {
-        WireRequest::Traced {
-            trace,
-            parent,
-            inner,
-        } => (
-            engine.tracer().map(|_| TraceCtx {
-                trace: TraceId(trace),
-                parent: SpanId(parent),
-            }),
-            *inner,
-        ),
-        other => (None, other),
-    };
+    let (req, trace) = req.untraced(engine.tracer().is_some());
     match req {
         WireRequest::Traced { .. } => unreachable!("decode rejects nested trace wrappers"),
-        WireRequest::Hello { .. } => WireResponse::Hello {
-            // Delta publish needs no per-engine state, so every modern
-            // server advertises it; tracing only when a tracer exists.
-            extensions: wire::EXT_DELTA
-                | if engine.tracer().is_some() {
-                    wire::EXT_TRACE
-                } else {
-                    0
-                },
-        },
+        WireRequest::Hello { .. } => WireResponse::hello(engine.tracer().is_some()),
         WireRequest::Ping => WireResponse::Pong,
         WireRequest::Metrics => WireResponse::MetricsReport(engine.metrics().report()),
         WireRequest::Stats => WireResponse::Stats(engine.metrics().snapshot()),

@@ -7,6 +7,7 @@
 //! Responses repeat a tag so decoding is context-free.
 
 use crate::types::{Hit, Reply, Response, ServiceError};
+use pardict_trace::{SpanId, TraceCtx, TraceId};
 use std::io::{self, Read, Write};
 
 /// Refuse frames larger than this (64 MiB) instead of allocating blindly.
@@ -397,6 +398,28 @@ impl WireRequest {
         c.finish()?;
         Ok(req)
     }
+
+    /// Strip a [`WireRequest::Traced`] envelope. The context takes effect
+    /// only when this end is `tracing` (it has a tracer and advertised
+    /// [`EXT_TRACE`]); a bare `Traced` frame from a misconfigured peer
+    /// still executes cleanly, its context dropped on the floor.
+    #[must_use]
+    pub fn untraced(self, tracing: bool) -> (Self, Option<TraceCtx>) {
+        match self {
+            WireRequest::Traced {
+                trace,
+                parent,
+                inner,
+            } => (
+                *inner,
+                tracing.then_some(TraceCtx {
+                    trace: TraceId(trace),
+                    parent: SpanId(parent),
+                }),
+            ),
+            other => (other, None),
+        }
+    }
 }
 
 // ---- response codec ----
@@ -613,6 +636,16 @@ fn get_snapshot(c: &mut Cursor<'_>) -> io::Result<crate::metrics::MetricsSnapsho
 }
 
 impl WireResponse {
+    /// The `Hello` reply of a front end: delta publish needs no per-server
+    /// state (the cluster front converts deltas per shard as needed), so
+    /// every modern front advertises it; tracing only when it has a tracer.
+    #[must_use]
+    pub fn hello(tracing: bool) -> Self {
+        WireResponse::Hello {
+            extensions: EXT_DELTA | if tracing { EXT_TRACE } else { 0 },
+        }
+    }
+
     /// Encode to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {

@@ -30,15 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod crc;
 pub mod error;
 pub mod format;
 pub mod layout;
 mod reader;
 mod writer;
 
-#[allow(deprecated)]
-pub use crc::crc32;
 pub use error::{BlockIssue, IssueKind, StreamError};
 pub use format::{
     BlockEntry, RecordHeader, StreamIndex, DEFAULT_BLOCK_SIZE, END_OF_BLOCKS, FOOTER_ENTRY_LEN,

@@ -876,39 +876,15 @@ fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
     use pardict::cluster::{ClusterConfig, Router};
     use pardict::service::{Engine, EngineConfig, Metrics, Registry};
     use pardict::workloads::random_dictionary;
-    use std::io::{BufRead, BufReader};
-    use std::net::SocketAddr;
-    use std::process::{Child, Command, Stdio};
     use std::sync::Arc;
 
     let requests = requests.max(8);
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-
-    let mut children: Vec<Child> = Vec::new();
-    let mut shard_addrs: Vec<SocketAddr> = Vec::new();
+    let mut children = Vec::new();
+    let mut shard_addrs = Vec::new();
     for id in 0..3 {
-        let mut child = Command::new(&exe)
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawning backend {id}: {e}"))?;
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let listening = BufReader::new(stdout)
-            .lines()
-            .find_map(|line| line.ok()?.strip_prefix("LISTENING ").map(str::to_owned));
-        let Some(raw) = listening else {
-            let _ = child.kill();
-            for c in &mut children {
-                let _ = c.kill();
-            }
-            return Err(format!("backend {id} exited without printing LISTENING"));
-        };
-        let parsed = raw
-            .parse()
-            .map_err(|e| format!("backend {id} address {raw:?}: {e}"))?;
-        shard_addrs.push(parsed);
+        let (child, addr) = spawn_backend(None).map_err(|e| format!("backend {id}: {e}"))?;
         children.push(child);
+        shard_addrs.push(addr);
     }
     eprintln!(
         "pardict: smoke backends up at {shard_addrs:?}; \
@@ -936,10 +912,6 @@ fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
 
     router.shutdown();
     oracle.shutdown();
-    for c in &mut children {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
 
     let summary = result?;
     print!("{summary}");
@@ -947,12 +919,12 @@ fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
 }
 
 /// The driven middle of [`cluster_smoke`], separated so the caller can
-/// always tear the children down regardless of which step failed.
+/// always shut the router and oracle down regardless of which step failed.
 fn smoke_drive(
     router: &pardict::cluster::Router,
     oracle: &pardict::service::Engine,
     patterns: &[Vec<u8>],
-    children: &mut [std::process::Child],
+    children: &mut [ServeChild],
     requests: usize,
     seed: u64,
 ) -> Result<String, String> {
@@ -978,8 +950,7 @@ fn smoke_drive(
             // SIGKILL: no graceful drain. Pooled router connections see a
             // reset; fresh dials are refused. Both must read as a dead
             // shard, never as a wrong answer.
-            let _ = children[victim].kill();
-            let _ = children[victim].wait();
+            children[victim].kill();
         }
     });
 
@@ -1042,51 +1013,140 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
             usage()
         ));
     }
-    if run_delta {
-        delta_smoke(dicts, seed)
-    } else {
-        store_smoke(dicts, seed)
+    let dicts = dicts.clamp(2, 64);
+    let kind = if run_delta { "delta" } else { "store" };
+    let summary = with_scratch_dir(kind, seed, |dir| {
+        if run_delta {
+            delta_smoke(dir, dicts, seed)
+        } else {
+            store_smoke(dir, dicts, seed)
+        }
+    })?;
+    print!("{summary}");
+    Ok(())
+}
+
+/// A spawned `pardict serve` child. Dropping the guard SIGKILLs and reaps
+/// the process, so no early return can leak one.
+struct ServeChild(std::process::Child);
+
+impl ServeChild {
+    /// SIGKILL, no graceful drain, and reap. Idempotent.
+    fn kill(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }
 
-/// Spawn a `pardict serve --data-dir` child on an ephemeral port and
-/// learn its address from the `LISTENING` line.
-fn spawn_store_backend(
-    exe: &std::path::Path,
-    data_dir: &std::path::Path,
-) -> Result<(std::process::Child, std::net::SocketAddr), String> {
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
+/// Spawn this executable as `pardict serve` on an ephemeral port (two
+/// workers, persisting to `data_dir` when given) and learn its address from
+/// the `LISTENING` line.
+fn spawn_backend(
+    data_dir: Option<&std::path::Path>,
+) -> Result<(ServeChild, std::net::SocketAddr), String> {
     use std::io::{BufRead, BufReader};
     use std::process::{Command, Stdio};
-    let dir = data_dir
-        .to_str()
-        .ok_or("data dir path is not UTF-8")?
-        .to_string();
-    let mut child = Command::new(exe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--data-dir",
-            &dir,
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawning backend: {e}"))?;
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let listening = BufReader::new(stdout)
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let mut cmd = Command::new(exe);
+    cmd.args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"]);
+    if let Some(dir) = data_dir {
+        cmd.arg("--data-dir").arg(dir);
+    }
+    let mut child = ServeChild(
+        cmd.stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| format!("spawning backend: {e}"))?,
+    );
+    let stdout = child.0.stdout.take().expect("stdout was piped");
+    let raw = BufReader::new(stdout)
         .lines()
-        .find_map(|line| line.ok()?.strip_prefix("LISTENING ").map(str::to_owned));
-    let Some(raw) = listening else {
-        let _ = child.kill();
-        return Err("backend exited without printing LISTENING".into());
-    };
+        .find_map(|line| line.ok()?.strip_prefix("LISTENING ").map(str::to_owned))
+        .ok_or("backend exited without printing LISTENING")?;
     let addr = raw
         .parse()
         .map_err(|e| format!("backend address {raw:?}: {e}"))?;
     Ok((child, addr))
+}
+
+/// Run `f` over a scratch directory under the system temp dir that is
+/// removed afterwards, whatever `f` returned.
+fn with_scratch_dir<T>(
+    kind: &str,
+    seed: u64,
+    f: impl FnOnce(&std::path::Path) -> Result<T, String>,
+) -> Result<T, String> {
+    let dir = std::env::temp_dir().join(format!(
+        "pardict-{kind}-smoke-{seed:016x}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = f(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+/// One dictionary's match answer over the wire must equal the library
+/// oracle's `(pos, len)` list.
+fn check_match(
+    client: &mut pardict::service::Client,
+    name: &str,
+    text: &[u8],
+    expected: &[(u64, u32)],
+) -> Result<(), String> {
+    use pardict::service::wire::{tag, WireResponse};
+    match client
+        .op(tag::MATCH, name, text, 0)
+        .map_err(|e| format!("{name}: match transport: {e}"))?
+    {
+        Ok(WireResponse::Hits { hits, .. }) => {
+            let got: Vec<(u64, u32)> = hits.iter().map(|h| (h.pos, h.len)).collect();
+            if got == expected {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name}: {} hits, oracle says {}",
+                    got.len(),
+                    expected.len()
+                ))
+            }
+        }
+        Ok(other) => Err(format!("{name}: unexpected reply {other:?}")),
+        Err(e) => Err(format!("{name}: match rejected: {e}")),
+    }
+}
+
+/// A first publish of `name` must be acknowledged at version 1.
+fn publish_fresh(
+    client: &mut pardict::service::Client,
+    name: &str,
+    patterns: &[Vec<u8>],
+) -> Result<(), String> {
+    match client
+        .publish(name, patterns.to_vec())
+        .map_err(|e| format!("{name}: publish transport: {e}"))?
+    {
+        Ok((1, _)) => Ok(()),
+        Ok((v, _)) => Err(format!("{name}: fresh publish at version {v}")),
+        Err(e) => Err(format!("{name}: publish rejected: {e}")),
+    }
+}
+
+/// The library oracle's `(pos, len)` hits. Exact-match output is
+/// fingerprint-seed-independent, so this is authoritative for the
+/// engine's match lane.
+fn oracle_hits(patterns: &[Vec<u8>], text: &[u8]) -> Vec<(u64, u32)> {
+    let dict = Dictionary::new(patterns.to_vec());
+    dictionary_match(&Pram::seq(), &dict, text, 0xA5)
+        .iter_hits()
+        .map(|(p, m)| (p as u64, m.len))
+        .collect()
 }
 
 /// The kill-and-recover invariant, live: publish half the dictionaries
@@ -1098,99 +1158,33 @@ fn spawn_store_backend(
 /// summary printed to stdout contains only seed-derived facts, so equal
 /// seeds print equal bytes (the raced in-flight publish may or may not
 /// land; it is verified for integrity either way but never printed).
-/// One smoke dictionary: name, patterns, probe text, oracle hits.
-type SmokeSpec = (String, Vec<Vec<u8>>, Vec<u8>, Vec<(u64, u32)>);
-
-fn store_smoke(num_dicts: usize, seed: u64) -> Result<(), String> {
+fn store_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Result<String, String> {
+    use pardict::service::registry::content_hash;
+    use pardict::service::wire::{write_frame, WireRequest};
+    use pardict::service::Client;
     use pardict::workloads::{random_dictionary, random_text};
 
-    let num_dicts = num_dicts.clamp(2, 64);
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let data_dir = std::env::temp_dir().join(format!(
-        "pardict-store-smoke-{seed:016x}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&data_dir);
-
-    // Seed-derived dictionaries, texts, and expected hits (exact-match
-    // output is fingerprint-seed-independent, so the library oracle is
-    // authoritative for the engine's match lane).
-    let specs: Vec<SmokeSpec> = (0..num_dicts)
+    // Seed-derived (name, patterns, probe text, oracle hits) per dictionary.
+    let specs: Vec<_> = (0..num_dicts)
         .map(|i| {
-            let name = format!("dict{i}");
             let patterns = random_dictionary(seed ^ (i as u64), 12, 3, 8, Alphabet::dna());
             let text = random_text(seed.wrapping_add(i as u64), 800, Alphabet::dna());
-            let dict = Dictionary::new(patterns.clone());
-            let expected: Vec<(u64, u32)> = dictionary_match(&Pram::seq(), &dict, &text, 0xA5)
-                .iter_hits()
-                .map(|(p, m)| (p as u64, m.len))
-                .collect();
-            (name, patterns, text, expected)
+            let expected = oracle_hits(&patterns, &text);
+            (format!("dict{i}"), patterns, text, expected)
         })
         .collect();
     let acked = num_dicts / 2;
 
-    let result = store_smoke_drive(&exe, &data_dir, &specs, acked, seed);
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let summary = result?;
-    print!("{summary}");
-    Ok(())
-}
-
-/// The driven middle of [`store_smoke`], separated so the caller always
-/// removes the scratch directory regardless of which step failed.
-fn store_smoke_drive(
-    exe: &std::path::Path,
-    data_dir: &std::path::Path,
-    specs: &[SmokeSpec],
-    acked: usize,
-    seed: u64,
-) -> Result<String, String> {
-    use pardict::service::registry::content_hash;
-    use pardict::service::wire::{tag, write_frame, WireRequest, WireResponse};
-    use pardict::service::Client;
-
-    // A closure shared by both phases: one dictionary's match answer
-    // must equal the library oracle's.
-    let check_match = |client: &mut Client, spec: &SmokeSpec| -> Result<(), String> {
-        let (name, _, text, expected) = spec;
-        match client
-            .op(tag::MATCH, name, text, 0)
-            .map_err(|e| format!("{name}: match transport: {e}"))?
-        {
-            Ok(WireResponse::Hits { hits, .. }) => {
-                let got: Vec<(u64, u32)> = hits.iter().map(|h| (h.pos, h.len)).collect();
-                if &got == expected {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "{name}: {} hits, oracle says {}",
-                        got.len(),
-                        expected.len()
-                    ))
-                }
-            }
-            Ok(other) => Err(format!("{name}: unexpected reply {other:?}")),
-            Err(e) => Err(format!("{name}: match rejected: {e}")),
-        }
-    };
-
     // ---- phase 1: publish half, every one acknowledged ----
-    let (mut child, addr) = spawn_store_backend(exe, data_dir)?;
-    let phase1 = (|| -> Result<(), String> {
+    {
+        let (_backend, addr) = spawn_backend(Some(data_dir))?;
         let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
         for (name, patterns, _, _) in &specs[..acked] {
-            match client
-                .publish(name, patterns.clone())
-                .map_err(|e| format!("{name}: publish transport: {e}"))?
-            {
-                Ok((1, _)) => {}
-                Ok((v, _)) => return Err(format!("{name}: fresh publish at version {v}")),
-                Err(e) => return Err(format!("{name}: publish rejected: {e}")),
-            }
+            publish_fresh(&mut client, name, patterns)?;
         }
         // The raced publish: write the request, never read the reply —
-        // SIGKILL lands while (or right after) the server handles it.
+        // SIGKILL (the guard dropping) lands while, or right after, the
+        // server handles it.
         let mut raw =
             std::net::TcpStream::connect(addr).map_err(|e| format!("raced connect: {e}"))?;
         let inflight = WireRequest::Publish {
@@ -1198,60 +1192,42 @@ fn store_smoke_drive(
             patterns: specs[0].1.clone(),
         };
         write_frame(&mut raw, &inflight.encode()).map_err(|e| format!("raced write: {e}"))?;
-        Ok(())
-    })();
-    let _ = child.kill();
-    let _ = child.wait();
-    phase1?;
+    }
 
     // ---- phase 2: restart from the same directory ----
-    let (mut child, addr) = spawn_store_backend(exe, data_dir)?;
-    let phase2 = (|| -> Result<(), String> {
-        let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
-        let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
-        for (name, patterns, _, _) in &specs[..acked] {
-            let want = content_hash(patterns);
-            match digests.iter().find(|(n, _, _)| n == name) {
-                Some((_, 1, h)) if *h == want => {}
-                Some((_, v, h)) => {
-                    return Err(format!(
-                        "{name}: recovered as v{v} hash {h:#x}, wanted v1 hash {want:#x}"
-                    ))
-                }
-                None => return Err(format!("{name}: acknowledged but not recovered")),
-            }
-        }
-        // The raced publish may or may not have landed; if it did, it
-        // must be complete (all-or-nothing), never a torn half.
-        if let Some((_, _, h)) = digests.iter().find(|(n, _, _)| n == "inflight") {
-            let want = content_hash(&specs[0].1);
-            if *h != want {
+    let (_backend, addr) = spawn_backend(Some(data_dir))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
+    let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
+    for (name, patterns, _, _) in &specs[..acked] {
+        let want = content_hash(patterns);
+        match digests.iter().find(|(n, _, _)| n == name) {
+            Some((_, 1, h)) if *h == want => {}
+            Some((_, v, h)) => {
                 return Err(format!(
-                    "inflight: recovered with hash {h:#x}, wanted {want:#x} — a torn publish leaked"
-                ));
+                    "{name}: recovered as v{v} hash {h:#x}, wanted v1 hash {want:#x}"
+                ))
             }
+            None => return Err(format!("{name}: acknowledged but not recovered")),
         }
-        for spec in &specs[..acked] {
-            check_match(&mut client, spec)?;
+    }
+    // The raced publish may or may not have landed; if it did, it
+    // must be complete (all-or-nothing), never a torn half.
+    if let Some((_, _, h)) = digests.iter().find(|(n, _, _)| n == "inflight") {
+        let want = content_hash(&specs[0].1);
+        if *h != want {
+            return Err(format!(
+                "inflight: recovered with hash {h:#x}, wanted {want:#x} — a torn publish leaked"
+            ));
         }
-        // ---- phase 3: the recovered store keeps accepting publishes ----
-        for spec in &specs[acked..] {
-            let (name, patterns, _, _) = spec;
-            match client
-                .publish(name, patterns.clone())
-                .map_err(|e| format!("{name}: publish transport: {e}"))?
-            {
-                Ok((1, _)) => {}
-                Ok((v, _)) => return Err(format!("{name}: fresh publish at version {v}")),
-                Err(e) => return Err(format!("{name}: publish rejected: {e}")),
-            }
-            check_match(&mut client, spec)?;
-        }
-        Ok(())
-    })();
-    let _ = child.kill();
-    let _ = child.wait();
-    phase2?;
+    }
+    for (name, _, text, expected) in &specs[..acked] {
+        check_match(&mut client, name, text, expected)?;
+    }
+    // ---- phase 3: the recovered store keeps accepting publishes ----
+    for (name, patterns, text, expected) in &specs[acked..] {
+        publish_fresh(&mut client, name, patterns)?;
+        check_match(&mut client, name, text, expected)?;
+    }
 
     let total_hits: usize = specs.iter().map(|(_, _, _, e)| e.len()).sum();
     Ok(format!(
@@ -1277,22 +1253,17 @@ fn store_smoke_drive(
 /// only seed-derived facts so equal seeds print equal bytes (the raced
 /// delta may or may not land; it is checked for all-or-nothing
 /// integrity either way but never printed).
-fn delta_smoke(num_dicts: usize, seed: u64) -> Result<(), String> {
+fn delta_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Result<String, String> {
     use pardict::core::{apply_delta_patterns, DictDelta};
+    use pardict::service::registry::content_hash;
+    use pardict::service::wire::{write_frame, WireRequest};
+    use pardict::service::Client;
     use pardict::workloads::{random_dictionary, random_text};
 
-    let num_dicts = num_dicts.clamp(2, 64);
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let data_dir = std::env::temp_dir().join(format!(
-        "pardict-delta-smoke-{seed:016x}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&data_dir);
-
-    // Seed-derived v1 pattern sets, deltas, and the folded v2 sets the
-    // recovered store must answer for. `apply_delta_patterns` is the
-    // same fold the registry and the WAL replay use, so the oracle and
-    // the system can only disagree if one of them is wrong.
+    // Seed-derived (name, v1 patterns, delta, folded v2 patterns, probe
+    // text, oracle hits against v2) per dictionary. `apply_delta_patterns`
+    // is the same fold the registry and the WAL replay use, so the oracle
+    // and the system can only disagree if one of them is wrong.
     let mut specs = Vec::with_capacity(num_dicts);
     for i in 0..num_dicts {
         let name = format!("dict{i}");
@@ -1304,81 +1275,16 @@ fn delta_smoke(num_dicts: usize, seed: u64) -> Result<(), String> {
         let (v2, _) = apply_delta_patterns(&v1, &delta)
             .map_err(|e| format!("{name}: scripted delta invalid: {e}"))?;
         let text = random_text(seed.wrapping_add(i as u64), 800, Alphabet::dna());
-        let dict = Dictionary::new(v2.clone());
-        let expected: Vec<(u64, u32)> = dictionary_match(&Pram::seq(), &dict, &text, 0xA5)
-            .iter_hits()
-            .map(|(p, m)| (p as u64, m.len))
-            .collect();
+        let expected = oracle_hits(&v2, &text);
         specs.push((name, v1, delta, v2, text, expected));
     }
 
-    let result = delta_smoke_drive(&exe, &data_dir, &specs, seed);
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let summary = result?;
-    print!("{summary}");
-    Ok(())
-}
-
-/// One delta-smoke dictionary: name, v1 patterns, delta, folded v2
-/// patterns, probe text, oracle hits against v2.
-type DeltaSpec = (
-    String,
-    Vec<Vec<u8>>,
-    pardict::core::DictDelta,
-    Vec<Vec<u8>>,
-    Vec<u8>,
-    Vec<(u64, u32)>,
-);
-
-/// The driven middle of [`delta_smoke`], separated so the caller always
-/// removes the scratch directory regardless of which step failed.
-fn delta_smoke_drive(
-    exe: &std::path::Path,
-    data_dir: &std::path::Path,
-    specs: &[DeltaSpec],
-    seed: u64,
-) -> Result<String, String> {
-    use pardict::core::DictDelta;
-    use pardict::service::registry::content_hash;
-    use pardict::service::wire::{tag, write_frame, WireRequest, WireResponse};
-    use pardict::service::Client;
-
-    let check_match = |client: &mut Client, spec: &DeltaSpec| -> Result<(), String> {
-        let (name, _, _, _, text, expected) = spec;
-        match client
-            .op(tag::MATCH, name, text, 0)
-            .map_err(|e| format!("{name}: match transport: {e}"))?
-        {
-            Ok(WireResponse::Hits { hits, .. }) => {
-                let got: Vec<(u64, u32)> = hits.iter().map(|h| (h.pos, h.len)).collect();
-                if &got == expected {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "{name}: {} hits, oracle says {}",
-                        got.len(),
-                        expected.len()
-                    ))
-                }
-            }
-            Ok(other) => Err(format!("{name}: unexpected reply {other:?}")),
-            Err(e) => Err(format!("{name}: match rejected: {e}")),
-        }
-    };
-
     // ---- phase 1: publish v1, delta to v2, all acknowledged ----
-    let (mut child, addr) = spawn_store_backend(exe, data_dir)?;
-    let phase1 = (|| -> Result<(), String> {
+    {
+        let (_backend, addr) = spawn_backend(Some(data_dir))?;
         let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        for (name, v1, delta, _, _, _) in specs {
-            match client
-                .publish(name, v1.clone())
-                .map_err(|e| format!("{name}: publish transport: {e}"))?
-            {
-                Ok((1, _)) => {}
-                Ok((v, _)) => return Err(format!("{name}: fresh publish at version {v}")),
-                Err(e) => return Err(format!("{name}: publish rejected: {e}")),
-            }
+        for (name, v1, delta, _, _, _) in &specs {
+            publish_fresh(&mut client, name, v1)?;
             match client
                 .publish_delta(name, 1, delta, None)
                 .map_err(|e| format!("{name}: delta transport: {e}"))?
@@ -1389,9 +1295,10 @@ fn delta_smoke_drive(
             }
         }
         // The raced delta: write the request, never read the reply —
-        // SIGKILL lands while (or right after) the server handles it.
-        // The added pattern is outside the DNA alphabet, so whether it
-        // lands or not, the probe-text match answers are unchanged.
+        // SIGKILL (the guard dropping) lands while, or right after, the
+        // server handles it. The added pattern is outside the DNA
+        // alphabet, so whether it lands or not, the probe-text match
+        // answers are unchanged.
         let mut raw =
             std::net::TcpStream::connect(addr).map_err(|e| format!("raced connect: {e}"))?;
         let inflight = WireRequest::PubDelta {
@@ -1401,65 +1308,55 @@ fn delta_smoke_drive(
             removes: Vec::new(),
         };
         write_frame(&mut raw, &inflight.encode()).map_err(|e| format!("raced write: {e}"))?;
-        Ok(())
-    })();
-    let _ = child.kill();
-    let _ = child.wait();
-    phase1?;
+    }
 
     // ---- phase 2: restart from the same directory ----
-    let (mut child, addr) = spawn_store_backend(exe, data_dir)?;
-    let phase2 = (|| -> Result<(), String> {
-        let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
-        let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
-        for (name, _, _, v2, _, _) in specs {
-            let want = content_hash(v2);
-            let raced = if name == &specs[0].0 {
-                // The raced delta may have landed: v3 with the extra
-                // pattern folded in is the only other legal state.
-                let mut with = v2.clone();
-                with.push(b"xyzzy".to_vec());
-                Some(content_hash(&with))
-            } else {
-                None
-            };
-            match digests.iter().find(|(n, _, _)| n == name) {
-                Some((_, 2, h)) if *h == want => {}
-                Some((_, 3, h)) if raced == Some(*h) => {}
-                Some((_, v, h)) => {
-                    return Err(format!(
-                        "{name}: recovered as v{v} hash {h:#x}, wanted v2 hash {want:#x} — \
-                         a torn delta leaked"
-                    ))
-                }
-                None => return Err(format!("{name}: acknowledged but not recovered")),
-            }
-        }
-        for spec in specs {
-            check_match(&mut client, spec)?;
-        }
-        // ---- phase 3: the recovered store keeps accepting deltas ----
-        // One more wire delta against the recovered v2 (again alphabet-
-        // disjoint from the probe text, so the oracle hits still hold).
-        let (name, _, _, _, _, _) = &specs[1];
-        let delta = DictDelta {
-            adds: vec![b"zzyzx".to_vec()],
-            removes: Vec::new(),
+    let (_backend, addr) = spawn_backend(Some(data_dir))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
+    let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
+    for (name, _, _, v2, _, _) in &specs {
+        let want = content_hash(v2);
+        let raced = if name == &specs[0].0 {
+            // The raced delta may have landed: v3 with the extra
+            // pattern folded in is the only other legal state.
+            let mut with = v2.clone();
+            with.push(b"xyzzy".to_vec());
+            Some(content_hash(&with))
+        } else {
+            None
         };
-        match client
-            .publish_delta(name, 2, &delta, None)
-            .map_err(|e| format!("{name}: post-recovery delta transport: {e}"))?
-        {
-            Ok((3, _)) => {}
-            Ok((v, _)) => return Err(format!("{name}: post-recovery delta at version {v}")),
-            Err(e) => return Err(format!("{name}: post-recovery delta rejected: {e}")),
+        match digests.iter().find(|(n, _, _)| n == name) {
+            Some((_, 2, h)) if *h == want => {}
+            Some((_, 3, h)) if raced == Some(*h) => {}
+            Some((_, v, h)) => {
+                return Err(format!(
+                    "{name}: recovered as v{v} hash {h:#x}, wanted v2 hash {want:#x} — \
+                     a torn delta leaked"
+                ))
+            }
+            None => return Err(format!("{name}: acknowledged but not recovered")),
         }
-        check_match(&mut client, &specs[1])?;
-        Ok(())
-    })();
-    let _ = child.kill();
-    let _ = child.wait();
-    phase2?;
+    }
+    for (name, _, _, _, text, expected) in &specs {
+        check_match(&mut client, name, text, expected)?;
+    }
+    // ---- phase 3: the recovered store keeps accepting deltas ----
+    // One more wire delta against the recovered v2 (again alphabet-
+    // disjoint from the probe text, so the oracle hits still hold).
+    let (name, _, _, _, text, expected) = &specs[1];
+    let delta = DictDelta {
+        adds: vec![b"zzyzx".to_vec()],
+        removes: Vec::new(),
+    };
+    match client
+        .publish_delta(name, 2, &delta, None)
+        .map_err(|e| format!("{name}: post-recovery delta transport: {e}"))?
+    {
+        Ok((3, _)) => {}
+        Ok((v, _)) => return Err(format!("{name}: post-recovery delta at version {v}")),
+        Err(e) => return Err(format!("{name}: post-recovery delta rejected: {e}")),
+    }
+    check_match(&mut client, name, text, expected)?;
 
     let total_hits: usize = specs.iter().map(|(_, _, _, _, _, e)| e.len()).sum();
     Ok(format!(

@@ -222,3 +222,57 @@ fn unknown_dictionary_is_an_app_error_not_a_failover() {
     router.shutdown();
     teardown(engines, servers);
 }
+
+/// Both wire fronts run the same frame loop, so hostile framing must read
+/// the same through a single-node [`Server`] and a [`RouterServer`]: an
+/// undecodable payload is answered `BadRequest` ("malformed request: …",
+/// the prefix the router's link-poison detection matches on) and the
+/// connection stays usable; an oversized length prefix drops only that
+/// connection.
+#[test]
+fn both_fronts_treat_hostile_frames_alike() {
+    use pardict::service::wire::{read_frame, write_frame, WireRequest, WireResponse, MAX_FRAME};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    fn hostile_frames(front: SocketAddr) {
+        let roundtrip = |conn: &mut TcpStream, payload: &[u8]| {
+            write_frame(conn, payload).expect("write frame");
+            let reply = read_frame(conn)
+                .expect("read frame")
+                .expect("a reply frame");
+            WireResponse::decode(&reply).expect("decodable reply")
+        };
+        let mut conn = TcpStream::connect(front).expect("connect");
+        match roundtrip(&mut conn, &[0xEE, 1, 2, 3]) {
+            WireResponse::Error { code, message } => {
+                assert_eq!(code, ServiceError::BadRequest(String::new()).code());
+                assert!(message.starts_with("malformed request"), "{message}");
+            }
+            other => panic!("garbage payload answered {other:?}"),
+        }
+        let ping = WireRequest::Ping.encode();
+        assert_eq!(roundtrip(&mut conn, &ping), WireResponse::Pong);
+
+        conn.write_all(&(MAX_FRAME + 1).to_be_bytes())
+            .expect("write oversized prefix");
+        assert!(
+            !matches!(read_frame(&mut conn), Ok(Some(_))),
+            "oversized frame must close the connection unanswered"
+        );
+        let mut fresh = TcpStream::connect(front).expect("reconnect");
+        assert_eq!(roundtrip(&mut fresh, &ping), WireResponse::Pong);
+    }
+
+    let (engines, servers, addrs) = backends(1);
+    hostile_frames(addrs[0]);
+
+    let router = Arc::new(Router::new(&addrs, ClusterConfig::default()));
+    let mut front =
+        pardict::cluster::RouterServer::start(Arc::clone(&router), "127.0.0.1:0").expect("front");
+    hostile_frames(front.addr());
+
+    front.stop();
+    router.shutdown();
+    teardown(engines, servers);
+}
