@@ -88,12 +88,6 @@ impl Backend {
         false
     }
 
-    /// Flip to excluded regardless of streak; returns `true` if it was
-    /// healthy before.
-    pub fn mark_dead(&self) -> bool {
-        self.healthy.swap(false, Ordering::SeqCst)
-    }
-
     /// Flip to healthy with a clean streak and an empty pool (old sockets
     /// predate whatever outage the shard just recovered from); returns
     /// `true` if it was excluded before.

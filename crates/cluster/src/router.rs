@@ -33,9 +33,8 @@ use pardict_trace::{SpanGuard, TraceCtx, Tracer};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router knobs.
@@ -51,10 +50,6 @@ pub struct ClusterConfig {
     pub backoff: Duration,
     /// Consecutive transport failures before a shard is excluded.
     pub fail_threshold: u32,
-    /// Background health-probe period; `None` (the default) disables the
-    /// probe thread — revival then happens only as a last resort when no
-    /// healthy backend remains. Deterministic tests keep this off.
-    pub probe_interval: Option<Duration>,
 }
 
 impl Default for ClusterConfig {
@@ -69,7 +64,6 @@ impl Default for ClusterConfig {
             attempts: 3,
             backoff: Duration::from_millis(5),
             fail_threshold: 1,
-            probe_interval: None,
         }
     }
 }
@@ -190,8 +184,6 @@ pub struct Router {
     metrics: Arc<ClusterMetrics>,
     dicts: Mutex<HashMap<String, DictInfo>>,
     rr: AtomicUsize,
-    probe_stop: Arc<AtomicBool>,
-    probe_thread: Mutex<Option<JoinHandle<()>>>,
     tracer: Option<Arc<Tracer>>,
 }
 
@@ -231,8 +223,6 @@ impl Router {
             cfg,
             dicts: Mutex::new(HashMap::new()),
             rr: AtomicUsize::new(0),
-            probe_stop: Arc::new(AtomicBool::new(false)),
-            probe_thread: Mutex::new(None),
             tracer,
         }
     }
@@ -256,12 +246,6 @@ impl Router {
         let t = self.tracer.as_ref()?;
         let ctx = inbound.or_else(|| t.begin_trace())?;
         Some(t.start(ctx, name, 0))
-    }
-
-    /// Number of backends (healthy or not).
-    #[must_use]
-    pub fn num_backends(&self) -> usize {
-        self.backends.len()
     }
 
     /// True when any shard is currently excluded.
@@ -475,39 +459,11 @@ impl Router {
         false
     }
 
-    /// Start the background probe thread (no-op unless
-    /// [`ClusterConfig::probe_interval`] is set): periodically revives
-    /// excluded shards.
-    pub fn start_probes(self: &Arc<Self>) {
-        let Some(interval) = self.cfg.probe_interval else {
-            return;
-        };
-        let router = Arc::clone(self);
-        let stop = Arc::clone(&self.probe_stop);
-        let handle = std::thread::Builder::new()
-            .name("pardict-cluster-probe".into())
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(interval);
-                    for id in 0..router.backends.len() {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        router.try_revive(id);
-                    }
-                }
-            })
-            .expect("spawn probe thread");
-        *self.probe_thread.lock().expect("probe poisoned") = Some(handle);
-    }
-
-    /// Stop the probe thread, if running.
-    pub fn shutdown(&self) {
-        self.probe_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.probe_thread.lock().expect("probe poisoned").take() {
-            let _ = h.join();
-        }
-    }
+    /// Nothing to stop: the router owns no thread (excluded shards come
+    /// back through [`Router::try_revive`], called when no healthy backend
+    /// remains). Kept public because `benchmark/`, the CLI and the
+    /// cluster tests call it alongside `Engine::shutdown`.
+    pub fn shutdown(&self) {}
 
     // ---- request envelope ----
 
@@ -1093,11 +1049,5 @@ impl Router {
             );
         }
         out
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

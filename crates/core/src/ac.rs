@@ -126,12 +126,6 @@ impl AhoCorasick {
         }
         Matches::new(best)
     }
-
-    /// Number of automaton states.
-    #[must_use]
-    pub fn num_states(&self) -> usize {
-        self.goto_.len()
-    }
 }
 
 /// Brute-force oracle: longest pattern at each position by direct

@@ -44,22 +44,20 @@
 //! ```
 
 mod ac;
-mod adaptive;
 mod alphabet;
 mod baseline;
 pub mod checker;
 mod crc;
 mod dict;
 mod dsm;
+pub mod le;
 mod matcher;
 mod mstats;
 mod offline;
 pub mod segmented;
-pub mod single;
 mod step2;
 
 pub use ac::{brute_force_matches, AhoCorasick};
-pub use adaptive::{AdaptiveDictMatcher, PatternHandle};
 pub use alphabet::{decode_positions, encode_binary, BinaryEncoded};
 pub use baseline::mp93_baseline;
 pub use crc::crc32;

@@ -19,9 +19,7 @@
 //! matchers: an applied delta rebuilds only the segments whose pattern
 //! runs changed (reusing the rest by `Arc`), yet every query — results
 //! *and* ledger costs — is indistinguishable from a from-scratch build.
-//! That is the oracle `tests/delta.rs` enforces, and what distinguishes
-//! this from [`crate::AdaptiveDictMatcher`], whose Bentley–Saxe groups
-//! depend on insertion order.
+//! That is the oracle `tests/delta.rs` enforces.
 //!
 //! Dictionaries of at most [`SINGLE_SEGMENT_MAX`] patterns stay in one
 //! segment whose seed equals the classic whole-dictionary seed, so small

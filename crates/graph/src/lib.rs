@@ -9,8 +9,6 @@
 //!   randomized optimal one (see DESIGN.md substitution table).
 //! * **Rooted forests**: [`Forest`] — parent-array forests with child
 //!   adjacency built by stable integer sorting.
-//! * **Level ancestors**: [`LevelAncestors`] — jump-pointer level/ kth
-//!   ancestor queries (the §4 alternative to Euler-interval tests).
 //! * **Euler tours**: [`EulerTour`] — work-optimal tour construction via
 //!   random-mate list ranking; yields entry/exit times, ±1 depth sequences
 //!   (feeding the O(1) LCA structure in `pardict-rmq`), per-node tree roots
@@ -31,14 +29,12 @@
 mod cc;
 mod euler;
 mod forest;
-mod levelanc;
 mod rootfix;
 
 pub use cc::connected_components;
 pub use euler::EulerTour;
 pub use forest::Forest;
-pub use levelanc::LevelAncestors;
-pub use rootfix::{leaffix, rootfix};
+pub use rootfix::rootfix;
 
 #[cfg(test)]
 mod proptests {
@@ -50,7 +46,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn rootfix_and_leaffix_match_walks(seed in 0u64..10_000, n in 1usize..250) {
+        fn rootfix_matches_root_walk(seed in 0u64..10_000, n in 1usize..250) {
             let mut rng = SplitMix64::new(seed);
             let parent: Vec<usize> = (0..n)
                 .map(|v| if v == 0 { 0 } else { rng.next_below(v as u64) as usize })
@@ -60,9 +56,8 @@ mod proptests {
             let f = Forest::from_parents(&pram, &parent);
             let tour = EulerTour::build(&pram, &f, seed);
             let rf = rootfix(&pram, &f, &tour, &values, i64::MIN, |a, b| a.max(b), seed);
-            let lf = leaffix(&pram, &f, &tour, &values, i64::MIN, |a, b| a.max(b), seed);
             for v in 0..n {
-                // Rootfix oracle: walk to the root.
+                // Oracle: walk to the root.
                 let mut acc = values[v];
                 let mut u = v;
                 while parent[u] != u {
@@ -70,14 +65,6 @@ mod proptests {
                     acc = acc.max(values[u]);
                 }
                 prop_assert_eq!(rf[v], acc, "rootfix at {}", v);
-                // Leaffix oracle: subtree max via ancestor scan.
-                let mut sub = values[v];
-                for w in 0..n {
-                    if tour.is_ancestor(v, w) {
-                        sub = sub.max(values[w]);
-                    }
-                }
-                prop_assert_eq!(lf[v], sub, "leaffix at {}", v);
             }
         }
 
@@ -90,13 +77,13 @@ mod proptests {
             let pram = Pram::seq();
             let f = Forest::from_parents(&pram, &parent);
             let tour = EulerTour::build(&pram, &f, seed);
-            for v in 0..n {
+            for (v, &p) in parent.iter().enumerate() {
                 prop_assert_eq!(tour.seq[tour.first[v]], v);
                 prop_assert_eq!(tour.seq[tour.last[v]], v);
                 prop_assert!(tour.first[v] <= tour.last[v]);
-                if parent[v] != v {
-                    prop_assert!(tour.is_ancestor(parent[v], v));
-                    prop_assert!(!tour.is_ancestor(v, parent[v]));
+                if p != v {
+                    prop_assert!(tour.is_ancestor(p, v));
+                    prop_assert!(!tour.is_ancestor(v, p));
                 }
             }
         }

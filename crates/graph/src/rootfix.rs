@@ -178,176 +178,10 @@ where
     out
 }
 
-/// For every node `v`, the fold of `op` over the values in `v`'s subtree.
-///
-/// The fold order is fixed: `value[v]`, then `v`'s *light* subtrees (in
-/// child order), then the heavy subtree — callers using non-commutative
-/// operations get that specific order. Same machinery as [`rootfix`], run
-/// from the deepest light level upward: expected `O(n)` work, `O(log² n)`
-/// depth.
-#[must_use]
-pub fn leaffix<T, F>(
-    pram: &Pram,
-    forest: &Forest,
-    tour: &EulerTour,
-    values: &[T],
-    id: T,
-    op: F,
-    seed: u64,
-) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync + Send + Copy,
-{
-    let n = forest.len();
-    assert_eq!(values.len(), n);
-    assert_eq!(tour.num_nodes(), n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let size = |v: usize| -> usize { (tour.last[v] - tour.first[v]) / 2 + 1 };
-    let heavy: Vec<usize> = pram.tabulate_costed(n, |v| {
-        let mut best = usize::MAX;
-        let mut best_size = 0usize;
-        for &c in forest.children(v) {
-            let s = size(c);
-            if s > best_size {
-                best_size = s;
-                best = c;
-            }
-        }
-        (best, forest.children(v).len() as u64 + 1)
-    });
-    let next: Vec<usize> = pram.tabulate(n, |v| {
-        let p = forest.parent(v);
-        if p != v && heavy[p] == v {
-            p
-        } else {
-            v
-        }
-    });
-    let ranks = list_rank_random_mate_full(pram, &next, seed ^ 0x1EAF);
-    let head = ranks.tail;
-    let rank = ranks.rank;
-
-    let is_light_head: Vec<u64> =
-        pram.tabulate(n, |v| u64::from(head[v] == v && !forest.is_root(v)));
-    let tour_len = tour.seq.len();
-    let opens: Vec<u64> = pram.tabulate(tour_len, |p| {
-        let v = tour.seq[p];
-        if tour.first[v] == p {
-            is_light_head[v]
-        } else {
-            0
-        }
-    });
-    let closes: Vec<u64> = pram.tabulate(tour_len, |p| {
-        let v = tour.seq[p];
-        if tour.last[v] == p {
-            is_light_head[v]
-        } else {
-            0
-        }
-    });
-    let open_pre = pram.scan_inclusive_sum(&opens);
-    let close_pre = pram.scan_exclusive_sum(&closes);
-    let ld: Vec<u64> = pram.tabulate(n, |v| {
-        let p = tour.first[v];
-        open_pre[p] - close_pre[p]
-    });
-
-    let order: Vec<u32> = (0..n as u32).collect();
-    let order = radix_sort_by_key(pram, &order, |&v| rank[v as usize]);
-    let order = radix_sort_by_key(pram, &order, |&v| head[v as usize] as u64);
-    let order = radix_sort_by_key(pram, &order, |&v| ld[head[v as usize]]);
-
-    let max_ld = pram.reduce(&ld, 0u64, |a, b| a.max(b));
-    let level_start: Vec<usize> = {
-        let lds: Vec<u64> = pram.map(&order, |_, &v| ld[head[v as usize]]);
-        let mut starts = vec![order.len(); max_ld as usize + 2];
-        pram.ledger().round(order.len() as u64);
-        for (i, &l) in lds.iter().enumerate().rev() {
-            starts[l as usize] = i;
-        }
-        for l in (0..starts.len() - 1).rev() {
-            if starts[l] > starts[l + 1] {
-                starts[l] = starts[l + 1];
-            }
-        }
-        starts
-    };
-
-    let mut out = vec![id; n];
-    // Bottom-up over light levels; within a path a *suffix* fold (deepest
-    // node first), realised by scanning the level slice in reverse.
-    for l in (0..=max_ld as usize).rev() {
-        let (lo, hi) = (level_start[l], level_start[l + 1]);
-        if lo >= hi {
-            continue;
-        }
-        let slice = &order[lo..hi];
-        // combined(u) = value[u] ⊕ (light children's finished leaffixes).
-        let combined: Vec<(u32, T)> = pram.tabulate_costed(slice.len(), |t| {
-            // Reverse order within the level: suffix fold.
-            let v = slice[slice.len() - 1 - t] as usize;
-            let mut acc = values[v];
-            let mut ops_count = 1u64;
-            for &c in forest.children(v) {
-                if c != heavy[v] {
-                    acc = op(acc, out[c]);
-                }
-                ops_count += 1;
-            }
-            ((head[v] as u32, acc), ops_count)
-        });
-        let scanned = pram.scan_inclusive(&combined, (u32::MAX, id), |a, b| {
-            if a.0 != b.0 {
-                b
-            } else {
-                // Deeper path entries appear first in the reversed scan:
-                // fold as op(shallower, deeper-accumulated).
-                (b.0, op(b.1, a.1))
-            }
-        });
-        pram.ledger().round(slice.len() as u64);
-        for (t, state) in scanned.iter().enumerate() {
-            let v = slice[slice.len() - 1 - t] as usize;
-            out[v] = state.1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pardict_pram::{Pram, SplitMix64};
-
-    fn naive_leaffix(
-        parent: &[usize],
-        values: &[i64],
-        op: impl Fn(i64, i64) -> i64 + Copy,
-    ) -> Vec<i64> {
-        let n = parent.len();
-        // Accumulate children into parents in decreasing-depth order.
-        let mut depth = vec![0usize; n];
-        for v in 0..n {
-            let mut u = v;
-            while parent[u] != u {
-                u = parent[u];
-                depth[v] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(depth[v]));
-        let mut out = values.to_vec();
-        for &v in &order {
-            if parent[v] != v {
-                out[parent[v]] = op(out[parent[v]], out[v]);
-            }
-        }
-        out
-    }
 
     fn naive_rootfix<T: Copy>(parent: &[usize], values: &[T], op: impl Fn(T, T) -> T) -> Vec<T> {
         let n = parent.len();
@@ -389,7 +223,7 @@ mod tests {
         let path: Vec<usize> = (0..n).map(|v: usize| v.saturating_sub(1)).collect();
         check_max_and_sum(&path, 1);
         // Star.
-        let star: Vec<usize> = (0..n).map(|v| if v == 0 { 0 } else { 0 }).collect();
+        let star = vec![0usize; n];
         check_max_and_sum(&star, 2);
         // Balanced binary.
         let bin: Vec<usize> = (0..n)
@@ -458,46 +292,6 @@ mod tests {
             per_node[2] < per_node[0] * 1.5 + 2.0,
             "rootfix work superlinear: {per_node:?}"
         );
-    }
-
-    #[test]
-    fn leaffix_matches_naive_on_random_trees() {
-        let mut rng = SplitMix64::new(17);
-        for seed in 0..5u64 {
-            let n = 350;
-            let roots = 1 + (seed as usize % 2);
-            let parent: Vec<usize> = (0..n)
-                .map(|v| {
-                    if v < roots {
-                        v
-                    } else {
-                        rng.next_below(v as u64) as usize
-                    }
-                })
-                .collect();
-            let values: Vec<i64> = (0..n).map(|_| rng.next_below(50) as i64 - 25).collect();
-            let pram = Pram::seq();
-            let f = Forest::from_parents(&pram, &parent);
-            let tour = EulerTour::build(&pram, &f, seed);
-            // Max and sum (commutative: fold order immaterial).
-            let got = leaffix(&pram, &f, &tour, &values, i64::MIN, |a, b| a.max(b), seed);
-            assert_eq!(got, naive_leaffix(&parent, &values, |a, b| a.max(b)), "max");
-            let got = leaffix(&pram, &f, &tour, &values, 0, |a, b| a + b, seed);
-            assert_eq!(got, naive_leaffix(&parent, &values, |a, b| a + b), "sum");
-        }
-    }
-
-    #[test]
-    fn leaffix_root_is_whole_tree_fold() {
-        let pram = Pram::seq();
-        let n = 500;
-        let parent: Vec<usize> = (0..n).map(|v: usize| v.saturating_sub(1)).collect();
-        let values: Vec<i64> = (0..n as i64).collect();
-        let f = Forest::from_parents(&pram, &parent);
-        let tour = EulerTour::build(&pram, &f, 2);
-        let got = leaffix(&pram, &f, &tour, &values, 0, |a, b| a + b, 2);
-        assert_eq!(got[0], (0..n as i64).sum::<i64>());
-        assert_eq!(got[n - 1], (n - 1) as i64);
     }
 
     #[test]

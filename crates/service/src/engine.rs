@@ -187,14 +187,6 @@ impl Engine {
         engine
     }
 
-    /// Engine with default config over fresh registry/metrics.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        let metrics = Arc::new(Metrics::default());
-        let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
-        Self::new(EngineConfig::default(), registry, metrics)
-    }
-
     /// The dictionary registry this engine executes against.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {

@@ -88,13 +88,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Exact mean (0 when empty).
+    /// Exact mean (0 when empty) — [`HistogramSnapshot::mean`] of the
+    /// current state.
     #[must_use]
     pub fn mean(&self) -> u64 {
-        self.sum
-            .load(Ordering::Relaxed)
-            .checked_div(self.count())
-            .unwrap_or(0)
+        self.snapshot().mean()
     }
 
     /// Exact maximum observed value.
@@ -103,22 +101,12 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Bucket-upper-bound estimate of quantile `q` in `[0, 1]`.
+    /// Bucket-upper-bound estimate of quantile `q` in `[0, 1]` —
+    /// [`HistogramSnapshot::quantile`] of the current state, so a live
+    /// report and a merged `stats` report share one estimator.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Self::bucket_upper(i).min(self.max());
-            }
-        }
-        self.max()
+        self.snapshot().quantile(q)
     }
 
     /// A point-in-time, mergeable copy.
@@ -205,8 +193,9 @@ impl HistogramSnapshot {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Bucket-upper-bound estimate of quantile `q` in `[0, 1]`, matching
-    /// [`Histogram::quantile`].
+    /// Bucket-upper-bound estimate of quantile `q` in `[0, 1]`: the upper
+    /// edge of the bucket holding the rank-`⌈q·count⌉` observation, capped
+    /// by the exact maximum.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {

@@ -166,12 +166,6 @@ impl Registry {
         *self.store.lock().expect("store poisoned") = Some(store);
     }
 
-    /// True when a durable store is attached.
-    #[must_use]
-    pub fn has_store(&self) -> bool {
-        self.store.lock().expect("store poisoned").is_some()
-    }
-
     fn validate(name: &str, patterns: &[Vec<u8>]) -> Result<(), ServiceError> {
         if name.is_empty() {
             return Err(ServiceError::BadRequest("empty dictionary name".into()));

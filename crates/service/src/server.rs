@@ -315,12 +315,6 @@ impl Client {
         }))
     }
 
-    /// The server address this client resolved and connected to.
-    #[must_use]
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Drop the current connection and dial the same address again.
     ///
     /// # Errors

@@ -22,6 +22,7 @@
 //! come from the (now suspect) length prefixes.
 
 use pardict_core::crc32;
+use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
 
 /// WAL file magic: "PDWL".
 pub const WAL_MAGIC: [u8; 4] = *b"PDWL";
@@ -156,22 +157,6 @@ impl WalScan {
             .last()
             .map_or(WAL_HEADER_LEN as u64, |r| r.offset + r.len)
     }
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn get_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-pub(crate) fn get_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 /// Encode a fresh WAL header for the given generation.

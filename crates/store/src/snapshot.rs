@@ -20,10 +20,9 @@
 //! file is not one of ours and recovery falls back to replaying the WAL
 //! from an empty state.
 
-use crate::record::{
-    decode_record_at, encode_record, get_u32, get_u64, put_u32, put_u64, WalRecord, STORE_VERSION,
-};
+use crate::record::{decode_record_at, encode_record, WalRecord, STORE_VERSION};
 use pardict_core::crc32;
+use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
 
 /// Snapshot file magic: "PDSN".
 pub const SNAP_MAGIC: [u8; 4] = *b"PDSN";

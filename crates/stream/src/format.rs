@@ -26,6 +26,7 @@
 //! sources are offsets *within the block*), so any block decodes alone.
 
 use crate::error::StreamError;
+use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
 
 /// Leading container magic (`"PDZS"` — ParDict Zipped Stream).
 pub const MAGIC: [u8; 4] = *b"PDZS";
@@ -56,22 +57,6 @@ pub const METHOD_STORED: u8 = 1;
 pub const DEFAULT_BLOCK_SIZE: usize = 64 * 1024;
 /// Upper bound on the configurable block size (raw lengths are `u32`).
 pub const MAX_BLOCK_SIZE: usize = 1 << 30;
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub(crate) fn get_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("u32 slice"))
-}
-
-pub(crate) fn get_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("u64 slice"))
-}
 
 /// Encode the fixed 16-byte header.
 #[must_use]

@@ -155,42 +155,6 @@ impl ContainerLayout {
         let start = self.raw_start(i);
         start..start + self.records[i].record.raw_len as usize
     }
-
-    /// Offset of field `field` within footer entry `i` — see
-    /// [`FooterField`] for the entry layout.
-    #[must_use]
-    pub fn footer_field(&self, i: usize, field: FooterField) -> usize {
-        self.footer_entries[i].start + field.offset()
-    }
-}
-
-/// Named fields of a 24-byte footer entry, for aiming precise mutations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FooterField {
-    /// File offset of the record (u64 at +0).
-    Offset,
-    /// Raw length (u32 at +8).
-    RawLen,
-    /// Payload length (u32 at +12).
-    CompLen,
-    /// Payload CRC-32 (u32 at +16).
-    Crc,
-    /// Method byte (+20).
-    Method,
-}
-
-impl FooterField {
-    /// Byte offset of the field within its entry.
-    #[must_use]
-    pub fn offset(self) -> usize {
-        match self {
-            FooterField::Offset => 0,
-            FooterField::RawLen => 8,
-            FooterField::CompLen => 12,
-            FooterField::Crc => 16,
-            FooterField::Method => 20,
-        }
-    }
 }
 
 /// Reassemble a container from a layout whose records have been edited —

@@ -42,10 +42,10 @@ pub use format::{
     HEADER_LEN, MAGIC, MAX_BLOCK_SIZE, METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN, TRAILER_LEN,
     VERSION,
 };
-pub use layout::{assemble_container, slice_container, ContainerLayout, FooterField, RecordSpan};
+pub use layout::{assemble_container, slice_container, ContainerLayout, RecordSpan};
 pub use reader::{
-    decode_block, decompress_stream, is_container, BlockIter, DecodedBlock, DecompressSummary,
-    StreamDecompressor, StreamReader,
+    decode_block, decompress_stream, is_container, DecompressSummary, StreamDecompressor,
+    StreamReader,
 };
 pub use writer::{compress_stream, CompressSummary, StreamCompressor, StreamConfig, STREAM_SEED};
 

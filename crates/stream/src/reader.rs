@@ -110,56 +110,6 @@ pub fn decode_block(
     check_and_decode(pram, index, entry.method, entry.raw_len, entry.crc, payload)
 }
 
-/// One block's outcome from [`StreamReader::block_iter`]: block-local
-/// corruption is carried *inside* the item (`data: Err(..)`) so iteration
-/// can continue, while structural failures abort the iterator itself.
-#[derive(Debug, Clone)]
-pub struct DecodedBlock {
-    /// Zero-based block index.
-    pub index: usize,
-    /// Global offset of the block's first raw byte in the decoded stream.
-    pub start: u64,
-    /// Decoded bytes, or the issue that prevented decoding this block.
-    pub data: Result<Vec<u8>, BlockIssue>,
-}
-
-/// Iterator over decoded blocks of a [`StreamReader`]; see
-/// [`StreamReader::block_iter`].
-pub struct BlockIter<'a, 'p, R: Read + Seek> {
-    rdr: &'a mut StreamReader<R>,
-    pram: &'p Pram,
-    next: usize,
-    end: usize,
-}
-
-impl<R: Read + Seek> Iterator for BlockIter<'_, '_, R> {
-    type Item = Result<DecodedBlock, StreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.end {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        let start = self.rdr.index.block_start(i);
-        let entry = self.rdr.entry(i);
-        let data = match self.rdr.raw_block(i) {
-            Ok(payload) => decode_block(self.pram, i as u64, &entry, payload),
-            Err(StreamError::CorruptBlock { index, kind }) => Err(BlockIssue {
-                index,
-                raw_len: entry.raw_len,
-                kind,
-            }),
-            Err(e) => return Some(Err(e)),
-        };
-        Some(Ok(DecodedBlock {
-            index: i,
-            start,
-            data,
-        }))
-    }
-}
-
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), StreamError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -495,37 +445,6 @@ impl<R: Read + Seek> StreamReader<R> {
         })
     }
 
-    /// Iterate the decoded blocks `range`, in order. Block-local corruption
-    /// is reported inside the yielded [`DecodedBlock`]; structural failures
-    /// abort the iteration with an `Err` item.
-    ///
-    /// # Panics
-    /// When `range.end` exceeds the number of blocks.
-    pub fn block_iter_range<'a, 'p>(
-        &'a mut self,
-        pram: &'p Pram,
-        range: std::ops::Range<usize>,
-    ) -> BlockIter<'a, 'p, R> {
-        assert!(
-            range.end <= self.index.num_blocks(),
-            "block range {range:?} exceeds {} blocks",
-            self.index.num_blocks()
-        );
-        BlockIter {
-            rdr: self,
-            pram,
-            next: range.start,
-            end: range.end,
-        }
-    }
-
-    /// Iterate every decoded block of the container, in order — the
-    /// per-block API `read_all` and `pardict-search` are built on.
-    pub fn block_iter<'a, 'p>(&'a mut self, pram: &'p Pram) -> BlockIter<'a, 'p, R> {
-        let n = self.index.num_blocks();
-        self.block_iter_range(pram, 0..n)
-    }
-
     /// Decode blocks `blocks` in waves through the shared super-step
     /// executor: payloads are fetched serially from the seekable source,
     /// then each wave of [`pardict_exec::default_wave_width`] blocks
@@ -538,7 +457,7 @@ impl<R: Read + Seek> StreamReader<R> {
         &mut self,
         pram: &Pram,
         blocks: std::ops::Range<usize>,
-        mut sink: impl FnMut(DecodedBlock) -> Result<(), StreamError>,
+        mut sink: impl FnMut(Result<Vec<u8>, BlockIssue>) -> Result<(), StreamError>,
     ) -> Result<(), StreamError> {
         let width = pardict_exec::default_wave_width().max(1);
         let mut next = blocks.start;
@@ -556,7 +475,6 @@ impl<R: Read + Seek> StreamReader<R> {
                 let mut items = Vec::with_capacity(hi - next);
                 for i in next..hi {
                     let entry = self.entry(i);
-                    let start = self.index.block_start(i);
                     let payload = match self.raw_block(i) {
                         Ok(p) => Ok(p),
                         Err(StreamError::CorruptBlock { index, kind }) => Err(BlockIssue {
@@ -566,25 +484,14 @@ impl<R: Read + Seek> StreamReader<R> {
                         }),
                         Err(e) => return Err(e),
                     };
-                    items.push((i, start, entry, payload));
+                    items.push((i, entry, payload));
                 }
                 next = hi;
                 Ok(Some((first as u64, items)))
             },
-            |_, (i, start, entry, payload)| {
+            |_, (i, entry, payload)| {
                 let seq = Pram::seq();
-                let (data, cost) = seq.metered(|p| match payload {
-                    Ok(pl) => decode_block(p, i as u64, &entry, pl),
-                    Err(issue) => Err(issue),
-                });
-                (
-                    DecodedBlock {
-                        index: i,
-                        start,
-                        data,
-                    },
-                    cost,
-                )
+                seq.metered(|p| payload.and_then(|pl| decode_block(p, i as u64, &entry, pl)))
             },
             |_, outs| {
                 for b in outs {
@@ -620,7 +527,7 @@ impl<R: Read + Seek> StreamReader<R> {
         let first_start = self.index.block_start(blocks.start);
         let mut out = Vec::with_capacity((end - start) as usize);
         self.decode_waves(pram, blocks, |block| {
-            let data = block.data.map_err(|issue| StreamError::CorruptBlock {
+            let data = block.map_err(|issue| StreamError::CorruptBlock {
                 index: issue.index,
                 kind: issue.kind,
             })?;
@@ -645,7 +552,7 @@ impl<R: Read + Seek> StreamReader<R> {
         let mut issues = Vec::new();
         let n = self.index.num_blocks();
         self.decode_waves(pram, 0..n, |block| {
-            match block.data {
+            match block {
                 Ok(bytes) => out.extend_from_slice(&bytes),
                 Err(issue) => issues.push(issue),
             }
@@ -710,66 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn block_iter_yields_every_block_in_order() {
-        let data: Vec<u8> = (0..3000u32)
-            .flat_map(|i| [(i % 199 + 1) as u8, b'k'])
-            .collect(); // 6000 bytes
-        let packed = pack(&data, 700); // 9 blocks, last partial
-        let pram = Pram::seq();
-        let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-
-        let raw_lens: Vec<u32> = rdr.index().entries.iter().map(|e| e.raw_len).collect();
-        let mut rebuilt = Vec::new();
-        for (expect, item) in rdr.block_iter(&pram).enumerate() {
-            let block = item.unwrap();
-            assert_eq!(block.index, expect);
-            assert_eq!(block.start, 700 * expect as u64);
-            let bytes = block.data.unwrap();
-            assert_eq!(bytes.len() as u64, u64::from(raw_lens[expect]));
-            rebuilt.extend_from_slice(&bytes);
-        }
-        assert_eq!(rebuilt, data);
-
-        // Ranged iteration decodes exactly the requested blocks.
-        let middle: Vec<_> = rdr
-            .block_iter_range(&pram, 3..5)
-            .map(|b| b.unwrap())
-            .collect();
-        assert_eq!(middle.len(), 2);
-        assert_eq!(middle[0].index, 3);
-        assert_eq!(middle[1].start, 2800);
-        assert_eq!(
-            middle.iter().fold(Vec::new(), |mut acc, b| {
-                acc.extend_from_slice(b.data.as_ref().unwrap());
-                acc
-            }),
-            &data[2100..3500]
-        );
-    }
-
-    #[test]
-    fn block_iter_carries_corruption_inside_the_item() {
+    fn raw_block_and_decode_block_compose_to_read_block() {
         let data = b"yet another rainy day in the glasshouse ".repeat(60);
-        let mut packed = pack(&data, 480); // 5 blocks
-        let target = {
-            let rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-            let e = rdr.index().entries[2];
-            e.offset as usize + RECORD_HEADER_LEN
-        };
-        packed[target] ^= 0x10;
+        let packed = pack(&data, 480); // 5 blocks
         let pram = Pram::seq();
         let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-        let blocks: Vec<_> = rdr.block_iter(&pram).map(|b| b.unwrap()).collect();
-        assert_eq!(blocks.len(), 5, "corruption must not end iteration");
-        for b in &blocks {
-            if b.index == 2 {
-                let issue = b.data.as_ref().unwrap_err();
-                assert_eq!(issue.index, 2);
-            } else {
-                assert!(b.data.is_ok(), "block {} should decode", b.index);
-            }
-        }
-        // raw_block + decode_block compose to the same outcome as read_block.
         let e = rdr.index().entries[1];
         let payload = rdr.raw_block(1).unwrap();
         assert_eq!(

@@ -3,48 +3,51 @@
 //!
 //! An intrusion-detection-style loop: network "packets" stream through a
 //! matcher whose signature set evolves (new threat signatures added, stale
-//! ones retired). The adaptive matcher keeps `O(log k)` preprocessed
-//! groups and rebuilds only geometrically, so rule changes are cheap
-//! compared to full reconstruction.
+//! ones retired). Each epoch's rule change is one `DictDelta`;
+//! `SegmentedMatcher::apply_delta` rebuilds only the segments the edit
+//! touches and hands back a matcher identical to a from-scratch build of
+//! the new rule set.
 //!
 //! ```sh
 //! cargo run --release --example streaming_signatures
 //! ```
 
-use pardict::core::AdaptiveDictMatcher;
 use pardict::pram::SplitMix64;
 use pardict::prelude::*;
-use pardict::workloads::{random_text, Alphabet};
+use pardict::workloads::random_text;
 
 fn main() {
     let pram = Pram::par();
     let alpha = Alphabet::lowercase();
     let mut rng = SplitMix64::new(2026);
-    let mut adm = AdaptiveDictMatcher::new(7);
 
     // Seed rules.
-    let mut live: Vec<(pardict::core::PatternHandle, Vec<u8>)> = Vec::new();
-    for sig in [&b"attack"[..], b"probe", b"xmas", b"sqlmap", b"rooted"] {
-        let h = adm.insert(&pram, sig.to_vec());
-        live.push((h, sig.to_vec()));
-    }
+    let mut live: Vec<Vec<u8>> = [&b"attack"[..], b"probe", b"xmas", b"sqlmap", b"rooted"]
+        .iter()
+        .map(|sig| sig.to_vec())
+        .collect();
+    let mut matcher = SegmentedMatcher::build(&pram, live.clone());
 
-    println!("epoch  rules  groups  packets  hits  (sample)");
+    println!("epoch  rules  segments  packets  hits  (sample)");
     for epoch in 0..6 {
         // Rule churn: one retirement, one or two fresh signatures.
+        let mut delta = DictDelta::default();
         if live.len() > 3 {
-            let k = rng.next_below(live.len() as u64) as usize;
-            let (h, sig) = live.swap_remove(k);
-            adm.remove(&pram, h);
+            let sig = live[rng.next_below(live.len() as u64) as usize].clone();
             println!("  [-] retired {:?}", String::from_utf8_lossy(&sig));
+            delta.removes.push(sig);
         }
         for _ in 0..=rng.next_below(2) {
             let len = 4 + rng.next_below(5) as usize;
             let sig: Vec<u8> = (0..len).map(|_| alpha.sample(&mut rng)).collect();
             println!("  [+] added   {:?}", String::from_utf8_lossy(&sig));
-            let h = adm.insert(&pram, sig.clone());
-            live.push((h, sig));
+            delta.adds.push(sig);
         }
+        matcher = matcher
+            .apply_delta(&pram, &delta)
+            .expect("retires a live rule and never empties the set")
+            .0;
+        live = matcher.patterns();
 
         // A batch of packets; some carry live signatures.
         let mut hits = 0usize;
@@ -52,12 +55,12 @@ fn main() {
         let packets = 40;
         for p in 0..packets {
             let mut pkt = random_text(rng.next_u64(), 120, alpha);
-            if p % 3 == 0 && !live.is_empty() {
-                let (_, sig) = &live[rng.next_below(live.len() as u64) as usize];
+            if p % 3 == 0 {
+                let sig = &live[rng.next_below(live.len() as u64) as usize];
                 let at = rng.next_below((pkt.len() - sig.len()) as u64) as usize;
                 pkt[at..at + sig.len()].copy_from_slice(sig);
             }
-            let m = adm.match_text(&pram, &pkt);
+            let m = matcher.match_text(&pram, &pkt);
             for (i, hit) in m.iter_hits() {
                 hits += 1;
                 if sample.is_empty() {
@@ -69,11 +72,12 @@ fn main() {
             }
         }
         println!(
-            "{epoch:>5}  {:>5}  {:>6}  {packets:>7}  {hits:>4}  {sample}",
-            adm.num_patterns(),
-            adm.num_groups(),
+            "{epoch:>5}  {:>5}  {:>8}  {packets:>7}  {hits:>4}  {sample}",
+            matcher.num_patterns(),
+            matcher.num_segments(),
         );
     }
-    println!("\ngroups stay logarithmic in the rule count; inserts rebuild only the");
-    println!("smallest groups (Bentley–Saxe), deletes are tombstones until half dead.");
+    println!("\nevery epoch's matcher equals a scratch build of its rule set; past");
+    println!("64 rules the list is cut into content-defined segments and a delta");
+    println!("rebuilds only the segments it touches.");
 }

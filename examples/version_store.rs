@@ -88,8 +88,8 @@ fn main() {
 
     // Reconstruct the latest revision by replaying the chain.
     let mut doc = lz1_decompress(&pram, &stored[0], 1);
-    for r in 1..stored.len() {
-        doc = delta_decompress(&pram, &doc, &stored[r]);
+    for tokens in &stored[1..] {
+        doc = delta_decompress(&pram, &doc, tokens);
     }
     assert_eq!(&doc, revisions.last().unwrap());
     println!(

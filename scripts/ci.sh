@@ -10,8 +10,8 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release

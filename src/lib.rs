@@ -103,8 +103,8 @@ pub mod prelude {
         lz77_windowed, lz78_compress, lz78_decompress, optimal_parse, Parse, Phrase, Token,
     };
     pub use pardict_core::{
-        dictionary_match, dictionary_match_offline, substring_match, AdaptiveDictMatcher,
-        AhoCorasick, DictMatcher, Dictionary, Match, Matches, SubstringMatcher,
+        dictionary_match, dictionary_match_offline, substring_match, AhoCorasick, DictDelta,
+        DictMatcher, Dictionary, Match, Matches, SegmentedMatcher, SubstringMatcher,
     };
     pub use pardict_pram::{Cost, Mode, Pram};
     pub use pardict_search::{grep_container, grep_range, GrepConfig, GrepHit, GrepSummary};

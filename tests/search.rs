@@ -188,7 +188,7 @@ fn pattern_spanning_multiple_boundaries_is_found() {
 /// container.
 #[test]
 fn range_grep_work_is_block_local() {
-    let data = markov_text(0x5EA_2C4, 64 * 1024, Alphabet::dna());
+    let data = markov_text(0x005E_A2C4, 64 * 1024, Alphabet::dna());
     let packed = pack(&data, 4096); // 16 blocks
     let dict = Dictionary::new(vec![b"ACGT".to_vec(), b"TTT".to_vec(), b"GATTACA".to_vec()]);
     let build_pram = Pram::seq();
@@ -227,7 +227,7 @@ fn range_grep_work_is_block_local() {
 /// error identifying the block.
 #[test]
 fn corrupt_block_is_skipped_named_and_strict_fails() {
-    let data = markov_text(0xC0FF_EE, 8 * 1024, Alphabet::lowercase());
+    let data = markov_text(0x00C0_FFEE, 8 * 1024, Alphabet::lowercase());
     let block_size = 1024; // 8 blocks
     let mut packed = pack(&data, block_size);
     let dict = Dictionary::new(vec![b"th".to_vec(), b"ing".to_vec(), b"qu".to_vec()]);

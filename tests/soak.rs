@@ -136,32 +136,75 @@ fn static_parse_soak_smoke() {
     run_static_parse(2, 3000, 1000..2000);
 }
 
-/// Adaptive matcher under insert/remove churn for `steps` steps over a
-/// `text_len`-byte text, cross-checked against brute force every tenth
-/// step.
+/// A dictionary under insert/remove churn: a [`SegmentedMatcher`] carried
+/// along a chain of `steps` [`DictDelta`]s, cross-checked against brute
+/// force on the live set every tenth step over a `text_len`-byte text.
+///
+/// The live count walks back and forth across `SINGLE_SEGMENT_MAX`, so the
+/// chain keeps switching between the single-segment fast path and the
+/// merged multi-segment path. Two `DictDelta` rules shape the driver: a
+/// remove drops *every* pattern equal to it (the model retains by value),
+/// and a delta may not empty the set (`DeltaError::EmptyResult`) — the
+/// front pattern is never retired, so no scripted delta can.
 fn run_adaptive_churn(steps: u64, text_len: usize) {
-    use pardict::core::AdaptiveDictMatcher;
+    use pardict::core::segmented::{pattern_identity, SEGMENT_TARGET, SINGLE_SEGMENT_MAX};
+    let (low, high) = (SINGLE_SEGMENT_MAX - 4, SINGLE_SEGMENT_MAX + 4);
     let pram = Pram::seq();
-    let mut adm = AdaptiveDictMatcher::new(3);
     let mut rng = SplitMix64::new(11);
     let alpha = Alphabet::dna();
     let text = markov_text(5, text_len, alpha);
-    let mut handles = Vec::new();
+    let fresh = |rng: &mut SplitMix64| -> Vec<u8> {
+        let len = 1 + rng.next_below(10) as usize;
+        (0..len).map(|_| alpha.sample(rng)).collect()
+    };
+    // Segment cuts are content-defined (about one pattern in 256 is a
+    // boundary), so a ~70-pattern list would usually stay one segment.
+    // Keep one boundary pattern at the front: above SINGLE_SEGMENT_MAX the
+    // list then always cuts into at least two segments.
+    let boundary = loop {
+        let p = fresh(&mut rng);
+        if pattern_identity(&p).is_multiple_of(SEGMENT_TARGET) {
+            break p;
+        }
+    };
+    let mut live = vec![boundary.clone()];
+    live.extend((1..low).map(|_| fresh(&mut rng)));
+    let mut matcher = SegmentedMatcher::build(&pram, live.clone());
+    let (mut saw_single, mut saw_multi) = (false, false);
+    let mut growing = true;
     for step in 0..steps {
-        if handles.is_empty() || rng.next_below(5) != 0 {
-            let len = 1 + rng.next_below(10) as usize;
-            let mut rng2 = SplitMix64::new(step);
-            let p: Vec<u8> = (0..len).map(|_| alpha.sample(&mut rng2)).collect();
-            handles.push((adm.insert(&pram, p.clone()), p));
+        if live.len() >= high {
+            growing = false;
+        } else if live.len() <= low {
+            growing = true;
+        }
+        let edits = 1 + rng.next_below(3) as usize;
+        let mut delta = DictDelta::default();
+        if (rng.next_below(5) != 0) == growing {
+            delta.adds = (0..edits).map(|_| fresh(&mut rng)).collect();
         } else {
-            let k = rng.next_below(handles.len() as u64) as usize;
-            let (h, _) = handles.swap_remove(k);
-            adm.remove(&pram, h);
+            for _ in 0..edits {
+                let victim = &live[rng.next_below(live.len() as u64) as usize];
+                if *victim != boundary && !delta.removes.contains(victim) {
+                    delta.removes.push(victim.clone());
+                }
+            }
+        }
+        live.retain(|p| !delta.removes.contains(p));
+        live.extend(delta.adds.iter().cloned());
+        matcher = matcher
+            .apply_delta(&pram, &delta)
+            .unwrap_or_else(|e| panic!("step {step}: {e}"))
+            .0;
+        assert_eq!(matcher.patterns(), live, "step {step}");
+        if matcher.num_segments() == 1 {
+            saw_single = true;
+        } else {
+            saw_multi = true;
         }
         if step % 10 == 9 {
-            let live: Vec<Vec<u8>> = handles.iter().map(|(_, p)| p.clone()).collect();
-            let want = pardict::core::brute_force_matches(&Dictionary::new(live), &text);
-            let got = adm.match_text(&pram, &text);
+            let want = pardict::core::brute_force_matches(&Dictionary::new(live.clone()), &text);
+            let got = matcher.match_text(&pram, &text);
             for i in 0..text.len() {
                 assert_eq!(
                     got.get(i).map(|m| m.len),
@@ -171,6 +214,10 @@ fn run_adaptive_churn(steps: u64, text_len: usize) {
             }
         }
     }
+    assert!(
+        saw_single && saw_multi,
+        "churn never crossed SINGLE_SEGMENT_MAX both ways"
+    );
 }
 
 #[test]
