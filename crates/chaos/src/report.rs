@@ -32,6 +32,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pardict_core::bytes::{Endian, Writer};
 use pardict_core::{dictionary_match, DictMatcher, Dictionary};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_search::{grep_container, GrepConfig};
@@ -380,6 +381,24 @@ fn wire_chaos(seed: u64, lines: &mut Vec<String>) {
 }
 
 /// Check helper: push `[ok] label` / `[VIOLATED] label: why`.
+/// Send one hostile `payload`: the server must answer it with an error
+/// reply and keep the connection serving.
+fn refused_but_serving(addr: SocketAddr, payload: &[u8]) -> Result<(), String> {
+    let mut s = raw_connect(addr).map_err(|e| e.to_string())?;
+    write_frame(&mut s, payload).map_err(|e| e.to_string())?;
+    match read_frame(&mut s).map_err(|e| e.to_string())? {
+        Some(p) => match WireResponse::decode(&p).map_err(|e| e.to_string())? {
+            WireResponse::Error { .. } => {}
+            other => return Err(format!("wanted error reply, got {other:?}")),
+        },
+        None => return Err("connection dropped instead of error reply".into()),
+    }
+    match roundtrip(&mut s, &WireRequest::Ping).map_err(|e| e.to_string())? {
+        Some(WireResponse::Pong) => Ok(()),
+        other => Err(format!("wanted pong after error, got {other:?}")),
+    }
+}
+
 fn verdict(lines: &mut Vec<String>, label: &str, result: Result<(), String>) {
     match result {
         Ok(()) => lines.push(format!("  [ok] {label}")),
@@ -550,29 +569,13 @@ fn run_wire_scenarios(
     // Scenario 6: hostile entry count — a PUBLISH frame claiming u32::MAX
     // patterns in a tiny payload must be refused without allocating, and
     // the connection must keep serving.
-    verdict(
-        lines,
-        "hostile pattern count refused, connection kept",
-        (|| {
-            let mut s = raw_connect(direct).map_err(|e| e.to_string())?;
-            let mut payload = vec![tag::PUBLISH];
-            payload.extend_from_slice(&1u32.to_be_bytes());
-            payload.push(b'd');
-            payload.extend_from_slice(&u32::MAX.to_be_bytes());
-            write_frame(&mut s, &payload).map_err(|e| e.to_string())?;
-            match read_frame(&mut s).map_err(|e| e.to_string())? {
-                Some(p) => match WireResponse::decode(&p).map_err(|e| e.to_string())? {
-                    WireResponse::Error { .. } => {}
-                    other => return Err(format!("wanted error reply, got {other:?}")),
-                },
-                None => return Err("connection dropped instead of error reply".into()),
-            }
-            match roundtrip(&mut s, &WireRequest::Ping).map_err(|e| e.to_string())? {
-                Some(WireResponse::Pong) => Ok(()),
-                other => Err(format!("wanted pong after error, got {other:?}")),
-            }
-        })(),
-    );
+    verdict(lines, "hostile pattern count refused, connection kept", {
+        let mut w = Writer::new(Endian::Big);
+        w.u8(tag::PUBLISH);
+        w.put_bytes(b"d");
+        w.u32(u32::MAX);
+        refused_but_serving(direct, &w.into_vec())
+    });
     healthy_check(
         lines,
         "healthy connection correct after hostile pattern count",
@@ -622,30 +625,14 @@ fn run_wire_scenarios(
     // Scenario 8: hostile delta count — a PUBDELTA frame claiming
     // u32::MAX adds in a tiny payload must be refused without
     // allocating, and the connection must keep serving.
-    verdict(
-        lines,
-        "hostile delta count refused, connection kept",
-        (|| {
-            let mut s = raw_connect(direct).map_err(|e| e.to_string())?;
-            let mut payload = vec![tag::PUBDELTA];
-            payload.extend_from_slice(&5u32.to_be_bytes());
-            payload.extend_from_slice(b"chaos");
-            payload.extend_from_slice(&1u64.to_be_bytes());
-            payload.extend_from_slice(&u32::MAX.to_be_bytes());
-            write_frame(&mut s, &payload).map_err(|e| e.to_string())?;
-            match read_frame(&mut s).map_err(|e| e.to_string())? {
-                Some(p) => match WireResponse::decode(&p).map_err(|e| e.to_string())? {
-                    WireResponse::Error { .. } => {}
-                    other => return Err(format!("wanted error reply, got {other:?}")),
-                },
-                None => return Err("connection dropped instead of error reply".into()),
-            }
-            match roundtrip(&mut s, &WireRequest::Ping).map_err(|e| e.to_string())? {
-                Some(WireResponse::Pong) => Ok(()),
-                other => Err(format!("wanted pong after error, got {other:?}")),
-            }
-        })(),
-    );
+    verdict(lines, "hostile delta count refused, connection kept", {
+        let mut w = Writer::new(Endian::Big);
+        w.u8(tag::PUBDELTA);
+        w.put_bytes(b"chaos");
+        w.u64(1);
+        w.u32(u32::MAX);
+        refused_but_serving(direct, &w.into_vec())
+    });
     healthy_check(
         lines,
         "healthy connection correct after hostile delta count",

@@ -153,8 +153,10 @@ pub struct DeltaSummary {
 /// given a connected client, the milliseconds left before the request's
 /// deadline, and the trace context of this attempt's span (for wire
 /// propagation), produce the transport result of one wire call.
-type ShardCall<'a, T> =
-    &'a (dyn Fn(&mut Client, u32, Option<TraceCtx>) -> io::Result<Result<T, ServiceError>> + Sync);
+type ShardCall<'a, T> = &'a (dyn Fn(&mut Client, u32, Option<TraceCtx>) -> WireCall<T> + Sync);
+
+/// One wire call's outcome: the transport result around the shard's answer.
+type WireCall<T> = io::Result<Result<T, ServiceError>>;
 
 /// What one shard attempt produced.
 enum Attempt<T> {
@@ -165,6 +167,42 @@ enum Attempt<T> {
     /// Transport failure, draining backend, or a protocol response that
     /// proves the link mangled our bytes — fail over.
     Down,
+}
+
+/// One shard attempt at a container grep, its reply unwrapped to
+/// `(version, hits, corrupt blocks)`; any other reply shape means the link
+/// mangled the exchange.
+fn grepz_attempt(
+    c: &mut Client,
+    dict: &str,
+    container: &[u8],
+    remaining_ms: u32,
+    ctx: Option<TraceCtx>,
+) -> WireCall<(u64, Vec<Hit>, Vec<u64>)> {
+    match c.op_traced(wire::tag::GREPZ, dict, container, remaining_ms, ctx)? {
+        Ok(WireResponse::ContainerHits {
+            version,
+            hits,
+            corrupt_blocks,
+        }) => Ok(Ok((version, hits, corrupt_blocks))),
+        Ok(other) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("expected container hits, got {other:?}"),
+        )),
+        Err(e) => Ok(Err(e)),
+    }
+}
+
+/// What the shards said to one broadcast.
+#[derive(Default)]
+struct Votes {
+    acks: u32,
+    /// Acks whose reply flag was set (cache hit; delta taken as a delta).
+    flagged: u32,
+    /// Highest version among the acknowledgements.
+    version: u64,
+    /// A live shard's refusal, reported when nobody acknowledged.
+    rejected: Option<ServiceError>,
 }
 
 /// Per-dictionary state the router keeps for revival republish and
@@ -283,7 +321,7 @@ impl Router {
     fn call_shard<T>(
         &self,
         shard: usize,
-        f: &(dyn Fn(&mut Client) -> io::Result<Result<T, ServiceError>> + Sync),
+        f: &(dyn Fn(&mut Client) -> WireCall<T> + Sync),
     ) -> Attempt<T> {
         self.metrics.per_shard[shard].attempts.inc();
         let backend = &self.backends[shard];
@@ -483,6 +521,78 @@ impl Router {
             .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
 
+    /// Call `f` on every healthy shard and tally its `(version, flag)`
+    /// replies.
+    fn broadcast(&self, f: &(dyn Fn(&mut Client) -> WireCall<(u64, bool)> + Sync)) -> Votes {
+        let mut votes = Votes::default();
+        for shard in 0..self.backends.len() {
+            if !self.backends[shard].is_healthy() {
+                continue;
+            }
+            match self.call_shard(shard, f) {
+                Attempt::Ok((v, flag)) => {
+                    votes.acks += 1;
+                    votes.flagged += u32::from(flag);
+                    votes.version = votes.version.max(v);
+                }
+                Attempt::App(e) => votes.rejected = Some(e),
+                Attempt::Down => {}
+            }
+        }
+        votes
+    }
+
+    /// Close out a broadcast: with at least one acknowledgement, remember
+    /// the dictionary (revival replays it, scatter sizes overlaps from it)
+    /// and summarize; otherwise surface a live shard's rejection, or
+    /// `NoBackends`. Either way the request is charged to the books.
+    fn finish_publish(
+        &self,
+        started: Instant,
+        name: &str,
+        patterns: Vec<Vec<u8>>,
+        content_hash: u64,
+        votes: Votes,
+    ) -> Result<PublishSummary, ClusterError> {
+        let (acks, version) = (votes.acks, votes.version);
+        let total = u32::try_from(self.backends.len()).unwrap_or(u32::MAX);
+        let result = if acks > 0 {
+            let max_len = patterns.iter().map(Vec::len).max().unwrap_or(0);
+            self.dicts.lock().expect("dicts poisoned").insert(
+                name.to_string(),
+                DictInfo {
+                    patterns,
+                    max_len,
+                    version,
+                    content_hash,
+                },
+            );
+            Ok(PublishSummary {
+                version,
+                acks,
+                total,
+                degraded: acks < total,
+            })
+        } else {
+            Err(votes
+                .rejected
+                .map_or(ClusterError::NoBackends, ClusterError::Service))
+        };
+        let routed = Routed {
+            degraded: result.as_ref().map_or(true, |s| s.degraded) || self.any_excluded(),
+            result: match &result {
+                // Bridge to the envelope's WireResponse-based accounting.
+                Ok(s) => Ok(WireResponse::Published {
+                    version: s.version,
+                    cache_hit: false,
+                }),
+                Err(e) => Err(e.clone()),
+            },
+        };
+        self.finish(started, &routed);
+        result
+    }
+
     // ---- public operations ----
 
     /// Broadcast a dictionary to every healthy backend and remember it
@@ -500,59 +610,10 @@ impl Router {
         self.metrics.requests.inc();
         self.metrics.publishes.inc();
         self.ensure_some_healthy();
-        let mut acks = 0u32;
-        let mut version = 0u64;
-        let mut rejected: Option<ServiceError> = None;
-        for shard in 0..self.backends.len() {
-            if !self.backends[shard].is_healthy() {
-                continue;
-            }
-            let pats = patterns.to_vec();
-            match self.call_shard(shard, &move |c: &mut Client| c.publish(name, pats.clone())) {
-                Attempt::Ok((v, _cache_hit)) => {
-                    acks += 1;
-                    version = version.max(v);
-                }
-                Attempt::App(e) => rejected = Some(e),
-                Attempt::Down => {}
-            }
-        }
-        let total = u32::try_from(self.backends.len()).unwrap_or(u32::MAX);
-        let result = if acks > 0 {
-            let max_len = patterns.iter().map(Vec::len).max().unwrap_or(0);
-            self.dicts.lock().expect("dicts poisoned").insert(
-                name.to_string(),
-                DictInfo {
-                    patterns: patterns.to_vec(),
-                    max_len,
-                    version,
-                    content_hash: pardict_service::registry::content_hash(patterns),
-                },
-            );
-            Ok(PublishSummary {
-                version,
-                acks,
-                total,
-                degraded: acks < total,
-            })
-        } else if let Some(e) = rejected {
-            Err(ClusterError::Service(e))
-        } else {
-            Err(ClusterError::NoBackends)
-        };
-        let routed = Routed {
-            degraded: result.as_ref().map_or(true, |s| s.degraded) || self.any_excluded(),
-            result: match &result {
-                // Bridge to the envelope's WireResponse-based accounting.
-                Ok(s) => Ok(WireResponse::Published {
-                    version: s.version,
-                    cache_hit: false,
-                }),
-                Err(e) => Err(e.clone()),
-            },
-        };
-        self.finish(started, &routed);
-        result
+        let pats = patterns.to_vec();
+        let votes = self.broadcast(&|c: &mut Client| c.publish(name, pats.clone()));
+        let hash = pardict_service::registry::content_hash(patterns);
+        self.finish_publish(started, name, pats, hash, votes)
     }
 
     /// Broadcast an incremental delta to every healthy backend, falling
@@ -595,81 +656,29 @@ impl Router {
             let new_hash = pardict_core::chain_identity(info.content_hash, delta, &removed_counts);
             (info.version, finals, new_hash)
         };
-        let mut acks = 0u32;
-        let mut delta_acks = 0u32;
-        let mut full_fallbacks = 0u32;
-        let mut version = 0u64;
-        let mut rejected: Option<ServiceError> = None;
-        for shard in 0..self.backends.len() {
-            if !self.backends[shard].is_healthy() {
-                continue;
+        // Each shard reports `(version, took the delta as a delta)`.
+        let votes = self.broadcast(&|c: &mut Client| {
+            match c.publish_delta(name, parent_version, delta, None) {
+                Ok(Ok((v, _cache_hit))) => return Ok(Ok((v, true))),
+                // Shard refused the delta (stale/missing parent) or
+                // is a legacy peer: converge with a full publish.
+                Ok(Err(_)) => {}
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => {}
+                Err(e) => return Err(e),
             }
-            let pats = finals.clone();
-            let call = move |c: &mut Client| -> io::Result<Result<(u64, bool), ServiceError>> {
-                match c.publish_delta(name, parent_version, delta, None) {
-                    Ok(Ok((v, _cache_hit))) => return Ok(Ok((v, true))),
-                    // Shard refused the delta (stale/missing parent) or
-                    // is a legacy peer: converge with a full publish.
-                    Ok(Err(_)) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Unsupported => {}
-                    Err(e) => return Err(e),
-                }
-                match c.publish(name, pats.clone())? {
-                    Ok((v, _cache_hit)) => Ok(Ok((v, false))),
-                    Err(e) => Ok(Err(e)),
-                }
-            };
-            match self.call_shard(shard, &call) {
-                Attempt::Ok((v, took_delta)) => {
-                    acks += 1;
-                    if took_delta {
-                        delta_acks += 1;
-                    } else {
-                        full_fallbacks += 1;
-                    }
-                    version = version.max(v);
-                }
-                Attempt::App(e) => rejected = Some(e),
-                Attempt::Down => {}
-            }
-        }
-        let total = u32::try_from(self.backends.len()).unwrap_or(u32::MAX);
-        let result = if acks > 0 {
-            let max_len = finals.iter().map(Vec::len).max().unwrap_or(0);
-            self.dicts.lock().expect("dicts poisoned").insert(
-                name.to_string(),
-                DictInfo {
-                    patterns: finals,
-                    max_len,
-                    version,
-                    content_hash: new_hash,
-                },
-            );
-            Ok(DeltaSummary {
-                version,
-                acks,
-                delta_acks,
-                full_fallbacks,
-                total,
-                degraded: acks < total,
-            })
-        } else if let Some(e) = rejected {
-            Err(ClusterError::Service(e))
-        } else {
-            Err(ClusterError::NoBackends)
-        };
-        let routed = Routed {
-            degraded: result.as_ref().map_or(true, |s| s.degraded) || self.any_excluded(),
-            result: match &result {
-                Ok(s) => Ok(WireResponse::Published {
-                    version: s.version,
-                    cache_hit: false,
-                }),
-                Err(e) => Err(e.clone()),
-            },
-        };
-        self.finish(started, &routed);
-        result
+            Ok(c.publish(name, finals.clone())?
+                .map(|(v, _cache_hit)| (v, false)))
+        });
+        let delta_acks = votes.flagged;
+        let p = self.finish_publish(started, name, finals, new_hash, votes)?;
+        Ok(DeltaSummary {
+            version: p.version,
+            acks: p.acks,
+            delta_acks,
+            full_fallbacks: p.acks - delta_acks,
+            total: p.total,
+            degraded: p.degraded,
+        })
     }
 
     /// Route one single-shard operation (`tag::MATCH`, `tag::GREP`,
@@ -781,24 +790,8 @@ impl Router {
                 &ranking(dict, self.backends.len()),
                 deadline,
                 rctx,
-                &|c: &mut Client, remaining, actx| match c.op_traced(
-                    wire::tag::GREPZ,
-                    dict,
-                    container,
-                    remaining,
-                    actx,
-                ) {
-                    Ok(Ok(WireResponse::ContainerHits {
-                        version,
-                        hits,
-                        corrupt_blocks,
-                    })) => Ok(Ok((version, hits, corrupt_blocks))),
-                    Ok(Ok(other)) => Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected container hits, got {other:?}"),
-                    )),
-                    Ok(Err(e)) => Ok(Err(e)),
-                    Err(e) => Err(e),
+                &|c: &mut Client, remaining, actx| {
+                    grepz_attempt(c, dict, container, remaining, actx)
                 },
             );
             let (result, failed_over) = match single {
@@ -864,25 +857,7 @@ impl Router {
                 &order,
                 deadline,
                 sctx,
-                &|c: &mut Client, remaining, actx| match c.op_traced(
-                    wire::tag::GREPZ,
-                    dict,
-                    &slice,
-                    remaining,
-                    actx,
-                ) {
-                    Ok(Ok(WireResponse::ContainerHits {
-                        version,
-                        hits,
-                        corrupt_blocks,
-                    })) => Ok(Ok((version, hits, corrupt_blocks))),
-                    Ok(Ok(other)) => Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected container hits, got {other:?}"),
-                    )),
-                    Ok(Err(e)) => Ok(Err(e)),
-                    Err(e) => Err(e),
-                },
+                &|c: &mut Client, remaining, actx| grepz_attempt(c, dict, &slice, remaining, actx),
             )?;
             let ((version, hits, corrupt), failed_over) = out;
             let rebase = layout_bs * slice_start as u64;

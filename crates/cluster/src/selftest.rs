@@ -12,20 +12,20 @@
 //! The returned [`Outcome::summary`] is deliberately free of timing,
 //! addresses, and latency facts: two runs with the same options must
 //! produce byte-identical summaries, which is how the failover test pins
-//! determinism. The seeded driver itself ([`drive_workload`]) is public
-//! so the process-level smoke test (`pardict cluster --smoke`, which
-//! SIGKILLs a real child backend) replays the same workload and oracle
-//! comparison.
+//! determinism. The driver and its failover checks ([`publish_and_drive`])
+//! are public so the process-level smoke test (`pardict cluster --smoke`,
+//! which SIGKILLs a real child backend) runs the same workload, oracle
+//! comparison and assertions with a different kill switch.
 
 use crate::front::RouterServer;
 use crate::router::{ClusterConfig, ClusterError, Router};
-use pardict_pram::{Pram, SplitMix64};
+use pardict_service::selftest::wire_op;
 use pardict_service::wire::{self, WireResponse};
 use pardict_service::{
     Client, Engine, EngineConfig, Metrics, OpRequest, Registry, Reply, Request, Server,
     ServiceError,
 };
-use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
+use pardict_workloads::{mixed_ops, random_dictionary, text_with_planted_matches, Alphabet};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -112,7 +112,6 @@ pub struct DriveReport {
 /// the hook where a harness kills a backend. The workload and tallies are
 /// pure functions of `(patterns, requests, seed)` plus the kill schedule,
 /// so equal inputs give byte-equal reports.
-#[allow(clippy::too_many_lines)]
 pub fn drive_workload(
     router: &Router,
     oracle: &Engine,
@@ -121,75 +120,30 @@ pub fn drive_workload(
     seed: u64,
     mut before_request: impl FnMut(usize),
 ) -> DriveReport {
-    let alpha = Alphabet::dna();
-    let mut rng = SplitMix64::new(seed ^ 0x5EED_CAFE);
     let mut report = DriveReport::default();
-
-    for i in 0..requests {
+    let deal = mixed_ops(
+        seed ^ 0x5EED_CAFE,
+        seed,
+        patterns,
+        [30, 55, 65, 75],
+        0..requests,
+    );
+    for (i, kind, text) in deal {
         before_request(i);
-        let n = if rng.next_u64().is_multiple_of(4) {
-            64
-        } else {
-            1500
+        report.counts[kind] += 1;
+        let (tag, payload) = match wire_op(kind, text, 128) {
+            Ok(op) => op,
+            Err(e) => {
+                report
+                    .failures
+                    .push(format!("request {i}: driver compress: {e}"));
+                continue;
+            }
         };
-        let text = text_with_planted_matches(seed ^ ((i as u64) << 8), patterns, n, 15, alpha);
-        let roll = rng.next_u64() % 100;
-
-        let (routed, oracle_op) = if roll < 30 {
-            report.counts[0] += 1;
-            (
-                router.op(wire::tag::MATCH, "corpus", &text, 0),
-                OpRequest::Match {
-                    dict: "corpus".into(),
-                    text: text.clone(),
-                },
-            )
-        } else if roll < 55 {
-            report.counts[1] += 1;
-            (
-                router.op(wire::tag::GREP, "corpus", &text, 0),
-                OpRequest::Grep {
-                    dict: "corpus".into(),
-                    text: text.clone(),
-                },
-            )
-        } else if roll < 65 {
-            report.counts[2] += 1;
-            (
-                router.op(wire::tag::COMPRESS, "", &text, 0),
-                OpRequest::Compress { text: text.clone() },
-            )
-        } else if roll < 75 {
-            report.counts[3] += 1;
-            (
-                router.op(wire::tag::PARSE, "corpus", &text, 0),
-                OpRequest::Parse {
-                    dict: "corpus".into(),
-                    text: text.clone(),
-                },
-            )
-        } else {
-            report.counts[4] += 1;
-            let cfg = pardict_stream::StreamConfig::with_block_size(128);
-            let compressed =
-                pardict_stream::compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg);
-            let container = match compressed {
-                Ok((c, _)) => c,
-                Err(e) => {
-                    report
-                        .failures
-                        .push(format!("request {i}: driver compress: {e}"));
-                    continue;
-                }
-            };
-            (
-                router.grepz("corpus", &container, 0),
-                OpRequest::GrepContainer {
-                    dict: "corpus".into(),
-                    container,
-                },
-            )
-        };
+        // `Router::op` scatter-gathers a GREPZ tag itself.
+        let routed = router.op(tag, "corpus", &payload, 0);
+        let oracle_op =
+            OpRequest::from_wire(tag, "corpus".into(), payload).expect("wire_op deals op tags");
 
         if routed.degraded {
             report.degraded_count += 1;
@@ -204,7 +158,7 @@ pub fn drive_workload(
 
         match &routed.result {
             Ok(WireResponse::Hits { hits, .. }) => {
-                if roll < 30 {
+                if tag == wire::tag::MATCH {
                     report.match_hits += hits.len() as u64;
                 } else {
                     report.grep_hits += hits.len() as u64;
@@ -227,6 +181,73 @@ pub fn drive_workload(
         }
     }
     report
+}
+
+/// Backends both harnesses run.
+pub const BACKENDS: usize = 3;
+
+/// The kill schedule both harnesses share: `(victim, kill_at)` — the
+/// seed picks the backend that dies ahead of request `requests / 2`.
+#[must_use]
+pub fn kill_plan(requests: usize, seed: u64) -> (usize, usize) {
+    ((seed % BACKENDS as u64) as usize, requests / 2)
+}
+
+/// Publish `patterns` as "corpus" everywhere, drive the seeded workload
+/// with `kill(victim)` called at the [`kill_plan`] mark, and hold the run
+/// to the failover contract: nothing degraded before the kill, something
+/// after it, a scatter-gather that really fanned out, every response equal
+/// to the oracle's, router books that close exactly. `kill` is all the
+/// selftest (stops a server) and the smoke (SIGKILLs a child) differ in.
+///
+/// # Errors
+/// The publish failure, or a count of violated checks with the first one.
+pub fn publish_and_drive(
+    router: &Router,
+    oracle: &Engine,
+    patterns: &[Vec<u8>],
+    requests: usize,
+    seed: u64,
+    mut kill: impl FnMut(usize),
+) -> Result<DriveReport, String> {
+    let published = router
+        .publish("corpus", patterns)
+        .map_err(|e| format!("cluster publish: {e}"))?;
+    if published.degraded {
+        return Err(format!("publish should reach all backends: {published:?}"));
+    }
+    oracle
+        .registry()
+        .publish("corpus", patterns.to_vec())
+        .map_err(|e| format!("oracle publish: {e}"))?;
+
+    let (victim, kill_at) = kill_plan(requests, seed);
+    let mut report = drive_workload(router, oracle, patterns, requests, seed, |i| {
+        if i == kill_at {
+            kill(victim);
+        }
+    });
+    let mut failures = std::mem::take(&mut report.failures);
+    match report.first_degraded {
+        Some(first) if first < kill_at => {
+            failures.push(format!("request {first}: degraded before the kill"));
+        }
+        None => failures.push("no degraded responses after killing a backend".into()),
+        _ => {}
+    }
+    if report.scatter_shards_max < 2 {
+        failures.push(format!(
+            "scatter-gather never fanned out (max shards {})",
+            report.scatter_shards_max
+        ));
+    }
+    if let Err(e) = router.metrics().check_accounting(true) {
+        failures.push(format!("accounting violated: {e}"));
+    }
+    match failures.first() {
+        Some(first) => Err(format!("{} failures; first: {first}", failures.len())),
+        None => Ok(report),
+    }
 }
 
 /// Compare one routed response against the single-node oracle's,
@@ -325,14 +346,8 @@ pub fn verify_response(
 
 /// Render the deterministic summary shared by `--selftest` and `--smoke`.
 #[must_use]
-pub fn render_summary(
-    label: &str,
-    requests: usize,
-    seed: u64,
-    victim: usize,
-    kill_at: usize,
-    r: &DriveReport,
-) -> String {
+pub fn render_summary(label: &str, requests: usize, seed: u64, r: &DriveReport) -> String {
+    let (victim, kill_at) = kill_plan(requests, seed);
     format!(
         "cluster {label} ok: {requests} requests over 3 backends, seed {seed}\n\
          ops: match {} grep {} compress {} parse {} grepz {}\n\
@@ -364,10 +379,8 @@ pub fn render_summary(
 /// # Errors
 /// A description of the first failed assertion or infrastructure step.
 pub fn run(opts: &Options) -> Result<Outcome, String> {
-    const BACKENDS: usize = 3;
     let requests = opts.requests.max(8);
-    let kill_at = requests / 2;
-    let victim = usize::try_from(opts.seed % BACKENDS as u64).expect("mod 3 fits");
+    let (victim, _) = kill_plan(requests, opts.seed);
 
     // --- three served backends plus the single-node oracle.
     let mut engines = Vec::new();
@@ -385,47 +398,19 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
 
     let router = Arc::new(Router::new(&addrs, ClusterConfig::default()));
 
-    // --- publish one dictionary everywhere (and to the oracle).
+    // --- publish everywhere, then the sequential seeded driver with an
+    // in-process kill at halfway.
     let patterns = random_dictionary(opts.seed, 24, 3, 10, Alphabet::dna());
-    let summary_pub = router
-        .publish("corpus", &patterns)
-        .map_err(|e| format!("cluster publish: {e}"))?;
-    if summary_pub.acks != BACKENDS as u32 || summary_pub.degraded {
-        return Err(format!(
-            "publish should reach all backends: {summary_pub:?}"
-        ));
-    }
-    oracle
-        .registry()
-        .publish("corpus", patterns.clone())
-        .map_err(|e| format!("oracle publish: {e}"))?;
+    let report = publish_and_drive(&router, &oracle, &patterns, requests, opts.seed, |v| {
+        // Kill one backend: stop its listener, drain its engine. A
+        // pooled router connection now gets ShuttingDown; a fresh
+        // dial gets ConnectionRefused — both are dead-shard signals.
+        servers[v].take();
+        engines[v].shutdown();
+    })?;
 
-    // --- sequential seeded driver with an in-process kill at halfway.
-    let mut report = drive_workload(&router, &oracle, &patterns, requests, opts.seed, |i| {
-        if i == kill_at {
-            // Kill one backend: stop its listener, drain its engine. A
-            // pooled router connection now gets ShuttingDown; a fresh
-            // dial gets ConnectionRefused — both are dead-shard signals.
-            servers[victim].take();
-            engines[victim].shutdown();
-        }
-    });
-    let mut failures = std::mem::take(&mut report.failures);
-
-    // --- post-run assertions.
-    if let Some(first) = report.first_degraded {
-        if first < kill_at {
-            failures.push(format!("request {first}: degraded before the kill"));
-        }
-    } else {
-        failures.push("no degraded responses after killing a backend".into());
-    }
-    if report.scatter_shards_max < 2 {
-        failures.push(format!(
-            "scatter-gather never fanned out (max shards {})",
-            report.scatter_shards_max
-        ));
-    }
+    // --- what only the in-process run can see.
+    let mut failures = Vec::new();
     if router.metrics().scatter_gathers.get() == 0 {
         failures.push("scatter_gathers counter never moved".into());
     }
@@ -460,9 +445,9 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
             failures.push("front metrics report missing cluster header".into());
         }
     }
-
+    // The front's requests went through the same books.
     if let Err(e) = router.metrics().check_accounting(true) {
-        failures.push(format!("accounting violated: {e}"));
+        failures.push(format!("accounting violated after the front probes: {e}"));
     }
 
     let metrics_report = router.report();
@@ -484,7 +469,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     }
 
     Ok(Outcome {
-        summary: render_summary("selftest", requests, opts.seed, victim, kill_at, &report),
+        summary: render_summary("selftest", requests, opts.seed, &report),
         metrics_report,
     })
 }

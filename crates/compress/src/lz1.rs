@@ -119,10 +119,15 @@ fn emit_tokens(pram: &Pram, text: &[u8], matches: &[(u32, u32)], seed: u64) -> V
     })
 }
 
-/// Parallel LZ1 uncompression (Theorem 4.3): `O(n)` work, polylog depth.
-/// `n` (the decoded length) is assumed known, as in the paper.
-#[must_use]
-pub fn lz1_decompress(pram: &Pram, tokens: &[Token], seed: u64) -> Vec<u8> {
+/// Uncompression shared by both routes: build the copy forest — every
+/// copied position points at its (strictly earlier) source, literal
+/// positions are roots carrying the character — let `roots_of` resolve
+/// each position's root, and read the root's literal.
+fn decompress_via(
+    pram: &Pram,
+    tokens: &[Token],
+    roots_of: impl FnOnce(&Pram, &[usize]) -> Vec<usize>,
+) -> Vec<u8> {
     // Phrase start offsets by prefix sums.
     let lens: Vec<u64> = pram.map(tokens, |_, t| t.expanded_len() as u64);
     let starts = pram.scan_exclusive_sum(&lens);
@@ -151,8 +156,6 @@ pub fn lz1_decompress(pram: &Pram, tokens: &[Token], seed: u64) -> Vec<u8> {
             },
         );
 
-    // Copy-forest: every copied position points at its (strictly earlier)
-    // source; literal positions are roots carrying the character.
     let parent: Vec<usize> = pram.tabulate(n, |i| {
         let t = block_of[i].1 as usize;
         match tokens[t] {
@@ -160,15 +163,23 @@ pub fn lz1_decompress(pram: &Pram, tokens: &[Token], seed: u64) -> Vec<u8> {
             Token::Copy { src, .. } => src as usize + (i - starts[t] as usize),
         }
     });
-    let forest = Forest::from_parents(pram, &parent);
-    let tour = EulerTour::build(pram, &forest, seed ^ 0xDEC0);
+    let root_of = roots_of(pram, &parent);
     pram.tabulate(n, |i| {
-        let root = tour.root_of[i];
-        let t = block_of[root].1 as usize;
+        let t = block_of[root_of[i]].1 as usize;
         match tokens[t] {
             Token::Literal(c) => c,
             Token::Copy { .. } => unreachable!("forest roots are literals"),
         }
+    })
+}
+
+/// Parallel LZ1 uncompression (Theorem 4.3): `O(n)` work, polylog depth.
+/// `n` (the decoded length) is assumed known, as in the paper.
+#[must_use]
+pub fn lz1_decompress(pram: &Pram, tokens: &[Token], seed: u64) -> Vec<u8> {
+    decompress_via(pram, tokens, |pram, parent| {
+        let forest = Forest::from_parents(pram, parent);
+        EulerTour::build(pram, &forest, seed ^ 0xDEC0).root_of
     })
 }
 
@@ -179,44 +190,7 @@ pub fn lz1_decompress(pram: &Pram, tokens: &[Token], seed: u64) -> Vec<u8> {
 /// Euler route the Theorem 4.3 choice.
 #[must_use]
 pub fn lz1_decompress_jump(pram: &Pram, tokens: &[Token]) -> Vec<u8> {
-    let lens: Vec<u64> = pram.map(tokens, |_, t| t.expanded_len() as u64);
-    let starts = pram.scan_exclusive_sum(&lens);
-    let n = (starts.last().copied().unwrap_or(0) + lens.last().copied().unwrap_or(0)) as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut start_marks = vec![(0u64, u64::MAX); n];
-    pram.ledger().round(tokens.len() as u64);
-    for (t, &s) in starts.iter().enumerate() {
-        start_marks[s as usize] = (1, t as u64);
-    }
-    let block_of =
-        pram.scan_inclusive(
-            &start_marks,
-            (0u64, u64::MAX),
-            |a, b| {
-                if b.0 == 1 {
-                    b
-                } else {
-                    a
-                }
-            },
-        );
-    let parent: Vec<usize> = pram.tabulate(n, |i| {
-        let t = block_of[i].1 as usize;
-        match tokens[t] {
-            Token::Literal(_) => i,
-            Token::Copy { src, .. } => src as usize + (i - starts[t] as usize),
-        }
-    });
-    let roots = pardict_pram::pointer_jump_roots(pram, &parent);
-    pram.tabulate(n, |i| {
-        let t = block_of[roots[i]].1 as usize;
-        match tokens[t] {
-            Token::Literal(c) => c,
-            Token::Copy { .. } => unreachable!("forest roots are literals"),
-        }
-    })
+    decompress_via(pram, tokens, pardict_pram::pointer_jump_roots)
 }
 
 /// Sequential LZ77: the classical greedy left-to-right parse, using the

@@ -46,11 +46,11 @@
 mod ac;
 mod alphabet;
 mod baseline;
+pub mod bytes;
 pub mod checker;
 mod crc;
 mod dict;
 mod dsm;
-pub mod le;
 mod matcher;
 mod mstats;
 mod offline;

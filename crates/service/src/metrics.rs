@@ -294,63 +294,19 @@ impl Metrics {
     /// # Errors
     /// A human-readable description of the first violated identity.
     pub fn check_accounting(&self, quiescent: bool) -> Result<(), String> {
-        let submitted = self.submitted.get();
-        let completed = self.completed.get();
-        if completed > submitted {
-            return Err(format!(
-                "completed {completed} exceeds submitted {submitted}"
-            ));
-        }
-        let mut per_op_total = 0u64;
+        self.snapshot().check_accounting(quiescent)?;
+        // Depth histograms are node-local (not in the snapshot), so their
+        // sample count is the one identity only the live books can check.
         for kind in OpKind::all() {
             let s = self.op(kind);
             let outcomes = s.count.get() + s.errors.get();
-            per_op_total += outcomes;
-            for (name, h) in [
-                ("latency", &s.latency_us),
-                ("work", &s.work),
-                ("depth", &s.depth),
-            ] {
-                if h.count() != outcomes {
-                    return Err(format!(
-                        "{}: {} samples {} != outcomes {}",
-                        kind.name(),
-                        name,
-                        h.count(),
-                        outcomes
-                    ));
-                }
+            if s.depth.count() != outcomes {
+                return Err(format!(
+                    "{}: depth samples {} != outcomes {outcomes}",
+                    kind.name(),
+                    s.depth.count()
+                ));
             }
-        }
-        if per_op_total != completed {
-            return Err(format!(
-                "per-op outcomes {per_op_total} != completed {completed}"
-            ));
-        }
-        let publishes = self.publishes.get();
-        let cached = self.cache_hits.get() + self.cache_misses.get();
-        if cached != publishes {
-            return Err(format!(
-                "cache hits+misses {cached} != publishes {publishes}"
-            ));
-        }
-        if self.batched_requests.get() < self.batches.get() {
-            return Err(format!(
-                "batched-requests {} below batches {} (empty batch?)",
-                self.batched_requests.get(),
-                self.batches.get()
-            ));
-        }
-        if self.deadline_expired.get() > completed {
-            return Err(format!(
-                "deadline-expired {} exceeds completed {completed}",
-                self.deadline_expired.get()
-            ));
-        }
-        if quiescent && submitted != completed {
-            return Err(format!(
-                "quiescent but submitted {submitted} != completed {completed}"
-            ));
         }
         Ok(())
     }
@@ -398,31 +354,7 @@ impl Metrics {
     #[must_use]
     pub fn report(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== pardict-service metrics ==");
-        let _ = writeln!(
-            out,
-            "requests:  submitted {}  completed {}  overloaded {}  deadline-expired {}",
-            self.submitted.get(),
-            self.completed.get(),
-            self.rejected_overloaded.get(),
-            self.deadline_expired.get(),
-        );
-        let _ = writeln!(
-            out,
-            "registry:  publishes {}  cache-hits {}  cache-misses {}  retires {}",
-            self.publishes.get(),
-            self.cache_hits.get(),
-            self.cache_misses.get(),
-            self.retires.get(),
-        );
-        let _ = writeln!(
-            out,
-            "storage:   replayed {}  torn-dropped-bytes {}  snapshot-age {}",
-            self.store_replayed.get(),
-            self.store_torn_dropped.get(),
-            self.store_snapshot_age.get(),
-        );
+        let mut out = self.snapshot().report_head("pardict-service metrics");
         let batches = self.batches.get();
         let batched = self.batched_requests.get();
         let mean_batch = batched.checked_div(batches).unwrap_or(0);
@@ -468,6 +400,12 @@ impl Metrics {
         }
         out
     }
+}
+
+/// Name of the `i`-th [`MetricsSnapshot::per_op`] slot ([`OpKind::all`]
+/// order; a snapshot from a newer peer may carry slots this build lacks).
+fn op_name(i: usize) -> &'static str {
+    OpKind::all().get(i).map_or("op?", |k| k.name())
 }
 
 /// One operation family's slice of a [`MetricsSnapshot`].
@@ -562,8 +500,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The accounting identities of [`Metrics::check_accounting`],
-    /// checked on a shipped snapshot. Every identity is a linear
+    /// The accounting identities ([`Metrics::check_accounting`] states
+    /// when each must hold), checked on a snapshot. Every identity is a linear
     /// equation or an inequality between summed counters, so snapshots
     /// that each pass also pass after [`MetricsSnapshot::merge`] — the
     /// property the cluster router's aggregate books rely on.
@@ -579,19 +517,20 @@ impl MetricsSnapshot {
         }
         let mut per_op_total = 0u64;
         for (i, s) in self.per_op.iter().enumerate() {
+            let op = op_name(i);
             let outcomes = s.count + s.errors;
             per_op_total += outcomes;
             for (name, h) in [("latency", &s.latency_us), ("work", &s.work)] {
                 if h.count != outcomes {
                     return Err(format!(
-                        "op {i}: {name} samples {} != outcomes {outcomes}",
+                        "{op}: {name} samples {} != outcomes {outcomes}",
                         h.count
                     ));
                 }
                 let bucketed: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
                 if bucketed != h.count {
                     return Err(format!(
-                        "op {i}: {name} buckets hold {bucketed} of {} samples",
+                        "{op}: {name} buckets hold {bucketed} of {} samples",
                         h.count
                     ));
                 }
@@ -631,10 +570,9 @@ impl MetricsSnapshot {
         Ok(())
     }
 
-    /// Plain-text rendering in the same shape as [`Metrics::report`],
-    /// headed by `title`.
-    #[must_use]
-    pub fn report(&self, title: &str) -> String {
+    /// The title and the request / registry / storage lines that open
+    /// both this report and the live [`Metrics::report`].
+    fn report_head(&self, title: &str) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "== {title} ==");
@@ -653,6 +591,15 @@ impl MetricsSnapshot {
             "storage:   replayed {}  torn-dropped-bytes {}  snapshot-age {}",
             self.store_replayed, self.store_torn_dropped, self.store_snapshot_age,
         );
+        out
+    }
+
+    /// Plain-text rendering in the same shape as [`Metrics::report`],
+    /// headed by `title`.
+    #[must_use]
+    pub fn report(&self, title: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = self.report_head(title);
         let _ = writeln!(
             out,
             "batching:  batches {}  batched-requests {}  seq-fallback {}  stream-lane {}  grep-lane {}",
@@ -664,11 +611,10 @@ impl MetricsSnapshot {
             "op", "count", "errors", "lat-p50us", "lat-p95us", "lat-max", "work-mean",
         );
         for (i, s) in self.per_op.iter().enumerate() {
-            let name = OpKind::all().get(i).map_or("op?", |k| k.name());
             let _ = writeln!(
                 out,
                 "{:<10} {:>8} {:>7} | {:>9} {:>9} {:>9} | {:>12}",
-                name,
+                op_name(i),
                 s.count,
                 s.errors,
                 s.latency_us.quantile(0.50),

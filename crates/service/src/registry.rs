@@ -118,6 +118,22 @@ impl BuildCache {
     }
 }
 
+/// Make `pre` the current version of `name` (callers hold the write lock).
+fn install(
+    entries: &mut HashMap<String, Arc<DictVersion>>,
+    name: &str,
+    version: u64,
+    pre: Arc<Preprocessed>,
+) {
+    let name = name.to_string();
+    let installed = DictVersion {
+        name: name.clone(),
+        version,
+        pre,
+    };
+    entries.insert(name, Arc::new(installed));
+}
+
 /// The registry's wire-visible dictionary identity: the commutative
 /// multiset hash of the pattern set (see
 /// [`pardict_core::multiset_identity`]). Chain-updatable across deltas in
@@ -186,35 +202,41 @@ impl Registry {
         Ok(())
     }
 
-    /// Build (or fetch from cache) the preprocessed state for `patterns`,
-    /// counting one publish plus the cache hit/miss in the metrics.
-    fn build(&self, patterns: Vec<Vec<u8>>) -> (Arc<Preprocessed>, bool) {
+    /// Fetch the preprocessed state cached under `key`, or run `build`
+    /// and cache what it returns, counting one publish plus the cache
+    /// hit/miss in the metrics. The flag reports a cache hit.
+    fn build_cached(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> Result<Preprocessed, ServiceError>,
+    ) -> Result<(Arc<Preprocessed>, bool), ServiceError> {
         self.metrics.publishes.inc();
-        let key = list_hash(&patterns);
         let cached = self.cache.lock().expect("cache poisoned").get(key);
-        match cached {
-            Some(pre) => {
-                self.metrics.cache_hits.inc();
-                (pre, true)
-            }
-            None => {
-                self.metrics.cache_misses.inc();
-                let pram = Pram::par();
-                // Segment seeds derive from each segment's content hash,
-                // so builds stay reproducible per content.
-                let seg = SegmentedMatcher::build(&pram, patterns);
-                let pre = Arc::new(Preprocessed {
-                    content_hash: seg.identity(),
-                    build_cost: seg.build_cost(),
-                    seg,
-                });
-                self.cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(key, Arc::clone(&pre));
-                (pre, false)
-            }
+        if let Some(pre) = cached {
+            self.metrics.cache_hits.inc();
+            return Ok((pre, true));
         }
+        self.metrics.cache_misses.inc();
+        let pre = Arc::new(build()?);
+        self.cache
+            .lock()
+            .expect("cache poisoned")
+            .insert(key, Arc::clone(&pre));
+        Ok((pre, false))
+    }
+
+    /// Build (or fetch from cache) the preprocessed state for `patterns`.
+    fn build(&self, patterns: Vec<Vec<u8>>) -> Result<(Arc<Preprocessed>, bool), ServiceError> {
+        self.build_cached(list_hash(&patterns), || {
+            // Segment seeds derive from each segment's content hash,
+            // so builds stay reproducible per content.
+            let seg = SegmentedMatcher::build(&Pram::par(), patterns);
+            Ok(Preprocessed {
+                content_hash: seg.identity(),
+                build_cost: seg.build_cost(),
+                seg,
+            })
+        })
     }
 
     /// Publish `patterns` under `name`, returning the installed version.
@@ -234,7 +256,7 @@ impl Registry {
     ) -> Result<PublishOutcome, ServiceError> {
         Self::validate(name, &patterns)?;
         let logged = patterns.clone();
-        let (pre, cache_hit) = self.build(patterns);
+        let (pre, cache_hit) = self.build(patterns)?;
         let build_cost = pre.build_cost;
 
         let mut entries = self.entries.write().expect("registry poisoned");
@@ -247,14 +269,7 @@ impl Registry {
                 .log_publish(name, version, &logged)
                 .map_err(|e| ServiceError::Storage(e.to_string()))?;
         }
-        entries.insert(
-            name.to_string(),
-            Arc::new(DictVersion {
-                name: name.to_string(),
-                version,
-                pre,
-            }),
-        );
+        install(&mut entries, name, version, pre);
         Ok(PublishOutcome {
             version,
             cache_hit,
@@ -306,42 +321,28 @@ impl Registry {
         let identity = chain_identity(cur.pre.content_hash, delta, &removed_counts);
         debug_assert_eq!(identity, multiset_identity(&finals));
 
-        self.metrics.publishes.inc();
-        let key = list_hash(&finals);
-        let cached = self.cache.lock().expect("cache poisoned").get(key);
-        let (pre, stats, cache_hit) = match cached {
-            Some(pre) => {
-                self.metrics.cache_hits.inc();
-                let n = pre.seg.num_segments();
-                (
-                    pre,
-                    SegmentBuildStats {
-                        segments_total: n,
-                        segments_reused: n,
-                    },
-                    true,
-                )
+        let mut built = None;
+        let (pre, cache_hit) = self.build_cached(list_hash(&finals), || {
+            let (seg, stats) = cur
+                .pre
+                .seg
+                .apply_delta(&Pram::par(), delta)
+                .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
+            built = Some(stats);
+            Ok(Preprocessed {
+                content_hash: identity,
+                build_cost: seg.build_cost(),
+                seg,
+            })
+        })?;
+        // A cache hit built nothing: every segment counts as reused.
+        let stats = built.unwrap_or_else(|| {
+            let n = pre.seg.num_segments();
+            SegmentBuildStats {
+                segments_total: n,
+                segments_reused: n,
             }
-            None => {
-                self.metrics.cache_misses.inc();
-                let pram = Pram::par();
-                let (seg, stats) = cur
-                    .pre
-                    .seg
-                    .apply_delta(&pram, delta)
-                    .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-                let pre = Arc::new(Preprocessed {
-                    content_hash: identity,
-                    build_cost: seg.build_cost(),
-                    seg,
-                });
-                self.cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(key, Arc::clone(&pre));
-                (pre, stats, false)
-            }
-        };
+        });
 
         let mut entries = self.entries.write().expect("registry poisoned");
         // Re-check under the write lock: a concurrent publish may have
@@ -360,14 +361,7 @@ impl Registry {
                 .log_delta(name, version, &delta.adds, &delta.removes)
                 .map_err(|e| ServiceError::Storage(e.to_string()))?;
         }
-        entries.insert(
-            name.to_string(),
-            Arc::new(DictVersion {
-                name: name.to_string(),
-                version,
-                pre: Arc::clone(&pre),
-            }),
-        );
+        install(&mut entries, name, version, Arc::clone(&pre));
         Ok(DeltaPublishOutcome {
             version,
             segments_total: stats.segments_total,
@@ -393,15 +387,9 @@ impl Registry {
         patterns: Vec<Vec<u8>>,
     ) -> Result<(), ServiceError> {
         Self::validate(name, &patterns)?;
-        let (pre, _) = self.build(patterns);
-        self.entries.write().expect("registry poisoned").insert(
-            name.to_string(),
-            Arc::new(DictVersion {
-                name: name.to_string(),
-                version,
-                pre,
-            }),
-        );
+        let (pre, _) = self.build(patterns)?;
+        let mut entries = self.entries.write().expect("registry poisoned");
+        install(&mut entries, name, version, pre);
         Ok(())
     }
 

@@ -11,11 +11,11 @@ use crate::engine::{Engine, EngineConfig};
 use crate::metrics::Metrics;
 use crate::registry::{DictVersion, Registry};
 use crate::server::{Client, Server};
-use crate::types::{OpRequest, Reply, Request, ServiceError};
+use crate::types::{OpKind, OpRequest, Reply, Request, ServiceError};
 use crate::wire;
 use pardict_core::{AhoCorasick, Dictionary};
-use pardict_pram::{Pram, SplitMix64};
-use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
+use pardict_pram::Pram;
+use pardict_workloads::{mixed_ops, random_dictionary, text_with_planted_matches, Alphabet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,27 +45,34 @@ impl Default for SelftestOptions {
     }
 }
 
+/// A fresh engine for a selftest, its thresholds well below the largest
+/// workload texts (1500 bytes) so the sequential, batched and streaming
+/// lanes all get exercised and verified.
+fn selftest_engine(
+    workers: usize,
+    max_batch: usize,
+    tracer: Option<Arc<pardict_trace::Tracer>>,
+) -> Engine {
+    let metrics = Arc::new(Metrics::default());
+    let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
+    let cfg = EngineConfig {
+        workers,
+        queue_depth: 4096,
+        max_batch,
+        seq_threshold: 512,
+        stream_threshold: 1024,
+    };
+    Engine::new_traced(cfg, registry, metrics, tracer)
+}
+
 /// Run the selftest; returns a human-readable summary + metrics report.
 ///
 /// # Errors
 /// A description of the first failed verification or infrastructure step.
 #[allow(clippy::too_many_lines)]
 pub fn run(opts: &SelftestOptions) -> Result<String, String> {
-    let metrics = Arc::new(Metrics::default());
-    let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
-    let engine = Engine::new(
-        EngineConfig {
-            workers: opts.workers.max(1),
-            queue_depth: 4096,
-            max_batch: 32,
-            seq_threshold: 512,
-            // Well below the largest selftest texts so the streaming lane
-            // gets exercised and verified too.
-            stream_threshold: 1024,
-        },
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-    );
+    let engine = selftest_engine(opts.workers.max(1), 32, None);
+    let (registry, metrics) = (engine.registry(), engine.metrics());
 
     // --- publish round: v1 of "corpus", plus an identical-content "aux"
     // dictionary that must come from the preprocessing cache.
@@ -87,9 +94,7 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
 
     // Independent oracles per version, for sampled verification.
     let v1 = registry.current("corpus").expect("corpus v1");
-    let oracle_v1 = Arc::new(AhoCorasick::build(&Dictionary::new(
-        v1.pre.patterns().to_vec(),
-    )));
+    let oracle_v1 = AhoCorasick::build(&Dictionary::new(v1.pre.patterns().to_vec()));
 
     // Pre-swap sanity: a synchronous match must report version 1.
     let pre = engine.call(Request::new(OpRequest::Match {
@@ -102,85 +107,42 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
     }
 
     // --- mixed workload from client threads, hot-swap at the halfway mark.
-    let issued = Arc::new(AtomicUsize::new(0));
-    let swapped = Arc::new(AtomicUsize::new(0));
+    let issued = AtomicUsize::new(0);
+    let swapped = AtomicUsize::new(0);
     let halfway = opts.requests / 2;
-    let failures: Arc<std::sync::Mutex<Vec<String>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let failures = std::sync::Mutex::new(Vec::new());
 
     std::thread::scope(|s| {
         for c in 0..opts.clients.max(1) {
-            let engine = engine.clone();
-            let registry = Arc::clone(&registry);
-            let issued = Arc::clone(&issued);
-            let swapped = Arc::clone(&swapped);
-            let failures = Arc::clone(&failures);
-            let oracle_v1 = Arc::clone(&oracle_v1);
-            let v1 = Arc::clone(&v1);
-            let pats_v1 = pats_v1.clone();
-            let pats_v2 = pats_v2.clone();
+            // Scoped threads borrow the shared state; only `c` moves in.
+            let (engine, issued, swapped, failures) = (&engine, &issued, &swapped, &failures);
+            let (oracle_v1, v1, pats_v1, pats_v2) = (&oracle_v1, &v1, &pats_v1, &pats_v2);
             s.spawn(move || {
-                let mut rng = SplitMix64::new(opts.seed ^ (c as u64 + 1).wrapping_mul(0x9E37));
                 let mut fail = |msg: String| {
                     failures.lock().expect("failures poisoned").push(msg);
                 };
-                loop {
+                // Client threads share one request counter; each deals its
+                // own operation mix.
+                let indices = std::iter::from_fn(|| {
                     let i = issued.fetch_add(1, Ordering::Relaxed);
-                    if i >= opts.requests {
-                        break;
-                    }
+                    (i < opts.requests).then_some(i)
+                });
+                let rng_seed = opts.seed ^ (c as u64 + 1).wrapping_mul(0x9E37);
+                let deal = mixed_ops(rng_seed, opts.seed, pats_v1, [45, 62, 75, 88], indices);
+                for (i, kind, text) in deal {
                     // Exactly one thread performs the hot swap, mid-run.
                     if i >= halfway && swapped.swap(1, Ordering::SeqCst) == 0 {
                         if let Err(e) = registry.publish("corpus", pats_v2.clone()) {
                             fail(format!("hot-swap publish failed: {e}"));
                         }
                     }
-                    let n = if rng.next_u64().is_multiple_of(4) {
-                        64
-                    } else {
-                        1500
-                    };
-                    let text = text_with_planted_matches(
-                        opts.seed ^ ((i as u64) << 8),
-                        &pats_v1,
-                        n,
-                        15,
-                        Alphabet::dna(),
-                    );
-                    let roll = rng.next_u64() % 100;
-                    let op = if roll < 45 {
-                        OpRequest::Match {
-                            dict: "corpus".into(),
-                            text: text.clone(),
-                        }
-                    } else if roll < 62 {
-                        OpRequest::Grep {
-                            dict: "corpus".into(),
-                            text: text.clone(),
-                        }
-                    } else if roll < 75 {
-                        OpRequest::Compress { text: text.clone() }
-                    } else if roll < 88 {
-                        OpRequest::Parse {
-                            dict: "corpus".into(),
-                            text: text.clone(),
-                        }
-                    } else {
-                        // Grep lane: search the compressed form of the same
-                        // text, multi-block so boundary stitching is live
-                        // while the hot swap happens underneath.
-                        let cfg = pardict_stream::StreamConfig::with_block_size(256);
-                        let (container, _) = pardict_stream::compress_stream(
-                            &Pram::seq(),
-                            &mut &text[..],
-                            Vec::new(),
-                            &cfg,
-                        )
-                        .expect("selftest compress for grep lane");
-                        OpRequest::GrepContainer {
-                            dict: "corpus".into(),
-                            container,
-                        }
-                    };
+                    // Grep lane: search the compressed form of the same
+                    // text, multi-block so boundary stitching is live
+                    // while the hot swap happens underneath.
+                    let (tag, payload) =
+                        wire_op(kind, text.clone(), 256).expect("selftest compress for grep lane");
+                    let op = OpRequest::from_wire(tag, "corpus".into(), payload)
+                        .expect("wire_op deals op tags");
                     let resp = engine.call(Request::new(op));
                     match resp.result {
                         Err(ServiceError::Unparseable) => {} // legitimate for parse
@@ -194,7 +156,7 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
                             // Sampled deep verification (~1 in 8); container
                             // grep is always verified — it is the new lane.
                             if i.is_multiple_of(8) || matches!(reply, Reply::GrepContainer { .. }) {
-                                verify_reply(&reply, &text, &oracle_v1, &v1, i, &mut fail);
+                                verify_reply(&reply, &text, oracle_v1, v1, i, &mut fail);
                             }
                         }
                     }
@@ -203,8 +165,7 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
         }
     });
 
-    let failures = Arc::try_unwrap(failures)
-        .map_err(|_| "failure log still shared".to_string())?
+    let failures = failures
         .into_inner()
         .map_err(|_| "failure log poisoned".to_string())?;
     if let Some(first) = failures.first() {
@@ -299,6 +260,32 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
     out.push_str("TCP loopback: publish/match/metrics round trip ok\n\n");
     out.push_str(&metrics.report());
     Ok(out)
+}
+
+/// The wire form of operation `family` (a [`pardict_workloads::mixed_ops`]
+/// deal, in [`OpKind::all`] order): its tag and payload — the text, or
+/// for container grep the text's container in `block_size`-byte blocks.
+///
+/// # Errors
+/// The container build's.
+pub fn wire_op(
+    family: usize,
+    text: Vec<u8>,
+    block_size: usize,
+) -> Result<(u8, Vec<u8>), pardict_stream::StreamError> {
+    let tag = match OpKind::all()[family] {
+        OpKind::Match => wire::tag::MATCH,
+        OpKind::Grep => wire::tag::GREP,
+        OpKind::Compress => wire::tag::COMPRESS,
+        OpKind::Parse => wire::tag::PARSE,
+        OpKind::GrepContainer => {
+            let cfg = pardict_stream::StreamConfig::with_block_size(block_size);
+            let packed =
+                pardict_stream::compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg)?;
+            return Ok((wire::tag::GREPZ, packed.0));
+        }
+    };
+    Ok((tag, text))
 }
 
 /// Verify one sampled reply against an independent oracle.
@@ -468,7 +455,6 @@ impl Default for TraceRunOptions {
 ///
 /// # Errors
 /// The first failed request or infrastructure step.
-#[allow(clippy::too_many_lines)]
 pub fn trace_run(opts: &TraceRunOptions) -> Result<(String, String), String> {
     use pardict_trace::{export, Tracer};
 
@@ -478,24 +464,13 @@ pub fn trace_run(opts: &TraceRunOptions) -> Result<(String, String), String> {
         capacity: 1 << 16,
         deterministic: true,
     });
-    let metrics = Arc::new(Metrics::default());
-    let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
-    let engine = Engine::new_traced(
-        EngineConfig {
-            workers: 0, // inline: one thread, one deterministic tick order
-            queue_depth: 4096,
-            max_batch: 8,
-            seq_threshold: 512,
-            stream_threshold: 1024,
-        },
-        Arc::clone(&registry),
-        Arc::clone(&metrics),
-        Some(Arc::clone(&tracer)),
-    );
+    // Inline execution: one thread, one deterministic tick order.
+    let engine = selftest_engine(0, 8, Some(Arc::clone(&tracer)));
 
     let alpha = Alphabet::dna();
     let pats = random_dictionary(opts.seed, 24, 3, 10, alpha);
-    registry
+    engine
+        .registry()
         .publish("corpus", pats.clone())
         .map_err(|e| format!("trace publish: {e}"))?;
 
@@ -508,32 +483,17 @@ pub fn trace_run(opts: &TraceRunOptions) -> Result<(String, String), String> {
         return Err("tracing engine did not advertise EXT_TRACE".into());
     }
 
-    let mut rng = SplitMix64::new(opts.seed ^ 0x7EAC_E5EE_D000_0001);
+    let rng_seed = opts.seed ^ 0x7EAC_E5EE_D000_0001;
     let mut sampled = 0usize;
-    for i in 0..opts.requests {
-        let n = if rng.next_u64().is_multiple_of(4) {
-            64
-        } else {
-            1500
-        };
-        let text =
-            text_with_planted_matches(opts.seed ^ ((i as u64) << 8), &pats, n, 15, Alphabet::dna());
-        let roll = rng.next_u64() % 100;
-        let (tag, payload): (u8, Vec<u8>) = if roll < 40 {
-            (wire::tag::MATCH, text)
-        } else if roll < 60 {
-            (wire::tag::GREP, text)
-        } else if roll < 75 {
-            (wire::tag::COMPRESS, text)
-        } else if roll < 85 {
-            (wire::tag::PARSE, text)
-        } else {
-            let cfg = pardict_stream::StreamConfig::with_block_size(256);
-            let (container, _) =
-                pardict_stream::compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg)
-                    .map_err(|e| format!("trace request {i}: container build: {e}"))?;
-            (wire::tag::GREPZ, container)
-        };
+    for (i, kind, text) in mixed_ops(
+        rng_seed,
+        opts.seed,
+        &pats,
+        [40, 60, 75, 85],
+        0..opts.requests,
+    ) {
+        let (tag, payload) = wire_op(kind, text, 256)
+            .map_err(|e| format!("trace request {i}: container build: {e}"))?;
         let ctx = tracer.begin_trace();
         sampled += usize::from(ctx.is_some());
         let resp = client

@@ -173,10 +173,7 @@ fn handle(engine: &Engine, req: WireRequest) -> WireResponse {
                     version: out.version,
                     cache_hit: out.cache_hit,
                 },
-                Err(e) => WireResponse::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
+                Err(e) => (&e).into(),
             }
         }
         WireRequest::PubDelta {
@@ -194,10 +191,7 @@ fn handle(engine: &Engine, req: WireRequest) -> WireResponse {
                     version: out.version,
                     cache_hit: out.cache_hit,
                 },
-                Err(e) => WireResponse::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
+                Err(e) => (&e).into(),
             }
         }
         WireRequest::Op {
@@ -206,17 +200,7 @@ fn handle(engine: &Engine, req: WireRequest) -> WireResponse {
             text,
             timeout_ms,
         } => {
-            let op = match tag {
-                wire::tag::MATCH => OpRequest::Match { dict, text },
-                wire::tag::GREP => OpRequest::Grep { dict, text },
-                wire::tag::COMPRESS => OpRequest::Compress { text },
-                wire::tag::PARSE => OpRequest::Parse { dict, text },
-                wire::tag::GREPZ => OpRequest::GrepContainer {
-                    dict,
-                    container: text,
-                },
-                _ => unreachable!("decode only yields op tags"),
-            };
+            let op = OpRequest::from_wire(tag, dict, text).expect("decode only yields op tags");
             let req = if timeout_ms == 0 {
                 Request::new(op)
             } else {

@@ -6,7 +6,8 @@
 //! kind; integers are big-endian, byte strings are `u32` length-prefixed.
 //! Responses repeat a tag so decoding is context-free.
 
-use crate::types::{Hit, Reply, Response, ServiceError};
+use crate::types::{Hit, OpRequest, Reply, Response, ServiceError};
+use pardict_core::bytes::{BytesError, Endian, Reader, Writer};
 use pardict_trace::{SpanId, TraceCtx, TraceId};
 use std::io::{self, Read, Write};
 
@@ -100,103 +101,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-// ---- payload primitives ----
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn err(msg: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| Self::err("truncated payload"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let end = self.pos + 4;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| Self::err("truncated u32"))?;
-        self.pos = end;
-        Ok(u32::from_be_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let end = self.pos + 8;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| Self::err("truncated u64"))?;
-        self.pos = end;
-        Ok(u64::from_be_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Decode a `u32` element count, bounded by the bytes actually left in
-    /// the payload: a well-formed payload carries at least `min_entry`
-    /// bytes per element, so any larger claim is hostile. Rejecting here —
-    /// before `Vec::with_capacity` — caps every pre-allocation at
-    /// `remaining / min_entry` elements no matter what the frame claims.
-    fn count(&mut self, min_entry: usize, what: &str) -> io::Result<usize> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() / min_entry {
-            return Err(Self::err(&format!("{what} count exceeds payload")));
-        }
-        Ok(n)
-    }
-
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        let end = self.pos + len;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| Self::err("truncated byte string"))?;
-        self.pos = end;
-        Ok(s.to_vec())
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| Self::err("invalid UTF-8"))
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(Self::err("trailing bytes in payload"))
-        }
-    }
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 // ---- request codec ----
@@ -265,15 +171,12 @@ impl WireRequest {
     /// Encode to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new(Endian::Big);
         match self {
             WireRequest::Publish { name, patterns } => {
-                out.push(tag::PUBLISH);
-                put_bytes(&mut out, name.as_bytes());
-                put_u32(&mut out, patterns.len() as u32);
-                for p in patterns {
-                    put_bytes(&mut out, p);
-                }
+                w.u8(tag::PUBLISH);
+                w.put_bytes(name.as_bytes());
+                w.put_list(patterns);
             }
             WireRequest::PubDelta {
                 name,
@@ -281,15 +184,11 @@ impl WireRequest {
                 adds,
                 removes,
             } => {
-                out.push(tag::PUBDELTA);
-                put_bytes(&mut out, name.as_bytes());
-                put_u64(&mut out, *parent_version);
-                for list in [adds, removes] {
-                    put_u32(&mut out, list.len() as u32);
-                    for p in list {
-                        put_bytes(&mut out, p);
-                    }
-                }
+                w.u8(tag::PUBDELTA);
+                w.put_bytes(name.as_bytes());
+                w.u64(*parent_version);
+                w.put_list(adds);
+                w.put_list(removes);
             }
             WireRequest::Op {
                 tag: t,
@@ -297,31 +196,31 @@ impl WireRequest {
                 text,
                 timeout_ms,
             } => {
-                out.push(*t);
-                put_bytes(&mut out, dict.as_bytes());
-                put_bytes(&mut out, text);
-                put_u32(&mut out, *timeout_ms);
+                w.u8(*t);
+                w.put_bytes(dict.as_bytes());
+                w.put_bytes(text);
+                w.u32(*timeout_ms);
             }
-            WireRequest::Metrics => out.push(tag::METRICS),
-            WireRequest::Stats => out.push(tag::STATS),
-            WireRequest::Dicts => out.push(tag::DICTS),
-            WireRequest::Ping => out.push(tag::PING),
+            WireRequest::Metrics => w.u8(tag::METRICS),
+            WireRequest::Stats => w.u8(tag::STATS),
+            WireRequest::Dicts => w.u8(tag::DICTS),
+            WireRequest::Ping => w.u8(tag::PING),
             WireRequest::Hello { extensions } => {
-                out.push(tag::HELLO);
-                put_u32(&mut out, *extensions);
+                w.u8(tag::HELLO);
+                w.u32(*extensions);
             }
             WireRequest::Traced {
                 trace,
                 parent,
                 inner,
             } => {
-                out.push(tag::TRACED);
-                put_u64(&mut out, *trace);
-                put_u64(&mut out, *parent);
-                out.extend_from_slice(&inner.encode());
+                w.u8(tag::TRACED);
+                w.u64(*trace);
+                w.u64(*parent);
+                w.raw(&inner.encode());
             }
         }
-        out
+        w.into_vec()
     }
 
     /// Decode a frame payload.
@@ -329,38 +228,19 @@ impl WireRequest {
     /// # Errors
     /// `InvalidData` on unknown tags or malformed payloads.
     pub fn decode(payload: &[u8]) -> io::Result<Self> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload, Endian::Big);
         let t = c.u8()?;
         let req = match t {
-            tag::PUBLISH => {
-                let name = c.string()?;
-                // Each pattern costs at least its 4-byte length prefix.
-                let n = c.count(4, "pattern")?;
-                let mut patterns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    patterns.push(c.bytes()?);
-                }
-                WireRequest::Publish { name, patterns }
-            }
-            tag::PUBDELTA => {
-                let name = c.string()?;
-                let parent_version = c.u64()?;
-                let mut lists = [Vec::new(), Vec::new()];
-                for list in lists.iter_mut() {
-                    let n = c.count(4, "delta pattern")?;
-                    list.reserve(n);
-                    for _ in 0..n {
-                        list.push(c.bytes()?);
-                    }
-                }
-                let [adds, removes] = lists;
-                WireRequest::PubDelta {
-                    name,
-                    parent_version,
-                    adds,
-                    removes,
-                }
-            }
+            tag::PUBLISH => WireRequest::Publish {
+                name: c.string()?,
+                patterns: c.list()?,
+            },
+            tag::PUBDELTA => WireRequest::PubDelta {
+                name: c.string()?,
+                parent_version: c.u64()?,
+                adds: c.list()?,
+                removes: c.list()?,
+            },
             tag::MATCH | tag::GREP | tag::COMPRESS | tag::PARSE | tag::GREPZ => WireRequest::Op {
                 tag: t,
                 dict: c.string()?,
@@ -379,21 +259,20 @@ impl WireRequest {
                 let parent = c.u64()?;
                 // The rest of the payload is one complete inner request;
                 // its own decode enforces the trailing-bytes check.
-                let inner = WireRequest::decode(&payload[c.pos..])?;
+                let inner = WireRequest::decode(c.take(c.remaining())?)?;
                 if matches!(
                     inner,
                     WireRequest::Traced { .. } | WireRequest::Hello { .. }
                 ) {
-                    return Err(Cursor::err("trace wrapper cannot nest"));
+                    return Err(invalid("trace wrapper cannot nest".into()));
                 }
-                c.pos = payload.len();
                 WireRequest::Traced {
                     trace,
                     parent,
                     inner: Box::new(inner),
                 }
             }
-            other => return Err(Cursor::err(&format!("unknown request tag {other}"))),
+            other => return Err(invalid(format!("unknown request tag {other}"))),
         };
         c.finish()?;
         Ok(req)
@@ -522,55 +401,45 @@ mod ok {
     pub const HELLO: u8 = 11;
 }
 
-fn put_hits(out: &mut Vec<u8>, hits: &[Hit]) {
-    put_u32(out, hits.len() as u32);
-    for h in hits {
-        put_u64(out, h.pos);
-        put_u32(out, h.id);
-        put_u32(out, h.len);
-    }
+fn put_hits(w: &mut Writer, hits: &[Hit]) {
+    w.seq(hits, |w, h| {
+        w.u64(h.pos);
+        w.u32(h.id);
+        w.u32(h.len);
+    });
 }
 
-fn get_hits(c: &mut Cursor<'_>) -> io::Result<Vec<Hit>> {
-    let n = c.count(16, "hit")?;
-    let mut hits = Vec::with_capacity(n);
-    for _ in 0..n {
-        hits.push(Hit {
+fn get_hits(c: &mut Reader<'_>) -> Result<Vec<Hit>, BytesError> {
+    c.seq(16, |c| {
+        Ok(Hit {
             pos: c.u64()?,
             id: c.u32()?,
             len: c.u32()?,
-        });
-    }
-    Ok(hits)
+        })
+    })
 }
 
-fn put_histogram(out: &mut Vec<u8>, h: &crate::metrics::HistogramSnapshot) {
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-    put_u64(out, h.max);
-    put_u32(out, h.buckets.len() as u32);
-    for &(b, c) in &h.buckets {
-        out.push(b);
-        put_u64(out, c);
-    }
+fn put_histogram(w: &mut Writer, h: &crate::metrics::HistogramSnapshot) {
+    w.u64(h.count);
+    w.u64(h.sum);
+    w.u64(h.max);
+    w.seq(&h.buckets, |w, &(b, c)| {
+        w.u8(b);
+        w.u64(c);
+    });
 }
 
-fn get_histogram(c: &mut Cursor<'_>) -> io::Result<crate::metrics::HistogramSnapshot> {
+fn get_histogram(c: &mut Reader<'_>) -> Result<crate::metrics::HistogramSnapshot, BytesError> {
     let (count, sum, max) = (c.u64()?, c.u64()?, c.u64()?);
-    let n = c.count(9, "histogram bucket")?;
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        buckets.push((c.u8()?, c.u64()?));
-    }
     Ok(crate::metrics::HistogramSnapshot {
-        buckets,
+        buckets: c.seq(9, |c| Ok((c.u8()?, c.u64()?)))?,
         count,
         sum,
         max,
     })
 }
 
-fn put_snapshot(out: &mut Vec<u8>, s: &crate::metrics::MetricsSnapshot) {
+fn put_snapshot(w: &mut Writer, s: &crate::metrics::MetricsSnapshot) {
     for v in [
         s.submitted,
         s.completed,
@@ -589,18 +458,17 @@ fn put_snapshot(out: &mut Vec<u8>, s: &crate::metrics::MetricsSnapshot) {
         s.store_torn_dropped,
         s.store_snapshot_age,
     ] {
-        put_u64(out, v);
+        w.u64(v);
     }
-    put_u32(out, s.per_op.len() as u32);
-    for op in &s.per_op {
-        put_u64(out, op.count);
-        put_u64(out, op.errors);
-        put_histogram(out, &op.latency_us);
-        put_histogram(out, &op.work);
-    }
+    w.seq(&s.per_op, |w, op| {
+        w.u64(op.count);
+        w.u64(op.errors);
+        put_histogram(w, &op.latency_us);
+        put_histogram(w, &op.work);
+    });
 }
 
-fn get_snapshot(c: &mut Cursor<'_>) -> io::Result<crate::metrics::MetricsSnapshot> {
+fn get_snapshot(c: &mut Reader<'_>) -> Result<crate::metrics::MetricsSnapshot, BytesError> {
     let mut s = crate::metrics::MetricsSnapshot::default();
     for slot in [
         &mut s.submitted,
@@ -623,15 +491,14 @@ fn get_snapshot(c: &mut Cursor<'_>) -> io::Result<crate::metrics::MetricsSnapsho
         *slot = c.u64()?;
     }
     // Each op carries at least two counters and two empty histograms.
-    let n = c.count(16 + 2 * 28, "per-op stats")?;
-    for _ in 0..n {
-        s.per_op.push(crate::metrics::OpSnapshot {
+    s.per_op = c.seq(16 + 2 * 28, |c| {
+        Ok(crate::metrics::OpSnapshot {
             count: c.u64()?,
             errors: c.u64()?,
             latency_us: get_histogram(c)?,
             work: get_histogram(c)?,
-        });
-    }
+        })
+    })?;
     Ok(s)
 }
 
@@ -649,55 +516,47 @@ impl WireResponse {
     /// Encode to a frame payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new(Endian::Big);
         match self {
             WireResponse::Error { code, message } => {
-                out.push(tag::ERR);
-                out.push(*code);
-                put_bytes(&mut out, message.as_bytes());
+                w.u8(tag::ERR);
+                w.u8(*code);
+                w.put_bytes(message.as_bytes());
             }
             WireResponse::Published { version, cache_hit } => {
-                out.push(tag::OK);
-                out.push(ok::PUBLISHED);
-                put_u64(&mut out, *version);
-                out.push(u8::from(*cache_hit));
+                w.raw(&[tag::OK, ok::PUBLISHED]);
+                w.u64(*version);
+                w.u8(u8::from(*cache_hit));
             }
             WireResponse::Hits { version, hits } => {
-                out.push(tag::OK);
-                out.push(ok::HITS);
-                put_u64(&mut out, *version);
-                put_hits(&mut out, hits);
+                w.raw(&[tag::OK, ok::HITS]);
+                w.u64(*version);
+                put_hits(&mut w, hits);
             }
             WireResponse::Compressed { payload, phrases } => {
-                out.push(tag::OK);
-                out.push(ok::COMPRESSED);
-                put_u32(&mut out, *phrases);
-                put_bytes(&mut out, payload);
+                w.raw(&[tag::OK, ok::COMPRESSED]);
+                w.u32(*phrases);
+                w.put_bytes(payload);
             }
             WireResponse::Parsed {
                 version,
                 phrases,
                 greedy_phrases,
             } => {
-                out.push(tag::OK);
-                out.push(ok::PARSED);
-                put_u64(&mut out, *version);
-                put_u32(&mut out, *phrases);
-                put_u32(&mut out, greedy_phrases.unwrap_or(u32::MAX));
+                w.raw(&[tag::OK, ok::PARSED]);
+                w.u64(*version);
+                w.u32(*phrases);
+                w.u32(greedy_phrases.unwrap_or(u32::MAX));
             }
             WireResponse::ContainerHits {
                 version,
                 hits,
                 corrupt_blocks,
             } => {
-                out.push(tag::OK);
-                out.push(ok::CONTAINER_HITS);
-                put_u64(&mut out, *version);
-                put_hits(&mut out, hits);
-                put_u32(&mut out, corrupt_blocks.len() as u32);
-                for b in corrupt_blocks {
-                    put_u64(&mut out, *b);
-                }
+                w.raw(&[tag::OK, ok::CONTAINER_HITS]);
+                w.u64(*version);
+                put_hits(&mut w, hits);
+                w.seq(corrupt_blocks, |w, &b| w.u64(b));
             }
             WireResponse::ClusterHits {
                 version,
@@ -706,48 +565,38 @@ impl WireResponse {
                 hits,
                 corrupt_blocks,
             } => {
-                out.push(tag::OK);
-                out.push(ok::CLUSTER_HITS);
-                put_u64(&mut out, *version);
-                out.push(u8::from(*degraded));
-                put_u32(&mut out, *shards);
-                put_hits(&mut out, hits);
-                put_u32(&mut out, corrupt_blocks.len() as u32);
-                for b in corrupt_blocks {
-                    put_u64(&mut out, *b);
-                }
+                w.raw(&[tag::OK, ok::CLUSTER_HITS]);
+                w.u64(*version);
+                w.u8(u8::from(*degraded));
+                w.u32(*shards);
+                put_hits(&mut w, hits);
+                w.seq(corrupt_blocks, |w, &b| w.u64(b));
             }
             WireResponse::DictList(dicts) => {
-                out.push(tag::OK);
-                out.push(ok::DICTS);
-                put_u32(&mut out, dicts.len() as u32);
-                for (name, version, hash) in dicts {
-                    put_bytes(&mut out, name.as_bytes());
-                    put_u64(&mut out, *version);
-                    put_u64(&mut out, *hash);
-                }
+                w.raw(&[tag::OK, ok::DICTS]);
+                w.seq(dicts, |w, (name, version, hash)| {
+                    w.put_bytes(name.as_bytes());
+                    w.u64(*version);
+                    w.u64(*hash);
+                });
             }
             WireResponse::MetricsReport(s) => {
-                out.push(tag::OK);
-                out.push(ok::METRICS);
-                put_bytes(&mut out, s.as_bytes());
+                w.raw(&[tag::OK, ok::METRICS]);
+                w.put_bytes(s.as_bytes());
             }
             WireResponse::Stats(s) => {
-                out.push(tag::OK);
-                out.push(ok::STATS);
-                put_snapshot(&mut out, s);
+                w.raw(&[tag::OK, ok::STATS]);
+                put_snapshot(&mut w, s);
             }
             WireResponse::Pong => {
-                out.push(tag::OK);
-                out.push(ok::PONG);
+                w.raw(&[tag::OK, ok::PONG]);
             }
             WireResponse::Hello { extensions } => {
-                out.push(tag::OK);
-                out.push(ok::HELLO);
-                put_u32(&mut out, *extensions);
+                w.raw(&[tag::OK, ok::HELLO]);
+                w.u32(*extensions);
             }
         }
-        out
+        w.into_vec()
     }
 
     /// Decode a frame payload.
@@ -755,7 +604,7 @@ impl WireResponse {
     /// # Errors
     /// `InvalidData` on unknown tags or malformed payloads.
     pub fn decode(payload: &[u8]) -> io::Result<Self> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload, Endian::Big);
         let resp = match c.u8()? {
             tag::ERR => WireResponse::Error {
                 code: c.u8()?,
@@ -782,47 +631,22 @@ impl WireResponse {
                         g => Some(g),
                     },
                 },
-                ok::CONTAINER_HITS => {
-                    let version = c.u64()?;
-                    let hits = get_hits(&mut c)?;
-                    let nb = c.count(8, "corrupt-block")?;
-                    let mut corrupt_blocks = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        corrupt_blocks.push(c.u64()?);
-                    }
-                    WireResponse::ContainerHits {
-                        version,
-                        hits,
-                        corrupt_blocks,
-                    }
-                }
-                ok::CLUSTER_HITS => {
-                    let version = c.u64()?;
-                    let degraded = c.u8()? != 0;
-                    let shards = c.u32()?;
-                    let hits = get_hits(&mut c)?;
-                    let nb = c.count(8, "corrupt-block")?;
-                    let mut corrupt_blocks = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        corrupt_blocks.push(c.u64()?);
-                    }
-                    WireResponse::ClusterHits {
-                        version,
-                        degraded,
-                        shards,
-                        hits,
-                        corrupt_blocks,
-                    }
-                }
+                ok::CONTAINER_HITS => WireResponse::ContainerHits {
+                    version: c.u64()?,
+                    hits: get_hits(&mut c)?,
+                    corrupt_blocks: c.seq(8, Reader::u64)?,
+                },
+                ok::CLUSTER_HITS => WireResponse::ClusterHits {
+                    version: c.u64()?,
+                    degraded: c.u8()? != 0,
+                    shards: c.u32()?,
+                    hits: get_hits(&mut c)?,
+                    corrupt_blocks: c.seq(8, Reader::u64)?,
+                },
+                // Each digest costs at least a 4-byte name prefix plus
+                // two u64s.
                 ok::DICTS => {
-                    // Each digest costs at least a 4-byte name prefix
-                    // plus two u64s.
-                    let n = c.count(20, "dictionary digest")?;
-                    let mut dicts = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        dicts.push((c.string()?, c.u64()?, c.u64()?));
-                    }
-                    WireResponse::DictList(dicts)
+                    WireResponse::DictList(c.seq(20, |c| Ok((c.string()?, c.u64()?, c.u64()?)))?)
                 }
                 ok::METRICS => WireResponse::MetricsReport(c.string()?),
                 ok::STATS => WireResponse::Stats(get_snapshot(&mut c)?),
@@ -830,9 +654,9 @@ impl WireResponse {
                 ok::HELLO => WireResponse::Hello {
                     extensions: c.u32()?,
                 },
-                other => return Err(Cursor::err(&format!("unknown ok sub-tag {other}"))),
+                other => return Err(invalid(format!("unknown ok sub-tag {other}"))),
             },
-            other => return Err(Cursor::err(&format!("unknown response tag {other}"))),
+            other => return Err(invalid(format!("unknown response tag {other}"))),
         };
         c.finish()?;
         Ok(resp)
@@ -842,10 +666,7 @@ impl WireResponse {
     #[must_use]
     pub fn from_engine(resp: &Response) -> Self {
         match &resp.result {
-            Err(e) => WireResponse::Error {
-                code: e.code(),
-                message: e.to_string(),
-            },
+            Err(e) => e.into(),
             Ok(Reply::Match { version, hits }) | Ok(Reply::Grep { version, hits }) => {
                 WireResponse::Hits {
                     version: *version,
@@ -875,6 +696,34 @@ impl WireResponse {
                 corrupt_blocks: corrupt_blocks.clone(),
             },
         }
+    }
+}
+
+impl From<&ServiceError> for WireResponse {
+    fn from(e: &ServiceError) -> Self {
+        WireResponse::Error {
+            code: e.code(),
+            message: e.to_string(),
+        }
+    }
+}
+
+impl OpRequest {
+    /// The engine operation a [`WireRequest::Op`] frame asks for; `None`
+    /// when `tag` is not an op tag.
+    #[must_use]
+    pub fn from_wire(tag: u8, dict: String, text: Vec<u8>) -> Option<Self> {
+        Some(match tag {
+            tag::MATCH => OpRequest::Match { dict, text },
+            tag::GREP => OpRequest::Grep { dict, text },
+            tag::COMPRESS => OpRequest::Compress { text },
+            tag::PARSE => OpRequest::Parse { dict, text },
+            tag::GREPZ => OpRequest::GrepContainer {
+                dict,
+                container: text,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -1041,28 +890,32 @@ mod tests {
     fn hostile_counts_are_bounded_by_remaining_bytes() {
         // A short PUBLISH frame claiming u32::MAX patterns must be
         // rejected at the count, before any allocation can happen.
-        let mut p = vec![tag::PUBLISH];
-        put_bytes(&mut p, b"d");
-        put_u32(&mut p, u32::MAX);
-        assert!(WireRequest::decode(&p).is_err());
+        let mut w = Writer::new(Endian::Big);
+        w.u8(tag::PUBLISH);
+        w.put_bytes(b"d");
+        w.u32(u32::MAX);
+        assert!(WireRequest::decode(&w.into_vec()).is_err());
         // A PUBDELTA frame claiming u32::MAX adds.
-        let mut p = vec![tag::PUBDELTA];
-        put_bytes(&mut p, b"d");
-        put_u64(&mut p, 1);
-        put_u32(&mut p, u32::MAX);
-        assert!(WireRequest::decode(&p).is_err());
+        let mut w = Writer::new(Endian::Big);
+        w.u8(tag::PUBDELTA);
+        w.put_bytes(b"d");
+        w.u64(1);
+        w.u32(u32::MAX);
+        assert!(WireRequest::decode(&w.into_vec()).is_err());
         // A HITS response claiming more 16-byte hits than remain.
-        let mut p = vec![tag::OK, ok::HITS];
-        put_u64(&mut p, 1);
-        put_u32(&mut p, 1000);
-        assert!(WireResponse::decode(&p).is_err());
+        let mut w = Writer::new(Endian::Big);
+        w.raw(&[tag::OK, ok::HITS]);
+        w.u64(1);
+        w.u32(1000);
+        assert!(WireResponse::decode(&w.into_vec()).is_err());
         // A CONTAINER_HITS corrupt-block count larger than remaining / 8.
-        let mut p = vec![tag::OK, ok::CONTAINER_HITS];
-        put_u64(&mut p, 1);
-        put_u32(&mut p, 0);
-        put_u32(&mut p, 50);
-        put_u64(&mut p, 0);
-        assert!(WireResponse::decode(&p).is_err());
+        let mut w = Writer::new(Endian::Big);
+        w.raw(&[tag::OK, ok::CONTAINER_HITS]);
+        w.u64(1);
+        w.u32(0);
+        w.u32(50);
+        w.u64(0);
+        assert!(WireResponse::decode(&w.into_vec()).is_err());
     }
 
     #[test]

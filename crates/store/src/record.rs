@@ -21,8 +21,8 @@
 //! nothing after it can be trusted because record boundaries themselves
 //! come from the (now suspect) length prefixes.
 
+use pardict_core::bytes::{get_u64, Endian, Reader, Writer};
 use pardict_core::crc32;
-use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
 
 /// WAL file magic: "PDWL".
 pub const WAL_MAGIC: [u8; 4] = *b"PDWL";
@@ -159,57 +159,70 @@ impl WalScan {
     }
 }
 
+/// The 16-byte header both store files open with:
+/// `magic · version u8 · 3×0 · u64` (the WAL's generation, the snapshot's
+/// last covered sequence number).
+pub(crate) fn encode_header(magic: [u8; 4], value: u64) -> Writer {
+    let mut w = Writer::new(Endian::Little);
+    w.raw(&magic);
+    w.raw(&[STORE_VERSION, 0, 0, 0]);
+    w.u64(value);
+    w
+}
+
+/// Validate a store file's header (`bytes` holds at least
+/// [`WAL_HEADER_LEN`] bytes) and return its `u64` field.
+pub(crate) fn decode_header(bytes: &[u8], magic: [u8; 4]) -> Result<u64, String> {
+    if bytes[..4] != magic {
+        return Err("bad magic".to_string());
+    }
+    if bytes[4] != STORE_VERSION {
+        return Err(format!("unsupported version {}", bytes[4]));
+    }
+    if bytes[5..8] != [0, 0, 0] {
+        return Err("reserved header bytes set".to_string());
+    }
+    Ok(get_u64(&bytes[8..16]))
+}
+
 /// Encode a fresh WAL header for the given generation.
 pub fn encode_wal_header(generation: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_HEADER_LEN);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.push(STORE_VERSION);
-    out.extend_from_slice(&[0, 0, 0]);
-    put_u64(&mut out, generation);
-    out
+    encode_header(WAL_MAGIC, generation).into_vec()
 }
 
 /// Encode the record payload alone (what the length prefix counts).
 fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = Writer::new(Endian::Little);
+    w.put_bytes(record.name().as_bytes());
     match record {
         WalRecord::Publish {
-            name,
-            version,
-            patterns,
+            version, patterns, ..
         } => {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            put_u64(&mut out, *version);
-            put_u32(&mut out, patterns.len() as u32);
-            for p in patterns {
-                put_u32(&mut out, p.len() as u32);
-                out.extend_from_slice(p);
-            }
+            w.u64(*version);
+            w.put_list(patterns);
         }
-        WalRecord::Retire { name } => {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-        }
+        WalRecord::Retire { .. } => {}
         WalRecord::Delta {
-            name,
             version,
             adds,
             removes,
+            ..
         } => {
-            put_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            put_u64(&mut out, *version);
-            for list in [adds, removes] {
-                put_u32(&mut out, list.len() as u32);
-                for p in list {
-                    put_u32(&mut out, p.len() as u32);
-                    out.extend_from_slice(p);
-                }
-            }
+            w.u64(*version);
+            w.put_list(adds);
+            w.put_list(removes);
         }
     }
-    out
+    w.into_vec()
+}
+
+/// The frame checksum: CRC-32 over `kind · seq · payload`.
+fn frame_crc(kind: u8, seq: u64, payload: &[u8]) -> u32 {
+    let mut input = Vec::with_capacity(9 + payload.len());
+    input.push(kind);
+    input.extend_from_slice(&seq.to_le_bytes());
+    input.extend_from_slice(payload);
+    crc32(&input)
 }
 
 /// Encode one record with its frame. Returns `None` if the payload
@@ -220,52 +233,13 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> Option<Vec<u8>> {
     if payload.len() > MAX_RECORD_LEN {
         return None;
     }
-    let mut out = Vec::with_capacity(FRAME_LEN + payload.len());
-    out.push(record.kind());
-    put_u64(&mut out, seq);
-    put_u32(&mut out, payload.len() as u32);
-    let mut crc_input = Vec::with_capacity(9 + payload.len());
-    crc_input.push(record.kind());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    put_u32(&mut out, crc32(&crc_input));
-    out.extend_from_slice(&payload);
-    Some(out)
-}
-
-/// A bounds-checked payload reader; every getter returns `None` past the
-/// end, so decoding is total over arbitrary bytes.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(get_u32)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(get_u64)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    let mut w = Writer::new(Endian::Little);
+    w.u8(record.kind());
+    w.u64(seq);
+    w.u32(payload.len() as u32);
+    w.u32(frame_crc(record.kind(), seq, &payload));
+    w.raw(&payload);
+    Some(w.into_vec())
 }
 
 /// Decode a record payload whose frame (kind + CRC) already checked out.
@@ -273,55 +247,24 @@ impl<'a> Cursor<'a> {
 /// bad internal framing (possible for adversarial writes, not for our
 /// writer) is rejected, never panicked on.
 pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<WalRecord, String> {
-    let mut c = Cursor::new(payload);
-    let name = {
-        let n = c.u32().ok_or("payload truncated in name length")? as usize;
-        let raw = c.take(n).ok_or("payload truncated in name")?;
-        String::from_utf8(raw.to_vec()).map_err(|_| "name is not UTF-8".to_string())?
-    };
+    let mut r = Reader::new(payload, Endian::Little);
+    let name = r.string()?;
     let record = match kind {
-        KIND_PUBLISH => {
-            let version = c.u64().ok_or("payload truncated in version")?;
-            let npat = c.u32().ok_or("payload truncated in pattern count")? as usize;
-            // Cap the reserve from the untrusted count; push grows it.
-            let mut patterns = Vec::with_capacity(npat.min(1024));
-            for _ in 0..npat {
-                let len = c.u32().ok_or("payload truncated in pattern length")? as usize;
-                let raw = c.take(len).ok_or("payload truncated in pattern")?;
-                patterns.push(raw.to_vec());
-            }
-            WalRecord::Publish {
-                name,
-                version,
-                patterns,
-            }
-        }
+        KIND_PUBLISH => WalRecord::Publish {
+            name,
+            version: r.u64()?,
+            patterns: r.list()?,
+        },
         KIND_RETIRE => WalRecord::Retire { name },
-        KIND_DELTA => {
-            let version = c.u64().ok_or("payload truncated in version")?;
-            let mut lists = [Vec::new(), Vec::new()];
-            for list in lists.iter_mut() {
-                let n = c.u32().ok_or("payload truncated in delta count")? as usize;
-                list.reserve(n.min(1024));
-                for _ in 0..n {
-                    let len = c.u32().ok_or("payload truncated in pattern length")? as usize;
-                    let raw = c.take(len).ok_or("payload truncated in pattern")?;
-                    list.push(raw.to_vec());
-                }
-            }
-            let [adds, removes] = lists;
-            WalRecord::Delta {
-                name,
-                version,
-                adds,
-                removes,
-            }
-        }
+        KIND_DELTA => WalRecord::Delta {
+            name,
+            version: r.u64()?,
+            adds: r.list()?,
+            removes: r.list()?,
+        },
         other => return Err(format!("unknown record kind {other}")),
     };
-    if !c.done() {
-        return Err("trailing bytes after payload".to_string());
-    }
+    r.finish()?;
     Ok(record)
 }
 
@@ -336,28 +279,23 @@ pub fn decode_record_at(bytes: &[u8], offset: usize) -> Result<(u64, WalRecord, 
             rest.len()
         ));
     }
-    let kind = rest[0];
-    let seq = get_u64(&rest[1..9]);
-    let len = get_u32(&rest[9..13]) as usize;
-    let crc = get_u32(&rest[13..17]);
+    let mut frame = Reader::new(rest, Endian::Little);
+    let (kind, seq, len, crc) = (
+        frame.u8()?,
+        frame.u64()?,
+        frame.u32()? as usize,
+        frame.u32()?,
+    );
     if len > MAX_RECORD_LEN {
         return Err(format!("payload length {len} exceeds cap"));
     }
-    if rest.len() < FRAME_LEN + len {
-        return Err(format!(
-            "partial payload ({} of {len} bytes)",
-            rest.len() - FRAME_LEN
-        ));
-    }
-    let payload = &rest[FRAME_LEN..FRAME_LEN + len];
-    let mut crc_input = Vec::with_capacity(9 + len);
-    crc_input.push(kind);
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    let payload = frame
+        .take(len)
+        .map_err(|_| format!("partial payload ({} of {len} bytes)", frame.remaining()))?;
+    if frame_crc(kind, seq, payload) != crc {
         return Err("checksum mismatch".to_string());
     }
-    let record = decode_payload(kind, payload)?;
+    let record = decode_payload(kind, payload).map_err(|e| format!("payload: {e}"))?;
     Ok((seq, record, FRAME_LEN + len))
 }
 
@@ -377,19 +315,13 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         ));
         return scan;
     }
-    if bytes[..4] != WAL_MAGIC {
-        scan.header_issue = Some("bad magic".to_string());
-        return scan;
+    match decode_header(bytes, WAL_MAGIC) {
+        Ok(generation) => scan.generation = generation,
+        Err(issue) => {
+            scan.header_issue = Some(issue);
+            return scan;
+        }
     }
-    if bytes[4] != STORE_VERSION {
-        scan.header_issue = Some(format!("unsupported version {}", bytes[4]));
-        return scan;
-    }
-    if bytes[5..8] != [0, 0, 0] {
-        scan.header_issue = Some("reserved header bytes set".to_string());
-        return scan;
-    }
-    scan.generation = get_u64(&bytes[8..16]);
     let mut offset = WAL_HEADER_LEN;
     while offset < bytes.len() {
         match decode_record_at(bytes, offset) {

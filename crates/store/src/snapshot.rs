@@ -20,9 +20,11 @@
 //! file is not one of ours and recovery falls back to replaying the WAL
 //! from an empty state.
 
-use crate::record::{decode_record_at, encode_record, WalRecord, STORE_VERSION};
+use crate::record::{
+    decode_header, decode_record_at, encode_header, encode_record, WalRecord, FRAME_LEN,
+};
+use pardict_core::bytes::{get_u32, get_u64, Endian, Reader};
 use pardict_core::crc32;
-use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
 
 /// Snapshot file magic: "PDSN".
 pub const SNAP_MAGIC: [u8; 4] = *b"PDSN";
@@ -49,23 +51,20 @@ pub struct SnapshotDict {
 /// state always produces identical bytes). Returns `None` if any single
 /// entry exceeds the record cap.
 pub fn encode_snapshot(last_seq: u64, dicts: &[SnapshotDict]) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SNAP_MAGIC);
-    out.push(STORE_VERSION);
-    out.extend_from_slice(&[0, 0, 0]);
-    put_u64(&mut out, last_seq);
-    put_u32(&mut out, dicts.len() as u32);
+    let mut w = encode_header(SNAP_MAGIC, last_seq);
+    w.u32(dicts.len() as u32);
     for d in dicts {
         let rec = WalRecord::Publish {
             name: d.name.clone(),
             version: d.version,
             patterns: d.patterns.clone(),
         };
-        out.extend_from_slice(&encode_record(0, &rec)?);
+        w.raw(&encode_record(0, &rec)?);
     }
-    put_u64(&mut out, dicts.len() as u64);
+    w.u64(dicts.len() as u64);
+    let mut out = w.into_vec();
     let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&SNAP_TRAILER_MAGIC);
     Some(out)
 }
@@ -80,15 +79,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<SnapshotDict>), String>
             bytes.len()
         ));
     }
-    if bytes[..4] != SNAP_MAGIC {
-        return Err("bad magic".to_string());
-    }
-    if bytes[4] != STORE_VERSION {
-        return Err(format!("unsupported version {}", bytes[4]));
-    }
-    if bytes[5..8] != [0, 0, 0] {
-        return Err("reserved header bytes set".to_string());
-    }
+    let last_seq = decode_header(bytes, SNAP_MAGIC)?;
     let trailer_at = bytes.len() - SNAP_TRAILER_LEN;
     if bytes[trailer_at + 12..] != SNAP_TRAILER_MAGIC {
         return Err("bad trailer magic".to_string());
@@ -97,12 +88,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<SnapshotDict>), String>
     if crc32(&bytes[..trailer_at + 8]) != crc_stored {
         return Err("trailer checksum mismatch".to_string());
     }
-    let last_seq = get_u64(&bytes[8..16]);
-    let count = get_u32(&bytes[16..20]) as u64;
-    if get_u64(&bytes[trailer_at..trailer_at + 8]) != count {
+    // Every entry costs at least its record frame.
+    let count = Reader::new(&bytes[SNAP_HEADER_LEN..trailer_at], Endian::Little)
+        .count(FRAME_LEN)
+        .map_err(|e| format!("entry count: {e}"))?;
+    if get_u64(&bytes[trailer_at..trailer_at + 8]) != count as u64 {
         return Err("trailer count disagrees with header".to_string());
     }
-    let mut dicts = Vec::with_capacity((count as usize).min(1024));
+    let mut dicts = Vec::with_capacity(count);
     let mut offset = SNAP_HEADER_LEN + 4;
     for i in 0..count {
         if offset >= trailer_at {

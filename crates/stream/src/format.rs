@@ -26,7 +26,7 @@
 //! sources are offsets *within the block*), so any block decodes alone.
 
 use crate::error::StreamError;
-use pardict_core::le::{get_u32, get_u64, put_u32, put_u64};
+use pardict_core::bytes::{get_u32, get_u64};
 
 /// Leading container magic (`"PDZS"` — ParDict Zipped Stream).
 pub const MAGIC: [u8; 4] = *b"PDZS";
@@ -164,10 +164,10 @@ impl BlockEntry {
 pub fn encode_footer(entries: &[BlockEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * FOOTER_ENTRY_LEN);
     for e in entries {
-        put_u64(&mut out, e.offset);
-        put_u32(&mut out, e.raw_len);
-        put_u32(&mut out, e.comp_len);
-        put_u32(&mut out, e.crc);
+        out.extend_from_slice(&e.offset.to_le_bytes());
+        out.extend_from_slice(&e.raw_len.to_le_bytes());
+        out.extend_from_slice(&e.comp_len.to_le_bytes());
+        out.extend_from_slice(&e.crc.to_le_bytes());
         out.push(e.method);
         out.extend_from_slice(&[0, 0, 0]);
     }

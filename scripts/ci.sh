@@ -13,6 +13,23 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one owner"
+# Decisions that used to have several owners keep exactly one: the byte
+# cursor and its pre-allocation policy (core::bytes), and the selftests'
+# mixed-op roll table (pardict_workloads::mixed_ops).
+if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
+  echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
+  exit 1
+fi
+if grep -rn "min(1024)" crates/store/src; then
+  echo "ci.sh: a second pre-allocation policy in crates/store/src" >&2
+  exit 1
+fi
+if grep -n "% 100" $(find crates -name selftest.rs); then
+  echo "ci.sh: a roll table in a selftest.rs (use pardict_workloads::mixed_ops)" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 
@@ -117,11 +134,13 @@ fi
 echo "== cluster smoke"
 # In-process failover selftest: 3 backends, seeded mixed workload vs a
 # single-node oracle, one backend killed mid-run. Must exit 0 with a
-# degraded-but-correct summary, byte-identical across runs of one seed.
+# degraded-but-correct summary, byte-identical across runs of one seed
+# and to the committed golden copy (so a refactor of the workload
+# generator or the failover checks cannot change a draw silently).
 CLUSTER_SEED=2026
 "$PARDICT" cluster --selftest --requests 60 --seed "$CLUSTER_SEED" \
   > "$SMOKE/cluster.txt" 2> /dev/null
-grep -q "cluster selftest ok" "$SMOKE/cluster.txt"
+cmp "$SMOKE/cluster.txt" "tests/golden/cluster_selftest_$CLUSTER_SEED.txt"
 grep -q "degraded responses" "$SMOKE/cluster.txt"
 "$PARDICT" cluster --selftest --requests 60 --seed "$CLUSTER_SEED" \
   > "$SMOKE/cluster2.txt" 2> /dev/null
@@ -183,7 +202,8 @@ echo "== trace smoke"
 TRACE_SEED=0x7ACE
 "$PARDICT" serve --selftest --requests 24 --trace-seed "$TRACE_SEED" \
   --trace-out "$SMOKE/trace.jsonl" > "$SMOKE/trace.txt" 2> /dev/null
-grep -q "trace selftest ok" "$SMOKE/trace.txt"
+# The summary line (span count, root work) is pinned to a golden copy too.
+cmp "$SMOKE/trace.txt" tests/golden/trace_selftest_7ace.txt
 "$PARDICT" serve --selftest --requests 24 --trace-seed "$TRACE_SEED" \
   --trace-out "$SMOKE/trace2.jsonl" > /dev/null 2> /dev/null
 if ! cmp -s "$SMOKE/trace.jsonl" "$SMOKE/trace2.jsonl"; then

@@ -353,13 +353,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
             "-o" | "--output" => out = Some(it.next().ok_or("-o needs a path")?.clone()),
             "--stream" => force_stream = true,
             "--whole" => force_whole = true,
-            "--block-size" => {
-                block_size = it
-                    .next()
-                    .ok_or("--block-size needs a byte count")?
-                    .parse()
-                    .map_err(|e| format!("--block-size: {e}"))?;
-            }
+            "--block-size" => block_size = flag_value(&mut it, "--block-size", "a byte count")?,
             other => pos.push(other),
         }
     }
@@ -606,33 +600,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
             }
             "--trace-seed" => {
-                let v = it.next().ok_or("--trace-seed needs a number")?;
-                trace_seed = Some(parse_seed(v).map_err(|e| format!("--trace-seed: {e}"))?);
+                trace_seed = Some(flag_value::<Seed>(&mut it, "--trace-seed", "a number")?.0)
             }
             "--trace-sample" => {
-                trace_sample = Some(
-                    it.next()
-                        .ok_or("--trace-sample needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--trace-sample: {e}"))?,
-                );
+                trace_sample = Some(flag_value(&mut it, "--trace-sample", "a count")?)
             }
-            "--workers" => {
-                workers = Some(
-                    it.next()
-                        .ok_or("--workers needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                );
-            }
-            "--requests" => {
-                requests = Some(
-                    it.next()
-                        .ok_or("--requests needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--requests: {e}"))?,
-                );
-            }
+            "--workers" => workers = Some(flag_value(&mut it, "--workers", "a count")?),
+            "--requests" => requests = Some(flag_value(&mut it, "--requests", "a count")?),
             "--selftest" => run_selftest = true,
             other => return Err(format!("serve: unknown flag {other:?}\n{}", usage())),
         }
@@ -800,18 +774,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
             "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
             "--selftest" => run_selftest = true,
             "--smoke" => run_smoke = true,
-            "--requests" => {
-                requests = Some(
-                    it.next()
-                        .ok_or("--requests needs a count")?
-                        .parse()
-                        .map_err(|e| format!("--requests: {e}"))?,
-                );
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                seed = Some(parse_seed(v).map_err(|e| format!("--seed: {e}"))?);
-            }
+            "--requests" => requests = Some(flag_value(&mut it, "--requests", "a count")?),
+            "--seed" => seed = Some(flag_value::<Seed>(&mut it, "--seed", "a number")?.0),
             other => return Err(format!("cluster: unknown flag {other:?}\n{}", usage())),
         }
     }
@@ -873,7 +837,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 /// SIGKILL one child at the halfway mark, and require the run to finish
 /// degraded but correct with closed accounting.
 fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
-    use pardict::cluster::{ClusterConfig, Router};
+    use pardict::cluster::{selftest, ClusterConfig, Router};
     use pardict::service::{Engine, EngineConfig, Metrics, Registry};
     use pardict::workloads::random_dictionary;
     use std::sync::Arc;
@@ -881,16 +845,15 @@ fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
     let requests = requests.max(8);
     let mut children = Vec::new();
     let mut shard_addrs = Vec::new();
-    for id in 0..3 {
+    for id in 0..selftest::BACKENDS {
         let (child, addr) = spawn_backend(None).map_err(|e| format!("backend {id}: {e}"))?;
         children.push(child);
         shard_addrs.push(addr);
     }
+    let (victim, kill_at) = selftest::kill_plan(requests, seed);
     eprintln!(
         "pardict: smoke backends up at {shard_addrs:?}; \
-         killing backend {} at request {}",
-        seed % 3,
-        requests / 2
+         killing backend {victim} at request {kill_at}"
     );
 
     // Oracle: the exact engine configuration the children run (default
@@ -908,76 +871,20 @@ fn cluster_smoke(requests: usize, seed: u64) -> Result<(), String> {
 
     let router = Arc::new(Router::new(&shard_addrs, ClusterConfig::default()));
     let patterns = random_dictionary(seed, 24, 3, 10, Alphabet::dna());
-    let result = smoke_drive(&router, &oracle, &patterns, &mut children, requests, seed);
+    let result = selftest::publish_and_drive(&router, &oracle, &patterns, requests, seed, |v| {
+        // SIGKILL: no graceful drain. Pooled router connections see a
+        // reset; fresh dials are refused. Both must read as a dead
+        // shard, never as a wrong answer.
+        children[v].kill();
+    });
+    eprint!("{}", router.report());
 
     router.shutdown();
     oracle.shutdown();
 
-    let summary = result?;
+    let summary = selftest::render_summary("smoke", requests, seed, &result?);
     print!("{summary}");
     Ok(())
-}
-
-/// The driven middle of [`cluster_smoke`], separated so the caller can
-/// always shut the router and oracle down regardless of which step failed.
-fn smoke_drive(
-    router: &pardict::cluster::Router,
-    oracle: &pardict::service::Engine,
-    patterns: &[Vec<u8>],
-    children: &mut [ServeChild],
-    requests: usize,
-    seed: u64,
-) -> Result<String, String> {
-    use pardict::cluster::selftest;
-
-    let published = router
-        .publish("corpus", patterns)
-        .map_err(|e| format!("cluster publish: {e}"))?;
-    if published.acks != 3 || published.degraded {
-        return Err(format!(
-            "publish should reach all 3 backends: {published:?}"
-        ));
-    }
-    oracle
-        .registry()
-        .publish("corpus", patterns.to_vec())
-        .map_err(|e| format!("oracle publish: {e}"))?;
-
-    let kill_at = requests / 2;
-    let victim = usize::try_from(seed % 3).expect("mod 3 fits");
-    let report = selftest::drive_workload(router, oracle, patterns, requests, seed, |i| {
-        if i == kill_at {
-            // SIGKILL: no graceful drain. Pooled router connections see a
-            // reset; fresh dials are refused. Both must read as a dead
-            // shard, never as a wrong answer.
-            children[victim].kill();
-        }
-    });
-
-    let mut failures = report.failures.clone();
-    match report.first_degraded {
-        Some(first) if first < kill_at => {
-            failures.push(format!("request {first}: degraded before the kill"));
-        }
-        None => failures.push("no degraded responses after SIGKILLing a backend".into()),
-        _ => {}
-    }
-    if report.scatter_shards_max < 2 {
-        failures.push(format!(
-            "scatter-gather never fanned out (max shards {})",
-            report.scatter_shards_max
-        ));
-    }
-    if let Err(e) = router.metrics().check_accounting(true) {
-        failures.push(format!("accounting violated: {e}"));
-    }
-    eprint!("{}", router.report());
-    if let Some(first) = failures.first() {
-        return Err(format!("{} failures; first: {first}", failures.len()));
-    }
-    Ok(selftest::render_summary(
-        "smoke", requests, seed, victim, kill_at, &report,
-    ))
 }
 
 /// `pardict store`: the kill-and-recover smoke for the persistence
@@ -993,17 +900,8 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--smoke" => run_smoke = true,
             "--delta" => run_delta = true,
-            "--dicts" => {
-                dicts = it
-                    .next()
-                    .ok_or("--dicts needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--dicts: {e}"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                seed = parse_seed(v).map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--dicts" => dicts = flag_value(&mut it, "--dicts", "a count")?,
+            "--seed" => seed = flag_value::<Seed>(&mut it, "--seed", "a number")?.0,
             other => return Err(format!("store: unknown flag {other:?}\n{}", usage())),
         }
     }
@@ -1381,17 +1279,8 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                cfg.seed = parse_seed(v).map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--rounds" => {
-                cfg.rounds = it
-                    .next()
-                    .ok_or("--rounds needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?;
-            }
+            "--seed" => cfg.seed = flag_value::<Seed>(&mut it, "--seed", "a number")?.0,
+            "--rounds" => cfg.rounds = flag_value(&mut it, "--rounds", "a count")?,
             "--no-wire" => cfg.wire = false,
             "--no-storage" => cfg.storage = false,
             other => return Err(format!("chaos: unknown flag {other:?}\n{}", usage())),
@@ -1424,13 +1313,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--slowest" => {
-                slowest = it
-                    .next()
-                    .ok_or("--slowest needs a count")?
-                    .parse()
-                    .map_err(|e| format!("--slowest: {e}"))?;
-            }
+            "--slowest" => slowest = flag_value(&mut it, "--slowest", "a count")?,
             other => pos.push(other),
         }
     }
@@ -1441,13 +1324,34 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Seeds accept decimal or `0x`-prefixed hex.
-fn parse_seed(s: &str) -> Result<u64, String> {
-    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.map_err(|e| e.to_string())
+/// A seed flag's value: decimal or `0x`-prefixed hex.
+struct Seed(u64);
+
+impl std::str::FromStr for Seed {
+    type Err = std::num::ParseIntError;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => s.parse(),
+        }
+        .map(Seed)
+    }
+}
+
+/// The value after `flag`, parsed: "`flag` needs `what`" when it is
+/// missing, "`flag`: reason" when it does not parse.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    it.next()
+        .ok_or_else(|| format!("{flag} needs {what}"))?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {

@@ -209,27 +209,12 @@ fn selftest_smoke() {
     assert!(report.contains("batches"));
 }
 
-// ---- wire-codec fuzz properties (chaos tier's unit-level cousin) ----
+// ---- wire-codec allocation bound (totality and round trips: tests/codecs.rs) ----
 
 use pardict::service::wire::{tag, WireRequest, WireResponse};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Total-function law: decoding arbitrary bytes never panics, and any
-    /// value that does decode re-encodes to a semantically equal value
-    /// (decode ∘ encode is the identity on decode's image).
-    #[test]
-    fn wire_decode_is_total_and_round_trips(
-        bytes in prop::collection::vec(any::<u8>(), 0..200),
-    ) {
-        if let Ok(req) = WireRequest::decode(&bytes) {
-            prop_assert_eq!(WireRequest::decode(&req.encode()).unwrap(), req);
-        }
-        if let Ok(resp) = WireResponse::decode(&bytes) {
-            prop_assert_eq!(WireResponse::decode(&resp.encode()).unwrap(), resp);
-        }
-    }
 
     /// Hostile length claims cannot force over-allocation: any decoded
     /// collection fits in the payload bytes that carried it, no matter

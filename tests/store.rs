@@ -97,19 +97,6 @@ proptest! {
         }
     }
 
-    /// `decode_snapshot` is total over arbitrary bytes: it either
-    /// rejects with a reason or returns decoded dictionaries, never
-    /// panics.
-    #[test]
-    fn decode_snapshot_is_total_over_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..400),
-    ) {
-        match decode_snapshot(&bytes) {
-            Ok((_, dicts)) => drop(dicts),
-            Err(reason) => prop_assert!(!reason.is_empty()),
-        }
-    }
-
     /// encode∘decode is the identity for every record type, both one
     /// frame at a time and through a whole-log scan.
     #[test]
