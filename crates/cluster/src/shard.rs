@@ -14,23 +14,14 @@
 //!    a dead shard identically, and a seeded test reproduces routing
 //!    byte-for-byte.
 
-use pardict_pram::SplitMix64;
+use pardict_pram::{Fnv1a, SplitMix64};
 
-/// FNV-1a over the key, seeding the per-shard weight streams.
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The weight of `(key, shard)` — one SplitMix64 step keyed by both.
+/// The weight of `(key, shard)` — one SplitMix64 step keyed by the key's
+/// FNV-1a hash and the shard.
 #[must_use]
 pub fn weight(key: &str, shard: usize) -> u64 {
-    SplitMix64::new(fnv1a(key.as_bytes()) ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .next_u64()
+    let key = Fnv1a::default().eat(key.as_bytes()).finish();
+    SplitMix64::new(key ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
 /// All `n` shards ranked by descending weight for `key` (ties broken by

@@ -123,7 +123,7 @@ pub struct Match {
 /// at text position `i`, if any (the paper's `M[i]`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matches {
-    inner: Vec<Option<Match>>,
+    pub(crate) inner: Vec<Option<Match>>,
 }
 
 impl Matches {

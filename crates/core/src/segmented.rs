@@ -28,7 +28,8 @@
 use crate::ac::AhoCorasick;
 use crate::dict::{Dictionary, Match, Matches};
 use crate::matcher::DictMatcher;
-use pardict_pram::{Cost, Pram};
+use pardict_pram::{Cost, Fnv1a, Pram, SplitMix64};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Dictionaries with at most this many patterns use a single segment
@@ -101,45 +102,28 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// Absorb one length-prefixed pattern.
+fn eat_pattern(h: Fnv1a, pattern: &[u8]) -> Fnv1a {
+    h.eat(&(pattern.len() as u64).to_le_bytes()).eat(pattern)
+}
+
 /// FNV-1a over the length-prefixed pattern list — order-*sensitive*, the
 /// seed and cache key for one segment (and, for a single-segment
 /// dictionary, identical to the classic whole-dictionary content hash).
 #[must_use]
 pub fn list_hash(patterns: &[Vec<u8>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for p in patterns {
-        for b in (p.len() as u64).to_le_bytes() {
-            eat(b);
-        }
-        for &b in p {
-            eat(b);
-        }
-    }
-    h
+    patterns
+        .iter()
+        .fold(Fnv1a::default(), |h, p| eat_pattern(h, p))
+        .finish()
 }
 
 /// Mixed per-pattern hash: drives both segment boundaries and the
-/// multiset identity.
+/// multiset identity. FNV-1a over the length-prefixed pattern, finalized
+/// with one SplitMix64 step so low bits are usable for boundary residues.
 #[must_use]
 pub fn pattern_identity(pattern: &[u8]) -> u64 {
-    // FNV-1a over the length-prefixed pattern, finalized with the
-    // SplitMix64 mixer so low bits are usable for boundary residues.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |acc: u64, byte: u8| (acc ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    for b in (pattern.len() as u64).to_le_bytes() {
-        h = eat(h, b);
-    }
-    for &b in pattern {
-        h = eat(h, b);
-    }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    SplitMix64::new(eat_pattern(Fnv1a::default(), pattern).finish()).next_u64()
 }
 
 /// Commutative multiset identity of a pattern list: the wrapping sum of
@@ -440,21 +424,45 @@ impl SegmentedMatcher {
         }
     }
 
+    /// The one merge under every per-position query. A single segment
+    /// answers for itself; otherwise `per_seg` runs on each segment in base
+    /// order, its local ids are rebased by the segment's base, and each
+    /// position keeps the longest answer — ties to the smallest global id.
+    /// Merging is not ledger-charged: the per-segment queries carry the
+    /// cost.
+    fn fold<T: Ranked>(
+        &self,
+        n: usize,
+        mut per_seg: impl FnMut(&Segment) -> Vec<Option<T>>,
+    ) -> Vec<Option<T>> {
+        if let Some(seg) = self.single() {
+            return per_seg(seg);
+        }
+        let mut acc: Vec<Option<T>> = vec![None; n];
+        for slot in &self.slots {
+            for (best, cand) in acc.iter_mut().zip(per_seg(&slot.seg)) {
+                let Some(mut cand) = cand else { continue };
+                let (len, id) = cand.len_id();
+                *id += slot.base;
+                let key = (len, Reverse(*id));
+                if best.as_mut().is_none_or(|b| {
+                    let (len, id) = b.len_id();
+                    key > (len, Reverse(*id))
+                }) {
+                    *best = Some(cand);
+                }
+            }
+        }
+        acc
+    }
+
     /// Longest pattern at every text position (merged across segments:
     /// longest wins, ties to the smallest global id). Monte Carlo like
     /// [`DictMatcher::match_text`]; verify with
     /// [`SegmentedMatcher::match_text_verified`].
     #[must_use]
     pub fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
-        if let Some(seg) = self.single() {
-            return seg.matcher().match_text(pram, text);
-        }
-        let mut acc: Vec<Option<Match>> = vec![None; text.len()];
-        for slot in &self.slots {
-            let m = slot.seg.matcher().match_text(pram, text);
-            merge_matches(&mut acc, &m, slot.base);
-        }
-        Matches::new(acc)
+        Matches::new(self.fold(text.len(), |seg| seg.matcher().match_text(pram, text).inner))
     }
 
     /// Las Vegas matching without rebuilding: per segment, one Monte Carlo
@@ -464,41 +472,23 @@ impl SegmentedMatcher {
     /// fell back.
     #[must_use]
     pub fn match_text_verified(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
-        if let Some(seg) = self.single() {
-            let m = seg.matcher().match_text(pram, text);
-            return if seg.matcher().check(pram, text, &m).is_ok() {
-                (m, false)
-            } else {
-                (seg.ac().match_text(text), true)
-            };
-        }
-        let mut acc: Vec<Option<Match>> = vec![None; text.len()];
         let mut fell_back = false;
-        for slot in &self.slots {
-            let m = slot.seg.matcher().match_text(pram, text);
-            let m = if slot.seg.matcher().check(pram, text, &m).is_ok() {
-                m
+        let merged = self.fold(text.len(), |seg| {
+            let m = seg.matcher().match_text(pram, text);
+            if seg.matcher().check(pram, text, &m).is_ok() {
+                m.inner
             } else {
                 fell_back = true;
-                slot.seg.ac().match_text(text)
-            };
-            merge_matches(&mut acc, &m, slot.base);
-        }
-        (Matches::new(acc), fell_back)
+                seg.ac().match_text(text).inner
+            }
+        });
+        (Matches::new(merged), fell_back)
     }
 
     /// Exact matching on the per-segment automata (the sequential lane).
     #[must_use]
     pub fn ac_match(&self, text: &[u8]) -> Matches {
-        if let Some(seg) = self.single() {
-            return seg.ac().match_text(text);
-        }
-        let mut acc: Vec<Option<Match>> = vec![None; text.len()];
-        for slot in &self.slots {
-            let m = slot.seg.ac().match_text(text);
-            merge_matches(&mut acc, &m, slot.base);
-        }
-        Matches::new(acc)
+        Matches::new(self.fold(text.len(), |seg| seg.ac().match_text(text).inner))
     }
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
@@ -511,21 +501,11 @@ impl SegmentedMatcher {
         }
         let mut out: Vec<(usize, Match)> = Vec::new();
         for slot in &self.slots {
-            out.extend(
-                slot.seg
-                    .matcher()
-                    .find_all(pram, text)
-                    .into_iter()
-                    .map(|(i, m)| {
-                        (
-                            i,
-                            Match {
-                                id: m.id + slot.base,
-                                len: m.len,
-                            },
-                        )
-                    }),
-            );
+            let hits = slot.seg.matcher().find_all(pram, text);
+            out.extend(hits.into_iter().map(|(i, mut m)| {
+                m.id += slot.base;
+                (i, m)
+            }));
         }
         out.sort_by(|a, b| {
             a.0.cmp(&b.0)
@@ -540,28 +520,7 @@ impl SegmentedMatcher {
     /// [`SegmentedMatcher::match_text`].
     #[must_use]
     pub fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
-        if let Some(seg) = self.single() {
-            return seg.matcher().pattern_prefixes(pram, text);
-        }
-        let mut acc: Vec<Option<(u32, u32)>> = vec![None; text.len()];
-        for slot in &self.slots {
-            for (i, o) in slot
-                .seg
-                .matcher()
-                .pattern_prefixes(pram, text)
-                .into_iter()
-                .enumerate()
-            {
-                if let Some((len, id)) = o {
-                    let cand = (len, id + slot.base);
-                    acc[i] = Some(match acc[i] {
-                        Some(best) if !prefers(cand, best) => best,
-                        _ => cand,
-                    });
-                }
-            }
-        }
-        acc
+        self.fold(text.len(), |seg| seg.matcher().pattern_prefixes(pram, text))
     }
 
     /// Length of the longest pattern.
@@ -576,26 +535,22 @@ impl SegmentedMatcher {
     }
 }
 
-/// Does `(len, id)` candidate `a` beat `b`? Longer wins; ties to the
-/// smaller global id.
-fn prefers(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
+/// A per-position answer [`SegmentedMatcher::fold`] can rank and rebase:
+/// its length, and its pattern id (segment-local until rebased).
+trait Ranked: Copy {
+    fn len_id(&mut self) -> (u32, &mut u32);
 }
 
-/// Fold a segment's per-position matches (local ids offset by `base`)
-/// into the accumulator: longest wins, ties to the smallest global id.
-fn merge_matches(acc: &mut [Option<Match>], m: &Matches, base: u32) {
-    for (i, om) in m.as_slice().iter().enumerate() {
-        if let Some(mm) = om {
-            let cand = Match {
-                id: mm.id + base,
-                len: mm.len,
-            };
-            acc[i] = Some(match acc[i] {
-                Some(best) if !prefers((cand.len, cand.id), (best.len, best.id)) => best,
-                _ => cand,
-            });
-        }
+impl Ranked for Match {
+    fn len_id(&mut self) -> (u32, &mut u32) {
+        (self.len, &mut self.id)
+    }
+}
+
+/// `(len, id)`, as [`DictMatcher::pattern_prefixes`] reports.
+impl Ranked for (u32, u32) {
+    fn len_id(&mut self) -> (u32, &mut u32) {
+        (self.0, &mut self.1)
     }
 }
 

@@ -6,11 +6,21 @@
 //! super-step runs many independent slots at once and is charged the
 //! **sum of slot work** and the **maximum of slot depths** on the CRCW
 //! PRAM ledger. Before this crate existed, that discipline was hand-rolled
-//! five times across the workspace (stream writer, stream reader, search
-//! grep, service engine, cluster scatter) — five copies of the same
-//! scoped-thread fan-out, `Mode::Seq`/`Mode::Par` branch, ledger charge,
-//! and trace-span wiring. This crate is the single implementation they all
-//! route through.
+//! five times across the workspace — five copies of the same scoped-thread
+//! fan-out, `Mode::Seq`/`Mode::Par` branch, ledger charge, and trace-span
+//! wiring. This crate is the single implementation they all route through:
+//!
+//! * [`run_waves`] — the three loops that walk a PDZS container, each as
+//!   `source → stage → sink`: `stream::compress_stream` (read a wave of
+//!   blocks → compress each → frame and write), `StreamReader`'s decode
+//!   (`read_all`/`read_range`/`copy_to`) and `search::grep_range`, the
+//!   latter two over one fetch (`StreamReader::fetch_wave`) and one decode
+//!   stage (`FetchedBlock::decode`), differing only in their sinks.
+//! * [`Wave::superstep`] inside a sink — grep's match round.
+//! * [`fan_out`] — the cluster router's scatter (I/O-bound, no ledger).
+//! * [`with_deadline`] — the service engine, around every request, so the
+//!   loops above cancel at their next wave boundary.
+//! * [`section`] — the store's recovery and compaction spans.
 //!
 //! ## Vocabulary
 //!
@@ -187,12 +197,6 @@ impl<'p> Wave<'p> {
             span: pardict_trace::scoped_span(name, index),
             before: pram.cost(),
         })
-    }
-
-    /// The orchestrating context this wave charges.
-    #[must_use]
-    pub fn pram(&self) -> &'p Pram {
-        self.pram
     }
 
     /// Run one super-step: every slot concurrently when the orchestrating

@@ -146,7 +146,7 @@ impl Pram {
     }
 
     /// One wide round updating a mutable slice in place: `f(i, &mut xs[i])`.
-    pub fn for_each_mut<T, F>(&self, xs: &mut [T], f: F)
+    pub(crate) fn for_each_mut<T, F>(&self, xs: &mut [T], f: F)
     where
         T: Send + Sync,
         F: Fn(usize, &mut T) + Sync + Send,
@@ -156,35 +156,6 @@ impl Pram {
             xs.par_iter_mut().enumerate().for_each(|(i, x)| f(i, x));
         } else {
             xs.iter_mut().enumerate().for_each(|(i, x)| f(i, x));
-        }
-    }
-
-    /// Gather round: `out[i] = src[idx[i]]`.
-    pub fn gather<T: Copy + Sync + Send>(&self, src: &[T], idx: &[usize]) -> Vec<T> {
-        self.map(idx, |_, &j| src[j])
-    }
-
-    /// Exclusive-write scatter round: `out[idx[i]] = vals[i]`.
-    ///
-    /// Callers must guarantee the target indices are distinct (EREW-style
-    /// write); this is checked in debug builds.
-    pub fn scatter<T: Copy + Send + Sync>(&self, out: &mut [T], idx: &[usize], vals: &[T]) {
-        assert_eq!(idx.len(), vals.len());
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = vec![false; out.len()];
-            for &j in idx {
-                assert!(!seen[j], "scatter target {j} written twice");
-                seen[j] = true;
-            }
-        }
-        self.ledger.round(idx.len() as u64);
-        // The write targets are distinct, so this is race-free; expressing it
-        // through safe rayon requires an indirection, so the Seq path is used
-        // for the actual writes and Par mode pre-computes in parallel only
-        // when the compiler can't: scatter is memory-bound anyway.
-        for (k, &j) in idx.iter().enumerate() {
-            out[j] = vals[k];
         }
     }
 }
@@ -221,18 +192,6 @@ mod tests {
         let c = pram.cost();
         assert_eq!(c.work, 10 + 20 + 30 + 40);
         assert_eq!(c.depth, 40);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let pram = Pram::seq();
-        let src = vec![10, 20, 30, 40];
-        let idx = vec![3, 1, 0, 2];
-        let g = pram.gather(&src, &idx);
-        assert_eq!(g, vec![40, 20, 10, 30]);
-        let mut out = vec![0; 4];
-        pram.scatter(&mut out, &idx, &g);
-        assert_eq!(out, src);
     }
 
     #[test]
@@ -278,14 +237,5 @@ mod tests {
         p.for_each_mut(&mut b, |i, x| *x += i as u64);
         assert_eq!(a, b);
         assert_eq!(s.cost(), p.cost());
-    }
-
-    #[test]
-    #[should_panic(expected = "written twice")]
-    #[cfg(debug_assertions)]
-    fn scatter_rejects_duplicate_targets() {
-        let pram = Pram::seq();
-        let mut out = vec![0; 3];
-        pram.scatter(&mut out, &[1, 1], &[5, 6]);
     }
 }

@@ -91,12 +91,6 @@ impl Ledger {
             depth: self.depth.get(),
         }
     }
-
-    /// Reset both counters to zero.
-    pub fn reset(&self) {
-        self.work.set(0);
-        self.depth.set(0);
-    }
 }
 
 #[cfg(test)]
@@ -127,14 +121,6 @@ mod tests {
         l.round(3);
         let delta = l.cost().since(before);
         assert_eq!(delta, Cost { work: 6, depth: 2 });
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = Ledger::new();
-        l.round(10);
-        l.reset();
-        assert_eq!(l.cost(), Cost::default());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use jump::{
     pointer_jump_roots, ListRanks,
 };
 pub use ledger::{Cost, Ledger};
-pub use rng::SplitMix64;
+pub use rng::{Fnv1a, SplitMix64};
 pub use sort::{radix_sort_by_key, stable_counting_sort_by_key};
 
 /// `ceil(log2(n))` for `n >= 1`; `0` for `n <= 1`.

@@ -23,7 +23,7 @@ impl Pram {
     pub fn pack<T: Copy + Send + Sync>(&self, xs: &[T], flags: &[bool]) -> Vec<T> {
         assert_eq!(xs.len(), flags.len());
         let idx = self.pack_indices(flags);
-        self.gather(xs, &idx)
+        self.map(&idx, |_, &i| xs[i])
     }
 
     /// One-round predicate evaluation followed by compaction.

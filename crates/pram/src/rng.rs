@@ -39,6 +39,35 @@ pub fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Incremental 64-bit FNV-1a — the workspace's one content hash. Its
+/// values are load-bearing (segment seeds and cache keys, rendezvous
+/// placement, deterministic span ids), so the constants never change.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Absorb `bytes`.
+    #[must_use]
+    pub fn eat(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        self
+    }
+
+    /// The hash of everything absorbed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// Deterministic coin for `(seed, round, index)`.
 #[inline]
 #[must_use]

@@ -177,26 +177,6 @@ impl Pram {
     pub fn scan_inclusive_sum(&self, xs: &[u64]) -> Vec<u64> {
         self.scan_inclusive(xs, 0u64, |a, b| a + b)
     }
-
-    /// Inclusive prefix maxima of `i64`s (Lemma 2.3 companion; used by the
-    /// §5 dominating-edge construction).
-    pub fn prefix_max_inclusive(&self, xs: &[i64]) -> Vec<i64> {
-        self.scan_inclusive(xs, i64::MIN, |a, b| a.max(b))
-    }
-
-    /// Total sum (convenience over [`Pram::reduce`]).
-    pub fn sum_u64(&self, xs: &[u64]) -> u64 {
-        self.reduce(xs, 0u64, |a, b| a + b)
-    }
-
-    /// Maximum value, or `None` for an empty slice.
-    pub fn max_u64(&self, xs: &[u64]) -> Option<u64> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(self.reduce(xs, 0u64, |a, b| a.max(b)))
-        }
-    }
 }
 
 /// Block length `Θ(log n)` used by the work-optimal primitives.
@@ -250,16 +230,9 @@ mod tests {
     fn reduce_sum_and_max() {
         let pram = Pram::seq();
         let xs: Vec<u64> = (0..1000).collect();
-        assert_eq!(pram.sum_u64(&xs), 499_500);
-        assert_eq!(pram.max_u64(&xs), Some(999));
-        assert_eq!(pram.max_u64(&[]), None);
-    }
-
-    #[test]
-    fn prefix_max_inclusive_works() {
-        let pram = Pram::seq();
-        let xs = vec![3i64, 1, 4, 1, 5, 9, 2, 6];
-        assert_eq!(pram.prefix_max_inclusive(&xs), vec![3, 3, 4, 4, 5, 9, 9, 9]);
+        assert_eq!(pram.reduce(&xs, 0, |a, b| a + b), 499_500);
+        assert_eq!(pram.reduce(&xs, 0, |a, b| a.max(b)), 999);
+        assert_eq!(pram.reduce(&[], 7u64, |a, b| a + b), 7);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use pardict_core::PatternScan;
 use pardict_pram::{Cost, Pram};
-use pardict_stream::{decode_block, BlockEntry, BlockIssue, StreamError, StreamReader};
+use pardict_stream::{BlockIssue, DecodedBlock, FetchedBlock, StreamError, StreamReader};
 use std::io::{Read, Seek};
 
 /// One pattern occurrence in the decoded stream.
@@ -73,50 +73,6 @@ impl GrepConfig {
     }
 }
 
-/// A block fetched from the container, not yet decoded. A fetch-level
-/// block failure (header mismatch, lenient mode) rides in `payload` so
-/// the slot still occupies its wave position and is reported in order.
-struct Fetched {
-    index: usize,
-    start: u64,
-    entry: BlockEntry,
-    payload: Result<Vec<u8>, BlockIssue>,
-}
-
-/// One decoded wave slot: where the block starts, and its bytes or the
-/// issue that stopped it (`at_fetch` distinguishes a fetch failure from a
-/// decode failure — fetch issues are reported first within a wave).
-struct DecodedSlot {
-    start: u64,
-    data: Result<Vec<u8>, (BlockIssue, bool)>,
-}
-
-/// Decode one fetched slot on a private sequential context — the stage
-/// function of the grep pipeline, run inside a [`pardict_exec::Wave`]
-/// super-step.
-fn decode_slot(f: Fetched) -> (DecodedSlot, Cost) {
-    match f.payload {
-        Ok(payload) => {
-            let p = Pram::seq();
-            let (out, cost) = p.metered(|p| decode_block(p, f.index as u64, &f.entry, payload));
-            (
-                DecodedSlot {
-                    start: f.start,
-                    data: out.map_err(|issue| (issue, false)),
-                },
-                cost,
-            )
-        }
-        Err(issue) => (
-            DecodedSlot {
-                start: f.start,
-                data: Err((issue, true)),
-            },
-            Cost::default(),
-        ),
-    }
-}
-
 /// One block's search buffer: the overlap tail prefixed to the decoded
 /// block, with the global offset of the buffer's first byte.
 struct SearchBuf {
@@ -151,9 +107,10 @@ fn match_buf<M: PatternScan>(matcher: &M, b: &SearchBuf) -> (Vec<GrepHit>, Cost)
 /// Report every dictionary occurrence in the container's decoded stream,
 /// without materializing that stream.
 ///
-/// Equivalent to decompressing and running [`DictMatcher::find_all`], but
-/// with at most one wave of blocks resident; see the crate docs for the
-/// stitching and accounting scheme.
+/// Equivalent to decompressing and running
+/// [`pardict_core::DictMatcher::find_all`], but with at most one wave of
+/// blocks resident; see the crate docs for the stitching and accounting
+/// scheme.
 ///
 /// # Errors
 /// Structural container failures always abort; block-local corruption
@@ -205,7 +162,6 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
     let wave_size = cfg.wave.max(1);
     let strict = cfg.strict;
     let mut next = blocks.start;
-    let blocks_end = blocks.end;
     pardict_exec::run_waves(
         pram,
         "search-wave",
@@ -214,47 +170,21 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
         // (seekable I/O is serial). Under pipelining this overlaps the
         // previous wave's decode stage.
         || {
-            if next >= blocks_end {
+            if next >= blocks.end {
                 return Ok(None);
             }
-            let wave_end = (next + wave_size).min(blocks_end);
-            let mut fetched = Vec::with_capacity(wave_end - next);
-            for i in next..wave_end {
-                let entry = rdr.index().entries[i];
-                let start_i = rdr.index().block_start(i);
-                let payload = match rdr.raw_block(i) {
-                    Ok(p) => Ok(p),
-                    Err(StreamError::CorruptBlock { index, kind }) => {
-                        if strict {
-                            return Err(StreamError::CorruptBlock { index, kind });
-                        }
-                        Err(BlockIssue {
-                            index,
-                            raw_len: entry.raw_len,
-                            kind,
-                        })
-                    }
-                    Err(e) => return Err(e),
-                };
-                fetched.push(Fetched {
-                    index: i,
-                    start: start_i,
-                    entry,
-                    payload,
-                });
-            }
-            let first = next as u64;
-            next = wave_end;
-            Ok(Some((first, fetched)))
+            let first = next;
+            next = (first + wave_size).min(blocks.end);
+            Ok(Some((first as u64, rdr.fetch_wave(first..next, strict)?)))
         },
         // Stage (super-step 1): decode the wave's slots.
-        |_, f| decode_slot(f),
+        |_, fetched: FetchedBlock| fetched.decode(),
         // Sink: stitch the wave's buffers and run the match super-step.
-        |wave, slots: Vec<DecodedSlot>| {
+        |wave, slots: Vec<DecodedBlock>| {
             // Fetch-level issues surface before decode issues, in block
             // order — the reporting order the serial engine had.
             for s in &slots {
-                if let Err((issue, true)) = &s.data {
+                if let (Err(issue), true) = (&s.data, s.at_fetch) {
                     summary.issues.push(*issue);
                 }
             }
@@ -278,14 +208,11 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
                             bytes: buf,
                         });
                     }
-                    Err((issue, at_fetch)) => {
+                    Err(issue) => {
                         if strict {
-                            return Err(StreamError::CorruptBlock {
-                                index: issue.index,
-                                kind: issue.kind,
-                            });
+                            return Err(StreamError::from(issue));
                         }
-                        if !at_fetch {
+                        if !s.at_fetch {
                             summary.issues.push(issue);
                         }
                         // The overlap into the successor is gone with the

@@ -2,7 +2,7 @@
 //! PDZS containers — grep the compressed data without materializing the
 //! underlying text.
 //!
-//! The paper's two halves meet here: a preprocessed §3 [`DictMatcher`]
+//! The paper's two halves meet here: a preprocessed §3 `DictMatcher`
 //! (Theorem 3.1, matcher reuse across requests) is run over the blockwise
 //! §4 LZ1 container produced by `pardict-stream`. The setting is the one
 //! studied by Gawrychowski (*Pattern matching in Lempel-Ziv compressed
@@ -43,7 +43,3 @@
 mod grep;
 
 pub use grep::{grep_container, grep_range, GrepConfig, GrepHit, GrepSummary};
-
-// Re-exported so downstream callers can name the matcher type without
-// depending on pardict-core directly.
-pub use pardict_core::DictMatcher;

@@ -30,8 +30,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Seed for the LZ1 fingerprint family; fixed so compression output is
-/// reproducible across runs and replicas (decompression must supply it).
+/// Seed for the LZ1 fingerprint family; fixed so compression's ledger
+/// charges are reproducible across runs and replicas. The token format is
+/// seed-independent: a decoder may use any seed.
 pub const LZ1_SEED: u64 = 0x5EED_1235_9ABC_DEF1;
 
 /// Engine sizing and policy knobs.

@@ -135,6 +135,16 @@ impl From<std::io::Error> for StreamError {
     }
 }
 
+/// How a strict reader raises the block a lenient one would report.
+impl From<BlockIssue> for StreamError {
+    fn from(issue: BlockIssue) -> Self {
+        StreamError::CorruptBlock {
+            index: issue.index,
+            kind: issue.kind,
+        }
+    }
+}
+
 impl From<pardict_exec::Cancelled> for StreamError {
     fn from(_: pardict_exec::Cancelled) -> Self {
         StreamError::Cancelled

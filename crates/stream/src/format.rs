@@ -27,6 +27,7 @@
 
 use crate::error::StreamError;
 use pardict_core::bytes::{get_u32, get_u64};
+use pardict_core::crc32;
 
 /// Leading container magic (`"PDZS"` — ParDict Zipped Stream).
 pub const MAGIC: [u8; 4] = *b"PDZS";
@@ -108,8 +109,7 @@ pub struct RecordHeader {
 }
 
 /// Encode an inline block record header.
-#[must_use]
-pub fn encode_record_header(h: &RecordHeader) -> [u8; RECORD_HEADER_LEN] {
+fn encode_record_header(h: &RecordHeader) -> [u8; RECORD_HEADER_LEN] {
     let mut out = [0u8; RECORD_HEADER_LEN];
     out[0] = h.method;
     out[1..5].copy_from_slice(&h.raw_len.to_le_bytes());
@@ -160,8 +160,7 @@ impl BlockEntry {
 
 /// Serialize the index footer (one [`FOOTER_ENTRY_LEN`]-byte entry per
 /// block).
-#[must_use]
-pub fn encode_footer(entries: &[BlockEntry]) -> Vec<u8> {
+fn encode_footer(entries: &[BlockEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * FOOTER_ENTRY_LEN);
     for e in entries {
         out.extend_from_slice(&e.offset.to_le_bytes());
@@ -200,14 +199,67 @@ pub fn parse_footer(bytes: &[u8]) -> Result<Vec<BlockEntry>, StreamError> {
 }
 
 /// Encode the fixed trailer.
-#[must_use]
-pub fn encode_trailer(footer_offset: u64, num_blocks: u64, footer_crc: u32) -> [u8; TRAILER_LEN] {
+fn encode_trailer(footer_offset: u64, num_blocks: u64, footer_crc: u32) -> [u8; TRAILER_LEN] {
     let mut t = [0u8; TRAILER_LEN];
     t[0..8].copy_from_slice(&footer_offset.to_le_bytes());
     t[8..16].copy_from_slice(&num_blocks.to_le_bytes());
     t[16..20].copy_from_slice(&footer_crc.to_le_bytes());
     t[20..24].copy_from_slice(&TRAILER_MAGIC);
     t
+}
+
+/// The one place container framing is computed: record offsets, index
+/// entries, the footer checksum and the trailer. The caller writes
+/// [`encode_header`], then for each block the bytes [`record`] returns
+/// followed by exactly `comp_len` payload bytes, then [`finish`].
+///
+/// [`record`]: Framer::record
+/// [`finish`]: Framer::finish
+#[derive(Debug)]
+pub(crate) struct Framer {
+    /// Bytes framed so far, header included: where the next record goes.
+    pub(crate) offset: u64,
+    entries: Vec<BlockEntry>,
+}
+
+impl Default for Framer {
+    fn default() -> Self {
+        Self {
+            offset: HEADER_LEN as u64,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl Framer {
+    /// Index the next block record at the current offset and return its
+    /// inline header.
+    pub(crate) fn record(&mut self, h: &RecordHeader) -> [u8; RECORD_HEADER_LEN] {
+        self.entries.push(BlockEntry {
+            offset: self.offset,
+            raw_len: h.raw_len,
+            comp_len: h.comp_len,
+            crc: h.crc,
+            method: h.method,
+        });
+        self.offset += RECORD_HEADER_LEN as u64 + u64::from(h.comp_len);
+        encode_record_header(h)
+    }
+
+    /// Everything after the last record: end-of-blocks marker, index
+    /// footer, trailer.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        let footer = encode_footer(&self.entries);
+        let mut tail = Vec::with_capacity(1 + footer.len() + TRAILER_LEN);
+        tail.push(END_OF_BLOCKS);
+        tail.extend_from_slice(&footer);
+        tail.extend_from_slice(&encode_trailer(
+            self.offset + 1,
+            self.entries.len() as u64,
+            crc32(&footer),
+        ));
+        tail
+    }
 }
 
 /// Parse the trailer into `(footer_offset, num_blocks, footer_crc)`.

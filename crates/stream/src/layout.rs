@@ -16,8 +16,8 @@
 
 use crate::error::StreamError;
 use crate::format::{
-    parse_header, parse_record_tail, RecordHeader, END_OF_BLOCKS, FOOTER_ENTRY_LEN, HEADER_LEN,
-    METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN, TRAILER_LEN,
+    encode_header, parse_header, parse_record_tail, Framer, RecordHeader, END_OF_BLOCKS,
+    FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN, TRAILER_LEN,
 };
 use std::ops::Range;
 
@@ -160,38 +160,25 @@ impl ContainerLayout {
 /// Reassemble a container from a layout whose records have been edited —
 /// the inverse of [`ContainerLayout::parse`] for fault planners that swap
 /// or rewrite whole records. Offsets, the footer, its CRC, and the trailer
-/// are all recomputed from `records`, so the result is structurally
-/// self-consistent even when payload bytes are not what their CRCs claim.
+/// are all recomputed from `records` by the writer's own [`Framer`], so
+/// the result is structurally self-consistent even when payload bytes are
+/// not what their CRCs claim.
 ///
 /// Each element of `records` is `(record_header, payload_bytes)` in the
 /// desired stream order.
+///
+/// # Panics
+/// When a payload is not the `comp_len` bytes its header announces.
 #[must_use]
 pub fn assemble_container(block_size: u64, records: &[(RecordHeader, &[u8])]) -> Vec<u8> {
-    use crate::format::{encode_footer, encode_header, encode_record_header, encode_trailer};
-    let mut out = Vec::new();
-    out.extend_from_slice(&encode_header(block_size));
-    let mut entries = Vec::with_capacity(records.len());
+    let mut out = encode_header(block_size).to_vec();
+    let mut framer = Framer::default();
     for (rh, payload) in records {
-        entries.push(crate::format::BlockEntry {
-            offset: out.len() as u64,
-            raw_len: rh.raw_len,
-            comp_len: rh.comp_len,
-            crc: rh.crc,
-            method: rh.method,
-        });
-        out.extend_from_slice(&encode_record_header(rh));
+        assert_eq!(payload.len(), rh.comp_len as usize, "payload length");
+        out.extend_from_slice(&framer.record(rh));
         out.extend_from_slice(payload);
     }
-    out.push(END_OF_BLOCKS);
-    let footer_offset = out.len() as u64;
-    let footer = encode_footer(&entries);
-    let footer_crc = pardict_core::crc32(&footer);
-    out.extend_from_slice(&footer);
-    out.extend_from_slice(&encode_trailer(
-        footer_offset,
-        entries.len() as u64,
-        footer_crc,
-    ));
+    out.extend_from_slice(&framer.finish());
     out
 }
 
@@ -282,6 +269,7 @@ mod tests {
             .collect();
         let rebuilt = assemble_container(l.block_size, &records);
         assert_eq!(rebuilt, bytes, "identity reassembly must be byte-exact");
+        assert_eq!(assemble_container(64, &[]), sample(64, b""), "blockless");
     }
 
     #[test]

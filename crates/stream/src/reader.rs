@@ -5,9 +5,9 @@
 
 use crate::error::{BlockIssue, IssueKind, StreamError};
 use crate::format::{
-    parse_footer, parse_header, parse_record_tail, parse_trailer, BlockEntry, StreamIndex,
-    END_OF_BLOCKS, FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN,
-    TRAILER_LEN,
+    parse_footer, parse_header, parse_record_tail, parse_trailer, BlockEntry, RecordHeader,
+    StreamIndex, END_OF_BLOCKS, FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED,
+    RECORD_HEADER_LEN, TRAILER_LEN,
 };
 use crate::writer::STREAM_SEED;
 use pardict_compress::{decode_tokens, lz1_decompress};
@@ -36,59 +36,42 @@ pub struct DecompressSummary {
     pub cost: Cost,
 }
 
-/// Decode one validated payload into raw bytes.
-fn decode_payload(
+/// Verify a record's checksum, then decode its payload into raw bytes —
+/// the one block decoder under both the forward and the seekable reader.
+fn decode_record(
     pram: &Pram,
     index: u64,
-    method: u8,
-    raw_len: u32,
+    rec: &RecordHeader,
     payload: Vec<u8>,
 ) -> Result<Vec<u8>, BlockIssue> {
     let issue = |kind| BlockIssue {
         index,
-        raw_len,
+        raw_len: rec.raw_len,
         kind,
     };
-    match method {
+    pram.ledger().round(payload.len() as u64); // checksum pass
+    if crc32(&payload) != rec.crc {
+        return Err(issue(IssueKind::Checksum));
+    }
+    let out = match rec.method {
         METHOD_STORED => {
             pram.ledger().round(payload.len() as u64);
-            if payload.len() as u64 == u64::from(raw_len) {
-                Ok(payload)
-            } else {
-                Err(issue(IssueKind::LengthMismatch))
-            }
+            payload
         }
         METHOD_LZ1 => {
             let tokens = decode_tokens(&payload).map_err(|_| issue(IssueKind::BadTokens))?;
-            let out = lz1_decompress(pram, &tokens, STREAM_SEED ^ index);
-            if out.len() as u64 == u64::from(raw_len) {
-                Ok(out)
-            } else {
-                Err(issue(IssueKind::LengthMismatch))
-            }
+            // Tokens are seed-independent, so this need not be the writer's
+            // per-block seed; but the seed drives the random-mate list
+            // ranking, so changing it moves every pinned decode charge.
+            lz1_decompress(pram, &tokens, STREAM_SEED ^ index)
         }
-        _ => Err(issue(IssueKind::BadMethod)),
+        _ => return Err(issue(IssueKind::BadMethod)),
+    };
+    if out.len() as u64 == u64::from(rec.raw_len) {
+        Ok(out)
+    } else {
+        Err(issue(IssueKind::LengthMismatch))
     }
-}
-
-/// Verify a record's checksum, then decode it.
-fn check_and_decode(
-    pram: &Pram,
-    index: u64,
-    method: u8,
-    raw_len: u32,
-    crc: u32,
-    payload: Vec<u8>,
-) -> Result<Vec<u8>, BlockIssue> {
-    pram.ledger().round(payload.len() as u64); // checksum pass
-    if crc32(&payload) != crc {
-        return Err(BlockIssue {
-            index,
-            raw_len,
-            kind: IssueKind::Checksum,
-        });
-    }
-    decode_payload(pram, index, method, raw_len, payload)
 }
 
 /// Decode one fetched payload (see [`StreamReader::raw_block`]) against its
@@ -107,7 +90,51 @@ pub fn decode_block(
     entry: &BlockEntry,
     payload: Vec<u8>,
 ) -> Result<Vec<u8>, BlockIssue> {
-    check_and_decode(pram, index, entry.method, entry.raw_len, entry.crc, payload)
+    decode_record(pram, index, &entry.record_header(), payload)
+}
+
+/// One slot of a fetched wave (see [`StreamReader::fetch_wave`]): a block's
+/// index entry with its raw payload — or, in lenient mode, the fetch-level
+/// [`BlockIssue`] (inline header ≠ index entry), carried in the slot so
+/// sinks still see every block exactly once, in order.
+#[derive(Debug)]
+pub struct FetchedBlock {
+    index: usize,
+    start: u64,
+    entry: BlockEntry,
+    payload: Result<Vec<u8>, BlockIssue>,
+}
+
+/// One decoded wave slot.
+#[derive(Debug)]
+pub struct DecodedBlock {
+    /// Decoded offset of the block's first byte.
+    pub start: u64,
+    /// The block's bytes, or the issue that stopped it.
+    pub data: Result<Vec<u8>, BlockIssue>,
+    /// True when `data` is an issue raised by the fetch, not the decode.
+    pub at_fetch: bool,
+}
+
+impl FetchedBlock {
+    /// Decode this slot on a private sequential context — the stage
+    /// function every container read loop hands to
+    /// [`pardict_exec::run_waves`]. A fetch-level issue passes through at
+    /// zero cost.
+    #[must_use]
+    pub fn decode(self) -> (DecodedBlock, Cost) {
+        let at_fetch = self.payload.is_err();
+        let (data, cost) = Pram::seq().metered(|p| {
+            self.payload
+                .and_then(|payload| decode_block(p, self.index as u64, &self.entry, payload))
+        });
+        let slot = DecodedBlock {
+            start: self.start,
+            data,
+            at_fetch,
+        };
+        (slot, cost)
+    }
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), StreamError> {
@@ -203,7 +230,7 @@ impl<'p, R: Read> StreamDecompressor<'p, R> {
             read_exact_or_truncated(&mut self.inner, &mut payload)?;
             let index = self.next_index;
             self.next_index += 1;
-            match check_and_decode(self.pram, index, rec.method, rec.raw_len, rec.crc, payload) {
+            match decode_record(self.pram, index, &rec, payload) {
                 Ok(block) => {
                     self.block = block;
                     self.block_pos = 0;
@@ -212,10 +239,7 @@ impl<'p, R: Read> StreamDecompressor<'p, R> {
                 }
                 Err(issue) => {
                     if self.strict {
-                        return Err(StreamError::CorruptBlock {
-                            index: issue.index,
-                            kind: issue.kind,
-                        });
+                        return Err(issue.into());
                     }
                     self.issues.push(issue);
                     // Framing is intact (payload was length-prefixed), so
@@ -263,10 +287,7 @@ pub fn decompress_stream<R: Read + ?Sized, W: Write>(
     let mut bytes = 0u64;
     let mut chunk = vec![0u8; 1 << 16];
     loop {
-        let n = dec.read(&mut chunk).map_err(|e| {
-            // Recover the StreamError shape for callers.
-            StreamError::Io(e)
-        })?;
+        let n = dec.read(&mut chunk)?;
         if n == 0 {
             break;
         }
@@ -439,20 +460,50 @@ impl<R: Read + Seek> StreamReader<R> {
     pub fn read_block(&mut self, pram: &Pram, i: usize) -> Result<Vec<u8>, StreamError> {
         let e = self.entry(i);
         let payload = self.raw_block(i)?;
-        decode_block(pram, i as u64, &e, payload).map_err(|issue| StreamError::CorruptBlock {
-            index: issue.index,
-            kind: issue.kind,
-        })
+        Ok(decode_block(pram, i as u64, &e, payload)?)
+    }
+
+    /// Fetch blocks `range` serially from the seekable source — the one
+    /// place a wave of raw payloads is read. A block whose inline header
+    /// disagrees with the index raises [`StreamError::CorruptBlock`] when
+    /// `strict`, and otherwise rides in its slot as a [`BlockIssue`].
+    ///
+    /// # Errors
+    /// Structural and I/O failures always; block corruption when `strict`.
+    pub fn fetch_wave(
+        &mut self,
+        range: std::ops::Range<usize>,
+        strict: bool,
+    ) -> Result<Vec<FetchedBlock>, StreamError> {
+        range
+            .map(|i| {
+                let entry = self.entry(i);
+                let payload = match self.raw_block(i) {
+                    Ok(p) => Ok(p),
+                    Err(StreamError::CorruptBlock { index, kind }) if !strict => Err(BlockIssue {
+                        index,
+                        raw_len: entry.raw_len,
+                        kind,
+                    }),
+                    Err(e) => return Err(e),
+                };
+                Ok(FetchedBlock {
+                    index: i,
+                    start: self.index.block_start(i),
+                    entry,
+                    payload,
+                })
+            })
+            .collect()
     }
 
     /// Decode blocks `blocks` in waves through the shared super-step
-    /// executor: payloads are fetched serially from the seekable source,
-    /// then each wave of [`pardict_exec::default_wave_width`] blocks
-    /// decodes as one super-step under a `decode-wave` span — concurrently
-    /// when `pram` is parallel, charged Σ work / max depth either way.
-    /// Fetch-level block corruption (header mismatch) is carried into the
-    /// slot as its [`BlockIssue`] so `sink` sees every block exactly once,
-    /// in order; structural failures abort.
+    /// executor: each wave of [`pardict_exec::default_wave_width`] blocks
+    /// is fetched ([`StreamReader::fetch_wave`], lenient) and decoded
+    /// ([`FetchedBlock::decode`]) as one super-step under a `decode-wave`
+    /// span — concurrently when `pram` is parallel, charged Σ work / max
+    /// depth either way. `sink` sees every block exactly once, in order;
+    /// structural failures abort.
     fn decode_waves(
         &mut self,
         pram: &Pram,
@@ -461,44 +512,20 @@ impl<R: Read + Seek> StreamReader<R> {
     ) -> Result<(), StreamError> {
         let width = pardict_exec::default_wave_width().max(1);
         let mut next = blocks.start;
-        let end = blocks.end;
         pardict_exec::run_waves(
             pram,
             "decode-wave",
             false,
             || {
-                if next >= end {
+                if next >= blocks.end {
                     return Ok(None);
                 }
                 let first = next;
-                let hi = (next + width).min(end);
-                let mut items = Vec::with_capacity(hi - next);
-                for i in next..hi {
-                    let entry = self.entry(i);
-                    let payload = match self.raw_block(i) {
-                        Ok(p) => Ok(p),
-                        Err(StreamError::CorruptBlock { index, kind }) => Err(BlockIssue {
-                            index,
-                            raw_len: entry.raw_len,
-                            kind,
-                        }),
-                        Err(e) => return Err(e),
-                    };
-                    items.push((i, entry, payload));
-                }
-                next = hi;
-                Ok(Some((first as u64, items)))
+                next = (first + width).min(blocks.end);
+                Ok(Some((first as u64, self.fetch_wave(first..next, false)?)))
             },
-            |_, (i, entry, payload)| {
-                let seq = Pram::seq();
-                seq.metered(|p| payload.and_then(|pl| decode_block(p, i as u64, &entry, pl)))
-            },
-            |_, outs| {
-                for b in outs {
-                    sink(b)?;
-                }
-                Ok(())
-            },
+            |_, fetched: FetchedBlock| fetched.decode(),
+            |_, slots| slots.into_iter().try_for_each(|slot| sink(slot.data)),
         )
     }
 
@@ -527,11 +554,7 @@ impl<R: Read + Seek> StreamReader<R> {
         let first_start = self.index.block_start(blocks.start);
         let mut out = Vec::with_capacity((end - start) as usize);
         self.decode_waves(pram, blocks, |block| {
-            let data = block.map_err(|issue| StreamError::CorruptBlock {
-                index: issue.index,
-                kind: issue.kind,
-            })?;
-            out.extend_from_slice(&data);
+            out.extend_from_slice(&block?);
             Ok(())
         })?;
         let lo = (start - first_start) as usize;
@@ -541,23 +564,39 @@ impl<R: Read + Seek> StreamReader<R> {
         Ok(out)
     }
 
-    /// Decode the whole stream leniently: corrupt blocks are skipped and
-    /// reported alongside the concatenation of every good block. Blocks
-    /// decode in parallel waves under a parallel context.
+    /// Decode the whole stream leniently into `out`, one wave resident at
+    /// a time: every good block is written in order, corrupt blocks are
+    /// skipped and returned. Blocks decode in parallel waves under a
+    /// parallel context.
+    ///
+    /// # Errors
+    /// Only I/O failures (either side); corruption is reported, not
+    /// raised.
+    pub fn copy_to<W: Write + ?Sized>(
+        &mut self,
+        pram: &Pram,
+        out: &mut W,
+    ) -> Result<Vec<BlockIssue>, StreamError> {
+        let mut issues = Vec::new();
+        let n = self.index.num_blocks();
+        self.decode_waves(pram, 0..n, |block| {
+            match block {
+                Ok(bytes) => out.write_all(&bytes)?,
+                Err(issue) => issues.push(issue),
+            }
+            Ok(())
+        })?;
+        Ok(issues)
+    }
+
+    /// [`StreamReader::copy_to`] into memory: the concatenation of every
+    /// good block alongside the corrupt blocks skipped.
     ///
     /// # Errors
     /// Only I/O failures; corruption is reported, not raised.
     pub fn read_all(&mut self, pram: &Pram) -> Result<(Vec<u8>, Vec<BlockIssue>), StreamError> {
         let mut out = Vec::new();
-        let mut issues = Vec::new();
-        let n = self.index.num_blocks();
-        self.decode_waves(pram, 0..n, |block| {
-            match block {
-                Ok(bytes) => out.extend_from_slice(&bytes),
-                Err(issue) => issues.push(issue),
-            }
-            Ok(())
-        })?;
+        let issues = self.copy_to(pram, &mut out)?;
         Ok((out, issues))
     }
 }

@@ -16,9 +16,8 @@
 
 use crate::error::StreamError;
 use crate::format::{
-    encode_footer, encode_header, encode_record_header, encode_trailer, BlockEntry, RecordHeader,
-    DEFAULT_BLOCK_SIZE, END_OF_BLOCKS, MAX_BLOCK_SIZE, METHOD_LZ1, METHOD_STORED,
-    RECORD_HEADER_LEN,
+    encode_header, Framer, RecordHeader, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE, METHOD_LZ1,
+    METHOD_STORED,
 };
 use pardict_compress::{encode_tokens, lz1_compress};
 use pardict_core::crc32;
@@ -45,9 +44,7 @@ impl Default for StreamConfig {
     fn default() -> Self {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,
-            max_in_flight: std::thread::available_parallelism()
-                .map_or(4, std::num::NonZeroUsize::get)
-                .min(16),
+            max_in_flight: pardict_exec::default_wave_width(),
         }
     }
 }
@@ -93,248 +90,120 @@ fn block_seed(index: u64) -> u64 {
 }
 
 struct BlockOut {
-    method: u8,
+    rec: RecordHeader,
     payload: Vec<u8>,
-    raw_len: u32,
     phrases: u64,
-    cost: Cost,
 }
 
-/// Compress one block on its own sequential context. Blocks containing
-/// the NUL sentinel (reserved by the suffix tree) and blocks that LZ1
-/// fails to shrink are stored verbatim, so the container accepts
-/// arbitrary bytes.
-fn compress_block(block: &[u8], index: u64) -> BlockOut {
+/// Compress one block on its own sequential context — the stage function
+/// of the compress loop. Blocks containing the NUL sentinel (reserved by
+/// the suffix tree) and blocks that LZ1 fails to shrink are stored
+/// verbatim, so the container accepts arbitrary bytes.
+fn compress_block(block: Vec<u8>, index: u64) -> (BlockOut, Cost) {
     let raw_len = block.len() as u32;
+    let mut cost = Cost {
+        work: block.len() as u64,
+        depth: 1,
+    };
+    let mut kept = None;
     if !block.contains(&0) {
-        let pram = Pram::seq();
-        let (tokens, cost) = pram.metered(|p| lz1_compress(p, block, block_seed(index)));
+        let (tokens, parse_cost) =
+            Pram::seq().metered(|p| lz1_compress(p, &block, block_seed(index)));
+        // A parse not worth keeping was still computed — a real cost,
+        // still attributed.
+        cost = parse_cost;
         let payload = encode_tokens(&tokens);
-        if payload.len() < block.len() {
-            return BlockOut {
-                method: METHOD_LZ1,
-                payload,
-                raw_len,
-                phrases: tokens.len() as u64,
-                cost,
-            };
-        }
-        // Fall through: parse computed but not worth keeping — still a
-        // real cost, still attributed.
-        return BlockOut {
-            method: METHOD_STORED,
-            payload: block.to_vec(),
-            raw_len,
-            phrases: 0,
-            cost,
-        };
+        kept = (payload.len() < block.len()).then_some((payload, tokens.len() as u64));
     }
-    BlockOut {
-        method: METHOD_STORED,
-        payload: block.to_vec(),
+    let (method, payload, phrases) = match kept {
+        Some((payload, phrases)) => (METHOD_LZ1, payload, phrases),
+        None => (METHOD_STORED, block, 0),
+    };
+    let rec = RecordHeader {
+        method,
         raw_len,
-        phrases: 0,
-        cost: Cost {
-            work: block.len() as u64,
-            depth: 1,
-        },
-    }
+        comp_len: payload.len() as u32,
+        crc: crc32(&payload),
+    };
+    let out = BlockOut {
+        rec,
+        payload,
+        phrases,
+    };
+    (out, cost)
 }
 
-/// Compress a wave of blocks as one [`pardict_exec::Wave`] super-step:
-/// blocks run concurrently when the caller's context is parallel, the
-/// caller's ledger is charged summed work and maximum depth, and a
-/// `compress-wave` span (indexed by the wave's first block) records the
-/// round when the caller installed an ambient trace scope.
+/// Compress `reader` into a container on `writer` with bounded in-flight
+/// memory: one [`pardict_exec::run_waves`] loop whose source reads the
+/// next `max_in_flight` blocks, whose stage compresses each block (all of
+/// a wave concurrently when `pram` is parallel, charged Σ work / max depth
+/// under a `compress-wave` span indexed by the wave's first block), and
+/// whose sink frames and writes the wave.
 ///
 /// # Errors
+/// Propagates I/O failures from either side;
 /// [`StreamError::Cancelled`] when the caller's ambient deadline
-/// ([`pardict_exec::with_deadline`]) has expired at this wave boundary.
-fn compress_wave(
-    pram: &Pram,
-    blocks: &[&[u8]],
-    first_index: u64,
-) -> Result<Vec<BlockOut>, StreamError> {
-    let wave = pardict_exec::Wave::open(pram, "compress-wave", first_index)?;
-    let outs = wave.superstep(blocks.to_vec(), |k, b: &[u8]| {
-        let out = compress_block(b, first_index + k as u64);
-        let cost = out.cost;
-        (out, cost)
-    });
-    wave.finish();
-    Ok(outs)
-}
-
-/// A `std::io::Write` adapter that frames everything written through it
-/// into the container format, compressing blocks in bounded-memory waves.
+/// ([`pardict_exec::with_deadline`]) has expired at a wave boundary.
 ///
-/// Bytes accumulate until a full wave (`block_size * max_in_flight`) is
-/// buffered, then the wave is compressed (in parallel under a
-/// `Pram::par()` caller) and written through. Call [`finish`] to flush the
-/// final partial wave and emit the index footer — dropping the adapter
-/// without finishing leaves a headless, footerless prefix.
-///
-/// [`finish`]: StreamCompressor::finish
-pub struct StreamCompressor<'p, W: Write> {
-    pram: &'p Pram,
-    inner: W,
-    cfg: StreamConfig,
-    buf: Vec<u8>,
-    entries: Vec<BlockEntry>,
-    offset: u64,
-    raw_bytes: u64,
-    phrases: u64,
-    stored_blocks: u64,
-    cost_before: Cost,
-}
-
-impl<'p, W: Write> StreamCompressor<'p, W> {
-    /// Start a container on `inner`, writing the fixed header immediately.
-    ///
-    /// # Errors
-    /// Propagates header-write I/O failures.
-    ///
-    /// # Panics
-    /// When `cfg.block_size` is zero or exceeds [`MAX_BLOCK_SIZE`].
-    pub fn new(pram: &'p Pram, mut inner: W, cfg: StreamConfig) -> Result<Self, StreamError> {
-        assert!(
-            (1..=MAX_BLOCK_SIZE).contains(&cfg.block_size),
-            "block size {} out of range",
-            cfg.block_size
-        );
-        let header = encode_header(cfg.block_size as u64);
-        inner.write_all(&header)?;
-        Ok(Self {
-            pram,
-            inner,
-            cfg,
-            buf: Vec::new(),
-            entries: Vec::new(),
-            offset: header.len() as u64,
-            raw_bytes: 0,
-            phrases: 0,
-            stored_blocks: 0,
-            cost_before: pram.cost(),
-        })
-    }
-
-    fn wave_bytes(&self) -> usize {
-        self.cfg.block_size * self.cfg.max_in_flight.max(1)
-    }
-
-    /// Compress and emit `nblocks` blocks from the front of the buffer.
-    fn emit_blocks(&mut self, nblocks: usize) -> Result<(), StreamError> {
-        let blocks: Vec<&[u8]> = self.buf[..]
-            .chunks(self.cfg.block_size)
-            .take(nblocks)
-            .collect();
-        let consumed: usize = blocks.iter().map(|b| b.len()).sum();
-        let outs = compress_wave(self.pram, &blocks, self.entries.len() as u64)?;
-        for out in outs {
-            let crc = crc32(&out.payload);
-            let header = encode_record_header(&RecordHeader {
-                method: out.method,
-                raw_len: out.raw_len,
-                comp_len: out.payload.len() as u32,
-                crc,
-            });
-            self.inner.write_all(&header)?;
-            self.inner.write_all(&out.payload)?;
-            self.entries.push(BlockEntry {
-                offset: self.offset,
-                raw_len: out.raw_len,
-                comp_len: out.payload.len() as u32,
-                crc,
-                method: out.method,
-            });
-            self.offset += (RECORD_HEADER_LEN + out.payload.len()) as u64;
-            self.phrases += out.phrases;
-            if out.method == METHOD_STORED {
-                self.stored_blocks += 1;
-            }
-        }
-        self.buf.drain(..consumed);
-        Ok(())
-    }
-
-    /// Flush every full wave currently buffered.
-    fn drain_full_waves(&mut self) -> Result<(), StreamError> {
-        while self.buf.len() >= self.wave_bytes() {
-            self.emit_blocks(self.cfg.max_in_flight.max(1))?;
-        }
-        Ok(())
-    }
-
-    /// Compress the remaining partial wave, write the end-of-blocks
-    /// marker, index footer, and trailer, and return the inner writer
-    /// with a summary of the run.
-    ///
-    /// # Errors
-    /// Propagates I/O failures from the final writes.
-    pub fn finish(mut self) -> Result<(W, CompressSummary), StreamError> {
-        while !self.buf.is_empty() {
-            let nblocks = self
-                .buf
-                .len()
-                .div_ceil(self.cfg.block_size)
-                .min(self.cfg.max_in_flight.max(1));
-            self.emit_blocks(nblocks)?;
-        }
-        self.inner.write_all(&[END_OF_BLOCKS])?;
-        let footer = encode_footer(&self.entries);
-        self.inner.write_all(&footer)?;
-        let trailer = encode_trailer(self.offset + 1, self.entries.len() as u64, crc32(&footer));
-        self.inner.write_all(&trailer)?;
-        self.inner.flush()?;
-        let container_bytes = self.offset + 1 + footer.len() as u64 + trailer.len() as u64;
-        let summary = CompressSummary {
-            raw_bytes: self.raw_bytes,
-            container_bytes,
-            blocks: self.entries.len() as u64,
-            stored_blocks: self.stored_blocks,
-            phrases: self.phrases,
-            cost: self.pram.cost().since(self.cost_before),
-        };
-        Ok((self.inner, summary))
-    }
-}
-
-impl<W: Write> Write for StreamCompressor<'_, W> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        self.raw_bytes += data.len() as u64;
-        self.drain_full_waves()?;
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        // Block boundaries are fixed-size, so flushing cannot force out a
-        // partial block; full waves are already drained eagerly.
-        self.inner.flush()
-    }
-}
-
-/// Pump `reader` through a [`StreamCompressor`] into `writer`: the
-/// whole-file convenience entry point with bounded in-flight memory.
-///
-/// # Errors
-/// Propagates I/O failures from either side.
+/// # Panics
+/// When `cfg.block_size` is zero or exceeds [`MAX_BLOCK_SIZE`].
 pub fn compress_stream<R: Read + ?Sized, W: Write>(
     pram: &Pram,
     reader: &mut R,
-    writer: W,
+    mut writer: W,
     cfg: &StreamConfig,
 ) -> Result<(W, CompressSummary), StreamError> {
-    let mut comp = StreamCompressor::new(pram, writer, cfg.clone())?;
-    let mut chunk = vec![0u8; cfg.block_size.clamp(1, 1 << 20)];
-    loop {
-        let n = reader.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        comp.write_all(&chunk[..n])?;
-    }
-    comp.finish()
+    assert!(
+        (1..=MAX_BLOCK_SIZE).contains(&cfg.block_size),
+        "block size {} out of range",
+        cfg.block_size
+    );
+    writer.write_all(&encode_header(cfg.block_size as u64))?;
+    let before = pram.cost();
+    let mut framer = Framer::default();
+    let mut summary = CompressSummary::default();
+    let mut eof = false;
+    pardict_exec::run_waves(
+        pram,
+        "compress-wave",
+        false,
+        || -> Result<_, StreamError> {
+            let first = summary.blocks;
+            let mut blocks = Vec::new();
+            while !eof && blocks.len() < cfg.max_in_flight.max(1) {
+                // Pre-sized to 1 MiB at most: `block_size` may be far larger
+                // than what is left of the input.
+                let mut block = Vec::with_capacity(cfg.block_size.min(1 << 20));
+                (&mut *reader)
+                    .take(cfg.block_size as u64)
+                    .read_to_end(&mut block)?;
+                eof = block.len() < cfg.block_size;
+                if !block.is_empty() {
+                    summary.raw_bytes += block.len() as u64;
+                    blocks.push((summary.blocks, block));
+                    summary.blocks += 1;
+                }
+            }
+            Ok((!blocks.is_empty()).then_some((first, blocks)))
+        },
+        |_, (index, block)| compress_block(block, index),
+        |_, outs: Vec<BlockOut>| {
+            for out in outs {
+                writer.write_all(&framer.record(&out.rec))?;
+                writer.write_all(&out.payload)?;
+                summary.phrases += out.phrases;
+                summary.stored_blocks += u64::from(out.rec.method == METHOD_STORED);
+            }
+            Ok(())
+        },
+    )?;
+    summary.container_bytes = framer.offset;
+    let tail = framer.finish();
+    writer.write_all(&tail)?;
+    writer.flush()?;
+    summary.container_bytes += tail.len() as u64;
+    summary.cost = pram.cost().since(before);
+    Ok((writer, summary))
 }
 
 #[cfg(test)]

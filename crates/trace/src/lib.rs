@@ -36,7 +36,7 @@ pub mod export;
 pub mod view;
 
 use collector::Collector;
-use pardict_pram::Cost;
+use pardict_pram::{Cost, Fnv1a, SplitMix64};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -125,22 +125,10 @@ pub struct Tracer {
     epoch: Instant,
 }
 
-/// SplitMix64 finalizer — the workspace's standard bit mixer.
+/// One SplitMix64 step from `z` — the workspace's standard bit mixer.
 #[must_use]
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fnv(name: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+pub fn mix(z: u64) -> u64 {
+    SplitMix64::new(z).next_u64()
 }
 
 /// Deterministic span-id derivation: same (trace, parent, name, index)
@@ -149,7 +137,7 @@ fn fnv(name: &str) -> u64 {
 fn derive_span(ctx: TraceCtx, name: &'static str, index: u64) -> SpanId {
     let h = mix(ctx.trace.0
         ^ ctx.parent.0.rotate_left(29)
-        ^ fnv(name)
+        ^ Fnv1a::default().eat(name.as_bytes()).finish()
         ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     SpanId(if h == 0 { 1 } else { h })
 }

@@ -15,8 +15,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== one owner"
 # Decisions that used to have several owners keep exactly one: the byte
-# cursor and its pre-allocation policy (core::bytes), and the selftests'
-# mixed-op roll table (pardict_workloads::mixed_ops).
+# cursor and its pre-allocation policy (core::bytes), the selftests'
+# mixed-op roll table (pardict_workloads::mixed_ops), the container block
+# loops (exec::run_waves over StreamReader::fetch_wave +
+# FetchedBlock::decode), the default wave width (exec), and FNV-1a (pram).
 if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
   echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
   exit 1
@@ -27,6 +29,18 @@ if grep -rn "min(1024)" crates/store/src; then
 fi
 if grep -n "% 100" $(find crates -name selftest.rs); then
   echo "ci.sh: a roll table in a selftest.rs (use pardict_workloads::mixed_ops)" >&2
+  exit 1
+fi
+if grep -rnE "struct StreamCompressor|fn decode_slot" crates --include='*.rs'; then
+  echo "ci.sh: a private block loop again (route it through exec::run_waves)" >&2
+  exit 1
+fi
+if grep -rn "available_parallelism" crates/stream; then
+  echo "ci.sh: a second wave-width formula (use pardict_exec::default_wave_width)" >&2
+  exit 1
+fi
+if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'; then
+  echo "ci.sh: a second FNV-1a outside crates/pram/src (use pardict_pram::Fnv1a)" >&2
   exit 1
 fi
 
@@ -87,16 +101,6 @@ echo "== compressed-domain grep smoke"
 grep -bo 12345 "$SMOKE/input.bin" | cut -d: -f1 > "$SMOKE/grep.raw.txt"
 cmp "$SMOKE/grep.zip.txt" "$SMOKE/grep.raw.txt"
 test -s "$SMOKE/grep.zip.txt"
-
-echo "== executor wave smoke"
-# Wave-size independence at the process level: the super-step executor
-# must produce byte-identical hits with the wave forced to one block (a
-# degenerate 20-wave schedule) and with the barrier schedule, matching
-# the default pipelined run above.
-"$PARDICT" grep 12345 --offsets --wave 1 --in "$SMOKE/packed.pdzs" > "$SMOKE/grep.w1.txt"
-cmp "$SMOKE/grep.zip.txt" "$SMOKE/grep.w1.txt"
-"$PARDICT" grep 12345 --offsets --barrier --in "$SMOKE/packed.pdzs" > "$SMOKE/grep.bar.txt"
-cmp "$SMOKE/grep.zip.txt" "$SMOKE/grep.bar.txt"
 
 # Same one-byte corruption: nonzero exit naming the damaged block, while
 # matches from the intact blocks survive as a subset of the clean offsets.

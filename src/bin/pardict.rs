@@ -95,7 +95,7 @@ fn usage() -> String {
     "usage: pardict <match|grep|compress|decompress|cat|parse|delta|patch|stats|serve|cluster|store|chaos|trace> \
      [--dict FILE] [-o FILE] [INPUT...]\n\
      grep:     pardict grep (--dict FILE IN | PATTERN... --in IN) \
-     [--count|--offsets] [--strict] [--wave N] [--barrier]\n\
+     [--count|--offsets] [--strict]\n\
      \x20         IN may be raw bytes or a .pdzs container (auto-detected)\n\
      compress: pardict compress [--stream|--whole] [--block-size N] IN [-o OUT]\n\
      cat:      pardict cat --range A..B CONTAINER [-o OUT]\n\
@@ -149,7 +149,7 @@ fn read_input(pos: &[&str]) -> Result<Vec<u8>, String> {
     Ok(data)
 }
 
-fn read_dict(path: Option<String>) -> Result<Dictionary, String> {
+fn read_dict(path: Option<String>) -> Result<Vec<Vec<u8>>, String> {
     let path = path.ok_or("this command needs --dict FILE")?;
     let data = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let patterns: Vec<Vec<u8>> = data
@@ -163,7 +163,7 @@ fn read_dict(path: Option<String>) -> Result<Dictionary, String> {
     if patterns.iter().any(|p| p.contains(&0)) {
         return Err("patterns must be NUL-free".into());
     }
-    Ok(Dictionary::new(patterns))
+    Ok(patterns)
 }
 
 fn write_output(out: Option<String>, data: &[u8]) -> Result<(), String> {
@@ -173,6 +173,17 @@ fn write_output(out: Option<String>, data: &[u8]) -> Result<(), String> {
             .write_all(data)
             .map_err(|e| format!("stdout: {e}")),
     }
+}
+
+/// `-o FILE` or stdout as a streaming sink, for the container commands
+/// that never hold a whole file.
+fn open_output(out: &Option<String>) -> Result<Box<dyn Write>, String> {
+    Ok(match out {
+        Some(dest) => Box::new(std::io::BufWriter::new(
+            std::fs::File::create(dest).map_err(|e| format!("creating {dest}: {e}"))?,
+        )),
+        None => Box::new(std::io::stdout().lock()),
+    })
 }
 
 /// True when the file at `path` starts with the PDZS container magic —
@@ -187,6 +198,20 @@ fn sniff_container(path: &str) -> Result<bool, String> {
     Ok(pardict::stream::is_container(&head[..n]))
 }
 
+/// The exit-1 report of a lenient container read: good blocks were
+/// already written, the corrupt ones are named.
+fn skipped_blocks(path: &str, issues: &[pardict::stream::BlockIssue]) -> Result<(), String> {
+    if issues.is_empty() {
+        return Ok(());
+    }
+    let list: Vec<String> = issues.iter().map(ToString::to_string).collect();
+    Err(format!(
+        "{path}: {} corrupt block(s) skipped: {}",
+        issues.len(),
+        list.join("; ")
+    ))
+}
+
 fn check_text(text: &[u8]) -> Result<(), String> {
     if text.contains(&0) {
         return Err("input contains NUL bytes (reserved for the sentinel)".into());
@@ -196,18 +221,19 @@ fn check_text(text: &[u8]) -> Result<(), String> {
 
 fn cmd_match(args: &[String]) -> Result<(), String> {
     let (pos, dict, out) = split_args(args)?;
-    let dict = read_dict(dict)?;
+    let patterns = read_dict(dict)?;
     let text = read_input(&pos)?;
     check_text(&text)?;
     let pram = Pram::par();
     let mut buf = Vec::new();
-    let matches = dictionary_match(&pram, &dict, &text, 0xC11);
+    let matcher = SegmentedMatcher::build(&pram, patterns.clone());
+    let (matches, _) = matcher.match_text_verified(&pram, &text);
     for (i, m) in matches.iter_hits() {
         writeln!(
             buf,
             "{i}\t{}\t{}",
             m.id,
-            String::from_utf8_lossy(&dict.patterns()[m.id as usize])
+            String::from_utf8_lossy(&patterns[m.id as usize])
         )
         .map_err(|e| format!("formatting output: {e}"))?;
     }
@@ -225,8 +251,6 @@ fn cmd_grep(args: &[String]) -> Result<(), String> {
     let mut count_only = false;
     let mut offsets_only = false;
     let mut strict = false;
-    let mut wave: Option<usize> = None;
-    let mut barrier = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -236,23 +260,13 @@ fn cmd_grep(args: &[String]) -> Result<(), String> {
             "--count" => count_only = true,
             "--offsets" => offsets_only = true,
             "--strict" => strict = true,
-            "--wave" => {
-                let n = it.next().ok_or("--wave needs a block count")?;
-                wave = Some(
-                    n.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("--wave {n:?}: need a positive block count"))?,
-                );
-            }
-            "--barrier" => barrier = true,
             other => pos.push(other),
         }
     }
     if count_only && offsets_only {
         return Err("--count and --offsets are mutually exclusive".into());
     }
-    let (dict, path) = if let Some(dp) = dict_path {
+    let (patterns, path) = if let Some(dp) = dict_path {
         if input.is_some() && !pos.is_empty() {
             return Err("with --dict and --in, leave no positional arguments".into());
         }
@@ -275,12 +289,12 @@ fn cmd_grep(args: &[String]) -> Result<(), String> {
         if patterns.iter().any(|p| p.contains(&0)) {
             return Err("patterns must be NUL-free".into());
         }
-        (Dictionary::new(patterns), path)
+        (patterns, path)
     };
 
     let pram = Pram::par();
-    let matcher = DictMatcher::build(&pram, dict.clone(), 0xC11);
-    let mut issues: Vec<String> = Vec::new();
+    let matcher = SegmentedMatcher::build(&pram, patterns.clone());
+    let mut issues = Vec::new();
     let hits: Vec<(u64, u32, u32)> = if sniff_container(&path)? {
         let file = std::fs::File::open(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let mut rdr = StreamReader::open(std::io::BufReader::new(file))
@@ -289,15 +303,9 @@ fn cmd_grep(args: &[String]) -> Result<(), String> {
         if strict {
             cfg = cfg.strict();
         }
-        if let Some(w) = wave {
-            cfg.wave = w;
-        }
-        if barrier {
-            cfg = cfg.barrier();
-        }
         let summary =
             grep_container(&pram, &matcher, &mut rdr, &cfg).map_err(|e| format!("{path}: {e}"))?;
-        issues = summary.issues.iter().map(ToString::to_string).collect();
+        issues = summary.issues;
         summary
             .hits
             .into_iter()
@@ -325,20 +333,13 @@ fn cmd_grep(args: &[String]) -> Result<(), String> {
             writeln!(
                 buf,
                 "{p}\t{id}\t{}",
-                String::from_utf8_lossy(&dict.patterns()[*id as usize])
+                String::from_utf8_lossy(&patterns[*id as usize])
             )
             .map_err(|e| format!("formatting output: {e}"))?;
         }
     }
     write_output(out, &buf)?;
-    if !issues.is_empty() {
-        return Err(format!(
-            "{path}: {} corrupt block(s) skipped: {}",
-            issues.len(),
-            issues.join("; ")
-        ));
-    }
-    Ok(())
+    skipped_blocks(&path, &issues)
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
@@ -383,27 +384,9 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
             std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?,
         );
         let cfg = pardict::stream::StreamConfig::with_block_size(block_size);
-        let summary = match out {
-            Some(ref dest) => {
-                let file =
-                    std::fs::File::create(dest).map_err(|e| format!("creating {dest}: {e}"))?;
-                let (_, summary) = pardict::stream::compress_stream(
-                    &pram,
-                    &mut reader,
-                    std::io::BufWriter::new(file),
-                    &cfg,
-                )
+        let (_, summary) =
+            pardict::stream::compress_stream(&pram, &mut reader, open_output(&out)?, &cfg)
                 .map_err(|e| e.to_string())?;
-                summary
-            }
-            None => {
-                let (bytes, summary) =
-                    pardict::stream::compress_stream(&pram, &mut reader, Vec::new(), &cfg)
-                        .map_err(|e| e.to_string())?;
-                write_output(None, &bytes)?;
-                summary
-            }
-        };
         eprintln!(
             "pardict: streamed {} -> {} bytes ({:.1}%), {} blocks ({} stored), {} phrases",
             summary.raw_bytes,
@@ -447,17 +430,14 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
         let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
         let mut rdr = StreamReader::open(std::io::BufReader::new(file))
             .map_err(|e| format!("{path}: {e}"))?;
-        let (data, issues) = rdr.read_all(&pram).map_err(|e| format!("{path}: {e}"))?;
-        write_output(out, &data)?;
-        if !issues.is_empty() {
-            let list: Vec<String> = issues.iter().map(ToString::to_string).collect();
-            return Err(format!(
-                "{path}: {} corrupt block(s) skipped: {}",
-                issues.len(),
-                list.join("; ")
-            ));
-        }
-        return Ok(());
+        // Stream wave by wave: like `compress --stream`, never more than
+        // one wave of blocks resident, whatever the file size.
+        let mut sink = open_output(&out)?;
+        let issues = rdr
+            .copy_to(&pram, &mut sink)
+            .map_err(|e| format!("{path}: {e}"))?;
+        sink.flush().map_err(|e| format!("writing output: {e}"))?;
+        return skipped_blocks(path, &issues);
     }
 
     let data = read_input(&pos)?;
@@ -503,11 +483,11 @@ fn cmd_cat(args: &[String]) -> Result<(), String> {
 
 fn cmd_parse(args: &[String]) -> Result<(), String> {
     let (pos, dict, out) = split_args(args)?;
-    let dict = read_dict(dict)?;
+    let patterns = read_dict(dict)?;
     let text = read_input(&pos)?;
     check_text(&text)?;
     let pram = Pram::par();
-    let matcher = DictMatcher::build(&pram, dict.clone(), 0x12);
+    let matcher = SegmentedMatcher::build(&pram, patterns.clone());
     let parse = optimal_parse(&pram, &matcher, &text)
         .ok_or("text is not parseable with this dictionary (add single-symbol words?)")?;
     let greedy = greedy_parse(&pram, &matcher, &text);
@@ -523,7 +503,7 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| format!("formatting output: {e}"))?;
     for ph in &parse.phrases {
-        let p = &dict.patterns()[ph.pattern as usize];
+        let p = &patterns[ph.pattern as usize];
         writeln!(
             buf,
             "{}\t{}",
@@ -699,15 +679,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = dict_path {
-        let dict = read_dict(Some(path))?;
-        let patterns = dict.patterns().to_vec();
+        let patterns = read_dict(Some(path))?;
+        let count = patterns.len();
         let out = registry
             .publish(&name, patterns)
             .map_err(|e| format!("publishing {name}: {e}"))?;
         eprintln!(
-            "pardict: serving dictionary {name:?} v{} ({} patterns)",
-            out.version,
-            dict.num_patterns()
+            "pardict: serving dictionary {name:?} v{} ({count} patterns)",
+            out.version
         );
     }
 

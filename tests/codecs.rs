@@ -402,3 +402,42 @@ fn wire_payloads_match_golden_bytes() {
     );
     assert_eq!(hex(&stats_reply().encode()), golden);
 }
+
+/// Every content hash in the stack is one `pram::Fnv1a` (and one
+/// SplitMix64 step where mixed), and every value is load-bearing: segment
+/// seeds and cache keys, delta identities, rendezvous placement,
+/// deterministic span ids. Goldens captured on the parent of the
+/// unification (commit 68e06df), where each site spelled its own.
+#[test]
+fn content_hashes_match_goldens() {
+    use pardict::core::segmented::{list_hash, multiset_identity, pattern_identity};
+    use pardict::trace::{TraceConfig, Tracer};
+
+    let pats: Vec<Vec<u8>> = ["he", "she", "hers", ""]
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+    assert_eq!(list_hash(&pats), 0x67fb_a17b_241a_5a63);
+    assert_eq!(list_hash(&[]), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(pattern_identity(b"hers"), 0x111d_7511_2514_af91);
+    assert_eq!(multiset_identity(&pats), 0x6442_1c1d_6d08_02c3);
+
+    let rankings: Vec<Vec<usize>> = ["d0", "d1", "d2", "d3"]
+        .iter()
+        .map(|k| pardict::cluster::shard::ranking(k, 3))
+        .collect();
+    assert_eq!(rankings, [[2, 0, 1], [0, 2, 1], [1, 2, 0], [1, 2, 0]]);
+
+    let tracer = Tracer::new(TraceConfig {
+        sample_one_in: 1,
+        seed: 0x7ACE,
+        capacity: 8,
+        deterministic: true,
+    });
+    let ctx = tracer.begin_trace().expect("sampled");
+    assert_eq!(ctx.trace.0, 0xcc22_dbf1_3a48_008b);
+    assert_eq!(
+        tracer.start(ctx, "search-wave", 3).id().0,
+        0x598f_c3a7_987e_46df
+    );
+}

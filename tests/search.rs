@@ -292,3 +292,114 @@ fn grep_is_mode_independent() {
     assert_eq!(a.hits, b.hits);
     assert_eq!(ca, cb, "seq and par ledgers must agree");
 }
+
+/// Ledger goldens captured on the parent of the `run_waves` reshaping
+/// (commit 68e06df): the compress loop, both grep schedules and both read
+/// loops must charge exactly what they charged before they shared one
+/// shape. `read_all`/`read_range` depth follows the hardware-derived wave
+/// width, so only their work is pinned.
+#[test]
+fn wave_loops_charge_the_parent_ledger_goldens() {
+    let text = markov_text(0x6000, 6000, Alphabet::dna());
+    let mut packed = Vec::new();
+    for (max_in_flight, depth) in [(1, 97_246), (3, 33_494), (8, 13_793)] {
+        let cfg = StreamConfig {
+            block_size: 256,
+            max_in_flight,
+        };
+        let (bytes, summary) =
+            compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).unwrap();
+        let want = Cost {
+            work: 5_670_968,
+            depth,
+        };
+        assert_eq!(summary.cost, want, "max_in_flight {max_in_flight}");
+        assert_eq!((summary.blocks, summary.phrases), (24, 1027));
+        packed = bytes;
+    }
+    assert_eq!(packed.len(), 3928);
+
+    let dict = Dictionary::new(vec![
+        b"ACGT".to_vec(),
+        b"TTT".to_vec(),
+        b"GATTACA".to_vec(),
+        b"CA".to_vec(),
+    ]);
+    let matcher = DictMatcher::build(&Pram::seq(), dict, 0x601D);
+    let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+    for (wave, depth) in [(1, 9654), (3, 3256)] {
+        for pipeline in [false, true] {
+            let cfg = GrepConfig {
+                wave,
+                strict: false,
+                pipeline,
+            };
+            let summary = grep_container(&Pram::seq(), &matcher, &mut rdr, &cfg).unwrap();
+            let want = Cost {
+                work: 629_701,
+                depth,
+            };
+            assert_eq!(summary.cost, want, "wave {wave}, pipeline {pipeline}");
+            assert_eq!(summary.hits.len(), 132);
+        }
+    }
+    let (_, all) = Pram::seq().metered(|p| rdr.read_all(p).unwrap());
+    assert_eq!(all.work, 568_423, "read_all");
+    let (_, ranged) = Pram::seq().metered(|p| rdr.read_range(p, 700, 2100).unwrap());
+    assert_eq!(ranged.work, 169_464, "read_range(700, 2100)");
+}
+
+/// One wave holding a block with a damaged inline header *and* a later
+/// block with a flipped payload byte: lenient runs report the fetch-level
+/// issue before the decode-level one, strict runs raise the lower-indexed
+/// block — through `read_all`/`read_range` and `grep_container` alike,
+/// because both run the same fetch and the same decode stage.
+#[test]
+fn fetch_issues_precede_decode_issues_within_a_wave() {
+    use stream::{IssueKind, StreamError};
+    let text = markov_text(0xF37C, 2048, Alphabet::dna());
+    let mut packed = pack(&text, 256); // 8 blocks
+    let entries = StreamReader::open(std::io::Cursor::new(&packed))
+        .unwrap()
+        .index()
+        .entries
+        .clone();
+    // Blocks 2 and 3 share a wave at every power-of-two wave width.
+    packed[entries[2].offset as usize + 1] ^= 0x01; // inline raw_len of block 2
+    packed[entries[3].offset as usize + stream::format::RECORD_HEADER_LEN] ^= 0x01;
+    let kinds = |issues: &[stream::BlockIssue]| -> Vec<(u64, IssueKind)> {
+        issues.iter().map(|i| (i.index, i.kind)).collect()
+    };
+    let want = vec![(2, IssueKind::HeaderMismatch), (3, IssueKind::Checksum)];
+
+    let pram = Pram::seq();
+    let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+    let (out, issues) = rdr.read_all(&pram).unwrap();
+    assert_eq!(kinds(&issues), want);
+    assert_eq!(out, [&text[..512], &text[1024..]].concat());
+    assert!(matches!(
+        rdr.read_range(&pram, 0, 2048),
+        Err(StreamError::CorruptBlock {
+            index: 2,
+            kind: IssueKind::HeaderMismatch
+        })
+    ));
+
+    let dict = Dictionary::new(vec![b"ACGT".to_vec(), b"TTT".to_vec()]);
+    let matcher = DictMatcher::build(&pram, dict, 5);
+    let cfg = GrepConfig {
+        wave: 4,
+        strict: false,
+        pipeline: true,
+    };
+    let summary = grep_container(&pram, &matcher, &mut rdr, &cfg).unwrap();
+    assert_eq!(kinds(&summary.issues), want);
+    assert_eq!(summary.blocks_searched, 6);
+    assert!(matches!(
+        grep_container(&pram, &matcher, &mut rdr, &cfg.strict()),
+        Err(StreamError::CorruptBlock {
+            index: 2,
+            kind: IssueKind::HeaderMismatch
+        })
+    ));
+}

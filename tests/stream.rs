@@ -3,6 +3,7 @@
 //! random-access equivalence, ledger attribution of range reads, and the
 //! blockwise approximation bound against whole-buffer LZ1.
 
+use pardict::compress::encode_tokens;
 use pardict::prelude::*;
 use pardict::stream::{self, compress_stream, decompress_stream, is_container, StreamError};
 use pardict::workloads::markov_text;
@@ -200,7 +201,11 @@ fn approximation_ratio_within_15_percent() {
     let text = markov_text(0xAB5_712, 128 * 1024, Alphabet::dna());
     let cfg = StreamConfig::with_block_size(32 * 1024); // 4 blocks
     let pram = Pram::par();
-    let (streamed, whole) = stream::approximation_sizes(&pram, &text, &cfg);
+    let streamed = compress_stream(&pram, &mut &text[..], Vec::new(), &cfg)
+        .unwrap()
+        .0
+        .len();
+    let whole = encode_tokens(&lz1_compress(&pram, &text, stream::STREAM_SEED)).len();
     assert!(
         (streamed as f64) <= (whole as f64) * 1.15,
         "blockwise {streamed} B vs whole-buffer {whole} B exceeds 15%"
@@ -346,4 +351,40 @@ fn lz1_tokens_and_container_match_golden_bytes() {
             "compress_stream container, seed {seed:#x}"
         );
     }
+}
+
+/// `copy_to` is the bounded-memory face of `read_all`: over a 16-block
+/// container the writer never sees more than one wave in a single write,
+/// and the bytes are exactly `read_all`'s.
+#[test]
+fn copy_to_streams_wave_by_wave() {
+    struct Counting {
+        out: Vec<u8>,
+        largest: usize,
+    }
+    impl std::io::Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let block_size = 512;
+    let data = markov_text(0xC0_9470, 16 * block_size, Alphabet::dna());
+    let packed = pack(&data, block_size);
+    let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+    assert_eq!(rdr.index().num_blocks(), 16);
+    let pram = Pram::par();
+    let mut sink = Counting {
+        out: Vec::new(),
+        largest: 0,
+    };
+    let issues = rdr.copy_to(&pram, &mut sink).unwrap();
+    assert!(issues.is_empty());
+    assert!(sink.largest > 0 && sink.largest <= pardict::exec::default_wave_width() * block_size);
+    assert_eq!(sink.out, rdr.read_all(&pram).unwrap().0);
+    assert_eq!(sink.out, data);
 }
