@@ -8,6 +8,15 @@ fn small_alpha_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 0..max_len)
 }
 
+/// Strategy: text in which most characters are outside the dictionary
+/// alphabet, so few positions carry a claim.
+fn sparse_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        prop::sample::select(b"abcxxxxxyyyyyzzzzz".to_vec()),
+        0..max_len,
+    )
+}
+
 /// Strategy: a non-empty dictionary of 1..8 non-empty patterns.
 fn dictionary() -> impl Strategy<Value = Vec<Vec<u8>>> {
     prop::collection::vec(
@@ -98,6 +107,68 @@ proptest! {
         // Aho–Corasick output is ground truth; the checker must accept it.
         let truth = AhoCorasick::build(&dict).match_text(&text);
         prop_assert!(matcher.check(&pram, &text, &truth).is_ok());
+    }
+
+    /// Lemma 3.4 in both directions: the checker accepts a claim array iff
+    /// every claim in it occurs verbatim. A correct output is corrupted with
+    /// 1–3 injected claims of the shapes the §3.4 case analysis separates —
+    /// anywhere, nested inside a longer true claim, overlapping the next
+    /// true claim, ending exactly at `n` — on dense and on sparse texts.
+    #[test]
+    fn checker_accepts_exactly_the_verbatim_claim_arrays(
+        patterns in dictionary(),
+        text in prop_oneof![small_alpha_text(200), sparse_text(200)],
+        seed in 0u64..100,
+        injections in prop::collection::vec((0u8..4, any::<u64>()), 1..4),
+    ) {
+        prop_assume!(!text.is_empty());
+        let n = text.len();
+        let dict = Dictionary::new(patterns.clone());
+        let matcher = DictMatcher::build(&Pram::seq(), dict.clone(), seed);
+        let truth = AhoCorasick::build(&dict).match_text(&text);
+        let true_claims: Vec<(usize, usize)> =
+            truth.iter_hits().map(|(i, m)| (i, m.len as usize)).collect();
+        let occurrences: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..patterns.len()).map(move |t| (i, t)))
+            .filter(|&(i, t)| text[i..].starts_with(&patterns[t]))
+            .collect();
+        let mut claims = truth.as_slice().to_vec();
+        for &(shape, coin) in &injections {
+            let mut rng = pardict::pram::SplitMix64::new(coin);
+            let mut below = |k: usize| rng.next_below(k as u64) as usize;
+            // Half the injections are real (if not longest) occurrences, so
+            // the accepting direction is exercised on edited arrays too.
+            if below(2) == 0 && !occurrences.is_empty() {
+                let (pos, id) = occurrences[below(occurrences.len())];
+                claims[pos] = Some(Match { id: id as u32, len: patterns[id].len() as u32 });
+                continue;
+            }
+            let id = below(patterns.len());
+            let len = patterns[id].len();
+            let host = (!true_claims.is_empty()).then(|| true_claims[below(true_claims.len())]);
+            let pos = match (shape, host) {
+                // Strictly inside a longer true claim, not reaching past it.
+                (1, Some((p, l))) if l > len => p + 1 + below(l - len),
+                // Starting before a true claim and running into it.
+                (2, Some((p, _))) if len > 1 && p > 0 => p - (1 + below(len - 1)).min(p),
+                // Ending exactly at the end of the text.
+                (3, _) if len <= n => n - len,
+                // Anywhere, overruns included.
+                _ => below(n),
+            };
+            claims[pos] = Some(Match { id: id as u32, len: len as u32 });
+        }
+        let verbatim = claims.iter().enumerate().all(|(i, c)| {
+            c.is_none_or(|m| text[i..].starts_with(&patterns[m.id as usize]))
+        });
+        let corrupted = Matches::new(claims);
+        for pram in [Pram::seq(), Pram::par()] {
+            prop_assert_eq!(
+                matcher.check(&pram, &text, &corrupted).is_ok(),
+                verbatim,
+                "mode {:?}", pram.mode()
+            );
+        }
     }
 
     #[test]
