@@ -1,4 +1,4 @@
-//! Regenerate every experiment table (E1–E11) from EXPERIMENTS.md.
+//! Regenerate every experiment table (E1–E14) from EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p pardict-bench --bin tables -- all
@@ -16,9 +16,10 @@ use pardict_compress::{
     bfs_parse, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decompress,
     lz1_nlogn_baseline, lz77_sequential, lz78_compress, optimal_parse,
 };
+use pardict_core::segmented::segment_spans;
 use pardict_core::{
     dictionary_match, encode_binary, mp93_baseline, AhoCorasick, DictMatcher, Dictionary, Match,
-    Matches,
+    Matches, SegmentedMatcher,
 };
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{ceil_log2, list_rank_random_mate, list_rank_wyllie, Mode, Pram, SplitMix64};
@@ -80,6 +81,9 @@ fn main() {
     }
     if want("e13") {
         e13_offline(quick);
+    }
+    if want("e14") {
+        e14_segments(quick);
     }
 }
 
@@ -469,14 +473,21 @@ fn e8_checker(quick: bool) {
     let n = if quick { 1 << 12 } else { 1 << 15 };
     let text = text_with_planted_matches(3, dict.patterns(), n, 30, alpha);
     let good = matcher.match_text(&pram, &text);
-    let p1 = Pram::seq();
-    let (ok, s) = sample(&p1, |p| matcher.check(p, &text, &good).is_ok());
-    assert!(ok);
-    println!(
-        "\nchecker work/n on clean output: {:.1} (depth {})",
-        per(s.cost.work, n),
-        s.cost.depth
-    );
+    println!();
+    // The checker pays one pass to find the claims, then per claim: clean
+    // output with fewer claims is cheaper to verify.
+    for (kind, clean_text) in [("dense", &text), ("sparse", &random_text(5, n, alpha))] {
+        let clean = matcher.match_text(&pram, clean_text);
+        let p1 = Pram::seq();
+        let (ok, s) = sample(&p1, |p| matcher.check(p, clean_text, &clean).is_ok());
+        assert!(ok);
+        println!(
+            "checker work/n on clean {kind} output ({} claims): {:.1} (depth {})",
+            clean.iter_hits().count(),
+            per(s.cost.work, n),
+            s.cost.depth
+        );
+    }
 
     // Corruption trials: claim a random pattern at a random position.
     let mut rng = SplitMix64::new(4);
@@ -767,6 +778,46 @@ fn e13_offline(quick: bool) {
             per(s_on.cost.work, n),
             per(s_off.cost.work, n + dict.total_len()),
         );
+    }
+    println!();
+}
+
+// --- E14: served matching against segment count ----------------------------
+fn e14_segments(quick: bool) {
+    println!("## E14 — served matching vs segment count (`match_text_verified`)");
+    let n = if quick { 1 << 14 } else { 1 << 16 };
+    println!("\nEvery segment passes over the text once (matcher + §3.4 check), so");
+    println!("work/n grows with the segment count; the passes are one super-step,");
+    println!("so depth does not. n = {n}; `check` is the checker's share of work/n.\n");
+    println!(
+        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth |"
+    );
+    println!(
+        "|----------|----------|--------------|-------|-------|---------------|-------|-------|"
+    );
+    let alpha = Alphabet::dna();
+    for segments in sizes(quick, &[1, 4, 16, 64], &[1, 4, 16]) {
+        let patterns = (0u64..)
+            .map(|seed| random_dictionary(seed, 250 * segments, 8, 16, alpha))
+            .find(|p| segment_spans(p).len() == segments)
+            .expect("some draw cuts into the wanted number of segments");
+        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        let dense = text_with_planted_matches(2, &patterns, n, 25, alpha);
+        let sparse = random_text(3, n, alpha);
+        print!("| {segments} | {} |", patterns.len());
+        for text in [&dense, &sparse] {
+            let (_, monte_carlo) = sample(&Pram::seq(), |p| matcher.match_text(p, text));
+            let ((_, fell_back), served) =
+                sample(&Pram::seq(), |p| matcher.match_text_verified(p, text));
+            assert!(!fell_back);
+            print!(
+                " {:.1} | {:.1} | {} |",
+                per(served.cost.work, n),
+                per(served.cost.work - monte_carlo.cost.work, n),
+                served.cost.depth
+            );
+        }
+        println!();
     }
     println!();
 }

@@ -4,7 +4,7 @@
 //! *different* strings look equal, so the Monte Carlo matcher can only
 //! over-claim (report a match that is not really there), never under-claim.
 //! This checker verifies a claimed match array **exactly** in `O(n)` work
-//! and `O(log n)` depth:
+//! and `O(log n + m)` depth (`m` the longest claimed pattern, see below):
 //!
 //! 1. positions without a match are treated as claiming their own single
 //!    character (the paper's "special pointer to the singleton T[i]");
@@ -15,6 +15,18 @@
 //! 4. consecutive *dominating* positions are checked pairwise the same way.
 //!
 //! Lemma 3.4: if all checks pass, every claimed match really occurs.
+//!
+//! Only two kinds of position can fail any of these: a position that carries
+//! a claim, and a singleton *covered* by an earlier claim (it is dominated,
+//! by the prefix-argmax claim, and must equal that claim's character there).
+//! An uncovered singleton is in bounds, equals itself, dominates nothing and
+//! overlaps nothing. So after one pass that packs the claiming positions,
+//! every round below runs over the `k` claims, and the covered singletons
+//! cost one byte compare each: `≈ n + O(k + covered)` work, not a constant
+//! times `n` — clean sparse output is cheaper to verify than dense output.
+//! Each claim's virtual processor compares the singletons up to the next
+//! claim itself, so that round's depth is the longest such run (at most the
+//! longest claimed pattern) rather than 1.
 
 use crate::dict::{Dictionary, Matches};
 use pardict_pram::Pram;
@@ -49,7 +61,8 @@ pub enum CheckError {
     },
 }
 
-/// Verify `matches` against `text` exactly. `O(n)` work, `O(log n)` depth.
+/// Verify `matches` against `text` exactly: `O(n)` work, `O(log n)` depth
+/// plus the longest run of singletons one claim covers (see module docs).
 ///
 /// # Errors
 /// Returns the first category of inconsistency found.
@@ -63,38 +76,38 @@ pub fn check_matches(
     let n = text.len();
     assert_eq!(matches.len(), n);
 
-    // Claim at position i: (length, D̂ position of the claimed string), or
-    // the singleton character claim (length 1, no D̂ position).
-    let claim = |i: usize| -> (usize, Option<usize>) {
-        match matches.get(i) {
-            Some(m) => (m.len as usize, Some(dict.offset(m.id as usize))),
-            None => (1, None),
-        }
-    };
-
-    // Steps 1–2: bounds + first characters, one wide round.
-    let bad: Vec<Option<CheckError>> = pram.tabulate(n, |i| {
-        let (len, q) = claim(i);
-        if i + len > n {
-            return Some(CheckError::Overrun { pos: i });
-        }
-        if let Some(q) = q {
-            if dict.dhat()[q] != text[i] {
-                return Some(CheckError::FirstChar { pos: i });
-            }
-        }
-        None
+    // Claim t, in position order: (text position, length, D̂ position of
+    // the claimed string).
+    let claiming = pram.map(matches.as_slice(), |_, m| m.is_some());
+    let at = pram.pack_indices(&claiming);
+    let claims: Vec<(usize, usize, usize)> = pram.map(&at, |_, &i| {
+        let m = matches.get(i).expect("packed positions carry a claim");
+        (i, m.len as usize, dict.offset(m.id as usize))
     });
-    if let Some(e) = bad.iter().flatten().next() {
-        return Err(e.clone());
+    let k = claims.len();
+    let dhat = dict.dhat();
+    let first = |errors: Vec<Option<CheckError>>| errors.into_iter().flatten().next();
+
+    // Steps 1–2: bounds + first characters, one round over the claims.
+    let bad = pram.map(&claims, |_, &(i, len, q)| {
+        if i + len > n {
+            Some(CheckError::Overrun { pos: i })
+        } else if dhat[q] != text[i] {
+            Some(CheckError::FirstChar { pos: i })
+        } else {
+            None
+        }
+    });
+    if let Some(e) = first(bad) {
+        return Err(e);
     }
 
-    // Reaches and prefix arg-maxima.
-    let reaches: Vec<(u64, u64)> = pram.tabulate(n, |i| {
-        let (len, _) = claim(i);
-        ((i + len) as u64, i as u64)
-    });
-    // Inclusive prefix max by reach (ties: earliest index wins).
+    // Inclusive prefix max of the claims' reaches, with the claim attaining
+    // it (ties: earliest claim wins). A singleton before `j` reaches at most
+    // `j`, so wherever this maximum dominates anything it is also the
+    // maximum over *all* earlier positions.
+    let reaches: Vec<(u64, u64)> =
+        pram.map(&claims, |t, &(i, len, _)| ((i + len) as u64, t as u64));
     let pm = pram.scan_inclusive(
         &reaches,
         (0u64, u64::MAX),
@@ -107,65 +120,59 @@ pub fn check_matches(
         },
     );
 
-    // Exact equality of the overlap of two claims, via Lemma 2.6 on D̂
-    // (claims are substrings of D̂; singleton claims compare directly).
-    let consistent = |i: usize, j: usize| -> bool {
-        debug_assert!(i < j);
-        let (li, qi) = claim(i);
-        let (lj, qj) = claim(j);
+    // Exact equality of the overlap of claims `a < b`, via Lemma 2.6 on D̂
+    // (claims are substrings of D̂).
+    let consistent = |a: usize, b: usize| -> bool {
+        let (i, li, qi) = claims[a];
+        let (j, lj, qj) = claims[b];
         let overlap = (i + li).min(j + lj).saturating_sub(j);
-        if overlap == 0 {
-            return true;
-        }
-        let delta = j - i;
-        match (qi, qj) {
-            (Some(qi), Some(qj)) => st.lcp_positions(qi + delta, qj) >= overlap,
-            (Some(qi), None) => dict.dhat()[qi + delta] == text[j],
-            // A singleton at i cannot overlap j > i.
-            (None, _) => true,
-        }
+        overlap == 0 || st.lcp_positions(qi + (j - i), qj) >= overlap
     };
 
-    // Step 3: dominated positions vs the prefix-argmax dominator.
-    let dom_bad: Vec<Option<CheckError>> = pram.tabulate(n, |j| {
-        if j == 0 {
-            return None;
-        }
-        let (lj, _) = claim(j);
-        let (best_reach, best_i) = pm[j - 1];
-        if best_reach >= (j + lj) as u64 {
-            let i = best_i as usize;
-            if !consistent(i, j) {
-                return Some(CheckError::DominatedMismatch { pos: j, against: i });
+    // Step 3: dominated positions vs the prefix-argmax dominator. Claim `t`
+    // answers for itself and for the singletons between it and the next
+    // claim that the best reach so far still covers; those compare one
+    // character each against the dominator (`ops` = characters compared).
+    let dom_bad = pram.tabulate_costed(k, |t| {
+        let (j, lj, _) = claims[t];
+        if t > 0 {
+            let (best_reach, d) = pm[t - 1];
+            if best_reach >= (j + lj) as u64 && !consistent(d as usize, t) {
+                let against = claims[d as usize].0;
+                return (Some(CheckError::DominatedMismatch { pos: j, against }), 1);
             }
         }
-        None
+        let (best_reach, d) = pm[t];
+        let (i, _, qi) = claims[d as usize];
+        let next = claims.get(t + 1).map_or(n, |c| c.0);
+        let mut covered = j + 1..next.min(best_reach as usize);
+        let ops = 1 + covered.len() as u64;
+        let bad = covered
+            .find(|&s| dhat[qi + (s - i)] != text[s])
+            .map(|s| CheckError::DominatedMismatch { pos: s, against: i });
+        (bad, ops)
     });
-    if let Some(e) = dom_bad.iter().flatten().next() {
-        return Err(e.clone());
+    if let Some(e) = first(dom_bad) {
+        return Err(e);
     }
 
-    // Step 4: consecutive dominating positions.
-    let dominating: Vec<bool> = pram.tabulate(n, |j| {
-        if j == 0 {
-            return true;
+    // Step 4: consecutive dominating claims. The claim before `t` that
+    // attains the prefix maximum is where that maximum last rose — the
+    // previous dominating claim. (A dominating singleton between the two is
+    // uncovered, so the pair it would split cannot overlap.)
+    let pair_bad = pram.tabulate(k, |t| {
+        if t == 0 {
+            return None;
         }
-        let (lj, _) = claim(j);
-        pm[j - 1].0 < (j + lj) as u64
+        let (best_reach, d) = pm[t - 1];
+        (best_reach < reaches[t].0 && !consistent(d as usize, t)).then(|| {
+            CheckError::DominatingMismatch {
+                pos: claims[t].0,
+                against: claims[d as usize].0,
+            }
+        })
     });
-    let doms = pram.pack_indices(&dominating);
-    let pair_bad: Vec<Option<CheckError>> = pram.tabulate(doms.len().saturating_sub(1), |k| {
-        let (i, j) = (doms[k], doms[k + 1]);
-        if !consistent(i, j) {
-            Some(CheckError::DominatingMismatch { pos: j, against: i })
-        } else {
-            None
-        }
-    });
-    if let Some(e) = pair_bad.iter().flatten().next() {
-        return Err(e.clone());
-    }
-    Ok(())
+    first(pair_bad).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

@@ -24,6 +24,12 @@
 //! Dictionaries of at most [`SINGLE_SEGMENT_MAX`] patterns stay in one
 //! segment whose seed equals the classic whole-dictionary seed, so small
 //! dictionaries behave bit-identically to a bare [`DictMatcher`].
+//!
+//! What segmentation costs a query: every segment makes its own pass over
+//! the text, so work is Σ over segments. The passes are independent, so
+//! they are one [`Pram::superstep`] — depth is the deepest segment's, not
+//! the sum — and the verified path's §3.4 check per segment costs a pass
+//! over the text plus work proportional to that segment's claims.
 
 use crate::ac::AhoCorasick;
 use crate::dict::{Dictionary, Match, Matches};
@@ -283,8 +289,11 @@ pub struct SegmentBuildStats {
 
 /// A dictionary preprocessed as canonical segments (see module docs).
 ///
-/// Queries run each segment in base order and merge; a single-segment
-/// dictionary delegates directly, with zero overhead over [`DictMatcher`].
+/// A query runs every segment in one super-step (independent passes over
+/// the same text: Σ work, the deepest segment's depth, one thread per hart
+/// under a parallel `Pram`) and merges the answers in base order as they
+/// arrive; a single-segment dictionary delegates directly, with zero
+/// overhead over [`DictMatcher`].
 #[derive(Debug, Clone)]
 pub struct SegmentedMatcher {
     slots: Vec<Slot>,
@@ -424,26 +433,53 @@ impl SegmentedMatcher {
         }
     }
 
-    /// The one merge under every per-position query. A single segment
-    /// answers for itself; otherwise `per_seg` runs on each segment in base
-    /// order, its local ids are rebased by the segment's base, and each
-    /// position keeps the longest answer — ties to the smallest global id.
-    /// Merging is not ledger-charged: the per-segment queries carry the
-    /// cost.
-    fn fold<T: Ranked>(
+    /// The one per-segment fan-out under every multi-segment query: the
+    /// segments are independent, so they run as one [`Pram::superstep`] —
+    /// `query` on each segment under a private ledger, Σ work and the
+    /// deepest segment's depth charged to `pram` once, on up to one thread
+    /// per hart when `pram` is parallel and the text (`width`) is wide
+    /// enough. `sink` gets each segment's base and answer in base order
+    /// while later segments are still running; whatever it does with them
+    /// (merging, rebasing) is not ledger-charged.
+    fn per_segment<R: Send>(
         &self,
+        pram: &Pram,
+        width: usize,
+        query: impl Fn(&Pram, &Segment) -> R + Sync,
+        mut sink: impl FnMut(u32, R),
+    ) {
+        pram.superstep(
+            self.slots.len(),
+            width,
+            |p, i| query(p, &self.slots[i].seg),
+            |i, r| sink(self.slots[i].base, r),
+        );
+    }
+
+    /// The one merge under every per-position query. A single segment
+    /// answers for itself on `pram`; otherwise every segment answers in one
+    /// [`SegmentedMatcher::per_segment`] super-step, local ids are rebased
+    /// by the segment's base, and each position keeps the longest answer —
+    /// ties to the smallest global id. A segment's dense answer is dropped
+    /// as soon as it is merged, so only those of the segments in flight
+    /// exist at once. Also returns the OR of the segments' flags.
+    fn fold_or<T: Ranked + Send>(
+        &self,
+        pram: &Pram,
         n: usize,
-        mut per_seg: impl FnMut(&Segment) -> Vec<Option<T>>,
-    ) -> Vec<Option<T>> {
+        per_seg: impl Fn(&Pram, &Segment) -> (Vec<Option<T>>, bool) + Sync,
+    ) -> (Vec<Option<T>>, bool) {
         if let Some(seg) = self.single() {
-            return per_seg(seg);
+            return per_seg(pram, seg);
         }
         let mut acc: Vec<Option<T>> = vec![None; n];
-        for slot in &self.slots {
-            for (best, cand) in acc.iter_mut().zip(per_seg(&slot.seg)) {
+        let mut any = false;
+        self.per_segment(pram, n, per_seg, |base, (cands, flag)| {
+            any |= flag;
+            for (best, cand) in acc.iter_mut().zip(cands) {
                 let Some(mut cand) = cand else { continue };
                 let (len, id) = cand.len_id();
-                *id += slot.base;
+                *id += base;
                 let key = (len, Reverse(*id));
                 if best.as_mut().is_none_or(|b| {
                     let (len, id) = b.len_id();
@@ -452,8 +488,18 @@ impl SegmentedMatcher {
                     *best = Some(cand);
                 }
             }
-        }
-        acc
+        });
+        (acc, any)
+    }
+
+    /// [`SegmentedMatcher::fold_or`] for queries with nothing to flag.
+    fn fold<T: Ranked + Send>(
+        &self,
+        pram: &Pram,
+        n: usize,
+        per_seg: impl Fn(&Pram, &Segment) -> Vec<Option<T>> + Sync,
+    ) -> Vec<Option<T>> {
+        self.fold_or(pram, n, |p, seg| (per_seg(p, seg), false)).0
     }
 
     /// Longest pattern at every text position (merged across segments:
@@ -462,7 +508,9 @@ impl SegmentedMatcher {
     /// [`SegmentedMatcher::match_text_verified`].
     #[must_use]
     pub fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
-        Matches::new(self.fold(text.len(), |seg| seg.matcher().match_text(pram, text).inner))
+        Matches::new(self.fold(pram, text.len(), |p, seg| {
+            seg.matcher().match_text(p, text).inner
+        }))
     }
 
     /// Las Vegas matching without rebuilding: per segment, one Monte Carlo
@@ -472,15 +520,20 @@ impl SegmentedMatcher {
     /// fell back.
     #[must_use]
     pub fn match_text_verified(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
-        let mut fell_back = false;
-        let merged = self.fold(text.len(), |seg| {
-            let m = seg.matcher().match_text(pram, text);
-            if seg.matcher().check(pram, text, &m).is_ok() {
-                m.inner
-            } else {
-                fell_back = true;
-                seg.ac().match_text(text).inner
-            }
+        self.verified_with(pram, text, |p, seg| seg.matcher().match_text(p, text))
+    }
+
+    /// [`SegmentedMatcher::match_text_verified`] over any per-segment
+    /// Monte Carlo pass (the seam the fallback tests corrupt).
+    fn verified_with(
+        &self,
+        pram: &Pram,
+        text: &[u8],
+        monte_carlo: impl Fn(&Pram, &Segment) -> Matches + Sync,
+    ) -> (Matches, bool) {
+        let (merged, fell_back) = self.fold_or(pram, text.len(), |p, seg| {
+            let (m, fell_back) = vetted(p, seg, text, monte_carlo(p, seg));
+            (m.inner, fell_back)
         });
         (Matches::new(merged), fell_back)
     }
@@ -488,7 +541,9 @@ impl SegmentedMatcher {
     /// Exact matching on the per-segment automata (the sequential lane).
     #[must_use]
     pub fn ac_match(&self, text: &[u8]) -> Matches {
-        Matches::new(self.fold(text.len(), |seg| seg.ac().match_text(text).inner))
+        Matches::new(self.fold(&Pram::seq(), text.len(), |_, seg| {
+            seg.ac().match_text(text).inner
+        }))
     }
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
@@ -500,13 +555,17 @@ impl SegmentedMatcher {
             return seg.matcher().find_all(pram, text);
         }
         let mut out: Vec<(usize, Match)> = Vec::new();
-        for slot in &self.slots {
-            let hits = slot.seg.matcher().find_all(pram, text);
-            out.extend(hits.into_iter().map(|(i, mut m)| {
-                m.id += slot.base;
-                (i, m)
-            }));
-        }
+        self.per_segment(
+            pram,
+            text.len(),
+            |p, seg| seg.matcher().find_all(p, text),
+            |base, hits| {
+                out.extend(hits.into_iter().map(|(i, mut m)| {
+                    m.id += base;
+                    (i, m)
+                }));
+            },
+        );
         out.sort_by(|a, b| {
             a.0.cmp(&b.0)
                 .then(b.1.len.cmp(&a.1.len))
@@ -520,7 +579,9 @@ impl SegmentedMatcher {
     /// [`SegmentedMatcher::match_text`].
     #[must_use]
     pub fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
-        self.fold(text.len(), |seg| seg.matcher().pattern_prefixes(pram, text))
+        self.fold(pram, text.len(), |p, seg| {
+            seg.matcher().pattern_prefixes(p, text)
+        })
     }
 
     /// Length of the longest pattern.
@@ -535,7 +596,18 @@ impl SegmentedMatcher {
     }
 }
 
-/// A per-position answer [`SegmentedMatcher::fold`] can rank and rebase:
+/// One segment's share of a verified query: its Monte Carlo answer `m` if
+/// the exact §3.4 checker accepts it, else the segment's automaton's. The
+/// flag says the automaton answered.
+fn vetted(pram: &Pram, seg: &Segment, text: &[u8], m: Matches) -> (Matches, bool) {
+    if seg.matcher().check(pram, text, &m).is_ok() {
+        (m, false)
+    } else {
+        (seg.ac().match_text(text), true)
+    }
+}
+
+/// A per-position answer [`SegmentedMatcher::fold_or`] can rank and rebase:
 /// its length, and its pattern id (segment-local until rebased).
 trait Ranked: Copy {
     fn len_id(&mut self) -> (u32, &mut u32);
@@ -735,6 +807,101 @@ mod tests {
             let (fb, cfb) = p.metered(|pr| scratch.find_all(pr, &text));
             assert_eq!(fa, fb);
             assert_eq!(cfa, cfb);
+        }
+    }
+
+    /// The first seeded DNA dictionary that cuts into exactly `segments`
+    /// canonical segments.
+    fn dictionary_with_segments(segments: usize) -> Vec<Vec<u8>> {
+        (0u64..)
+            .map(|seed| random_dictionary(seed, 220 * segments, 3, 8, Alphabet::dna()))
+            .find(|patterns| segment_spans(patterns).len() == segments)
+            .expect("some draw cuts into the wanted number of segments")
+    }
+
+    /// `m` with a false claim planted where `seg`'s pattern 0 does not occur.
+    fn corrupted(seg: &Segment, text: &[u8], m: &Matches) -> Matches {
+        let p = &seg.patterns()[0];
+        let at = (0..text.len() - p.len())
+            .find(|&i| !text[i..].starts_with(p))
+            .expect("the pattern is absent somewhere");
+        let mut v = m.as_slice().to_vec();
+        v[at] = Some(Match {
+            id: 0,
+            len: p.len() as u32,
+        });
+        Matches::new(v)
+    }
+
+    #[test]
+    fn rejected_monte_carlo_output_is_replaced_by_the_automaton() {
+        let pram = Pram::seq();
+        let patterns = random_dictionary(5, 40, 2, 8, Alphabet::dna());
+        let seg = Segment::build(&pram, patterns.clone());
+        let text = text_with_planted_matches(6, &patterns, 900, 30, Alphabet::dna());
+        let exact = seg.ac().match_text(&text);
+        let clean = seg.matcher().match_text(&pram, &text);
+        assert_eq!(
+            vetted(&pram, &seg, &text, clean.clone()),
+            (clean.clone(), false)
+        );
+        let bad = corrupted(&seg, &text, &clean);
+        assert_ne!(bad, exact);
+        assert_eq!(vetted(&pram, &seg, &text, bad), (exact, true));
+    }
+
+    #[test]
+    fn one_corrupted_segment_of_four_still_answers_exactly() {
+        let patterns = dictionary_with_segments(4);
+        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        let text = text_with_planted_matches(8, &patterns, 3000, 25, Alphabet::dna());
+        let exact = matcher.ac_match(&text);
+        let victim = matcher.segments().nth(2).unwrap().list_hash();
+        for pram in [Pram::seq(), Pram::par()] {
+            assert_eq!(
+                matcher.match_text_verified(&pram, &text),
+                (exact.clone(), false)
+            );
+            let reply = matcher.verified_with(&pram, &text, |p, seg| {
+                let m = seg.matcher().match_text(p, &text);
+                if seg.list_hash() == victim {
+                    corrupted(seg, &text, &m)
+                } else {
+                    m
+                }
+            });
+            assert_eq!(reply, (exact.clone(), true));
+        }
+    }
+
+    #[test]
+    fn segments_cost_one_superstep_identically_in_seq_and_par() {
+        for segments in [3usize, 4, 5] {
+            let patterns = dictionary_with_segments(segments);
+            let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+            assert_eq!(matcher.num_segments(), segments);
+            for n in [1usize << 10, 1 << 16] {
+                let text = text_with_planted_matches(n as u64, &patterns, n, 25, Alphabet::dna());
+                let run = |pram: Pram| {
+                    let (verified, cv) = pram.metered(|p| matcher.match_text_verified(p, &text));
+                    let (all, ca) = pram.metered(|p| matcher.find_all(p, &text));
+                    (verified, cv, all, ca)
+                };
+                let seq = run(Pram::seq());
+                assert_eq!(seq, run(Pram::par()), "{segments} segments, n={n}");
+                // Σ work, and the depth of the deepest segment — not Σ depth.
+                let alone: Vec<Cost> = matcher
+                    .segments()
+                    .map(|seg| {
+                        let p = Pram::seq();
+                        let m = seg.matcher().match_text(&p, &text);
+                        seg.matcher().check(&p, &text, &m).unwrap();
+                        p.cost()
+                    })
+                    .collect();
+                let total = alone.iter().fold(Cost::default(), |a, &c| a.beside(c));
+                assert_eq!(seq.1, total);
+            }
         }
     }
 

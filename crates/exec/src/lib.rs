@@ -217,9 +217,9 @@ impl<'p> Wave<'p> {
     /// Charge one already-run super-step: Σ work, max depth. Used by the
     /// pipelined driver, whose stage ran on a worker thread.
     fn charge(&self, costs: impl Iterator<Item = Cost>) {
-        let (work, depth) = costs.fold((0u64, 0u64), |(w, d), c| (w + c.work, d.max(c.depth)));
-        self.pram.ledger().charge_work(work);
-        self.pram.ledger().charge_depth(depth);
+        let total = costs.fold(Cost::default(), |a, c| a.beside(c));
+        self.pram.ledger().charge_work(total.work);
+        self.pram.ledger().charge_depth(total.depth);
     }
 
     /// Charge one serial round of `width` work between super-steps (e.g.

@@ -145,6 +145,70 @@ impl Pram {
         out
     }
 
+    /// One super-step of `tasks` independent sub-computations whose own
+    /// rounds are `width` wide: task `i` meters itself on a private `Pram`,
+    /// `sink` receives the results in task order on the calling thread, and
+    /// this ledger is charged once — Σ task work, **max** task depth — in
+    /// either mode and on any machine.
+    ///
+    /// A `Par` context with at least two tasks of at least the inline
+    /// threshold's width runs them on `min(tasks, harts)` scoped threads,
+    /// thread `t` taking tasks `t, t + threads, …` and handing each result
+    /// over before it starts the next, so no more than `threads + 1`
+    /// results exist at once however many tasks there are. With a task per
+    /// hart the private contexts are sequential; with harts to spare they
+    /// inherit this context's mode so a task's rounds can use them.
+    pub fn superstep<R, F, S>(&self, tasks: usize, width: usize, task: F, mut sink: S)
+    where
+        R: Send,
+        F: Fn(&Pram, usize) -> R + Sync,
+        S: FnMut(usize, R),
+    {
+        let harts = rayon::current_num_threads();
+        let threads = if self.run_par(width) {
+            tasks.min(harts)
+        } else {
+            1
+        };
+        let mut total = Cost::default();
+        if threads < 2 {
+            for i in 0..tasks {
+                let private = Pram::new(self.mode);
+                sink(i, task(&private, i));
+                total = total.beside(private.cost());
+            }
+        } else {
+            let mode = if tasks >= harts { Mode::Seq } else { self.mode };
+            let task = &task;
+            std::thread::scope(|s| {
+                let lanes: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (tx, rx) = std::sync::mpsc::sync_channel(0);
+                        s.spawn(move || {
+                            for i in (t..tasks).step_by(threads) {
+                                let private = Pram::new(mode);
+                                let r = task(&private, i);
+                                // The receiver only goes away when the
+                                // caller is unwinding; stop quietly.
+                                if tx.send((r, private.cost())).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        rx
+                    })
+                    .collect();
+                for i in 0..tasks {
+                    let (r, cost) = lanes[i % threads].recv().expect("superstep task panicked");
+                    total = total.beside(cost);
+                    sink(i, r);
+                }
+            });
+        }
+        self.ledger.charge_work(total.work);
+        self.ledger.charge_depth(total.depth);
+    }
+
     /// One wide round updating a mutable slice in place: `f(i, &mut xs[i])`.
     pub(crate) fn for_each_mut<T, F>(&self, xs: &mut [T], f: F)
     where
@@ -192,6 +256,59 @@ mod tests {
         let c = pram.cost();
         assert_eq!(c.work, 10 + 20 + 30 + 40);
         assert_eq!(c.depth, 40);
+    }
+
+    /// Task `i` of a test super-step: `i + 1` rounds of `width` elements.
+    fn rounds(p: &Pram, i: usize, width: usize) -> usize {
+        (0..=i).map(|_| p.tabulate(width, |x| x).len()).sum()
+    }
+
+    #[test]
+    fn superstep_charges_summed_work_and_max_depth_in_both_modes() {
+        let width = 3000; // above the inline threshold: `par` really forks
+        for k in [1usize, 2, 5] {
+            let want = Cost {
+                work: (1..=k).map(|i| (i * width) as u64).sum(),
+                depth: k as u64,
+            };
+            for pram in [Pram::seq(), Pram::par()] {
+                pram.tabulate(7, |i| i); // the charge adds to what is there
+                let mut got = Vec::new();
+                let ((), cost) = pram.metered(|p| {
+                    p.superstep(
+                        k,
+                        width,
+                        |q, i| rounds(q, i, width),
+                        |i, r| got.push((i, r)),
+                    );
+                });
+                assert_eq!(cost, want, "k={k} {:?}", pram.mode());
+                let in_order: Vec<_> = (0..k).map(|i| (i, (i + 1) * width)).collect();
+                assert_eq!(got, in_order);
+            }
+        }
+    }
+
+    #[test]
+    fn superstep_is_inline_below_the_threshold_and_in_seq_mode() {
+        let here = std::thread::current().id();
+        for (pram, width) in [(Pram::par(), PAR_THRESHOLD - 1), (Pram::seq(), 1 << 20)] {
+            pram.superstep(
+                5,
+                width,
+                |_, _| std::thread::current().id(),
+                |_, ran_on| assert_eq!(ran_on, here),
+            );
+        }
+        // Above it, with a hart to spare, the tasks leave the calling thread.
+        if rayon::current_num_threads() > 1 {
+            Pram::par().superstep(
+                5,
+                PAR_THRESHOLD,
+                |_, _| std::thread::current().id(),
+                |_, ran_on| assert_ne!(ran_on, here),
+            );
+        }
     }
 
     #[test]

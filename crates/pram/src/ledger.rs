@@ -36,6 +36,16 @@ impl Cost {
         }
     }
 
+    /// Cost of `self` and `other` run side by side in one super-step: the
+    /// work adds up, the depth is the deeper of the two.
+    #[must_use]
+    pub fn beside(&self, other: Cost) -> Cost {
+        Cost {
+            work: self.work + other.work,
+            depth: self.depth.max(other.depth),
+        }
+    }
+
     /// True when this cost can account for `other` in both components.
     /// Span-cost bookkeeping relies on this: a parent span's inclusive
     /// cost must dominate the sum of its children's costs.

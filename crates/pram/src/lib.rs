@@ -19,8 +19,10 @@
 //! The crate supplies the classic work-optimal PRAM building blocks used by
 //! the paper's algorithms: wide maps, reductions, prefix scans (Blelloch
 //! block-sweep, O(n) work / O(log n) depth), stream compaction, pointer
-//! jumping, list ranking (Wyllie and work-optimal random-mate), and stable
-//! integer sorting (counting/radix rounds).
+//! jumping, list ranking (Wyllie and work-optimal random-mate), stable
+//! integer sorting (counting/radix rounds), and one fork-join
+//! ([`Pram::superstep`]: independent sub-computations under private
+//! ledgers, charged Σ work and the deepest one's depth).
 //!
 //! ```
 //! use pardict_pram::{Pram, Mode};

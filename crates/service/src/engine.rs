@@ -347,6 +347,7 @@ impl Engine {
                 Err(e) => (Err(e), pardict_pram::Cost::default(), Lane::Batched),
                 Ok(()) => {
                     let mut lane = Lane::Batched;
+                    let mut fell_back = false;
                     // The ambient deadline makes multi-wave operations
                     // (stream compress, container grep) re-check at every
                     // super-step boundary, not only at dequeue.
@@ -354,15 +355,25 @@ impl Engine {
                         let mut exec_span = t.start(rs.ctx(), "exec", 0);
                         let (r, c) = pardict_trace::with_scope(t, exec_span.ctx(), || {
                             pardict_exec::with_deadline(job.req.deadline, || {
-                                pram.metered(|p| self.execute(p, &job.req.op, &mut lane))
+                                pram.metered(|p| {
+                                    self.execute(p, &job.req.op, &mut lane, &mut fell_back)
+                                })
                             })
                         });
-                        exec_span.set_lane(lane.name());
+                        // A §3.4 rejection is rare enough to matter when it
+                        // happens: the exec span says the automaton answered.
+                        exec_span.set_lane(if fell_back {
+                            "batched+ac-fallback"
+                        } else {
+                            lane.name()
+                        });
                         exec_span.finish(c);
                         (r, c)
                     } else {
                         pardict_exec::with_deadline(job.req.deadline, || {
-                            pram.metered(|p| self.execute(p, &job.req.op, &mut lane))
+                            pram.metered(|p| {
+                                self.execute(p, &job.req.op, &mut lane, &mut fell_back)
+                            })
                         })
                     };
                     // A deadline that expired *during* execution makes any
@@ -415,8 +426,15 @@ impl Engine {
     }
 
     /// Run one operation under the batch's Pram, recording which lane
-    /// served it.
-    fn execute(&self, pram: &Pram, op: &OpRequest, lane: &mut Lane) -> Result<Reply, ServiceError> {
+    /// served it and whether a verified match had to fall back to a
+    /// segment's automaton.
+    fn execute(
+        &self,
+        pram: &Pram,
+        op: &OpRequest,
+        lane: &mut Lane,
+        fell_back: &mut bool,
+    ) -> Result<Reply, ServiceError> {
         // Container payloads are binary (length fields, CRCs) — the NUL
         // sentinel check only applies to raw-text operations.
         if !matches!(op, OpRequest::GrepContainer { .. }) {
@@ -442,7 +460,8 @@ impl Engine {
                 // (astronomically rare) fingerprint collision, that
                 // segment recomputes exactly with its preprocessed
                 // automaton instead of rebuilding the matcher.
-                let (matches, _fell_back) = dv.pre.seg.match_text_verified(pram, text);
+                let (matches, rejected) = dv.pre.seg.match_text_verified(pram, text);
+                *fell_back = rejected;
                 Ok(Reply::Match {
                     version: dv.version,
                     hits: to_hits(matches.iter_hits()),

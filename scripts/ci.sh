@@ -44,6 +44,23 @@ if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'
   exit 1
 fi
 
+# Fork-join has one owner per layer too: core forks nothing itself, and a
+# multi-segment query reaches its segments only through the one fan-out
+# helper (SegmentedMatcher::per_segment over Pram::superstep).
+if grep -rn "thread::scope" crates/core/src; then
+  echo "ci.sh: a private fork-join in crates/core/src (use Pram::superstep)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^ *(pub )?fn / { name = $0 }
+        /for .* in &self\.slots|self\.slots\.iter\(\)/ { loops[name] = 1 }
+        /\.matcher\(\)|\.ac\(\)/ { calls[name] = 1 }
+        END { for (f in loops) if (f in calls && f !~ /fn per_segment/) { print f; bad = 1 }
+              exit !bad }' crates/core/src/segmented.rs; then
+  echo "ci.sh: a per-slot query loop in segmented.rs outside per_segment" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

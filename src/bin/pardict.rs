@@ -227,7 +227,10 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let pram = Pram::par();
     let mut buf = Vec::new();
     let matcher = SegmentedMatcher::build(&pram, patterns.clone());
-    let (matches, _) = matcher.match_text_verified(&pram, &text);
+    let (matches, fell_back) = matcher.match_text_verified(&pram, &text);
+    if fell_back {
+        eprintln!("pardict: the §3.4 checker rejected a Monte Carlo pass; that segment's automaton answered");
+    }
     for (i, m) in matches.iter_hits() {
         writeln!(
             buf,
