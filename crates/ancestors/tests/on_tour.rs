@@ -30,7 +30,7 @@ fn both_variants_match_the_root_walk_on_weiner_link_colors() {
         let text = markov_text(seed, 3000, alphabet);
         let st = SuffixTree::build(&pram, &text, seed);
         let colors = weiner_colors(&st);
-        let tour = st.tree_lca().tour();
+        let tour = st.tour();
         let naive = ColoredAncestorsNaive::on_tour(&pram, tour, &colors);
         let veb = ColoredAncestors::on_tour(&pram, tour, &colors);
 

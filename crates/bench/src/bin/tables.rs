@@ -606,8 +606,9 @@ fn e10_substrates(quick: bool) {
         });
         row("ANSV (blocked)", n, s.cost);
         // Linear RMQ (Lemma 2.3)
+        let keys: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
         let pram = Pram::seq();
-        let (_, s) = sample(&pram, |p| LinearRmq::new_min(p, &vals, 6));
+        let (_, s) = sample(&pram, |p| LinearRmq::new_min(p, keys));
         row("linear RMQ", n, s.cost);
         // Suffix array + tree (Lemma 2.1)
         let text = random_text(8, n, Alphabet::dna());
@@ -615,8 +616,20 @@ fn e10_substrates(quick: bool) {
         let (_, s) = sample(&pram, |p| suffix_array(p, &text));
         row("suffix array (DC3)", n, s.cost);
         let pram = Pram::seq();
-        let (_, s) = sample(&pram, |p| SuffixTree::build(p, &text, 9));
+        let (st, s) = sample(&pram, |p| SuffixTree::build(p, &text, 9));
         row("suffix tree", n, s.cost);
+        // Lemma 2.6 on that tree: LCP of two random leaves — wall clock per op.
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .map(|_| {
+                let i = rng.next_below(n as u64) as usize;
+                (i, rng.next_below(n as u64) as usize)
+            })
+            .collect();
+        let t0 = Instant::now();
+        let lcps: usize = pairs.iter().map(|&(i, j)| st.lcp_positions(i, j)).sum();
+        std::hint::black_box(lcps);
+        let ns_per = t0.elapsed().as_nanos() as f64 / n as f64;
+        println!("| LCP query, two leaves (wall) | {n} | {ns_per:.0} ns/op | — | — |");
         // vEB ops (Lemma 2.5) — wall clock per op.
         let mut veb = VebTree::with_universe(n);
         let t0 = Instant::now();

@@ -53,11 +53,10 @@ fn previous_matches(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
     let n_nodes = st.num_nodes();
 
     // Lmin per node: range-min of leaf positions over the leaf interval.
-    let pos_sa: Vec<i64> = pram.tabulate(m, |k| st.leaf_pos(k) as i64);
-    let rmq = LinearRmq::new_min(pram, &pos_sa, 0xA11CE);
+    let rmq = LinearRmq::new_min(pram, pram.tabulate(m, |k| st.leaf_pos(k) as u32));
     let lmin: Vec<u32> = pram.tabulate(n_nodes, |v| {
         let (lo, hi) = st.leaf_range(v);
-        pos_sa[rmq.query(lo, hi)] as u32
+        rmq.keys()[rmq.query(lo, hi)]
     });
 
     // Mark chain tops: nodes whose Lmin differs from their parent's.
@@ -65,7 +64,7 @@ fn previous_matches(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
         let p = st.parent(v);
         p == v || lmin[p] != lmin[v]
     });
-    let nma = NearestMarkedAncestor::on_tour(pram, st.tree_lca().tour(), &marked);
+    let nma = NearestMarkedAncestor::on_tour(pram, st.tour(), &marked);
 
     pram.tabulate(n, |i| {
         let leaf = st.leaf_node(i);

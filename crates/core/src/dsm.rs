@@ -156,7 +156,7 @@ impl SubstringMatcher {
             colors.push((st.slink(v), u32::from(code)));
         }
         let num_colors = seen.iter().filter(|&&s| s).count();
-        let tour = st.tree_lca().tour();
+        let tour = st.tour();
         let (colored, c_colored) = pram.metered(|p| {
             if num_colors <= NAIVE_COLOR_LIMIT {
                 ColoredEngine::Naive(ColoredAncestorsNaive::on_tour(p, tour, &colors))

@@ -54,21 +54,21 @@ impl Step2Tables {
         let n_nodes = st.num_nodes();
 
         // Caps in SA order (the sentinel suffix caps at 0).
-        let caps_sa: Vec<i64> = pram.tabulate(m_leaves, |k| {
+        let caps_sa: Vec<u32> = pram.tabulate(m_leaves, |k| {
             let pos = st.leaf_pos(k);
             if pos < d {
-                dict.cap(pos) as i64
+                dict.cap(pos) as u32
             } else {
                 0
             }
         });
-        let rmq = LinearRmq::new_max(pram, &caps_sa, seed ^ 0x57E9);
+        let rmq = LinearRmq::new_max(pram, caps_sa);
 
         // Per node: g = min(maxcap, depth) and its certificate.
         let g: Vec<(u32, u32)> = pram.tabulate(n_nodes, |v| {
             let (lo, hi) = st.leaf_range(v);
             let arg = rmq.query(lo, hi);
-            let maxcap = caps_sa[arg] as u32;
+            let maxcap = rmq.keys()[arg];
             let depth = st.str_depth(v).min(
                 // Leaves' sentinel char is not matchable.
                 if st.is_leaf(v) {
@@ -91,7 +91,7 @@ impl Step2Tables {
         let best: Vec<(u32, u32)> = rootfix(
             pram,
             st.forest(),
-            st.tree_lca().tour(),
+            st.tour(),
             &g,
             (0, u32::MAX),
             |a, b| if b.0 > a.0 { b } else { a },

@@ -6,13 +6,11 @@
 //! edge, after which random-mate list ranking assigns every edge its
 //! position in expected `O(n)` work and `O(log n)` depth.
 //!
-//! The resulting arrays power three consumers in this workspace:
+//! The resulting arrays power two consumers in this workspace:
 //!
-//! * the ±1 **depth sequence** feeds the `O(1)` LCA structure of
-//!   `pardict-rmq` (Lemmas 2.3/2.6 and the §3.2 skeleton trees);
 //! * **entry/exit times** give `O(1)` ancestor tests and subtree intervals
-//!   (used by the legal-length table of Step 2A and by nearest marked
-//!   ancestors);
+//!   (used by suffix-tree LCAs, the legal-length table of Step 2A, and
+//!   nearest marked and colored ancestors);
 //! * **per-node tree roots** resolve a forest's components in linear work —
 //!   the step that makes Theorem 4.3 uncompression work-optimal where naive
 //!   pointer jumping would pay an extra log factor.

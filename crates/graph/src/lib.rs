@@ -10,9 +10,9 @@
 //! * **Rooted forests**: [`Forest`] — parent-array forests with child
 //!   adjacency built by stable integer sorting.
 //! * **Euler tours**: [`EulerTour`] — work-optimal tour construction via
-//!   random-mate list ranking; yields entry/exit times, ±1 depth sequences
-//!   (feeding the O(1) LCA structure in `pardict-rmq`), per-node tree roots
-//!   (the §4.2 uncompression primitive), and subtree intervals.
+//!   random-mate list ranking; yields entry/exit times, ±1 depth sequences,
+//!   per-node tree roots (the §4.2 uncompression primitive), and subtree
+//!   intervals.
 //!
 //! ```
 //! use pardict_pram::Pram;

@@ -2,44 +2,34 @@
 
 //! # pardict-rmq — range queries and order structures
 //!
-//! The paper's Lemma 2.3 (range maxima with O(1) queries), Lemma 2.4 (all
-//! nearest smaller values), and the LCA machinery implicit in Lemma 2.6 and
-//! §3.2 all live here:
+//! The paper's Lemma 2.3 (range maxima with O(1) queries) — which also
+//! answers Lemma 2.6's O(1) LCP queries as range minima over an LCP array —
+//! and Lemma 2.4 (all nearest smaller values) live here:
 //!
-//! * [`SparseTable`] — O(n log n)-work, O(1)-query RMQ; the workhorse for
-//!   moderate sizes and the oracle for everything else.
+//! * [`SparseTable`] — O(n log n)-work, O(1)-query RMQ; the oracle, the
+//!   baseline, and the block summary inside [`LinearRmq`].
 //! * [`ansv_seq`] / [`ansv_par`] — all nearest smaller values, sequential
 //!   stack and blocked-doubling parallel versions (Lemma 2.4).
-//! * [`cartesian_parents`] — min-cartesian tree of an array via ANSV.
-//! * [`Pm1Rmq`] — the Berkman–Vishkin / four-russians ±1 RMQ: O(n) work,
-//!   O(1) queries, built over Euler-tour depth sequences.
-//! * [`TreeLca`] — O(1) LCA for a rooted forest = Euler tour + [`Pm1Rmq`].
-//! * [`LinearRmq`] — O(n)-work O(1)-query RMQ for *general* arrays by the
-//!   full cartesian-tree → Euler-tour → ±1 reduction; this is what keeps
-//!   Lemma 2.3-style tables inside the paper's linear preprocessing budget.
+//! * [`LinearRmq`] — O(n)-work O(1)-query RMQ over `u32` keys by the block
+//!   decomposition: per-key in-block stack masks plus a sparse table over
+//!   the block bests; this is what keeps Lemma 2.3-style tables inside the
+//!   paper's linear preprocessing budget.
 //!
 //! ```
 //! use pardict_pram::Pram;
 //! use pardict_rmq::LinearRmq;
 //!
 //! let pram = Pram::seq();
-//! let xs = vec![3i64, 1, 4, 1, 5, 9, 2, 6];
-//! let rmq = LinearRmq::new_min(&pram, &xs, 42);
+//! let rmq = LinearRmq::new_min(&pram, vec![3, 1, 4, 1, 5, 9, 2, 6]);
 //! assert_eq!(rmq.query(2, 6), 3); // leftmost minimum of [4,1,5,9,2]
 //! ```
 
 mod ansv;
-mod cartesian;
-mod lca;
 mod linear;
-mod pm1;
 mod sparse;
 
 pub use ansv::{ansv_par, ansv_seq, Side, Strictness};
-pub use cartesian::cartesian_parents;
-pub use lca::TreeLca;
 pub use linear::LinearRmq;
-pub use pm1::Pm1Rmq;
 pub use sparse::SparseTable;
 
 #[cfg(test)]
@@ -47,23 +37,44 @@ mod proptests {
     use super::*;
     use pardict_pram::Pram;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         #[test]
         fn sparse_and_linear_rmq_agree_with_naive(
-            xs in prop::collection::vec(-50i64..50, 1..400),
+            len in 1usize..400,
+            // Runs of equal keys (leftmost ties, across block edges), small
+            // keys and keys next to u32::MAX.
+            runs in prop::collection::vec(
+                (prop_oneof![0u32..8, u32::MAX - 8..=u32::MAX], 1usize..70),
+                1..30,
+            ),
             queries in prop::collection::vec((0usize..400, 0usize..400), 1..40),
         ) {
+            let xs: Vec<u32> = runs
+                .iter()
+                .flat_map(|&(key, run)| std::iter::repeat_n(key, run))
+                .cycle()
+                .take(len)
+                .collect();
+            let wide: Vec<i64> = xs.iter().map(|&x| i64::from(x)).collect();
             let pram = Pram::seq();
-            let st = SparseTable::new_min(&pram, &xs);
-            let lin = LinearRmq::new_min(&pram, &xs, 7);
-            for (a, b) in queries {
-                let (l, r) = ((a % xs.len()).min(b % xs.len()), (a % xs.len()).max(b % xs.len()));
-                let naive = (l..=r).min_by_key(|&i| (xs[i], i)).unwrap();
-                prop_assert_eq!(st.query(l, r), naive);
-                prop_assert_eq!(lin.query(l, r), naive);
+            for (st, lin) in [
+                (SparseTable::new_min(&pram, &wide), LinearRmq::new_min(&pram, xs.clone())),
+                (SparseTable::new_max(&pram, &wide), LinearRmq::new_max(&pram, xs.clone())),
+            ] {
+                for &(a, b) in &queries {
+                    let (l, r) = ((a % len).min(b % len), (a % len).max(b % len));
+                    let naive = if lin.is_min() {
+                        (l..=r).min_by_key(|&i| (xs[i], i))
+                    } else {
+                        (l..=r).min_by_key(|&i| (Reverse(xs[i]), i))
+                    };
+                    prop_assert_eq!(st.query(l, r), naive.unwrap());
+                    prop_assert_eq!(lin.query(l, r), naive.unwrap());
+                }
             }
         }
 
@@ -78,16 +89,6 @@ mod proptests {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn cartesian_root_is_global_leftmost_min(xs in prop::collection::vec(0i64..10, 1..300)) {
-            let pram = Pram::seq();
-            let parent = cartesian_parents(&pram, &xs);
-            let roots: Vec<usize> = (0..xs.len()).filter(|&v| parent[v] == v).collect();
-            prop_assert_eq!(roots.len(), 1);
-            let want = (0..xs.len()).min_by_key(|&i| (xs[i], i)).unwrap();
-            prop_assert_eq!(roots[0], want);
         }
     }
 }

@@ -8,6 +8,10 @@
 //! neighbouring boundaries. Everything is PRAM rounds: expected `O(n)` work,
 //! polylog depth.
 //!
+//! Lemma 2.6 is a range minimum over the LCP array: the LCP of the suffixes
+//! at SA positions `a < b` is the least of `lcp[a + 1..=b]`, and the node
+//! owning the (leftmost) least boundary is the LCA of leaves `a` and `b`.
+//!
 //! A unique sentinel (byte 0) is appended internally, so the input text must
 //! be NUL-free; every suffix then ends at a distinct leaf and every edge has
 //! a non-empty label.
@@ -15,9 +19,9 @@
 use crate::lcp::lcp_parallel;
 use crate::sa::suffix_array;
 use pardict_fingerprint::{random_base, PrefixHashes};
-use pardict_graph::Forest;
+use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{list_rank_random_mate_full, Pram, SplitMix64};
-use pardict_rmq::{ansv_par, Side, Strictness, TreeLca};
+use pardict_rmq::{ansv_par, LinearRmq, Side, Strictness};
 use std::collections::HashMap;
 
 /// Character code on edges: 0 is the sentinel, byte `c` is `c + 1`.
@@ -44,7 +48,11 @@ pub struct SuffixTree {
     /// Text plus sentinel; label positions index into this.
     padded: Vec<u8>,
     sa: Vec<u32>,
-    lcp: Vec<u32>,
+    /// Range minima over the LCP array, which it owns.
+    lcp: LinearRmq,
+    /// Per LCP boundary `k` (between SA positions `k - 1` and `k`): the
+    /// internal node whose child intervals it separates.
+    boundary_node: Vec<u32>,
     /// Text position (0..=n) → SA position.
     rank: Vec<u32>,
     /// Per node: string depth (length of its path label).
@@ -62,13 +70,20 @@ pub struct SuffixTree {
     wlink_by_sym: HashMap<u64, u32>,
     root: usize,
     forest: Forest,
-    lca: TreeLca,
+    tour: EulerTour,
     hashes: PrefixHashes,
 }
 
 #[inline]
 fn sym_key(node: usize, code: SymCode) -> u64 {
     ((node as u64) << 9) | u64::from(code)
+}
+
+/// The (leftmost) least LCP boundary between two distinct leaves, i.e. SA
+/// positions `a` and `b`: its value is their LCP, its node their LCA.
+#[inline]
+fn least_boundary(lcp: &LinearRmq, a: usize, b: usize) -> usize {
+    lcp.query(a.min(b) + 1, a.max(b))
 }
 
 impl SuffixTree {
@@ -204,7 +219,18 @@ impl SuffixTree {
         }
 
         let forest = Forest::from_parents(pram, &parent);
-        let lca = TreeLca::new(pram, &forest, rng.next_u64());
+        let tour = EulerTour::build(pram, &forest, rng.next_u64());
+
+        // Lemma 2.6's range minima over the LCP array, and each boundary's
+        // node (boundary 0 separates nothing; the root stands in for it).
+        let boundary_node: Vec<u32> = pram.tabulate(m, |k| {
+            if k == 0 {
+                root as u32
+            } else {
+                node_of_boundary(k) as u32
+            }
+        });
+        let lcp = LinearRmq::new_min(pram, lcp);
 
         // Child lookup by leading edge symbol.
         let mut child_by_sym = HashMap::with_capacity(num_nodes);
@@ -224,7 +250,8 @@ impl SuffixTree {
             debug_assert!(prev.is_none(), "two children with one symbol");
         }
 
-        // Suffix links: slink(v) = lca(next-leaf of two separated leaves).
+        // Suffix links: slink(v) = LCA of the next leaves of two leaves
+        // that v separates.
         let slink: Vec<u32> = pram.tabulate(num_nodes, |v| {
             if v < m {
                 // Leaf for text position sa[v]; its suffix link is the leaf
@@ -241,7 +268,8 @@ impl SuffixTree {
                 let k = rep_list[v - m];
                 let (p1, p2) = (sa[k - 1] as usize, sa[k] as usize);
                 debug_assert!(p1 + 1 < m && p2 + 1 < m);
-                lca.lca(rank[p1 + 1] as usize, rank[p2 + 1] as usize) as u32
+                let (a, b) = (rank[p1 + 1] as usize, rank[p2 + 1] as usize);
+                boundary_node[least_boundary(&lcp, a, b)]
             }
         });
 
@@ -273,6 +301,7 @@ impl SuffixTree {
             padded,
             sa,
             lcp,
+            boundary_node,
             rank,
             str_depth,
             label_pos,
@@ -283,7 +312,7 @@ impl SuffixTree {
             wlink_by_sym,
             root,
             forest,
-            lca,
+            tour,
             hashes,
         }
     }
@@ -390,19 +419,28 @@ impl SuffixTree {
     /// The LCP array (`lcp[k]` between SA[k-1] and SA[k]).
     #[must_use]
     pub fn lcp(&self) -> &[u32] {
-        &self.lcp
+        self.lcp.keys()
     }
 
-    /// Lowest common ancestor of two nodes.
+    /// Lowest common ancestor of two nodes: one of them when the tour says
+    /// it is the other's ancestor, else the node of the least LCP boundary
+    /// between their leftmost leaves. O(1).
     #[must_use]
     pub fn lca(&self, u: usize, v: usize) -> usize {
-        self.lca.lca(u, v)
+        if self.tour.is_ancestor(u, v) {
+            u
+        } else if self.tour.is_ancestor(v, u) {
+            v
+        } else {
+            let (a, b) = (self.leaf_lo[u] as usize, self.leaf_lo[v] as usize);
+            self.boundary_node[least_boundary(&self.lcp, a, b)] as usize
+        }
     }
 
-    /// The LCA structure (exposes the Euler tour).
+    /// The tree's Euler tour (entry/exit times, ancestor tests).
     #[must_use]
-    pub fn tree_lca(&self) -> &TreeLca {
-        &self.lca
+    pub fn tour(&self) -> &EulerTour {
+        &self.tour
     }
 
     /// The underlying forest (parents + children CSR).
@@ -434,12 +472,12 @@ impl SuffixTree {
         if i == j {
             return n - i;
         }
-        let v = self.lca.lca(self.leaf_node(i), self.leaf_node(j));
-        self.str_depth(v)
+        let (a, b) = (self.leaf_node(i), self.leaf_node(j));
+        self.lcp()[least_boundary(&self.lcp, a, b)] as usize
     }
 
     /// O(1) Monte-Carlo-free equality of `text[i..i+l]` and `text[j..j+l]`
-    /// (Lemma 2.6): exact, via the LCA depth.
+    /// (Lemma 2.6): exact, via the LCP range minimum.
     #[must_use]
     pub fn eq_substrings(&self, i: usize, j: usize, l: usize) -> bool {
         let n = self.text.len();
@@ -600,6 +638,32 @@ mod tests {
                 sym_code(st.padded()[lp])
             };
             assert_eq!(st.wlink(s, code), Some(v), "wlink inverse v={v}");
+        }
+        // LCA against the parent walk over every node pair: u == v,
+        // ancestor/descendant, leaf–internal and leaf–leaf.
+        let height = |mut v: usize| {
+            let mut h = 0;
+            while v != st.root() {
+                v = st.parent(v);
+                h += 1;
+            }
+            h
+        };
+        let heights: Vec<usize> = (0..st.num_nodes()).map(height).collect();
+        for u in 0..st.num_nodes() {
+            for v in 0..st.num_nodes() {
+                let (mut a, mut b) = (u, v);
+                while heights[a] > heights[b] {
+                    a = st.parent(a);
+                }
+                while heights[b] > heights[a] {
+                    b = st.parent(b);
+                }
+                while a != b {
+                    (a, b) = (st.parent(a), st.parent(b));
+                }
+                assert_eq!(st.lca(u, v), a, "lca({u}, {v})");
+            }
         }
     }
 

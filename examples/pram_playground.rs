@@ -57,10 +57,10 @@ fn main() {
     let (_, c) = pram.metered(|p| EulerTour::build(p, &forest, 8));
     report("Euler tour (list ranking)", n, c);
 
-    // Linear-work RMQ (cartesian tree + ±1 four-russians).
-    let vals: Vec<i64> = (0..n).map(|_| rng.next_below(1000) as i64).collect();
+    // Linear-work RMQ (block stack masks + sparse-table summary).
+    let vals: Vec<u32> = (0..n).map(|_| rng.next_below(1000) as u32).collect();
     let pram = Pram::par();
-    let (_, c) = pram.metered(|p| LinearRmq::new_min(p, &vals, 4));
+    let (_, c) = pram.metered(|p| LinearRmq::new_min(p, vals));
     report("linear RMQ preprocessing", n, c);
 
     // Suffix tree (Lemma 2.1 object).

@@ -44,6 +44,18 @@ if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'
   exit 1
 fi
 
+# Range minima have one owner: LinearRmq answers Lemma 2.3 and, over the
+# LCP array, the suffix tree's Lemma 2.6 queries and leaf LCAs. An RMQ
+# builds no tree.
+if grep -rnE "cartesian_parents|Pm1Rmq|TreeLca|tree_lca" crates src tests examples; then
+  echo "ci.sh: a second range-minimum structure (use pardict_rmq::LinearRmq)" >&2
+  exit 1
+fi
+if grep -rnwE "Forest|EulerTour" crates/rmq/src; then
+  echo "ci.sh: crates/rmq/src builds a tree (an RMQ is a block decomposition)" >&2
+  exit 1
+fi
+
 # Fork-join has one owner per layer too: core forks nothing itself, and a
 # multi-segment query reaches its segments only through the one fan-out
 # helper (SegmentedMatcher::per_segment over Pram::superstep).
