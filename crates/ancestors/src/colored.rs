@@ -24,7 +24,7 @@
 use crate::marked::{NearestMarkedAncestor, NONE as NMA_NONE};
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{radix_sort_by_key, Pram};
-use pardict_rmq::{ansv_seq, Side, Strictness};
+use pardict_rmq::{ansv_seq, Side};
 use pardict_veb::VebTree;
 use std::collections::{BTreeMap, HashMap};
 
@@ -95,7 +95,7 @@ impl ColoredAncestors {
             // whose exit exceeds mine — with laminarity this is exactly the
             // nearest *larger* value on the exit array.
             let lasts: Vec<i64> = by_entry.iter().map(|&v| -(tour.last[v] as i64)).collect();
-            let encl = ansv_seq(&lasts, Side::Left, Strictness::Strict);
+            let encl = ansv_seq(&lasts, Side::Left);
             pram.ledger().round(group.len() as u64);
 
             let mut endpoints = VebTree::with_universe(universe);

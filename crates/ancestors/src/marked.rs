@@ -14,7 +14,7 @@
 
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::Pram;
-use pardict_rmq::{ansv_par, Side, Strictness};
+use pardict_rmq::{ansv_par, Side};
 
 /// Answers nearest-marked-ancestor queries in O(1) after linear-work
 /// preprocessing.
@@ -81,7 +81,7 @@ impl NearestMarkedAncestor {
         // Nearest marked proper ancestor of each marked node: the nearest
         // one entered earlier whose exit is larger (laminarity).
         let exits: Vec<i64> = pram.map(&by_entry, |_, &u| -(tour.last[u as usize] as i64));
-        let encloser = ansv_par(pram, &exits, Side::Left, Strictness::Strict);
+        let encloser = ansv_par(pram, &exits, Side::Left);
 
         let inclusive = pram.tabulate(n, |v| {
             let q = tour.first[v];

@@ -23,7 +23,7 @@ use pardict_core::{
 };
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{ceil_log2, list_rank_random_mate, list_rank_wyllie, Mode, Pram, SplitMix64};
-use pardict_rmq::{ansv_par, LinearRmq, Side, Strictness};
+use pardict_rmq::{ansv_par, LinearRmq, Side};
 use pardict_suffix::{suffix_array, SuffixTree};
 use pardict_veb::VebTree;
 use pardict_workloads::{
@@ -601,9 +601,7 @@ fn e10_substrates(quick: bool) {
         // ANSV (Lemma 2.4)
         let vals: Vec<i64> = (0..n).map(|_| rng.next_below(1000) as i64).collect();
         let pram = Pram::seq();
-        let (_, s) = sample(&pram, |p| {
-            ansv_par(p, &vals, Side::Left, Strictness::Strict)
-        });
+        let (_, s) = sample(&pram, |p| ansv_par(p, &vals, Side::Left));
         row("ANSV (blocked)", n, s.cost);
         // Linear RMQ (Lemma 2.3)
         let keys: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
@@ -703,51 +701,7 @@ fn e12_ablations(quick: bool) {
     println!("while the Euler route is flat; at laptop sizes the doubling constant is");
     println!("still smaller, which is exactly the kind of fact the ledger exposes.)");
 
-    // (c) Rootfix (heavy-path rounds) vs pointer doubling for root-path
-    // maxima — the Step 2A choice.
-    println!("\n### root-path maxima: heavy-path rootfix vs pointer doubling\n");
-    println!("| n | rootfix work/n | doubling work/n |");
-    println!("|---|----------------|------------------|");
-    for n in sizes(quick, &[1 << 12, 1 << 14, 1 << 16], &[1 << 12, 1 << 14]) {
-        let mut rng = SplitMix64::new(13);
-        let parent: Vec<usize> = (0..n)
-            .map(|v: usize| {
-                if v == 0 {
-                    0
-                } else {
-                    rng.next_below(v as u64) as usize
-                }
-            })
-            .collect();
-        let values: Vec<i64> = (0..n).map(|_| rng.next_below(1000) as i64).collect();
-        let p1 = Pram::seq();
-        let f = Forest::from_parents(&p1, &parent);
-        let tour = EulerTour::build(&p1, &f, 3);
-        let (rf, s1) = sample(&p1, |p| {
-            pardict_graph::rootfix(p, &f, &tour, &values, i64::MIN, |a, b| a.max(b), 4)
-        });
-        // Pointer doubling.
-        let p2 = Pram::seq();
-        let (dbl, s2) = sample(&p2, |p| {
-            let mut best = values.clone();
-            let mut up = parent.clone();
-            for _ in 0..=ceil_log2(n) {
-                let nb: Vec<i64> = p.tabulate(n, |v| best[v].max(best[up[v]]));
-                let nu: Vec<usize> = p.tabulate(n, |v| up[up[v]]);
-                best = nb;
-                up = nu;
-            }
-            best
-        });
-        assert_eq!(rf, dbl);
-        println!(
-            "| {n} | {:.1} | {:.1} |",
-            per(s1.cost.work, n),
-            per(s2.cost.work, n)
-        );
-    }
-
-    // (d) Windowed LZ77: compression quality vs window size.
+    // (c) Windowed LZ77: compression quality vs window size.
     println!("\n### windowed LZ77 (gzip-style practical variant)\n");
     println!("| window | phrases | vs unbounded |");
     println!("|--------|---------|---------------|");

@@ -36,15 +36,12 @@ impl DictMatcher {
         dict: Dictionary,
         seed: u64,
     ) -> (Self, Vec<(&'static str, pardict_pram::Cost)>) {
-        let mut rng = SplitMix64::new(seed);
-        let sub_seed = rng.next_u64();
-        let mut srng = SplitMix64::new(sub_seed);
+        let mut srng = SplitMix64::new(SplitMix64::new(seed).next_u64());
         let (st, c_tree) =
             pram.metered(|p| pardict_suffix::SuffixTree::build(p, dict.dhat(), srng.next_u64()));
         let (sub, mut stages) =
             crate::dsm::SubstringMatcher::from_tree_profiled(pram, st, srng.next_u64());
-        let (tables, c_tables) =
-            pram.metered(|p| Step2Tables::build(p, &dict, sub.tree(), rng.next_u64()));
+        let (tables, c_tables) = pram.metered(|p| Step2Tables::build(p, &dict, sub.tree()));
         let mut profile = vec![("suffix tree", c_tree)];
         profile.append(&mut stages);
         profile.push(("step-2 tables", c_tables));

@@ -48,8 +48,8 @@ pub fn dictionary_match_offline(pram: &Pram, dict: &Dictionary, text: &[u8]) -> 
     joint.extend_from_slice(dict.dhat());
     joint.push(sep);
     joint.extend_from_slice(text);
-    // The seed only randomizes internal tie-breaking (list ranking) and the
-    // fingerprint table (unused here): outputs are deterministic.
+    // The seed only randomizes the Euler tour's list ranking and the
+    // fingerprint base: outputs are deterministic.
     let st = SuffixTree::build(pram, &joint, 0x000F_F11E);
 
     // For each SA position, the nearest D̂-suffix (start < d) above/below,
@@ -58,7 +58,7 @@ pub fn dictionary_match_offline(pram: &Pram, dict: &Dictionary, text: &[u8]) -> 
     let up = scan_nearest(pram, &st, d, false);
     let down = scan_nearest(pram, &st, d, true);
 
-    let tables = Step2Tables::build(pram, dict, &st, 0x0FF2);
+    let tables = Step2Tables::build(pram, dict, &st);
 
     // Per text position: best D̂ match length + locus, then Step 2.
     let inner: Vec<Option<Match>> = pram.tabulate(n, |i| {

@@ -14,6 +14,10 @@
 //!   per-node tree roots (the §4.2 uncompression primitive), and subtree
 //!   intervals.
 //!
+//! Root-path folds over a suffix tree need no tree walk here: its leaves
+//! are in suffix-array order, so Step 2A reads its path maxima off two
+//! scans over them (`pardict_core`'s `step2`).
+//!
 //! ```
 //! use pardict_pram::Pram;
 //! use pardict_graph::{EulerTour, Forest};
@@ -29,12 +33,10 @@
 mod cc;
 mod euler;
 mod forest;
-mod rootfix;
 
 pub use cc::connected_components;
 pub use euler::EulerTour;
 pub use forest::Forest;
-pub use rootfix::rootfix;
 
 #[cfg(test)]
 mod proptests {
@@ -44,29 +46,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn rootfix_matches_root_walk(seed in 0u64..10_000, n in 1usize..250) {
-            let mut rng = SplitMix64::new(seed);
-            let parent: Vec<usize> = (0..n)
-                .map(|v| if v == 0 { 0 } else { rng.next_below(v as u64) as usize })
-                .collect();
-            let values: Vec<i64> = (0..n).map(|_| rng.next_below(40) as i64 - 20).collect();
-            let pram = Pram::seq();
-            let f = Forest::from_parents(&pram, &parent);
-            let tour = EulerTour::build(&pram, &f, seed);
-            let rf = rootfix(&pram, &f, &tour, &values, i64::MIN, |a, b| a.max(b), seed);
-            for v in 0..n {
-                // Oracle: walk to the root.
-                let mut acc = values[v];
-                let mut u = v;
-                while parent[u] != u {
-                    u = parent[u];
-                    acc = acc.max(values[u]);
-                }
-                prop_assert_eq!(rf[v], acc, "rootfix at {}", v);
-            }
-        }
 
         #[test]
         fn euler_entry_exit_are_consistent(seed in 0u64..10_000, n in 1usize..250) {

@@ -1,4 +1,4 @@
-//! All nearest smaller values (Lemma 2.4).
+//! All nearest smaller values (Lemma 2.4), strictly smaller: `xs[j] < xs[i]`.
 //!
 //! [`ansv_seq`] is the classic linear stack pass (used as an oracle and in
 //! sequential baselines). [`ansv_par`] is the blocked parallel version:
@@ -11,7 +11,7 @@
 use crate::sparse::SparseTable;
 use pardict_pram::{ceil_log2, Pram};
 
-/// Which direction to look for the nearest qualifying element.
+/// Which direction to look for the nearest smaller element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// Nearest `j < i`.
@@ -20,30 +20,13 @@ pub enum Side {
     Right,
 }
 
-/// Comparison used for "smaller".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strictness {
-    /// `a[j] < a[i]`.
-    Strict,
-    /// `a[j] <= a[i]`.
-    WeakOrEqual,
-}
-
-/// Sentinel meaning "no qualifying element".
+/// Sentinel meaning "no smaller element".
 pub const NONE: usize = usize::MAX;
 
-#[inline]
-fn qualifies(candidate: i64, x: i64, strict: Strictness) -> bool {
-    match strict {
-        Strictness::Strict => candidate < x,
-        Strictness::WeakOrEqual => candidate <= x,
-    }
-}
-
-/// Sequential stack ANSV: `out[i]` is the nearest qualifying index on the
-/// chosen side, or [`NONE`]. `O(n)` time.
+/// Sequential stack ANSV: `out[i]` is the nearest index on the chosen side
+/// holding a strictly smaller value, or [`NONE`]. `O(n)` time.
 #[must_use]
-pub fn ansv_seq(xs: &[i64], side: Side, strict: Strictness) -> Vec<usize> {
+pub fn ansv_seq(xs: &[i64], side: Side) -> Vec<usize> {
     let n = xs.len();
     let mut out = vec![NONE; n];
     let mut stack: Vec<usize> = Vec::new();
@@ -53,7 +36,7 @@ pub fn ansv_seq(xs: &[i64], side: Side, strict: Strictness) -> Vec<usize> {
     };
     for i in order {
         while let Some(&top) = stack.last() {
-            if qualifies(xs[top], xs[i], strict) {
+            if xs[top] < xs[i] {
                 break;
             }
             stack.pop();
@@ -66,13 +49,13 @@ pub fn ansv_seq(xs: &[i64], side: Side, strict: Strictness) -> Vec<usize> {
 
 /// Parallel blocked ANSV; identical output to [`ansv_seq`].
 #[must_use]
-pub fn ansv_par(pram: &Pram, xs: &[i64], side: Side, strict: Strictness) -> Vec<usize> {
+pub fn ansv_par(pram: &Pram, xs: &[i64], side: Side) -> Vec<usize> {
     match side {
-        Side::Left => ansv_par_left(pram, xs, strict),
+        Side::Left => ansv_par_left(pram, xs),
         Side::Right => {
             let n = xs.len();
             let rev: Vec<i64> = pram.tabulate(n, |i| xs[n - 1 - i]);
-            let ans = ansv_par_left(pram, &rev, strict);
+            let ans = ansv_par_left(pram, &rev);
             pram.tabulate(n, |i| {
                 let a = ans[n - 1 - i];
                 if a == NONE {
@@ -85,7 +68,7 @@ pub fn ansv_par(pram: &Pram, xs: &[i64], side: Side, strict: Strictness) -> Vec<
     }
 }
 
-fn ansv_par_left(pram: &Pram, xs: &[i64], strict: Strictness) -> Vec<usize> {
+fn ansv_par_left(pram: &Pram, xs: &[i64]) -> Vec<usize> {
     let n = xs.len();
     if n == 0 {
         return Vec::new();
@@ -113,7 +96,7 @@ fn ansv_par_left(pram: &Pram, xs: &[i64], strict: Strictness) -> Vec<usize> {
         let mut stack: Vec<usize> = Vec::new();
         for i in lo..hi {
             while let Some(&top) = stack.last() {
-                if qualifies(xs[top], xs[i], strict) {
+                if xs[top] < xs[i] {
                     break;
                 }
                 stack.pop();
@@ -145,7 +128,7 @@ fn ansv_par_left(pram: &Pram, xs: &[i64], strict: Strictness) -> Vec<usize> {
                 break None;
             }
             ops += 1;
-            if qualifies(st.query_value(lo, hi - 1), xs[i], strict) {
+            if st.query_value(lo, hi - 1) < xs[i] {
                 break Some((lo, hi - 1));
             }
             if lo == 0 {
@@ -161,7 +144,7 @@ fn ansv_par_left(pram: &Pram, xs: &[i64], strict: Strictness) -> Vec<usize> {
         while lo < rhi {
             let mid = (lo + rhi).div_ceil(2);
             ops += 1;
-            if qualifies(st.query_value(mid, rhi), xs[i], strict) {
+            if st.query_value(mid, rhi) < xs[i] {
                 lo = mid;
             } else {
                 rhi = mid - 1;
@@ -172,7 +155,7 @@ fn ansv_par_left(pram: &Pram, xs: &[i64], strict: Strictness) -> Vec<usize> {
         let bhi = ((lo + 1) * b).min(n);
         for j in (blo..bhi).rev() {
             ops += 1;
-            if qualifies(xs[j], xs[i], strict) {
+            if xs[j] < xs[i] {
                 return (j, ops);
             }
         }
@@ -185,7 +168,7 @@ mod tests {
     use super::*;
     use pardict_pram::{Pram, SplitMix64};
 
-    fn naive(xs: &[i64], side: Side, strict: Strictness) -> Vec<usize> {
+    fn naive(xs: &[i64], side: Side) -> Vec<usize> {
         let n = xs.len();
         (0..n)
             .map(|i| {
@@ -193,7 +176,7 @@ mod tests {
                 match side {
                     Side::Left => {
                         for j in (0..i).rev() {
-                            if qualifies(xs[j], xs[i], strict) {
+                            if xs[j] < xs[i] {
                                 best = j;
                                 break;
                             }
@@ -201,7 +184,7 @@ mod tests {
                     }
                     Side::Right => {
                         for j in i + 1..n {
-                            if qualifies(xs[j], xs[i], strict) {
+                            if xs[j] < xs[i] {
                                 best = j;
                                 break;
                             }
@@ -213,36 +196,30 @@ mod tests {
             .collect()
     }
 
-    fn all_variants(xs: &[i64]) {
+    fn both_sides(xs: &[i64]) {
         let pram = Pram::seq();
         for side in [Side::Left, Side::Right] {
-            for strict in [Strictness::Strict, Strictness::WeakOrEqual] {
-                let want = naive(xs, side, strict);
-                assert_eq!(ansv_seq(xs, side, strict), want, "seq {side:?} {strict:?}");
-                assert_eq!(
-                    ansv_par(&pram, xs, side, strict),
-                    want,
-                    "par {side:?} {strict:?}"
-                );
-            }
+            let want = naive(xs, side);
+            assert_eq!(ansv_seq(xs, side), want, "seq {side:?}");
+            assert_eq!(ansv_par(&pram, xs, side), want, "par {side:?}");
         }
     }
 
     #[test]
     fn small_arrays() {
-        all_variants(&[]);
-        all_variants(&[5]);
-        all_variants(&[2, 1, 2]);
-        all_variants(&[1, 1, 1, 1]);
-        all_variants(&[3, 1, 4, 1, 5, 9, 2, 6]);
+        both_sides(&[]);
+        both_sides(&[5]);
+        both_sides(&[2, 1, 2]);
+        both_sides(&[1, 1, 1, 1]);
+        both_sides(&[3, 1, 4, 1, 5, 9, 2, 6]);
     }
 
     #[test]
     fn monotone_arrays() {
         let inc: Vec<i64> = (0..200).collect();
         let dec: Vec<i64> = (0..200).rev().collect();
-        all_variants(&inc);
-        all_variants(&dec);
+        both_sides(&inc);
+        both_sides(&dec);
     }
 
     #[test]
@@ -250,7 +227,7 @@ mod tests {
         let mut rng = SplitMix64::new(77);
         for _ in 0..4 {
             let xs: Vec<i64> = (0..700).map(|_| rng.next_below(30) as i64).collect();
-            all_variants(&xs);
+            both_sides(&xs);
         }
     }
 
@@ -259,7 +236,7 @@ mod tests {
         let xs: Vec<i64> = (0..1000)
             .map(|i| i64::from(i % 17 == 0) * -5 + (i % 7) as i64)
             .collect();
-        all_variants(&xs);
+        both_sides(&xs);
     }
 
     #[test]
@@ -268,7 +245,7 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let n = 1 << 15;
         let xs: Vec<i64> = (0..n).map(|_| rng.next_below(1000) as i64).collect();
-        let _ = ansv_par(&pram, &xs, Side::Left, Strictness::Strict);
+        let _ = ansv_par(&pram, &xs, Side::Left);
         let c = pram.cost();
         assert!(c.depth < 40 * u64::from(ceil_log2(n)), "depth {}", c.depth);
     }

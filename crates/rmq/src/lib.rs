@@ -28,7 +28,7 @@ mod ansv;
 mod linear;
 mod sparse;
 
-pub use ansv::{ansv_par, ansv_seq, Side, Strictness};
+pub use ansv::{ansv_par, ansv_seq, Side};
 pub use linear::LinearRmq;
 pub use sparse::SparseTable;
 
@@ -82,12 +82,7 @@ mod proptests {
         fn ansv_par_equals_seq(xs in prop::collection::vec(-20i64..20, 0..600)) {
             let pram = Pram::seq();
             for side in [Side::Left, Side::Right] {
-                for strict in [Strictness::Strict, Strictness::WeakOrEqual] {
-                    prop_assert_eq!(
-                        ansv_par(&pram, &xs, side, strict),
-                        ansv_seq(&xs, side, strict)
-                    );
-                }
+                prop_assert_eq!(ansv_par(&pram, &xs, side), ansv_seq(&xs, side));
             }
         }
     }

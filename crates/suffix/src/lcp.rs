@@ -11,7 +11,7 @@
 //! whole pass is `O(n)` work and `O(log² n)` depth. Correctness is whp
 //! (fingerprint equality); the Las Vegas layers above catch the rest.
 
-use pardict_fingerprint::{random_base, PrefixHashes};
+use pardict_fingerprint::PrefixHashes;
 use pardict_pram::{ceil_log2, Pram};
 
 /// Sequential Kasai: exact, `O(n)` time. The oracle and baseline.
@@ -44,16 +44,16 @@ pub fn lcp_kasai(text: &[u8], sa: &[u32]) -> Vec<u32> {
     lcp
 }
 
-/// Parallel LCP via blocked PLCP galloping. Expected `O(n)` work,
-/// `O(log² n)` depth; equal to [`lcp_kasai`] with high probability.
+/// Parallel LCP via blocked PLCP galloping over the caller's prefix hashes
+/// of `text`. Expected `O(n)` work, `O(log² n)` depth; equal to
+/// [`lcp_kasai`] with high probability.
 #[must_use]
-pub fn lcp_parallel(pram: &Pram, text: &[u8], sa: &[u32], seed: u64) -> Vec<u32> {
+pub fn lcp_parallel(pram: &Pram, text: &[u8], sa: &[u32], hashes: &PrefixHashes) -> Vec<u32> {
     let n = text.len();
     assert_eq!(sa.len(), n);
     if n == 0 {
         return Vec::new();
     }
-    let hashes = PrefixHashes::build(pram, text, random_base(seed));
     // Monte Carlo equality of text[i..i+l] and text[j..j+l].
     let eq = |i: usize, j: usize, l: usize| -> bool {
         i + l <= n && j + l <= n && hashes.substring(i, l) == hashes.substring(j, l)
@@ -149,6 +149,7 @@ pub fn lcp_parallel(pram: &Pram, text: &[u8], sa: &[u32], seed: u64) -> Vec<u32>
 mod tests {
     use super::*;
     use crate::sa::{suffix_array, suffix_array_naive};
+    use pardict_fingerprint::random_base;
     use pardict_pram::{Pram, SplitMix64};
 
     fn naive_lcp(a: &[u8], b: &[u8]) -> u32 {
@@ -165,7 +166,8 @@ mod tests {
             assert_eq!(kasai[k], want, "k={k}");
         }
         // Parallel vs Kasai.
-        let par = lcp_parallel(&pram, text, &sa, 42);
+        let hashes = PrefixHashes::build(&pram, text, random_base(42));
+        let par = lcp_parallel(&pram, text, &sa, &hashes);
         assert_eq!(par, kasai);
     }
 
@@ -204,7 +206,8 @@ mod tests {
             let mut rng = SplitMix64::new(3);
             let text: Vec<u8> = (0..n).map(|_| rng.next_below(3) as u8).collect();
             let sa = suffix_array_naive_fast(&text);
-            let (_, cost) = pram.metered(|p| lcp_parallel(p, &text, &sa, 1));
+            let hashes = PrefixHashes::build(&pram, &text, random_base(1));
+            let (_, cost) = pram.metered(|p| lcp_parallel(p, &text, &sa, &hashes));
             per_elem.push(cost.work as f64 / n as f64);
         }
         assert!(

@@ -5,7 +5,8 @@
 //! The paper's algorithms all start from the suffix tree of the dictionary
 //! concatenation or of the text. This crate builds that object in PRAM
 //! rounds — suffix array (DC3 with radix-sort rounds), LCP array (blocked
-//! fingerprint galloping), tree structure (ANSV + list ranking), suffix and
+//! fingerprint galloping), tree structure (ANSV + one range minimum per
+//! boundary), suffix and
 //! Weiner links (via LCA) — and exposes the query surface the paper uses:
 //! child navigation, subtree leaf ranges, LCA, and O(1) string LCP /
 //! equality queries (Lemma 2.6).
@@ -36,6 +37,7 @@ pub use tree::{sym_code, SuffixTree, SymCode, SENTINEL_CODE};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use pardict_fingerprint::{random_base, PrefixHashes};
     use pardict_pram::Pram;
     use proptest::prelude::*;
 
@@ -61,8 +63,9 @@ mod proptests {
         fn lcp_parallel_matches_kasai(text in nul_free_text(250), seed in 0u64..500) {
             let pram = Pram::seq();
             let sa = suffix_array(&pram, &text);
+            let hashes = PrefixHashes::build(&pram, &text, random_base(seed));
             prop_assert_eq!(
-                lcp_parallel(&pram, &text, &sa, seed),
+                lcp_parallel(&pram, &text, &sa, &hashes),
                 lcp_kasai(&text, &sa)
             );
         }

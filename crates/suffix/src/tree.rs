@@ -2,11 +2,12 @@
 //! string LCP queries (Lemma 2.6).
 //!
 //! Construction is the SA + LCP + ANSV route (see DESIGN.md): internal
-//! nodes are the distinct LCP-interval representatives found by nearest
-//! smaller values, duplicate-value boundaries are merged by list ranking
-//! over equal-value chains, and leaves attach to the deeper of their two
-//! neighbouring boundaries. Everything is PRAM rounds: expected `O(n)` work,
-//! polylog depth.
+//! nodes are LCP intervals. A boundary's interval runs between its strict
+//! nearest smaller values, and its representative is the leftmost least
+//! boundary strictly inside them (one range minimum over `lcp`), so
+//! equal-value boundaries of one interval share it. Leaves attach to the
+//! deeper of their two neighbouring boundaries. Everything is PRAM rounds:
+//! expected `O(n)` work, polylog depth.
 //!
 //! Lemma 2.6 is a range minimum over the LCP array: the LCP of the suffixes
 //! at SA positions `a < b` is the least of `lcp[a + 1..=b]`, and the node
@@ -20,8 +21,8 @@ use crate::lcp::lcp_parallel;
 use crate::sa::suffix_array;
 use pardict_fingerprint::{random_base, PrefixHashes};
 use pardict_graph::{EulerTour, Forest};
-use pardict_pram::{list_rank_random_mate_full, Pram, SplitMix64};
-use pardict_rmq::{ansv_par, LinearRmq, Side, Strictness};
+use pardict_pram::{Pram, SplitMix64};
+use pardict_rmq::{ansv_par, LinearRmq, Side};
 use std::collections::HashMap;
 
 /// Character code on edges: 0 is the sentinel, byte `c` is `c + 1`.
@@ -103,8 +104,10 @@ impl SuffixTree {
         padded.push(0);
         let m = padded.len(); // number of suffixes / leaves
 
+        let hashes = PrefixHashes::build(pram, &padded, random_base(rng.next_u64()));
         let sa = suffix_array(pram, &padded);
-        let lcp = lcp_parallel(pram, &padded, &sa, rng.next_u64());
+        // Lemma 2.6's range minima over the LCP array, which it owns.
+        let lcp = LinearRmq::new_min(pram, lcp_parallel(pram, &padded, &sa, &hashes));
         let mut rank = vec![0u32; m];
         pram.ledger().round(m as u64);
         for (k, &i) in sa.iter().enumerate() {
@@ -116,28 +119,22 @@ impl SuffixTree {
             if k == 0 || k == m {
                 -1
             } else {
-                i64::from(lcp[k])
+                i64::from(lcp.keys()[k])
             }
         });
-        let left = ansv_par(pram, &ell, Side::Left, Strictness::Strict);
-        let right = ansv_par(pram, &ell, Side::Right, Strictness::Strict);
-        let lefteq = ansv_par(pram, &ell, Side::Left, Strictness::WeakOrEqual);
+        let left = ansv_par(pram, &ell, Side::Left);
+        let right = ansv_par(pram, &ell, Side::Right);
 
-        // Equal-value chains: each boundary points to the nearest equal
-        // boundary on its left (nothing smaller between, by nearest-≤);
-        // chain tails are the node representatives.
-        let chain_next: Vec<usize> = pram.tabulate(m + 1, |k| {
+        // Every value in (left[k], right[k]) is ≥ ell[k], so the leftmost
+        // least boundary there is the leftmost one equal to ell[k]: the
+        // representative all boundaries of k's interval share.
+        let rep: Vec<usize> = pram.tabulate(m + 1, |k| {
             if k == 0 || k == m {
-                return k;
-            }
-            let j = lefteq[k];
-            if j != usize::MAX && ell[j] == ell[k] && j != 0 {
-                j
-            } else {
                 k
+            } else {
+                lcp.query(left[k] + 1, right[k] - 1)
             }
         });
-        let rep = list_rank_random_mate_full(pram, &chain_next, rng.next_u64()).tail;
 
         // Compact ids for representative boundaries.
         let is_rep: Vec<bool> = pram.tabulate(m + 1, |k| k >= 1 && k < m && rep[k] == k);
@@ -221,8 +218,8 @@ impl SuffixTree {
         let forest = Forest::from_parents(pram, &parent);
         let tour = EulerTour::build(pram, &forest, rng.next_u64());
 
-        // Lemma 2.6's range minima over the LCP array, and each boundary's
-        // node (boundary 0 separates nothing; the root stands in for it).
+        // Each boundary's node (boundary 0 separates nothing; the root
+        // stands in for it).
         let boundary_node: Vec<u32> = pram.tabulate(m, |k| {
             if k == 0 {
                 root as u32
@@ -230,7 +227,6 @@ impl SuffixTree {
                 node_of_boundary(k) as u32
             }
         });
-        let lcp = LinearRmq::new_min(pram, lcp);
 
         // Child lookup by leading edge symbol.
         let mut child_by_sym = HashMap::with_capacity(num_nodes);
@@ -293,8 +289,6 @@ impl SuffixTree {
             let prev = wlink_by_sym.insert(sym_key(target, code), v as u32);
             debug_assert!(prev.is_none(), "duplicate Weiner link");
         }
-
-        let hashes = PrefixHashes::build(pram, &padded, random_base(rng.next_u64()));
 
         Self {
             text: text.to_vec(),

@@ -56,6 +56,18 @@ if grep -rnwE "Forest|EulerTour" crates/rmq/src; then
   exit 1
 fi
 
+# Dictionary preprocessing reads its answers off suffix-array order: the
+# tree's equal-LCP representatives are one range minimum, Step 2A's
+# root-path maxima two scans. Neither ranks a list, and ANSV is strict.
+if grep -rn "list_rank" crates/suffix/src crates/core/src; then
+  echo "ci.sh: list ranking in suffix-tree or core preprocessing (read SA order)" >&2
+  exit 1
+fi
+if grep -rnE "rootfix|Strictness" crates src tests examples; then
+  echo "ci.sh: rootfix or ANSV strictness is back (scan in SA order; ANSV is strict)" >&2
+  exit 1
+fi
+
 # Fork-join has one owner per layer too: core forks nothing itself, and a
 # multi-segment query reaches its segments only through the one fan-out
 # helper (SegmentedMatcher::per_segment over Pram::superstep).

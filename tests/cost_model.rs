@@ -159,3 +159,41 @@ fn preprocessing_constant_stays_below_2000_ops_per_dictionary_byte() {
         c.work / bytes
     );
 }
+
+#[test]
+fn suffix_tree_stays_below_600_ops_per_text_byte() {
+    // Absolute guard: equal-LCP chains merged by list ranking read 827
+    // ops/byte here; one range minimum per boundary reads 527.
+    let n = 1usize << 15;
+    let text = pardict::workloads::dna_text(7, n);
+    let pram = Pram::seq();
+    let (_, c) = pram.metered(|p| SuffixTree::build(p, &text, 1));
+    assert!(
+        c.work <= 600 * n as u64,
+        "SuffixTree::build: {} ops for {n} bytes ({} per byte)",
+        c.work,
+        c.work / n as u64
+    );
+}
+
+#[test]
+fn step2_tables_stay_below_40_ops_per_dictionary_byte() {
+    // Absolute guard: Step 2A's root-path maxima by heavy-path rounds read
+    // 629 ops per DNA D̂ byte here; two scans in suffix-array order read 19.
+    for alpha in [Alphabet::dna(), Alphabet::lowercase()] {
+        let d = 1usize << 14;
+        let dict = Dictionary::new(random_dictionary(d as u64, d / 8, 4, 12, alpha));
+        let bytes = dict.total_len() as u64;
+        let (_, stages) = DictMatcher::build_profiled(&Pram::seq(), dict, 1);
+        let (_, c) = stages
+            .into_iter()
+            .find(|&(name, _)| name == "step-2 tables")
+            .expect("step-2 stage");
+        assert!(
+            c.work <= 40 * bytes,
+            "Step2Tables::build: {} ops for {bytes} dictionary bytes ({} per byte)",
+            c.work,
+            c.work / bytes
+        );
+    }
+}
