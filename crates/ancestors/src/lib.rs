@@ -6,8 +6,7 @@
 //!
 //! * [`NearestMarkedAncestor`] — Lemma 2.7: given a rooted forest with some
 //!   nodes marked, find every node's nearest marked ancestor in `O(n)` work
-//!   and `O(log n)` depth (Lemma 4.1's LZ1 match table, and each pass of the
-//!   naive colored variant).
+//!   and `O(log n)` depth (each pass of the naive colored variant).
 //! * [`ColoredAncestors`] / [`ColoredAncestorsNaive`] — §3.2, the paper's
 //!   novel primitive: nodes carry *colors* (here: "has an `a`-Weiner-link"),
 //!   and `Find(p, c)` returns the nearest ancestor of `p` colored `c`.
@@ -20,8 +19,8 @@
 //! All three number nodes by an Euler tour of the forest. Their `on_tour`
 //! constructors borrow one the caller already holds (a suffix tree owns the
 //! tour behind its LCA structure), so any number of marked or colored
-//! passes over one forest share a single tour; the seed-taking `build`s
-//! construct a tour first.
+//! passes over one forest share a single tour; the colored variants'
+//! seed-taking `build`s construct a tour first.
 //!
 //! ```
 //! use pardict_pram::Pram;

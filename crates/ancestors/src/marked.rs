@@ -12,7 +12,7 @@
 //! nearest-smaller-values pass over the marked nodes in entry order.
 //! `O(n)` work, `O(log n)` depth, deterministic, matching the lemma.
 
-use pardict_graph::{EulerTour, Forest};
+use pardict_graph::EulerTour;
 use pardict_pram::Pram;
 use pardict_rmq::{ansv_par, Side};
 
@@ -31,16 +31,6 @@ pub const NONE: usize = usize::MAX;
 const NONE32: u32 = u32::MAX;
 
 impl NearestMarkedAncestor {
-    /// Preprocess `forest` with the given mark bits: builds one Euler tour
-    /// (seeded list ranking) and hands it to
-    /// [`NearestMarkedAncestor::on_tour`]. Callers that already hold the
-    /// forest's tour should call that directly.
-    #[must_use]
-    pub fn build(pram: &Pram, forest: &Forest, marked: &[bool], seed: u64) -> Self {
-        let tour = EulerTour::build(pram, forest, seed ^ 0x9A7C);
-        Self::on_tour(pram, &tour, marked)
-    }
-
     /// Preprocess the forest whose Euler tour is `tour` with the given mark
     /// bits. `O(n)` work, `O(log n)` depth.
     #[must_use]
@@ -119,6 +109,7 @@ impl NearestMarkedAncestor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use pardict_graph::Forest;
     use pardict_pram::{Pram, SplitMix64};
 
     /// Root-walk oracle for [`NearestMarkedAncestor::inclusive`].
@@ -137,8 +128,8 @@ pub(crate) mod tests {
 
     fn check(parent: &[usize], marked: &[bool]) {
         let pram = Pram::seq();
-        let f = Forest::from_parents(&pram, parent);
-        let nma = NearestMarkedAncestor::build(&pram, &f, marked, 3);
+        let tour = EulerTour::build(&pram, &Forest::from_parents(&pram, parent), 3);
+        let nma = NearestMarkedAncestor::on_tour(&pram, &tour, marked);
         for v in 0..parent.len() {
             let want = oracle_inclusive(parent, marked, v);
             assert_eq!(nma.inclusive(v), want, "inclusive v={v}");

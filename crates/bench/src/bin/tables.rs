@@ -24,7 +24,7 @@ use pardict_core::{
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{ceil_log2, list_rank_random_mate, list_rank_wyllie, Mode, Pram, SplitMix64};
 use pardict_rmq::{ansv_par, LinearRmq, Side};
-use pardict_suffix::{suffix_array, SuffixTree};
+use pardict_suffix::{suffix_array, SuffixArrays, SuffixTree};
 use pardict_veb::VebTree;
 use pardict_workloads::{
     dictionary_from_text, dna_text, fibonacci_word, markov_text, random_dictionary, random_text,
@@ -275,9 +275,9 @@ fn e4_lz1_compress(quick: bool) {
     }
 
     // Isolate the match-table computation: both routes share the suffix
-    // tree, whose construction dominates the totals above; the work-optimal
-    // vs n·log n distinction lives in what comes after.
-    println!("\nmatch-table only (tree pre-built, not charged):\n");
+    // arrays, whose construction dominates the totals above; the
+    // work-optimal vs n·log n distinction lives in what comes after.
+    println!("\nmatch-table only (suffix arrays pre-built, not charged):\n");
     println!("| n | Lemma 4.1 work/n | SA-binary-search work/n (per-position log n) |");
     println!("|---|-------------------|------------------------------------------------|");
     for n in sizes(
@@ -290,14 +290,14 @@ fn e4_lz1_compress(quick: bool) {
         let st = SuffixTree::build(&pram, &text, 5);
         let p1 = Pram::seq();
         let (_, s_opt) = sample(&p1, |p| longest_previous_factor_from_tree(p, &st));
-        // Baseline post-tree work: its per-position binary searches over
-        // sparse tables. Measure by re-running it and subtracting a fresh
-        // tree build.
+        // Baseline work after the arrays: its per-position binary searches
+        // over a sparse table. Measure by re-running it and subtracting a
+        // fresh arrays build.
         let p2 = Pram::seq();
-        let (_, s_tree) = sample(&p2, |p| SuffixTree::build(p, &text, 6));
+        let (_, s_arrays) = sample(&p2, |p| SuffixArrays::build(p, &text, 6));
         let p3 = Pram::seq();
         let (_, s_base) = sample(&p3, |p| lz1_nlogn_baseline(p, &text, 6));
-        let base_post = s_base.cost.work.saturating_sub(s_tree.cost.work);
+        let base_post = s_base.cost.work.saturating_sub(s_arrays.cost.work);
         println!(
             "| {n} | {:.1} | {:.1} |",
             per(s_opt.cost.work, n),

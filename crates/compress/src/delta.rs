@@ -8,10 +8,9 @@
 //!
 //! Same work/depth envelope as [`crate::lz1_compress`] on `|base| + |new|`.
 
-use crate::lz1::longest_previous_factor_from_tree;
+use crate::lz1::{greedy, longest_previous_factor};
 use crate::tokens::Token;
 use pardict_pram::{Pram, SplitMix64};
-use pardict_suffix::SuffixTree;
 
 /// Compress `new` against `base`: a token stream whose copies may
 /// reference the concatenation `base · new` at absolute positions.
@@ -20,30 +19,10 @@ pub fn delta_compress(pram: &Pram, base: &[u8], new: &[u8], seed: u64) -> Vec<To
     if new.is_empty() {
         return Vec::new();
     }
-    let mut rng = SplitMix64::new(seed);
-    let mut joint = Vec::with_capacity(base.len() + new.len());
-    joint.extend_from_slice(base);
-    joint.extend_from_slice(new);
-    let st = SuffixTree::build(pram, &joint, rng.next_u64());
-    let matches = longest_previous_factor_from_tree(pram, &st);
-
-    // Greedy parse of the `new` region only (sequential over phrases, like
-    // any LZ emitter; the expensive part above is parallel).
-    let mut out = Vec::new();
-    let mut i = base.len();
-    pram.ledger().charge_depth(1);
-    while i < joint.len() {
-        let (src, len) = matches[i];
-        pram.ledger().charge_work(1);
-        if len >= 2 {
-            out.push(Token::Copy { src, len });
-            i += len as usize;
-        } else {
-            out.push(Token::Literal(joint[i]));
-            i += 1;
-        }
-    }
-    out
+    let joint = [base, new].concat();
+    let matches = longest_previous_factor(pram, &joint, SplitMix64::new(seed).next_u64());
+    // Greedy parse of the `new` region only.
+    greedy(pram, &joint, &matches, base.len())
 }
 
 /// Decode a [`delta_compress`] stream given the same `base`.

@@ -3,8 +3,8 @@
 //! # pardict-compress — work-optimal parallel compression (SPAA'95 §4–§5)
 //!
 //! * **LZ1 / LZ77 (§4)** — [`lz1_compress`] produces the greedy (provably
-//!   optimal) dynamic-dictionary parse in `O(n)` work and polylog depth via
-//!   the suffix-tree `min-leaf` trick of Lemma 4.1; [`lz1_decompress`]
+//!   optimal) dynamic-dictionary parse in `O(n)` work and polylog depth by
+//!   reading Lemma 4.1 off LCP intervals of the suffix array; [`lz1_decompress`]
 //!   reverses it work-optimally by resolving the copy forest with one Euler
 //!   tour (Theorem 4.3). Baselines: [`lz77_sequential`] (the classical
 //!   sequential algorithm) and [`lz1_nlogn_baseline`] (the previous-best

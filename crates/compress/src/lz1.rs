@@ -1,14 +1,14 @@
 //! LZ1 (LZ77) compression and uncompression (§4, Theorems 4.2 and 4.3).
 //!
-//! **Compression.** Lemma 4.1 reduces the greedy (optimal) parse to suffix
-//! tree quantities: with `Lmin[v]` = smallest text position below `v`, the
-//! longest previous match of suffix `i` is `(Lmin[A[i]], depth(A[i]))`
-//! where `A[i]` is the deepest ancestor of leaf `i` whose `Lmin` is not `i`
-//! itself. `A[i]` falls out of one nearest-marked-ancestor pass on the suffix
-//! tree's own Euler tour (mark nodes whose `Lmin` differs from their
-//! parent's), and the parse positions are the ancestors of node 0 in the
-//! jump tree `i → i + max(k_i, 1)` — an Euler-tour ancestor test. Everything
-//! is `O(n)` work, polylog depth.
+//! **Compression.** Lemma 4.1 reduces the greedy (optimal) parse to the
+//! match table `M[i] = (L[A[i]], |A[i]|)`: `A[i]` is the deepest suffix-tree
+//! ancestor of leaf `i` with an earlier leaf, `L` its leftmost leaf. Tree
+//! nodes are LCP intervals of the suffix array, so `|A[i]|` is the larger LCP
+//! with the nearest ranks either side holding an earlier position (two ANSV
+//! passes), `A[i]` the interval of that depth around `i`'s rank, and
+//! `L[A[i]]` its range minimum over SA values. The parse positions are the
+//! ancestors of node 0 in the jump tree `i → i + max(k_i, 1)` — an
+//! Euler-tour ancestor test. Everything is `O(n)` work, polylog depth.
 //!
 //! **Uncompression.** Prefix sums place the phrases; each copied position
 //! points at its source (strictly earlier, even for self-overlapping
@@ -17,64 +17,56 @@
 //! that avoids pointer-jumping's extra log factor.
 
 use crate::tokens::Token;
-use pardict_ancestors::NearestMarkedAncestor;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
-use pardict_rmq::{LinearRmq, SparseTable};
-use pardict_suffix::SuffixTree;
+use pardict_rmq::{ansv_par, LinearRmq, Side, SparseTable};
+use pardict_suffix::{SuffixArrays, SuffixTree};
 
 /// Longest-previous-factor (LPF) array: for every position `i`, the
 /// longest substring starting at `i` that also occurs starting at some
-/// `src < i`, as `(src, len)` (`len = 0` when `text[i]` is a first
-/// occurrence). Work-optimal (Lemma 4.1); the quantity LZ1 greedily
-/// consumes, exposed for stringology consumers.
+/// `src < i`, as `(src, len)` with `src` the leftmost such occurrence
+/// (`(0, 0)` when `text[i]` is a first occurrence). Work-optimal
+/// (Lemma 4.1); the quantity LZ1 greedily consumes, exposed for
+/// stringology consumers.
 #[must_use]
 pub fn longest_previous_factor(pram: &Pram, text: &[u8], seed: u64) -> Vec<(u32, u32)> {
     if text.is_empty() {
         return Vec::new();
     }
-    let st = SuffixTree::build(pram, text, seed);
-    previous_matches(pram, &st)
+    previous_matches(pram, &SuffixArrays::build(pram, text, seed))
 }
 
-/// [`longest_previous_factor`] from a pre-built suffix tree — lets callers
-/// (and experiment E4) separate the shared tree-construction cost from the
-/// Lemma 4.1 match-table computation itself.
+/// [`longest_previous_factor`] over the arrays of a pre-built suffix tree —
+/// lets callers (and experiment E4) separate the shared construction cost
+/// from the Lemma 4.1 match-table computation itself.
 #[must_use]
 pub fn longest_previous_factor_from_tree(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
-    previous_matches(pram, st)
+    previous_matches(pram, st.arrays())
 }
 
-/// Longest previous match for every position: `(src, len)` with
-/// `src < i`, maximal `len` (0 if none). Work-optimal (Lemma 4.1).
-fn previous_matches(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
-    let n = st.text().len();
-    let m = st.num_leaves();
-    let n_nodes = st.num_nodes();
-
-    // Lmin per node: range-min of leaf positions over the leaf interval.
-    let rmq = LinearRmq::new_min(pram, pram.tabulate(m, |k| st.leaf_pos(k) as u32));
-    let lmin: Vec<u32> = pram.tabulate(n_nodes, |v| {
-        let (lo, hi) = st.leaf_range(v);
-        rmq.keys()[rmq.query(lo, hi)]
-    });
-
-    // Mark chain tops: nodes whose Lmin differs from their parent's.
-    let marked: Vec<bool> = pram.tabulate(n_nodes, |v| {
-        let p = st.parent(v);
-        p == v || lmin[p] != lmin[v]
-    });
-    let nma = NearestMarkedAncestor::on_tour(pram, st.tour(), &marked);
-
-    pram.tabulate(n, |i| {
-        let leaf = st.leaf_node(i);
-        let top = nma.inclusive(leaf);
-        debug_assert_ne!(top, usize::MAX);
-        let a = st.parent(top);
-        if st.str_depth(a) == 0 || top == a {
-            (0, 0) // no previous occurrence: literal
-        } else {
-            (lmin[a], st.str_depth(a) as u32)
+/// Lemma 4.1 over the suffix array: `(leftmost src < i, maximal len)` for
+/// every position `i`, `(0, 0)` if none. `O(n)` work, `O(log n)` depth.
+fn previous_matches(pram: &Pram, arrays: &SuffixArrays) -> Vec<(u32, u32)> {
+    let (sa, lcp) = (&arrays.sa, &arrays.lcp);
+    let m = sa.len();
+    // Nearest ranks either side holding an earlier text position.
+    let pos: Vec<i64> = pram.tabulate(m, |r| i64::from(sa[r]));
+    let prev = ansv_par(pram, &pos, Side::Left);
+    let next = ansv_par(pram, &pos, Side::Right);
+    // L: range minima over SA values.
+    let leftmost = LinearRmq::new_min(pram, pram.tabulate(m, |r| sa[r]));
+    pram.tabulate(m - 1, |i| {
+        let r = arrays.rank[i] as usize;
+        // The least boundary towards each neighbour; on a tie both lie in
+        // the same interval.
+        let left = (prev[r] != usize::MAX).then(|| lcp.query(prev[r] + 1, r));
+        let right = (next[r] != usize::MAX).then(|| lcp.query(r + 1, next[r]));
+        match left.into_iter().chain(right).max_by_key(|&k| lcp.keys()[k]) {
+            Some(k) if lcp.keys()[k] > 0 => {
+                let (lo, hi) = (arrays.left[k], arrays.right[k] - 1);
+                (leftmost.keys()[leftmost.query(lo, hi)], lcp.keys()[k])
+            }
+            _ => (0, 0), // no previous occurrence: literal
         }
     })
 }
@@ -82,13 +74,11 @@ fn previous_matches(pram: &Pram, st: &SuffixTree) -> Vec<(u32, u32)> {
 /// Parallel LZ1 compression (Theorem 4.2): `O(n)` work, polylog depth.
 #[must_use]
 pub fn lz1_compress(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
-    let n = text.len();
-    if n == 0 {
+    if text.is_empty() {
         return Vec::new();
     }
     let mut rng = SplitMix64::new(seed);
-    let st = SuffixTree::build(pram, text, rng.next_u64());
-    let matches = previous_matches(pram, &st);
+    let matches = longest_previous_factor(pram, text, rng.next_u64());
     emit_tokens(pram, text, &matches, rng.next_u64())
 }
 
@@ -193,21 +183,23 @@ pub fn lz1_decompress_jump(pram: &Pram, tokens: &[Token]) -> Vec<u8> {
 }
 
 /// Sequential LZ77: the classical greedy left-to-right parse, using the
-/// suffix tree's previous-match table position by position. The
-/// sequential-work baseline for E4.
+/// previous-match table position by position. The sequential-work baseline
+/// for E4.
 #[must_use]
 pub fn lz77_sequential(text: &[u8]) -> Vec<Token> {
-    let n = text.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let pram = Pram::seq();
-    let st = SuffixTree::build(&pram, text, 0x5E9);
-    let matches = previous_matches(&pram, &st);
+    greedy(&pram, text, &longest_previous_factor(&pram, text, 0x5E9), 0)
+}
+
+/// The greedy parse of `text[from..]` off its match table, one phrase at a
+/// time (sequential over phrases, like any LZ emitter).
+pub(crate) fn greedy(pram: &Pram, text: &[u8], lpf: &[(u32, u32)], from: usize) -> Vec<Token> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let (src, len) = matches[i];
+    let mut i = from;
+    pram.ledger().charge_depth(1);
+    while i < text.len() {
+        let (src, len) = lpf[i];
+        pram.ledger().charge_work(1);
         if len >= 2 {
             out.push(Token::Copy { src, len });
             i += len as usize;
@@ -226,24 +218,17 @@ pub fn lz77_sequential(text: &[u8]) -> Vec<Token> {
 #[must_use]
 pub fn lz1_nlogn_baseline(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
     let n = text.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let st = SuffixTree::build(pram, text, seed);
-    let m = st.num_leaves();
+    let arrays = SuffixArrays::build(pram, text, seed);
+    let (sa, lcp) = (&arrays.sa, &arrays.lcp);
+    let m = sa.len();
     // Range-min over suffix-array *values* (positions).
-    let sa_vals: Vec<i64> = pram.tabulate(m, |k| st.sa()[k] as i64);
+    let sa_vals: Vec<i64> = pram.tabulate(m, |k| i64::from(sa[k]));
     let sa_min = SparseTable::new_min(pram, &sa_vals);
-    // Range-min over the LCP array for O(1) lcp between SA positions.
-    let lcp_vals: Vec<i64> = pram.tabulate(m, |k| i64::from(st.lcp()[k]));
-    let lcp_min = SparseTable::new_min(pram, &lcp_vals);
-    let lcp_between = |a: usize, b: usize| -> usize {
-        // a < b in SA order.
-        lcp_min.query_value(a + 1, b) as usize
-    };
+    // O(1) lcp between SA positions a < b.
+    let lcp_between = |a: usize, b: usize| lcp.keys()[lcp.query(a + 1, b)] as usize;
 
     let matches: Vec<(u32, u32)> = pram.tabulate_costed(n, |i| {
-        let r = st.leaf_node(i);
+        let r = arrays.rank[i] as usize;
         let mut ops = 2u64;
         let mut best: (u32, u32) = (0, 0);
         // Nearest SA position left of r with value < i: binary search on
@@ -261,7 +246,7 @@ pub fn lz1_nlogn_baseline(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
             }
             let l = lcp_between(lo, r).min(n - i) as u32;
             if l > best.1 {
-                best = (st.sa()[lo], l);
+                best = (sa[lo], l);
             }
         }
         if r + 1 < m && sa_min.query_value(r + 1, m - 1) < i as i64 {
@@ -277,7 +262,7 @@ pub fn lz1_nlogn_baseline(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
             }
             let l = lcp_between(r, lo).min(n - i) as u32;
             if l > best.1 {
-                best = (st.sa()[lo], l);
+                best = (sa[lo], l);
             }
         }
         (best, ops)
@@ -424,30 +409,6 @@ mod tests {
             euler_per[2] < euler_per[0] * 1.5 + 4.0,
             "euler work/char should stay flat: {euler_per:?}"
         );
-    }
-
-    #[test]
-    fn lpf_matches_brute_force() {
-        let pram = Pram::seq();
-        let text = markov_text(5, 300, Alphabet::dna());
-        let lpf = longest_previous_factor(&pram, &text, 6);
-        for i in 0..text.len() {
-            let mut best = 0usize;
-            for j in 0..i {
-                let mut l = 0;
-                while i + l < text.len() && text[j + l] == text[i + l] {
-                    l += 1;
-                }
-                best = best.max(l);
-            }
-            assert_eq!(lpf[i].1 as usize, best, "LPF at {i}");
-            if best > 0 {
-                let (src, len) = (lpf[i].0 as usize, lpf[i].1 as usize);
-                assert!(src < i);
-                assert_eq!(&text[src..src + len], &text[i..i + len]);
-            }
-        }
-        assert!(longest_previous_factor(&pram, b"", 1).is_empty());
     }
 
     #[test]

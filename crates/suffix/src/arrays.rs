@@ -1,0 +1,89 @@
+//! The suffix-array half of the suffix tree (Abouelhoda–Kurtz–Ohlebusch's
+//! enhanced suffix array). Every tree node is an LCP interval: boundary `k`
+//! belongs to the node of string depth `lcp[k]` whose leaves are SA
+//! positions `left[k]..right[k]`, between its strict nearest smaller
+//! boundaries. A consumer that needs only intervals, like Lemma 4.1's match
+//! table, never builds the tree.
+
+use crate::lcp::lcp_parallel;
+use crate::sa::suffix_array;
+use pardict_fingerprint::{random_base, PrefixHashes};
+use pardict_pram::{Pram, SplitMix64};
+use pardict_rmq::{ansv_par, LinearRmq, Side};
+
+/// Suffix array, ranks, LCP range minima and LCP-interval bounds of
+/// `text · $` (a unique 0 sentinel).
+#[derive(Debug)]
+pub struct SuffixArrays {
+    /// Text plus sentinel.
+    pub padded: Vec<u8>,
+    /// Karp–Rabin prefix hashes of `padded`.
+    pub hashes: PrefixHashes,
+    /// The suffix array; the sentinel suffix is SA position 0.
+    pub sa: Vec<u32>,
+    /// Text position (0..=n) → SA position.
+    pub rank: Vec<u32>,
+    /// Range minima over the LCP array (`lcp[k]` between SA positions
+    /// `k - 1` and `k`), which it owns.
+    pub lcp: LinearRmq,
+    /// Per LCP boundary `k` in `0..=m` (0 and m count as -1): the nearest
+    /// boundary left of `k` with a smaller value.
+    pub left: Vec<usize>,
+    /// The same, right of `k`.
+    pub right: Vec<usize>,
+}
+
+impl SuffixArrays {
+    /// Build the arrays of `text` (NUL-free). The hash base is the first
+    /// draw of `seed ^ 0x5F1F`; the suffix tree's tour takes the second.
+    ///
+    /// # Panics
+    /// Panics if `text` contains a 0 byte (reserved for the sentinel).
+    #[must_use]
+    pub fn build(pram: &Pram, text: &[u8], seed: u64) -> Self {
+        assert!(
+            text.iter().all(|&c| c != 0),
+            "suffix tree input must be NUL-free (0 is the internal sentinel)"
+        );
+        let padded = [text, &[0]].concat();
+        let m = padded.len(); // number of suffixes
+
+        let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
+        let hashes = PrefixHashes::build(pram, &padded, base);
+        let sa = suffix_array(pram, &padded);
+        let lcp = LinearRmq::new_min(pram, lcp_parallel(pram, &padded, &sa, &hashes));
+        let mut rank = vec![0u32; m];
+        pram.ledger().round(m as u64);
+        for (k, &i) in sa.iter().enumerate() {
+            rank[i as usize] = k as u32;
+        }
+        let mut arrays = Self {
+            padded,
+            hashes,
+            sa,
+            rank,
+            lcp,
+            left: Vec::new(),
+            right: Vec::new(),
+        };
+        let ell: Vec<i64> = pram.tabulate(m + 1, |k| arrays.ell(k));
+        arrays.left = ansv_par(pram, &ell, Side::Left);
+        arrays.right = ansv_par(pram, &ell, Side::Right);
+        arrays
+    }
+
+    /// The original text (without the sentinel).
+    #[must_use]
+    pub fn text(&self) -> &[u8] {
+        &self.padded[..self.padded.len() - 1]
+    }
+
+    /// Boundary value of `k` in `0..=m`: `lcp[k]`, with -1 at 0 and m.
+    pub(crate) fn ell(&self, k: usize) -> i64 {
+        if k == 0 || k == self.sa.len() {
+            -1
+        } else {
+            i64::from(self.lcp.keys()[k])
+        }
+    }
+}

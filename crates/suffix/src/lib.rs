@@ -5,8 +5,8 @@
 //! The paper's algorithms all start from the suffix tree of the dictionary
 //! concatenation or of the text. This crate builds that object in PRAM
 //! rounds — suffix array (DC3 with radix-sort rounds), LCP array (blocked
-//! fingerprint galloping), tree structure (ANSV + one range minimum per
-//! boundary), suffix and
+//! fingerprint galloping), LCP intervals (ANSV; [`SuffixArrays`], all LZ1
+//! needs), tree structure (one range minimum per boundary), suffix and
 //! Weiner links (via LCA) — and exposes the query surface the paper uses:
 //! child navigation, subtree leaf ranges, LCA, and O(1) string LCP /
 //! equality queries (Lemma 2.6).
@@ -24,11 +24,13 @@
 //! assert_eq!(st.lcp_positions(1, 3), 3); // "anana" vs "ana"
 //! ```
 
+mod arrays;
 mod doubling;
 mod lcp;
 mod sa;
 mod tree;
 
+pub use arrays::SuffixArrays;
 pub use doubling::suffix_array_doubling;
 pub use lcp::{lcp_kasai, lcp_parallel};
 pub use sa::{suffix_array, suffix_array_naive};

@@ -1,13 +1,13 @@
 //! Suffix trees (Lemma 2.1) with suffix links, Weiner links, LCA, and O(1)
 //! string LCP queries (Lemma 2.6).
 //!
-//! Construction is the SA + LCP + ANSV route (see DESIGN.md): internal
-//! nodes are LCP intervals. A boundary's interval runs between its strict
-//! nearest smaller values, and its representative is the leftmost least
-//! boundary strictly inside them (one range minimum over `lcp`), so
-//! equal-value boundaries of one interval share it. Leaves attach to the
-//! deeper of their two neighbouring boundaries. Everything is PRAM rounds:
-//! expected `O(n)` work, polylog depth.
+//! Construction reads the [`SuffixArrays`] it keeps (SA + LCP + ANSV, see
+//! DESIGN.md): internal nodes are LCP intervals. A boundary's interval runs
+//! between its strict nearest smaller values, and its representative is the
+//! leftmost least boundary strictly inside them (one range minimum over
+//! `lcp`), so equal-value boundaries of one interval share it. Leaves attach
+//! to the deeper of their two neighbouring boundaries. Everything is PRAM
+//! rounds: expected `O(n)` work, polylog depth.
 //!
 //! Lemma 2.6 is a range minimum over the LCP array: the LCP of the suffixes
 //! at SA positions `a < b` is the least of `lcp[a + 1..=b]`, and the node
@@ -17,12 +17,11 @@
 //! be NUL-free; every suffix then ends at a distinct leaf and every edge has
 //! a non-empty label.
 
-use crate::lcp::lcp_parallel;
-use crate::sa::suffix_array;
-use pardict_fingerprint::{random_base, PrefixHashes};
+use crate::arrays::SuffixArrays;
+use pardict_fingerprint::PrefixHashes;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
-use pardict_rmq::{ansv_par, LinearRmq, Side};
+use pardict_rmq::LinearRmq;
 use std::collections::HashMap;
 
 /// Character code on edges: 0 is the sentinel, byte `c` is `c + 1`.
@@ -44,18 +43,12 @@ pub fn sym_code(c: u8) -> SymCode {
 /// `num_leaves()..num_nodes()` are internal nodes (the root among them).
 #[derive(Debug)]
 pub struct SuffixTree {
-    /// Original text (without the sentinel).
-    text: Vec<u8>,
-    /// Text plus sentinel; label positions index into this.
-    padded: Vec<u8>,
-    sa: Vec<u32>,
-    /// Range minima over the LCP array, which it owns.
-    lcp: LinearRmq,
+    /// The arrays the tree is read from; label positions index their
+    /// padded text.
+    arrays: SuffixArrays,
     /// Per LCP boundary `k` (between SA positions `k - 1` and `k`): the
     /// internal node whose child intervals it separates.
     boundary_node: Vec<u32>,
-    /// Text position (0..=n) → SA position.
-    rank: Vec<u32>,
     /// Per node: string depth (length of its path label).
     str_depth: Vec<u32>,
     /// Per node: a position in `padded` where its path label occurs.
@@ -72,7 +65,6 @@ pub struct SuffixTree {
     root: usize,
     forest: Forest,
     tour: EulerTour,
-    hashes: PrefixHashes,
 }
 
 #[inline]
@@ -94,36 +86,13 @@ impl SuffixTree {
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
     pub fn build(pram: &Pram, text: &[u8], seed: u64) -> Self {
-        assert!(
-            text.iter().all(|&c| c != 0),
-            "suffix tree input must be NUL-free (0 is the internal sentinel)"
-        );
+        let arrays = SuffixArrays::build(pram, text, seed);
         let mut rng = SplitMix64::new(seed ^ 0x5F1F);
-        let mut padded = Vec::with_capacity(text.len() + 1);
-        padded.extend_from_slice(text);
-        padded.push(0);
+        rng.next_u64(); // the arrays' hash base
+        let (padded, sa, rank, lcp) = (&arrays.padded, &arrays.sa, &arrays.rank, &arrays.lcp);
+        let (left, right) = (&arrays.left, &arrays.right);
         let m = padded.len(); // number of suffixes / leaves
-
-        let hashes = PrefixHashes::build(pram, &padded, random_base(rng.next_u64()));
-        let sa = suffix_array(pram, &padded);
-        // Lemma 2.6's range minima over the LCP array, which it owns.
-        let lcp = LinearRmq::new_min(pram, lcp_parallel(pram, &padded, &sa, &hashes));
-        let mut rank = vec![0u32; m];
-        pram.ledger().round(m as u64);
-        for (k, &i) in sa.iter().enumerate() {
-            rank[i as usize] = k as u32;
-        }
-
-        // Boundary value array with -1 sentinels at 0 and m.
-        let ell: Vec<i64> = pram.tabulate(m + 1, |k| {
-            if k == 0 || k == m {
-                -1
-            } else {
-                i64::from(lcp.keys()[k])
-            }
-        });
-        let left = ansv_par(pram, &ell, Side::Left);
-        let right = ansv_par(pram, &ell, Side::Right);
+        let ell = |k: usize| arrays.ell(k);
 
         // Every value in (left[k], right[k]) is ≥ ell[k], so the leftmost
         // least boundary there is the leftmost one equal to ell[k]: the
@@ -152,7 +121,7 @@ impl SuffixTree {
         let root = if rep_list.is_empty() {
             m // degenerate single-leaf text: synthesize a root
         } else {
-            debug_assert_eq!(ell[rep[1]], 0);
+            debug_assert_eq!(ell(rep[1]), 0);
             m + internal_idx[rep[1]] as usize
         };
 
@@ -168,14 +137,14 @@ impl SuffixTree {
 
         // Leaves.
         pram.ledger().round(m as u64);
-        for k in 0..m {
+        for (k, &pos) in sa.iter().enumerate() {
             let node = k;
-            str_depth[node] = (m - sa[k] as usize) as u32;
-            label_pos[node] = sa[k];
+            str_depth[node] = (m - pos as usize) as u32;
+            label_pos[node] = pos;
             leaf_lo[node] = k as u32;
             leaf_hi[node] = k as u32;
             // Deeper neighbouring boundary (k or k + 1 in ell coordinates).
-            let (bl, br) = (ell[k], ell[k + 1]);
+            let (bl, br) = (ell(k), ell(k + 1));
             parent[node] = if bl < 0 && br < 0 {
                 root
             } else if bl >= br {
@@ -189,7 +158,7 @@ impl SuffixTree {
         pram.ledger().round(rep_list.len() as u64);
         for &k in &rep_list {
             let node = m + internal_idx[k] as usize;
-            str_depth[node] = ell[k] as u32;
+            str_depth[node] = ell(k) as u32;
             label_pos[node] = sa[k];
             leaf_lo[node] = left[k] as u32;
             leaf_hi[node] = (right[k] - 1) as u32;
@@ -197,8 +166,8 @@ impl SuffixTree {
                 parent[node] = node;
             } else {
                 let (l, r) = (left[k], right[k]);
-                let pb = if ell[l] >= ell[r] { l } else { r };
-                parent[node] = if ell[pb] < 0 {
+                let pb = if ell(l) >= ell(r) { l } else { r };
+                parent[node] = if ell(pb) < 0 {
                     root
                 } else {
                     node_of_boundary(pb)
@@ -265,7 +234,7 @@ impl SuffixTree {
                 let (p1, p2) = (sa[k - 1] as usize, sa[k] as usize);
                 debug_assert!(p1 + 1 < m && p2 + 1 < m);
                 let (a, b) = (rank[p1 + 1] as usize, rank[p2 + 1] as usize);
-                boundary_node[least_boundary(&lcp, a, b)]
+                boundary_node[least_boundary(lcp, a, b)]
             }
         });
 
@@ -291,12 +260,8 @@ impl SuffixTree {
         }
 
         Self {
-            text: text.to_vec(),
-            padded,
-            sa,
-            lcp,
+            arrays,
             boundary_node,
-            rank,
             str_depth,
             label_pos,
             leaf_lo,
@@ -307,26 +272,31 @@ impl SuffixTree {
             root,
             forest,
             tour,
-            hashes,
         }
+    }
+
+    /// The suffix array, LCP and interval arrays the tree was built on.
+    #[must_use]
+    pub fn arrays(&self) -> &SuffixArrays {
+        &self.arrays
     }
 
     /// The original text (without the sentinel).
     #[must_use]
     pub fn text(&self) -> &[u8] {
-        &self.text
+        self.arrays.text()
     }
 
     /// Text plus sentinel byte; `label_pos` indexes into this.
     #[must_use]
     pub fn padded(&self) -> &[u8] {
-        &self.padded
+        &self.arrays.padded
     }
 
     /// Number of leaves (= text length + 1, counting the sentinel suffix).
     #[must_use]
     pub fn num_leaves(&self) -> usize {
-        self.sa.len()
+        self.sa().len()
     }
 
     /// Total number of nodes.
@@ -351,13 +321,13 @@ impl SuffixTree {
     #[must_use]
     pub fn leaf_pos(&self, v: usize) -> usize {
         debug_assert!(self.is_leaf(v));
-        self.sa[v] as usize
+        self.sa()[v] as usize
     }
 
     /// Leaf node for the suffix starting at text position `pos` (0..=n).
     #[must_use]
     pub fn leaf_node(&self, pos: usize) -> usize {
-        self.rank[pos] as usize
+        self.arrays.rank[pos] as usize
     }
 
     /// Parent of `v` (root maps to itself).
@@ -407,13 +377,13 @@ impl SuffixTree {
     /// The suffix array (over text + sentinel).
     #[must_use]
     pub fn sa(&self) -> &[u32] {
-        &self.sa
+        &self.arrays.sa
     }
 
     /// The LCP array (`lcp[k]` between SA[k-1] and SA[k]).
     #[must_use]
     pub fn lcp(&self) -> &[u32] {
-        self.lcp.keys()
+        self.arrays.lcp.keys()
     }
 
     /// Lowest common ancestor of two nodes: one of them when the tour says
@@ -427,7 +397,7 @@ impl SuffixTree {
             v
         } else {
             let (a, b) = (self.leaf_lo[u] as usize, self.leaf_lo[v] as usize);
-            self.boundary_node[least_boundary(&self.lcp, a, b)] as usize
+            self.boundary_node[least_boundary(&self.arrays.lcp, a, b)] as usize
         }
     }
 
@@ -461,27 +431,27 @@ impl SuffixTree {
     /// and `j` (Lemma 2.6), not counting the sentinel.
     #[must_use]
     pub fn lcp_positions(&self, i: usize, j: usize) -> usize {
-        let n = self.text.len();
+        let n = self.text().len();
         debug_assert!(i <= n && j <= n);
         if i == j {
             return n - i;
         }
         let (a, b) = (self.leaf_node(i), self.leaf_node(j));
-        self.lcp()[least_boundary(&self.lcp, a, b)] as usize
+        self.lcp()[least_boundary(&self.arrays.lcp, a, b)] as usize
     }
 
     /// O(1) Monte-Carlo-free equality of `text[i..i+l]` and `text[j..j+l]`
     /// (Lemma 2.6): exact, via the LCP range minimum.
     #[must_use]
     pub fn eq_substrings(&self, i: usize, j: usize, l: usize) -> bool {
-        let n = self.text.len();
+        let n = self.text().len();
         i + l <= n && j + l <= n && self.lcp_positions(i, j) >= l
     }
 
     /// Karp–Rabin prefix hashes of the padded text (for fingerprint tables).
     #[must_use]
     pub fn hashes(&self) -> &PrefixHashes {
-        &self.hashes
+        &self.arrays.hashes
     }
 
     /// Locate a pattern by walking from the root: returns the inclusive SA
@@ -497,12 +467,12 @@ impl SuffixTree {
         while matched < pattern.len() {
             let c = self.child(v, sym_code(pattern[matched]))?;
             let lo = self.label_pos(c) + matched;
-            let hi = (self.label_pos(c) + self.str_depth(c)).min(self.padded.len());
+            let hi = (self.label_pos(c) + self.str_depth(c)).min(self.padded().len());
             for t in lo..hi {
                 if matched == pattern.len() {
                     break;
                 }
-                if self.padded[t] != pattern[matched] {
+                if self.padded()[t] != pattern[matched] {
                     return None;
                 }
                 matched += 1;
@@ -520,7 +490,7 @@ impl SuffixTree {
             None => Vec::new(),
             Some((lo, hi)) => (lo..=hi)
                 .map(|k| self.leaf_pos(k))
-                .filter(|&p| p + pattern.len() <= self.text.len())
+                .filter(|&p| p + pattern.len() <= self.text().len())
                 .collect(),
         }
     }
@@ -537,10 +507,10 @@ impl SuffixTree {
         debug_assert_ne!(v, self.root);
         let p = self.parent(v);
         let pos = self.label_pos(v) + self.str_depth(p);
-        if pos == self.padded.len() - 1 {
+        if pos == self.padded().len() - 1 {
             SENTINEL_CODE
         } else {
-            sym_code(self.padded[pos])
+            sym_code(self.padded()[pos])
         }
     }
 }

@@ -68,6 +68,14 @@ if grep -rnE "rootfix|Strictness" crates src tests examples; then
   exit 1
 fi
 
+# LZ1 reads the suffix array: Lemma 4.1's match table is one previous-factor
+# routine over LCP intervals, so compression builds no suffix tree and runs
+# no marked-ancestor pass.
+if grep -rnE "SuffixTree::build|NearestMarkedAncestor" crates/compress/src; then
+  echo "ci.sh: a suffix tree or marked-ancestor pass in crates/compress/src (LZ1 reads the suffix array)" >&2
+  exit 1
+fi
+
 # Fork-join has one owner per layer too: core forks nothing itself, and a
 # multi-segment query reaches its segments only through the one fan-out
 # helper (SegmentedMatcher::per_segment over Pram::superstep).

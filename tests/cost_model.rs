@@ -197,3 +197,20 @@ fn step2_tables_stay_below_40_ops_per_dictionary_byte() {
         );
     }
 }
+
+#[test]
+fn lz1_compress_stays_below_550_ops_per_text_byte() {
+    // Absolute guard: Lemma 4.1 read off a whole suffix tree (forest, tour,
+    // links, per-node Lmin, a marked-ancestor pass) cost 676 ops/byte here;
+    // read off the suffix array's LCP intervals it costs 455.
+    let n = 1usize << 15;
+    let text = markov_text(n as u64, n, Alphabet::dna());
+    let pram = Pram::seq();
+    let (_, c) = pram.metered(|p| lz1_compress(p, &text, 1));
+    assert!(
+        c.work <= 550 * n as u64,
+        "lz1_compress: {} ops for {n} bytes ({} per byte)",
+        c.work,
+        c.work / n as u64
+    );
+}

@@ -171,6 +171,45 @@ proptest! {
         }
     }
 
+    /// The LPF array is the leftmost longest previous factor on every block
+    /// shape: random (σ = 2, 4, 26), periodic, unary, Fibonacci and
+    /// incompressible. Lemma 4.1 runs the same over a tree's arrays, and
+    /// `seq` and `par` charge the same.
+    #[test]
+    fn lpf_is_the_leftmost_longest_previous_factor(
+        shape in 0u64..7,
+        n in 0usize..300,
+        seed in 0u64..1000,
+    ) {
+        use pardict::compress::longest_previous_factor_from_tree;
+        use pardict::workloads::{fibonacci_word, periodic_text, random_text};
+        let text = match shape {
+            0..=2 => random_text(seed, n, Alphabet::new(b'a', [2, 4, 26][shape as usize])),
+            3 => periodic_text(&random_text(seed, 1 + seed as usize % 7, Alphabet::dna()), n),
+            4 => vec![b'z'; n],
+            5 => fibonacci_word(n),
+            _ => random_text(seed, n, Alphabet::new(1, 255)),
+        };
+        let (lpf, seq_cost) = Pram::seq().metered(|p| longest_previous_factor(p, &text, seed));
+        for i in 0..text.len() {
+            // First earlier start with the longest common prefix.
+            let (mut src, mut len) = (0, 0);
+            for j in 0..i {
+                let l = text[j..].iter().zip(&text[i..]).take_while(|(a, b)| a == b).count();
+                if l > len {
+                    (src, len) = (j, l);
+                }
+            }
+            prop_assert_eq!(lpf[i], (src as u32, len as u32), "LPF at {}", i);
+        }
+        let pram = Pram::seq();
+        let st = SuffixTree::build(&pram, &text, seed ^ 1);
+        prop_assert_eq!(&longest_previous_factor_from_tree(&pram, &st), &lpf);
+        let (par_lpf, par_cost) = Pram::par().metered(|p| longest_previous_factor(p, &text, seed));
+        prop_assert_eq!(par_lpf, lpf);
+        prop_assert_eq!(par_cost, seq_cost);
+    }
+
     #[test]
     fn lz78_roundtrips(text in small_alpha_text(400)) {
         use pardict::compress::{lz78_compress, lz78_decompress};

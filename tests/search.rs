@@ -302,7 +302,7 @@ fn grep_is_mode_independent() {
 fn wave_loops_charge_the_parent_ledger_goldens() {
     let text = markov_text(0x6000, 6000, Alphabet::dna());
     let mut packed = Vec::new();
-    for (max_in_flight, depth) in [(1, 82_178), (3, 28_211), (8, 11_979)] {
+    for (max_in_flight, depth) in [(1, 71_230), (3, 24_510), (8, 10_593)] {
         let cfg = StreamConfig {
             block_size: 256,
             max_in_flight,
@@ -310,7 +310,7 @@ fn wave_loops_charge_the_parent_ledger_goldens() {
         let (bytes, summary) =
             compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).unwrap();
         let want = Cost {
-            work: 3_790_643,
+            work: 2_425_343,
             depth,
         };
         assert_eq!(summary.cost, want, "max_in_flight {max_in_flight}");
