@@ -13,7 +13,7 @@
 use pardict_ancestors::NearestMarkedAncestor;
 use pardict_bench::{per, per_log, sample};
 use pardict_compress::{
-    bfs_parse, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decompress,
+    bfs_parse, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decode, lz1_decompress,
     lz1_nlogn_baseline, lz77_sequential, lz78_compress, optimal_parse,
 };
 use pardict_core::segmented::segment_spans;
@@ -263,7 +263,7 @@ fn e4_lz1_compress(quick: bool) {
         let p2 = Pram::seq();
         let (_, sb) = sample(&p2, |p| lz1_nlogn_baseline(p, &text, 2));
         let t0 = Instant::now();
-        let _ = lz77_sequential(&text);
+        let _ = lz77_sequential(&Pram::seq(), &text, 1);
         let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "| {n} | {:.1} | {:.1} | {:.1} | {:.1} |",
@@ -310,8 +310,9 @@ fn e4_lz1_compress(quick: bool) {
 // --- E5: LZ1 uncompression (Thm 4.3) --------------------------------------
 fn e5_lz1_decompress(quick: bool) {
     println!("## E5 — LZ1 uncompression (Thm 4.3: O(n) work, O(log n) time)");
-    println!("\n| n | tokens | work/n | depth | depth/log n |");
-    println!("|---|--------|--------|-------|--------------|");
+    println!("*(phrase-sequential: `lz1_decode`, what stream blocks run)*\n");
+    println!("| n | tokens | work/n | depth | depth/log n | wall ms | phrase-sequential work/n | phrase-sequential depth | phrase-sequential wall ms |");
+    println!("|---|--------|--------|-------|--------------|---------|--------------------------|-------------------------|---------------------------|");
     for n in sizes(
         quick,
         &[1 << 12, 1 << 14, 1 << 16, 1 << 17],
@@ -323,12 +324,20 @@ fn e5_lz1_decompress(quick: bool) {
         let p1 = Pram::seq();
         let (back, s) = sample(&p1, |p| lz1_decompress(p, &tokens, 2));
         assert_eq!(back, text);
+        let p2 = Pram::seq();
+        let mut seq = Vec::new();
+        let (decoded, s_seq) = sample(&p2, |p| lz1_decode(p, &tokens, &mut seq, n));
+        assert!(decoded.is_ok() && seq == text);
         println!(
-            "| {n} | {} | {:.1} | {} | {:.1} |",
+            "| {n} | {} | {:.1} | {} | {:.1} | {:.2} | {:.2} | {} | {:.3} |",
             tokens.len(),
             per(s.cost.work, n),
             s.cost.depth,
-            per_log(s.cost.depth, n)
+            per_log(s.cost.depth, n),
+            s.wall_ms,
+            per(s_seq.cost.work, n),
+            s_seq.cost.depth,
+            s_seq.wall_ms
         );
     }
     println!();

@@ -11,19 +11,24 @@
 //! scripts, exactly which of those outcomes the format guarantees — and
 //! the verifier holds the implementation to it.
 //!
+//! One planned fault is hostile rather than random: a copy token that
+//! claims more bytes than its block holds, with every checksum resealed, so
+//! only the decoder's own length bound stands between it and the
+//! allocator. Exactly that block must be reported as a length mismatch.
+//!
 //! Two planned faults probe the *limits* of the guarantees on purpose:
 //! a record swap leaves the forward decoder a self-consistent (but
 //! reordered) stream, and a CRC-preserving swap is invisible to every
 //! checksum — the oracle pins down the documented best-effort behavior
 //! instead of pretending the format detects what it cannot.
 
-use pardict_core::DictMatcher;
+use pardict_core::{crc32, DictMatcher};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_search::{grep_container, GrepConfig, GrepHit};
 use pardict_stream::layout::ContainerLayout;
 use pardict_stream::{
-    assemble_container, decompress_stream, RecordHeader, StreamDecompressor, StreamReader,
-    HEADER_LEN,
+    assemble_container, decompress_stream, BlockIssue, IssueKind, RecordHeader, StreamDecompressor,
+    StreamReader, HEADER_LEN, METHOD_LZ1,
 };
 use std::collections::BTreeSet;
 use std::io::{Cursor, Read};
@@ -113,6 +118,15 @@ pub enum ContainerFault {
         /// Second block.
         b: usize,
     },
+    /// Bump the final byte of one copy token's `len` varint in an LZ1
+    /// block — the payload keeps its length — and reseal every checksum
+    /// that covers it: well-framed tokens that expand past the block.
+    HostileTokens {
+        /// Target block.
+        block: usize,
+        /// Offset of the bumped varint byte within the payload.
+        byte: usize,
+    },
 }
 
 impl ContainerFault {
@@ -130,6 +144,7 @@ impl ContainerFault {
             ContainerFault::PayloadSwap { .. } => "payload-swap",
             ContainerFault::RecordSwap { .. } => "block-reorder",
             ContainerFault::CrcPreservingSwap { .. } => "crc-preserving-swap",
+            ContainerFault::HostileTokens { .. } => "hostile-tokens",
         }
     }
 
@@ -161,6 +176,9 @@ impl ContainerFault {
             ContainerFault::RecordSwap { a, b } => format!("block-reorder a={a} b={b}"),
             ContainerFault::CrcPreservingSwap { a, b } => {
                 format!("crc-preserving-swap a={a} b={b}")
+            }
+            ContainerFault::HostileTokens { block, byte } => {
+                format!("hostile-tokens block={block} byte={byte}")
             }
         }
     }
@@ -245,9 +263,56 @@ impl ContainerFault {
                 );
                 out = assemble_container(layout.block_size, &recs);
             }
+            ContainerFault::HostileTokens { block, byte } => {
+                let mut payload = container[layout.records[block].payload.clone()].to_vec();
+                payload[byte] += 1;
+                let resealed = RecordHeader {
+                    crc: crc32(&payload),
+                    ..layout.records[block].record
+                };
+                let recs: Vec<(RecordHeader, &[u8])> = layout
+                    .records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        if i == block {
+                            (resealed, &payload[..])
+                        } else {
+                            (r.record, &container[r.payload.clone()])
+                        }
+                    })
+                    .collect();
+                out = assemble_container(layout.block_size, &recs);
+            }
         }
         out
     }
+}
+
+/// Offsets, within a clean LZ1 payload, of the final byte of every copy
+/// token's `len` varint that can grow without gaining a continuation bit —
+/// so bumping it lengthens the copy and keeps the payload's length.
+fn bumpable_copy_lens(payload: &[u8]) -> Vec<usize> {
+    let varint_end = |mut p: usize| {
+        while payload[p] & 0x80 != 0 {
+            p += 1;
+        }
+        p
+    };
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < payload.len() {
+        if payload[pos] == 0 {
+            pos += 2; // literal: tag + byte
+            continue;
+        }
+        let len_end = varint_end(varint_end(pos + 1) + 1);
+        if payload[len_end] < 0x7F {
+            out.push(len_end);
+        }
+        pos = len_end + 1;
+    }
+    out
 }
 
 /// What the forward (streaming) decoder must do with the damaged bytes.
@@ -275,6 +340,8 @@ pub struct Oracle {
     pub open_ok: bool,
     /// When open succeeds: exactly these blocks must be reported (sorted).
     pub issue_blocks: Vec<usize>,
+    /// When set, what every reported issue must be.
+    pub issue_kind: Option<IssueKind>,
     /// When open succeeds: exact `read_all` survivor bytes.
     pub survivors: Vec<u8>,
     /// Forward-decoder expectation.
@@ -384,6 +451,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: true,
                 issue_blocks: vec![block],
+                issue_kind: Some(IssueKind::Checksum),
                 survivors: survivors_without(&[block]),
                 forward: ForwardExpect::SameAsSurvivors,
             },
@@ -404,6 +472,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: true,
                 issue_blocks: vec![block],
+                issue_kind: Some(IssueKind::Checksum),
                 survivors: survivors_without(&[block]),
                 forward: ForwardExpect::SameAsSurvivors,
             },
@@ -420,6 +489,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: true,
                 issue_blocks: vec![block],
+                issue_kind: Some(IssueKind::HeaderMismatch),
                 survivors: survivors_without(&[block]),
                 forward: ForwardExpect::NotSilentlyClean,
             },
@@ -435,6 +505,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: false,
                 issue_blocks: Vec::new(),
+                issue_kind: None,
                 survivors: Vec::new(),
                 forward: ForwardExpect::Fails,
             },
@@ -451,6 +522,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: false,
                 issue_blocks: Vec::new(),
+                issue_kind: None,
                 survivors: Vec::new(),
                 forward: ForwardExpect::CleanFull,
             },
@@ -466,6 +538,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: false,
                 issue_blocks: Vec::new(),
+                issue_kind: None,
                 survivors: Vec::new(),
                 forward: ForwardExpect::CleanFull,
             },
@@ -480,6 +553,7 @@ impl FaultPlan {
             oracle: Oracle {
                 open_ok: false,
                 issue_blocks: Vec::new(),
+                issue_kind: None,
                 survivors: Vec::new(),
                 forward: ForwardExpect::CleanFull,
             },
@@ -506,6 +580,7 @@ impl FaultPlan {
                 oracle: Oracle {
                     open_ok: true,
                     issue_blocks: vec![a, b],
+                    issue_kind: Some(IssueKind::Checksum),
                     survivors: survivors_without(&[a, b]),
                     forward: ForwardExpect::SameAsSurvivors,
                 },
@@ -542,6 +617,7 @@ impl FaultPlan {
                 oracle: Oracle {
                     open_ok: true,
                     issue_blocks: vec![a, b],
+                    issue_kind: Some(IssueKind::HeaderMismatch),
                     survivors: survivors_without(&[a, b]),
                     forward: ForwardExpect::Bytes(permuted(a, b)),
                 },
@@ -567,8 +643,37 @@ impl FaultPlan {
                 oracle: Oracle {
                     open_ok: true,
                     issue_blocks: Vec::new(),
+                    issue_kind: None,
                     survivors: permuted(a, b),
                     forward: ForwardExpect::Bytes(permuted(a, b)),
+                },
+            });
+        }
+
+        // 11. Hostile tokens: one copy in an LZ1 block claims more bytes
+        // than the block holds, and every checksum over it is resealed. The
+        // framing is perfect and the tokens parse, so only the decoder's
+        // length bound catches it: exactly that block is a length mismatch.
+        let bumpable: Vec<(usize, usize)> = (0..n)
+            .filter(|&i| layout.records[i].record.method == METHOD_LZ1)
+            .flat_map(|i| {
+                bumpable_copy_lens(&container[layout.records[i].payload.clone()])
+                    .into_iter()
+                    .map(move |byte| (i, byte))
+            })
+            .collect();
+        if bumpable.is_empty() {
+            skipped.push(("hostile-tokens", "no LZ1 block holds a copy token"));
+        } else {
+            let (block, byte) = bumpable[rng.next_below(bumpable.len() as u64) as usize];
+            faults.push(PlannedFault {
+                fault: ContainerFault::HostileTokens { block, byte },
+                oracle: Oracle {
+                    open_ok: true,
+                    issue_blocks: vec![block],
+                    issue_kind: Some(IssueKind::LengthMismatch),
+                    survivors: survivors_without(&[block]),
+                    forward: ForwardExpect::SameAsSurvivors,
                 },
             });
         }
@@ -597,6 +702,10 @@ pub fn verify_fault(ctx: &FaultContext<'_>, pf: &PlannedFault) -> Result<String,
     let mutated = pf.fault.apply(ctx.container, ctx.layout);
     let o = &pf.oracle;
     let mut outcome = String::new();
+    let kinds_hold = |issues: &[BlockIssue]| {
+        o.issue_kind
+            .is_none_or(|k| issues.iter().all(|i| i.kind == k))
+    };
 
     // Seekable reader: structural acceptance, survivors, issues.
     match StreamReader::open(Cursor::new(&mutated[..])) {
@@ -608,10 +717,10 @@ pub fn verify_fault(ctx: &FaultContext<'_>, pf: &PlannedFault) -> Result<String,
                 .read_all(ctx.pram)
                 .map_err(|e| format!("{who}: read_all aborted structurally: {e}"))?;
             let got: Vec<usize> = issues.iter().map(|i| i.index as usize).collect();
-            if got != o.issue_blocks {
+            if got != o.issue_blocks || !kinds_hold(&issues) {
                 return Err(format!(
-                    "{who}: reported blocks {got:?}, oracle demands {:?}",
-                    o.issue_blocks
+                    "{who}: reported {issues:?}, oracle demands blocks {:?} ({:?})",
+                    o.issue_blocks, o.issue_kind
                 ));
             }
             if bytes != o.survivors {
@@ -687,7 +796,7 @@ pub fn verify_fault(ctx: &FaultContext<'_>, pf: &PlannedFault) -> Result<String,
         }
         (ForwardExpect::SameAsSurvivors, Ok((bytes, summary))) => {
             let got: Vec<usize> = summary.issues.iter().map(|i| i.index as usize).collect();
-            if got != o.issue_blocks || bytes != o.survivors {
+            if got != o.issue_blocks || !kinds_hold(&summary.issues) || bytes != o.survivors {
                 return Err(format!(
                     "{who}: forward decode reported {got:?}, oracle demands {:?}",
                     o.issue_blocks
@@ -715,9 +824,10 @@ pub fn verify_fault(ctx: &FaultContext<'_>, pf: &PlannedFault) -> Result<String,
             .map_err(|e| format!("{who}: grep aborted structurally: {e}"))?;
         let got: BTreeSet<usize> = summary.issues.iter().map(|i| i.index as usize).collect();
         let want: BTreeSet<usize> = o.issue_blocks.iter().copied().collect();
-        if got != want {
+        if got != want || !kinds_hold(&summary.issues) {
             return Err(format!(
-                "{who}: grep reported blocks {got:?}, oracle demands {want:?}"
+                "{who}: grep reported {:?}, oracle demands blocks {want:?} ({:?})",
+                summary.issues, o.issue_kind
             ));
         }
         if o.issue_blocks.is_empty() && o.survivors == ctx.clean_raw {

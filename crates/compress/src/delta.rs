@@ -4,11 +4,12 @@
 //! (document versions, genome assemblies). LZ1 gives delta encoding for
 //! free: parse `base · new` but emit phrases only for the `new` part —
 //! copies may reference anywhere earlier, so shared chunks become single
-//! tokens into `base`. Decoding seeds the output with `base`.
+//! tokens into `base`. Decoding seeds the output with `base` and runs the
+//! phrase-sequential [`crate::lz1_decode`] over the new tokens.
 //!
 //! Same work/depth envelope as [`crate::lz1_compress`] on `|base| + |new|`.
 
-use crate::lz1::{greedy, longest_previous_factor};
+use crate::lz1::{greedy, longest_previous_factor, lz1_decode};
 use crate::tokens::Token;
 use pardict_pram::{Pram, SplitMix64};
 
@@ -25,18 +26,19 @@ pub fn delta_compress(pram: &Pram, base: &[u8], new: &[u8], seed: u64) -> Vec<To
     greedy(pram, &joint, &matches, base.len())
 }
 
-/// Decode a [`delta_compress`] stream given the same `base`.
+/// Decode a [`delta_compress`] stream given the same `base`: copy `base`
+/// in one round, decode the tokens after it, strip it again.
+///
+/// # Panics
+/// When a copy does not reference strictly earlier data of `base · new`
+/// ([`crate::decode_tokens_from`] with origin `|base|` rules that out).
 #[must_use]
 pub fn delta_decompress(pram: &Pram, base: &[u8], tokens: &[Token]) -> Vec<u8> {
-    // Sequential reference decoder over the joint coordinate space; the
-    // copy graph is a forest over base ∪ new, so the parallel route of
-    // lz1_decompress would apply as well — reuse it by prefixing base as
-    // literals, then stripping.
-    let mut joint: Vec<Token> = base.iter().map(|&c| Token::Literal(c)).collect();
-    joint.extend_from_slice(tokens);
-    pram.ledger().round(base.len() as u64 + tokens.len() as u64);
-    let full = crate::lz1_decompress(pram, &joint, 0xDE17A);
-    full[base.len()..].to_vec()
+    let n = tokens.iter().map(Token::expanded_len).sum();
+    pram.ledger().round(base.len() as u64);
+    let mut joint = base.to_vec();
+    lz1_decode(pram, tokens, &mut joint, n).expect("delta tokens reference earlier data");
+    joint.split_off(base.len())
 }
 
 #[cfg(test)]

@@ -6,9 +6,14 @@
 //!   optimal) dynamic-dictionary parse in `O(n)` work and polylog depth by
 //!   reading Lemma 4.1 off LCP intervals of the suffix array; [`lz1_decompress`]
 //!   reverses it work-optimally by resolving the copy forest with one Euler
-//!   tour (Theorem 4.3). Baselines: [`lz77_sequential`] (the classical
-//!   sequential algorithm) and [`lz1_nlogn_baseline`] (the previous-best
-//!   `O(n log n)`-work parallel envelope, also an exact oracle).
+//!   tour (Theorem 4.3). Those two are the reproduction. Their sequential
+//!   halves are what `pardict-stream` blocks run, because a block's
+//!   parallelism is across blocks: [`lz77_sequential`] emits the same
+//!   tokens off the same match table one phrase per round, and
+//!   [`lz1_decode`] decodes phrase by phrase into a caller-sized buffer,
+//!   `n` work. The PRAM routes are their oracles. [`lz1_nlogn_baseline`]
+//!   is the previous-best `O(n log n)`-work parallel envelope, also an
+//!   exact oracle.
 //! * **LZ2 / LZ78** — [`lz78_compress`]/[`lz78_decompress`], sequential
 //!   only: the paper cites its P-completeness as the reason no fast
 //!   parallel version exists.
@@ -40,13 +45,12 @@ mod window;
 
 pub use delta::{delta_compress, delta_decompress};
 pub use lz1::{
-    longest_previous_factor, longest_previous_factor_from_tree, lz1_compress, lz1_decompress,
-    lz1_decompress_jump, lz1_nlogn_baseline, lz77_sequential,
+    longest_previous_factor, longest_previous_factor_from_tree, lz1_compress, lz1_decode,
+    lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline, lz77_sequential,
 };
 pub use lz78::{lz78_compress, lz78_decompress, Lz78Token};
 pub use static_parse::{bfs_parse, greedy_parse, lff_parse, optimal_parse, Parse, Phrase};
 pub use tokens::{
-    decode_naive, decode_tokens, decode_tokens_from, encode_tokens, encoded_size, DecodeError,
-    Token,
+    decode_tokens, decode_tokens_from, encode_tokens, encoded_size, DecodeError, Token,
 };
 pub use window::lz77_windowed;

@@ -15,8 +15,17 @@
 //! copies), so the pointers form a forest whose roots are literals; one
 //! Euler tour resolves every position's literal in `O(n)` work — the route
 //! that avoids pointer-jumping's extra log factor.
+//!
+//! **The sequential halves.** [`lz1_compress`] and [`lz1_decompress`] are
+//! the Theorem 4.2 / 4.3 reproduction. A caller whose parallelism lies
+//! elsewhere — `pardict-stream` runs every block on a private sequential
+//! context and fans out across blocks — needs neither's depth: it emits
+//! with [`lz77_sequential`] (the same LPF, then `greedy`, one phrase per
+//! round; the same tokens as [`lz1_compress`] for the same seed) and
+//! decodes with [`lz1_decode`] (one round per phrase, `n` work). The PRAM
+//! routes are their oracles.
 
-use crate::tokens::Token;
+use crate::tokens::{DecodeError, Token};
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_rmq::{ansv_par, LinearRmq, Side, SparseTable};
@@ -182,24 +191,86 @@ pub fn lz1_decompress_jump(pram: &Pram, tokens: &[Token]) -> Vec<u8> {
     decompress_via(pram, tokens, pardict_pram::pointer_jump_roots)
 }
 
-/// Sequential LZ77: the classical greedy left-to-right parse, using the
-/// previous-match table position by position. The sequential-work baseline
-/// for E4.
-#[must_use]
-pub fn lz77_sequential(text: &[u8]) -> Vec<Token> {
-    let pram = Pram::seq();
-    greedy(&pram, text, &longest_previous_factor(&pram, text, 0x5E9), 0)
+/// Phrase-sequential LZ1 uncompression — the decoder `pardict-stream`
+/// blocks run; [`lz1_decompress`] is its oracle.
+///
+/// Appends exactly `n` bytes to `out`. Copies address all of `out`, so
+/// whatever it already holds (a delta base) is a prefix they may copy
+/// from. Each phrase costs what it writes: a literal is one round of width
+/// 1, and a copy of `len` bytes from `p = dst − src` back is `len` work
+/// over ⌈len / p⌉ rounds (a self-overlapping copy repeats its last `p`
+/// bytes). So work is `n` and depth the phrase count plus the overlaps.
+///
+/// # Errors
+/// [`DecodeError::BadReference`] when a copy's source is not strictly
+/// earlier than its destination, [`DecodeError::LengthMismatch`] when the
+/// tokens expand to more or fewer than `n` bytes. The tokens are checked
+/// before anything is allocated, so `out` is untouched on error and never
+/// grows past its length plus `n`.
+pub fn lz1_decode(
+    pram: &Pram,
+    tokens: &[Token],
+    out: &mut Vec<u8>,
+    n: usize,
+) -> Result<(), DecodeError> {
+    let mut dst = out.len() as u64;
+    let end = dst + n as u64;
+    for t in tokens {
+        if let Token::Copy { src, .. } = *t {
+            if u64::from(src) >= dst {
+                return Err(DecodeError::BadReference);
+            }
+        }
+        dst += t.expanded_len() as u64;
+        if dst > end {
+            return Err(DecodeError::LengthMismatch);
+        }
+    }
+    if dst != end {
+        return Err(DecodeError::LengthMismatch);
+    }
+    out.reserve_exact(n);
+    for t in tokens {
+        match *t {
+            Token::Literal(c) => {
+                pram.ledger().round(1);
+                out.push(c);
+            }
+            Token::Copy { src, len } => {
+                let (mut from, mut left) = (src as usize, len as usize);
+                let period = out.len() - from;
+                pram.ledger().charge_work(u64::from(len));
+                pram.ledger().charge_depth(left.div_ceil(period) as u64);
+                while left > 0 {
+                    let k = left.min(period);
+                    out.extend_from_within(from..from + k);
+                    (from, left) = (from + k, left - k);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The greedy parse of `text[from..]` off its match table, one phrase at a
-/// time (sequential over phrases, like any LZ emitter).
+/// Sequential LZ77: the classical greedy left-to-right parse off the
+/// Lemma 4.1 match table — the emitter `pardict-stream` blocks run, and
+/// E4's sequential baseline. The match table draws its fingerprint base
+/// exactly as [`lz1_compress`] does, so for the same `seed` the tokens are
+/// [`lz1_compress`]'s, token for token.
+#[must_use]
+pub fn lz77_sequential(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
+    let lpf = longest_previous_factor(pram, text, SplitMix64::new(seed).next_u64());
+    greedy(pram, text, &lpf, 0)
+}
+
+/// The greedy parse of `text[from..]` off its match table, one phrase per
+/// round (sequential over phrases, like any LZ emitter).
 pub(crate) fn greedy(pram: &Pram, text: &[u8], lpf: &[(u32, u32)], from: usize) -> Vec<Token> {
     let mut out = Vec::new();
     let mut i = from;
-    pram.ledger().charge_depth(1);
     while i < text.len() {
         let (src, len) = lpf[i];
-        pram.ledger().charge_work(1);
+        pram.ledger().round(1);
         if len >= 2 {
             out.push(Token::Copy { src, len });
             i += len as usize;
@@ -273,7 +344,6 @@ pub fn lz1_nlogn_baseline(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokens::decode_naive;
     use pardict_workloads::{
         dna_text, fibonacci_word, markov_text, periodic_text, random_text, repetitive_text,
         Alphabet,
@@ -339,13 +409,15 @@ mod tests {
             }
         }
         // Round-trips, both decoders.
-        assert_eq!(decode_naive(&tokens), text);
+        let mut out = Vec::new();
+        lz1_decode(&pram, &tokens, &mut out, text.len()).unwrap();
+        assert_eq!(out, text);
         assert_eq!(lz1_decompress(&pram, &tokens, 3), text);
         // Baseline agrees.
         let base = lz1_nlogn_baseline(&pram, text, 7);
         assert_eq!(token_lens(&base), token_lens(&tokens), "baseline lens");
-        // Sequential agrees.
-        assert_eq!(token_lens(&lz77_sequential(text)), token_lens(&tokens));
+        // Sequential agrees, token for token.
+        assert_eq!(lz77_sequential(&pram, text, 99), tokens);
     }
 
     #[test]
@@ -377,6 +449,35 @@ mod tests {
         assert_eq!(tokens.len(), 2);
         assert!(matches!(tokens[1], Token::Copy { src: 0, len: 99 }));
         assert_eq!(lz1_decompress(&pram, &tokens, 1), text);
+    }
+
+    #[test]
+    fn sequential_decode_copies_overlaps_and_charges_per_phrase() {
+        // "ab" then copy 5 from 0: period 2, so ⌈5 / 2⌉ = 3 rounds.
+        let tokens = [
+            Token::Literal(b'a'),
+            Token::Literal(b'b'),
+            Token::Copy { src: 0, len: 5 },
+        ];
+        let pram = Pram::seq();
+        let mut out = Vec::new();
+        let ((), cost) = pram.metered(|p| lz1_decode(p, &tokens, &mut out, 7).unwrap());
+        assert_eq!(out, b"abababa");
+        assert_eq!(cost, pardict_pram::Cost { work: 7, depth: 5 });
+        // A base prefix is addressable; errors leave `out` untouched.
+        let mut out = b"xy".to_vec();
+        lz1_decode(&pram, &[Token::Copy { src: 1, len: 3 }], &mut out, 3).unwrap();
+        assert_eq!(out, b"xyyyy");
+        use DecodeError::{BadReference, LengthMismatch};
+        for (src, len, n, want) in [
+            (5, 1, 1, BadReference),
+            (0, 4, 3, LengthMismatch),
+            (0, 2, 3, LengthMismatch),
+        ] {
+            let bad = [Token::Copy { src, len }];
+            assert_eq!(lz1_decode(&pram, &bad, &mut out, n), Err(want));
+            assert_eq!(out, b"xyyyy");
+        }
     }
 
     #[test]

@@ -56,6 +56,8 @@ pub enum DecodeError {
     BadTag(u8),
     /// A copy referenced data at or past its own position.
     BadReference,
+    /// The tokens expand to more or fewer bytes than the caller expects.
+    LengthMismatch,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -64,6 +66,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "token stream truncated"),
             DecodeError::BadTag(t) => write!(f, "unknown token tag {t:#x}"),
             DecodeError::BadReference => write!(f, "copy references future data"),
+            DecodeError::LengthMismatch => write!(f, "tokens expand to the wrong length"),
         }
     }
 }
@@ -161,24 +164,6 @@ pub fn decode_tokens_from(data: &[u8], origin: usize) -> Result<Vec<Token>, Deco
     Ok(out)
 }
 
-/// Reference sequential decoder (oracle for the parallel one).
-#[must_use]
-pub fn decode_naive(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for t in tokens {
-        match *t {
-            Token::Literal(c) => out.push(c),
-            Token::Copy { src, len } => {
-                for k in 0..len as usize {
-                    let c = out[src as usize + k];
-                    out.push(c);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,17 +172,6 @@ mod tests {
     fn expanded_lengths() {
         assert_eq!(Token::Literal(b'x').expanded_len(), 1);
         assert_eq!(Token::Copy { src: 0, len: 7 }.expanded_len(), 7);
-    }
-
-    #[test]
-    fn decode_handles_overlap() {
-        // "ab" then copy 4 from 0: classic self-referential run.
-        let tokens = vec![
-            Token::Literal(b'a'),
-            Token::Literal(b'b'),
-            Token::Copy { src: 0, len: 4 },
-        ];
-        assert_eq!(decode_naive(&tokens), b"ababab");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn lz77_windowed(text: &[u8], window: usize) -> Vec<Token> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokens::decode_naive;
+    use pardict_pram::Pram;
     use pardict_workloads::{markov_text, periodic_text, random_text, repetitive_text, Alphabet};
 
     fn starts_of(tokens: &[Token]) -> Vec<usize> {
@@ -102,7 +102,9 @@ mod tests {
 
     fn check(text: &[u8], window: usize) {
         let tokens = lz77_windowed(text, window);
-        assert_eq!(decode_naive(&tokens), text, "roundtrip");
+        let mut out = Vec::new();
+        crate::lz1_decode(&Pram::seq(), &tokens, &mut out, text.len()).unwrap();
+        assert_eq!(out, text, "roundtrip");
         // Window constraint honoured.
         let starts = starts_of(&tokens);
         for (t, tok) in tokens.iter().enumerate() {

@@ -12,7 +12,13 @@
 //! 2. **Parallel throughput** — each wave of blocks is one PRAM
 //!    super-step: blocks compress concurrently, the caller's ledger is
 //!    charged Σ work and max depth, matching the paper's work/depth
-//!    accounting.
+//!    accounting. Because the parallelism is across blocks, a block runs
+//!    the sequential halves of Theorems 4.2 and 4.3 on its private
+//!    context: the greedy emitter over Lemma 4.1's match table
+//!    ([`pardict_compress::lz77_sequential`], the tokens `lz1_compress`
+//!    would emit) and the phrase-by-phrase decoder
+//!    ([`pardict_compress::lz1_decode`]). The PRAM routes are the
+//!    reproduction and the oracle.
 //! 3. **O(1) random access** — the container records an index footer, and
 //!    every block but the last holds exactly `block_size` raw bytes, so a
 //!    decoded offset maps to its block by division and any byte range is

@@ -2,6 +2,14 @@
 //! memory, skip-and-report error recovery) and a seekable random-access
 //! reader that loads the index footer and decodes only the blocks
 //! covering a requested byte range.
+//!
+//! Both decode a block phrase by phrase ([`pardict_compress::lz1_decode`])
+//! into exactly its recorded raw length: the parallelism is across blocks,
+//! so a block on its private sequential context has no use for Theorem
+//! 4.3's depth. Work is the block's length, depth its phrase count plus
+//! self-overlaps, and the decoder takes no seed. Tokens that expand past or
+//! short of the raw length are a [`IssueKind::LengthMismatch`] before
+//! anything is allocated for them.
 
 use crate::error::{BlockIssue, IssueKind, StreamError};
 use crate::format::{
@@ -9,8 +17,7 @@ use crate::format::{
     StreamIndex, END_OF_BLOCKS, FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED,
     RECORD_HEADER_LEN, TRAILER_LEN,
 };
-use crate::writer::STREAM_SEED;
-use pardict_compress::{decode_tokens, lz1_decompress};
+use pardict_compress::{decode_tokens, lz1_decode, DecodeError};
 use pardict_core::crc32;
 use pardict_pram::{Cost, Pram};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -60,10 +67,14 @@ fn decode_record(
         }
         METHOD_LZ1 => {
             let tokens = decode_tokens(&payload).map_err(|_| issue(IssueKind::BadTokens))?;
-            // Tokens are seed-independent, so this need not be the writer's
-            // per-block seed; but the seed drives the random-mate list
-            // ranking, so changing it moves every pinned decode charge.
-            lz1_decompress(pram, &tokens, STREAM_SEED ^ index)
+            let mut out = Vec::new();
+            lz1_decode(pram, &tokens, &mut out, rec.raw_len as usize).map_err(|e| {
+                issue(match e {
+                    DecodeError::LengthMismatch => IssueKind::LengthMismatch,
+                    _ => IssueKind::BadTokens,
+                })
+            })?;
+            out
         }
         _ => return Err(issue(IssueKind::BadMethod)),
     };

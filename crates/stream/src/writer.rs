@@ -10,16 +10,21 @@
 //! Parallel accounting follows the PRAM model the workspace is built on: a
 //! wave of in-flight blocks is one parallel super-step, so its ledger
 //! charge is the **sum of block work** and the **maximum of block depths**.
-//! Each block runs the full Theorem 4.2 pipeline (`lz1_compress`) on its
-//! own sequential context; the caller's [`Pram`] receives the aggregated
-//! attribution — the same scheme the service engine uses per batch.
+//! The parallelism is *across* blocks: each block runs on its own
+//! sequential context, so it runs the sequential half of Theorem 4.2 —
+//! Lemma 4.1's match table, then the greedy emitter one phrase per round
+//! ([`pardict_compress::lz77_sequential`]). Its tokens are the ones
+//! `lz1_compress` would emit for the same seed; the PRAM emitter's jump-tree
+//! forest and Euler tour stay in the reproduction, where they are the
+//! oracle. The caller's [`Pram`] receives the aggregated attribution — the
+//! same scheme the service engine uses per batch.
 
 use crate::error::StreamError;
 use crate::format::{
     encode_header, Framer, RecordHeader, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE, METHOD_LZ1,
     METHOD_STORED,
 };
-use pardict_compress::{encode_tokens, lz1_compress};
+use pardict_compress::{encode_tokens, lz77_sequential};
 use pardict_core::crc32;
 use pardict_pram::{Cost, Pram, SplitMix64};
 use std::io::{Read, Write};
@@ -108,7 +113,7 @@ fn compress_block(block: Vec<u8>, index: u64) -> (BlockOut, Cost) {
     let mut kept = None;
     if !block.contains(&0) {
         let (tokens, parse_cost) =
-            Pram::seq().metered(|p| lz1_compress(p, &block, block_seed(index)));
+            Pram::seq().metered(|p| lz77_sequential(p, &block, block_seed(index)));
         // A parse not worth keeping was still computed — a real cost,
         // still attributed.
         cost = parse_cost;

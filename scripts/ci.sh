@@ -76,6 +76,14 @@ if grep -rnE "SuffixTree::build|NearestMarkedAncestor" crates/compress/src; then
   exit 1
 fi
 
+# Blocks run the sequential halves; the PRAM routes are the reproduction.
+# A stream block's parallelism is across blocks, so it emits with the greedy
+# loop and decodes phrase by phrase: Theorems 4.2 and 4.3 are its oracles.
+if grep -rnE "lz1_compress\(|lz1_decompress\(|EulerTour" crates/stream/src; then
+  echo "ci.sh: a PRAM LZ1 route in crates/stream/src (blocks run the sequential halves)" >&2
+  exit 1
+fi
+
 # Fork-join has one owner per layer too: core forks nothing itself, and a
 # multi-segment query reaches its segments only through the one fan-out
 # helper (SegmentedMatcher::per_segment over Pram::superstep).

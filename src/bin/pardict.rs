@@ -35,11 +35,9 @@ use pardict::prelude::*;
 use std::io::Write;
 use std::process::ExitCode;
 
-/// Fingerprint seed for whole-buffer CLI (de)compression. The LZ1 wire
-/// format is seed-independent — the seed only randomizes internal
-/// fingerprints — but compress and decompress historically hard-coded two
-/// different magic numbers (0x10/0x11), which read as load-bearing when
-/// they were not. One shared named constant removes the trap.
+/// Fingerprint seed for whole-buffer CLI compression. The LZ1 wire format
+/// is seed-independent — the seed only randomizes internal fingerprints —
+/// and decompression (phrase by phrase) takes no seed at all.
 const CLI_LZ1_SEED: u64 = 0xC11_5EED;
 
 /// Whole-buffer inputs above this many bytes are refused with a pointer
@@ -445,8 +443,24 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
 
     let data = read_input(&pos)?;
     let tokens = pardict::compress::decode_tokens(&data).map_err(|e| e.to_string())?;
-    let text = lz1_decompress(&pram, &tokens, CLI_LZ1_SEED);
+    let mut text = Vec::new();
+    pardict::compress::lz1_decode(&pram, &tokens, &mut text, expanded_len(&tokens)?)
+        .map_err(|e| e.to_string())?;
     write_output(out, &text)
+}
+
+/// The decoded length of a bare token stream, refused above the
+/// whole-buffer cap before anything is allocated for it.
+fn expanded_len(tokens: &[Token]) -> Result<usize, String> {
+    let n: u64 = tokens.iter().map(|t| t.expanded_len() as u64).sum();
+    if n > max_whole_bytes() {
+        return Err(format!(
+            "token stream expands to {n} bytes, above the whole-buffer cap of {} \
+             (set PARDICT_MAX_WHOLE to override)",
+            max_whole_bytes()
+        ));
+    }
+    Ok(n as usize)
 }
 
 fn cmd_cat(args: &[String]) -> Result<(), String> {
@@ -549,6 +563,7 @@ fn cmd_patch(args: &[String]) -> Result<(), String> {
     let data = std::fs::read(pos[1]).map_err(|e| format!("{}: {e}", pos[1]))?;
     let tokens =
         pardict::compress::decode_tokens_from(&data, base.len()).map_err(|e| e.to_string())?;
+    expanded_len(&tokens)?;
     let pram = Pram::par();
     let new = delta_decompress(&pram, &base, &tokens);
     write_output(out, &new)

@@ -71,6 +71,7 @@ fn every_fault_class_is_reported_with_a_verdict() {
         "payload-swap",
         "block-reorder",
         "crc-preserving-swap",
+        "hostile-tokens",
     ] {
         assert!(
             report.text.contains(class),

@@ -214,3 +214,28 @@ fn lz1_compress_stays_below_550_ops_per_text_byte() {
         c.work / n as u64
     );
 }
+
+#[test]
+fn stream_decode_block_stays_below_4_ops_per_byte() {
+    // Absolute guard on the block path: Theorem 4.3's Euler route (prefix
+    // sums, a copy forest over every position, one Euler tour) read ≈ 117
+    // ops/byte here; decoding phrase by phrase reads ≈ 1.3. The Theorem 4.3
+    // tests above keep guarding `lz1_decompress` itself.
+    use pardict::stream::{decode_block, METHOD_LZ1};
+    let n = 1usize << 15;
+    let text = pardict::workloads::dna_text(7, n);
+    let cfg = StreamConfig::with_block_size(n);
+    let (packed, _) = compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).unwrap();
+    let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+    let entry = rdr.index().entries[0];
+    assert_eq!(entry.method, METHOD_LZ1);
+    let payload = rdr.raw_block(0).unwrap();
+    let (out, c) = Pram::seq().metered(|p| decode_block(p, 0, &entry, payload));
+    assert_eq!(out.unwrap(), text);
+    assert!(
+        c.work <= 4 * n as u64,
+        "decode_block: {} ops for {n} bytes ({} per byte)",
+        c.work,
+        c.work / n as u64
+    );
+}

@@ -80,8 +80,8 @@ fn theorems_4_2_4_3_lz1_roundtrip_on_all_corpora() {
             "corpus {k}"
         );
         // The parallel parse must equal the sequential greedy one.
-        let seq_tokens = lz77_sequential(&text);
-        assert_eq!(tokens.len(), seq_tokens.len(), "corpus {k} phrase count");
+        let seq_tokens = lz77_sequential(&pram, &text, 50 + k as u64);
+        assert_eq!(tokens, seq_tokens, "corpus {k}");
         // And the n-log-n baseline.
         let base = lz1_nlogn_baseline(&pram, &text, 70 + k as u64);
         assert_eq!(tokens.len(), base.len(), "corpus {k} vs baseline");

@@ -1,5 +1,6 @@
 //! Property-based tests (proptest) over the core invariants.
 
+use pardict::compress::lz1_decode;
 use pardict::prelude::*;
 use proptest::prelude::*;
 
@@ -15,6 +16,55 @@ fn sparse_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
         prop::sample::select(b"abcxxxxxyyyyyzzzzz".to_vec()),
         0..max_len,
     )
+}
+
+/// One block of shape `shape` (0..7): random over σ = 2, 4, 26, periodic,
+/// unary, Fibonacci, or incompressible (every byte but NUL).
+fn block(shape: u64, n: usize, seed: u64) -> Vec<u8> {
+    use pardict::workloads::{fibonacci_word, periodic_text, random_text};
+    match shape {
+        0..=2 => random_text(seed, n, Alphabet::new(b'a', [2, 4, 26][shape as usize])),
+        3 => periodic_text(
+            &random_text(seed, 1 + seed as usize % 7, Alphabet::dna()),
+            n,
+        ),
+        4 => vec![b'z'; n],
+        5 => fibonacci_word(n),
+        _ => random_text(seed, n, Alphabet::new(1, 255)),
+    }
+}
+
+/// Strategy: a base and an arbitrary token list to decode after it. Most
+/// copies reach a few bytes back for a few bytes, but one in sixteen takes
+/// any source and one in sixteen any length up to `u32::MAX`, so the lists
+/// range from decodable to forward references and 4 GiB claims.
+fn hostile_stream() -> impl Strategy<Value = (Vec<u8>, Vec<Token>)> {
+    let token = (
+        (0u8..16, 1u64..=8, any::<u32>()),
+        (0u8..16, 1u32..=16, 1u32..=u32::MAX),
+        any::<u8>(),
+    );
+    let lists = (small_alpha_text(8), prop::collection::vec(token, 0..16));
+    lists.prop_map(|(base, raw)| {
+        let mut dst = base.len() as u64;
+        let tokens = raw
+            .into_iter()
+            .map(|((kind, back, far), (wide, short, long), c)| {
+                let len = if wide == 0 { long } else { short };
+                let t = match kind {
+                    0..=7 => Token::Literal(c),
+                    8..=14 => Token::Copy {
+                        src: dst.saturating_sub(back) as u32,
+                        len,
+                    },
+                    _ => Token::Copy { src: far, len },
+                };
+                dst += t.expanded_len() as u64;
+                t
+            })
+            .collect();
+        (base, tokens)
+    })
 }
 
 /// Strategy: a non-empty dictionary of 1..8 non-empty patterns.
@@ -33,8 +83,8 @@ proptest! {
         let pram = Pram::seq();
         let tokens = lz1_compress(&pram, &text, seed);
         prop_assert_eq!(lz1_decompress(&pram, &tokens, seed ^ 1), text.clone());
-        // Greedy parse: phrase count equals the sequential reference.
-        prop_assert_eq!(tokens.len(), lz77_sequential(&text).len());
+        // Greedy parse: the sequential emitter's, token for token.
+        prop_assert_eq!(tokens, lz77_sequential(&pram, &text, seed));
     }
 
     #[test]
@@ -182,14 +232,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use pardict::compress::longest_previous_factor_from_tree;
-        use pardict::workloads::{fibonacci_word, periodic_text, random_text};
-        let text = match shape {
-            0..=2 => random_text(seed, n, Alphabet::new(b'a', [2, 4, 26][shape as usize])),
-            3 => periodic_text(&random_text(seed, 1 + seed as usize % 7, Alphabet::dna()), n),
-            4 => vec![b'z'; n],
-            5 => fibonacci_word(n),
-            _ => random_text(seed, n, Alphabet::new(1, 255)),
-        };
+        let text = block(shape, n, seed);
         let (lpf, seq_cost) = Pram::seq().metered(|p| longest_previous_factor(p, &text, seed));
         for i in 0..text.len() {
             // First earlier start with the longest common prefix.
@@ -208,6 +251,39 @@ proptest! {
         let (par_lpf, par_cost) = Pram::par().metered(|p| longest_previous_factor(p, &text, seed));
         prop_assert_eq!(par_lpf, lpf);
         prop_assert_eq!(par_cost, seq_cost);
+    }
+
+    /// Blocks run the sequential halves; Theorems 4.2 and 4.3 are their
+    /// oracles on every block shape. The greedy emitter's tokens are
+    /// `lz1_compress`'s token for token, the phrase-by-phrase decoder's
+    /// bytes are `lz1_decompress`'s, a delta against a prefix or suffix
+    /// round-trips, and `compress_stream` charges `seq` and `par` alike.
+    #[test]
+    fn sequential_halves_equal_the_pram_routes(
+        shape in 0u64..7,
+        n in 0usize..300,
+        seed in 0u64..1000,
+    ) {
+        let text = block(shape, n, seed);
+        let pram = Pram::seq();
+        let tokens = lz1_compress(&pram, &text, seed);
+        prop_assert_eq!(&lz77_sequential(&pram, &text, seed), &tokens);
+        let mut out = Vec::new();
+        prop_assert!(lz1_decode(&pram, &tokens, &mut out, text.len()).is_ok());
+        prop_assert_eq!(&out, &lz1_decompress(&pram, &tokens, seed));
+        prop_assert_eq!(&out, &text);
+
+        let cut = seed as usize % (text.len() + 1);
+        for (base, new) in [(&text[..cut], &text[..]), (&text[cut..], &text[..cut])] {
+            let delta = delta_compress(&pram, base, new, seed);
+            prop_assert_eq!(&delta_decompress(&pram, base, &delta), new);
+        }
+
+        let cfg = StreamConfig { block_size: 32 + seed as usize % 96, max_in_flight: 3 };
+        let (a, sa) = compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).unwrap();
+        let (b, sb) = compress_stream(&Pram::par(), &mut &text[..], Vec::new(), &cfg).unwrap();
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(sa.cost, sb.cost);
     }
 
     #[test]
@@ -241,5 +317,36 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `lz1_decode` is total over arbitrary token lists: it either decodes
+    /// exactly `n` bytes after the base — and then agrees with Theorem
+    /// 4.3's `lz1_decompress` — or errors with the base untouched. Either
+    /// way it never holds more than the base plus `n` bytes, whatever
+    /// length the copies claim.
+    #[test]
+    fn lz1_decode_is_total_and_bounded_by_its_length(
+        (base, tokens) in hostile_stream(),
+        exact in any::<bool>(),
+        n in 0usize..=4096,
+    ) {
+        let expanded: u64 = tokens.iter().map(|t| t.expanded_len() as u64).sum();
+        let n = if exact && expanded <= 4096 { expanded as usize } else { n };
+        let pram = Pram::seq();
+        let mut out = base.clone();
+        match lz1_decode(&pram, &tokens, &mut out, n) {
+            Ok(()) => {
+                let mut joint: Vec<Token> = base.iter().map(|&c| Token::Literal(c)).collect();
+                joint.extend_from_slice(&tokens);
+                prop_assert_eq!(&lz1_decompress(&pram, &joint, 1), &out);
+                prop_assert_eq!(out.len(), base.len() + n);
+            }
+            Err(_) => prop_assert_eq!(&out, &base),
+        }
+        prop_assert!(out.capacity() <= base.len() + n);
     }
 }

@@ -84,7 +84,11 @@ fn run_lz1_roundtrip(n: usize) {
             text,
             "corpus {k}"
         );
-        assert_eq!(tokens.len(), lz77_sequential(&text).len(), "corpus {k}");
+        assert_eq!(
+            tokens,
+            lz77_sequential(&pram, &text, k as u64),
+            "corpus {k}"
+        );
         // Wire format survives too.
         let wire = pardict::compress::encode_tokens(&tokens);
         assert_eq!(

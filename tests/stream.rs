@@ -172,6 +172,66 @@ fn payload_flip_reports_the_exact_block() {
     ));
 }
 
+/// A well-framed LZ1 payload whose checksum matches but whose tokens expand
+/// past or short of the block's raw length — `[Literal, Copy { src: 0, len:
+/// u32::MAX }]` claims 4 GiB — is that block's `LengthMismatch`, caught
+/// before anything is allocated for it: through `decode_block`, the
+/// seekable reader and the forward decoder alike, with the blocks around
+/// it intact.
+#[test]
+fn hostile_token_lengths_are_block_issues_not_aborts() {
+    use pardict::compress::Token;
+    use pardict::core::crc32;
+    use pardict::stream::{
+        assemble_container, decode_block, IssueKind, RecordHeader, METHOD_LZ1, METHOD_STORED,
+    };
+    let over = encode_tokens(&[
+        Token::Literal(b'a'),
+        Token::Copy {
+            src: 0,
+            len: u32::MAX,
+        },
+    ]);
+    let under = encode_tokens(&[Token::Literal(b'a'), Token::Copy { src: 0, len: 2 }]);
+    let record = |method, payload: &[u8]| RecordHeader {
+        method,
+        raw_len: 8,
+        comp_len: payload.len() as u32,
+        crc: crc32(payload),
+    };
+    let packed = assemble_container(
+        8,
+        &[
+            (record(METHOD_STORED, b"abcdefgh"), &b"abcdefgh"[..]),
+            (record(METHOD_LZ1, &over), &over),
+            (record(METHOD_LZ1, &under), &under),
+            (record(METHOD_STORED, b"ijklmnop"), &b"ijklmnop"[..]),
+        ],
+    );
+    let want = [
+        (1, IssueKind::LengthMismatch),
+        (2, IssueKind::LengthMismatch),
+    ];
+    let kinds = |issues: &[stream::BlockIssue]| -> Vec<(u64, IssueKind)> {
+        issues.iter().map(|i| (i.index, i.kind)).collect()
+    };
+
+    let pram = Pram::seq();
+    let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+    for (i, kind) in want {
+        let entry = rdr.index().entries[i as usize];
+        let payload = rdr.raw_block(i as usize).unwrap();
+        let issue = decode_block(&pram, i, &entry, payload).unwrap_err();
+        assert_eq!((issue.index, issue.kind), (i, kind));
+    }
+    let (out, issues) = rdr.read_all(&pram).unwrap();
+    assert_eq!(out, b"abcdefghijklmnop");
+    assert_eq!(kinds(&issues), want);
+    let (out, summary) = decompress_stream(&pram, &mut &packed[..], Vec::new()).unwrap();
+    assert_eq!(out, b"abcdefghijklmnop");
+    assert_eq!(kinds(&summary.issues), want);
+}
+
 /// Range reads must be charged block-local work on the ledger — the
 /// work-attribution proof that `cat --range` decodes only covering blocks.
 #[test]
