@@ -764,12 +764,15 @@ fn e14_segments(quick: bool) {
     let n = if quick { 1 << 14 } else { 1 << 16 };
     println!("\nEvery segment passes over the text once (matcher + §3.4 check), so");
     println!("work/n grows with the segment count; the passes are one super-step,");
-    println!("so depth does not. n = {n}; `check` is the checker's share of work/n.\n");
+    println!("so depth does not. n = {n}; `check` is the checker's share of work/n.");
+    println!("`consolidated` is the same verified query over one `whole_matcher`");
+    println!("(`vet_whole`), and `build/d` that matcher's one-off work per dictionary");
+    println!("byte.\n");
     println!(
-        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth |"
+        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth | consolidated dense | sparse | depth | build/d |"
     );
     println!(
-        "|----------|----------|--------------|-------|-------|---------------|-------|-------|"
+        "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|"
     );
     let alpha = Alphabet::dna();
     for segments in sizes(quick, &[1, 4, 16, 64], &[1, 4, 16]) {
@@ -778,9 +781,11 @@ fn e14_segments(quick: bool) {
             .find(|p| segment_spans(p).len() == segments)
             .expect("some draw cuts into the wanted number of segments");
         let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        let (whole, build) = sample(&Pram::seq(), |p| matcher.whole_matcher(p));
         let dense = text_with_planted_matches(2, &patterns, n, 25, alpha);
         let sparse = random_text(3, n, alpha);
         print!("| {segments} | {} |", patterns.len());
+        let mut consolidated = Vec::new();
         for text in [&dense, &sparse] {
             let (_, monte_carlo) = sample(&Pram::seq(), |p| matcher.match_text(p, text));
             let ((_, fell_back), served) =
@@ -792,8 +797,21 @@ fn e14_segments(quick: bool) {
                 per(served.cost.work - monte_carlo.cost.work, n),
                 served.cost.depth
             );
+            let ((_, fell_back), one) = sample(&Pram::seq(), |p| {
+                let m = whole.match_text(p, text);
+                matcher.vet_whole(p, &whole, text, m)
+            });
+            assert!(!fell_back);
+            consolidated.push(one.cost);
         }
-        println!();
+        let d: usize = patterns.iter().map(Vec::len).sum();
+        println!(
+            " {:.1} | {:.1} | {} | {:.0} |",
+            per(consolidated[0].work, n),
+            per(consolidated[1].work, n),
+            consolidated[0].depth,
+            per(build.cost.work, d)
+        );
     }
     println!();
 }

@@ -29,7 +29,17 @@
 //! the text, so work is Σ over segments. The passes are independent, so
 //! they are one [`Pram::superstep`] — depth is the deepest segment's, not
 //! the sum — and the verified path's §3.4 check per segment costs a pass
-//! over the text plus work proportional to that segment's claims.
+//! over the text plus work proportional to that segment's claims: ≈ 14
+//! ops per text byte per segment (EXPERIMENTS E14).
+//!
+//! Segments are the unit of change, not of query. Theorem 3.1 matches a
+//! text in `O(n)` work whatever the dictionary size, and
+//! [`SegmentedMatcher::whole_matcher`] gets that back: one matcher over the
+//! whole list, answered through [`SegmentedMatcher::vet_whole`], passes over
+//! the text once. It costs a whole-dictionary preprocessing (≈ 590 ops per
+//! dictionary byte), so a server builds it once per version, and only when
+//! the text it serves repays that (`pardict_service`'s registry decides);
+//! edits keep working per segment and never build one.
 
 use crate::ac::AhoCorasick;
 use crate::dict::{Dictionary, Match, Matches};
@@ -538,6 +548,42 @@ impl SegmentedMatcher {
         (Matches::new(merged), fell_back)
     }
 
+    /// One [`DictMatcher`] over the whole pattern list, in global-id order
+    /// and seeded as a single segment is (`list_hash(&patterns) | 1`), so a
+    /// one-segment dictionary's whole matcher is its segment's matcher.
+    /// Segments stay the unit of change; this is the unit of query, one
+    /// pass over a text whatever the segment count. Answer with it through
+    /// [`SegmentedMatcher::vet_whole`].
+    #[must_use]
+    pub fn whole_matcher(&self, pram: &Pram) -> DictMatcher {
+        let patterns = self.patterns();
+        let seed = list_hash(&patterns) | 1;
+        DictMatcher::build(pram, Dictionary::new(patterns), seed)
+    }
+
+    /// Las Vegas matching over `whole`, this dictionary's
+    /// [`SegmentedMatcher::whole_matcher`], as `vetted` does it per segment:
+    /// `m`, a Monte Carlo answer of `whole` for `text`, if the exact §3.4
+    /// checker accepts it, else the per-segment automata's answer
+    /// ([`SegmentedMatcher::ac_match`]) and `true`. The whole matcher keeps
+    /// the merge's rule (longest pattern, ties to the smallest global id),
+    /// so either way the reply equals [`SegmentedMatcher::match_text_verified`]'s.
+    #[must_use]
+    pub fn vet_whole(
+        &self,
+        pram: &Pram,
+        whole: &DictMatcher,
+        text: &[u8],
+        m: Matches,
+    ) -> (Matches, bool) {
+        debug_assert_eq!(whole.dictionary().num_patterns(), self.num_patterns);
+        if whole.check(pram, text, &m).is_ok() {
+            (m, false)
+        } else {
+            (self.ac_match(text), true)
+        }
+    }
+
     /// Exact matching on the per-segment automata (the sequential lane).
     #[must_use]
     pub fn ac_match(&self, text: &[u8]) -> Matches {
@@ -819,9 +865,9 @@ mod tests {
             .expect("some draw cuts into the wanted number of segments")
     }
 
-    /// `m` with a false claim planted where `seg`'s pattern 0 does not occur.
-    fn corrupted(seg: &Segment, text: &[u8], m: &Matches) -> Matches {
-        let p = &seg.patterns()[0];
+    /// `m` with a false claim of pattern 0, `p`, planted where `p` does
+    /// not occur.
+    fn corrupted(p: &[u8], text: &[u8], m: &Matches) -> Matches {
         let at = (0..text.len() - p.len())
             .find(|&i| !text[i..].starts_with(p))
             .expect("the pattern is absent somewhere");
@@ -845,7 +891,7 @@ mod tests {
             vetted(&pram, &seg, &text, clean.clone()),
             (clean.clone(), false)
         );
-        let bad = corrupted(&seg, &text, &clean);
+        let bad = corrupted(&seg.patterns()[0], &text, &clean);
         assert_ne!(bad, exact);
         assert_eq!(vetted(&pram, &seg, &text, bad), (exact, true));
     }
@@ -865,13 +911,73 @@ mod tests {
             let reply = matcher.verified_with(&pram, &text, |p, seg| {
                 let m = seg.matcher().match_text(p, &text);
                 if seg.list_hash() == victim {
-                    corrupted(seg, &text, &m)
+                    corrupted(&seg.patterns()[0], &text, &m)
                 } else {
                     m
                 }
             });
             assert_eq!(reply, (exact.clone(), true));
         }
+    }
+
+    #[test]
+    fn whole_matcher_answers_as_the_segments_do_in_seq_and_par() {
+        let patterns = dictionary_with_segments(4);
+        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        let text = text_with_planted_matches(8, &patterns, 3000, 25, Alphabet::dna());
+        let exact = matcher.ac_match(&text);
+        let run = |pram: Pram| {
+            let (whole, build) = pram.metered(|p| matcher.whole_matcher(p));
+            let (reply, query) = pram.metered(|p| {
+                let m = whole.match_text(p, &text);
+                matcher.vet_whole(p, &whole, &text, m)
+            });
+            (reply, build, query)
+        };
+        let seq = run(Pram::seq());
+        assert_eq!(seq.0, (exact, false));
+        assert_eq!(seq, run(Pram::par()));
+        // One pass over the text costs less than the four segments' passes.
+        let (_, segmented) = Pram::seq().metered(|p| matcher.match_text_verified(p, &text));
+        assert!(
+            3 * seq.2.work < segmented.work,
+            "{:?} vs {segmented:?}",
+            seq.2
+        );
+    }
+
+    #[test]
+    fn rejected_whole_monte_carlo_output_is_replaced_by_the_automata() {
+        let patterns = dictionary_with_segments(4);
+        let pram = Pram::seq();
+        let matcher = SegmentedMatcher::build(&pram, patterns.clone());
+        let whole = matcher.whole_matcher(&pram);
+        let text = text_with_planted_matches(6, &patterns, 3000, 25, Alphabet::dna());
+        let exact = matcher.ac_match(&text);
+        let clean = whole.match_text(&pram, &text);
+        let bad = corrupted(&patterns[0], &text, &clean);
+        assert_ne!(bad, exact);
+        assert_eq!(
+            matcher.vet_whole(&pram, &whole, &text, clean),
+            (exact.clone(), false)
+        );
+        assert_eq!(matcher.vet_whole(&pram, &whole, &text, bad), (exact, true));
+    }
+
+    #[test]
+    fn a_single_segment_is_its_own_whole_matcher() {
+        let pram = Pram::seq();
+        let patterns = pats(&["ana", "ban", "nab", "a", "ban"]);
+        let seg = SegmentedMatcher::build(&pram, patterns);
+        let (whole, build) = pram.metered(|p| seg.whole_matcher(p));
+        assert_eq!(build, seg.build_cost());
+        let text = b"banana nab a ban";
+        let m = whole.match_text(&pram, text);
+        assert_eq!(m, seg.match_text(&pram, text));
+        assert_eq!(
+            seg.vet_whole(&pram, &whole, text, m),
+            seg.match_text_verified(&pram, text)
+        );
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //!
 //! Supplies the graph machinery the paper leans on:
 //!
-//! * **Lemma 2.2** (connected components): [`connected_components`] — a
-//!   hooking + pointer-jumping CRCW algorithm standing in for Gazit's
-//!   randomized optimal one (see DESIGN.md substitution table).
 //! * **Rooted forests**: [`Forest`] — parent-array forests with child
 //!   adjacency built by stable integer sorting.
 //! * **Euler tours**: [`EulerTour`] — work-optimal tour construction via
@@ -30,11 +27,9 @@
 //! assert_eq!(tour.root_of, vec![0, 0, 0, 3]);
 //! ```
 
-mod cc;
 mod euler;
 mod forest;
 
-pub use cc::connected_components;
 pub use euler::EulerTour;
 pub use forest::Forest;
 

@@ -426,8 +426,8 @@ impl Engine {
     }
 
     /// Run one operation under the batch's Pram, recording which lane
-    /// served it and whether a verified match had to fall back to a
-    /// segment's automaton.
+    /// served it and whether a verified match had to fall back to the
+    /// preprocessed automata.
     fn execute(
         &self,
         pram: &Pram,
@@ -455,12 +455,12 @@ impl Engine {
                         hits: to_hits(matches.iter_hits()),
                     });
                 }
-                // Las Vegas without rebuilding: each segment's Monte
-                // Carlo pass is vetted by the exact §3.4 checker; on the
-                // (astronomically rare) fingerprint collision, that
-                // segment recomputes exactly with its preprocessed
-                // automaton instead of rebuilding the matcher.
-                let (matches, rejected) = dv.pre.seg.match_text_verified(pram, text);
+                // Las Vegas without rebuilding: the Monte Carlo pass (one
+                // whole-dictionary matcher, or one per segment, as the
+                // registry picks) is vetted by the exact §3.4 checker; on
+                // the (astronomically rare) fingerprint collision the
+                // preprocessed automata answer instead.
+                let (matches, rejected) = dv.pre.match_verified(pram, text);
                 *fell_back = rejected;
                 Ok(Reply::Match {
                     version: dv.version,
@@ -560,6 +560,10 @@ fn to_hits(iter: impl Iterator<Item = (usize, pardict_core::Match)>) -> Vec<Hit>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::tests::{
+        dna_dictionary, false_claim, repaying_text, whole_build_cost, TAMPER,
+    };
+    use pardict_trace::TraceCtx;
 
     fn engine_with(workers: usize, queue_depth: usize) -> Engine {
         let metrics = Arc::new(Metrics::default());
@@ -581,6 +585,89 @@ mod tests {
         e.registry()
             .publish(name, pats.iter().map(|s| s.as_bytes().to_vec()).collect())
             .unwrap();
+    }
+
+    /// Submit one `Match` of `text` against `d` per entry of `traces`.
+    fn matches(e: &Engine, text: &[u8], traces: Vec<Option<TraceCtx>>) -> Vec<Response> {
+        let tickets: Vec<Ticket> = traces
+            .into_iter()
+            .map(|trace| {
+                let op = OpRequest::Match {
+                    dict: "d".into(),
+                    text: text.to_vec(),
+                };
+                e.submit(Request::new(op).traced(trace)).unwrap()
+            })
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
+    }
+
+    fn hits(resp: Response) -> Vec<Hit> {
+        match resp.result {
+            Ok(Reply::Match { hits, .. }) => hits,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn racing_workers_consolidate_once() {
+        // One request per batch, so each worker takes one of the first two.
+        let plain = engine_with(0, 64);
+        let e = Engine::new(
+            EngineConfig {
+                workers: 2,
+                max_batch: 1,
+                ..plain.config().clone()
+            },
+            Arc::clone(plain.registry()),
+            Arc::clone(plain.metrics()),
+        );
+        let patterns = dna_dictionary(150, 2);
+        e.registry().publish("d", patterns.clone()).unwrap();
+        let pre = Arc::clone(&e.registry().current("d").unwrap().pre);
+        let text = repaying_text(&patterns);
+        let build = whole_build_cost(&pre);
+        let raced = matches(&e, &text, vec![None, None]);
+        let after = matches(&e, &text, vec![None]).remove(0);
+        e.shutdown();
+        let query = after.meta.cost.work;
+        let mut works: Vec<u64> = raced.iter().map(|r| r.meta.cost.work).collect();
+        works.sort_unstable();
+        assert_eq!(works, [query, query + build.work]);
+        let want = to_hits(pre.seg.ac_match(&text).iter_hits());
+        for resp in raced.into_iter().chain([after]) {
+            assert_eq!(hits(resp), want);
+        }
+    }
+
+    #[test]
+    fn a_rejected_consolidated_answer_falls_back_and_the_exec_span_says_so() {
+        let t = Tracer::new(pardict_trace::TraceConfig {
+            sample_one_in: 1,
+            seed: 7,
+            capacity: 1 << 10,
+            deterministic: true,
+        });
+        let plain = engine_with(0, 64);
+        let e = Engine::new_traced(
+            plain.config().clone(),
+            Arc::clone(plain.registry()),
+            Arc::clone(plain.metrics()),
+            Some(Arc::clone(&t)),
+        );
+        let patterns = dna_dictionary(150, 2);
+        e.registry().publish("d", patterns.clone()).unwrap();
+        let pre = Arc::clone(&e.registry().current("d").unwrap().pre);
+        let text = repaying_text(&patterns);
+        let build = whole_build_cost(&pre);
+        TAMPER.with(|c| c.set(Some(false_claim)));
+        let resp = matches(&e, &text, vec![t.begin_trace()]).remove(0);
+        assert_eq!(hits(resp), to_hits(pre.seg.ac_match(&text).iter_hits()));
+        let spans = t.drain();
+        let span = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(span("exec").lane, Some("batched+ac-fallback"));
+        assert_eq!(span("consolidate").parent, span("exec").span);
+        assert_eq!(span("consolidate").cost, build);
     }
 
     #[test]

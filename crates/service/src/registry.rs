@@ -14,20 +14,40 @@
 //! * **Preprocessing cache.** Builds are keyed by a content hash of the
 //!   pattern set; republishing identical content (same tenant or another)
 //!   reuses the finished matcher instead of paying `O(d)` again.
+//! * **One matcher per query.** Segments are the unit of change, one
+//!   matcher is the unit of query. Publishes and deltas build and reuse
+//!   segments only, but every segment costs a query its own pass over the
+//!   text, so `Preprocessed::match_verified` serves a `Match` from one
+//!   whole-dictionary matcher once a request brings enough text to repay
+//!   building it. The build happens once per preprocessed version, inside
+//!   the request that qualifies first, and is charged to that request;
+//!   later matches scan the text once. The registry is the one place that
+//!   picks which structure answers.
 
 use crate::metrics::Metrics;
 use crate::types::ServiceError;
 use pardict_core::segmented::SegmentBuildStats;
 use pardict_core::{
-    apply_delta_patterns, chain_identity, list_hash, multiset_identity, DictDelta, SegmentedMatcher,
+    apply_delta_patterns, chain_identity, list_hash, multiset_identity, DictDelta, DictMatcher,
+    Matches, SegmentedMatcher,
 };
 use pardict_pram::{Cost, Pram};
 use pardict_store::Store;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Max distinct pattern-set builds retained by the preprocessing cache.
 const CACHE_CAP: usize = 32;
+
+/// A request consolidates a multi-segment dictionary when its text length
+/// times the segments past the first reaches `REPAY` per dictionary byte.
+/// Whole-dictionary preprocessing costs ≈ 590 ledger ops per dictionary
+/// byte (EXPERIMENTS E1), and each segment past the first costs a query
+/// ≈ 14 ops per text byte (E14), so the build repays itself once
+/// `n · (segments − 1) · 14 ≥ 590 · d`: `n · (segments − 1) ≥ 42 · d`,
+/// rounded to 40. One request must repay the build on its own, so a
+/// stream of small requests never consolidates and a delta stays cheap.
+const REPAY: usize = 40;
 
 /// A fully preprocessed pattern set: canonical segments, each holding the
 /// Theorem 3.1 matcher for the batched lane plus an Aho–Corasick
@@ -47,13 +67,79 @@ pub struct Preprocessed {
     pub content_hash: u64,
     /// Ledger cost of preprocessing every segment.
     pub build_cost: Cost,
+    /// One Theorem 3.1 matcher over the whole pattern list, built by the
+    /// first `Match` that repays it (see [`Preprocessed::match_verified`]);
+    /// publishes and deltas leave it unset.
+    pub(crate) whole: OnceLock<DictMatcher>,
 }
 
 impl Preprocessed {
+    fn new(seg: SegmentedMatcher, content_hash: u64) -> Self {
+        Self {
+            content_hash,
+            build_cost: seg.build_cost(),
+            seg,
+            whole: OnceLock::new(),
+        }
+    }
+
     /// The patterns, in global-id order.
     #[must_use]
     pub fn patterns(&self) -> Vec<Vec<u8>> {
         self.seg.patterns()
+    }
+
+    /// Las Vegas matching for a served `Match`: the whole-dictionary
+    /// matcher's Monte Carlo pass vetted by
+    /// [`SegmentedMatcher::vet_whole`] when this query consolidates (see
+    /// `REPAY`), else [`SegmentedMatcher::match_text_verified`]. Both
+    /// give the same matches; the flag says the automata answered.
+    ///
+    /// The consolidating query builds the matcher on `pram`, so the build
+    /// is charged to it, under a `consolidate` trace span carrying the
+    /// build's cost. A query racing it waits for that build and is charged
+    /// nothing for it. A single-segment dictionary never consolidates: its
+    /// one segment already is the whole matcher.
+    #[must_use]
+    pub(crate) fn match_verified(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
+        match self.consolidated(pram, text.len()) {
+            Some(whole) => {
+                let m = whole.match_text(pram, text);
+                #[cfg(test)]
+                let m = match tests::TAMPER.with(std::cell::Cell::take) {
+                    Some(tamper) => tamper(whole, text, m),
+                    None => m,
+                };
+                self.seg.vet_whole(pram, whole, text, m)
+            }
+            None => self.seg.match_text_verified(pram, text),
+        }
+    }
+
+    /// The whole-dictionary matcher, if a query over `n` text bytes should
+    /// use it: when it is built already, or when `n` repays building it now.
+    fn consolidated(&self, pram: &Pram, n: usize) -> Option<&DictMatcher> {
+        let extra = self.seg.num_segments() - 1;
+        if extra == 0 {
+            return None;
+        }
+        if let Some(whole) = self.whole.get() {
+            return Some(whole);
+        }
+        let d: usize = self
+            .seg
+            .segments()
+            .map(|s| s.matcher().dictionary().total_len())
+            .sum();
+        if n.saturating_mul(extra) < REPAY * d {
+            return None;
+        }
+        Some(self.whole.get_or_init(|| {
+            let span = pardict_trace::scoped_span("consolidate", 0);
+            let (whole, cost) = pram.metered(|p| self.seg.whole_matcher(p));
+            span.finish(cost);
+            whole
+        }))
     }
 }
 
@@ -231,11 +317,8 @@ impl Registry {
             // Segment seeds derive from each segment's content hash,
             // so builds stay reproducible per content.
             let seg = SegmentedMatcher::build(&Pram::par(), patterns);
-            Ok(Preprocessed {
-                content_hash: seg.identity(),
-                build_cost: seg.build_cost(),
-                seg,
-            })
+            let identity = seg.identity();
+            Ok(Preprocessed::new(seg, identity))
         })
     }
 
@@ -329,11 +412,7 @@ impl Registry {
                 .apply_delta(&Pram::par(), delta)
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
             built = Some(stats);
-            Ok(Preprocessed {
-                content_hash: identity,
-                build_cost: seg.build_cost(),
-                seg,
-            })
+            Ok(Preprocessed::new(seg, identity))
         })?;
         // A cache hit built nothing: every segment counts as reused.
         let stats = built.unwrap_or_else(|| {
@@ -455,11 +534,159 @@ impl Registry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use pardict_core::segmented::segment_spans;
+    use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
+    use std::cell::Cell;
+
+    /// A Monte Carlo answer rewrite, standing in for a fingerprint collision.
+    type Tamper = fn(&DictMatcher, &[u8], Matches) -> Matches;
+
+    thread_local! {
+        /// Test seam: when set, rewrites this thread's next consolidated
+        /// Monte Carlo answer before it is vetted.
+        pub(crate) static TAMPER: Cell<Option<Tamper>> = const { Cell::new(None) };
+    }
+
+    /// A [`Tamper`]: claims pattern 0 at the first position it does not
+    /// occur at.
+    pub(crate) fn false_claim(whole: &DictMatcher, text: &[u8], m: Matches) -> Matches {
+        let p = &whole.dictionary().patterns()[0];
+        let at = (0..text.len() - p.len())
+            .find(|&i| !text[i..].starts_with(p))
+            .expect("the pattern is absent somewhere");
+        let mut v = m.as_slice().to_vec();
+        v[at] = Some(pardict_core::Match {
+            id: 0,
+            len: p.len() as u32,
+        });
+        Matches::new(v)
+    }
+
+    /// The first seeded DNA dictionary of `k` patterns of length 4–12 that
+    /// cuts into exactly `segments` canonical segments.
+    pub(crate) fn dna_dictionary(k: usize, segments: usize) -> Vec<Vec<u8>> {
+        (0u64..)
+            .map(|seed| random_dictionary(seed, k, 4, 12, Alphabet::dna()))
+            .find(|p| segment_spans(p).len() == segments)
+            .expect("some draw cuts into the wanted number of segments")
+    }
+
+    fn dna_text(patterns: &[Vec<u8>], n: usize) -> Vec<u8> {
+        text_with_planted_matches(n as u64, patterns, n, 25, Alphabet::dna())
+    }
+
+    /// Dictionary bytes.
+    fn d(patterns: &[Vec<u8>]) -> usize {
+        patterns.iter().map(Vec::len).sum()
+    }
+
+    /// What building `pre`'s whole-dictionary matcher costs.
+    pub(crate) fn whole_build_cost(pre: &Preprocessed) -> Cost {
+        Pram::seq().metered(|p| pre.seg.whole_matcher(p)).1
+    }
+
+    /// A text that repays a two-segment dictionary's whole matcher.
+    pub(crate) fn repaying_text(patterns: &[Vec<u8>]) -> Vec<u8> {
+        dna_text(patterns, REPAY * d(patterns))
+    }
 
     fn pats(ss: &[&str]) -> Vec<Vec<u8>> {
         ss.iter().map(|s| s.as_bytes().to_vec()).collect()
+    }
+
+    fn installed(patterns: Vec<Vec<u8>>) -> Arc<Preprocessed> {
+        let reg = Registry::new(Arc::new(Metrics::default()));
+        reg.publish("d", patterns).unwrap();
+        Arc::clone(&reg.current("d").unwrap().pre)
+    }
+
+    #[test]
+    fn small_matches_on_a_two_segment_dictionary_never_consolidate() {
+        // The serving shape: ≈ 4 KB over two segments, 4 KiB requests.
+        let patterns = dna_dictionary(500, 2);
+        let pre = installed(patterns.clone());
+        let text = dna_text(&patterns, 4096);
+        for _ in 0..3 {
+            let pram = Pram::par();
+            let reply = pre.match_verified(&pram, &text);
+            assert_eq!(reply, (pre.seg.ac_match(&text), false));
+            let seq = Pram::seq();
+            let _ = pre.seg.match_text_verified(&seq, &text);
+            assert_eq!(pram.cost(), seq.cost(), "served as segments");
+        }
+        assert!(pre.whole.get().is_none());
+    }
+
+    #[test]
+    fn a_repaying_request_builds_the_whole_matcher_once_even_when_raced() {
+        let patterns = dna_dictionary(150, 2);
+        let pre = installed(patterns.clone());
+        let text = repaying_text(&patterns);
+        let build = whole_build_cost(&pre);
+        let go = std::sync::Barrier::new(2);
+        let raced: Vec<((Matches, bool), Cost)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        go.wait();
+                        Pram::par().metered(|p| pre.match_verified(p, &text))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(pre.whole.get().is_some());
+        let (reply, query) = Pram::par().metered(|p| pre.match_verified(p, &text));
+        assert_eq!(reply, (pre.seg.ac_match(&text), false));
+        assert_eq!(raced[0].0, reply);
+        assert_eq!(raced[1].0, reply);
+        // Exactly one racer paid for the build; the other waited for free.
+        let mut works = [raced[0].1.work, raced[1].1.work];
+        works.sort_unstable();
+        assert_eq!(works, [query.work, query.work + build.work]);
+    }
+
+    #[test]
+    fn a_delta_installs_its_version_without_the_whole_matcher() {
+        let patterns = dna_dictionary(150, 2);
+        let reg = Registry::new(Arc::new(Metrics::default()));
+        reg.publish("d", patterns.clone()).unwrap();
+        let held = reg.current("d").unwrap();
+        let text = repaying_text(&patterns);
+        let _ = held.pre.match_verified(&Pram::par(), &text);
+        assert!(held.pre.whole.get().is_some());
+        let delta = DictDelta {
+            adds: pats(&["gattacagattaca"]),
+            removes: vec![patterns[3].clone()],
+        };
+        reg.publish_delta("d", 1, &delta).unwrap();
+        let cur = reg.current("d").unwrap();
+        assert_eq!(cur.version, 2);
+        assert!(cur.pre.whole.get().is_none());
+        assert!(held.pre.whole.get().is_some(), "the held parent keeps it");
+        assert_eq!(
+            held.pre.match_verified(&Pram::par(), &text),
+            (held.pre.seg.ac_match(&text), false)
+        );
+        assert_eq!(
+            cur.pre.match_verified(&Pram::par(), &text),
+            (cur.pre.seg.ac_match(&text), false)
+        );
+    }
+
+    #[test]
+    fn a_single_segment_dictionary_never_consolidates() {
+        let patterns = dna_dictionary(24, 1);
+        let pre = installed(patterns.clone());
+        let text = dna_text(&patterns, 2 * REPAY * d(&patterns));
+        let pram = Pram::par();
+        let reply = pre.match_verified(&pram, &text);
+        let seq = Pram::seq();
+        assert_eq!(reply, pre.seg.match_text_verified(&seq, &text));
+        assert_eq!(pram.cost(), seq.cost(), "bit-identical charges");
+        assert!(pre.whole.get().is_none());
     }
 
     #[test]

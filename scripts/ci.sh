@@ -101,6 +101,15 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   exit 1
 fi
 
+# Segments are the unit of change, one matcher the unit of query; only the
+# registry picks which answers: a served Match reaches the per-segment pass
+# or the whole-dictionary matcher through Preprocessed::match_verified.
+if grep -rnE "match_text_verified|DictMatcher::build|whole_matcher" crates/service/src |
+    grep -v '^crates/service/src/registry.rs:'; then
+  echo "ci.sh: a served match picks its matcher outside crates/service/src/registry.rs" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -239,3 +239,49 @@ fn stream_decode_block_stays_below_4_ops_per_byte() {
         c.work / n as u64
     );
 }
+
+#[test]
+fn served_match_after_consolidation_stays_below_20_ops_per_char() {
+    // Absolute guard on the served path, in `match-scan`'s shape: a
+    // 4-segment dictionary made every verified `Match` pass over the text
+    // once per segment, ≈ 57 ops/char here (E14). A 256 KiB warm-up repays
+    // and builds the whole-dictionary matcher; the 64 KiB request after it
+    // passes over its text once, ≈ 15.
+    use pardict::core::segmented::segment_spans;
+    use pardict::service::{Engine, EngineConfig, Metrics, OpRequest, Registry, Request};
+    use std::sync::Arc;
+    let alpha = Alphabet::dna();
+    let patterns = (0u64..)
+        .map(|seed| random_dictionary(seed, 1000, 8, 16, alpha))
+        .find(|p| segment_spans(p).len() == 4)
+        .expect("some draw cuts into four segments");
+    let metrics = Arc::new(Metrics::default());
+    let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
+    let engine = Engine::new(
+        EngineConfig {
+            workers: 0,
+            ..EngineConfig::default()
+        },
+        registry,
+        metrics,
+    );
+    engine.registry().publish("d", patterns.clone()).unwrap();
+    let call = |n: usize| {
+        let text = text_with_planted_matches(n as u64, &patterns, n, 25, alpha);
+        let resp = engine.call(Request::new(OpRequest::Match {
+            dict: "d".into(),
+            text,
+        }));
+        assert!(resp.result.is_ok());
+        resp.meta.cost
+    };
+    let _warm_up = call(1 << 18);
+    let n = 1usize << 16;
+    let second = call(n);
+    assert!(
+        second.work <= 20 * n as u64,
+        "second served match: {} ops for {n} bytes ({} per byte)",
+        second.work,
+        second.work / n as u64
+    );
+}

@@ -209,6 +209,139 @@ fn selftest_smoke() {
     assert!(report.contains("batches"));
 }
 
+// ---- one matcher per query: consolidated ≡ segmented ≡ automata ----
+
+use pardict::pram::SplitMix64 as Rng;
+use pardict::service::Hit;
+
+/// `k` patterns over the first `sigma` lowercase letters, lengths 1–8, with
+/// exact duplicates of earlier patterns (often in another segment) and
+/// prefixes of earlier patterns mixed in: the shapes where the merge's
+/// longest-wins / smallest-global-id rule can break.
+fn tangled_patterns(rng: &mut Rng, k: usize, sigma: u64) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = Vec::with_capacity(k);
+    while out.len() < k {
+        let earlier = |rng: &mut Rng| out[rng.next_below(out.len() as u64) as usize].clone();
+        let p = match rng.next_below(8) {
+            0 if !out.is_empty() => earlier(rng),
+            1 if !out.is_empty() => {
+                let q = earlier(rng);
+                q[..1 + rng.next_below(q.len() as u64) as usize].to_vec()
+            }
+            _ => (0..1 + rng.next_below(8))
+                .map(|_| b'a' + rng.next_below(sigma) as u8)
+                .collect(),
+        };
+        out.push(p);
+    }
+    out
+}
+
+/// `n` bytes alternating random letters and planted patterns.
+fn tangled_text(rng: &mut Rng, patterns: &[Vec<u8>], n: usize, sigma: u64) -> Vec<u8> {
+    let mut t = Vec::with_capacity(n + 8);
+    while t.len() < n {
+        if rng.next_below(2) == 0 {
+            t.extend_from_slice(&patterns[rng.next_below(patterns.len() as u64) as usize]);
+        } else {
+            t.push(b'a' + rng.next_below(sigma) as u8);
+        }
+    }
+    t.truncate(n);
+    t
+}
+
+fn hits_of(m: &Matches) -> Vec<Hit> {
+    m.iter_hits()
+        .map(|(pos, m)| Hit {
+            pos: pos as u64,
+            id: m.id,
+            len: m.len,
+        })
+        .collect()
+}
+
+fn served(engine: &Engine, text: &[u8]) -> (Vec<Hit>, Cost) {
+    let resp = engine.call(Request::new(OpRequest::Match {
+        dict: "d".into(),
+        text: text.to_vec(),
+    }));
+    match resp.result.expect("match should succeed") {
+        Reply::Match { hits, .. } => (hits, resp.meta.cost),
+        other => panic!("unexpected reply {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Along a delta chain, every version answers a short `Match` the same
+    /// before and after a long one consolidates it, and both equal the
+    /// per-segment automata. The long request pays for the one build; the
+    /// short one after it costs exactly the whole matcher's verified query,
+    /// which charges the same in `seq` as in `par`.
+    #[test]
+    fn consolidated_matches_equal_segmented_matches_and_the_automata(
+        seed in any::<u64>(),
+        sigma in prop::sample::select(vec![2u64, 4, 26]),
+        k in 65usize..1500,
+        n_deltas in 0usize..3,
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut patterns = tangled_patterns(&mut rng, k, sigma);
+        let engine = inline_engine(0);
+        engine.registry().publish("d", patterns.clone()).unwrap();
+        for version in 1..=1 + n_deltas as u64 {
+            let dv = engine.registry().current("d").unwrap();
+            prop_assert_eq!(dv.version, version);
+            let seg = &dv.pre.seg;
+            let extra = seg.num_segments() - 1;
+            // Long enough to repay the build: n·(segments − 1) ≥ 40·d.
+            let d: usize = patterns.iter().map(Vec::len).sum();
+            let long = (41 * d).checked_div(extra).map_or(4096, |n| n + 1);
+            let short = tangled_text(&mut rng, &patterns, 700, sigma);
+            let long = tangled_text(&mut rng, &patterns, long, sigma);
+
+            let (before, _) = served(&engine, &short);
+            let (long_hits, long_cost) = served(&engine, &long);
+            let (after, after_cost) = served(&engine, &short);
+            prop_assert_eq!(&before, &hits_of(&seg.ac_match(&short)));
+            prop_assert_eq!(&after, &before);
+            prop_assert_eq!(&long_hits, &hits_of(&seg.ac_match(&long)));
+
+            if extra > 0 {
+                let run = |pram: Pram| {
+                    let (whole, build) = pram.metered(|p| seg.whole_matcher(p));
+                    let vet = |text: &[u8]| pram.metered(|p| {
+                        let m = whole.match_text(p, text);
+                        seg.vet_whole(p, &whole, text, m)
+                    });
+                    let ((short_m, short_fell), short_c) = vet(&short);
+                    let (_, long_c) = vet(&long);
+                    (hits_of(&short_m), short_fell, build, short_c, long_c)
+                };
+                let seq = run(Pram::seq());
+                prop_assert_eq!(&seq, &run(Pram::par()));
+                let (short_m, fell_back, build, short_c, long_c) = seq;
+                prop_assert_eq!(&short_m, &before);
+                prop_assert!(!fell_back);
+                prop_assert_eq!(after_cost, short_c);
+                prop_assert_eq!(long_cost.work, build.work + long_c.work);
+            }
+
+            if version <= n_deltas as u64 {
+                let mut pick = || patterns[rng.next_below(patterns.len() as u64) as usize].clone();
+                let (gone, twin, longer) = (pick(), pick(), pick());
+                // A duplicate, a prefix of a kept pattern, and a new one.
+                let adds = vec![twin, longer[..longer.len().div_ceil(2)].to_vec(), b"ab".repeat(5)];
+                let delta = DictDelta { adds, removes: vec![gone] };
+                engine.registry().publish_delta("d", version, &delta).unwrap();
+                patterns = engine.registry().current("d").unwrap().pre.patterns();
+            }
+        }
+    }
+}
+
 // ---- wire-codec allocation bound (totality and round trips: tests/codecs.rs) ----
 
 use pardict::service::wire::{tag, WireRequest, WireResponse};
