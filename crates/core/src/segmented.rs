@@ -459,7 +459,7 @@ impl SegmentedMatcher {
         mut sink: impl FnMut(u32, R),
     ) {
         pram.superstep(
-            self.slots.len(),
+            (0..self.slots.len()).collect(),
             width,
             |p, i| query(p, &self.slots[i].seg),
             |i, r| sink(self.slots[i].base, r),

@@ -22,6 +22,16 @@ pub enum Mode {
 /// task spawning costs more than the loop itself for tiny inputs.
 const PAR_THRESHOLD: usize = 2048;
 
+/// The hardware threads a super-step may occupy: one per hart, capped at
+/// 16 as the rayon pool is. The one hart count in the workspace — exec's
+/// wave width reads it too.
+#[must_use]
+pub fn harts() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(16)
+}
+
 /// The simulated arbitrary-CRCW PRAM.
 ///
 /// All parallel algorithms in the workspace take a `&Pram` and express
@@ -145,26 +155,28 @@ impl Pram {
         out
     }
 
-    /// One super-step of `tasks` independent sub-computations whose own
-    /// rounds are `width` wide: task `i` meters itself on a private `Pram`,
-    /// `sink` receives the results in task order on the calling thread, and
-    /// this ledger is charged once — Σ task work, **max** task depth — in
-    /// either mode and on any machine.
+    /// One super-step over `items`, independent sub-computations whose own
+    /// rounds are `width` wide: the task for item `i` meters itself on a
+    /// private `Pram`, `sink` receives the results in item order on the
+    /// calling thread, and this ledger is charged once — Σ task work,
+    /// **max** task depth — in either mode and on any machine.
     ///
-    /// A `Par` context with at least two tasks of at least the inline
-    /// threshold's width runs them on `min(tasks, harts)` scoped threads,
-    /// thread `t` taking tasks `t, t + threads, …` and handing each result
+    /// A `Par` context with at least two items of at least the inline
+    /// threshold's width runs them on `min(items, harts())` scoped threads,
+    /// thread `t` taking items `t, t + threads, …` and handing each result
     /// over before it starts the next, so no more than `threads + 1`
-    /// results exist at once however many tasks there are. With a task per
-    /// hart the private contexts are sequential; with harts to spare they
-    /// inherit this context's mode so a task's rounds can use them.
-    pub fn superstep<R, F, S>(&self, tasks: usize, width: usize, task: F, mut sink: S)
+    /// results exist at once however many items there are. With an item
+    /// per hart the private contexts are sequential; with harts to spare
+    /// they inherit this context's mode so a task's rounds can use them.
+    pub fn superstep<I, R, F, S>(&self, items: Vec<I>, width: usize, task: F, mut sink: S)
     where
+        I: Send,
         R: Send,
-        F: Fn(&Pram, usize) -> R + Sync,
+        F: Fn(&Pram, I) -> R + Sync,
         S: FnMut(usize, R),
     {
-        let harts = rayon::current_num_threads();
+        let tasks = items.len();
+        let harts = harts();
         let threads = if self.run_par(width) {
             tasks.min(harts)
         } else {
@@ -172,22 +184,27 @@ impl Pram {
         };
         let mut total = Cost::default();
         if threads < 2 {
-            for i in 0..tasks {
+            for (i, item) in items.into_iter().enumerate() {
                 let private = Pram::new(self.mode);
-                sink(i, task(&private, i));
+                sink(i, task(&private, item));
                 total = total.beside(private.cost());
             }
         } else {
             let mode = if tasks >= harts { Mode::Seq } else { self.mode };
+            let mut lanes: Vec<Vec<I>> = (0..threads).map(|_| Vec::new()).collect();
+            for (i, item) in items.into_iter().enumerate() {
+                lanes[i % threads].push(item);
+            }
             let task = &task;
             std::thread::scope(|s| {
-                let lanes: Vec<_> = (0..threads)
-                    .map(|t| {
+                let lanes: Vec<_> = lanes
+                    .into_iter()
+                    .map(|lane| {
                         let (tx, rx) = std::sync::mpsc::sync_channel(0);
                         s.spawn(move || {
-                            for i in (t..tasks).step_by(threads) {
+                            for item in lane {
                                 let private = Pram::new(mode);
-                                let r = task(&private, i);
+                                let r = task(&private, item);
                                 // The receiver only goes away when the
                                 // caller is unwinding; stop quietly.
                                 if tx.send((r, private.cost())).is_err() {
@@ -276,7 +293,7 @@ mod tests {
                 let mut got = Vec::new();
                 let ((), cost) = pram.metered(|p| {
                     p.superstep(
-                        k,
+                        (0..k).collect(),
                         width,
                         |q, i| rounds(q, i, width),
                         |i, r| got.push((i, r)),
@@ -294,18 +311,18 @@ mod tests {
         let here = std::thread::current().id();
         for (pram, width) in [(Pram::par(), PAR_THRESHOLD - 1), (Pram::seq(), 1 << 20)] {
             pram.superstep(
-                5,
+                vec![(); 5],
                 width,
-                |_, _| std::thread::current().id(),
+                |_, ()| std::thread::current().id(),
                 |_, ran_on| assert_eq!(ran_on, here),
             );
         }
         // Above it, with a hart to spare, the tasks leave the calling thread.
-        if rayon::current_num_threads() > 1 {
+        if harts() > 1 {
             Pram::par().superstep(
-                5,
+                vec![(); 5],
                 PAR_THRESHOLD,
-                |_, _| std::thread::current().id(),
+                |_, ()| std::thread::current().id(),
                 |_, ran_on| assert_ne!(ran_on, here),
             );
         }

@@ -46,7 +46,7 @@ mod rng;
 mod scan;
 mod sort;
 
-pub use ctx::{Mode, Pram};
+pub use ctx::{harts, Mode, Pram};
 pub use jump::{
     list_rank_random_mate, list_rank_random_mate_full, list_rank_wyllie, list_rank_wyllie_full,
     pointer_jump_roots, ListRanks,

@@ -84,12 +84,11 @@ struct SearchBuf {
     bytes: Vec<u8>,
 }
 
-/// Match one stitched search buffer on a private sequential context —
-/// slot function of the match super-step.
-fn match_buf<M: PatternScan>(matcher: &M, b: &SearchBuf) -> (Vec<GrepHit>, Cost) {
-    let p = Pram::seq();
-    let (occs, cost) = p.metered(|p| matcher.find_all(p, &b.bytes));
-    let hits = occs
+/// Match one stitched search buffer on the context the match super-step
+/// hands it — slot function of that super-step.
+fn match_buf<M: PatternScan>(pram: &Pram, matcher: &M, b: &SearchBuf) -> Vec<GrepHit> {
+    matcher
+        .find_all(pram, &b.bytes)
         .into_iter()
         .map(|(pos, m)| GrepHit {
             pos: b.buf_start + pos as u64,
@@ -100,8 +99,7 @@ fn match_buf<M: PatternScan>(matcher: &M, b: &SearchBuf) -> (Vec<GrepHit>, Cost)
         // keeping only hits that end past the block start makes each
         // occurrence the responsibility of exactly one block.
         .filter(|h| h.pos + u64::from(h.len) > b.block_start)
-        .collect();
-    (hits, cost)
+        .collect()
 }
 
 /// Report every dictionary occurrence in the container's decoded stream,
@@ -160,12 +158,14 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
     // bytes seen so far (accumulating across blocks shorter than `m − 1`).
     let mut tail: Vec<u8> = Vec::new();
     let wave_size = cfg.wave.max(1);
+    let block_size = rdr.index().block_size as usize;
     let strict = cfg.strict;
     let mut next = blocks.start;
     pardict_exec::run_waves(
         pram,
         "search-wave",
         cfg.pipeline,
+        block_size,
         // Source: fetch one wave of compressed payloads sequentially
         // (seekable I/O is serial). Under pipelining this overlaps the
         // previous wave's decode stage.
@@ -178,9 +178,9 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
             Ok(Some((first as u64, rdr.fetch_wave(first..next, strict)?)))
         },
         // Stage (super-step 1): decode the wave's slots.
-        |_, fetched: FetchedBlock| fetched.decode(),
+        |p, fetched: FetchedBlock| fetched.decode(p),
         // Sink: stitch the wave's buffers and run the match super-step.
-        |wave, slots: Vec<DecodedBlock>| {
+        |slots: Vec<DecodedBlock>| {
             // Fetch-level issues surface before decode issues, in block
             // order — the reporting order the serial engine had.
             for s in &slots {
@@ -221,15 +221,20 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
                     }
                 }
             }
-            wave.serial(copied);
+            pram.ledger().round(copied);
             summary.blocks_searched += bufs.len() as u64;
 
             // Super-step 2: match the wave.
-            for hits in wave.superstep(bufs, |_, b: SearchBuf| match_buf(matcher, &b)) {
-                summary
-                    .hits
-                    .extend(hits.into_iter().filter(|h| h.pos >= start && h.pos < end));
-            }
+            pram.superstep(
+                bufs,
+                block_size,
+                |p, b: SearchBuf| match_buf(p, matcher, &b),
+                |_, hits| {
+                    summary
+                        .hits
+                        .extend(hits.into_iter().filter(|h| h.pos >= start && h.pos < end));
+                },
+            );
             Ok(())
         },
     )?;

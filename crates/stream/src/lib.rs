@@ -13,8 +13,8 @@
 //!    super-step: blocks compress concurrently, the caller's ledger is
 //!    charged Σ work and max depth, matching the paper's work/depth
 //!    accounting. Because the parallelism is across blocks, a block runs
-//!    the sequential halves of Theorems 4.2 and 4.3 on its private
-//!    context: the greedy emitter over Lemma 4.1's match table
+//!    the sequential halves of Theorems 4.2 and 4.3 on the context its
+//!    super-step hands it: the greedy emitter over Lemma 4.1's match table
 //!    ([`pardict_compress::lz77_sequential`], the tokens `lz1_compress`
 //!    would emit) and the phrase-by-phrase decoder
 //!    ([`pardict_compress::lz1_decode`]). The PRAM routes are the

@@ -18,7 +18,7 @@ echo "== one owner"
 # cursor and its pre-allocation policy (core::bytes), the selftests'
 # mixed-op roll table (pardict_workloads::mixed_ops), the container block
 # loops (exec::run_waves over StreamReader::fetch_wave +
-# FetchedBlock::decode), the default wave width (exec), and FNV-1a (pram).
+# FetchedBlock::decode), the hart count (pram::harts), and FNV-1a (pram).
 if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
   echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
   exit 1
@@ -35,8 +35,8 @@ if grep -rnE "struct StreamCompressor|fn decode_slot" crates --include='*.rs'; t
   echo "ci.sh: a private block loop again (route it through exec::run_waves)" >&2
   exit 1
 fi
-if grep -rn "available_parallelism" crates/stream; then
-  echo "ci.sh: a second wave-width formula (use pardict_exec::default_wave_width)" >&2
+if grep -rnE "available_parallelism|current_num_threads" crates/stream crates/exec crates/search; then
+  echo "ci.sh: a second wave-width formula (use pardict_pram::harts)" >&2
   exit 1
 fi
 if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'; then
@@ -89,6 +89,27 @@ fi
 # helper (SegmentedMatcher::per_segment over Pram::superstep).
 if grep -rn "thread::scope" crates/core/src; then
   echo "ci.sh: a private fork-join in crates/core/src (use Pram::superstep)" >&2
+  exit 1
+fi
+# The same for container waves: a wave's slots are one Pram::superstep and
+# run on the context it hands them. exec keeps two scoped-thread sites of
+# its own, the unbounded I/O scatter (fan_out) and run_waves' pipelined
+# overlap; the stream and search slots build no context of their own.
+if grep -rn "fn run_slots" crates src tests examples; then
+  echo "ci.sh: a per-slot fork-join is back (waves run through Pram::superstep)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /Pram::(seq|par)\(\)|Pram::new\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/stream/src/*.rs crates/search/src/*.rs; then
+  echo "ci.sh: a stream or search slot builds its own Pram (run on the one it is handed)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *(pub )?fn / { name = $0 }
+        /thread::scope/ { if (name !~ /fn (fan_out|run_waves)[<(]/ || seen[name]++) { print FILENAME ":" FNR ": " name; bad = 1 } }
+        END { exit !bad }' crates/exec/src/*.rs; then
+  echo "ci.sh: a fork-join in crates/exec/src outside fan_out and run_waves' overlap (use Pram::superstep)" >&2
   exit 1
 fi
 if awk '/^#\[cfg\(test\)\]/ { exit }
