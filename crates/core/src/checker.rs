@@ -16,6 +16,12 @@
 //!
 //! Lemma 3.4: if all checks pass, every claimed match really occurs.
 //!
+//! "Exactly" assumes D̂'s LCP array is correct: every comparison above is a
+//! query against it. That array comes from `pardict_suffix::lcp_parallel`,
+//! which compares fingerprints, so it is correct with high probability, not
+//! with certainty. A wrong entry could let a false claim through; the
+//! checker is exact relative to that one Monte Carlo step.
+//!
 //! Only two kinds of position can fail any of these: a position that carries
 //! a claim, and a singleton *covered* by an earlier claim (it is dominated,
 //! by the prefix-argmax claim, and must equal that claim's character there).
