@@ -23,8 +23,8 @@ pub enum Mode {
 const PAR_THRESHOLD: usize = 2048;
 
 /// The hardware threads a super-step may occupy: one per hart, capped at
-/// 16 as the rayon pool is. The one hart count in the workspace — exec's
-/// wave width reads it too.
+/// 16 as the rayon pool is. The one hart count in the workspace — the
+/// container waves' default width reads it too.
 #[must_use]
 pub fn harts() -> usize {
     std::thread::available_parallelism()

@@ -26,13 +26,17 @@
 //!
 //! ## Accounting
 //!
-//! Blocks are processed in waves, mirroring `pardict-stream`'s wave
-//! discipline: each wave is two [`pardict_pram::Pram::superstep`]s
-//! (decode, then match), each block running on the context its super-step
+//! Blocks are processed in waves through the container's one decode loop,
+//! `pardict_stream::StreamReader::decode_waves`: each wave is fetched,
+//! decoded as one [`pardict_pram::Pram::superstep`], then handed to grep's
+//! sink, which stitches the wave's search buffers (one serial round) and
+//! matches them as a second super-step — all inside the wave's
+//! `search-wave` span, each block running on the context its super-step
 //! hands it, with the caller's ledger charged Σ work and max depth per
-//! super-step. At most one wave of blocks plus the overlap tail is
-//! resident, and a range query decodes only the covering blocks plus
-//! overlap — both properties the tests assert through the ledger.
+//! super-step. A wave completes before the next is fetched, so at most one
+//! wave of blocks plus the overlap tail is resident, and a range query
+//! decodes only the covering blocks plus overlap — both properties the
+//! tests assert through the ledger.
 //!
 //! Corrupt blocks are skipped and reported ([`pardict_stream::BlockIssue`])
 //! with matches suppressed only in the affected span; [`GrepConfig::strict`]

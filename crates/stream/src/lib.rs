@@ -51,7 +51,7 @@ pub use format::{
 };
 pub use layout::{assemble_container, slice_container, ContainerLayout, RecordSpan};
 pub use reader::{
-    decode_block, decompress_stream, is_container, DecodedBlock, DecompressSummary, FetchedBlock,
+    decode_block, decompress_stream, is_container, DecodedBlock, DecompressSummary,
     StreamDecompressor, StreamReader,
 };
 pub use writer::{compress_stream, CompressSummary, StreamConfig, STREAM_SEED};

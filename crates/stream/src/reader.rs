@@ -90,7 +90,7 @@ fn decode_record(
 ///
 /// Separating the fetch from the decode lets callers fetch payloads from a
 /// seekable source sequentially and decode them on independent contexts —
-/// the hook `pardict-search` uses for its parallel decode waves.
+/// what [`StreamReader::decode_waves`] does for each wave.
 ///
 /// # Errors
 /// A [`BlockIssue`] naming block `index` on checksum, token, length, or
@@ -104,19 +104,20 @@ pub fn decode_block(
     decode_record(pram, index, &entry.record_header(), payload)
 }
 
-/// One slot of a fetched wave (see [`StreamReader::fetch_wave`]): a block's
-/// index entry with its raw payload — or, in lenient mode, the fetch-level
-/// [`BlockIssue`] (inline header ≠ index entry), carried in the slot so
-/// sinks still see every block exactly once, in order.
+/// One slot of a fetched wave: a block's index entry with its raw payload
+/// — or, in lenient mode, the fetch-level [`BlockIssue`] (inline header ≠
+/// index entry), carried in the slot so sinks still see every block
+/// exactly once, in order.
 #[derive(Debug)]
-pub struct FetchedBlock {
+struct FetchedBlock {
     index: usize,
     start: u64,
     entry: BlockEntry,
     payload: Result<Vec<u8>, BlockIssue>,
 }
 
-/// One decoded wave slot.
+/// One decoded wave slot, as [`StreamReader::decode_waves`] hands it to
+/// its sink.
 #[derive(Debug)]
 pub struct DecodedBlock {
     /// Decoded offset of the block's first byte.
@@ -128,12 +129,10 @@ pub struct DecodedBlock {
 }
 
 impl FetchedBlock {
-    /// Decode this slot on the context its wave's super-step hands it —
-    /// the stage function every container read loop hands to
-    /// [`pardict_exec::run_waves`]. A fetch-level issue passes through at
-    /// zero cost.
-    #[must_use]
-    pub fn decode(self, pram: &Pram) -> DecodedBlock {
+    /// Decode this slot on the context its wave's super-step hands it — the
+    /// stage function of the decode loop. A fetch-level issue passes
+    /// through at zero cost.
+    fn decode(self, pram: &Pram) -> DecodedBlock {
         let at_fetch = self.payload.is_err();
         let data = self
             .payload
@@ -476,10 +475,7 @@ impl<R: Read + Seek> StreamReader<R> {
     /// place a wave of raw payloads is read. A block whose inline header
     /// disagrees with the index raises [`StreamError::CorruptBlock`] when
     /// `strict`, and otherwise rides in its slot as a [`BlockIssue`].
-    ///
-    /// # Errors
-    /// Structural and I/O failures always; block corruption when `strict`.
-    pub fn fetch_wave(
+    fn fetch_wave(
         &mut self,
         range: std::ops::Range<usize>,
         strict: bool,
@@ -506,37 +502,46 @@ impl<R: Read + Seek> StreamReader<R> {
             .collect()
     }
 
-    /// Decode blocks `blocks` in waves through [`pardict_exec::run_waves`]:
-    /// each wave of [`pardict_exec::default_wave_width`] blocks is fetched
-    /// ([`StreamReader::fetch_wave`], lenient) and decoded
-    /// ([`FetchedBlock::decode`]) as one [`Pram::superstep`] of
-    /// block-size-wide slots under a `decode-wave` span — concurrently when
-    /// `pram` is parallel, charged Σ work / max depth either way. `sink`
-    /// sees every block exactly once, in order; structural failures abort.
-    fn decode_waves(
+    /// The one container decode loop: blocks `blocks` in waves of `wave`
+    /// blocks through [`pardict_exec::run_waves`], each wave fetched
+    /// serially from the source and decoded as one [`Pram::superstep`] of
+    /// block-size-wide slots under a `name` span — concurrently when `pram`
+    /// is parallel, charged Σ work / max depth either way. `sink` sees each
+    /// wave's blocks in order, every block exactly once, and runs inside
+    /// the wave's span. A block whose inline header disagrees with the
+    /// index is an error when `strict` and otherwise reaches the sink as a
+    /// fetch-level issue; decode issues always reach the sink.
+    ///
+    /// # Errors
+    /// Structural and I/O failures, header mismatches when `strict`,
+    /// [`StreamError::Cancelled`] at an expired wave boundary, and
+    /// whatever `sink` raises.
+    pub fn decode_waves(
         &mut self,
         pram: &Pram,
+        name: &'static str,
         blocks: std::ops::Range<usize>,
-        mut sink: impl FnMut(Result<Vec<u8>, BlockIssue>) -> Result<(), StreamError>,
+        wave: usize,
+        strict: bool,
+        sink: impl FnMut(Vec<DecodedBlock>) -> Result<(), StreamError>,
     ) -> Result<(), StreamError> {
-        let width = pardict_exec::default_wave_width().max(1);
+        let wave = wave.max(1);
         let block_size = self.index.block_size as usize;
         let mut next = blocks.start;
         pardict_exec::run_waves(
             pram,
-            "decode-wave",
-            false,
+            name,
             block_size,
             || {
                 if next >= blocks.end {
                     return Ok(None);
                 }
                 let first = next;
-                next = (first + width).min(blocks.end);
-                Ok(Some((first as u64, self.fetch_wave(first..next, false)?)))
+                next = (first + wave).min(blocks.end);
+                Ok(Some((first as u64, self.fetch_wave(first..next, strict)?)))
             },
             |p, fetched: FetchedBlock| fetched.decode(p),
-            |slots| slots.into_iter().try_for_each(|slot| sink(slot.data)),
+            sink,
         )
     }
 
@@ -564,8 +569,11 @@ impl<R: Read + Seek> StreamReader<R> {
         let blocks = self.index.covering(start, end);
         let first_start = self.index.block_start(blocks.start);
         let mut out = Vec::with_capacity((end - start) as usize);
-        self.decode_waves(pram, blocks, |block| {
-            out.extend_from_slice(&block?);
+        let wave = pardict_pram::harts();
+        self.decode_waves(pram, "decode-wave", blocks, wave, false, |slots| {
+            for slot in slots {
+                out.extend_from_slice(&slot.data?);
+            }
             Ok(())
         })?;
         let lo = (start - first_start) as usize;
@@ -590,10 +598,13 @@ impl<R: Read + Seek> StreamReader<R> {
     ) -> Result<Vec<BlockIssue>, StreamError> {
         let mut issues = Vec::new();
         let n = self.index.num_blocks();
-        self.decode_waves(pram, 0..n, |block| {
-            match block {
-                Ok(bytes) => out.write_all(&bytes)?,
-                Err(issue) => issues.push(issue),
+        let wave = pardict_pram::harts();
+        self.decode_waves(pram, "decode-wave", 0..n, wave, false, |slots| {
+            for slot in slots {
+                match slot.data {
+                    Ok(bytes) => out.write_all(&bytes)?,
+                    Err(issue) => issues.push(issue),
+                }
             }
             Ok(())
         })?;

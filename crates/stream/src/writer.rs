@@ -49,7 +49,7 @@ impl Default for StreamConfig {
     fn default() -> Self {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,
-            max_in_flight: pardict_exec::default_wave_width(),
+            max_in_flight: pardict_pram::harts(),
         }
     }
 }
@@ -182,7 +182,6 @@ pub fn compress_stream<R: Read + ?Sized, W: Write>(
     pardict_exec::run_waves(
         pram,
         "compress-wave",
-        false,
         cfg.block_size,
         || -> Result<_, StreamError> {
             let first = summary.blocks;

@@ -17,8 +17,10 @@ echo "== one owner"
 # Decisions that used to have several owners keep exactly one: the byte
 # cursor and its pre-allocation policy (core::bytes), the selftests'
 # mixed-op roll table (pardict_workloads::mixed_ops), the container block
-# loops (exec::run_waves over StreamReader::fetch_wave +
-# FetchedBlock::decode), the hart count (pram::harts), and FNV-1a (pram).
+# loops (exec::run_waves, called only by compress_stream, the one compress
+# loop, and StreamReader::decode_waves, the one decode loop that
+# read_range, copy_to and grep are sinks of), the hart count (pram::harts),
+# and FNV-1a (pram).
 if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
   echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
   exit 1
@@ -33,6 +35,24 @@ if grep -n "% 100" $(find crates -name selftest.rs); then
 fi
 if grep -rnE "struct StreamCompressor|fn decode_slot" crates --include='*.rs'; then
   echo "ci.sh: a private block loop again (route it through exec::run_waves)" >&2
+  exit 1
+fi
+if grep -rnE "run_waves(::<[^(]*>)?\(" crates src tests examples --include='*.rs' |
+    grep -vE '^crates/(stream|exec)/src/'; then
+  echo "ci.sh: run_waves called outside crates/stream/src (use StreamReader::decode_waves)" >&2
+  exit 1
+fi
+if grep -rnE "fetch_wave|FetchedBlock" crates src tests examples --include='*.rs' |
+    grep -v '^crates/stream/src/'; then
+  echo "ci.sh: a fetch loop outside crates/stream/src (use StreamReader::decode_waves)" >&2
+  exit 1
+fi
+# Waves have one schedule: each completes before the next is fetched.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /(^|[^a-z_])pipelined?[ ]*:[^:]|\.pipelined?([^a-z_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/exec/src/*.rs crates/search/src/*.rs crates/stream/src/*.rs; then
+  echo "ci.sh: a pipelined schedule knob is back (waves run one barrier schedule)" >&2
   exit 1
 fi
 if grep -rnE "available_parallelism|current_num_threads" crates/stream crates/exec crates/search; then
@@ -92,9 +112,9 @@ if grep -rn "thread::scope" crates/core/src; then
   exit 1
 fi
 # The same for container waves: a wave's slots are one Pram::superstep and
-# run on the context it hands them. exec keeps two scoped-thread sites of
-# its own, the unbounded I/O scatter (fan_out) and run_waves' pipelined
-# overlap; the stream and search slots build no context of their own.
+# run on the context it hands them. exec keeps one scoped-thread site of
+# its own, the unbounded I/O scatter (fan_out); the stream and search
+# slots build no context of their own.
 if grep -rn "fn run_slots" crates src tests examples; then
   echo "ci.sh: a per-slot fork-join is back (waves run through Pram::superstep)" >&2
   exit 1
@@ -107,9 +127,9 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
 fi
 if awk '/^#\[cfg\(test\)\]/ { nextfile }
         /^ *(pub )?fn / { name = $0 }
-        /thread::scope/ { if (name !~ /fn (fan_out|run_waves)[<(]/ || seen[name]++) { print FILENAME ":" FNR ": " name; bad = 1 } }
+        /thread::scope/ { if (name !~ /fn fan_out[<(]/ || seen[name]++) { print FILENAME ":" FNR ": " name; bad = 1 } }
         END { exit !bad }' crates/exec/src/*.rs; then
-  echo "ci.sh: a fork-join in crates/exec/src outside fan_out and run_waves' overlap (use Pram::superstep)" >&2
+  echo "ci.sh: a fork-join in crates/exec/src outside fan_out (use Pram::superstep)" >&2
   exit 1
 fi
 if awk '/^#\[cfg\(test\)\]/ { exit }

@@ -105,12 +105,12 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Pipelining is invisible to everything but the clock: pipelined grep
-    /// and barrier grep return identical hits, identical issue reports,
-    /// identical block counts, and **identical ledger costs** under both
-    /// `Pram::seq` and `Pram::par` — including on corrupted containers.
+    /// Orchestration is invisible to everything but the clock: grep under
+    /// `Pram::seq` and `Pram::par` returns identical hits, identical issue
+    /// reports, identical block counts and **identical ledger costs**, for
+    /// any wave size — including on corrupted containers.
     #[test]
-    fn pipelined_grep_equals_barrier_grep(
+    fn seq_grep_equals_par_grep(
         text in prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', b'd']), 1..600),
         pats in prop::collection::vec(
             prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', b'd']), 1..8),
@@ -125,7 +125,7 @@ proptest! {
         let matcher = DictMatcher::build(&build, dict, 0xA11);
         let mut packed = pack(&text, block_size);
         // Half the cases flip one payload byte of an arbitrary block: both
-        // schedules must report the same issues and skip the same spans.
+        // modes must report the same issues and skip the same spans.
         if corrupt % 2 == 1 {
             let c = corrupt / 2;
             let rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
@@ -136,27 +136,18 @@ proptest! {
             }
         }
 
-        let run = |pram: &Pram, pipeline: bool| {
-            let cfg = GrepConfig { wave, strict: false, pipeline };
+        let run = |pram: &Pram| {
+            let cfg = GrepConfig { wave, strict: false };
             let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
             pram.metered(|p| grep_container(p, &matcher, &mut rdr, &cfg).unwrap())
         };
-        let (seq_b, seq_b_cost) = run(&Pram::seq(), false);
-        let (seq_p, seq_p_cost) = run(&Pram::seq(), true);
-        let (par_b, par_b_cost) = run(&Pram::par(), false);
-        let (par_p, par_p_cost) = run(&Pram::par(), true);
+        let (seq, seq_cost) = run(&Pram::seq());
+        let (par, par_cost) = run(&Pram::par());
 
-        prop_assert_eq!(&seq_p.hits, &seq_b.hits);
-        prop_assert_eq!(&par_b.hits, &seq_b.hits);
-        prop_assert_eq!(&par_p.hits, &seq_b.hits);
-        prop_assert_eq!(&seq_p.issues, &seq_b.issues);
-        prop_assert_eq!(&par_b.issues, &seq_b.issues);
-        prop_assert_eq!(&par_p.issues, &seq_b.issues);
-        prop_assert_eq!(seq_p.blocks_searched, seq_b.blocks_searched);
-        prop_assert_eq!(par_p.blocks_searched, seq_b.blocks_searched);
-        prop_assert_eq!(seq_p_cost, seq_b_cost, "pipelining must not change the ledger");
-        prop_assert_eq!(par_b_cost, seq_b_cost, "mode must not change the ledger");
-        prop_assert_eq!(par_p_cost, seq_b_cost);
+        prop_assert_eq!(&par.hits, &seq.hits);
+        prop_assert_eq!(&par.issues, &seq.issues);
+        prop_assert_eq!(par.blocks_searched, seq.blocks_searched);
+        prop_assert_eq!(par_cost, seq_cost, "mode must not change the ledger");
     }
 }
 
@@ -293,7 +284,7 @@ fn grep_is_mode_independent() {
     assert_eq!(ca, cb, "seq and par ledgers must agree");
 }
 
-/// Ledger goldens for the compress loop, both grep schedules and both read
+/// Ledger goldens for the compress loop, grep at two wave sizes and both read
 /// loops: each must charge exactly what is pinned here, whatever the wave
 /// grouping. Blocks run the sequential halves (greedy emit, one round per
 /// phrase; phrase-by-phrase decode), so a block's depth is about its phrase
@@ -330,20 +321,17 @@ fn wave_loops_charge_the_parent_ledger_goldens() {
     let matcher = DictMatcher::build(&Pram::seq(), dict, 0x601D);
     let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
     for (wave, depth) in [(1, 2539), (3, 894)] {
-        for pipeline in [false, true] {
-            let cfg = GrepConfig {
-                wave,
-                strict: false,
-                pipeline,
-            };
-            let summary = grep_container(&Pram::seq(), &matcher, &mut rdr, &cfg).unwrap();
-            let want = Cost {
-                work: 70_277,
-                depth,
-            };
-            assert_eq!(summary.cost, want, "wave {wave}, pipeline {pipeline}");
-            assert_eq!(summary.hits.len(), 132);
-        }
+        let cfg = GrepConfig {
+            wave,
+            strict: false,
+        };
+        let summary = grep_container(&Pram::seq(), &matcher, &mut rdr, &cfg).unwrap();
+        let want = Cost {
+            work: 70_277,
+            depth,
+        };
+        assert_eq!(summary.cost, want, "wave {wave}");
+        assert_eq!(summary.hits.len(), 132);
     }
     let (_, all) = Pram::seq().metered(|p| rdr.read_all(p).unwrap());
     assert_eq!(all.work, 8_999, "read_all");
@@ -392,7 +380,6 @@ fn fetch_issues_precede_decode_issues_within_a_wave() {
     let cfg = GrepConfig {
         wave: 4,
         strict: false,
-        pipeline: true,
     };
     let summary = grep_container(&pram, &matcher, &mut rdr, &cfg).unwrap();
     assert_eq!(kinds(&summary.issues), want);

@@ -444,7 +444,7 @@ fn copy_to_streams_wave_by_wave() {
     };
     let issues = rdr.copy_to(&pram, &mut sink).unwrap();
     assert!(issues.is_empty());
-    assert!(sink.largest > 0 && sink.largest <= pardict::exec::default_wave_width() * block_size);
+    assert!(sink.largest > 0 && sink.largest <= pardict::pram::harts() * block_size);
     assert_eq!(sink.out, rdr.read_all(&pram).unwrap().0);
     assert_eq!(sink.out, data);
 }
