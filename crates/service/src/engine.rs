@@ -22,7 +22,9 @@ use crate::registry::{DictVersion, Registry};
 use crate::types::{
     check_text, Hit, Lane, OpRequest, Reply, Request, Response, ResponseMeta, ServiceError,
 };
-use pardict_compress::{encode_tokens, greedy_parse, lz1_compress, optimal_parse};
+use pardict_compress::{
+    encode_tokens, greedy_parse, lz1_compress, lz1_decode, optimal_parse, Token,
+};
 use pardict_pram::Pram;
 use pardict_trace::Tracer;
 use std::collections::VecDeque;
@@ -490,7 +492,7 @@ impl Engine {
                             .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
                     (container, summary.phrases.min(u64::from(u32::MAX)) as u32)
                 } else {
-                    let tokens = lz1_compress(pram, text, LZ1_SEED);
+                    let tokens = verified_lz1(pram, text);
                     (encode_tokens(&tokens), tokens.len() as u32)
                 };
                 self.inner
@@ -557,6 +559,28 @@ fn to_hits(iter: impl Iterator<Item = (usize, pardict_core::Match)>) -> Vec<Hit>
     .collect()
 }
 
+/// The LZ1 parse of `text` if it decodes back to `text`, else the
+/// all-literal parse. LZ1's copy lengths come from fingerprint LCPs, exact
+/// only with high probability, so a reply is checked before it leaves; the
+/// literal parse is always exact.
+fn verified_lz1(pram: &Pram, text: &[u8]) -> Vec<Token> {
+    let tokens = lz1_compress(pram, text, LZ1_SEED);
+    #[cfg(test)]
+    let tokens = match tests::PARSE_TAMPER.with(std::cell::Cell::take) {
+        Some(tamper) => tamper(tokens),
+        None => tokens,
+    };
+    let mut out = Vec::with_capacity(text.len());
+    if lz1_decode(pram, &tokens, &mut out, text.len()).is_ok() {
+        pram.ledger().round(text.len() as u64); // the compare
+        if out == text {
+            return tokens;
+        }
+    }
+    pram.ledger().round(text.len() as u64);
+    text.iter().map(|&b| Token::Literal(b)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,6 +588,32 @@ mod tests {
         dna_dictionary, false_claim, repaying_text, whole_build_cost, TAMPER,
     };
     use pardict_trace::TraceCtx;
+    use std::cell::Cell;
+
+    /// Rewrites a small-lane parse before it is checked.
+    type ParseTamper = fn(Vec<Token>) -> Vec<Token>;
+
+    thread_local! {
+        /// Test seam: when set, rewrites this thread's next small-lane LZ1
+        /// parse the way a fingerprint collision would.
+        pub(crate) static PARSE_TAMPER: Cell<Option<ParseTamper>> = const { Cell::new(None) };
+    }
+
+    /// A parse tamper: the first copy that can reads from one byte later,
+    /// so the tokens still expand to the text's length but not its bytes.
+    fn shifted_copy(mut tokens: Vec<Token>) -> Vec<Token> {
+        let mut dst = 0;
+        for k in 0..tokens.len() {
+            if let Token::Copy { src, .. } = &mut tokens[k] {
+                if *src as usize + 1 < dst {
+                    *src += 1;
+                    return tokens;
+                }
+            }
+            dst += tokens[k].expanded_len();
+        }
+        panic!("the parse has no copy to shift")
+    }
 
     fn engine_with(workers: usize, queue_depth: usize) -> Engine {
         let metrics = Arc::new(Metrics::default());
@@ -834,6 +884,37 @@ mod tests {
             text: b"zzz".to_vec(),
         }));
         assert!(matches!(resp.result, Err(ServiceError::Unparseable)));
+    }
+
+    /// A small-lane parse that decodes to the wrong bytes — what a
+    /// fingerprint collision in the LCP array produces — never leaves the
+    /// engine: the reply is the all-literal parse, which decodes to the
+    /// request text.
+    #[test]
+    fn a_compress_reply_whose_parse_does_not_decode_is_all_literal() {
+        let e = engine_with(0, 8);
+        let text = b"abcabcabcabd abcabcabcabd abcabcabcabd".repeat(4);
+        let reply = |e: &Engine| match e
+            .call(Request::new(OpRequest::Compress { text: text.clone() }))
+            .result
+        {
+            Ok(Reply::Compress { payload, phrases }) => {
+                let tokens = pardict_compress::decode_tokens(&payload).unwrap();
+                let mut out = Vec::new();
+                lz1_decode(&Pram::seq(), &tokens, &mut out, text.len()).unwrap();
+                (out, phrases as usize)
+            }
+            other => panic!("unexpected reply {other:?}"),
+        };
+        let (clean, phrases) = reply(&e);
+        assert_eq!(clean, text);
+        assert!(phrases < text.len());
+
+        PARSE_TAMPER.with(|t| t.set(Some(shifted_copy)));
+        let (out, phrases) = reply(&e);
+        assert!(PARSE_TAMPER.with(Cell::take).is_none(), "the seam was used");
+        assert_eq!(out, text);
+        assert_eq!(phrases, text.len());
     }
 
     #[test]
