@@ -58,7 +58,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`pram`] | work/depth ledger, scans, packs, list ranking, sorting |
-//! | [`exec`] | the super-step executor: wave fan-out, per-wave ledger charge and trace span, pipelining, deadlines |
+//! | [`exec`] | the super-step executor: the container wave loop, per-wave ledger charge and trace span, deadlines |
 //! | [`fingerprint`] | Karp–Rabin fingerprints mod 2⁶¹−1 |
 //! | [`rmq`] | sparse tables, ANSV, cartesian trees, ±1 RMQ, LCA, linear RMQ |
 //! | [`veb`] | van Emde Boas predecessor sets |
