@@ -749,8 +749,9 @@ impl Router {
     ///
     /// Falls back to single-shard routing when there is nothing to fan
     /// out (one healthy shard, a single-block container, an unknown
-    /// dictionary, or an unparseable container — the shard's own reader
-    /// produces the authoritative issue reports for that last case).
+    /// dictionary), and for any container [`ContainerLayout::parse`]
+    /// refuses — exactly those one node would refuse to open or find a
+    /// header mismatch in — so the reply is that node's own.
     pub fn grepz(&self, dict: &str, container: &[u8], timeout_ms: u32) -> Routed {
         self.grepz_traced(dict, container, timeout_ms, None)
     }

@@ -1,24 +1,23 @@
 //! A byte-accurate structural map of a container — the mutation-friendly
 //! raw-record view.
 //!
-//! [`StreamReader`](crate::StreamReader) deliberately hides file offsets:
-//! callers address decoded bytes, not container bytes. Fault-injection
-//! harnesses need the opposite — "where, in the file, is block 3's
-//! payload?" — so they can flip exactly one bit of a payload, truncate a
-//! record mid-header, or damage one footer entry and then assert the
-//! reader degrades exactly as documented. [`ContainerLayout`] walks a
-//! *well-formed* container once and returns every region as a byte
-//! [`Range`] into the original buffer. It validates only what it needs to
-//! walk safely (magic, record framing, trailer magic); semantic checks
-//! (CRCs, offset chaining) stay in [`StreamReader::open`].
-//!
-//! [`StreamReader::open`]: crate::StreamReader::open
+//! [`StreamReader`] hides file offsets: callers address decoded bytes.
+//! Fault planners and the shard router need "where, in the file, is block
+//! 3's payload?" to flip one bit of it, damage one footer entry, or
+//! re-frame a run of blocks as a container of its own. [`ContainerLayout`]
+//! is a view of what [`StreamReader::open`] checked, not a second
+//! validator: it opens the bytes, requires each inline record header to
+//! equal its index entry (the comparison [`StreamReader::raw_block`]
+//! makes), and reads every region off the validated index. So a container
+//! has a layout exactly when one node would open it and find no header
+//! mismatch. The one forward walker stays
+//! [`StreamDecompressor`](crate::StreamDecompressor), for `Read`-only input.
 
 use crate::error::StreamError;
 use crate::format::{
-    encode_header, parse_header, parse_record_tail, Framer, RecordHeader, END_OF_BLOCKS,
-    FOOTER_ENTRY_LEN, HEADER_LEN, METHOD_LZ1, METHOD_STORED, RECORD_HEADER_LEN, TRAILER_LEN,
+    encode_header, Framer, RecordHeader, FOOTER_ENTRY_LEN, HEADER_LEN, RECORD_HEADER_LEN,
 };
+use crate::reader::{check_record_header, StreamReader};
 use std::ops::Range;
 
 /// Byte spans of one block record inside a container.
@@ -31,7 +30,7 @@ pub struct RecordSpan {
     /// Span of the compressed payload (may be empty only in theory — the
     /// writer never emits empty blocks).
     pub payload: Range<usize>,
-    /// The parsed inline header.
+    /// The record header, inline and in the index alike.
     pub record: RecordHeader,
 }
 
@@ -66,73 +65,49 @@ pub struct ContainerLayout {
 }
 
 impl ContainerLayout {
-    /// Walk `bytes` as a container and map every region.
-    ///
-    /// Framing is taken from the *inline* record headers (forward walk),
-    /// then cross-checked against the trailer's footer offset and block
-    /// count, so the layout is unambiguous on any container the writer
-    /// produces.
+    /// Map `bytes`, a container [`StreamReader::open`] accepts and whose
+    /// inline record headers all equal their index entries. Reads no payload.
     ///
     /// # Errors
-    /// Any [`StreamError`] describing the first structural defect found;
-    /// this function is meant for clean containers, so callers treat an
-    /// error as "not a valid subject for fault planning".
+    /// Whatever `open` refuses the container with, or the first block's
+    /// header mismatch as a [`StreamError::CorruptBlock`].
     pub fn parse(bytes: &[u8]) -> Result<Self, StreamError> {
-        let block_size = parse_header(bytes.get(..HEADER_LEN).ok_or(StreamError::Truncated)?)?;
-        let mut pos = HEADER_LEN;
-        let mut records = Vec::new();
-        loop {
-            let method = *bytes.get(pos).ok_or(StreamError::Truncated)?;
-            if method == END_OF_BLOCKS {
-                break;
-            }
-            if method != METHOD_LZ1 && method != METHOD_STORED {
-                return Err(StreamError::CorruptHeader("unknown block method"));
-            }
-            let tail: &[u8; RECORD_HEADER_LEN - 1] = bytes
-                .get(pos + 1..pos + RECORD_HEADER_LEN)
-                .ok_or(StreamError::Truncated)?
-                .try_into()
-                .expect("sized slice");
-            let record = parse_record_tail(method, tail);
-            let payload_start = pos + RECORD_HEADER_LEN;
-            let payload_end = payload_start + record.comp_len as usize;
-            if payload_end > bytes.len() {
-                return Err(StreamError::Truncated);
-            }
-            records.push(RecordSpan {
-                index: records.len(),
-                header: pos..payload_start,
-                payload: payload_start..payload_end,
-                record,
-            });
-            pos = payload_end;
-        }
-        let end_marker = pos;
-        let footer_start = end_marker + 1;
-        let footer_end = footer_start + records.len() * FOOTER_ENTRY_LEN;
-        let trailer_end = footer_end + TRAILER_LEN;
-        if trailer_end != bytes.len() {
-            return Err(StreamError::CorruptFooter("regions do not tile the file"));
-        }
-        let trailer: &[u8; TRAILER_LEN] = &bytes[footer_end..trailer_end]
-            .try_into()
-            .expect("sized slice");
-        let (footer_offset, num_blocks, _) = crate::format::parse_trailer(trailer)?;
-        if footer_offset != footer_start as u64 || num_blocks != records.len() as u64 {
-            return Err(StreamError::CorruptFooter("trailer disagrees with walk"));
-        }
-        let footer_entries = (0..records.len())
-            .map(|i| footer_start + i * FOOTER_ENTRY_LEN..footer_start + (i + 1) * FOOTER_ENTRY_LEN)
+        let reader = StreamReader::open(std::io::Cursor::new(bytes))?;
+        let index = reader.index();
+        // `open` checked that the entries chain from the header to the end
+        // marker and that the footer and trailer tile the rest of the file,
+        // so every span below lies inside `bytes`.
+        let records = index
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let header = e.offset as usize..e.offset as usize + RECORD_HEADER_LEN;
+                let inline = bytes[header.clone()].try_into().expect("record header");
+                check_record_header(i, e, inline)?;
+                Ok(RecordSpan {
+                    index: i,
+                    payload: header.end..header.end + e.comp_len as usize,
+                    header,
+                    record: e.record_header(),
+                })
+            })
+            .collect::<Result<Vec<_>, StreamError>>()?;
+        let end_marker = records.last().map_or(HEADER_LEN, |r| r.payload.end);
+        let footer = end_marker + 1..end_marker + 1 + records.len() * FOOTER_ENTRY_LEN;
+        let footer_entries = footer
+            .clone()
+            .step_by(FOOTER_ENTRY_LEN)
+            .map(|s| s..s + FOOTER_ENTRY_LEN)
             .collect();
         Ok(ContainerLayout {
             header: 0..HEADER_LEN,
-            block_size,
+            block_size: index.block_size,
             records,
             end_marker,
-            footer: footer_start..footer_end,
+            trailer: footer.end..bytes.len(),
+            footer,
             footer_entries,
-            trailer: footer_end..trailer_end,
         })
     }
 
@@ -142,17 +117,11 @@ impl ContainerLayout {
         self.records.len()
     }
 
-    /// Decoded start offset of block `i` (blocks before the last hold
+    /// Decoded byte range block `i` covers (blocks before the last hold
     /// exactly [`block_size`](Self::block_size) raw bytes).
     #[must_use]
-    pub fn raw_start(&self, i: usize) -> usize {
-        (self.block_size as usize) * i
-    }
-
-    /// Decoded byte range block `i` covers.
-    #[must_use]
     pub fn raw_range(&self, i: usize) -> Range<usize> {
-        let start = self.raw_start(i);
+        let start = self.block_size as usize * i;
         start..start + self.records[i].record.raw_len as usize
     }
 }
@@ -217,7 +186,9 @@ pub fn slice_container(bytes: &[u8], range: Range<usize>) -> Result<Vec<u8>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::END_OF_BLOCKS;
     use crate::writer::{compress_stream, StreamConfig};
+    use crate::{IssueKind, StreamReader};
     use pardict_pram::Pram;
 
     fn sample(block: usize, text: &[u8]) -> Vec<u8> {
@@ -282,7 +253,7 @@ mod tests {
         let pram = Pram::seq();
         for (a, b) in [(0, n), (0, 2), (1, 3), (n - 2, n), (n - 1, n)] {
             let slice = slice_container(&bytes, a..b).unwrap();
-            let mut rd = crate::StreamReader::open(std::io::Cursor::new(slice)).unwrap();
+            let mut rd = StreamReader::open(std::io::Cursor::new(slice)).unwrap();
             let (decoded, issues) = rd.read_all(&pram).unwrap();
             assert!(issues.is_empty());
             let want = &text[64 * a..(64 * b).min(text.len())];
@@ -301,5 +272,49 @@ mod tests {
         assert!(ContainerLayout::parse(&bytes[..bytes.len() - 3]).is_err());
         assert!(ContainerLayout::parse(&bytes[..10]).is_err());
         assert!(ContainerLayout::parse(b"not a container at all").is_err());
+    }
+
+    /// `parse` is a view of `open`: it refuses every truncation and every
+    /// single-bit flip that `open` refuses, and a flip of an inline record
+    /// header — bytes `open` never reads — is that block's header
+    /// mismatch. Only a payload flip leaves a layout, the clean one.
+    #[test]
+    fn parse_refuses_what_open_refuses_and_every_header_mismatch() {
+        let bytes = sample(
+            64,
+            &b"the quick brown fox jumps over the lazy dog. ".repeat(5),
+        );
+        let clean = ContainerLayout::parse(&bytes).unwrap();
+        assert!(clean.num_blocks() >= 3, "need a multi-block sample");
+        let opens = |b: &[u8]| StreamReader::open(std::io::Cursor::new(b)).is_ok();
+        for cut in 0..bytes.len() {
+            assert!(!opens(&bytes[..cut]));
+            assert!(ContainerLayout::parse(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for pos in 0..bytes.len() {
+            let record = clean.records.iter().find(|r| r.whole().contains(&pos));
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[pos] ^= 1 << bit;
+                let parsed = ContainerLayout::parse(&b);
+                if !opens(&b) {
+                    assert!(parsed.is_err(), "byte {pos} bit {bit}: open refuses");
+                }
+                match record {
+                    Some(r) if r.header.contains(&pos) => assert!(
+                        matches!(
+                            parsed,
+                            Err(StreamError::CorruptBlock {
+                                index,
+                                kind: IssueKind::HeaderMismatch,
+                            }) if index == r.index as u64
+                        ),
+                        "byte {pos} bit {bit}: {parsed:?}"
+                    ),
+                    Some(_) => assert_eq!(parsed.unwrap().records, clean.records),
+                    None => assert!(parsed.is_err(), "byte {pos} bit {bit} outside records"),
+                }
+            }
+        }
     }
 }

@@ -155,6 +155,25 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), Str
     })
 }
 
+/// Require block `index`'s inline record header `rec` to equal its index
+/// entry — the one comparison behind [`StreamReader::raw_block`] and
+/// [`ContainerLayout::parse`](crate::ContainerLayout::parse).
+pub(crate) fn check_record_header(
+    index: usize,
+    entry: &BlockEntry,
+    rec: &[u8; RECORD_HEADER_LEN],
+) -> Result<(), StreamError> {
+    let tail = rec[1..].try_into().expect("record tail");
+    if parse_record_tail(rec[0], tail) == entry.record_header() {
+        Ok(())
+    } else {
+        Err(StreamError::CorruptBlock {
+            index: index as u64,
+            kind: IssueKind::HeaderMismatch,
+        })
+    }
+}
+
 enum DecoderState {
     Start,
     Blocks,
@@ -448,27 +467,10 @@ impl<R: Read + Seek> StreamReader<R> {
         self.inner.seek(SeekFrom::Start(e.offset))?;
         let mut rec = [0u8; RECORD_HEADER_LEN];
         read_exact_or_truncated(&mut self.inner, &mut rec)?;
-        let tail: [u8; RECORD_HEADER_LEN - 1] = rec[1..].try_into().expect("record tail");
-        if parse_record_tail(rec[0], &tail) != e.record_header() {
-            return Err(StreamError::CorruptBlock {
-                index: i as u64,
-                kind: IssueKind::HeaderMismatch,
-            });
-        }
+        check_record_header(i, &e, &rec)?;
         let mut payload = vec![0u8; e.comp_len as usize];
         read_exact_or_truncated(&mut self.inner, &mut payload)?;
         Ok(payload)
-    }
-
-    /// Decode block `i` alone, verifying its inline record header against
-    /// the footer entry and its payload against the CRC.
-    ///
-    /// # Errors
-    /// [`StreamError::CorruptBlock`] naming the block on any mismatch.
-    pub fn read_block(&mut self, pram: &Pram, i: usize) -> Result<Vec<u8>, StreamError> {
-        let e = self.entry(i);
-        let payload = self.raw_block(i)?;
-        Ok(decode_block(pram, i as u64, &e, payload)?)
     }
 
     /// Fetch blocks `range` serially from the seekable source — the one
@@ -678,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_block_and_decode_block_compose_to_read_block() {
+    fn raw_block_and_decode_block_compose_to_read_range() {
         let data = b"yet another rainy day in the glasshouse ".repeat(60);
         let packed = pack(&data, 480); // 5 blocks
         let pram = Pram::seq();
@@ -687,7 +689,7 @@ mod tests {
         let payload = rdr.raw_block(1).unwrap();
         assert_eq!(
             decode_block(&pram, 1, &e, payload).unwrap(),
-            rdr.read_block(&pram, 1).unwrap()
+            rdr.read_range(&pram, 480, 960).unwrap()
         );
     }
 

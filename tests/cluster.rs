@@ -93,6 +93,105 @@ proptest! {
     }
 }
 
+/// `cluster grepz ≡ single node` on damaged containers: the router
+/// scatters only a container that one node would open with no header
+/// mismatch, so whatever one engine answers — hits and corrupt blocks, or
+/// a `BadRequest` refusal — a two-backend router answers too. Footer and
+/// trailer-checksum damage is refused by both; an inline `raw_len` flip is
+/// one node's `HeaderMismatch`, answered by both through one shard; payload
+/// damage and resealed hostile tokens are scattered, and the gather still
+/// reports each corrupt block once. Every fault of a seeded chaos plan
+/// rides along.
+#[test]
+fn cluster_grep_equals_single_node_grep_on_damaged_containers() {
+    use pardict::chaos::{ContainerFault, FaultPlan};
+    use pardict::stream::layout::ContainerLayout;
+
+    let (engines, servers, addrs) = backends(2);
+    let oracle = selftest::new_engine();
+    let router = Router::new(&addrs, ClusterConfig::default());
+    let patterns: Vec<Vec<u8>> = vec![b"fox".to_vec(), b"lazy dog".to_vec(), b"quick".to_vec()];
+    router.publish("d", &patterns).expect("cluster publish");
+    oracle
+        .registry()
+        .publish("d", patterns.clone())
+        .expect("oracle publish");
+
+    let text = b"the quick brown fox jumps over the lazy dog. ".repeat(30);
+    let cfg = StreamConfig::with_block_size(128);
+    let (container, _) =
+        compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).expect("compress");
+    let layout = ContainerLayout::parse(&container).expect("clean layout");
+    assert!(layout.num_blocks() > 4, "need a multi-block container");
+
+    let hostile = FaultPlan::generate(2026, &container, &text, &layout)
+        .faults
+        .into_iter()
+        .map(|f| f.fault)
+        .find(|f| matches!(f, ContainerFault::HostileTokens { .. }))
+        .expect("a plannable hostile-token fault");
+    let named = [
+        // Footer entry 0's CRC field, and the trailer's footer-CRC field.
+        ContainerFault::FooterFlip {
+            entry: 0,
+            byte: 16,
+            bit: 0,
+        },
+        ContainerFault::TrailerFlip { byte: 16, bit: 0 },
+        // Block 0's inline `raw_len`.
+        ContainerFault::RecordHeaderFlip {
+            block: 0,
+            byte: 1,
+            bit: 0,
+        },
+        ContainerFault::PayloadBitFlip {
+            block: 3,
+            byte: 0,
+            bit: 5,
+        },
+        hostile,
+    ];
+    let planned = FaultPlan::generate(7, &container, &text, &layout)
+        .faults
+        .into_iter()
+        .map(|f| f.fault);
+
+    let mut failures = Vec::new();
+    let mut answered = Vec::new();
+    for fault in named.into_iter().chain(planned) {
+        let damaged = fault.apply(&container, &layout);
+        let routed = router.grepz("d", &damaged, 0);
+        let single = oracle.call(Request::new(OpRequest::GrepContainer {
+            dict: "d".into(),
+            container: damaged,
+        }));
+        answered.push(single.result.is_ok());
+        let mut diff = Vec::new();
+        match (&routed.result, &single.result) {
+            // The wire carries a refusal as the node's rendered message.
+            (Err(ClusterError::Service(ServiceError::BadRequest(got))), Err(want))
+                if matches!(want, ServiceError::BadRequest(_)) =>
+            {
+                if *got != want.to_string() {
+                    diff.push(format!("refused with {got:?}, one node with {want:?}"));
+                }
+            }
+            (routed, single) => selftest::verify_response(0, routed, single, &mut diff),
+        }
+        failures.extend(
+            diff.into_iter()
+                .map(|d| format!("{}: {d}", fault.describe())),
+        );
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+    // One node refuses the checksum flips and answers the rest.
+    assert_eq!(answered[..5], [false, false, true, true, true]);
+
+    router.shutdown();
+    teardown(engines, servers);
+    oracle.shutdown();
+}
+
 /// Deterministic failover: the same options (and therefore the same
 /// seeded kill schedule) must produce a byte-identical degraded summary
 /// across independent runs — addresses, timing, and latency are excluded
