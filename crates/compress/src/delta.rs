@@ -9,12 +9,13 @@
 //!
 //! Same work/depth envelope as [`crate::lz1_compress`] on `|base| + |new|`.
 
-use crate::lz1::{greedy, longest_previous_factor, lz1_decode};
+use crate::lz1::{decodes_back, greedy, longest_previous_factor, lz1_decode};
 use crate::tokens::Token;
 use pardict_pram::{Pram, SplitMix64};
 
 /// Compress `new` against `base`: a token stream whose copies may
-/// reference the concatenation `base · new` at absolute positions.
+/// reference the concatenation `base · new` at absolute positions. A parse
+/// that fails [`decodes_back`] gives way to the all-literal one.
 #[must_use]
 pub fn delta_compress(pram: &Pram, base: &[u8], new: &[u8], seed: u64) -> Vec<Token> {
     if new.is_empty() {
@@ -23,7 +24,17 @@ pub fn delta_compress(pram: &Pram, base: &[u8], new: &[u8], seed: u64) -> Vec<To
     let joint = [base, new].concat();
     let matches = longest_previous_factor(pram, &joint, SplitMix64::new(seed).next_u64());
     // Greedy parse of the `new` region only.
-    greedy(pram, &joint, &matches, base.len())
+    let tokens = greedy(pram, &joint, &matches, base.len());
+    #[cfg(test)]
+    let tokens = match tests::TAMPER.with(std::cell::Cell::take) {
+        Some(tamper) => tamper(tokens),
+        None => tokens,
+    };
+    if decodes_back(pram, &tokens, base, new) {
+        return tokens;
+    }
+    pram.ledger().round(new.len() as u64);
+    new.iter().map(|&b| Token::Literal(b)).collect()
 }
 
 /// Decode a [`delta_compress`] stream given the same `base`: copy `base`
@@ -47,6 +58,45 @@ mod tests {
     use crate::tokens::encoded_size;
     use pardict_pram::SplitMix64;
     use pardict_workloads::{markov_text, random_text, Alphabet};
+    use std::cell::Cell;
+
+    /// Rewrites a delta parse before it is checked.
+    type Tamper = fn(Vec<Token>) -> Vec<Token>;
+
+    thread_local! {
+        /// Test seam: when set, rewrites this thread's next delta parse
+        /// the way a fingerprint collision would.
+        pub(crate) static TAMPER: Cell<Option<Tamper>> = const { Cell::new(None) };
+    }
+
+    /// A [`Tamper`]: the first copy, which starts inside a longer base,
+    /// reads from one byte later, so the tokens still expand to the right
+    /// length but not to the right bytes.
+    fn shifted_copy(mut tokens: Vec<Token>) -> Vec<Token> {
+        match tokens.first_mut() {
+            Some(Token::Copy { src, .. }) => *src += 1,
+            other => panic!("the parse does not open with a copy: {other:?}"),
+        }
+        tokens
+    }
+
+    /// A delta parse that decodes to the right length but the wrong bytes
+    /// — what a fingerprint collision produces — never leaves
+    /// `delta_compress`: the all-literal parse does, and it patches back.
+    #[test]
+    fn a_delta_that_does_not_decode_back_is_all_literal() {
+        let pram = Pram::seq();
+        let base = b"abcabcabcabd abcabcabcabd".to_vec();
+        let new = b"abcabcabcabd abcabcabcabe".to_vec();
+        let clean = delta_compress(&pram, &base, &new, 4);
+        assert!(clean.len() < new.len());
+
+        TAMPER.with(|t| t.set(Some(shifted_copy)));
+        let tokens = delta_compress(&pram, &base, &new, 4);
+        assert!(TAMPER.with(Cell::take).is_none(), "the seam was used");
+        assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
+        assert_eq!(delta_decompress(&pram, &base, &tokens), new);
+    }
 
     #[test]
     fn roundtrip_random_edits() {

@@ -13,7 +13,9 @@
 //!   [`lz1_decode`] decodes phrase by phrase into a caller-sized buffer,
 //!   `n` work. The PRAM routes are their oracles. [`lz1_nlogn_baseline`]
 //!   is the previous-best `O(n log n)`-work parallel envelope, also an
-//!   exact oracle.
+//!   exact oracle. A parse leaves the process — as a stream block, a
+//!   served Compress reply, a delta, or the CLI's whole-buffer parse —
+//!   only if [`decodes_back`] says it spells its text.
 //! * **LZ2 / LZ78** — [`lz78_compress`]/[`lz78_decompress`], sequential
 //!   only: the paper cites its P-completeness as the reason no fast
 //!   parallel version exists.
@@ -45,8 +47,8 @@ mod window;
 
 pub use delta::{delta_compress, delta_decompress};
 pub use lz1::{
-    longest_previous_factor, longest_previous_factor_from_tree, lz1_compress, lz1_decode,
-    lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline, lz77_sequential,
+    decodes_back, longest_previous_factor, longest_previous_factor_from_tree, lz1_compress,
+    lz1_decode, lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline, lz77_sequential,
 };
 pub use lz78::{lz78_compress, lz78_decompress, Lz78Token};
 pub use static_parse::{bfs_parse, greedy_parse, lff_parse, optimal_parse, Parse, Phrase};

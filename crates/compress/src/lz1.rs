@@ -252,6 +252,21 @@ pub fn lz1_decode(
     Ok(())
 }
 
+/// Whether `tokens`, decoded after `base` (empty but for a delta), spell
+/// exactly `text`: the one check a parse passes before it ships, as LZ1
+/// copy lengths come from fingerprint LCPs, exact only whp. Charged one
+/// [`lz1_decode`], then one compare round only when the decode succeeds.
+#[must_use]
+pub fn decodes_back(pram: &Pram, tokens: &[Token], base: &[u8], text: &[u8]) -> bool {
+    let mut out = Vec::with_capacity(base.len() + text.len());
+    out.extend_from_slice(base);
+    if lz1_decode(pram, tokens, &mut out, text.len()).is_err() {
+        return false;
+    }
+    pram.ledger().round(text.len() as u64); // the compare
+    out[base.len()..] == *text
+}
+
 /// Sequential LZ77: the classical greedy left-to-right parse off the
 /// Lemma 4.1 match table — the emitter `pardict-stream` blocks run, and
 /// E4's sequential baseline. The match table draws its fingerprint base
@@ -478,6 +493,30 @@ mod tests {
             assert_eq!(lz1_decode(&pram, &bad, &mut out, n), Err(want));
             assert_eq!(out, b"xyyyy");
         }
+    }
+
+    /// The one decode-and-compare: a decode's cost plus one compare round
+    /// when the tokens decode, nothing when they expand to the wrong
+    /// length; a base prefix is addressable and not compared.
+    #[test]
+    fn decodes_back_charges_a_decode_then_one_compare_round() {
+        use pardict_pram::Cost;
+        let tokens = [
+            Token::Literal(b'a'),
+            Token::Literal(b'b'),
+            Token::Copy { src: 0, len: 5 },
+        ];
+        let pram = Pram::seq();
+        let check =
+            |base: &[u8], text: &[u8]| pram.metered(|p| decodes_back(p, &tokens, base, text));
+        // The decode is (7, 5) and the compare (7, 1).
+        let charged = Cost { work: 14, depth: 6 };
+        assert_eq!(check(b"", b"abababa"), (true, charged));
+        assert_eq!(check(b"", b"abababb"), (false, charged));
+        assert_eq!(check(b"", b"abab"), (false, Cost::default()));
+        let shifted = [Token::Copy { src: 1, len: 7 }];
+        assert!(decodes_back(&pram, &shifted, b"xab", b"abababa"));
+        assert!(!decodes_back(&pram, &shifted, b"xba", b"abababa"));
     }
 
     #[test]

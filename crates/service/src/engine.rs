@@ -23,7 +23,7 @@ use crate::types::{
     check_text, Hit, Lane, OpRequest, Reply, Request, Response, ResponseMeta, ServiceError,
 };
 use pardict_compress::{
-    encode_tokens, greedy_parse, lz1_compress, lz1_decode, optimal_parse, Token,
+    decodes_back, encode_tokens, greedy_parse, lz1_compress, optimal_parse, Token,
 };
 use pardict_pram::Pram;
 use pardict_trace::Tracer;
@@ -570,12 +570,8 @@ fn verified_lz1(pram: &Pram, text: &[u8]) -> Vec<Token> {
         Some(tamper) => tamper(tokens),
         None => tokens,
     };
-    let mut out = Vec::with_capacity(text.len());
-    if lz1_decode(pram, &tokens, &mut out, text.len()).is_ok() {
-        pram.ledger().round(text.len() as u64); // the compare
-        if out == text {
-            return tokens;
-        }
+    if decodes_back(pram, &tokens, &[], text) {
+        return tokens;
     }
     pram.ledger().round(text.len() as u64);
     text.iter().map(|&b| Token::Literal(b)).collect()
@@ -900,8 +896,7 @@ mod tests {
         {
             Ok(Reply::Compress { payload, phrases }) => {
                 let tokens = pardict_compress::decode_tokens(&payload).unwrap();
-                let mut out = Vec::new();
-                lz1_decode(&Pram::seq(), &tokens, &mut out, text.len()).unwrap();
+                let out = pardict_compress::lz1_decompress(&Pram::seq(), &tokens, 1);
                 (out, phrases as usize)
             }
             other => panic!("unexpected reply {other:?}"),

@@ -24,7 +24,7 @@ use crate::format::{
     encode_header, Framer, RecordHeader, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE, METHOD_LZ1,
     METHOD_STORED,
 };
-use pardict_compress::{encode_tokens, lz1_decode, lz77_sequential};
+use pardict_compress::{decodes_back, encode_tokens, lz77_sequential};
 use pardict_core::crc32;
 use pardict_pram::{Cost, Pram, SplitMix64};
 use std::io::{Read, Write};
@@ -124,12 +124,8 @@ fn compress_block(pram: &Pram, block: Vec<u8>, index: u64) -> BlockOut {
             None => tokens,
         };
         let payload = encode_tokens(&tokens);
-        if payload.len() < block.len() {
-            let mut out = Vec::with_capacity(block.len());
-            if lz1_decode(pram, &tokens, &mut out, block.len()).is_ok() {
-                pram.ledger().round(block.len() as u64); // the compare
-                kept = (out == block).then_some((payload, tokens.len() as u64));
-            }
+        if payload.len() < block.len() && decodes_back(pram, &tokens, &[], &block) {
+            kept = Some((payload, tokens.len() as u64));
         }
     }
     let (method, payload, phrases) = match kept {

@@ -410,7 +410,12 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
     }
     let text = read_input(&pos)?;
     check_text(&text)?;
-    let tokens = lz1_compress(&pram, &text, CLI_LZ1_SEED);
+    let mut tokens = lz1_compress(&pram, &text, CLI_LZ1_SEED);
+    // Copy lengths come from fingerprint LCPs: ship the parse only if it
+    // spells the file, and the always-exact literal parse otherwise.
+    if !pardict::compress::decodes_back(&pram, &tokens, &[], &text) {
+        tokens = text.iter().map(|&b| Token::Literal(b)).collect();
+    }
     let bytes = pardict::compress::encode_tokens(&tokens);
     eprintln!(
         "pardict: {} -> {} bytes ({:.1}%), {} phrases",
@@ -443,10 +448,10 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
 
     let data = read_input(&pos)?;
     let tokens = pardict::compress::decode_tokens(&data).map_err(|e| e.to_string())?;
-    let mut text = Vec::new();
-    pardict::compress::lz1_decode(&pram, &tokens, &mut text, expanded_len(&tokens)?)
-        .map_err(|e| e.to_string())?;
-    write_output(out, &text)
+    expanded_len(&tokens)?;
+    // A token stream is a delta against the empty base; `decode_tokens`
+    // has already refused every forward copy.
+    write_output(out, &delta_decompress(&pram, &[], &tokens))
 }
 
 /// The decoded length of a bare token stream, refused above the
