@@ -60,9 +60,9 @@
 //! | [`pram`] | work/depth ledger, scans, packs, list ranking, sorting |
 //! | [`exec`] | the super-step executor: the container wave loop, per-wave ledger charge and trace span, deadlines |
 //! | [`fingerprint`] | Karp–Rabin fingerprints mod 2⁶¹−1 |
-//! | [`rmq`] | sparse tables, ANSV, cartesian trees, ±1 RMQ, LCA, linear RMQ |
+//! | [`rmq`] | sparse tables, ANSV, linear RMQ |
 //! | [`veb`] | van Emde Boas predecessor sets |
-//! | [`graph`] | forests, Euler tours, connected components |
+//! | [`graph`] | forests, Euler tours |
 //! | [`suffix`] | suffix arrays/trees, suffix & Weiner links, LCP oracles |
 //! | [`ancestors`] | nearest marked / colored ancestors (§3.2) |
 //! | [`core`] | the dictionary matcher (§3) with checker and baselines |
