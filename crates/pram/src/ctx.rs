@@ -1,35 +1,83 @@
 //! The PRAM execution context: wide synchronous rounds over slices.
 
 use crate::ledger::{Cost, Ledger};
-use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Execution policy for the wide rounds.
 ///
 /// Both modes produce *identical results and identical ledger costs*; `Par`
-/// merely runs each round's body on the rayon thread pool for wall-clock
-/// speed. Tests default to `Seq` for determinism of timing-independent
-/// behaviour; benches sweep both.
+/// merely forks wide rounds on scoped threads for wall-clock speed. Tests
+/// default to `Seq` for determinism of timing-independent behaviour; benches
+/// sweep both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Run rounds as plain sequential loops.
     #[default]
     Seq,
-    /// Run rounds on the global rayon pool.
+    /// Fork rounds of at least 4 096 units on scoped threads.
     Par,
 }
 
-/// Threshold below which `Par` rounds fall back to sequential loops: rayon
-/// task spawning costs more than the loop itself for tiny inputs.
-const PAR_THRESHOLD: usize = 2048;
+/// The units a `Par` round needs before it leaves the calling thread: items
+/// for a round, blocks for a scan, width for a super-step. Below it a fork
+/// costs more than the loop itself.
+pub(crate) const PAR_THRESHOLD: usize = 4096;
 
-/// The hardware threads a super-step may occupy: one per hart, capped at
-/// 16 as the rayon pool is. The one hart count in the workspace — the
-/// container waves' default width reads it too.
+/// The hardware threads a fork may occupy: one per hart, capped at 16. The
+/// one hart count in the workspace — the container waves' default width and
+/// the service's worker count read it too.
 #[must_use]
 pub fn harts() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(16)
+    static HARTS: OnceLock<usize> = OnceLock::new();
+    *HARTS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(16)
+    })
+}
+
+/// The one fork-join in `pram`: `job` runs on its own scoped thread for
+/// each input while `here` runs on the calling thread. Returns `here`'s
+/// result and the jobs' results in input order; a job's panic resumes on
+/// the caller. Threads never see a ledger, so forking changes no cost.
+fn fork<I, R, H>(
+    inputs: Vec<I>,
+    job: impl Fn(I) -> R + Sync,
+    here: impl FnOnce() -> H,
+) -> (H, Vec<R>)
+where
+    I: Send,
+    R: Send,
+{
+    let job = &job;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| s.spawn(move || job(input)))
+            .collect();
+        let mine = here();
+        let theirs = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        (mine, theirs)
+    })
+}
+
+/// The parts in order as one vector; a lone part is returned as it is.
+fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// The simulated arbitrary-CRCW PRAM.
@@ -59,7 +107,7 @@ impl Pram {
         Self::new(Mode::Seq)
     }
 
-    /// Rayon-backed PRAM.
+    /// PRAM whose wide rounds fork on scoped threads.
     #[must_use]
     pub fn par() -> Self {
         Self::new(Mode::Par)
@@ -90,9 +138,37 @@ impl Pram {
         (r, self.cost().since(before))
     }
 
+    /// Whether a round of `units` forks: `Par`, at least the threshold, and
+    /// a second hart to fork onto.
     #[inline]
-    fn run_par(&self, n: usize) -> bool {
-        self.mode == Mode::Par && n >= PAR_THRESHOLD
+    fn forks(&self, units: usize) -> bool {
+        self.mode == Mode::Par && units >= PAR_THRESHOLD && harts() > 1
+    }
+
+    /// `job` over the index space `0..n`, one result per part. When `n`
+    /// units fork, the space is cut into one contiguous range per hart, each
+    /// on its own thread; otherwise the one part `job(0..n)` runs inline.
+    /// Charges nothing: the caller does.
+    pub(crate) fn in_parts<R, F>(&self, n: usize, job: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(Range<usize>) -> R + Sync,
+    {
+        if !self.forks(n) {
+            return vec![job(0..n)];
+        }
+        let chunk = n.div_ceil(harts());
+        let ranges = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n));
+        fork(ranges.collect(), job, || ()).1
+    }
+
+    /// [`Pram::in_parts`] with the parts' outputs concatenated in order.
+    pub(crate) fn concat_ranges<T, F>(&self, n: usize, job: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
+    {
+        concat(self.in_parts(n, job))
     }
 
     /// One wide round: `out[i] = f(i)` for `i in 0..n`, depth 1, work `n`.
@@ -102,11 +178,7 @@ impl Pram {
         F: Fn(usize) -> T + Sync + Send,
     {
         self.ledger.round(n as u64);
-        if self.run_par(n) {
-            (0..n).into_par_iter().map(f).collect()
-        } else {
-            (0..n).map(f).collect()
-        }
+        self.concat_ranges(n, |r| r.map(&f).collect())
     }
 
     /// One wide round mapping a slice: depth 1, work `xs.len()`.
@@ -117,11 +189,7 @@ impl Pram {
         F: Fn(usize, &T) -> U + Sync + Send,
     {
         self.ledger.round(xs.len() as u64);
-        if self.run_par(xs.len()) {
-            xs.par_iter().enumerate().map(|(i, x)| f(i, x)).collect()
-        } else {
-            xs.iter().enumerate().map(|(i, x)| f(i, x)).collect()
-        }
+        self.concat_ranges(xs.len(), |r| r.map(|i| f(i, &xs[i])).collect())
     }
 
     /// One wide round with *per-element variable cost*: the closure returns
@@ -133,26 +201,23 @@ impl Pram {
         T: Send,
         F: Fn(usize) -> (T, u64) + Sync + Send,
     {
-        let (out, work, depth): (Vec<T>, u64, u64) = if self.run_par(n) {
-            let pairs: Vec<(T, u64)> = (0..n).into_par_iter().map(f).collect();
-            let work = pairs.iter().map(|p| p.1).sum();
-            let depth = pairs.iter().map(|p| p.1).max().unwrap_or(0);
-            (pairs.into_iter().map(|p| p.0).collect(), work, depth)
-        } else {
-            let mut work = 0u64;
-            let mut depth = 0u64;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let (v, c) = f(i);
-                work += c;
-                depth = depth.max(c);
-                out.push(v);
-            }
+        let parts = self.in_parts(n, |r| {
+            let (mut work, mut depth) = (0u64, 0u64);
+            let out: Vec<T> = r
+                .map(|i| {
+                    let (v, c) = f(i);
+                    work += c;
+                    depth = depth.max(c);
+                    v
+                })
+                .collect();
             (out, work, depth)
-        };
+        });
+        let work: u64 = parts.iter().map(|p| p.1).sum();
+        let depth = parts.iter().map(|p| p.2).max().unwrap_or(0);
         self.ledger.charge_work(work.max(n as u64));
         self.ledger.charge_depth(depth.max(1));
-        out
+        concat(parts.into_iter().map(|p| p.0).collect())
     }
 
     /// One super-step over `items`, independent sub-computations whose own
@@ -161,13 +226,13 @@ impl Pram {
     /// calling thread, and this ledger is charged once — Σ task work,
     /// **max** task depth — in either mode and on any machine.
     ///
-    /// A `Par` context with at least two items of at least the inline
-    /// threshold's width runs them on `min(items, harts())` scoped threads,
-    /// thread `t` taking items `t, t + threads, …` and handing each result
-    /// over before it starts the next, so no more than `threads + 1`
-    /// results exist at once however many items there are. With an item
-    /// per hart the private contexts are sequential; with harts to spare
-    /// they inherit this context's mode so a task's rounds can use them.
+    /// A `Par` context with at least two items and a `width` that forks
+    /// runs them on `min(items, harts())` lanes, lane `t` taking items
+    /// `t, t + lanes, …` and handing each result over before it starts the
+    /// next, so no more than `lanes + 1` results exist at once however many
+    /// items there are. With an item per hart the private contexts are
+    /// sequential; with harts to spare they inherit this context's mode so
+    /// a task's rounds can use them.
     pub fn superstep<I, R, F, S>(&self, items: Vec<I>, width: usize, task: F, mut sink: S)
     where
         I: Send,
@@ -176,52 +241,61 @@ impl Pram {
         S: FnMut(usize, R),
     {
         let tasks = items.len();
-        let harts = harts();
-        let threads = if self.run_par(width) {
-            tasks.min(harts)
+        let threads = if self.forks(width) {
+            tasks.min(harts())
         } else {
             1
         };
-        let mut total = Cost::default();
-        if threads < 2 {
+        let total = if threads < 2 {
+            let mut total = Cost::default();
             for (i, item) in items.into_iter().enumerate() {
                 let private = Pram::new(self.mode);
                 sink(i, task(&private, item));
                 total = total.beside(private.cost());
             }
+            total
         } else {
-            let mode = if tasks >= harts { Mode::Seq } else { self.mode };
-            let mut lanes: Vec<Vec<I>> = (0..threads).map(|_| Vec::new()).collect();
+            let mode = if tasks >= harts() {
+                Mode::Seq
+            } else {
+                self.mode
+            };
+            let (senders, receivers): (Vec<_>, Vec<_>) = (0..threads)
+                .map(|_| std::sync::mpsc::sync_channel(0))
+                .unzip();
+            let mut lanes: Vec<(Vec<I>, _)> =
+                senders.into_iter().map(|tx| (Vec::new(), tx)).collect();
             for (i, item) in items.into_iter().enumerate() {
-                lanes[i % threads].push(item);
+                lanes[i % threads].0.push(item);
             }
-            let task = &task;
-            std::thread::scope(|s| {
-                let lanes: Vec<_> = lanes
-                    .into_iter()
-                    .map(|lane| {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(0);
-                        s.spawn(move || {
-                            for item in lane {
-                                let private = Pram::new(mode);
-                                let r = task(&private, item);
-                                // The receiver only goes away when the
-                                // caller is unwinding; stop quietly.
-                                if tx.send((r, private.cost())).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        rx
-                    })
-                    .collect();
+            let run_lane = |(lane, tx): (Vec<I>, std::sync::mpsc::SyncSender<_>)| {
+                for item in lane {
+                    let private = Pram::new(mode);
+                    let r = task(&private, item);
+                    // The receiver only goes away when the caller stops
+                    // receiving; stop quietly.
+                    if tx.send((r, private.cost())).is_err() {
+                        break;
+                    }
+                }
+            };
+            // The receivers move into the calling thread's half, so they
+            // are gone, and the lanes stop, as soon as it returns or unwinds.
+            let sink = &mut sink;
+            let receive = move || {
+                let mut total = Cost::default();
                 for i in 0..tasks {
-                    let (r, cost) = lanes[i % threads].recv().expect("superstep task panicked");
+                    // A closed lane panicked; the join resumes its panic.
+                    let Ok((r, cost)) = receivers[i % threads].recv() else {
+                        break;
+                    };
                     total = total.beside(cost);
                     sink(i, r);
                 }
-            });
-        }
+                total
+            };
+            fork(lanes, run_lane, receive).0
+        };
         self.ledger.charge_work(total.work);
         self.ledger.charge_depth(total.depth);
     }
@@ -233,28 +307,31 @@ impl Pram {
         F: Fn(usize, &mut T) + Sync + Send,
     {
         self.ledger.round(xs.len() as u64);
-        if self.run_par(xs.len()) {
-            xs.par_iter_mut().enumerate().for_each(|(i, x)| f(i, x));
+        let update = |(lo, part): (usize, &mut [T])| {
+            for (i, x) in part.iter_mut().enumerate() {
+                f(lo + i, x);
+            }
+        };
+        if self.forks(xs.len()) {
+            let chunk = xs.len().div_ceil(harts());
+            let parts = xs.chunks_mut(chunk).enumerate();
+            fork(
+                parts.map(|(k, part)| (k * chunk, part)).collect(),
+                update,
+                || (),
+            );
         } else {
-            xs.iter_mut().enumerate().for_each(|(i, x)| f(i, x));
+            update((0, xs));
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn tabulate_matches_seq_and_par() {
-        let s = Pram::seq();
-        let p = Pram::par();
-        let n = 5000;
-        let a = s.tabulate(n, |i| i * i);
-        let b = p.tabulate(n, |i| i * i);
-        assert_eq!(a, b);
-        assert_eq!(s.cost(), p.cost());
-    }
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn map_is_one_round() {
@@ -282,7 +359,7 @@ mod tests {
 
     #[test]
     fn superstep_charges_summed_work_and_max_depth_in_both_modes() {
-        let width = 3000; // above the inline threshold: `par` really forks
+        let width = PAR_THRESHOLD; // `par` really forks
         for k in [1usize, 2, 5] {
             let want = Cost {
                 work: (1..=k).map(|i| (i * width) as u64).sum(),
@@ -350,26 +427,76 @@ mod tests {
         );
     }
 
+    /// The threads `round` ran its closures on: `round` calls the probe it
+    /// is handed from inside them.
+    pub(crate) fn ran_on(round: impl FnOnce(&(dyn Fn() + Sync))) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        round(&|| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        seen.into_inner().unwrap()
+    }
+
+    /// Whether a `Par` round of `units` must fork on this machine.
+    pub(crate) fn must_fork(units: usize) -> bool {
+        units >= PAR_THRESHOLD && harts() > 1
+    }
+
     #[test]
-    fn par_paths_above_threshold_match_seq() {
-        // Exercise every Par code path with n > PAR_THRESHOLD.
-        let n = 3000;
-        let s = Pram::seq();
-        let p = Pram::par();
-        let xs: Vec<u64> = (0..n as u64).collect();
-        assert_eq!(
-            s.map(&xs, |i, &x| x * 2 + i as u64),
-            p.map(&xs, |i, &x| x * 2 + i as u64)
-        );
-        assert_eq!(
-            s.tabulate_costed(n, |i| (i * 3, 2)),
-            p.tabulate_costed(n, |i| (i * 3, 2))
-        );
-        let mut a = xs.clone();
-        let mut b = xs.clone();
-        s.for_each_mut(&mut a, |i, x| *x += i as u64);
-        p.for_each_mut(&mut b, |i, x| *x += i as u64);
-        assert_eq!(a, b);
-        assert_eq!(s.cost(), p.cost());
+    fn par_paths_match_seq_and_fork_from_the_threshold() {
+        let here = std::thread::current().id();
+        for n in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
+            let s = Pram::seq();
+            let p = Pram::par();
+            let xs: Vec<u64> = (0..n as u64).collect();
+            let mut sides = Vec::new();
+
+            let want = s.tabulate(n, |i| i * 3 + 1);
+            sides.push(ran_on(|probe| {
+                let got = p.tabulate(n, |i| {
+                    probe();
+                    i * 3 + 1
+                });
+                assert_eq!(got, want, "tabulate n={n}");
+            }));
+
+            let want = s.map(&xs, |i, &x| x * 2 + i as u64);
+            sides.push(ran_on(|probe| {
+                let got = p.map(&xs, |i, &x| {
+                    probe();
+                    x * 2 + i as u64
+                });
+                assert_eq!(got, want, "map n={n}");
+            }));
+
+            let want = s.tabulate_costed(n, |i| (i * 3, i as u64 % 7));
+            sides.push(ran_on(|probe| {
+                let got = p.tabulate_costed(n, |i| {
+                    probe();
+                    (i * 3, i as u64 % 7)
+                });
+                assert_eq!(got, want, "tabulate_costed n={n}");
+            }));
+
+            let mut want = xs.clone();
+            s.for_each_mut(&mut want, |i, x| *x = *x * 2 + i as u64);
+            sides.push(ran_on(|probe| {
+                let mut got = xs.clone();
+                p.for_each_mut(&mut got, |i, x| {
+                    probe();
+                    *x = *x * 2 + i as u64;
+                });
+                assert_eq!(got, want, "for_each_mut n={n}");
+            }));
+
+            assert_eq!(s.cost(), p.cost(), "n={n}");
+            for seen in sides {
+                if must_fork(n) {
+                    assert!(!seen.contains(&here), "n={n} stayed on the calling thread");
+                } else {
+                    assert_eq!(seen, HashSet::from([here]), "n={n} left the calling thread");
+                }
+            }
+        }
     }
 }

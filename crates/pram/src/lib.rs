@@ -9,9 +9,10 @@
 //!
 //! Real PRAMs do not exist, so this crate provides the substitution used by
 //! the whole workspace: algorithms are written as sequences of **wide
-//! synchronous rounds** executed either sequentially or on a rayon thread
-//! pool (the results are identical — only wall-clock differs), while a
-//! [`Ledger`] counts the two quantities the paper's theorems actually bound:
+//! synchronous rounds** executed either sequentially or forked on scoped
+//! threads by `pram` (the results are identical — only wall-clock differs),
+//! while a [`Ledger`] counts the two quantities the paper's theorems
+//! actually bound:
 //!
 //! * **work** — element-operations actually performed, and
 //! * **depth** — dependent rounds actually executed (PRAM "time").
@@ -20,9 +21,12 @@
 //! the paper's algorithms: wide maps, reductions, prefix scans (Blelloch
 //! block-sweep, O(n) work / O(log n) depth), stream compaction, pointer
 //! jumping, list ranking (Wyllie and work-optimal random-mate), stable
-//! integer sorting (counting/radix rounds), and one fork-join
+//! integer sorting (counting/radix rounds), and super-steps
 //! ([`Pram::superstep`]: independent sub-computations under private
-//! ledgers, charged Σ work and the deepest one's depth).
+//! ledgers, charged Σ work and the deepest one's depth). Under
+//! [`Mode::Par`] every round, scan and super-step of at least 4 096 units
+//! (items, blocks or width) forks through one scoped-thread helper; smaller
+//! ones, and everything under [`Mode::Seq`], run on the calling thread.
 //!
 //! ```
 //! use pardict_pram::{Pram, Mode};

@@ -8,10 +8,6 @@
 
 use crate::ceil_log2;
 use crate::ctx::Pram;
-use rayon::prelude::*;
-
-/// Threshold mirroring `ctx::PAR_THRESHOLD` for block-level parallelism.
-const PAR_BLOCKS: usize = 8;
 
 impl Pram {
     /// Associative reduction of `xs` with identity `id`.
@@ -22,26 +18,10 @@ impl Pram {
         T: Copy + Send + Sync,
         F: Fn(T, T) -> T + Sync,
     {
-        let n = xs.len();
-        if n == 0 {
+        if xs.is_empty() {
             return id;
         }
-        let b = block_len(n);
-        let blocks: Vec<&[T]> = xs.chunks(b).collect();
-        // Local pass: each virtual processor folds its block.
-        self.ledger().charge_work(n as u64);
-        self.ledger().charge_depth(b as u64);
-        let sums: Vec<T> = if self.mode() == crate::Mode::Par && blocks.len() >= PAR_BLOCKS {
-            blocks
-                .par_iter()
-                .map(|c| c.iter().copied().fold(id, &op))
-                .collect()
-        } else {
-            blocks
-                .iter()
-                .map(|c| c.iter().copied().fold(id, &op))
-                .collect()
-        };
+        let sums = self.block_sums(xs, id, &op);
         // Tree pass over the block sums.
         self.ledger().charge_work(sums.len() as u64);
         self.ledger()
@@ -62,15 +42,7 @@ impl Pram {
             return Vec::new();
         }
         let b = block_len(n);
-        let nblocks = n.div_ceil(b);
-
-        // Phase 1: local block reductions. Depth = block length.
-        self.ledger().charge_work(n as u64);
-        self.ledger().charge_depth(b as u64);
-        let mut sums: Vec<T> = xs
-            .chunks(b)
-            .map(|c| c.iter().copied().fold(id, &op))
-            .collect();
+        let mut sums = self.block_sums(xs, id, &op);
 
         // Phase 2: Blelloch up/down sweep over the block sums, turning them
         // into exclusive block offsets. Depth = 2·ceil(log2(#blocks)).
@@ -79,25 +51,40 @@ impl Pram {
         // Phase 3: local downsweep writing the final prefix values.
         self.ledger().charge_work(n as u64);
         self.ledger().charge_depth(b as u64);
-        let emit = |(bi, chunk): (usize, &[T])| -> Vec<T> {
-            let mut acc = sums[bi];
-            let mut out = Vec::with_capacity(chunk.len());
-            for &x in chunk {
-                out.push(acc);
-                acc = op(acc, x);
+        self.concat_ranges(sums.len(), |blocks| {
+            let mut out = Vec::with_capacity((blocks.len() * b).min(n));
+            for bi in blocks {
+                let mut acc = sums[bi];
+                for &x in &xs[bi * b..((bi + 1) * b).min(n)] {
+                    out.push(acc);
+                    acc = op(acc, x);
+                }
             }
             out
-        };
-        if self.mode() == crate::Mode::Par && nblocks >= PAR_BLOCKS {
-            xs.chunks(b)
-                .enumerate()
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .flat_map_iter(emit)
+        })
+    }
+
+    /// The local pass of both primitives: each virtual processor folds its
+    /// `Θ(log n)` block. Depth = block length; forks over the blocks.
+    fn block_sums<T, F>(&self, xs: &[T], id: T, op: &F) -> Vec<T>
+    where
+        T: Copy + Send + Sync,
+        F: Fn(T, T) -> T + Sync,
+    {
+        let n = xs.len();
+        let b = block_len(n);
+        self.ledger().charge_work(n as u64);
+        self.ledger().charge_depth(b as u64);
+        self.concat_ranges(n.div_ceil(b), |blocks| {
+            blocks
+                .map(|bi| {
+                    xs[bi * b..((bi + 1) * b).min(n)]
+                        .iter()
+                        .copied()
+                        .fold(id, op)
+                })
                 .collect()
-        } else {
-            xs.chunks(b).enumerate().flat_map(emit).collect()
-        }
+        })
     }
 
     /// Inclusive prefix scan: `out[i] = op(xs[0], .., xs[i])`.
@@ -187,7 +174,10 @@ fn block_len(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::tests::{must_fork, ran_on};
+    use crate::ctx::PAR_THRESHOLD;
     use crate::{Mode, Pram};
+    use std::collections::HashSet;
 
     fn oracle_exclusive(xs: &[u64]) -> Vec<u64> {
         let mut out = Vec::with_capacity(xs.len());
@@ -217,13 +207,83 @@ mod tests {
         assert_eq!(inc[99], 5050);
     }
 
+    /// An input that the scans cut into exactly `k` blocks.
+    fn items_for_blocks(k: usize) -> usize {
+        (1..)
+            .map(|b| k * b)
+            .find(|&n| n.div_ceil(block_len(n)) == k)
+            .unwrap()
+    }
+
     #[test]
     fn par_and_seq_agree() {
-        let s = Pram::new(Mode::Seq);
-        let p = Pram::new(Mode::Par);
-        let xs: Vec<u64> = (0..10_000).map(|i| i % 97).collect();
-        assert_eq!(s.scan_exclusive_sum(&xs), p.scan_exclusive_sum(&xs));
-        assert_eq!(s.cost(), p.cost());
+        let here = std::thread::current().id();
+        for blocks in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
+            let n = items_for_blocks(blocks);
+            let s = Pram::new(Mode::Seq);
+            let p = Pram::new(Mode::Par);
+            let xs: Vec<u64> = (0..n as u64).map(|i| i % 97).collect();
+            // Affine maps under composition: a scan that must keep block order.
+            let maps: Vec<(u64, u64)> = (0..n as u64).map(|i| (i % 5 + 1, i % 11)).collect();
+            let compose = |f: (u64, u64), g: (u64, u64)| {
+                const M: u64 = 1_000_000_007;
+                ((g.0 * f.0) % M, (g.0 * f.1 + g.1) % M)
+            };
+            let sum = |a: u64, b: u64| a + b;
+            // (units the call forks on, threads it ran on)
+            let mut sides = Vec::new();
+
+            let want = s.reduce(&xs, 0, sum);
+            sides.push((
+                blocks,
+                ran_on(|probe| {
+                    let got = p.reduce(&xs, 0, |a, b| {
+                        probe();
+                        a + b
+                    });
+                    assert_eq!(got, want, "reduce blocks={blocks}");
+                }),
+            ));
+
+            let want = s.scan_exclusive_sum(&xs);
+            sides.push((
+                blocks,
+                ran_on(|probe| {
+                    let got = p.scan_exclusive(&xs, 0, |a, b| {
+                        probe();
+                        a + b
+                    });
+                    assert_eq!(got, want, "scan_exclusive blocks={blocks}");
+                }),
+            ));
+
+            // Its last round is one item wide, so it forks on the items.
+            let want = s.scan_inclusive(&maps, (1, 0), compose);
+            sides.push((
+                n,
+                ran_on(|probe| {
+                    let got = p.scan_inclusive(&maps, (1, 0), |f, g| {
+                        probe();
+                        compose(f, g)
+                    });
+                    assert_eq!(got, want, "scan_inclusive blocks={blocks}");
+                }),
+            ));
+
+            assert_eq!(s.cost(), p.cost(), "blocks={blocks}");
+            // The tree passes run on the calling thread; the other passes
+            // leave it exactly when their units fork.
+            for (units, seen) in sides {
+                if must_fork(units) {
+                    assert!(
+                        seen.iter().any(|&t| t != here),
+                        "{units} units never forked"
+                    );
+                } else {
+                    assert_eq!(seen, HashSet::from([here]), "{units} units forked");
+                }
+            }
+        }
     }
 
     #[test]
