@@ -22,7 +22,9 @@ use pardict_core::{
     Matches, SegmentedMatcher,
 };
 use pardict_graph::{EulerTour, Forest};
-use pardict_pram::{ceil_log2, list_rank_random_mate, list_rank_wyllie, Mode, Pram, SplitMix64};
+use pardict_pram::{
+    ceil_log2, harts, list_rank_random_mate, list_rank_wyllie, Mode, Pram, SplitMix64,
+};
 use pardict_rmq::{ansv_par, LinearRmq, Side};
 use pardict_suffix::{suffix_array, SuffixArrays, SuffixTree};
 use pardict_veb::VebTree;
@@ -816,12 +818,11 @@ fn e14_segments(quick: bool) {
     println!();
 }
 
-// --- E11: rayon wall-clock sanity ------------------------------------------
+// --- E11: fork-join wall-clock sanity --------------------------------------
 fn e11_speedup(quick: bool) {
-    println!("## E11 — Seq vs Par wall-clock (rayon backend sanity)");
+    println!("## E11 — Seq vs Par wall-clock (fork-join backend sanity)");
     let n = if quick { 1 << 14 } else { 1 << 17 };
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    println!("\navailable parallelism: {threads} thread(s)\n");
+    println!("\nharts: {} thread(s)\n", harts());
     println!("| task | n | Seq wall ms | Par wall ms |");
     println!("|------|---|--------------|--------------|");
     let text = markov_text(1, n, Alphabet::dna());

@@ -40,9 +40,9 @@ pub const LZ1_SEED: u64 = 0x5EED_1235_9ABC_DEF1;
 /// Engine sizing and policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads. `0` means no background workers: requests are
-    /// executed inline by `wait()`-ing callers (useful for deterministic
-    /// tests).
+    /// Worker threads; the default is one per hart, at most 8. `0` means
+    /// no background workers: requests are executed inline by
+    /// `wait()`-ing callers (useful for deterministic tests).
     pub workers: usize,
     /// Bounded queue depth; submissions beyond it are rejected.
     pub queue_depth: usize,
@@ -61,9 +61,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism()
-                .map_or(2, std::num::NonZeroUsize::get)
-                .min(8),
+            workers: pardict_pram::harts().min(8),
             queue_depth: 1024,
             max_batch: 32,
             seq_threshold: 512,
