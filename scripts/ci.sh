@@ -55,8 +55,9 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
   echo "ci.sh: a pipelined schedule knob is back (waves run one barrier schedule)" >&2
   exit 1
 fi
-if grep -rnE "available_parallelism|current_num_threads" crates/stream crates/exec crates/search; then
-  echo "ci.sh: a second wave-width formula (use pardict_pram::harts)" >&2
+if grep -rnE "available_parallelism|current_num_threads" crates src tests examples |
+    grep -v '^crates/pram/src/ctx.rs:'; then
+  echo "ci.sh: a second hart count (use pardict_pram::harts)" >&2
   exit 1
 fi
 if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'; then
@@ -117,6 +118,25 @@ fi
 # loop and decodes phrase by phrase: Theorems 4.2 and 4.3 are its oracles.
 if grep -rnE "lz1_compress\(|lz1_decompress\(|EulerTour" crates/stream/src; then
   echo "ci.sh: a PRAM LZ1 route in crates/stream/src (blocks run the sequential halves)" >&2
+  exit 1
+fi
+
+# Parallel rounds have one fork-join and one threshold: every Par round,
+# scan and super-step leaves the calling thread through the one
+# thread::scope in crates/pram/src/ctx.rs, once it has PAR_THRESHOLD units.
+# The vendored rayon crate is a placeholder nothing imports.
+if grep -rnE "rayon::|use rayon" crates src tests examples --include='*.rs'; then
+  echo "ci.sh: a rayon import (pram forks its own rounds)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /thread::scope/ { n++; where = where FILENAME ":" FNR "\n" }
+        END { if (n > 1) { printf "%s", where; exit 0 } exit 1 }' crates/pram/src/*.rs; then
+  echo "ci.sh: a second thread::scope in crates/pram/src (fork through ctx.rs's helper)" >&2
+  exit 1
+fi
+if grep -rnE "PAR_BLOCKS|SPAWN_THRESHOLD" crates src tests examples vendor --include='*.rs'; then
+  echo "ci.sh: a second inline threshold (pram's PAR_THRESHOLD is the one)" >&2
   exit 1
 fi
 
