@@ -2,7 +2,6 @@
 
 use crate::ledger::{Cost, Ledger};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Execution policy for the wide rounds.
 ///
@@ -29,12 +28,9 @@ pub(crate) const PAR_THRESHOLD: usize = 4096;
 /// the service's worker count read it too.
 #[must_use]
 pub fn harts() -> usize {
-    static HARTS: OnceLock<usize> = OnceLock::new();
-    *HARTS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(16)
-    })
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(16)
 }
 
 /// The one fork-join in `pram`: `job` runs on its own scoped thread for
@@ -69,7 +65,7 @@ where
 }
 
 /// The parts in order as one vector; a lone part is returned as it is.
-fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+pub(crate) fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
     if parts.len() == 1 {
         return parts.pop().unwrap_or_default();
     }
@@ -138,11 +134,14 @@ impl Pram {
         (r, self.cost().since(before))
     }
 
-    /// Whether a round of `units` forks: `Par`, at least the threshold, and
-    /// a second hart to fork onto.
-    #[inline]
-    fn forks(&self, units: usize) -> bool {
-        self.mode == Mode::Par && units >= PAR_THRESHOLD && harts() > 1
+    /// The threads a round of `units` may occupy: one per hart under `Par`
+    /// from the threshold on, otherwise 1 (the calling thread).
+    fn threads_for(&self, units: usize) -> usize {
+        if self.mode == Mode::Par && units >= PAR_THRESHOLD {
+            harts()
+        } else {
+            1
+        }
     }
 
     /// `job` over the index space `0..n`, one result per part. When `n`
@@ -154,21 +153,13 @@ impl Pram {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        if !self.forks(n) {
+        let threads = self.threads_for(n);
+        if threads < 2 {
             return vec![job(0..n)];
         }
-        let chunk = n.div_ceil(harts());
+        let chunk = n.div_ceil(threads);
         let ranges = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n));
         fork(ranges.collect(), job, || ()).1
-    }
-
-    /// [`Pram::in_parts`] with the parts' outputs concatenated in order.
-    pub(crate) fn concat_ranges<T, F>(&self, n: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> Vec<T> + Sync,
-    {
-        concat(self.in_parts(n, job))
     }
 
     /// One wide round: `out[i] = f(i)` for `i in 0..n`, depth 1, work `n`.
@@ -178,7 +169,7 @@ impl Pram {
         F: Fn(usize) -> T + Sync + Send,
     {
         self.ledger.round(n as u64);
-        self.concat_ranges(n, |r| r.map(&f).collect())
+        concat(self.in_parts(n, |r| r.map(&f).collect()))
     }
 
     /// One wide round mapping a slice: depth 1, work `xs.len()`.
@@ -189,7 +180,7 @@ impl Pram {
         F: Fn(usize, &T) -> U + Sync + Send,
     {
         self.ledger.round(xs.len() as u64);
-        self.concat_ranges(xs.len(), |r| r.map(|i| f(i, &xs[i])).collect())
+        concat(self.in_parts(xs.len(), |r| r.map(|i| f(i, &xs[i])).collect()))
     }
 
     /// One wide round with *per-element variable cost*: the closure returns
@@ -241,11 +232,8 @@ impl Pram {
         S: FnMut(usize, R),
     {
         let tasks = items.len();
-        let threads = if self.forks(width) {
-            tasks.min(harts())
-        } else {
-            1
-        };
+        let room = self.threads_for(width);
+        let threads = tasks.min(room);
         let total = if threads < 2 {
             let mut total = Cost::default();
             for (i, item) in items.into_iter().enumerate() {
@@ -255,11 +243,7 @@ impl Pram {
             }
             total
         } else {
-            let mode = if tasks >= harts() {
-                Mode::Seq
-            } else {
-                self.mode
-            };
+            let mode = if tasks >= room { Mode::Seq } else { self.mode };
             let (senders, receivers): (Vec<_>, Vec<_>) = (0..threads)
                 .map(|_| std::sync::mpsc::sync_channel(0))
                 .unzip();
@@ -312,8 +296,9 @@ impl Pram {
                 f(lo + i, x);
             }
         };
-        if self.forks(xs.len()) {
-            let chunk = xs.len().div_ceil(harts());
+        let threads = self.threads_for(xs.len());
+        if threads > 1 {
+            let chunk = xs.len().div_ceil(threads);
             let parts = xs.chunks_mut(chunk).enumerate();
             fork(
                 parts.map(|(k, part)| (k * chunk, part)).collect(),

@@ -7,7 +7,7 @@
 //! exactly the envelope the paper's Lemma-level machinery assumes.
 
 use crate::ceil_log2;
-use crate::ctx::Pram;
+use crate::ctx::{concat, Pram};
 
 impl Pram {
     /// Associative reduction of `xs` with identity `id`.
@@ -51,7 +51,7 @@ impl Pram {
         // Phase 3: local downsweep writing the final prefix values.
         self.ledger().charge_work(n as u64);
         self.ledger().charge_depth(b as u64);
-        self.concat_ranges(sums.len(), |blocks| {
+        concat(self.in_parts(sums.len(), |blocks| {
             let mut out = Vec::with_capacity((blocks.len() * b).min(n));
             for bi in blocks {
                 let mut acc = sums[bi];
@@ -61,7 +61,7 @@ impl Pram {
                 }
             }
             out
-        })
+        }))
     }
 
     /// The local pass of both primitives: each virtual processor folds its
@@ -75,7 +75,7 @@ impl Pram {
         let b = block_len(n);
         self.ledger().charge_work(n as u64);
         self.ledger().charge_depth(b as u64);
-        self.concat_ranges(n.div_ceil(b), |blocks| {
+        concat(self.in_parts(n.div_ceil(b), |blocks| {
             blocks
                 .map(|bi| {
                     xs[bi * b..((bi + 1) * b).min(n)]
@@ -84,7 +84,7 @@ impl Pram {
                         .fold(id, op)
                 })
                 .collect()
-        })
+        }))
     }
 
     /// Inclusive prefix scan: `out[i] = op(xs[0], .., xs[i])`.
