@@ -7,7 +7,8 @@
 use pardict::prelude::*;
 
 fn main() {
-    // A PRAM context: `par()` runs rounds on rayon, `seq()` sequentially.
+    // A PRAM context: `par()` forks wide rounds on scoped threads, `seq()`
+    // runs them sequentially.
     // Results and ledger costs are identical either way.
     let pram = Pram::par();
 

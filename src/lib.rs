@@ -6,7 +6,7 @@
 //! Dictionary Matching and Compression* (SPAA 1995), on a simulated
 //! arbitrary-CRCW PRAM whose ledger measures the quantities the paper's
 //! theorems bound — **work** (total operations) and **depth** (parallel
-//! time) — while executing on rayon.
+//! time) — while its wide rounds are forked on scoped threads by `pram`.
 //!
 //! ## The three headline results
 //!
