@@ -173,9 +173,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 }
 
 fn relay(client: TcpStream, upstream: SocketAddr, fault: ClientFault) -> io::Result<()> {
-    client.set_nodelay(true)?;
     let server = TcpStream::connect(upstream)?;
-    server.set_nodelay(true)?;
     let mut server_read = server.try_clone()?;
     let mut client_write = client.try_clone()?;
 

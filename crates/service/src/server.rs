@@ -106,7 +106,6 @@ fn accept_loop(listener: &TcpListener, conn_name: &str, handler: &Arc<Handler>, 
 
 /// Serve one connection until EOF or an I/O error.
 fn serve_connection(stream: TcpStream, handler: &Handler) -> io::Result<()> {
-    stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     while let Some(payload) = read_frame(&mut reader)? {
@@ -523,7 +522,6 @@ fn open_stream(addr: SocketAddr, cfg: &ClientConfig) -> io::Result<TcpStream> {
         Some(t) => TcpStream::connect_timeout(&addr, t)?,
         None => TcpStream::connect(addr)?,
     };
-    stream.set_nodelay(true)?;
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_write_timeout(cfg.write_timeout)?;
     Ok(stream)
@@ -558,18 +556,6 @@ mod tests {
             registry,
             metrics,
         )
-    }
-
-    #[test]
-    fn client_streams_disable_nagle() {
-        let engine = test_engine();
-        let mut server = Server::start(engine.clone(), "127.0.0.1:0").unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        assert!(client.stream.nodelay().unwrap());
-        client.ping().unwrap();
-        drop(client);
-        server.stop();
-        engine.shutdown();
     }
 
     #[test]
