@@ -29,7 +29,7 @@ use pardict_service::wire::{self, WireResponse};
 use pardict_service::Hit;
 use pardict_service::{Client, ClientConfig, MetricsSnapshot, ServiceError};
 use pardict_stream::{slice_container, ContainerLayout};
-use pardict_trace::{SpanGuard, TraceCtx, Tracer};
+use pardict_trace::{Span, TraceCtx, Tracer};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -279,11 +279,14 @@ impl Router {
 
     /// Root span for one routed request: nests under `inbound` when the
     /// client propagated a context, otherwise starts (and head-samples) a
-    /// fresh trace. `None` when tracing is off or the trace is unsampled.
-    fn route_span(&self, name: &'static str, inbound: Option<TraceCtx>) -> Option<SpanGuard<'_>> {
-        let t = self.tracer.as_ref()?;
-        let ctx = inbound.or_else(|| t.begin_trace())?;
-        Some(t.start(ctx, name, 0))
+    /// fresh trace. Inert when tracing is off or the trace is unsampled.
+    fn route_span(&self, name: &'static str, inbound: Option<TraceCtx>) -> Span {
+        let Some(t) = &self.tracer else {
+            return Span::default();
+        };
+        inbound
+            .or_else(|| t.begin_trace())
+            .map_or_else(Span::default, |ctx| t.start(ctx, name, 0))
     }
 
     /// True when any shard is currently excluded.
@@ -368,7 +371,7 @@ impl Router {
     /// Returns the payload plus whether the request failed over (served
     /// only after a failed attempt elsewhere).
     ///
-    /// With tracing on and a `parent` context, every attempt — including
+    /// Under a live `parent` span, every attempt — including
     /// the failed ones a failover leaves behind — records an `attempt`
     /// span under the parent, indexed `shard | attempt_number << 32`, and
     /// the attempt's own context rides to the backend through `f`.
@@ -376,7 +379,7 @@ impl Router {
         &self,
         order: &[usize],
         deadline: Option<Instant>,
-        parent: Option<TraceCtx>,
+        parent: &Span,
         f: ShardCall<'_, T>,
     ) -> Result<(T, bool), ClusterError> {
         let mut tried = 0u32;
@@ -407,15 +410,11 @@ impl Router {
                     .unwrap_or(u32::MAX)
                     .max(1)
             });
-            let span = match (&self.tracer, parent) {
-                (Some(t), Some(ctx)) => Some(t.start(
-                    ctx,
-                    "attempt",
-                    u64::try_from(shard).unwrap_or(u64::MAX) | (u64::from(tried - 1) << 32),
-                )),
-                _ => None,
-            };
-            let actx = span.as_ref().map(SpanGuard::ctx);
+            let span = parent.child(
+                "attempt",
+                u64::try_from(shard).unwrap_or(u64::MAX) | (u64::from(tried - 1) << 32),
+            );
+            let actx = span.ctx();
             match self.call_shard(shard, &|c: &mut Client| f(c, remaining_ms, actx)) {
                 Attempt::Ok(v) => {
                     let failed_over = tried > 1;
@@ -717,12 +716,11 @@ impl Router {
         let deadline =
             (timeout_ms > 0).then(|| started + Duration::from_millis(u64::from(timeout_ms)));
         let route = self.route_span("route", inbound);
-        let rctx = route.as_ref().map(SpanGuard::ctx);
         let text = text.to_vec();
         let outcome = self.dispatch(
             &order,
             deadline,
-            rctx,
+            &route,
             &move |c: &mut Client, remaining, actx| c.op_traced(tag, dict, &text, remaining, actx),
         );
         let (result, failed_over) = match outcome {
@@ -773,7 +771,6 @@ impl Router {
         let deadline =
             (timeout_ms > 0).then(|| started + Duration::from_millis(u64::from(timeout_ms)));
         let route = self.route_span("route", inbound);
-        let rctx = route.as_ref().map(SpanGuard::ctx);
         let healthy = self.healthy_ids();
         let max_len = self
             .dicts
@@ -790,7 +787,7 @@ impl Router {
             let single = self.dispatch(
                 &ranking(dict, self.backends.len()),
                 deadline,
-                rctx,
+                &route,
                 &|c: &mut Client, remaining, actx| {
                     grepz_attempt(c, dict, container, remaining, actx)
                 },
@@ -840,13 +837,7 @@ impl Router {
         let results: Vec<RangeOut> = pardict_exec::fan_out(ranges, |i, r| -> RangeOut {
             let assigned = healthy[i % healthy.len()];
             let layout_bs = block_size as u64;
-            let scatter = match (&self.tracer, rctx) {
-                (Some(t), Some(ctx)) => {
-                    Some(t.start(ctx, "scatter", u64::try_from(i).unwrap_or(u64::MAX)))
-                }
-                _ => None,
-            };
-            let sctx = scatter.as_ref().map(SpanGuard::ctx);
+            let scatter = route.child("scatter", u64::try_from(i).unwrap_or(u64::MAX));
             let slice_start = r.start.saturating_sub(overlap);
             let slice = slice_container(container, slice_start..r.end)
                 .map_err(|_| ClusterError::NoBackends)?;
@@ -857,7 +848,7 @@ impl Router {
             let out = self.dispatch(
                 &order,
                 deadline,
-                sctx,
+                &scatter,
                 &|c: &mut Client, remaining, actx| grepz_attempt(c, dict, &slice, remaining, actx),
             )?;
             let ((version, hits, corrupt), failed_over) = out;

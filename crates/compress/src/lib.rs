@@ -15,7 +15,9 @@
 //!   is the previous-best `O(n log n)`-work parallel envelope, also an
 //!   exact oracle. A parse leaves the process — as a stream block, a
 //!   served Compress reply, a delta, or the CLI's whole-buffer parse —
-//!   only if [`decodes_back`] says it spells its text.
+//!   only if [`decodes_back`] says it spells its text. The last three are
+//!   one emitter, [`delta_compress`] (an empty base for a whole buffer):
+//!   the sequential half, the check, and the all-literal fallback.
 //! * **LZ2 / LZ78** — [`lz78_compress`]/[`lz78_decompress`], sequential
 //!   only: the paper cites its P-completeness as the reason no fast
 //!   parallel version exists.

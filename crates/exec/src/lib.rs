@@ -20,7 +20,6 @@
 //! * [`fan_out`] — the cluster router's scatter (I/O-bound, no ledger).
 //! * [`with_deadline`] — the service engine, around every request, so the
 //!   loops above cancel at their next wave boundary.
-//! * [`section`] — the store's recovery and compaction spans.
 //!
 //! ## Vocabulary
 //!
@@ -49,6 +48,9 @@
 //! with [`Cancelled`] instead of computing a result nobody is waiting for.
 
 use pardict_pram::Pram;
+/// The tracer crate the wave spans record to, re-exported for callers
+/// (the store) whose only path to it is this crate.
+pub use pardict_trace;
 use std::cell::Cell;
 use std::fmt;
 use std::time::Instant;
@@ -124,15 +126,6 @@ where
     })
 }
 
-/// A zero-width wave: a serial section that should appear in traces like
-/// any other wave (store recovery, compaction). The span is inert unless
-/// the caller installed an ambient scope; it records on drop, or with an
-/// explicit cost via [`pardict_trace::ScopedSpan::finish`].
-#[must_use]
-pub fn section(name: &'static str, index: u64) -> pardict_trace::ScopedSpan {
-    pardict_trace::scoped_span(name, index)
-}
-
 /// Drive a full wave loop: `source` fetches the next wave's slot inputs
 /// (serial, e.g. seekable I/O), `stage` is the per-slot function of the
 /// wave's [`Pram::superstep`] (each slot `width` elements wide, the number
@@ -185,7 +178,6 @@ mod tests {
     use super::*;
     use pardict_pram::Cost;
     use pardict_trace::{SpanRecord, TraceConfig, Tracer};
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn slot_cost(w: u64, d: u64) -> Cost {
@@ -200,12 +192,12 @@ mod tests {
 
     /// Run `f` under a fresh deterministic tracer and return its spans.
     fn traced(f: impl FnOnce()) -> Vec<SpanRecord> {
-        let t = Arc::new(Tracer::new(TraceConfig {
+        let t = Tracer::new(TraceConfig {
             sample_one_in: 1,
             capacity: 64,
             deterministic: true,
             seed: 7,
-        }));
+        });
         let ctx = t.begin_trace().expect("sampled");
         pardict_trace::with_scope(&t, ctx, f);
         t.drain()

@@ -46,6 +46,7 @@ pub use record::{
 };
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotDict};
 
+use pardict_exec::pardict_trace;
 use record::encode_wal_header;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -195,7 +196,7 @@ impl Store {
     pub fn open(dir: impl AsRef<Path>, cfg: StoreConfig) -> Result<Store, StoreError> {
         // Recovery section (inert unless the caller installed an ambient
         // trace scope); recorded on every exit path when it drops.
-        let _span = pardict_exec::section("store-recover", 0);
+        let _span = pardict_trace::scoped_span("store-recover", 0);
         let dir = dir.as_ref().to_path_buf();
         match fs::metadata(&dir) {
             Ok(m) if !m.is_dir() => return Err(StoreError::NotADirectory(dir)),
@@ -435,7 +436,7 @@ impl Store {
     /// rename-before-reset window is covered by sequence-number skips).
     pub fn compact(&mut self) -> Result<(), StoreError> {
         // Compaction section, indexed by the generation being folded away.
-        let _span = pardict_exec::section("store-compact", self.generation);
+        let _span = pardict_trace::scoped_span("store-compact", self.generation);
         let last_seq = self.next_seq - 1;
         let dicts: Vec<SnapshotDict> = self
             .state

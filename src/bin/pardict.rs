@@ -410,12 +410,9 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
     }
     let text = read_input(&pos)?;
     check_text(&text)?;
-    let mut tokens = lz1_compress(&pram, &text, CLI_LZ1_SEED);
-    // Copy lengths come from fingerprint LCPs: ship the parse only if it
-    // spells the file, and the always-exact literal parse otherwise.
-    if !pardict::compress::decodes_back(&pram, &tokens, &[], &text) {
-        tokens = text.iter().map(|&b| Token::Literal(b)).collect();
-    }
+    // Copy lengths come from fingerprint LCPs: delta_compress ships the
+    // parse only if it spells the file, the exact literal parse otherwise.
+    let tokens = delta_compress(&pram, &[], &text, CLI_LZ1_SEED);
     let bytes = pardict::compress::encode_tokens(&tokens);
     eprintln!(
         "pardict: {} -> {} bytes ({:.1}%), {} phrases",
