@@ -20,7 +20,8 @@ echo "== one owner"
 # loops (exec::run_waves, called only by compress_stream, the one compress
 # loop, and StreamReader::decode_waves, the one decode loop that
 # read_range, copy_to and grep are sinks of), the hart count (pram::harts),
-# and FNV-1a (pram).
+# FNV-1a (pram), the span type (trace::Span) and the shipped LZ1 emitter
+# (compress::delta_compress).
 if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
   echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
   exit 1
@@ -62,6 +63,31 @@ if grep -rnE "available_parallelism|current_num_threads" crates src tests exampl
 fi
 if grep -rniE "cbf2_?9ce4" crates --include='*.rs' | grep -v '^crates/pram/src/'; then
   echo "ci.sh: a second FNV-1a outside crates/pram/src (use pardict_pram::Fnv1a)" >&2
+  exit 1
+fi
+
+# Spans have one type and one queue: pardict_trace::Span, inert for an
+# untraced request, recorded into the tracer's mutex-guarded Vec. With the
+# lock-free ring gone the workspace holds no unsafe code.
+if grep -rnw unsafe --include='*.rs' crates src vendor tests examples; then
+  echo "ci.sh: unsafe code in the workspace (the span queue is a Mutex<Vec>)" >&2
+  exit 1
+fi
+if grep -rnE "SpanGuard|ScopedSpan|mod collector|exec::section" crates src tests examples --include='*.rs'; then
+  echo "ci.sh: a second span type or span queue (use pardict_trace::Span and scoped_span)" >&2
+  exit 1
+fi
+# Shipped whole-buffer parses have one emitter: delta_compress (the greedy
+# parse, one decodes_back check, the all-literal fallback). `pardict stats`
+# reports the cost of Theorem 4.2's PRAM route and ships no parse, so it
+# is the one caller of lz1_compress there.
+if awk 'FNR == 1 { name = "" }
+        /^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /^ *(pub )?fn / { name = $0 }
+        /lz1_compress\(/ && name !~ /^fn cmd_stats\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/service/src/*.rs src/bin/*.rs; then
+  echo "ci.sh: a shipped parse from lz1_compress (use delta_compress with an empty base)" >&2
   exit 1
 fi
 
