@@ -317,6 +317,55 @@ fn oversized_whole_buffer_is_refused_with_guidance() {
     );
 }
 
+/// A delta parses `base · new` as one buffer, so it is refused when the
+/// two files together exceed the whole-buffer cap, before either is read;
+/// a pair under the cap round-trips through `patch` under the same cap.
+#[test]
+fn oversized_delta_is_refused_and_a_capped_one_patches_back() {
+    let base = write_tmp("t10b.base", b"0123456789");
+    let new = write_tmp("t10b.new", &b"abcdefghij".repeat(4));
+    let out = bin()
+        .arg("delta")
+        .arg(&base)
+        .arg(&new)
+        .env("PARDICT_MAX_WHOLE", "16")
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("PARDICT_MAX_WHOLE"), "{err}");
+
+    let new = write_tmp("t10b.small", b"0123abab");
+    let delta = std::env::temp_dir().join("pardict-cli-tests/t10b.pdz");
+    let out = bin()
+        .arg("delta")
+        .arg(&base)
+        .arg(&new)
+        .arg("-o")
+        .arg(&delta)
+        .env("PARDICT_MAX_WHOLE", "18")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bin()
+        .arg("patch")
+        .arg(&base)
+        .arg(&delta)
+        .env("PARDICT_MAX_WHOLE", "18")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, b"0123abab");
+}
+
 #[test]
 fn grep_container_matches_raw_grep() {
     let data = b"she sells seashells by the seashore; the shells she sells ".repeat(40);
