@@ -13,8 +13,8 @@
 use pardict_ancestors::NearestMarkedAncestor;
 use pardict_bench::{per, per_log, sample};
 use pardict_compress::{
-    bfs_parse, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decode, lz1_decompress,
-    lz1_nlogn_baseline, lz77_sequential, lz78_compress, optimal_parse,
+    bfs_parse, delta_compress, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decode,
+    lz1_decompress, lz1_nlogn_baseline, lz78_compress, optimal_parse,
 };
 use pardict_core::segmented::segment_spans;
 use pardict_core::{
@@ -252,8 +252,8 @@ fn e3_alphabets(quick: bool) {
 fn e4_lz1_compress(quick: bool) {
     use pardict_compress::longest_previous_factor_from_tree;
     println!("## E4 — LZ1 compression (Thm 4.2: O(n) work, O(log n) time)");
-    println!("\n| n | work/n | depth/log n | baseline work/n | seq wall ms |");
-    println!("|---|--------|--------------|------------------|--------------|");
+    println!("\n| n | work/n | depth/log n | baseline work/n | `delta_compress` seq wall ms |");
+    println!("|---|--------|--------------|------------------|------------------------------|");
     for n in sizes(
         quick,
         &[1 << 12, 1 << 14, 1 << 16, 1 << 17],
@@ -265,7 +265,7 @@ fn e4_lz1_compress(quick: bool) {
         let p2 = Pram::seq();
         let (_, sb) = sample(&p2, |p| lz1_nlogn_baseline(p, &text, 2));
         let t0 = Instant::now();
-        let _ = lz77_sequential(&Pram::seq(), &text, 1);
+        let _ = delta_compress(&Pram::seq(), &[], &text);
         let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
         println!(
             "| {n} | {:.1} | {:.1} | {:.1} | {:.1} |",
@@ -296,7 +296,7 @@ fn e4_lz1_compress(quick: bool) {
         // over a sparse table. Measure by re-running it and subtracting a
         // fresh arrays build.
         let p2 = Pram::seq();
-        let (_, s_arrays) = sample(&p2, |p| SuffixArrays::build(p, &text, 6));
+        let (_, s_arrays) = sample(&p2, |p| SuffixArrays::build(p, &text, 6).0);
         let p3 = Pram::seq();
         let (_, s_base) = sample(&p3, |p| lz1_nlogn_baseline(p, &text, 6));
         let base_post = s_base.cost.work.saturating_sub(s_arrays.cost.work);

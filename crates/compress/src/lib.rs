@@ -6,18 +6,13 @@
 //!   optimal) dynamic-dictionary parse in `O(n)` work and polylog depth by
 //!   reading Lemma 4.1 off LCP intervals of the suffix array; [`lz1_decompress`]
 //!   reverses it work-optimally by resolving the copy forest with one Euler
-//!   tour (Theorem 4.3). Those two are the reproduction. Their sequential
-//!   halves are what `pardict-stream` blocks run, because a block's
-//!   parallelism is across blocks: [`lz77_sequential`] emits the same
-//!   tokens off the same match table one phrase per round, and
-//!   [`lz1_decode`] decodes phrase by phrase into a caller-sized buffer,
-//!   `n` work. The PRAM routes are their oracles. [`lz1_nlogn_baseline`]
-//!   is the previous-best `O(n log n)`-work parallel envelope, also an
-//!   exact oracle. A parse leaves the process — as a stream block, a
-//!   served Compress reply, a delta, or the CLI's whole-buffer parse —
-//!   only if [`decodes_back`] says it spells its text. The last three are
-//!   one emitter, [`delta_compress`] (an empty base for a whole buffer):
-//!   the sequential half, the check, and the all-literal fallback.
+//!   tour (Theorem 4.3). Those two are the reproduction and the oracles of
+//!   what ships. Every shipped parse (stream block, Compress reply, delta,
+//!   CLI) runs their sequential halves: one emitter, [`delta_compress`] (an
+//!   empty base for a whole buffer), reads the match table off exact,
+//!   seed-free suffix arrays and parses greedily, and [`lz1_decode`] decodes
+//!   phrase by phrase, `n` work. [`lz1_nlogn_baseline`] is the previous-best
+//!   `O(n log n)`-work parallel envelope, also an exact oracle.
 //! * **LZ2 / LZ78** — [`lz78_compress`]/[`lz78_decompress`], sequential
 //!   only: the paper cites its P-completeness as the reason no fast
 //!   parallel version exists.
@@ -49,8 +44,8 @@ mod window;
 
 pub use delta::{delta_compress, delta_decompress};
 pub use lz1::{
-    decodes_back, longest_previous_factor, longest_previous_factor_from_tree, lz1_compress,
-    lz1_decode, lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline, lz77_sequential,
+    longest_previous_factor, longest_previous_factor_from_tree, lz1_compress, lz1_decode,
+    lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline,
 };
 pub use lz78::{lz78_compress, lz78_decompress, Lz78Token};
 pub use static_parse::{bfs_parse, greedy_parse, lff_parse, optimal_parse, Parse, Phrase};

@@ -17,13 +17,11 @@
 //! that avoids pointer-jumping's extra log factor.
 //!
 //! **The sequential halves.** [`lz1_compress`] and [`lz1_decompress`] are
-//! the Theorem 4.2 / 4.3 reproduction. A caller whose parallelism lies
-//! elsewhere — `pardict-stream` runs every block on a private sequential
-//! context and fans out across blocks — needs neither's depth: it emits
-//! with [`lz77_sequential`] (the same LPF, then `greedy`, one phrase per
-//! round; the same tokens as [`lz1_compress`] for the same seed) and
-//! decodes with [`lz1_decode`] (one round per phrase, `n` work). The PRAM
-//! routes are their oracles.
+//! the Theorem 4.2 / 4.3 reproduction and the oracles of what ships. A
+//! caller whose parallelism lies elsewhere (stream blocks, service lanes)
+//! emits with [`crate::delta_compress`] — this match table over
+//! [`SuffixArrays::build_exact`], then `greedy` — and decodes with
+//! [`lz1_decode`] (one round per phrase, `n` work).
 
 use crate::tokens::{DecodeError, Token};
 use pardict_graph::{EulerTour, Forest};
@@ -42,7 +40,7 @@ pub fn longest_previous_factor(pram: &Pram, text: &[u8], seed: u64) -> Vec<(u32,
     if text.is_empty() {
         return Vec::new();
     }
-    previous_matches(pram, &SuffixArrays::build(pram, text, seed))
+    previous_matches(pram, &SuffixArrays::build(pram, text, seed).0)
 }
 
 /// [`longest_previous_factor`] over the arrays of a pre-built suffix tree —
@@ -55,7 +53,7 @@ pub fn longest_previous_factor_from_tree(pram: &Pram, st: &SuffixTree) -> Vec<(u
 
 /// Lemma 4.1 over the suffix array: `(leftmost src < i, maximal len)` for
 /// every position `i`, `(0, 0)` if none. `O(n)` work, `O(log n)` depth.
-fn previous_matches(pram: &Pram, arrays: &SuffixArrays) -> Vec<(u32, u32)> {
+pub(crate) fn previous_matches(pram: &Pram, arrays: &SuffixArrays) -> Vec<(u32, u32)> {
     let (sa, lcp) = (&arrays.sa, &arrays.lcp);
     let m = sa.len();
     // Nearest ranks either side holding an earlier text position.
@@ -253,11 +251,12 @@ pub fn lz1_decode(
 }
 
 /// Whether `tokens`, decoded after `base` (empty but for a delta), spell
-/// exactly `text`: the one check a parse passes before it ships, as LZ1
-/// copy lengths come from fingerprint LCPs, exact only whp. Charged one
-/// [`lz1_decode`], then one compare round only when the decode succeeds.
+/// exactly `text`: the one check a parse passes before it ships. Shipped
+/// copy lengths come from an exact LCP array, so this is defence in depth.
+/// Charged one [`lz1_decode`], then one compare round only when the decode
+/// succeeds.
 #[must_use]
-pub fn decodes_back(pram: &Pram, tokens: &[Token], base: &[u8], text: &[u8]) -> bool {
+pub(crate) fn decodes_back(pram: &Pram, tokens: &[Token], base: &[u8], text: &[u8]) -> bool {
     let mut out = Vec::with_capacity(base.len() + text.len());
     out.extend_from_slice(base);
     if lz1_decode(pram, tokens, &mut out, text.len()).is_err() {
@@ -265,17 +264,6 @@ pub fn decodes_back(pram: &Pram, tokens: &[Token], base: &[u8], text: &[u8]) -> 
     }
     pram.ledger().round(text.len() as u64); // the compare
     out[base.len()..] == *text
-}
-
-/// Sequential LZ77: the classical greedy left-to-right parse off the
-/// Lemma 4.1 match table — the emitter `pardict-stream` blocks run, and
-/// E4's sequential baseline. The match table draws its fingerprint base
-/// exactly as [`lz1_compress`] does, so for the same `seed` the tokens are
-/// [`lz1_compress`]'s, token for token.
-#[must_use]
-pub fn lz77_sequential(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
-    let lpf = longest_previous_factor(pram, text, SplitMix64::new(seed).next_u64());
-    greedy(pram, text, &lpf, 0)
 }
 
 /// The greedy parse of `text[from..]` off its match table, one phrase per
@@ -304,7 +292,7 @@ pub(crate) fn greedy(pram: &Pram, text: &[u8], lpf: &[(u32, u32)], from: usize) 
 #[must_use]
 pub fn lz1_nlogn_baseline(pram: &Pram, text: &[u8], seed: u64) -> Vec<Token> {
     let n = text.len();
-    let arrays = SuffixArrays::build(pram, text, seed);
+    let (arrays, _) = SuffixArrays::build(pram, text, seed);
     let (sa, lcp) = (&arrays.sa, &arrays.lcp);
     let m = sa.len();
     // Range-min over suffix-array *values* (positions).
@@ -431,8 +419,45 @@ mod tests {
         // Baseline agrees.
         let base = lz1_nlogn_baseline(&pram, text, 7);
         assert_eq!(token_lens(&base), token_lens(&tokens), "baseline lens");
-        // Sequential agrees, token for token.
-        assert_eq!(lz77_sequential(&pram, text, 99), tokens);
+        // The shipped emitter agrees, token for token.
+        assert_eq!(crate::delta_compress(&pram, &[], text), tokens);
+    }
+
+    /// The exact route's match table is the leftmost longest previous
+    /// factor, by brute force, on every block shape: random (σ = 2, 4, 26),
+    /// periodic, unary, Fibonacci and incompressible.
+    #[test]
+    fn exact_lpf_is_the_leftmost_longest_previous_factor() {
+        let pram = Pram::seq();
+        for seed in 0..6u64 {
+            let n = [0, 1, 2, 57, 128, 299][seed as usize];
+            let texts = [
+                random_text(seed, n, Alphabet::new(b'a', 2)),
+                random_text(seed, n, Alphabet::new(b'a', 4)),
+                random_text(seed, n, Alphabet::new(b'a', 26)),
+                periodic_text(&random_text(seed, 1 + seed as usize, Alphabet::dna()), n),
+                vec![b'z'; n],
+                fibonacci_word(n),
+                random_text(seed, n, Alphabet::new(1, 255)),
+            ];
+            for text in texts {
+                let got = previous_matches(&pram, &SuffixArrays::build_exact(&pram, &text));
+                let want: Vec<(u32, u32)> = (0..text.len())
+                    .map(|i| {
+                        let (mut src, mut len) = (0, 0);
+                        for j in 0..i {
+                            let l = text[j..].iter().zip(&text[i..]).take_while(|(a, b)| a == b);
+                            let l = l.count();
+                            if l > len {
+                                (src, len) = (j, l);
+                            }
+                        }
+                        (src as u32, len as u32)
+                    })
+                    .collect();
+                assert_eq!(got, want, "{text:?}");
+            }
+        }
     }
 
     #[test]

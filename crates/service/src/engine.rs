@@ -30,11 +30,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Seed for the LZ1 fingerprint family; fixed so compression's ledger
-/// charges are reproducible across runs and replicas. The token format is
-/// seed-independent: a decoder may use any seed.
-pub const LZ1_SEED: u64 = 0x5EED_1235_9ABC_DEF1;
-
 /// Engine sizing and policy knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -475,10 +470,9 @@ impl Engine {
                             .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
                     (container, summary.phrases.min(u64::from(u32::MAX)) as u32)
                 } else {
-                    // One emitter for shipped whole-buffer parses: the
-                    // greedy parse, checked by `decodes_back`, all-literal
-                    // if the check fails.
-                    let tokens = delta_compress(pram, &[], text, LZ1_SEED);
+                    // One emitter for every shipped parse: exact and
+                    // seed-free, decoded back before it ships.
+                    let tokens = delta_compress(pram, &[], text);
                     (encode_tokens(&tokens), tokens.len() as u32)
                 };
                 self.inner
@@ -793,10 +787,7 @@ mod tests {
                 assert!(phrases > 0);
                 let tokens = pardict_compress::decode_tokens(&payload).unwrap();
                 let pram = Pram::seq();
-                assert_eq!(
-                    pardict_compress::lz1_decompress(&pram, &tokens, LZ1_SEED),
-                    text
-                );
+                assert_eq!(pardict_compress::lz1_decompress(&pram, &tokens, 7), text);
             }
             other => panic!("unexpected reply {other:?}"),
         }
@@ -824,9 +815,9 @@ mod tests {
         assert!(matches!(resp.result, Err(ServiceError::Unparseable)));
     }
 
-    /// The small lane ships the greedy emitter's parse, which is the PRAM
-    /// jump-tree parse token for token: the reply bytes are
-    /// `lz1_compress`'s for the same seed, up to the streaming threshold.
+    /// The small lane ships the exact greedy emitter's parse, which is the
+    /// PRAM jump-tree parse token for token: the reply bytes are
+    /// `lz1_compress`'s, up to the streaming threshold.
     #[test]
     fn small_compress_replies_are_the_lz1_compress_tokens() {
         use pardict_workloads::{fibonacci_word, periodic_text, random_text, Alphabet};
@@ -848,7 +839,7 @@ mod tests {
             ] {
                 let resp = e.call(Request::new(OpRequest::Compress { text: text.clone() }));
                 assert_eq!(resp.meta.lane, Lane::Batched);
-                let want = pardict_compress::lz1_compress(&Pram::seq(), &text, LZ1_SEED);
+                let want = pardict_compress::lz1_compress(&Pram::seq(), &text, 7);
                 match resp.result {
                     Ok(Reply::Compress { payload, phrases }) => {
                         assert_eq!(payload, encode_tokens(&want), "n = {n}");

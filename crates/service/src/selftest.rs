@@ -349,11 +349,7 @@ fn verify_reply(
                 match pardict_compress::decode_tokens(payload) {
                     Err(e) => fail(format!("request {i}: undecodable tokens: {e:?}")),
                     Ok(tokens) => {
-                        let back = pardict_compress::lz1_decompress(
-                            &pram,
-                            &tokens,
-                            crate::engine::LZ1_SEED,
-                        );
+                        let back = pardict_compress::lz1_decompress(&pram, &tokens, 0x5EED);
                         if back != text {
                             fail(format!("request {i}: compress roundtrip mismatch"));
                         }

@@ -14,9 +14,9 @@
 //!    charged Σ work and max depth, matching the paper's work/depth
 //!    accounting. Because the parallelism is across blocks, a block runs
 //!    the sequential halves of Theorems 4.2 and 4.3 on the context its
-//!    super-step hands it: the greedy emitter over Lemma 4.1's match table
-//!    ([`pardict_compress::lz77_sequential`], the tokens `lz1_compress`
-//!    would emit) and the phrase-by-phrase decoder
+//!    super-step hands it: the exact, seed-free emitter every shipped parse
+//!    runs ([`pardict_compress::delta_compress`], an empty base) and the
+//!    phrase-by-phrase decoder
 //!    ([`pardict_compress::lz1_decode`]). The PRAM routes are the
 //!    reproduction and the oracle.
 //! 3. **O(1) random access** — the container records an index footer, and
@@ -54,7 +54,11 @@ pub use reader::{
     decode_block, decompress_stream, is_container, DecodedBlock, DecompressSummary,
     StreamDecompressor, StreamReader,
 };
-pub use writer::{compress_stream, CompressSummary, StreamConfig, STREAM_SEED};
+pub use writer::{compress_stream, CompressSummary, StreamConfig};
+
+/// A seed for callers running the seeded PRAM routes over blocks. Blocks
+/// use no seed: their parse is exact, so container bytes are reproducible.
+pub const STREAM_SEED: u64 = 0x57E4_A11B_10C5_EED5;
 
 #[cfg(test)]
 mod tests {

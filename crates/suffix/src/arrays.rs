@@ -3,9 +3,10 @@
 //! belongs to the node of string depth `lcp[k]` whose leaves are SA
 //! positions `left[k]..right[k]`, between its strict nearest smaller
 //! boundaries. A consumer that needs only intervals, like Lemma 4.1's match
-//! table, never builds the tree.
+//! table, never builds the tree. The two constructors differ only in the
+//! LCP array they read.
 
-use crate::lcp::lcp_parallel;
+use crate::lcp::{inverse, kasai, lcp_parallel};
 use crate::sa::suffix_array;
 use pardict_fingerprint::{random_base, PrefixHashes};
 use pardict_pram::{Pram, SplitMix64};
@@ -17,8 +18,6 @@ use pardict_rmq::{ansv_par, LinearRmq, Side};
 pub struct SuffixArrays {
     /// Text plus sentinel.
     pub padded: Vec<u8>,
-    /// Karp–Rabin prefix hashes of `padded`.
-    pub hashes: PrefixHashes,
     /// The suffix array; the sentinel suffix is SA position 0.
     pub sa: Vec<u32>,
     /// Text position (0..=n) → SA position.
@@ -34,32 +33,57 @@ pub struct SuffixArrays {
 }
 
 impl SuffixArrays {
-    /// Build the arrays of `text` (NUL-free). The hash base is the first
-    /// draw of `seed ^ 0x5F1F`; the suffix tree's tour takes the second.
+    /// The seeded PRAM route: DC3, then [`lcp_parallel`](crate::lcp_parallel)
+    /// (exact whp) over prefix hashes of `text · $`, which it returns too. Their
+    /// base is the first draw of `seed ^ 0x5F1F`; the tree's tour takes the second.
     ///
     /// # Panics
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
-    pub fn build(pram: &Pram, text: &[u8], seed: u64) -> Self {
+    pub fn build(pram: &Pram, text: &[u8], seed: u64) -> (Self, PrefixHashes) {
+        let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
+        let hashes = PrefixHashes::build(pram, &[text, &[0]].concat(), base);
+        let arrays = Self::with_lcp(pram, text, |padded, sa, _| {
+            lcp_parallel(pram, padded, sa, &hashes)
+        });
+        (arrays, hashes)
+    }
+
+    /// The exact, seed-free route: DC3, then Kasai's LCP over the same ranks,
+    /// charged its operation count (a position or a character compare each)
+    /// as work and as depth, for it is sequential.
+    ///
+    /// # Panics
+    /// Panics if `text` contains a 0 byte (reserved for the sentinel).
+    #[must_use]
+    pub fn build_exact(pram: &Pram, text: &[u8]) -> Self {
+        Self::with_lcp(pram, text, |padded, sa, rank| {
+            let (lcp, ops) = kasai(padded, sa, rank);
+            pram.ledger().charge_work(ops);
+            pram.ledger().charge_depth(ops);
+            lcp
+        })
+    }
+
+    /// Both routes: SA and ranks of `text · $`, the LCP `lcp_of(padded, sa,
+    /// rank)` returns, its range minima and every boundary's ANSV bounds.
+    fn with_lcp(
+        pram: &Pram,
+        text: &[u8],
+        lcp_of: impl FnOnce(&[u8], &[u32], &[u32]) -> Vec<u32>,
+    ) -> Self {
         assert!(
             text.iter().all(|&c| c != 0),
             "suffix tree input must be NUL-free (0 is the internal sentinel)"
         );
         let padded = [text, &[0]].concat();
         let m = padded.len(); // number of suffixes
-
-        let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
-        let hashes = PrefixHashes::build(pram, &padded, base);
         let sa = suffix_array(pram, &padded);
-        let lcp = LinearRmq::new_min(pram, lcp_parallel(pram, &padded, &sa, &hashes));
-        let mut rank = vec![0u32; m];
         pram.ledger().round(m as u64);
-        for (k, &i) in sa.iter().enumerate() {
-            rank[i as usize] = k as u32;
-        }
+        let rank = inverse(&sa);
+        let lcp = LinearRmq::new_min(pram, lcp_of(&padded, &sa, &rank));
         let mut arrays = Self {
             padded,
-            hashes,
             sa,
             rank,
             lcp,

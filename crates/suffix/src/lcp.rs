@@ -17,16 +17,26 @@ use pardict_pram::{ceil_log2, Pram};
 /// Sequential Kasai: exact, `O(n)` time. The oracle and baseline.
 #[must_use]
 pub fn lcp_kasai(text: &[u8], sa: &[u32]) -> Vec<u32> {
-    let n = text.len();
-    assert_eq!(sa.len(), n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut rank = vec![0u32; n];
+    assert_eq!(sa.len(), text.len());
+    kasai(text, sa, &inverse(sa)).0
+}
+
+/// The inverse permutation of `sa`: text position → SA position.
+pub(crate) fn inverse(sa: &[u32]) -> Vec<u32> {
+    let mut rank = vec![0u32; sa.len()];
     for (k, &i) in sa.iter().enumerate() {
         rank[i as usize] = k as u32;
     }
+    rank
+}
+
+/// Kasai's pass over the caller's `rank` (the inverse of `sa`): the LCP
+/// array and the operations it took, one per position plus one per
+/// character compare.
+pub(crate) fn kasai(text: &[u8], sa: &[u32], rank: &[u32]) -> (Vec<u32>, u64) {
+    let n = text.len();
     let mut lcp = vec![0u32; n];
+    let mut ops = n as u64;
     let mut h = 0usize;
     for i in 0..n {
         let r = rank[i] as usize;
@@ -36,12 +46,13 @@ pub fn lcp_kasai(text: &[u8], sa: &[u32]) -> Vec<u32> {
         }
         let j = sa[r - 1] as usize;
         while i + h < n && j + h < n && text[i + h] == text[j + h] {
-            h += 1;
+            (h, ops) = (h + 1, ops + 1);
         }
+        ops += 1; // the compare that stopped it
         lcp[r] = h as u32;
         h = h.saturating_sub(1);
     }
-    lcp
+    (lcp, ops)
 }
 
 /// Parallel LCP via blocked PLCP galloping over the caller's prefix hashes
@@ -97,11 +108,8 @@ pub fn lcp_parallel(pram: &Pram, text: &[u8], sa: &[u32], hashes: &PrefixHashes)
     };
 
     // rank and phi (previous suffix in SA order), in two rounds.
-    let mut rank = vec![0u32; n];
     pram.ledger().round(n as u64);
-    for (k, &i) in sa.iter().enumerate() {
-        rank[i as usize] = k as u32;
-    }
+    let rank = inverse(sa);
     let phi: Vec<u32> = pram.tabulate(n, |i| {
         let r = rank[i] as usize;
         if r == 0 {

@@ -50,6 +50,32 @@ mod proptests {
         )
     }
 
+    /// A NUL-free text of shape `shape` (0..7): random over σ = 2, 4, 26,
+    /// periodic, unary, Fibonacci, or incompressible (every byte but NUL).
+    fn shaped_text(shape: u64, n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = pardict_pram::SplitMix64::new(seed);
+        let mut draw = |sigma: u64| 1 + rng.next_below(sigma) as u8;
+        match shape {
+            0..=2 => (0..n)
+                .map(|_| b'a' - 1 + draw([2, 4, 26][shape as usize]))
+                .collect(),
+            3 => {
+                let period: Vec<u8> = (0..1 + seed % 7).map(|_| b'a' - 1 + draw(4)).collect();
+                period.iter().copied().cycle().take(n).collect()
+            }
+            4 => vec![b'z'; n],
+            5 => {
+                let (mut a, mut b) = (b"a".to_vec(), b"ab".to_vec());
+                while b.len() < n {
+                    (a, b) = (b.clone(), [b, a].concat());
+                }
+                b.truncate(n);
+                b
+            }
+            _ => (0..n).map(|_| draw(255)).collect(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -70,6 +96,29 @@ mod proptests {
                 lcp_parallel(&pram, &text, &sa, &hashes),
                 lcp_kasai(&text, &sa)
             );
+        }
+
+        /// The exact sequential route builds the seeded PRAM route's arrays,
+        /// at small lengths and at 2^k ± 1 up to 4 097.
+        #[test]
+        fn exact_arrays_equal_the_seeded_arrays(
+            shape in 0u64..7,
+            small in 0usize..301,
+            edge in 0usize..16,
+            seed in 0u64..1000,
+        ) {
+            const EDGES: [usize; 8] = [511, 513, 1023, 1025, 2047, 2049, 4095, 4097];
+            let n = EDGES.get(edge).copied().unwrap_or(small);
+            let text = shaped_text(shape, n, seed);
+            let pram = Pram::seq();
+            let exact = SuffixArrays::build_exact(&pram, &text);
+            let (seeded, _) = SuffixArrays::build(&pram, &text, seed);
+            prop_assert_eq!(exact.text(), &text[..]);
+            prop_assert_eq!(&exact.sa, &seeded.sa);
+            prop_assert_eq!(exact.lcp.keys(), seeded.lcp.keys());
+            prop_assert_eq!(&exact.rank, &seeded.rank);
+            prop_assert_eq!(&exact.left, &seeded.left);
+            prop_assert_eq!(&exact.right, &seeded.right);
         }
 
         #[test]

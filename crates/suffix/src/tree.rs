@@ -46,6 +46,8 @@ pub struct SuffixTree {
     /// The arrays the tree is read from; label positions index their
     /// padded text.
     arrays: SuffixArrays,
+    /// Karp–Rabin prefix hashes of the padded text.
+    hashes: PrefixHashes,
     /// Per LCP boundary `k` (between SA positions `k - 1` and `k`): the
     /// internal node whose child intervals it separates.
     boundary_node: Vec<u32>,
@@ -86,7 +88,7 @@ impl SuffixTree {
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
     pub fn build(pram: &Pram, text: &[u8], seed: u64) -> Self {
-        let arrays = SuffixArrays::build(pram, text, seed);
+        let (arrays, hashes) = SuffixArrays::build(pram, text, seed);
         let mut rng = SplitMix64::new(seed ^ 0x5F1F);
         rng.next_u64(); // the arrays' hash base
         let (padded, sa, rank, lcp) = (&arrays.padded, &arrays.sa, &arrays.rank, &arrays.lcp);
@@ -261,6 +263,7 @@ impl SuffixTree {
 
         Self {
             arrays,
+            hashes,
             boundary_node,
             str_depth,
             label_pos,
@@ -451,7 +454,7 @@ impl SuffixTree {
     /// Karp–Rabin prefix hashes of the padded text (for fingerprint tables).
     #[must_use]
     pub fn hashes(&self) -> &PrefixHashes {
-        &self.arrays.hashes
+        &self.hashes
     }
 
     /// Locate a pattern by walking from the root: returns the inclusive SA

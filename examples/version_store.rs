@@ -58,7 +58,7 @@ fn main() {
         let tokens = if r == 0 {
             indep.clone()
         } else {
-            delta_compress(&pram, &revisions[r - 1], doc, r as u64)
+            delta_compress(&pram, &revisions[r - 1], doc)
         };
         let bytes = encoded_size(&tokens);
         raw_total += doc.len();

@@ -21,7 +21,7 @@ echo "== one owner"
 # loop, and StreamReader::decode_waves, the one decode loop that
 # read_range, copy_to and grep are sinks of), the hart count (pram::harts),
 # FNV-1a (pram), the span type (trace::Span) and the shipped LZ1 emitter
-# (compress::delta_compress).
+# (compress::delta_compress, exact and seed-free).
 if grep -rn "struct Cursor" crates --include='*.rs' | grep -v '^crates/core/src/bytes.rs:'; then
   echo "ci.sh: a private byte cursor outside crates/core/src/bytes.rs" >&2
   exit 1
@@ -77,17 +77,30 @@ if grep -rnE "SpanGuard|ScopedSpan|mod collector|exec::section" crates src tests
   echo "ci.sh: a second span type or span queue (use pardict_trace::Span and scoped_span)" >&2
   exit 1
 fi
-# Shipped whole-buffer parses have one emitter: delta_compress (the greedy
-# parse, one decodes_back check, the all-literal fallback). `pardict stats`
-# reports the cost of Theorem 4.2's PRAM route and ships no parse, so it
-# is the one caller of lz1_compress there.
+# Shipped parses have one emitter: delta_compress (exact, seed-free suffix
+# arrays, the greedy parse, one decodes_back check, the all-literal
+# fallback), for stream blocks, served Compress replies and the CLI alike.
+# `pardict stats` reports the cost of Theorem 4.2's PRAM route and ships no
+# parse, so it is the one caller of lz1_compress there.
 if awk 'FNR == 1 { name = "" }
         /^#\[cfg\(test\)\]/ { nextfile }
         /^ *\/\// { next }
         /^ *(pub )?fn / { name = $0 }
-        /lz1_compress\(/ && name !~ /^fn cmd_stats\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-        END { exit !bad }' crates/service/src/*.rs src/bin/*.rs; then
-  echo "ci.sh: a shipped parse from lz1_compress (use delta_compress with an empty base)" >&2
+        /(lz1_compress|lz1_nlogn_baseline|lz77_[a-z_]*|longest_previous_factor[a-z_]*)\(/ &&
+          name !~ /^fn cmd_stats\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/service/src/*.rs crates/stream/src/*.rs src/bin/*.rs; then
+  echo "ci.sh: a shipped parse from another LZ1 emitter (use delta_compress with an empty base)" >&2
+  exit 1
+fi
+if grep -rn "lz77_sequential" crates src tests examples --include='*.rs'; then
+  echo "ci.sh: lz77_sequential is back (the shipped emitter is delta_compress)" >&2
+  exit 1
+fi
+# That emitter is exact: neither it nor the block writer draws a seed or
+# builds a fingerprint.
+if grep -nE "SplitMix64|STREAM_SEED|PrefixHashes|lcp_parallel|random_base" \
+    crates/stream/src/writer.rs crates/compress/src/delta.rs; then
+  echo "ci.sh: a seed or fingerprint on the shipped LZ1 route (it reads SuffixArrays::build_exact)" >&2
   exit 1
 fi
 
@@ -101,9 +114,9 @@ if grep -rn "parse_record_tail" crates src tests examples --include='*.rs' |
   exit 1
 fi
 # A parse leaves the process only if it decodes back, and one function,
-# pardict_compress::decodes_back, owns that check.
+# delta_compress (through the crate-private decodes_back), owns that check.
 if grep -rn "lz1_decode(" crates/stream/src/writer.rs crates/service/src src/bin; then
-  echo "ci.sh: a private decode-and-compare (use pardict_compress::decodes_back)" >&2
+  echo "ci.sh: a private decode-and-compare (delta_compress decodes every parse back)" >&2
   exit 1
 fi
 

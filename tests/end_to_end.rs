@@ -79,8 +79,8 @@ fn theorems_4_2_4_3_lz1_roundtrip_on_all_corpora() {
             text,
             "corpus {k}"
         );
-        // The parallel parse must equal the sequential greedy one.
-        let seq_tokens = lz77_sequential(&pram, &text, 50 + k as u64);
+        // The parallel parse must equal the shipped sequential one.
+        let seq_tokens = delta_compress(&pram, &[], &text);
         assert_eq!(tokens, seq_tokens, "corpus {k}");
         // And the n-log-n baseline.
         let base = lz1_nlogn_baseline(&pram, &text, 70 + k as u64);
@@ -181,7 +181,7 @@ fn delta_compression_roundtrips_against_base() {
     new.truncate(4000);
     new.extend_from_slice(b" appended release notes ");
     new.extend_from_slice(&base[1000..2000]);
-    let tokens = delta_compress(&pram, &base, &new, 72);
+    let tokens = delta_compress(&pram, &base, &new);
     assert_eq!(delta_decompress(&pram, &base, &tokens), new);
     assert!(tokens.len() < 40, "{} tokens", tokens.len());
 }

@@ -83,8 +83,8 @@ proptest! {
         let pram = Pram::seq();
         let tokens = lz1_compress(&pram, &text, seed);
         prop_assert_eq!(lz1_decompress(&pram, &tokens, seed ^ 1), text.clone());
-        // Greedy parse: the sequential emitter's, token for token.
-        prop_assert_eq!(tokens, lz77_sequential(&pram, &text, seed));
+        // Greedy parse: the shipped exact emitter's, token for token.
+        prop_assert_eq!(tokens, delta_compress(&pram, &[], &text));
     }
 
     #[test]
@@ -254,10 +254,11 @@ proptest! {
     }
 
     /// Blocks run the sequential halves; Theorems 4.2 and 4.3 are their
-    /// oracles on every block shape. The greedy emitter's tokens are
+    /// oracles on every block shape. The exact emitter's tokens are
     /// `lz1_compress`'s token for token, the phrase-by-phrase decoder's
     /// bytes are `lz1_decompress`'s, a delta against a prefix or suffix
-    /// round-trips, and `compress_stream` charges `seq` and `par` alike.
+    /// round-trips, every LZ1 block of a container is that emitter's parse
+    /// of the block, and `compress_stream` charges `seq` and `par` alike.
     #[test]
     fn sequential_halves_equal_the_pram_routes(
         shape in 0u64..7,
@@ -267,7 +268,7 @@ proptest! {
         let text = block(shape, n, seed);
         let pram = Pram::seq();
         let tokens = lz1_compress(&pram, &text, seed);
-        prop_assert_eq!(&lz77_sequential(&pram, &text, seed), &tokens);
+        prop_assert_eq!(&delta_compress(&pram, &[], &text), &tokens);
         let mut out = Vec::new();
         prop_assert!(lz1_decode(&pram, &tokens, &mut out, text.len()).is_ok());
         prop_assert_eq!(&out, &lz1_decompress(&pram, &tokens, seed));
@@ -275,13 +276,20 @@ proptest! {
 
         let cut = seed as usize % (text.len() + 1);
         for (base, new) in [(&text[..cut], &text[..]), (&text[cut..], &text[..cut])] {
-            let delta = delta_compress(&pram, base, new, seed);
+            let delta = delta_compress(&pram, base, new);
             prop_assert_eq!(&delta_decompress(&pram, base, &delta), new);
         }
 
         let cfg = StreamConfig { block_size: 32 + seed as usize % 96, max_in_flight: 3 };
         let (a, sa) = compress_stream(&Pram::seq(), &mut &text[..], Vec::new(), &cfg).unwrap();
         let (b, sb) = compress_stream(&Pram::par(), &mut &text[..], Vec::new(), &cfg).unwrap();
+        let mut rdr = StreamReader::open(std::io::Cursor::new(&a)).unwrap();
+        for (i, block) in text.chunks(cfg.block_size).enumerate() {
+            if rdr.index().entries[i].method == pardict::stream::METHOD_LZ1 {
+                let want = pardict::compress::encode_tokens(&delta_compress(&pram, &[], block));
+                prop_assert_eq!(rdr.raw_block(i).unwrap(), want, "block {}", i);
+            }
+        }
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa.cost, sb.cost);
     }
