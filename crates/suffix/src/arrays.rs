@@ -3,11 +3,14 @@
 //! belongs to the node of string depth `lcp[k]` whose leaves are SA
 //! positions `left[k]..right[k]`, between its strict nearest smaller
 //! boundaries. A consumer that needs only intervals, like Lemma 4.1's match
-//! table, never builds the tree. The two constructors differ only in the
-//! LCP array they read.
+//! table, never builds the tree. The two constructors differ in how they
+//! build the suffix array and the LCP array under the same tail: the seeded
+//! route runs DC3 and the fingerprint LCP in PRAM rounds, the exact route
+//! SA-IS and Kasai, each a sequential loop.
 
 use crate::lcp::{inverse, kasai, lcp_parallel};
 use crate::sa::suffix_array;
+use crate::sais;
 use pardict_fingerprint::{random_base, PrefixHashes};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_rmq::{ansv_par, LinearRmq, Side};
@@ -41,44 +44,44 @@ impl SuffixArrays {
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
     pub fn build(pram: &Pram, text: &[u8], seed: u64) -> (Self, PrefixHashes) {
+        let padded = pad(text);
         let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
-        let hashes = PrefixHashes::build(pram, &[text, &[0]].concat(), base);
-        let arrays = Self::with_lcp(pram, text, |padded, sa, _| {
+        let hashes = PrefixHashes::build(pram, &padded, base);
+        let sa = suffix_array(pram, &padded);
+        let arrays = Self::with_lcp(pram, padded, sa, |padded, sa, _| {
             lcp_parallel(pram, padded, sa, &hashes)
         });
         (arrays, hashes)
     }
 
-    /// The exact, seed-free route: DC3, then Kasai's LCP over the same ranks,
-    /// charged its operation count (a position or a character compare each)
-    /// as work and as depth, for it is sequential.
+    /// The exact, seed-free route: SA-IS, then Kasai's LCP over the same
+    /// ranks. Both are sequential, so each is charged its operation count (a
+    /// position per pass or a character compare each) as work and as depth.
     ///
     /// # Panics
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
     pub fn build_exact(pram: &Pram, text: &[u8]) -> Self {
-        Self::with_lcp(pram, text, |padded, sa, rank| {
+        let padded = pad(text);
+        let (sa, ops) = sais::suffix_array(&padded);
+        charge_sequential(pram, ops);
+        Self::with_lcp(pram, padded, sa, |padded, sa, rank| {
             let (lcp, ops) = kasai(padded, sa, rank);
-            pram.ledger().charge_work(ops);
-            pram.ledger().charge_depth(ops);
+            charge_sequential(pram, ops);
             lcp
         })
     }
 
-    /// Both routes: SA and ranks of `text · $`, the LCP `lcp_of(padded, sa,
-    /// rank)` returns, its range minima and every boundary's ANSV bounds.
+    /// Both routes' tail over the suffix array `sa` of `padded`: its ranks,
+    /// the LCP `lcp_of(padded, sa, rank)` returns, its range minima and every
+    /// boundary's ANSV bounds.
     fn with_lcp(
         pram: &Pram,
-        text: &[u8],
+        padded: Vec<u8>,
+        sa: Vec<u32>,
         lcp_of: impl FnOnce(&[u8], &[u32], &[u32]) -> Vec<u32>,
     ) -> Self {
-        assert!(
-            text.iter().all(|&c| c != 0),
-            "suffix tree input must be NUL-free (0 is the internal sentinel)"
-        );
-        let padded = [text, &[0]].concat();
         let m = padded.len(); // number of suffixes
-        let sa = suffix_array(pram, &padded);
         pram.ledger().round(m as u64);
         let rank = inverse(&sa);
         let lcp = LinearRmq::new_min(pram, lcp_of(&padded, &sa, &rank));
@@ -110,4 +113,22 @@ impl SuffixArrays {
             i64::from(self.lcp.keys()[k])
         }
     }
+}
+
+/// `text · $`.
+///
+/// # Panics
+/// Panics if `text` contains a 0 byte.
+fn pad(text: &[u8]) -> Vec<u8> {
+    assert!(
+        text.iter().all(|&c| c != 0),
+        "suffix tree input must be NUL-free (0 is the internal sentinel)"
+    );
+    [text, &[0]].concat()
+}
+
+/// Charges a sequential loop of `ops` operations: as work and as depth.
+fn charge_sequential(pram: &Pram, ops: u64) {
+    pram.ledger().charge_work(ops);
+    pram.ledger().charge_depth(ops);
 }
