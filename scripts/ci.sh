@@ -103,6 +103,23 @@ if grep -nE "SplitMix64|STREAM_SEED|PrefixHashes|lcp_parallel|random_base" \
   echo "ci.sh: a seed or fingerprint on the shipped LZ1 route (it reads SuffixArrays::build_exact)" >&2
   exit 1
 fi
+# Its suffix arrays have one builder each: the exact route sorts by SA-IS
+# (sequential, linear), never by DC3, whose polylog depth only the seeded
+# PRAM route reads; and only SuffixArrays::build_exact reaches SA-IS.
+if awk '/^ *(pub )?fn build_exact\(/ { inside = 1 }
+        inside { line = $0; gsub(/sais::suffix_array\(/, "", line)
+                 if (line ~ /suffix_array\(/) { print FILENAME ":" FNR ": " $0; bad = 1 } }
+        inside && /^    }$/ { inside = 0 }
+        END { exit !bad }' crates/suffix/src/arrays.rs; then
+  echo "ci.sh: SuffixArrays::build_exact calls DC3 (the exact route sorts by SA-IS)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /sais::/ && FILENAME !~ /\/(arrays|sais)\.rs$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/suffix/src/*.rs; then
+  echo "ci.sh: SA-IS called outside crates/suffix/src/{arrays,sais}.rs (use SuffixArrays::build_exact)" >&2
+  exit 1
+fi
 
 # A container's structure has one validator: StreamReader::open (footer
 # checksum, entry chain, block sizes) plus the inline-header comparison
