@@ -57,7 +57,7 @@ mod offline;
 pub mod segmented;
 mod step2;
 
-pub use ac::{brute_force_matches, AhoCorasick};
+pub use ac::{brute_force_matches, brute_force_occurrences, AhoCorasick};
 pub use alphabet::{decode_positions, encode_binary, BinaryEncoded};
 pub use baseline::mp93_baseline;
 pub use crc::crc32;

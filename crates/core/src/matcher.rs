@@ -79,10 +79,12 @@ impl DictMatcher {
     }
 
     /// Every pattern occurrence in the text, as `(position, match)` pairs
-    /// ordered by position then decreasing length — the classical
-    /// "report all occurrences" output, derived from the same `S[i]` loci
-    /// in output-sensitive time. Duplicate patterns are reported once
-    /// (smallest id). Monte Carlo like [`DictMatcher::match_text`].
+    /// ordered by position, then decreasing length, then id — the
+    /// classical "report all occurrences" output, derived from the same
+    /// `S[i]` loci in output-sensitive time. Identical patterns are each
+    /// reported, under their own ids. Monte Carlo like
+    /// [`DictMatcher::match_text`]; the exact answer for a served
+    /// dictionary is [`crate::SegmentedMatcher::find_all`].
     #[must_use]
     pub fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, crate::dict::Match)> {
         let loci = substring_match(pram, &self.sub, text);

@@ -593,30 +593,45 @@ impl SegmentedMatcher {
     }
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
-    /// position, then decreasing length, then id. Monte Carlo like
-    /// [`DictMatcher::find_all`].
+    /// position, then decreasing length, then id; identical patterns are
+    /// each reported, under their own ids, as [`DictMatcher::find_all`]
+    /// reports them. Exact: every segment's automaton scans the text once
+    /// ([`AhoCorasick::find_all`]), sequentially, and is charged its
+    /// `n + occ` steps as work and depth, inside one
+    /// [`SegmentedMatcher::per_segment`] super-step.
     #[must_use]
     pub fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
-        if let Some(seg) = self.single() {
-            return seg.matcher().find_all(pram, text);
-        }
         let mut out: Vec<(usize, Match)> = Vec::new();
         self.per_segment(
             pram,
             text.len(),
-            |p, seg| seg.matcher().find_all(p, text),
-            |base, hits| {
-                out.extend(hits.into_iter().map(|(i, mut m)| {
+            |p, seg| {
+                let hits = seg.ac().find_all(text);
+                let steps = (text.len() + hits.len()) as u64;
+                p.ledger().charge_work(steps);
+                p.ledger().charge_depth(steps);
+                hits
+            },
+            |base, mut hits| {
+                for (_, m) in &mut hits {
                     m.id += base;
-                    (i, m)
-                }));
+                }
+                if out.is_empty() {
+                    out = hits;
+                } else {
+                    out.append(&mut hits);
+                }
             },
         );
-        out.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(b.1.len.cmp(&a.1.len))
-                .then(a.1.id.cmp(&b.1.id))
-        });
+        // Each segment's run is already in order; the stable sort finds
+        // the runs and merges them.
+        if self.slots.len() > 1 {
+            out.sort_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then(b.1.len.cmp(&a.1.len))
+                    .then(a.1.id.cmp(&b.1.id))
+            });
+        }
         out
     }
 
@@ -678,7 +693,8 @@ impl Ranked for (u32, u32) {
 pub trait PatternScan {
     /// Longest pattern at every text position.
     fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches;
-    /// Every occurrence as `(position, match)`.
+    /// Every occurrence as `(position, match)`, ordered by position, then
+    /// decreasing length, then id.
     fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)>;
     /// Per-position longest pattern-prefix `(len, certificate id)`.
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>>;
@@ -1007,6 +1023,32 @@ mod tests {
                     .collect();
                 let total = alone.iter().fold(Cost::default(), |a, &c| a.beside(c));
                 assert_eq!(seq.1, total);
+            }
+        }
+    }
+
+    #[test]
+    fn find_all_charges_each_automaton_scan_once_in_one_superstep() {
+        for segments in [1usize, 3, 5] {
+            let patterns = dictionary_with_segments(segments);
+            let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+            assert_eq!(matcher.num_segments(), segments);
+            let n = 1 << 13;
+            let text = text_with_planted_matches(7, &patterns, n, 25, Alphabet::dna());
+            // One step per text byte and per reported occurrence, each
+            // segment on its own: Σ work, the longest scan's depth.
+            let scans: Vec<u64> = matcher
+                .segments()
+                .map(|seg| (n + seg.ac().find_all(&text).len()) as u64)
+                .collect();
+            let want = Cost {
+                work: scans.iter().sum(),
+                depth: *scans.iter().max().unwrap(),
+            };
+            for pram in [Pram::seq(), Pram::par()] {
+                let (hits, cost) = pram.metered(|p| matcher.find_all(p, &text));
+                assert_eq!(cost, want, "{segments} segments, {:?}", pram.mode());
+                assert_eq!(hits.len() as u64, want.work - (segments * n) as u64);
             }
         }
     }

@@ -11,9 +11,9 @@ use crate::engine::{Engine, EngineConfig};
 use crate::metrics::Metrics;
 use crate::registry::{DictVersion, Registry};
 use crate::server::{Client, Server};
-use crate::types::{OpKind, OpRequest, Reply, Request, ServiceError};
+use crate::types::{Hit, OpKind, OpRequest, Reply, Request, ServiceError};
 use crate::wire;
-use pardict_core::{AhoCorasick, Dictionary};
+use pardict_core::{brute_force_occurrences, AhoCorasick, Dictionary};
 use pardict_pram::Pram;
 use pardict_workloads::{mixed_ops, random_dictionary, text_with_planted_matches, Alphabet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -252,9 +252,9 @@ pub fn run(opts: &SelftestOptions) -> Result<String, String> {
     out.push_str(
         "hot-swap corpus v1 -> v2 mid-run; every versioned reply was v1 or v2 (never mixed)\n",
     );
-    out.push_str("sampled oracle verification: match vs Aho-Corasick, compress roundtrip, parse optimality\n");
+    out.push_str("sampled oracle verification: match vs Aho-Corasick, grep vs brute force, compress roundtrip, parse optimality\n");
     out.push_str(&format!(
-        "grep lane: {} compressed-container searches, each checked against whole-text matching\n",
+        "grep lane: {} compressed-container searches, v1 replies checked against a brute-force scan of the raw text\n",
         metrics.grep_lane.get(),
     ));
     out.push_str("TCP loopback: publish/match/metrics round trip ok\n\n");
@@ -319,12 +319,17 @@ fn verify_reply(
                 }
             }
         }
-        Reply::Grep { hits, .. } => {
+        Reply::Grep { version, hits } => {
             // Structural check: every hit must fit inside the text.
             for h in hits {
                 if h.pos + u64::from(h.len) > text.len() as u64 {
                     fail(format!("request {i}: grep hit out of bounds"));
                 }
+            }
+            if *version == 1 && occurrences(hits) != v1_occurrences(v1, text) {
+                fail(format!(
+                    "request {i}: v1 grep disagrees with the brute-force occurrence list"
+                ));
             }
         }
         Reply::Compress { payload, .. } => {
@@ -393,23 +398,14 @@ fn verify_reply(
             }
             // Oracle for v1 replies: decompress is the identity here (we
             // still hold the raw text), so compressed-domain search must
-            // equal whole-text dictionary matching.
+            // equal the brute-force occurrence list of the raw text, in
+            // order.
             if *version == 1 {
-                let mut expect: Vec<(u64, u32, u32)> = v1
-                    .pre
-                    .seg
-                    .find_all(&pram, text)
-                    .into_iter()
-                    .map(|(p, m)| (p as u64, m.id, m.len))
-                    .collect();
-                let mut got: Vec<(u64, u32, u32)> =
-                    hits.iter().map(|h| (h.pos, h.id, h.len)).collect();
-                expect.sort_unstable();
-                got.sort_unstable();
+                let (got, expect) = (occurrences(hits), v1_occurrences(v1, text));
                 if got != expect {
                     fail(format!(
-                        "request {i}: v1 container grep disagrees with whole-text \
-                         dictionary matching ({} vs {} hits)",
+                        "request {i}: v1 container grep disagrees with the brute-force \
+                         occurrence list ({} vs {} hits)",
                         got.len(),
                         expect.len()
                     ));
@@ -417,6 +413,20 @@ fn verify_reply(
             }
         }
     }
+}
+
+/// A grep reply's hits as `(pos, id, len)`.
+fn occurrences(hits: &[Hit]) -> Vec<(u64, u32, u32)> {
+    hits.iter().map(|h| (h.pos, h.id, h.len)).collect()
+}
+
+/// Every occurrence of v1's patterns in `text`, by direct comparison: the
+/// grep oracle, independent of the automata that answer grep requests.
+fn v1_occurrences(v1: &DictVersion, text: &[u8]) -> Vec<(u64, u32, u32)> {
+    brute_force_occurrences(&Dictionary::new(v1.pre.patterns()), text)
+        .into_iter()
+        .map(|(p, m)| (p as u64, m.id, m.len))
+        .collect()
 }
 
 /// Knobs for the deterministic traced selftest phase

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 pub enum OpKind {
     /// Longest pattern per text position (Theorem 3.1).
     Match = 0,
-    /// Every pattern occurrence (`find_all`).
+    /// Every pattern occurrence, exact (`SegmentedMatcher::find_all`).
     Grep = 1,
     /// Parallel LZ1 compression (§4).
     Compress = 2,

@@ -233,6 +233,17 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   echo "ci.sh: a per-slot query loop in segmented.rs outside per_segment" >&2
   exit 1
 fi
+# The served occurrence list has one owner: SegmentedMatcher::find_all scans
+# the segments' exact automata and never reads Theorem 3.1's Monte Carlo
+# find_all, which DictMatcher keeps as the reproduction.
+if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
+        inside { line = $0; gsub(/[ \t]/, "", line); body = body line }
+        inside && /^    }$/ { inside = 0
+                              if (body ~ /matcher\(\)\.find_all\(/) { print FILENAME ":" start ": matcher().find_all("; bad = 1 } }
+        END { exit !bad }' crates/core/src/segmented.rs; then
+  echo "ci.sh: SegmentedMatcher::find_all calls a segment's Monte Carlo find_all (scan seg.ac())" >&2
+  exit 1
+fi
 
 # Segments are the unit of change, one matcher the unit of query; only the
 # registry picks which answers: a served Match reaches the per-segment pass

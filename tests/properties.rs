@@ -358,3 +358,75 @@ proptest! {
         prop_assert!(out.capacity() <= base.len() + n);
     }
 }
+
+/// A pattern list, its served matcher and one whole-list Theorem 3.1 matcher.
+type Matchers = (Vec<Vec<u8>>, SegmentedMatcher, DictMatcher);
+
+/// A DNA dictionary of ≈ 200 patterns per segment, cut into exactly
+/// `segments` canonical segments, with identical patterns inside one
+/// segment (every tenth pattern copied right behind itself) and, with two
+/// segments or more, across segments (the first five patterns copied at
+/// the end). Built once per segment count: the matchers are the slow part.
+fn segmented_dictionary(segments: usize) -> &'static Matchers {
+    use pardict::core::segmented::segment_spans;
+    use pardict::workloads::random_dictionary;
+    use std::sync::OnceLock;
+    static BUILT: [OnceLock<Matchers>; 5] = [const { OnceLock::new() }; 5];
+    BUILT[segments - 1].get_or_init(|| {
+        let patterns = (0u64..)
+            .map(|seed| {
+                let drawn = random_dictionary(seed, 200 * segments, 2, 9, Alphabet::dna());
+                let mut patterns = Vec::new();
+                for (i, p) in drawn.iter().enumerate() {
+                    patterns.push(p.clone());
+                    if i % 10 == 0 {
+                        patterns.push(p.clone());
+                    }
+                }
+                patterns.extend_from_within(..5);
+                patterns
+            })
+            .find(|p| segment_spans(p).len() == segments)
+            .expect("some draw cuts into the wanted number of segments");
+        let pram = Pram::seq();
+        let segmented = SegmentedMatcher::build(&pram, patterns.clone());
+        let whole = DictMatcher::build(&pram, Dictionary::new(patterns.clone()), 0x0CC5);
+        (patterns, segmented, whole)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The served occurrence list is exact and canonical: the segments'
+    /// automata, a brute-force scan and the whole-list Theorem 3.1
+    /// `find_all` give the same list in the same order (position, then
+    /// decreasing length, then id; every duplicate under its own id), on
+    /// dense, sparse and overlapping texts from empty up to 600 bytes.
+    #[test]
+    fn segmented_find_all_equals_brute_force_and_the_whole_list_matcher(
+        segments in 1usize..=5,
+        kind in 0u8..3,
+        n in prop_oneof![0usize..12, 0usize..600],
+        seed in any::<u64>(),
+    ) {
+        use pardict::workloads::{periodic_text, random_text, text_with_planted_matches};
+        let (patterns, segmented, whole) = segmented_dictionary(segments);
+        prop_assert_eq!(segmented.num_segments(), segments);
+        let text = match kind {
+            0 => text_with_planted_matches(seed, patterns, n, 30, Alphabet::dna()),
+            // Two bytes in three lie outside the dictionary's alphabet.
+            1 => random_text(seed, n, Alphabet::new(b'A', 12)),
+            // A short pattern prefix repeated: occurrences overlap.
+            _ => {
+                let p = &patterns[seed as usize % patterns.len()];
+                periodic_text(&p[..1 + (seed >> 32) as usize % p.len().min(3)], n)
+            }
+        };
+        let pram = Pram::seq();
+        let got = segmented.find_all(&pram, &text);
+        let dict = Dictionary::new(patterns.clone());
+        prop_assert_eq!(&got, &pardict::core::brute_force_occurrences(&dict, &text));
+        prop_assert_eq!(&got, &whole.find_all(&pram, &text));
+    }
+}

@@ -174,6 +174,61 @@ fn pattern_spanning_multiple_boundaries_is_found() {
     );
 }
 
+/// Grep with a served dictionary — a `SegmentedMatcher`, whose `find_all`
+/// scans its segments' exact automata — reports exactly that `find_all`
+/// over the raw text, in its order: one and three segments, duplicate
+/// patterns, blocks shorter than the longest pattern, the whole container
+/// and ranges, under `Pram::seq` and `Pram::par`.
+#[test]
+fn segmented_grep_equals_the_whole_text_find_all() {
+    use pardict::core::segmented::segment_spans;
+    use pardict::workloads::{random_dictionary, text_with_planted_matches};
+    for segments in [1usize, 3] {
+        let patterns = (0u64..)
+            .map(|seed| {
+                let mut p = random_dictionary(seed, 200 * segments, 2, 12, Alphabet::dna());
+                p.extend_from_within(..3);
+                p
+            })
+            .find(|p| segment_spans(p).len() == segments)
+            .unwrap();
+        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        assert_eq!(matcher.max_pattern_len(), 12);
+        let text = text_with_planted_matches(segments as u64, &patterns, 3000, 30, Alphabet::dna());
+        let whole: Vec<GrepHit> = matcher
+            .find_all(&Pram::seq(), &text)
+            .into_iter()
+            .map(|(pos, m)| GrepHit {
+                pos: pos as u64,
+                id: m.id,
+                len: m.len,
+            })
+            .collect();
+        assert!(whole.len() > 1000, "{} hits", whole.len());
+        for block_size in [5, 11] {
+            let packed = pack(&text, block_size);
+            for pram in [Pram::seq(), Pram::par()] {
+                let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
+                let cfg = GrepConfig::default();
+                let all = grep_container(&pram, &matcher, &mut rdr, &cfg).unwrap();
+                assert_eq!(
+                    all.hits, whole,
+                    "{segments} segments, blocks of {block_size}"
+                );
+                for (a, b) in [(0u64, 1u64), (7, 400), (2990, 3000)] {
+                    let ranged = grep_range(&pram, &matcher, &mut rdr, a, b, &cfg).unwrap();
+                    let want: Vec<GrepHit> = whole
+                        .iter()
+                        .copied()
+                        .filter(|h| (a..b).contains(&h.pos))
+                        .collect();
+                    assert_eq!(ranged.hits, want, "range {a}..{b}");
+                }
+            }
+        }
+    }
+}
+
 /// Ledger locality: a grep over a 2-block range must cost work
 /// proportional to the covered blocks plus overlap, not the whole
 /// container.
