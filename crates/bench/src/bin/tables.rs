@@ -11,7 +11,7 @@
 //! implemented baselines. See DESIGN.md §4 for the index.
 
 use pardict_ancestors::NearestMarkedAncestor;
-use pardict_bench::{per, per_log, sample};
+use pardict_bench::{median_of_5, per, per_log, sample};
 use pardict_compress::{
     bfs_parse, delta_compress, encoded_size, greedy_parse, lff_parse, lz1_compress, lz1_decode,
     lz1_decompress, lz1_nlogn_baseline, lz78_compress, optimal_parse,
@@ -268,22 +268,13 @@ fn e4_lz1_compress(quick: bool) {
         let (_, s) = sample(&p1, |p| lz1_compress(p, &text, 1));
         let p2 = Pram::seq();
         let (_, sb) = sample(&p2, |p| lz1_nlogn_baseline(p, &text, 2));
-        let _ = delta_compress(&Pram::seq(), &[], &text);
-        let mut walls: Vec<f64> = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = delta_compress(&Pram::seq(), &[], &text);
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        walls.sort_by(f64::total_cmp);
-        let seq_ms = walls[2];
+        let (_, emit) = median_of_5(|p| delta_compress(p, &[], &text));
         println!(
             "| {n} | {:.1} | {:.1} | {:.1} | {:.1} |",
             per(s.cost.work, n),
             per_log(s.cost.depth, n),
             per(sb.cost.work, n),
-            seq_ms
+            emit.wall_ms
         );
     }
 
@@ -788,6 +779,7 @@ fn e14_segments(quick: bool) {
         "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|"
     );
     let alpha = Alphabet::dna();
+    let mut find_all_rows = Vec::new();
     for segments in sizes(quick, &[1, 4, 16, 64], &[1, 4, 16]) {
         let patterns = (0u64..)
             .map(|seed| random_dictionary(seed, 250 * segments, 8, 16, alpha))
@@ -825,6 +817,38 @@ fn e14_segments(quick: bool) {
             consolidated[0].depth,
             per(build.cost.work, d)
         );
+        let mut row = format!("| {segments} |");
+        for text in [&dense, &sparse] {
+            let (pram_hits, pram_route) = median_of_5(|p| {
+                matcher
+                    .segments()
+                    .map(|seg| seg.matcher().find_all(p, text).len())
+                    .sum::<usize>()
+            });
+            let (hits, exact) = median_of_5(|p| matcher.find_all(p, text).len());
+            assert_eq!(hits, pram_hits);
+            row += &format!(
+                " {:.1} | {:.1} | {:.1} | {:.1} |",
+                per(pram_route.cost.work, n),
+                pram_route.wall_ms,
+                per(exact.cost.work, n),
+                exact.wall_ms
+            );
+        }
+        find_all_rows.push(row);
+    }
+    println!("\n`find_all` on the same texts: the segments' Theorem 3.1 `find_all`,");
+    println!("summed, against `SegmentedMatcher::find_all`, which scans each segment's");
+    println!("exact automaton (`n + occ` steps per segment). Wall ms under `Pram::seq`,");
+    println!("the median of 5 runs after a warm-up.\n");
+    println!(
+        "| segments | PRAM dense work/n | ms | automata dense work/n | ms | PRAM sparse work/n | ms | automata sparse work/n | ms |"
+    );
+    println!(
+        "|----------|-------------------|----|-----------------------|----|--------------------|----|------------------------|----|"
+    );
+    for row in find_all_rows {
+        println!("{row}");
     }
     println!();
 }

@@ -27,6 +27,16 @@ pub fn sample<R>(pram: &Pram, f: impl FnOnce(&Pram) -> R) -> (R, Sample) {
     (r, Sample { cost, wall_ms })
 }
 
+/// [`sample`] on a fresh `Pram::seq()`, once to warm up and then five
+/// times: the median run by wall time, with its result and its cost (the
+/// ledger is deterministic, so every run charges the same).
+pub fn median_of_5<R>(f: impl Fn(&Pram) -> R) -> (R, Sample) {
+    let _ = sample(&Pram::seq(), &f);
+    let mut runs: Vec<(R, Sample)> = (0..5).map(|_| sample(&Pram::seq(), &f)).collect();
+    runs.sort_by(|a, b| a.1.wall_ms.total_cmp(&b.1.wall_ms));
+    runs.swap_remove(2)
+}
+
 /// Work (or any count) per element.
 #[must_use]
 pub fn per(x: u64, n: usize) -> f64 {
@@ -51,5 +61,7 @@ mod tests {
         assert!(s.wall_ms >= 0.0);
         assert!((per(1000, 500) - 2.0).abs() < 1e-9);
         assert!(per_log(20, 1 << 10) > 1.9);
+        let (r, m) = median_of_5(|p| p.tabulate(10, |i| i).len());
+        assert_eq!((r, m.cost.work), (10, 10));
     }
 }
