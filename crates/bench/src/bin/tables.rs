@@ -101,8 +101,8 @@ fn sizes(quick: bool, full: &[usize], small: &[usize]) -> Vec<usize> {
 fn e1_preprocessing(quick: bool) {
     println!("## E1 — dictionary preprocessing (Thm 3.1: O(d) work*, O(log d) time)");
     println!("*(our separator build carries an extra log d; see DESIGN.md)\n");
-    println!("| d | work | work/d | work/(d log d) | depth | depth/log d |");
-    println!("|---|------|--------|-----------------|-------|-------------|");
+    println!("| d | work | work/d | work/(d log d) | depth | depth/log d | wall ms | ns/work |");
+    println!("|---|------|--------|-----------------|-------|-------------|---------|---------|");
     let ds = sizes(
         quick,
         &[1 << 12, 1 << 14, 1 << 16, 1 << 17],
@@ -113,19 +113,21 @@ fn e1_preprocessing(quick: bool) {
         let k = d / 8;
         let dict = Dictionary::new(random_dictionary(d as u64, k, 4, 12, Alphabet::dna()));
         let dd = dict.total_len();
-        let pram = Pram::seq();
-        let ((_, profile), s) = sample(&pram, |p| DictMatcher::build_profiled(p, dict.clone(), 1));
+        let ((_, profile), s) = median_of_5(|p| DictMatcher::build_profiled(p, dict.clone(), 1));
         breakdowns.push((dd, profile));
         let lg = f64::from(ceil_log2(dd));
         println!(
-            "| {dd} | {} | {:.1} | {:.2} | {} | {:.1} |",
+            "| {dd} | {} | {:.1} | {:.2} | {} | {:.1} | {:.1} | {:.1} |",
             s.cost.work,
             per(s.cost.work, dd),
             per(s.cost.work, dd) / lg,
             s.cost.depth,
-            per_log(s.cost.depth, dd)
+            per_log(s.cost.depth, dd),
+            s.wall_ms,
+            s.wall_ms * 1e6 / s.cost.work as f64
         );
     }
+    println!("\nwall ms: the whole build under `Pram::seq`, median of 5 runs after a warm-up.");
 
     // Stage breakdown: which component carries the log factor?
     println!("\nwork/d by preprocessing stage:\n");

@@ -161,6 +161,16 @@ if grep -rnE "rootfix|Strictness" crates src tests examples; then
   exit 1
 fi
 
+# The separator build costs what it is charged: BFS parents live in one
+# array, not a hash map keyed by node per piece, and a node's children come
+# in edge-symbol order from one merge by leftmost leaf, not a sort.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /HashMap|sort_unstable_by_key/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/core/src/dsm/centroid.rs; then
+  echo "ci.sh: a HashMap or a sort in the separator build (one parent array, one merge per node)" >&2
+  exit 1
+fi
+
 # LZ1 reads the suffix array: Lemma 4.1's match table is one previous-factor
 # routine over LCP intervals, so compression builds no suffix tree and runs
 # no marked-ancestor pass.
