@@ -611,7 +611,7 @@ impl Router {
         self.ensure_some_healthy();
         let pats = patterns.to_vec();
         let votes = self.broadcast(&|c: &mut Client| c.publish(name, pats.clone()));
-        let hash = pardict_service::registry::content_hash(patterns);
+        let hash = pardict_core::multiset_identity(patterns);
         self.finish_publish(started, name, pats, hash, votes)
     }
 
@@ -621,10 +621,9 @@ impl Router {
     /// version that doesn't match the delta's parent — e.g. a freshly
     /// revived shard). The router applies the delta to its own
     /// replicated-registry view first, so revival replays and scatter
-    /// overlap sizing see the post-delta dictionary, and chains the
-    /// content hash in `O(|delta|)` — identical to what a full publish
-    /// of the resulting pattern set would compute, so digest-based
-    /// revival skips keep working across the two paths.
+    /// overlap sizing see the post-delta dictionary, and hashes the
+    /// result as a full publish of it would, so digest-based revival
+    /// skips keep working across the two paths.
     ///
     /// # Errors
     /// [`ClusterError::Service`] when the delta is invalid against the
@@ -641,7 +640,7 @@ impl Router {
         self.metrics.publishes.inc();
         self.ensure_some_healthy();
         // Validate against the router's replicated view and compute the
-        // final pattern set + chained hash before touching the network.
+        // final pattern set and its hash before touching the network.
         let (parent_version, finals, new_hash) = {
             let guard = self.dicts.lock().expect("dicts poisoned");
             let Some(info) = guard.get(name) else {
@@ -649,10 +648,9 @@ impl Router {
                     name.to_string(),
                 )));
             };
-            let (finals, removed_counts) =
-                pardict_core::apply_delta_patterns(&info.patterns, delta)
-                    .map_err(|e| ClusterError::Service(ServiceError::BadRequest(e.to_string())))?;
-            let new_hash = pardict_core::chain_identity(info.content_hash, delta, &removed_counts);
+            let finals = pardict_core::apply_delta_patterns(&info.patterns, delta)
+                .map_err(|e| ClusterError::Service(ServiceError::BadRequest(e.to_string())))?;
+            let new_hash = pardict_core::multiset_identity(&finals);
             (info.version, finals, new_hash)
         };
         // Each shard reports `(version, took the delta as a delta)`.

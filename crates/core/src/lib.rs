@@ -67,6 +67,6 @@ pub use matcher::{dictionary_match, DictMatcher};
 pub use mstats::matching_statistics_seq;
 pub use offline::dictionary_match_offline;
 pub use segmented::{
-    apply_delta_patterns, chain_identity, list_hash, multiset_identity, DeltaError, DictDelta,
-    PatternScan, Segment, SegmentBuildStats, SegmentedMatcher,
+    apply_delta_patterns, list_hash, multiset_identity, DeltaError, DictDelta, PatternScan,
+    Segment, SegmentBuildStats, SegmentedMatcher,
 };

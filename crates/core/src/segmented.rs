@@ -46,6 +46,7 @@ use crate::dict::{Dictionary, Match, Matches};
 use crate::matcher::DictMatcher;
 use pardict_pram::{Cost, Fnv1a, Pram, SplitMix64};
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Dictionaries with at most this many patterns use a single segment
@@ -143,12 +144,11 @@ pub fn pattern_identity(pattern: &[u8]) -> u64 {
 }
 
 /// Commutative multiset identity of a pattern list: the wrapping sum of
-/// [`pattern_identity`] over all patterns. Incrementally maintainable —
-/// applying a delta updates it in `O(|delta|)` via [`chain_identity`],
-/// and the chained value equals the from-scratch value of the final list,
-/// so cache identities and cluster revival skips agree across delta and
-/// full-publish paths. Identity of a *multiset*: permutations collide by
-/// design (they define the same pattern set, though with permuted ids).
+/// [`pattern_identity`] over all patterns. Every path to the same final
+/// multiset, a delta chain or a full publish, gets the same value, so
+/// cache identities and cluster revival skips agree across them. Identity
+/// of a *multiset*: permutations collide by design (they define the same
+/// pattern set, though with permuted ids).
 #[must_use]
 pub fn multiset_identity(patterns: &[Vec<u8>]) -> u64 {
     patterns
@@ -156,30 +156,18 @@ pub fn multiset_identity(patterns: &[Vec<u8>]) -> u64 {
         .fold(0u64, |acc, p| acc.wrapping_add(pattern_identity(p)))
 }
 
-/// Update a parent's [`multiset_identity`] by a delta: subtract each
-/// removed pattern `count` times, add each added pattern once. Equals
-/// `multiset_identity` of the post-delta list.
-#[must_use]
-pub fn chain_identity(parent: u64, delta: &DictDelta, removed_counts: &[u64]) -> u64 {
-    let mut h = parent;
-    for (r, &count) in delta.removes.iter().zip(removed_counts) {
-        h = h.wrapping_sub(pattern_identity(r).wrapping_mul(count));
-    }
-    for a in &delta.adds {
-        h = h.wrapping_add(pattern_identity(a));
-    }
-    h
-}
-
-/// Apply `delta` to `parent` patterns, returning the final list plus the
-/// occurrence count removed per `removes` entry (for [`chain_identity`]).
+/// Apply `delta` to the `parent` patterns, returning the final list: the
+/// surviving parent patterns in their order, then the adds. One pass over
+/// the parent against a hash map of the removes, with the semantics of
+/// applying the removes in turn: `removes[i]` is missing when it matches
+/// no parent pattern or repeats an earlier remove.
 ///
 /// # Errors
 /// See [`DeltaError`]; on error the parent is untouched (pure function).
-pub fn apply_delta_patterns(
-    parent: &[Vec<u8>],
+pub fn apply_delta_patterns<'a>(
+    parent: impl IntoIterator<Item = &'a Vec<u8>>,
     delta: &DictDelta,
-) -> Result<(Vec<Vec<u8>>, Vec<u64>), DeltaError> {
+) -> Result<Vec<Vec<u8>>, DeltaError> {
     for (i, a) in delta.adds.iter().enumerate() {
         if a.is_empty() {
             return Err(DeltaError::EmptyAdd { index: i });
@@ -188,22 +176,28 @@ pub fn apply_delta_patterns(
             return Err(DeltaError::NulAdd { index: i });
         }
     }
-    let mut kept: Vec<Vec<u8>> = parent.to_vec();
-    let mut counts = Vec::with_capacity(delta.removes.len());
+    // Each value's first index in `removes`: a repeat is never looked up,
+    // so it stays unhit, as it would match nothing once its first ran.
+    let mut first: HashMap<&[u8], usize> = HashMap::with_capacity(delta.removes.len());
     for (i, r) in delta.removes.iter().enumerate() {
-        let before = kept.len();
-        kept.retain(|p| p != r);
-        let removed = (before - kept.len()) as u64;
-        if removed == 0 {
-            return Err(DeltaError::RemoveMissing { index: i });
+        first.entry(r.as_slice()).or_insert(i);
+    }
+    let mut hit = vec![false; delta.removes.len()];
+    let mut kept = Vec::new();
+    for p in parent {
+        match first.get(p.as_slice()) {
+            Some(&i) => hit[i] = true,
+            None => kept.push(p.clone()),
         }
-        counts.push(removed);
+    }
+    if let Some(index) = hit.iter().position(|&h| !h) {
+        return Err(DeltaError::RemoveMissing { index });
     }
     kept.extend(delta.adds.iter().cloned());
     if kept.is_empty() {
         return Err(DeltaError::EmptyResult);
     }
-    Ok((kept, counts))
+    Ok(kept)
 }
 
 /// Canonical segment spans of a pattern list: a pure function of the list
@@ -328,18 +322,23 @@ impl SegmentedMatcher {
     /// first at service boundaries; `Dictionary::new` enforces this).
     #[must_use]
     pub fn build(pram: &Pram, patterns: Vec<Vec<u8>>) -> Self {
-        Self::build_with_reuse(pram, patterns, |_| None).0
+        Self::build_with_reuse(pram, patterns, None).0
     }
 
-    /// Preprocess `patterns`, asking `lookup` for an existing segment by
-    /// content hash before building one. Reused segments must have been
-    /// produced by this module for the same pattern run (the hash is the
-    /// contract), which keeps the canonical-structure guarantee.
+    /// Preprocess `patterns`, sharing `parent`'s segment (by `Arc`) for
+    /// every pattern run it already holds, matched by content hash and then
+    /// by content, and building the rest. Segments are canonical, so the
+    /// result is structurally identical to [`SegmentedMatcher::build`]'s.
+    /// A delta keeps the surviving runs in the parent's order, so one
+    /// forward walk over the parent's segments finds each of them.
+    ///
+    /// # Panics
+    /// As [`SegmentedMatcher::build`].
     #[must_use]
     pub fn build_with_reuse(
         pram: &Pram,
         patterns: Vec<Vec<u8>>,
-        mut lookup: impl FnMut(u64) -> Option<Arc<Segment>>,
+        parent: Option<&SegmentedMatcher>,
     ) -> (Self, SegmentBuildStats) {
         assert!(!patterns.is_empty(), "dictionary must not be empty");
         let identity = multiset_identity(&patterns);
@@ -350,18 +349,25 @@ impl SegmentedMatcher {
             segments_total: spans.len(),
             segments_reused: 0,
         };
+        // The parent's segments not yet passed by the walk.
+        let mut unseen = parent.map_or(&[][..], |p| p.slots.as_slice());
         let mut slots = Vec::with_capacity(spans.len());
         let mut build_cost = Cost::default();
         for span in spans {
             let base = span.start as u32;
             let chunk = &patterns[span];
             let hash = list_hash(chunk);
-            let seg = match lookup(hash) {
-                Some(seg) if seg.patterns() == chunk => {
+            let found = unseen
+                .iter()
+                .position(|s| s.seg.list_hash() == hash && s.seg.patterns() == chunk);
+            let seg = match found {
+                Some(j) => {
                     stats.segments_reused += 1;
+                    let seg = Arc::clone(&unseen[j].seg);
+                    unseen = &unseen[j + 1..];
                     seg
                 }
-                _ => Arc::new(Segment::build(pram, chunk.to_vec())),
+                None => Arc::new(Segment::build(pram, chunk.to_vec())),
             };
             build_cost = build_cost.plus(seg.build_cost());
             slots.push(Slot { base, seg });
@@ -389,15 +395,8 @@ impl SegmentedMatcher {
         pram: &Pram,
         delta: &DictDelta,
     ) -> Result<(Self, SegmentBuildStats), DeltaError> {
-        let (finals, _counts) = apply_delta_patterns(&self.patterns(), delta)?;
-        let mut by_hash: std::collections::HashMap<u64, Arc<Segment>> = self
-            .slots
-            .iter()
-            .map(|s| (s.seg.list_hash(), Arc::clone(&s.seg)))
-            .collect();
-        Ok(Self::build_with_reuse(pram, finals, move |h| {
-            by_hash.remove(&h)
-        }))
+        let finals = apply_delta_patterns(self.segments().flat_map(|s| s.patterns()), delta)?;
+        Ok(Self::build_with_reuse(pram, finals, Some(self)))
     }
 
     /// All patterns in global-id order (concatenated segment runs).
@@ -754,9 +753,8 @@ mod tests {
             adds: pats(&["x"]),
             removes: pats(&["a"]),
         };
-        let (finals, counts) = apply_delta_patterns(&parent, &d).unwrap();
+        let finals = apply_delta_patterns(&parent, &d).unwrap();
         assert_eq!(finals, pats(&["b", "c", "x"]));
-        assert_eq!(counts, vec![2]);
         // Missing remove is an error.
         let bad = DictDelta {
             adds: vec![],
@@ -786,17 +784,88 @@ mod tests {
         );
     }
 
+    /// The fold as it was before it became one pass: one `retain` over the
+    /// survivors per remove. Kept verbatim as the oracle of its semantics.
+    fn fold_remove_by_remove(
+        parent: &[Vec<u8>],
+        delta: &DictDelta,
+    ) -> Result<(Vec<Vec<u8>>, Vec<u64>), DeltaError> {
+        for (i, a) in delta.adds.iter().enumerate() {
+            if a.is_empty() {
+                return Err(DeltaError::EmptyAdd { index: i });
+            }
+            if a.contains(&0) {
+                return Err(DeltaError::NulAdd { index: i });
+            }
+        }
+        let mut kept: Vec<Vec<u8>> = parent.to_vec();
+        let mut counts = Vec::with_capacity(delta.removes.len());
+        for (i, r) in delta.removes.iter().enumerate() {
+            let before = kept.len();
+            kept.retain(|p| p != r);
+            let removed = (before - kept.len()) as u64;
+            if removed == 0 {
+                return Err(DeltaError::RemoveMissing { index: i });
+            }
+            counts.push(removed);
+        }
+        kept.extend(delta.adds.iter().cloned());
+        if kept.is_empty() {
+            return Err(DeltaError::EmptyResult);
+        }
+        Ok((kept, counts))
+    }
+
     #[test]
-    fn chain_identity_equals_scratch_identity() {
-        let parent = pats(&["foo", "bar", "foo", "baz"]);
-        let d = DictDelta {
-            adds: pats(&["quux", "bar"]),
-            removes: pats(&["foo"]),
+    fn one_pass_fold_equals_the_remove_by_remove_fold() {
+        let mut rng = SplitMix64::new(0xF01D);
+        // A word of 0–3 letters over `ab`, NUL in one draw of 16, so that
+        // draws repeat and some adds are invalid.
+        let word = |rng: &mut SplitMix64, min: u64| -> Vec<u8> {
+            (0..min + rng.next_below(4 - min))
+                .map(|_| match rng.next_below(16) {
+                    0 => 0,
+                    k => b'a' + (k % 2) as u8,
+                })
+                .collect()
         };
-        let (finals, counts) = apply_delta_patterns(&parent, &d).unwrap();
-        assert_eq!(
-            chain_identity(multiset_identity(&parent), &d, &counts),
-            multiset_identity(&finals)
+        let mut seen = [0usize; 5];
+        for _ in 0..4000 {
+            let parent: Vec<Vec<u8>> = (0..rng.next_below(10)).map(|_| word(&mut rng, 1)).collect();
+            // Present, repeated and overlapping removes drawn from the
+            // parent; missing ones from fresh words.
+            let removes = (0..rng.next_below(6))
+                .map(|_| match parent.len() as u64 {
+                    k if k > 0 && rng.next_below(4) != 0 => {
+                        parent[rng.next_below(k) as usize].clone()
+                    }
+                    _ => word(&mut rng, 1),
+                })
+                .collect();
+            let adds = (0..rng.next_below(3)).map(|_| word(&mut rng, 0)).collect();
+            let delta = DictDelta { adds, removes };
+            let want = fold_remove_by_remove(&parent, &delta).map(|(finals, _)| finals);
+            seen[match &want {
+                Ok(_) => 0,
+                Err(DeltaError::RemoveMissing { .. }) => 1,
+                Err(DeltaError::EmptyResult) => 2,
+                Err(DeltaError::EmptyAdd { .. }) => 3,
+                Err(DeltaError::NulAdd { .. }) => 4,
+            }] += 1;
+            assert_eq!(
+                apply_delta_patterns(&parent, &delta),
+                want,
+                "{parent:?} {delta:?}"
+            );
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every outcome drawn: {seen:?}");
+    }
+
+    #[test]
+    fn multiset_identity_respects_pattern_boundaries() {
+        assert_ne!(
+            multiset_identity(&pats(&["ab", "c"])),
+            multiset_identity(&pats(&["a", "bc"]))
         );
     }
 
@@ -854,7 +923,7 @@ mod tests {
             stats.segments_reused > 0 && stats.segments_reused < stats.segments_total,
             "expected partial reuse, got {stats:?}"
         );
-        let (finals, _) = apply_delta_patterns(&patterns, &delta).unwrap();
+        let finals = apply_delta_patterns(&patterns, &delta).unwrap();
         let scratch = SegmentedMatcher::build(&pram, finals.clone());
         assert_eq!(child.identity(), scratch.identity());
         assert_eq!(child.patterns(), scratch.patterns());

@@ -26,10 +26,8 @@
 
 use crate::metrics::Metrics;
 use crate::types::ServiceError;
-use pardict_core::segmented::SegmentBuildStats;
 use pardict_core::{
-    apply_delta_patterns, chain_identity, list_hash, multiset_identity, DictDelta, DictMatcher,
-    Matches, SegmentedMatcher,
+    apply_delta_patterns, list_hash, DictDelta, DictMatcher, Matches, SegmentedMatcher,
 };
 use pardict_pram::{Cost, Pram};
 use pardict_store::Store;
@@ -59,14 +57,9 @@ const REPAY: usize = 40;
 #[derive(Debug)]
 pub struct Preprocessed {
     /// The segmented randomized parallel matcher (Theorem 3.1 per
-    /// segment) plus per-segment exact automata.
+    /// segment) plus per-segment exact automata. Its `identity()` is what
+    /// `dicts` digests ship, and its `build_cost()` what a publish reports.
     pub seg: SegmentedMatcher,
-    /// Commutative multiset identity of the pattern set — chain-updatable
-    /// across deltas (`pardict_core::chain_identity`), equal along every
-    /// path to the same final set, and what `dicts` digests ship.
-    pub content_hash: u64,
-    /// Ledger cost of preprocessing every segment.
-    pub build_cost: Cost,
     /// One Theorem 3.1 matcher over the whole pattern list, built by the
     /// first `Match` that repays it (see [`Preprocessed::match_verified`]);
     /// publishes and deltas leave it unset.
@@ -74,15 +67,6 @@ pub struct Preprocessed {
 }
 
 impl Preprocessed {
-    fn new(seg: SegmentedMatcher, content_hash: u64) -> Self {
-        Self {
-            content_hash,
-            build_cost: seg.build_cost(),
-            seg,
-            whole: OnceLock::new(),
-        }
-    }
-
     /// The patterns, in global-id order.
     #[must_use]
     pub fn patterns(&self) -> Vec<Vec<u8>> {
@@ -155,15 +139,15 @@ pub struct DictVersion {
     pub pre: Arc<Preprocessed>,
 }
 
-/// What [`Registry::publish`] did.
+/// What [`Registry::publish`] or [`Registry::publish_delta`] did.
 #[derive(Debug, Clone, Copy)]
 pub struct PublishOutcome {
     /// Version now current for the name.
     pub version: u64,
     /// True when the preprocessing cache supplied the build.
     pub cache_hit: bool,
-    /// Ledger cost of the build (zero-ish attribution on a cache hit —
-    /// reported as the original build's cost).
+    /// Ledger cost of preprocessing every segment of the installed
+    /// version, reused and cached segments at their original cost.
     pub build_cost: Cost,
 }
 
@@ -204,13 +188,19 @@ impl BuildCache {
     }
 }
 
-/// Make `pre` the current version of `name` (callers hold the write lock).
+/// Make `pre` the current version of `name` (callers hold the write lock),
+/// and say what was installed.
 fn install(
     entries: &mut HashMap<String, Arc<DictVersion>>,
     name: &str,
     version: u64,
-    pre: Arc<Preprocessed>,
-) {
+    (pre, cache_hit): (Arc<Preprocessed>, bool),
+) -> PublishOutcome {
+    let outcome = PublishOutcome {
+        version,
+        cache_hit,
+        build_cost: pre.seg.build_cost(),
+    };
     let name = name.to_string();
     let installed = DictVersion {
         name: name.clone(),
@@ -218,34 +208,7 @@ fn install(
         pre,
     };
     entries.insert(name, Arc::new(installed));
-}
-
-/// The registry's wire-visible dictionary identity: the commutative
-/// multiset hash of the pattern set (see
-/// [`pardict_core::multiset_identity`]). Chain-updatable across deltas in
-/// `O(|delta|)`, and `["ab","c"]` vs `["a","bc"]` still hash differently
-/// because each pattern is hashed length-prefixed. The order-sensitive
-/// [`list_hash`] remains the preprocessing-cache key, so permuted lists
-/// never share a build.
-#[must_use]
-pub fn content_hash(patterns: &[Vec<u8>]) -> u64 {
-    multiset_identity(patterns)
-}
-
-/// What [`Registry::publish_delta`] did.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaPublishOutcome {
-    /// Version now current for the name.
-    pub version: u64,
-    /// Segments in the new version.
-    pub segments_total: usize,
-    /// Segments reused from the parent (or the whole build from cache).
-    pub segments_reused: usize,
-    /// True when the preprocessing cache supplied the whole build.
-    pub cache_hit: bool,
-    /// Total preprocessing cost of the new version (reused segments
-    /// included at their original cost).
-    pub build_cost: Cost,
+    outcome
 }
 
 impl Registry {
@@ -288,38 +251,36 @@ impl Registry {
         Ok(())
     }
 
-    /// Fetch the preprocessed state cached under `key`, or run `build`
-    /// and cache what it returns, counting one publish plus the cache
-    /// hit/miss in the metrics. The flag reports a cache hit.
-    fn build_cached(
+    /// The one place a version is built: fetch the preprocessed state for
+    /// `finals` from the cache, or build it on `Pram::par()`, sharing
+    /// `parent`'s segment for every pattern run it already holds, and cache
+    /// it. Counts one publish plus the cache hit or miss; the flag reports
+    /// a hit.
+    fn build(
         &self,
-        key: u64,
-        build: impl FnOnce() -> Result<Preprocessed, ServiceError>,
-    ) -> Result<(Arc<Preprocessed>, bool), ServiceError> {
+        finals: Vec<Vec<u8>>,
+        parent: Option<&SegmentedMatcher>,
+    ) -> (Arc<Preprocessed>, bool) {
         self.metrics.publishes.inc();
+        let key = list_hash(&finals);
         let cached = self.cache.lock().expect("cache poisoned").get(key);
         if let Some(pre) = cached {
             self.metrics.cache_hits.inc();
-            return Ok((pre, true));
+            return (pre, true);
         }
         self.metrics.cache_misses.inc();
-        let pre = Arc::new(build()?);
+        // Segment seeds derive from each segment's content hash, so a
+        // build is the same whichever parent it reuses.
+        let (seg, _) = SegmentedMatcher::build_with_reuse(&Pram::par(), finals, parent);
+        let pre = Arc::new(Preprocessed {
+            seg,
+            whole: OnceLock::new(),
+        });
         self.cache
             .lock()
             .expect("cache poisoned")
             .insert(key, Arc::clone(&pre));
-        Ok((pre, false))
-    }
-
-    /// Build (or fetch from cache) the preprocessed state for `patterns`.
-    fn build(&self, patterns: Vec<Vec<u8>>) -> Result<(Arc<Preprocessed>, bool), ServiceError> {
-        self.build_cached(list_hash(&patterns), || {
-            // Segment seeds derive from each segment's content hash,
-            // so builds stay reproducible per content.
-            let seg = SegmentedMatcher::build(&Pram::par(), patterns);
-            let identity = seg.identity();
-            Ok(Preprocessed::new(seg, identity))
-        })
+        (pre, false)
     }
 
     /// Publish `patterns` under `name`, returning the installed version.
@@ -339,8 +300,7 @@ impl Registry {
     ) -> Result<PublishOutcome, ServiceError> {
         Self::validate(name, &patterns)?;
         let logged = patterns.clone();
-        let (pre, cache_hit) = self.build(patterns)?;
-        let build_cost = pre.build_cost;
+        let built = self.build(patterns, None);
 
         let mut entries = self.entries.write().expect("registry poisoned");
         let version = entries.get(name).map_or(1, |v| v.version + 1);
@@ -352,12 +312,7 @@ impl Registry {
                 .log_publish(name, version, &logged)
                 .map_err(|e| ServiceError::Storage(e.to_string()))?;
         }
-        install(&mut entries, name, version, pre);
-        Ok(PublishOutcome {
-            version,
-            cache_hit,
-            build_cost,
-        })
+        Ok(install(&mut entries, name, version, built))
     }
 
     /// Publish the next version of `name` as a delta against
@@ -365,8 +320,7 @@ impl Registry {
     /// touches (untouched segments are `Arc`-shared with the parent). The
     /// result is structurally identical to a full publish of the
     /// post-delta pattern set — same segments, same seeds, same query
-    /// costs, and the chain-updated content identity equals the
-    /// from-scratch identity — so caches, digests, and cluster revival
+    /// costs, same identity — so caches, digests, and cluster revival
     /// cannot tell the two paths apart. When a store is attached, only
     /// the delta is logged (WAL bytes proportional to the edit, not the
     /// dictionary).
@@ -383,7 +337,7 @@ impl Registry {
         name: &str,
         parent_version: u64,
         delta: &DictDelta,
-    ) -> Result<DeltaPublishOutcome, ServiceError> {
+    ) -> Result<PublishOutcome, ServiceError> {
         if delta.is_empty() {
             return Err(ServiceError::BadRequest("empty delta".into()));
         }
@@ -396,32 +350,9 @@ impl Registry {
                 cur.version
             )));
         }
-        let parent_patterns = cur.pre.patterns();
-        let (finals, removed_counts) = apply_delta_patterns(&parent_patterns, delta)
+        let finals = apply_delta_patterns(cur.pre.seg.segments().flat_map(|s| s.patterns()), delta)
             .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-        // O(|delta|) identity chain; equals the scratch identity of the
-        // final list by construction (multiset sum).
-        let identity = chain_identity(cur.pre.content_hash, delta, &removed_counts);
-        debug_assert_eq!(identity, multiset_identity(&finals));
-
-        let mut built = None;
-        let (pre, cache_hit) = self.build_cached(list_hash(&finals), || {
-            let (seg, stats) = cur
-                .pre
-                .seg
-                .apply_delta(&Pram::par(), delta)
-                .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-            built = Some(stats);
-            Ok(Preprocessed::new(seg, identity))
-        })?;
-        // A cache hit built nothing: every segment counts as reused.
-        let stats = built.unwrap_or_else(|| {
-            let n = pre.seg.num_segments();
-            SegmentBuildStats {
-                segments_total: n,
-                segments_reused: n,
-            }
-        });
+        let built = self.build(finals, Some(&cur.pre.seg));
 
         let mut entries = self.entries.write().expect("registry poisoned");
         // Re-check under the write lock: a concurrent publish may have
@@ -440,14 +371,7 @@ impl Registry {
                 .log_delta(name, version, &delta.adds, &delta.removes)
                 .map_err(|e| ServiceError::Storage(e.to_string()))?;
         }
-        install(&mut entries, name, version, Arc::clone(&pre));
-        Ok(DeltaPublishOutcome {
-            version,
-            segments_total: stats.segments_total,
-            segments_reused: stats.segments_reused,
-            cache_hit,
-            build_cost: pre.build_cost,
-        })
+        Ok(install(&mut entries, name, version, built))
     }
 
     /// Reinstall a dictionary recovered from a durable store at its
@@ -466,9 +390,9 @@ impl Registry {
         patterns: Vec<Vec<u8>>,
     ) -> Result<(), ServiceError> {
         Self::validate(name, &patterns)?;
-        let (pre, _) = self.build(patterns)?;
+        let built = self.build(patterns, None);
         let mut entries = self.entries.write().expect("registry poisoned");
-        install(&mut entries, name, version, pre);
+        install(&mut entries, name, version, built);
         Ok(())
     }
 
@@ -493,9 +417,13 @@ impl Registry {
         Ok(true)
     }
 
-    /// `(name, version, content hash)` for every installed dictionary,
-    /// sorted by name — what the `dicts` wire op ships so a cluster
-    /// router can tell recovered-from-disk state from missing state.
+    /// `(name, version, identity)` for every installed dictionary, sorted
+    /// by name — what the `dicts` wire op ships so a cluster router can
+    /// tell recovered-from-disk state from missing state. The identity is
+    /// the version's [`SegmentedMatcher::identity`], the multiset identity
+    /// of its patterns, equal along every path to the same set; the
+    /// order-sensitive [`list_hash`] stays the cache key, so permuted lists
+    /// never share a build.
     #[must_use]
     pub fn dict_digests(&self) -> Vec<(String, u64, u64)> {
         let mut out: Vec<(String, u64, u64)> = self
@@ -503,7 +431,7 @@ impl Registry {
             .read()
             .expect("registry poisoned")
             .values()
-            .map(|v| (v.name.clone(), v.version, v.pre.content_hash))
+            .map(|v| (v.name.clone(), v.version, v.pre.seg.identity()))
             .collect();
         out.sort();
         out
@@ -536,6 +464,7 @@ impl Registry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use pardict_core::multiset_identity;
     use pardict_core::segmented::segment_spans;
     use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
     use std::cell::Cell;
@@ -735,14 +664,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn content_hash_respects_boundaries() {
-        assert_ne!(
-            content_hash(&pats(&["ab", "c"])),
-            content_hash(&pats(&["a", "bc"]))
-        );
-    }
-
-    #[test]
     fn delta_publish_advances_version_and_matches_full_publish() {
         let m = Arc::new(Metrics::default());
         let reg = Registry::new(Arc::clone(&m));
@@ -753,8 +674,8 @@ pub(crate) mod tests {
         };
         let out = reg.publish_delta("d", 1, &delta).unwrap();
         assert_eq!(out.version, 2);
-        assert_eq!(out.segments_total, 1); // small dict: one segment
         let cur = reg.current("d").unwrap();
+        assert_eq!(cur.pre.seg.num_segments(), 1); // small dict: one segment
         assert_eq!(cur.pre.patterns(), pats(&["alpha", "gamma", "delta"]));
         // A separate full publish of the same final set shares identity
         // and structure (and in fact the cached build).
@@ -762,11 +683,69 @@ pub(crate) mod tests {
         full.publish("d", pats(&["alpha", "gamma", "delta"]))
             .unwrap();
         assert_eq!(
-            full.current("d").unwrap().pre.content_hash,
-            cur.pre.content_hash
+            full.current("d").unwrap().pre.seg.identity(),
+            cur.pre.seg.identity()
         );
         // Accounting identity holds across the mixed publish paths.
         assert_eq!(m.publishes.get(), m.cache_hits.get() + m.cache_misses.get());
+    }
+
+    #[test]
+    fn a_delta_and_its_inverse_take_the_one_write_path() {
+        let m = Arc::new(Metrics::default());
+        let reg = Registry::new(Arc::clone(&m));
+        let first = dna_dictionary(150, 2);
+        let last = first.last().unwrap().clone();
+        assert_eq!(first.iter().filter(|p| **p == last).count(), 1);
+        // Each step: the digest is the live list's multiset identity, and
+        // the reported cost is a scratch publish's of that list.
+        let check = |out: PublishOutcome| {
+            let live = reg.current("d").unwrap().pre.patterns();
+            assert_eq!(reg.dict_digests()[0].2, multiset_identity(&live));
+            let scratch = Registry::new(Arc::new(Metrics::default()));
+            assert_eq!(
+                out.build_cost,
+                scratch.publish("d", live).unwrap().build_cost
+            );
+        };
+
+        let out = reg.publish("d", first.clone()).unwrap();
+        assert!(!out.cache_hit);
+        check(out);
+        let v1 = reg.current("d").unwrap();
+
+        // There: the last pattern out, a new one in, so only the last
+        // segment is rebuilt.
+        let there = DictDelta {
+            adds: pats(&["gattacagattaca"]),
+            removes: vec![last.clone()],
+        };
+        let out = reg.publish_delta("d", 1, &there).unwrap();
+        assert!(!out.cache_hit);
+        check(out);
+        let v2 = reg.current("d").unwrap();
+        assert_eq!(
+            v2.pre.patterns(),
+            apply_delta_patterns(&first, &there).unwrap()
+        );
+        let firsts = |v: &DictVersion| Arc::clone(v.pre.seg.segments().next().unwrap());
+        assert!(Arc::ptr_eq(&firsts(&v1), &firsts(&v2)));
+
+        // And back to the first list: the cache's build of it.
+        let back = DictDelta {
+            adds: vec![last],
+            removes: pats(&["gattacagattaca"]),
+        };
+        let out = reg.publish_delta("d", 2, &back).unwrap();
+        assert!(out.cache_hit);
+        check(out);
+        let v3 = reg.current("d").unwrap();
+        assert_eq!(v3.version, 3);
+        assert!(Arc::ptr_eq(&v1.pre, &v3.pre));
+        assert_eq!(
+            (m.publishes.get(), m.cache_hits.get(), m.cache_misses.get()),
+            (3, 1, 2)
+        );
     }
 
     #[test]

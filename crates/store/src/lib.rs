@@ -48,7 +48,7 @@ pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotDict};
 
 use pardict_exec::pardict_trace;
 use record::encode_wal_header;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -177,7 +177,9 @@ fn apply(state: &mut BTreeMap<String, DictState>, record: &WalRecord) -> bool {
             Some(d) => {
                 // Same semantics as the registry: removes drop every
                 // occurrence of each value, then adds append in order.
-                d.patterns.retain(|p| !removes.iter().any(|r| r == p));
+                // Total: a remove that matches nothing is ignored.
+                let gone: HashSet<&[u8]> = removes.iter().map(Vec::as_slice).collect();
+                d.patterns.retain(|p| !gone.contains(p.as_slice()));
                 d.patterns.extend(adds.iter().cloned());
                 d.version = *version;
                 true
@@ -498,6 +500,67 @@ mod tests {
         StoreConfig {
             snapshot_every: 0,
             sync: false,
+        }
+    }
+
+    /// The replay fold as it was before it became one pass: every pattern
+    /// compared with every remove. Kept verbatim as the oracle.
+    fn replay_fold_remove_by_remove(
+        patterns: &mut Vec<Vec<u8>>,
+        adds: &[Vec<u8>],
+        removes: &[Vec<u8>],
+    ) {
+        patterns.retain(|p| !removes.iter().any(|r| r == p));
+        patterns.extend(adds.iter().cloned());
+    }
+
+    /// xorshift64: a draw below `k`.
+    fn below(x: &mut u64, k: u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x % k
+    }
+
+    /// A word of 1–3 letters over `ab`, so that draws repeat.
+    fn word(x: &mut u64) -> Vec<u8> {
+        (0..=below(x, 3))
+            .map(|_| b'a' + below(x, 2) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_replay_fold_equals_the_remove_by_remove_fold() {
+        let mut x = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..2000 {
+            let parent: Vec<Vec<u8>> = (0..below(&mut x, 10)).map(|_| word(&mut x)).collect();
+            // Present, repeated and overlapping removes from the parent,
+            // missing ones from fresh words.
+            let removes: Vec<Vec<u8>> = (0..below(&mut x, 6))
+                .map(|_| match parent.len() as u64 {
+                    0 => word(&mut x),
+                    k if below(&mut x, 2) == 0 => parent[below(&mut x, k) as usize].clone(),
+                    _ => word(&mut x),
+                })
+                .collect();
+            let adds: Vec<Vec<u8>> = (0..below(&mut x, 3)).map(|_| word(&mut x)).collect();
+            let mut state = BTreeMap::from([(
+                "d".to_string(),
+                DictState {
+                    version: 1,
+                    patterns: parent.clone(),
+                },
+            )]);
+            let delta = WalRecord::Delta {
+                name: "d".into(),
+                version: 2,
+                adds: adds.clone(),
+                removes: removes.clone(),
+            };
+            assert!(apply(&mut state, &delta));
+            let mut want = parent;
+            replay_fold_remove_by_remove(&mut want, &adds, &removes);
+            assert_eq!(state["d"].patterns, want, "{delta:?}");
         }
     }
 

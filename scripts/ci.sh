@@ -264,6 +264,23 @@ if grep -rnE "match_text_verified|DictMatcher::build|whole_matcher" crates/servi
   exit 1
 fi
 
+# A dictionary version has one write path: a publish, a restore and a delta
+# compute the final pattern list once (a delta folds it in one pass) and
+# build it at one site, Registry::build, which reads the version's identity
+# and build cost off the built SegmentedMatcher; nothing chains an identity
+# beside it.
+if grep -rn "chain_identity" crates src tests examples --include='*.rs'; then
+  echo "ci.sh: chain_identity is back (read the identity off the built SegmentedMatcher)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /Pram::par\(\)/ { n++; where = where FILENAME ":" FNR ": " $0 "\n" }
+        END { if (n != 1) { printf "%s", where; exit 0 } exit 1 }' crates/service/src/registry.rs; then
+  echo "ci.sh: registry.rs builds at other than one Pram::par() site (build versions in Registry::build)" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -1061,7 +1061,7 @@ fn oracle_hits(patterns: &[Vec<u8>], text: &[u8]) -> Vec<(u64, u32)> {
 /// seeds print equal bytes (the raced in-flight publish may or may not
 /// land; it is verified for integrity either way but never printed).
 fn store_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Result<String, String> {
-    use pardict::service::registry::content_hash;
+    use pardict::core::multiset_identity;
     use pardict::service::wire::{write_frame, WireRequest};
     use pardict::service::Client;
     use pardict::workloads::{random_dictionary, random_text};
@@ -1101,7 +1101,7 @@ fn store_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Resul
     let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
     let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
     for (name, patterns, _, _) in &specs[..acked] {
-        let want = content_hash(patterns);
+        let want = multiset_identity(patterns);
         match digests.iter().find(|(n, _, _)| n == name) {
             Some((_, 1, h)) if *h == want => {}
             Some((_, v, h)) => {
@@ -1115,7 +1115,7 @@ fn store_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Resul
     // The raced publish may or may not have landed; if it did, it
     // must be complete (all-or-nothing), never a torn half.
     if let Some((_, _, h)) = digests.iter().find(|(n, _, _)| n == "inflight") {
-        let want = content_hash(&specs[0].1);
+        let want = multiset_identity(&specs[0].1);
         if *h != want {
             return Err(format!(
                 "inflight: recovered with hash {h:#x}, wanted {want:#x} — a torn publish leaked"
@@ -1156,8 +1156,7 @@ fn store_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Resul
 /// delta may or may not land; it is checked for all-or-nothing
 /// integrity either way but never printed).
 fn delta_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Result<String, String> {
-    use pardict::core::{apply_delta_patterns, DictDelta};
-    use pardict::service::registry::content_hash;
+    use pardict::core::{apply_delta_patterns, multiset_identity, DictDelta};
     use pardict::service::wire::{write_frame, WireRequest};
     use pardict::service::Client;
     use pardict::workloads::{random_dictionary, random_text};
@@ -1174,7 +1173,7 @@ fn delta_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Resul
             adds: random_dictionary(seed ^ 0xDE17A ^ (i as u64), 3, 3, 8, Alphabet::dna()),
             removes: vec![v1[0].clone()],
         };
-        let (v2, _) = apply_delta_patterns(&v1, &delta)
+        let v2 = apply_delta_patterns(&v1, &delta)
             .map_err(|e| format!("{name}: scripted delta invalid: {e}"))?;
         let text = random_text(seed.wrapping_add(i as u64), 800, Alphabet::dna());
         let expected = oracle_hits(&v2, &text);
@@ -1217,13 +1216,13 @@ fn delta_smoke(data_dir: &std::path::Path, num_dicts: usize, seed: u64) -> Resul
     let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
     let digests = client.dicts().map_err(|e| format!("dicts: {e}"))?;
     for (name, _, _, v2, _, _) in &specs {
-        let want = content_hash(v2);
+        let want = multiset_identity(v2);
         let raced = if name == &specs[0].0 {
             // The raced delta may have landed: v3 with the extra
             // pattern folded in is the only other legal state.
             let mut with = v2.clone();
             with.push(b"xyzzy".to_vec());
-            Some(content_hash(&with))
+            Some(multiset_identity(&with))
         } else {
             None
         };
