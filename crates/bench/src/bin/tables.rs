@@ -113,7 +113,9 @@ fn e1_preprocessing(quick: bool) {
         let k = d / 8;
         let dict = Dictionary::new(random_dictionary(d as u64, k, 4, 12, Alphabet::dna()));
         let dd = dict.total_len();
-        let ((_, profile), s) = median_of_5(|p| DictMatcher::build_profiled(p, dict.clone(), 1));
+        let ((_, profile), s) = median_of_5(Mode::Seq, |p| {
+            DictMatcher::build_profiled(p, dict.clone(), 1)
+        });
         breakdowns.push((dd, profile));
         let lg = f64::from(ceil_log2(dd));
         println!(
@@ -270,7 +272,7 @@ fn e4_lz1_compress(quick: bool) {
         let (_, s) = sample(&p1, |p| lz1_compress(p, &text, 1));
         let p2 = Pram::seq();
         let (_, sb) = sample(&p2, |p| lz1_nlogn_baseline(p, &text, 2));
-        let (_, emit) = median_of_5(|p| delta_compress(p, &[], &text));
+        let (_, emit) = median_of_5(Mode::Seq, |p| delta_compress(p, &[], &text));
         println!(
             "| {n} | {:.1} | {:.1} | {:.1} | {:.1} |",
             per(s.cost.work, n),
@@ -773,12 +775,15 @@ fn e14_segments(quick: bool) {
     println!("so depth does not. n = {n}; `check` is the checker's share of work/n.");
     println!("`consolidated` is the same verified query over one `whole_matcher`");
     println!("(`vet_whole`), and `build/d` that matcher's one-off work per dictionary");
-    println!("byte.\n");
+    println!("byte. `build depth` is `SegmentedMatcher::build`'s: its segments build");
+    println!("in one super-step, so the deepest segment's. `build ms` is its wall");
+    println!("time under `Pram::seq` and `Pram::par`, the median of 5 runs after a");
+    println!("warm-up.\n");
     println!(
-        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth | consolidated dense | sparse | depth | build/d |"
+        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth | consolidated dense | sparse | depth | build/d | build depth | build ms seq | build ms par |"
     );
     println!(
-        "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|"
+        "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|-------------|--------------|--------------|"
     );
     let alpha = Alphabet::dna();
     let mut find_all_rows = Vec::new();
@@ -787,7 +792,11 @@ fn e14_segments(quick: bool) {
             .map(|seed| random_dictionary(seed, 250 * segments, 8, 16, alpha))
             .find(|p| segment_spans(p).len() == segments)
             .expect("some draw cuts into the wanted number of segments");
-        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+        let (matcher, seg_seq) =
+            median_of_5(Mode::Seq, |p| SegmentedMatcher::build(p, patterns.clone()));
+        let (_, seg_par) = median_of_5(Mode::Par, |p| SegmentedMatcher::build(p, patterns.clone()));
+        assert_eq!(seg_seq.cost, seg_par.cost);
+        assert_eq!(seg_seq.cost, matcher.build_cost());
         let (whole, build) = sample(&Pram::seq(), |p| matcher.whole_matcher(p));
         let dense = text_with_planted_matches(2, &patterns, n, 25, alpha);
         let sparse = random_text(3, n, alpha);
@@ -813,21 +822,24 @@ fn e14_segments(quick: bool) {
         }
         let d: usize = patterns.iter().map(Vec::len).sum();
         println!(
-            " {:.1} | {:.1} | {} | {:.0} |",
+            " {:.1} | {:.1} | {} | {:.0} | {} | {:.1} | {:.1} |",
             per(consolidated[0].work, n),
             per(consolidated[1].work, n),
             consolidated[0].depth,
-            per(build.cost.work, d)
+            per(build.cost.work, d),
+            seg_seq.cost.depth,
+            seg_seq.wall_ms,
+            seg_par.wall_ms
         );
         let mut row = format!("| {segments} |");
         for text in [&dense, &sparse] {
-            let (pram_hits, pram_route) = median_of_5(|p| {
+            let (pram_hits, pram_route) = median_of_5(Mode::Seq, |p| {
                 matcher
                     .segments()
                     .map(|seg| seg.matcher().find_all(p, text).len())
                     .sum::<usize>()
             });
-            let (hits, exact) = median_of_5(|p| matcher.find_all(p, text).len());
+            let (hits, exact) = median_of_5(Mode::Seq, |p| matcher.find_all(p, text).len());
             assert_eq!(hits, pram_hits);
             row += &format!(
                 " {:.1} | {:.1} | {:.1} | {:.1} |",

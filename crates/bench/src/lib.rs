@@ -7,7 +7,7 @@
 //! end-to-end and per-layer numbers are the job of `benchmark/` at the
 //! repository root, not of this crate.
 
-use pardict_pram::{Cost, Pram};
+use pardict_pram::{Cost, Mode, Pram};
 use std::time::Instant;
 
 /// Wall-clock + ledger measurement of one run.
@@ -27,12 +27,12 @@ pub fn sample<R>(pram: &Pram, f: impl FnOnce(&Pram) -> R) -> (R, Sample) {
     (r, Sample { cost, wall_ms })
 }
 
-/// [`sample`] on a fresh `Pram::seq()`, once to warm up and then five
+/// [`sample`] on a fresh `Pram` in `mode`, once to warm up and then five
 /// times: the median run by wall time, with its result and its cost (the
 /// ledger is deterministic, so every run charges the same).
-pub fn median_of_5<R>(f: impl Fn(&Pram) -> R) -> (R, Sample) {
-    let _ = sample(&Pram::seq(), &f);
-    let mut runs: Vec<(R, Sample)> = (0..5).map(|_| sample(&Pram::seq(), &f)).collect();
+pub fn median_of_5<R>(mode: Mode, f: impl Fn(&Pram) -> R) -> (R, Sample) {
+    let _ = sample(&Pram::new(mode), &f);
+    let mut runs: Vec<(R, Sample)> = (0..5).map(|_| sample(&Pram::new(mode), &f)).collect();
     runs.sort_by(|a, b| a.1.wall_ms.total_cmp(&b.1.wall_ms));
     runs.swap_remove(2)
 }
@@ -61,7 +61,7 @@ mod tests {
         assert!(s.wall_ms >= 0.0);
         assert!((per(1000, 500) - 2.0).abs() < 1e-9);
         assert!(per_log(20, 1 << 10) > 1.9);
-        let (r, m) = median_of_5(|p| p.tabulate(10, |i| i).len());
+        let (r, m) = median_of_5(Mode::Seq, |p| p.tabulate(10, |i| i).len());
         assert_eq!((r, m.cost.work), (10, 10));
     }
 }

@@ -21,6 +21,12 @@
 //! *and* ledger costs — is indistinguishable from a from-scratch build.
 //! That is the oracle `tests/delta.rs` enforces.
 //!
+//! Building is as independent across segments as matching is: the
+//! segments a build cannot reuse are preprocessed in one
+//! [`Pram::superstep`], so a build costs the Σ of their work and the depth
+//! of the deepest one, not the sum of their depths, and under a parallel
+//! `Pram` they build side by side.
+//!
 //! Dictionaries of at most [`SINGLE_SEGMENT_MAX`] patterns stay in one
 //! segment whose seed equals the classic whole-dictionary seed, so small
 //! dictionaries behave bit-identically to a bare [`DictMatcher`].
@@ -293,11 +299,12 @@ pub struct SegmentBuildStats {
 
 /// A dictionary preprocessed as canonical segments (see module docs).
 ///
-/// A query runs every segment in one super-step (independent passes over
-/// the same text: Σ work, the deepest segment's depth, one thread per hart
-/// under a parallel `Pram`) and merges the answers in base order as they
-/// arrive; a single-segment dictionary delegates directly, with zero
-/// overhead over [`DictMatcher`].
+/// A build preprocesses the segments it cannot reuse in one super-step (Σ
+/// work, the deepest segment's depth). A query runs every segment in one
+/// super-step too (independent passes over the same text: Σ work, the
+/// deepest segment's depth, one thread per hart under a parallel `Pram`)
+/// and merges the answers in base order as they arrive; a single-segment
+/// dictionary delegates directly, with zero overhead over [`DictMatcher`].
 #[derive(Debug, Clone)]
 pub struct SegmentedMatcher {
     slots: Vec<Slot>,
@@ -332,6 +339,13 @@ impl SegmentedMatcher {
     /// A delta keeps the surviving runs in the parent's order, so one
     /// forward walk over the parent's segments finds each of them.
     ///
+    /// The segments to build are independent, so they are one
+    /// [`Pram::superstep`] as wide as their patterns: `pram` is charged
+    /// their Σ work and the deepest one's depth, and under a parallel
+    /// `pram` they build side by side once there is enough of them to
+    /// fork. A single missing segment (a small delta) builds on the
+    /// calling thread.
+    ///
     /// # Panics
     /// As [`SegmentedMatcher::build`].
     #[must_use]
@@ -345,33 +359,52 @@ impl SegmentedMatcher {
         let num_patterns = patterns.len();
         let max_pattern_len = patterns.iter().map(Vec::len).max().unwrap_or(0);
         let spans = segment_spans(&patterns);
-        let mut stats = SegmentBuildStats {
-            segments_total: spans.len(),
-            segments_reused: 0,
-        };
         // The parent's segments not yet passed by the walk.
         let mut unseen = parent.map_or(&[][..], |p| p.slots.as_slice());
-        let mut slots = Vec::with_capacity(spans.len());
-        let mut build_cost = Cost::default();
-        for span in spans {
-            let base = span.start as u32;
-            let chunk = &patterns[span];
-            let hash = list_hash(chunk);
+        let mut segs: Vec<Option<Arc<Segment>>> = Vec::with_capacity(spans.len());
+        // The runs no parent segment holds, with their slot.
+        let mut misses = Vec::new();
+        let mut width = 0usize;
+        let mut rest = patterns.into_iter();
+        for (slot, span) in spans.iter().enumerate() {
+            let chunk: Vec<Vec<u8>> = rest.by_ref().take(span.len()).collect();
+            let hash = list_hash(&chunk);
             let found = unseen
                 .iter()
                 .position(|s| s.seg.list_hash() == hash && s.seg.patterns() == chunk);
-            let seg = match found {
+            match found {
                 Some(j) => {
-                    stats.segments_reused += 1;
-                    let seg = Arc::clone(&unseen[j].seg);
+                    segs.push(Some(Arc::clone(&unseen[j].seg)));
                     unseen = &unseen[j + 1..];
-                    seg
                 }
-                None => Arc::new(Segment::build(pram, chunk.to_vec())),
-            };
-            build_cost = build_cost.plus(seg.build_cost());
-            slots.push(Slot { base, seg });
+                None => {
+                    segs.push(None);
+                    width += chunk.iter().map(Vec::len).sum::<usize>();
+                    misses.push((slot, chunk));
+                }
+            }
         }
+        let stats = SegmentBuildStats {
+            segments_total: spans.len(),
+            segments_reused: spans.len() - misses.len(),
+        };
+        pram.superstep(
+            misses,
+            width,
+            |p, (slot, chunk)| (slot, Segment::build(p, chunk)),
+            |_, (slot, seg)| segs[slot] = Some(Arc::new(seg)),
+        );
+        let slots: Vec<Slot> = spans
+            .iter()
+            .zip(segs)
+            .map(|(span, seg)| Slot {
+                base: span.start as u32,
+                seg: seg.expect("every segment is reused or built"),
+            })
+            .collect();
+        let build_cost = slots
+            .iter()
+            .fold(Cost::default(), |acc, s| acc.beside(s.seg.build_cost()));
         (
             Self {
                 slots,
@@ -427,8 +460,9 @@ impl SegmentedMatcher {
         self.slots.len()
     }
 
-    /// Total ledger cost of preprocessing every segment (whether built
-    /// now or inherited).
+    /// Ledger cost of preprocessing every segment (whether built now or
+    /// inherited) as one super-step: Σ work, the deepest segment's depth.
+    /// A delta and a scratch build of the same list report the same cost.
     #[must_use]
     pub fn build_cost(&self) -> Cost {
         self.build_cost
@@ -1092,6 +1126,53 @@ mod tests {
                     .collect();
                 let total = alone.iter().fold(Cost::default(), |a, &c| a.beside(c));
                 assert_eq!(seq.1, total);
+            }
+        }
+    }
+
+    #[test]
+    fn segments_build_in_one_superstep_identically_in_seq_and_par() {
+        for segments in [1usize, 2, 16] {
+            let patterns = dictionary_with_segments(segments);
+            let run = |pram: Pram| pram.metered(|p| SegmentedMatcher::build(p, patterns.clone()));
+            let (seq, seq_charged) = run(Pram::seq());
+            let (par, par_charged) = run(Pram::par());
+            assert_eq!(seq.num_segments(), segments);
+            assert_eq!(seq.patterns(), par.patterns());
+            assert_eq!(seq.identity(), par.identity());
+            for (a, b) in seq.segments().zip(par.segments()) {
+                assert_eq!(a.list_hash(), b.list_hash());
+                assert_eq!(a.build_cost(), b.build_cost());
+            }
+            // Σ work, and the depth of the deepest segment — not Σ depth.
+            let total = seq
+                .segments()
+                .fold(Cost::default(), |acc, seg| acc.beside(seg.build_cost()));
+            assert_eq!(seq.build_cost(), total, "{segments} segments");
+            assert_eq!(par.build_cost(), total, "{segments} segments");
+            assert_eq!(seq_charged, total, "{segments} segments");
+            assert_eq!(par_charged, total, "{segments} segments");
+            // A one-pattern delta rebuilds one segment and is charged that
+            // segment's own build, yet reports a scratch build's cost.
+            let delta = DictDelta {
+                adds: vec![b"gattacagattaca".to_vec()],
+                removes: vec![],
+            };
+            let scratch = SegmentedMatcher::build(
+                &Pram::seq(),
+                apply_delta_patterns(&patterns, &delta).unwrap(),
+            );
+            for pram in [Pram::seq(), Pram::par()] {
+                let ((child, stats), charged) =
+                    pram.metered(|p| seq.apply_delta(p, &delta).unwrap());
+                assert_eq!(stats.segments_total - stats.segments_reused, 1);
+                let rebuilt: Vec<&Arc<Segment>> = child
+                    .segments()
+                    .filter(|c| !seq.segments().any(|s| Arc::ptr_eq(s, c)))
+                    .collect();
+                assert_eq!(rebuilt.len(), 1);
+                assert_eq!(charged, rebuilt[0].build_cost(), "{segments} segments");
+                assert_eq!(child.build_cost(), scratch.build_cost());
             }
         }
     }

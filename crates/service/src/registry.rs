@@ -253,9 +253,9 @@ impl Registry {
 
     /// The one place a version is built: fetch the preprocessed state for
     /// `finals` from the cache, or build it on `Pram::par()`, sharing
-    /// `parent`'s segment for every pattern run it already holds, and cache
-    /// it. Counts one publish plus the cache hit or miss; the flag reports
-    /// a hit.
+    /// `parent`'s segment for every pattern run it already holds and
+    /// building the rest side by side, and cache it. Counts one publish
+    /// plus the cache hit or miss; the flag reports a hit.
     fn build(
         &self,
         finals: Vec<Vec<u8>>,
@@ -287,8 +287,9 @@ impl Registry {
     ///
     /// Validates before building (`Dictionary::new` panics on empty or
     /// NUL-containing patterns, so the service must reject those here).
-    /// The build runs on a thread-local `Pram::par()` and its ledger cost
-    /// is recorded in the outcome.
+    /// The build runs on a `Pram::par()` as one super-step over the
+    /// segments (they build side by side), and its ledger cost, Σ work and
+    /// the deepest segment's depth, is recorded in the outcome.
     ///
     /// # Errors
     /// [`ServiceError::BadRequest`] for an empty set, an empty pattern, or

@@ -243,6 +243,18 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   echo "ci.sh: a per-slot query loop in segmented.rs outside per_segment" >&2
   exit 1
 fi
+# Builds are as independent across segments as queries: the segments a
+# build cannot reuse are one Pram::superstep, so no per-slot build loop.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^ *\/\// { next }
+        /^ *(pub )?fn / { name = $0 }
+        /Segment::build\(/ { builds[name] = FNR }
+        /superstep\(/ { steps[name] = 1 }
+        END { for (f in builds) if (!(f in steps)) { print FILENAME ":" builds[f] ": " f; bad = 1 }
+              exit !bad }' crates/core/src/segmented.rs; then
+  echo "ci.sh: Segment::build outside a Pram::superstep in segmented.rs (build the misses side by side)" >&2
+  exit 1
+fi
 # The served occurrence list has one owner: SegmentedMatcher::find_all scans
 # the segments' exact automata and never reads Theorem 3.1's Monte Carlo
 # find_all, which DictMatcher keeps as the reproduction.
