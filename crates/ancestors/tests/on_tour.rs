@@ -8,7 +8,7 @@ use pardict_chaos::audit_seq_par;
 use pardict_core::{DictMatcher, Dictionary};
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
-use pardict_suffix::{sym_code, SuffixTree};
+use pardict_suffix::{sym_code, SuffixTree, SENTINEL_CODE};
 use pardict_workloads::{markov_text, random_dictionary, text_with_planted_matches, Alphabet};
 
 /// The colors `SubstringMatcher` derives: node `slink(v)` gets the first
@@ -56,6 +56,45 @@ fn both_variants_match_the_root_walk_on_weiner_link_colors() {
                 if let Some(u) = want {
                     assert!(st.wlink(u, c as u16).is_some(), "wlink({u}, {c})");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn weiner_run_colors_build_what_the_node_order_list_builds() {
+    // `SubstringMatcher` lists its colors from the tree's Weiner runs (by
+    // node, then code); the list above is in node order of `x`. Both
+    // builds group by color, so they must build the same structure at the
+    // same charge.
+    for (alphabet, seed) in [(Alphabet::dna(), 23u64), (Alphabet::lowercase(), 24)] {
+        let pram = Pram::seq();
+        let text = markov_text(seed, 3000, alphabet);
+        let st = SuffixTree::build(&pram, &text, seed);
+        let by_x = weiner_colors(&st);
+        let by_run: Vec<(usize, u32)> = (0..st.num_nodes())
+            .flat_map(|y| st.wlinks(y).iter().map(move |&(c, _)| (y, u32::from(c))))
+            .filter(|&(_, c)| c != u32::from(SENTINEL_CODE))
+            .collect();
+        assert_ne!(by_x, by_run, "the two lists differ in order");
+        let (mut a, mut b) = (by_x.clone(), by_run.clone());
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "the same colors");
+
+        let tour = st.tour();
+        let (naive_x, naive_x_cost) =
+            pram.metered(|p| ColoredAncestorsNaive::on_tour(p, tour, &by_x));
+        let (naive_r, naive_r_cost) =
+            pram.metered(|p| ColoredAncestorsNaive::on_tour(p, tour, &by_run));
+        let (veb_x, veb_x_cost) = pram.metered(|p| ColoredAncestors::on_tour(p, tour, &by_x));
+        let (veb_r, veb_r_cost) = pram.metered(|p| ColoredAncestors::on_tour(p, tour, &by_run));
+        assert_eq!(naive_x_cost, naive_r_cost, "naive charge");
+        assert_eq!(veb_x_cost, veb_r_cost, "vEB charge");
+        for c in (0..alphabet.size()).map(|i| u32::from(sym_code(alphabet.symbol(i)))) {
+            for p in 0..st.num_nodes() {
+                assert_eq!(naive_x.find(p, c), naive_r.find(p, c), "naive p={p} c={c}");
+                assert_eq!(veb_x.find(p, c), veb_r.find(p, c), "vEB p={p} c={c}");
             }
         }
     }

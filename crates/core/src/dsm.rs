@@ -26,7 +26,7 @@ use crate::dict::Dictionary;
 use pardict_ancestors::{ColoredAncestors, ColoredAncestorsNaive};
 use pardict_fingerprint::PrefixHashes;
 use pardict_pram::{ceil_log2, Pram, SplitMix64};
-use pardict_suffix::{sym_code, SuffixTree};
+use pardict_suffix::{sym_code, SuffixTree, SENTINEL_CODE};
 
 mod centroid;
 
@@ -44,13 +44,18 @@ pub struct Locus {
 }
 
 impl Locus {
+    /// The point at string depth `len` on the path to `below`.
+    fn at(below: usize, len: usize) -> Self {
+        Self {
+            below: below as u32,
+            len: len as u32,
+        }
+    }
+
     /// The empty locus (root).
     #[must_use]
     pub fn root(st: &SuffixTree) -> Self {
-        Self {
-            below: st.root() as u32,
-            len: 0,
-        }
+        Self::at(st.root(), 0)
     }
 
     /// A `D̂` position where the matched substring occurs.
@@ -132,30 +137,16 @@ impl SubstringMatcher {
     ) -> (Self, Vec<(&'static str, pardict_pram::Cost)>) {
         let (centroid, c_centroid) = pram.metered(|p| CentroidIndex::build(p, &st));
 
-        // Colors: node y gets color a iff some node x has slink(x) = y and
-        // σ(x) starts with a — i.e. wlink(y, a) exists.
-        let n_nodes = st.num_nodes();
-        let root = st.root();
-        let m = st.num_leaves();
-        let mut colors: Vec<(usize, u32)> = Vec::new();
-        let mut seen = [false; 257]; // sym_code ranges over 1..=256
-        pram.ledger().round(n_nodes as u64);
-        for v in 0..n_nodes {
-            if v == root || st.str_depth(v) == 0 {
-                continue;
-            }
-            if st.is_leaf(v) && st.leaf_pos(v) == m - 1 {
-                continue; // sentinel leaf
-            }
-            let lp = st.label_pos(v);
-            if lp >= st.text().len() {
-                continue; // label starts at the sentinel
-            }
-            let code = sym_code(st.text()[lp]);
-            seen[usize::from(code)] = true;
-            colors.push((st.slink(v), u32::from(code)));
-        }
-        let num_colors = seen.iter().filter(|&&s| s).count();
+        // Colors: node y gets color a iff wlink(y, a) exists, i.e. some node
+        // x with slink(x) = y has σ(x) starting with a. A label starting at
+        // the sentinel colors nothing: no text byte reads it.
+        pram.ledger().round(st.num_nodes() as u64);
+        let colors: Vec<(usize, u32)> = (0..st.num_nodes())
+            .flat_map(|y| st.wlinks(y).iter().map(move |&(a, _)| (y, u32::from(a))))
+            .filter(|&(_, a)| a != u32::from(SENTINEL_CODE))
+            .collect();
+        // D̂'s alphabet: the root's children but the sentinel leaf.
+        let num_colors = st.edges(st.root()).len() - 1;
         let tour = st.tour();
         let (colored, c_colored) = pram.metered(|p| {
             if num_colors <= NAIVE_COLOR_LIMIT {
@@ -274,13 +265,7 @@ impl SubstringMatcher {
             break;
         }
         let below = if matched == 0 { st.root() } else { below };
-        (
-            Locus {
-                below: below as u32,
-                len: matched as u32,
-            },
-            ops,
-        )
+        (Locus::at(below, matched), ops)
     }
 
     /// Step 1B: `S[i-1]` from `S[i]` (ExtendLeft). `a = text[i-1]`.
@@ -331,13 +316,7 @@ impl SubstringMatcher {
         loop {
             ops += 1;
             if matched == total {
-                return (
-                    Locus {
-                        below: cur as u32,
-                        len: matched as u32,
-                    },
-                    ops,
-                );
+                return (Locus::at(cur, matched), ops);
             }
             let next_char = if matched == 0 {
                 a
@@ -345,13 +324,7 @@ impl SubstringMatcher {
                 st.text()[pi + matched - 1]
             };
             let Some(c) = st.child_by_byte(cur, next_char) else {
-                return (
-                    Locus {
-                        below: cur as u32,
-                        len: matched as u32,
-                    },
-                    ops,
-                );
+                return (Locus::at(cur, matched), ops);
             };
             let edge_lo = st.label_pos(c) + matched;
             let edge_len = self.eff(c) - matched;
@@ -376,13 +349,7 @@ impl SubstringMatcher {
                 cur = c;
                 continue;
             }
-            return (
-                Locus {
-                    below: c as u32,
-                    len: matched as u32,
-                },
-                ops,
-            );
+            return (Locus::at(c, matched), ops);
         }
     }
 }

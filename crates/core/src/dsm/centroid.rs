@@ -16,7 +16,8 @@
 //! out in DESIGN.md and visible in experiment E1. It hashes nothing and
 //! allocates nothing per piece: BFS parents live in one array sized to the
 //! binarized tree, every piece is a range of one node buffer, and the
-//! children arrive in edge-symbol order from one merge per node, not a sort.
+//! children arrive in edge-symbol order from the tree's edge runs, not a
+//! sort.
 
 use pardict_pram::{ceil_log2, Pram};
 use pardict_suffix::{sym_code, SuffixTree};
@@ -53,46 +54,25 @@ impl CentroidIndex {
         let mut virt_owner: Vec<u32> = Vec::new();
         let mut virt_code: Vec<u16> = Vec::new();
         let mut total_children = 0u64;
-        let mut kids: Vec<usize> = Vec::new();
         for u in 0..n_real {
-            merge_by_leaf_lo(st, st.children(u), &mut kids);
+            let kids = st.edges(u);
             total_children += kids.len() as u64;
-            debug_assert!(
-                kids.windows(2)
-                    .all(|w| st.edge_first_code(w[0]) < st.edge_first_code(w[1])),
-                "children of {u} out of edge-symbol order"
-            );
-            match kids.len() {
-                0 => {}
-                1 => {
-                    b_child[u][0] = kids[0] as u32;
-                    b_parent[kids[0]] = u as u32;
+            // A left-leaning chain of k - 1 virtual nodes: each holds one
+            // kid on its left, the last holds the final kid on its right.
+            let (mut prev, mut slot) = (u, 0);
+            for (idx, &(code, c)) in kids.iter().enumerate() {
+                let mut at = c as usize;
+                if idx + 1 < kids.len() {
+                    virt_owner.push(u as u32);
+                    virt_code.push(code);
+                    b_child.push([c, NONE]);
+                    b_parent.push(NONE);
+                    b_parent[at] = (b_parent.len() - 1) as u32;
+                    at = b_parent.len() - 1;
                 }
-                k => {
-                    // Chain of k-1 virtual nodes.
-                    let mut prev = u as u32;
-                    for (idx, &c) in kids.iter().enumerate().take(k - 1) {
-                        let v = (n_real + virt_owner.len()) as u32;
-                        virt_owner.push(u as u32);
-                        virt_code.push(st.edge_first_code(c));
-                        b_parent.push(prev);
-                        b_child.push([NONE; 2]);
-                        if prev == u as u32 {
-                            b_child[u][0] = v;
-                        } else {
-                            b_child[prev as usize][1] = v;
-                        }
-                        b_child[v as usize][0] = c as u32;
-                        b_parent[c] = v;
-                        if idx == k - 2 {
-                            // Last virtual: right child is the final kid.
-                            let last = kids[k - 1];
-                            b_child[v as usize][1] = last as u32;
-                            b_parent[last] = v;
-                        }
-                        prev = v;
-                    }
-                }
+                b_child[prev][slot] = at as u32;
+                b_parent[at] = prev as u32;
+                (prev, slot) = (at, 1);
             }
         }
         pram.ledger().round(n_real as u64 + total_children);
@@ -304,29 +284,6 @@ impl CentroidIndex {
     pub(super) fn num_comps(&self) -> usize {
         self.comps.len()
     }
-}
-
-/// Writes a node's children into `out` in edge-symbol order. `children`
-/// lists them by increasing id: the leaves in SA order, then the internal
-/// children in boundary order. Sibling subtrees cover disjoint SA ranges in
-/// lexicographic order, so one merge of the two runs by leftmost leaf gives
-/// the edge-symbol order without a sort.
-fn merge_by_leaf_lo(st: &SuffixTree, children: &[usize], out: &mut Vec<usize>) {
-    out.clear();
-    let split = children.partition_point(|&c| st.is_leaf(c));
-    let (leaves, inner) = children.split_at(split);
-    let (mut a, mut b) = (0, 0);
-    while a < leaves.len() && b < inner.len() {
-        if st.leaf_range(leaves[a]).0 < st.leaf_range(inner[b]).0 {
-            out.push(leaves[a]);
-            a += 1;
-        } else {
-            out.push(inner[b]);
-            b += 1;
-        }
-    }
-    out.extend_from_slice(&leaves[a..]);
-    out.extend_from_slice(&inner[b..]);
 }
 
 #[cfg(test)]

@@ -252,7 +252,8 @@ impl Registry {
     }
 
     /// The one place a version is built: fetch the preprocessed state for
-    /// `finals` from the cache, or build it on `Pram::par()`, sharing
+    /// `finals` from the cache (a hit only when the cached build holds the
+    /// same list, not just the same hash), or build it on `Pram::par()`, sharing
     /// `parent`'s segment for every pattern run it already holds and
     /// building the rest side by side, and cache it. Counts one publish
     /// plus the cache hit or miss; the flag reports a hit.
@@ -264,7 +265,15 @@ impl Registry {
         self.metrics.publishes.inc();
         let key = list_hash(&finals);
         let cached = self.cache.lock().expect("cache poisoned").get(key);
-        if let Some(pre) = cached {
+        // The key is a 64-bit hash shared by every name: a hit must also
+        // hold the very list, or a colliding list would be served another
+        // tenant's matcher.
+        if let Some(pre) = cached.filter(|pre| {
+            pre.seg
+                .segments()
+                .flat_map(|s| s.patterns())
+                .eq(finals.iter())
+        }) {
             self.metrics.cache_hits.inc();
             return (pre, true);
         }
@@ -642,6 +651,36 @@ pub(crate) mod tests {
         let a = reg.current("a").unwrap();
         let b = reg.current("b").unwrap();
         assert!(Arc::ptr_eq(&a.pre, &b.pre));
+    }
+
+    #[test]
+    fn a_cache_entry_under_a_colliding_key_is_not_served() {
+        let m = Arc::new(Metrics::default());
+        let reg = Registry::new(Arc::clone(&m));
+        let (theirs, mine) = (pats(&["needle", "pin"]), pats(&["hay", "haystack", "pi"]));
+        // Another tenant's build filed under this list's key, as a hash
+        // collision would file it.
+        reg.cache
+            .lock()
+            .unwrap()
+            .insert(list_hash(&mine), installed(theirs));
+        let out = reg.publish("mine", mine.clone()).unwrap();
+        assert!(!out.cache_hit);
+        let cur = reg.current("mine").unwrap();
+        assert_eq!(cur.pre.patterns(), mine);
+        let cached = reg.cache.lock().unwrap().get(list_hash(&mine)).unwrap();
+        assert!(
+            Arc::ptr_eq(&cached, &cur.pre),
+            "the new build replaced the entry"
+        );
+        let text = b"a haystack with a pin in it";
+        let want = SegmentedMatcher::build(&Pram::seq(), mine).ac_match(text);
+        assert_eq!(cur.pre.match_verified(&Pram::par(), text).0, want);
+        assert_eq!(
+            (m.publishes.get(), m.cache_hits.get(), m.cache_misses.get()),
+            (1, 0, 1)
+        );
+        m.check_accounting(true).unwrap();
     }
 
     #[test]

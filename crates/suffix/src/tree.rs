@@ -16,13 +16,17 @@
 //! A unique sentinel (byte 0) is appended internally, so the input text must
 //! be NUL-free; every suffix then ends at a distinct leaf and every edge has
 //! a non-empty label.
+//!
+//! Children and Weiner links are sorted runs, as in the enhanced suffix
+//! array (Abouelhoda, Kurtz and Ohlebusch 2004), not hash maps: per node,
+//! the `(code, node)` pairs of its children and of its Weiner links in
+//! increasing code, at most σ + 1 of them, in one CSR each.
 
 use crate::arrays::SuffixArrays;
 use pardict_fingerprint::PrefixHashes;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_rmq::LinearRmq;
-use std::collections::HashMap;
 
 /// Character code on edges: 0 is the sentinel, byte `c` is `c + 1`.
 pub type SymCode = u16;
@@ -35,6 +39,87 @@ pub const SENTINEL_CODE: SymCode = 0;
 #[must_use]
 pub fn sym_code(c: u8) -> SymCode {
     SymCode::from(c) + 1
+}
+
+/// Code of the symbol at position `pos` of a padded text (its last byte is
+/// the sentinel).
+#[inline]
+fn code_at(padded: &[u8], pos: usize) -> SymCode {
+    if pos == padded.len() - 1 {
+        SENTINEL_CODE
+    } else {
+        sym_code(padded[pos])
+    }
+}
+
+/// Per node, a run of `(code, node)` pairs in strictly increasing code, all
+/// runs in one CSR.
+#[derive(Debug)]
+struct Runs {
+    off: Vec<u32>,
+    pairs: Vec<(SymCode, u32)>,
+}
+
+impl Runs {
+    /// Files every node `x` with `key(x) = Some((v, code))` under `v`: a
+    /// stable counting sort by code, then one by `v`, so each run comes out
+    /// in code order. Charged one round over the nodes.
+    fn build(
+        pram: &Pram,
+        num_nodes: usize,
+        key: impl Fn(usize) -> Option<(usize, SymCode)>,
+    ) -> Self {
+        pram.ledger().round(num_nodes as u64);
+        let keyed: Vec<(u32, SymCode, u32)> = (0..num_nodes)
+            .filter_map(|x| key(x).map(|(v, code)| (v as u32, code, x as u32)))
+            .collect();
+        // Codes run from SENTINEL_CODE = 0 to sym_code(255) = 256.
+        let (_, by_code) = counting_sort(&keyed, 257, |&(_, code, _)| usize::from(code));
+        let (off, by_node) = counting_sort(&by_code, num_nodes, |&(v, _, _)| v as usize);
+        let runs = Self {
+            off,
+            pairs: by_node.into_iter().map(|(_, code, x)| (code, x)).collect(),
+        };
+        debug_assert!(
+            (0..num_nodes).all(|v| runs.run(v).windows(2).all(|w| w[0].0 < w[1].0)),
+            "two nodes of one run share a code"
+        );
+        runs
+    }
+
+    fn run(&self, v: usize) -> &[(SymCode, u32)] {
+        &self.pairs[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+
+    fn find(&self, v: usize, code: SymCode) -> Option<usize> {
+        let run = self.run(v);
+        run.binary_search_by_key(&code, |&(c, _)| c)
+            .ok()
+            .map(|k| run[k].1 as usize)
+    }
+}
+
+/// Stable counting sort of `items` into `buckets` buckets: the bucket
+/// offsets (CSR) and the items grouped by bucket, each group in input order.
+fn counting_sort<T: Copy>(
+    items: &[T],
+    buckets: usize,
+    bucket: impl Fn(&T) -> usize,
+) -> (Vec<u32>, Vec<T>) {
+    let mut off = vec![0u32; buckets + 1];
+    for it in items {
+        off[bucket(it) + 1] += 1;
+    }
+    for b in 0..buckets {
+        off[b + 1] += off[b];
+    }
+    let mut fill = off.clone();
+    let mut out = items.to_vec(); // every slot is overwritten below
+    for it in items {
+        out[fill[bucket(it)] as usize] = *it;
+        fill[bucket(it)] += 1;
+    }
+    (off, out)
 }
 
 /// A suffix tree over `text · $`.
@@ -60,18 +145,14 @@ pub struct SuffixTree {
     leaf_hi: Vec<u32>,
     /// Per node: suffix link target (root/self for root and sentinel leaf).
     slink: Vec<u32>,
-    /// (node << 9 | code) → child with that leading symbol.
-    child_by_sym: HashMap<u64, u32>,
-    /// (node << 9 | code) → Weiner link: the node labelled `code · σ(node)`.
-    wlink_by_sym: HashMap<u64, u32>,
+    /// Per node: its children, keyed by the first code of their edges.
+    edges: Runs,
+    /// Per node `y`: its Weiner links, every `x` with `slink(x) = y` keyed
+    /// by the first code of `σ(x)`.
+    wlinks: Runs,
     root: usize,
     forest: Forest,
     tour: EulerTour,
-}
-
-#[inline]
-fn sym_key(node: usize, code: SymCode) -> u64 {
-    ((node as u64) << 9) | u64::from(code)
 }
 
 /// The (leftmost) least LCP boundary between two distinct leaves, i.e. SA
@@ -199,23 +280,10 @@ impl SuffixTree {
             }
         });
 
-        // Child lookup by leading edge symbol.
-        let mut child_by_sym = HashMap::with_capacity(num_nodes);
-        pram.ledger().round(num_nodes as u64);
-        for v in 0..num_nodes {
-            if v == root {
-                continue;
-            }
-            let p = parent[v];
-            let c = padded[(label_pos[v] + str_depth[p]) as usize];
-            let code = if (label_pos[v] + str_depth[p]) as usize == m - 1 {
-                SENTINEL_CODE
-            } else {
-                sym_code(c)
-            };
-            let prev = child_by_sym.insert(sym_key(p, code), v as u32);
-            debug_assert!(prev.is_none(), "two children with one symbol");
-        }
+        let edges = Runs::build(pram, num_nodes, |x| {
+            let p = parent[x];
+            (x != root).then(|| (p, code_at(padded, (label_pos[x] + str_depth[p]) as usize)))
+        });
 
         // Suffix links: slink(v) = LCA of the next leaves of two leaves
         // that v separates.
@@ -240,26 +308,13 @@ impl SuffixTree {
             }
         });
 
-        // Weiner links: invert the suffix links, keyed by leading symbol.
-        let mut wlink_by_sym = HashMap::with_capacity(num_nodes);
-        pram.ledger().round(num_nodes as u64);
-        for v in 0..num_nodes {
-            if v == root || (v >= m && str_depth[v] == 0) {
-                continue;
-            }
-            if v < m && sa[v] as usize == m - 1 {
-                continue; // sentinel leaf has no inverse link
-            }
-            let lp = label_pos[v] as usize;
-            let code = if lp == m - 1 {
-                SENTINEL_CODE
-            } else {
-                sym_code(padded[lp])
-            };
-            let target = slink[v] as usize;
-            let prev = wlink_by_sym.insert(sym_key(target, code), v as u32);
-            debug_assert!(prev.is_none(), "duplicate Weiner link");
-        }
+        // Weiner links invert the suffix links. None leads to the root, a
+        // depth-0 internal node or the sentinel leaf.
+        let wlinks = Runs::build(pram, num_nodes, |x| {
+            let skip =
+                x == root || (x >= m && str_depth[x] == 0) || (x < m && sa[x] as usize == m - 1);
+            (!skip).then(|| (slink[x] as usize, code_at(padded, label_pos[x] as usize)))
+        });
 
         Self {
             arrays,
@@ -270,8 +325,8 @@ impl SuffixTree {
             leaf_lo,
             leaf_hi,
             slink,
-            child_by_sym,
-            wlink_by_sym,
+            edges,
+            wlinks,
             root,
             forest,
             tour,
@@ -351,18 +406,26 @@ impl SuffixTree {
         self.label_pos[v] as usize
     }
 
-    /// Children of `v` (unordered with respect to edge symbols).
+    /// Children of `v` in the forest's order, increasing id (leaves in SA
+    /// order, then internal nodes in boundary order), which the Euler tour
+    /// reads. [`Self::edges`] lists them by edge symbol.
     #[must_use]
     pub fn children(&self, v: usize) -> &[usize] {
         self.forest.children(v)
     }
 
-    /// Child of `v` whose edge starts with symbol `code`.
+    /// The children of `v` as `(code, child)` pairs in increasing code,
+    /// `code` being the first symbol of the child's edge.
+    #[must_use]
+    pub fn edges(&self, v: usize) -> &[(SymCode, u32)] {
+        self.edges.run(v)
+    }
+
+    /// Child of `v` whose edge starts with symbol `code`: a search of
+    /// [`Self::edges`]`(v)`.
     #[must_use]
     pub fn child(&self, v: usize, code: SymCode) -> Option<usize> {
-        self.child_by_sym
-            .get(&sym_key(v, code))
-            .map(|&c| c as usize)
+        self.edges.find(v, code)
     }
 
     /// Child of `v` whose edge starts with text byte `c`.
@@ -422,12 +485,19 @@ impl SuffixTree {
         self.slink[v] as usize
     }
 
-    /// Weiner link: the node labelled `code · σ(v)`, if explicit.
+    /// The Weiner links of `v` as `(code, x)` pairs in increasing code: every
+    /// node `x` with `slink(x) = v`, `code` being the first symbol of `σ(x)`
+    /// ([`SENTINEL_CODE`] when `σ(x)` starts at the sentinel).
+    #[must_use]
+    pub fn wlinks(&self, v: usize) -> &[(SymCode, u32)] {
+        self.wlinks.run(v)
+    }
+
+    /// Weiner link: the node labelled `code · σ(v)`, if explicit. A search
+    /// of [`Self::wlinks`]`(v)`.
     #[must_use]
     pub fn wlink(&self, v: usize, code: SymCode) -> Option<usize> {
-        self.wlink_by_sym
-            .get(&sym_key(v, code))
-            .map(|&u| u as usize)
+        self.wlinks.find(v, code)
     }
 
     /// O(1) longest common prefix of the suffixes at text positions `i`
@@ -508,13 +578,10 @@ impl SuffixTree {
     #[must_use]
     pub fn edge_first_code(&self, v: usize) -> SymCode {
         debug_assert_ne!(v, self.root);
-        let p = self.parent(v);
-        let pos = self.label_pos(v) + self.str_depth(p);
-        if pos == self.padded().len() - 1 {
-            SENTINEL_CODE
-        } else {
-            sym_code(self.padded()[pos])
-        }
+        code_at(
+            self.padded(),
+            self.label_pos(v) + self.str_depth(self.parent(v)),
+        )
     }
 }
 
@@ -522,6 +589,7 @@ impl SuffixTree {
 mod tests {
     use super::*;
     use pardict_pram::Pram;
+    use std::collections::HashMap;
 
     fn build(text: &[u8]) -> SuffixTree {
         let pram = Pram::seq();
@@ -735,6 +803,100 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "pattern {:?}", String::from_utf8_lossy(pat));
         }
+    }
+
+    /// The two lookups as they were built before the runs, one `HashMap`
+    /// each, the loops kept verbatim over the tree's own arrays: the oracle
+    /// the runs are checked against.
+    fn hash_map_build(st: &SuffixTree) -> (HashMap<u64, u32>, HashMap<u64, u32>) {
+        let (num_nodes, root, m) = (st.num_nodes(), st.root(), st.num_leaves());
+        let (padded, sa) = (st.padded(), st.sa());
+        let parent: Vec<usize> = (0..num_nodes).map(|v| st.parent(v)).collect();
+        let str_depth: Vec<u32> = (0..num_nodes).map(|v| st.str_depth(v) as u32).collect();
+        let label_pos: Vec<u32> = (0..num_nodes).map(|v| st.label_pos(v) as u32).collect();
+        let slink: Vec<u32> = (0..num_nodes).map(|v| st.slink(v) as u32).collect();
+
+        // Child lookup by leading edge symbol.
+        let mut child_by_sym = HashMap::with_capacity(num_nodes);
+        for v in 0..num_nodes {
+            if v == root {
+                continue;
+            }
+            let p = parent[v];
+            let c = padded[(label_pos[v] + str_depth[p]) as usize];
+            let code = if (label_pos[v] + str_depth[p]) as usize == m - 1 {
+                SENTINEL_CODE
+            } else {
+                sym_code(c)
+            };
+            let prev = child_by_sym.insert(sym_key(p, code), v as u32);
+            debug_assert!(prev.is_none(), "two children with one symbol");
+        }
+
+        // Weiner links: invert the suffix links, keyed by leading symbol.
+        let mut wlink_by_sym = HashMap::with_capacity(num_nodes);
+        for v in 0..num_nodes {
+            if v == root || (v >= m && str_depth[v] == 0) {
+                continue;
+            }
+            if v < m && sa[v] as usize == m - 1 {
+                continue; // sentinel leaf has no inverse link
+            }
+            let lp = label_pos[v] as usize;
+            let code = if lp == m - 1 {
+                SENTINEL_CODE
+            } else {
+                sym_code(padded[lp])
+            };
+            let target = slink[v] as usize;
+            let prev = wlink_by_sym.insert(sym_key(target, code), v as u32);
+            debug_assert!(prev.is_none(), "duplicate Weiner link");
+        }
+        (child_by_sym, wlink_by_sym)
+    }
+
+    fn sym_key(node: usize, code: SymCode) -> u64 {
+        ((node as u64) << 9) | u64::from(code)
+    }
+
+    #[test]
+    fn edge_and_weiner_runs_equal_the_hash_map_build() {
+        let mut rng = SplitMix64::new(2004);
+        let mut texts: Vec<Vec<u8>> = vec![
+            b"".to_vec(),
+            b"a".to_vec(),
+            b"banana".to_vec(),
+            b"mississippi".to_vec(),
+            vec![b'a'; 64],
+            b"ab".repeat(40),
+        ];
+        for sigma in [2u64, 4, 26] {
+            texts.push(
+                (0..300)
+                    .map(|_| (rng.next_below(sigma) + 97) as u8)
+                    .collect(),
+            );
+        }
+        texts.push((1..=255u8).collect()); // the root has 256 children
+        for text in &texts {
+            let st = build(text);
+            let (child_by_sym, wlink_by_sym) = hash_map_build(&st);
+            let what = String::from_utf8_lossy(&text[..text.len().min(12)]);
+            for v in 0..st.num_nodes() {
+                assert_eq!(st.edges(v).len(), st.children(v).len(), "{what}: node {v}");
+                for code in 0..=256 {
+                    let key = sym_key(v, code);
+                    let want = child_by_sym.get(&key).map(|&c| c as usize);
+                    assert_eq!(st.child(v, code), want, "{what}: child({v}, {code})");
+                    let want = wlink_by_sym.get(&key).map(|&x| x as usize);
+                    assert_eq!(st.wlink(v, code), want, "{what}: wlink({v}, {code})");
+                }
+            }
+            let links: usize = (0..st.num_nodes()).map(|v| st.wlinks(v).len()).sum();
+            assert_eq!(links, wlink_by_sym.len(), "{what}: Weiner link count");
+        }
+        let wide = build(&texts[9]);
+        assert_eq!(wide.edges(wide.root()).len(), 256);
     }
 
     #[test]

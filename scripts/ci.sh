@@ -163,11 +163,20 @@ fi
 
 # The separator build costs what it is charged: BFS parents live in one
 # array, not a hash map keyed by node per piece, and a node's children come
-# in edge-symbol order from one merge by leftmost leaf, not a sort.
+# in edge-symbol order from the suffix tree's edge runs, not a sort or a
+# merge of its own.
 if awk '/^#\[cfg\(test\)\]/ { nextfile }
-        /HashMap|sort_unstable_by_key/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        /HashMap|sort_unstable_by_key|merge_by_leaf_lo/ { print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' crates/core/src/dsm/centroid.rs; then
-  echo "ci.sh: a HashMap or a sort in the separator build (one parent array, one merge per node)" >&2
+  echo "ci.sh: a HashMap, a sort or a child merge in the separator build (one parent array; children from SuffixTree::edges)" >&2
+  exit 1
+fi
+# The suffix tree hashes nothing: children and Weiner links are sorted
+# (code, node) runs in one CSR each, filled once by the build.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /HashMap|sym_key/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/suffix/src/tree.rs; then
+  echo "ci.sh: a HashMap in the suffix tree (children and Weiner links are sorted runs)" >&2
   exit 1
 fi
 
