@@ -381,7 +381,8 @@ pub struct FaultContext<'a> {
     pub layout: &'a ContainerLayout,
     /// When present, the compressed-domain grep differential also runs.
     pub matcher: Option<&'a DictMatcher>,
-    /// Grep hits on the clean container (ignored without `matcher`).
+    /// Grep hits on the clean container, in `Hit` order (ignored without
+    /// `matcher`).
     pub clean_hits: &'a [GrepHit],
 }
 
@@ -836,13 +837,9 @@ pub fn verify_fault(ctx: &FaultContext<'_>, pf: &PlannedFault) -> Result<String,
                 return Err(format!("{who}: grep hits diverged on undamaged data"));
             }
         } else if !o.issue_blocks.is_empty() {
-            let clean: BTreeSet<(u64, u32, u32)> = ctx
-                .clean_hits
-                .iter()
-                .map(|h| (h.pos, h.id, h.len))
-                .collect();
+            // The clean run's hits are in Hit's order: search them.
             for h in &summary.hits {
-                if !clean.contains(&(h.pos, h.id, h.len)) {
+                if ctx.clean_hits.binary_search(h).is_err() {
                     return Err(format!(
                         "{who}: grep invented hit pos={} id={} len={} absent from clean run",
                         h.pos, h.id, h.len

@@ -17,12 +17,12 @@
 //!   ([`pardict_stream::slice_container`]) and fanned across all healthy
 //!   shards — the shard-local work mirrors the paper's block-independent
 //!   LZ1 decomposition — then merged back into exactly the single-node
-//!   hit order.
-//! * Failover semantics — transport failures and draining backends mark
-//!   a shard's failure streak; at the threshold the shard is excluded
-//!   and traffic re-routes. Responses carry a **degraded** flag (served
-//!   after a failover, or while any shard is excluded) instead of
-//!   turning correct results into errors; excluded shards rejoin via
+//!   hit order at the range boundaries, with the merge the blocks use
+//!   ([`pardict_core::append_in_order`]).
+//! * Failover semantics — a transport failure or a draining backend
+//!   excludes the shard at once and traffic re-routes. Responses carry
+//!   a **degraded** flag (served after a failover, or while any shard is
+//!   excluded) instead of turning correct results into errors; excluded shards rejoin via
 //!   revival probes that first ask the backend what it already holds
 //!   (a `--data-dir` backend recovers dictionaries from its own store
 //!   on boot) and replay only what is missing or stale by content hash.

@@ -14,10 +14,9 @@
 //! blocks plus a fixed overlap prefix, and the gather step is a
 //! deterministic merge.
 //!
-//! Failure policy: transport errors and `ShuttingDown` replies mark a
-//! shard's failure streak (excluded at the threshold) and trigger
-//! failover to the next shard in the request's rendezvous order;
-//! app-level errors from a live shard are answers, returned as-is.
+//! Failure policy: a transport error or a `ShuttingDown` reply excludes
+//! the shard and triggers failover to the next shard in the request's
+//! rendezvous order; app-level errors from a live shard are answers, returned as-is.
 //! Responses carry a **degraded** flag — true when the request failed
 //! over mid-flight or any shard is currently excluded — so callers learn
 //! about reduced capacity without correct results turning into errors.
@@ -25,6 +24,7 @@
 use crate::backend::Backend;
 use crate::metrics::ClusterMetrics;
 use crate::shard::ranking;
+use pardict_core::append_in_order;
 use pardict_service::wire::{self, WireResponse};
 use pardict_service::Hit;
 use pardict_service::{Client, ClientConfig, MetricsSnapshot, ServiceError};
@@ -37,19 +37,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Maximum attempts per request or scatter range, first try included.
+const ATTEMPTS: u32 = 3;
+
+/// Backoff before retry `k` is `BACKOFF << (k-1)` (exponential), cut short
+/// at the request deadline.
+const BACKOFF: Duration = Duration::from_millis(5);
+
 /// Router knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Per-backend connection behavior (timeouts; the client's own
-    /// single-reconnect stays on and handles transparent socket churn).
+    /// Per-backend connection timeouts (the client's own single reconnect
+    /// handles transparent socket churn).
     pub client: ClientConfig,
-    /// Maximum attempts per request or scatter range, first try included.
-    pub attempts: u32,
-    /// Backoff before retry `k` is `backoff << (k-1)` (exponential),
-    /// skipped when it would overshoot the request deadline.
-    pub backoff: Duration,
-    /// Consecutive transport failures before a shard is excluded.
-    pub fail_threshold: u32,
 }
 
 impl Default for ClusterConfig {
@@ -59,11 +59,7 @@ impl Default for ClusterConfig {
                 connect_timeout: Some(Duration::from_secs(2)),
                 read_timeout: Some(Duration::from_secs(30)),
                 write_timeout: Some(Duration::from_secs(30)),
-                reconnect: true,
             },
-            attempts: 3,
-            backoff: Duration::from_millis(5),
-            fail_threshold: 1,
         }
     }
 }
@@ -246,14 +242,7 @@ impl Router {
         let backends = addrs
             .iter()
             .enumerate()
-            .map(|(id, &addr)| {
-                Arc::new(Backend::new(
-                    id,
-                    addr,
-                    cfg.fail_threshold,
-                    cfg.client.clone(),
-                ))
-            })
+            .map(|(id, &addr)| Arc::new(Backend::new(id, addr, cfg.client.clone())))
             .collect();
         Self {
             backends,
@@ -307,8 +296,8 @@ impl Router {
 
     // ---- shard attempt plumbing ----
 
-    /// Record a shard failure, flipping health books on the
-    /// threshold-crossing transition.
+    /// Record a shard failure, flipping health books when it excludes the
+    /// shard.
     fn shard_failed(&self, shard: usize) {
         self.metrics.per_shard[shard].failures.inc();
         if self.backends[shard].note_failure() {
@@ -320,7 +309,7 @@ impl Router {
     }
 
     /// One attempt of `f` against `shard`, with checkout/checkin and
-    /// failure-streak bookkeeping.
+    /// failure bookkeeping.
     fn call_shard<T>(
         &self,
         shard: usize,
@@ -338,7 +327,6 @@ impl Router {
         match f(&mut client) {
             Ok(Ok(v)) => {
                 self.metrics.per_shard[shard].ok.inc();
-                backend.note_success();
                 backend.checkin(client);
                 Attempt::Ok(v)
             }
@@ -355,7 +343,6 @@ impl Router {
             }
             Ok(Err(e)) => {
                 self.metrics.per_shard[shard].ok.inc();
-                backend.note_success();
                 backend.checkin(client);
                 Attempt::App(e)
             }
@@ -384,7 +371,7 @@ impl Router {
     ) -> Result<(T, bool), ClusterError> {
         let mut tried = 0u32;
         for &shard in order {
-            if tried >= self.cfg.attempts {
+            if tried >= ATTEMPTS {
                 break;
             }
             if !self.backends[shard].is_healthy() {
@@ -397,7 +384,7 @@ impl Router {
             }
             if tried > 0 {
                 self.metrics.retries.inc();
-                let pause = self.cfg.backoff * (1 << (tried - 1).min(8));
+                let pause = BACKOFF * (1 << (tried - 1).min(8));
                 let pause = match deadline {
                     Some(d) => pause.min(d.saturating_duration_since(Instant::now())),
                     None => pause,
@@ -875,6 +862,9 @@ impl Router {
         });
 
         // ---- gather ----
+        // Ranges come back in range order, each with the hits that end in
+        // it in canonical order: the pieces the blocks of one grep are, so
+        // they merge at the boundaries with the blocks' merge, no sort.
         let mut version = 0u64;
         let mut hits: Vec<Hit> = Vec::new();
         let mut corrupt: Vec<u64> = Vec::new();
@@ -885,7 +875,7 @@ impl Router {
             match out {
                 Ok((v, h, c, shard, fo)) => {
                     version = version.max(v);
-                    hits.extend(h);
+                    append_in_order(&mut hits, h);
                     corrupt.extend(c);
                     shard_set.insert(shard);
                     any_failover |= fo;
@@ -908,12 +898,6 @@ impl Router {
                 result: Err(e),
             }
         } else {
-            hits.sort_by(|a, b| {
-                a.pos
-                    .cmp(&b.pos)
-                    .then(b.len.cmp(&a.len))
-                    .then(a.id.cmp(&b.id))
-            });
             corrupt.sort_unstable();
             corrupt.dedup();
             let degraded = any_failover || self.any_excluded();

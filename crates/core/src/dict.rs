@@ -119,6 +119,74 @@ pub struct Match {
     pub len: u32,
 }
 
+/// One pattern occurrence: pattern `id`, of length `len`, starting at text
+/// position `pos`. Its order is the canonical order of every occurrence
+/// list — position, then decreasing length, then id — the order
+/// [`crate::AhoCorasick::find_all`] reports in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hit {
+    /// Byte offset of the occurrence in the text.
+    pub pos: u64,
+    /// Pattern index in the dictionary.
+    pub id: u32,
+    /// Pattern length.
+    pub len: u32,
+}
+
+impl Hit {
+    /// The occurrence of `m` starting at `pos`.
+    #[must_use]
+    pub fn at(pos: u64, m: Match) -> Self {
+        Self {
+            pos,
+            id: m.id,
+            len: m.len,
+        }
+    }
+}
+
+impl Ord for Hit {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.pos
+            .cmp(&other.pos)
+            .then(other.len.cmp(&self.len))
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Hit {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Append the next piece's hits to `hits`, both lists in canonical order,
+/// keeping `hits` in canonical order. Consecutive pieces of a text each
+/// report the hits *ending* in them, so a piece's first hits may start
+/// before hits an earlier piece reported; only the earlier hits from the
+/// piece's first one on are merged, so the cost is the piece's hits plus
+/// that overlap, not a sort.
+pub fn append_in_order(hits: &mut Vec<Hit>, piece: Vec<Hit>) {
+    debug_assert!(
+        piece.windows(2).all(|w| w[0] < w[1]),
+        "a piece's hits come in canonical order"
+    );
+    let Some(first) = piece.first() else {
+        return;
+    };
+    let at = hits.partition_point(|h| h < first);
+    let earlier: Vec<Hit> = hits.drain(at..).collect();
+    hits.reserve(earlier.len() + piece.len());
+    let mut piece = piece.into_iter().peekable();
+    for e in earlier {
+        while let Some(h) = piece.next_if(|h| *h < e) {
+            hits.push(h);
+        }
+        hits.push(e);
+    }
+    hits.extend(piece);
+}
+
 /// Per-position matching output: `get(i)` is the longest pattern occurring
 /// at text position `i`, if any (the paper's `M[i]`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +237,9 @@ impl Matches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{brute_force_occurrences, AhoCorasick};
+    use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
+    use proptest::prelude::*;
 
     #[test]
     fn offsets_and_caps() {
@@ -208,5 +279,58 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(1).unwrap().id, 1);
         assert_eq!(m.iter_hits().count(), 1);
+    }
+
+    fn hits_of(occurrences: Vec<(usize, Match)>, base: usize) -> Vec<Hit> {
+        occurrences
+            .into_iter()
+            .map(|(pos, m)| Hit::at((base + pos) as u64, m))
+            .collect()
+    }
+
+    #[test]
+    fn brute_force_occurrences_come_in_hit_order() {
+        for seed in 0..6u64 {
+            let alpha = Alphabet::dna();
+            let mut patterns = random_dictionary(seed, 30, 1, 9, alpha);
+            patterns.extend_from_within(3..8);
+            let d = Dictionary::new(patterns);
+            let text = text_with_planted_matches(seed, d.patterns(), 700, 25, alpha);
+            let hits = hits_of(brute_force_occurrences(&d, &text), 0);
+            assert!(hits.len() > 100, "seed={seed}: {} hits", hits.len());
+            assert!(hits.windows(2).all(|w| w[0] < w[1]), "seed={seed}");
+        }
+    }
+
+    proptest! {
+        /// Cut a text anywhere: each piece reports the hits that end in it
+        /// (scanning the piece plus the overlap before it), and appending
+        /// the pieces in order gives exactly the whole text's list.
+        #[test]
+        fn append_in_order_is_order_exact_on_any_cut(
+            patterns in prop::collection::vec(
+                prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 1..7),
+                1..8,
+            ),
+            text in prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c']), 0..200),
+            cuts in prop::collection::vec(0usize..200, 0..8),
+        ) {
+            let d = Dictionary::new(patterns);
+            let overlap = d.max_pattern_len() - 1;
+            let ac = AhoCorasick::build(&d);
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (text.len() + 1)).collect();
+            bounds.extend([0, text.len()]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut merged = Vec::new();
+            for w in bounds.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let from = lo.saturating_sub(overlap);
+                let mut piece = hits_of(ac.find_all(&text[from..hi]), from);
+                piece.retain(|h| h.pos + u64::from(h.len) > lo as u64);
+                append_in_order(&mut merged, piece);
+            }
+            prop_assert_eq!(merged, hits_of(ac.find_all(&text), 0));
+        }
     }
 }

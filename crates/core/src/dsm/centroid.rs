@@ -364,6 +364,17 @@ mod tests {
         st.str_depth(oracle_anchor(st, text, 0))
     }
 
+    /// First symbol code of the edge entering `v` (not the root), read off
+    /// the padded text, whose last byte is the sentinel.
+    fn edge_first_code(st: &SuffixTree, v: usize) -> u16 {
+        let at = st.label_pos(v) + st.str_depth(st.parent(v));
+        if at == st.padded().len() - 1 {
+            pardict_suffix::SENTINEL_CODE
+        } else {
+            sym_code(st.padded()[at])
+        }
+    }
+
     /// The build as it was with a `HashMap` of BFS parents per piece, a
     /// `Vec` per piece and a sort per node, kept verbatim: the oracle that
     /// the decomposition (and so every descent's charge) has not moved.
@@ -377,9 +388,9 @@ mod tests {
         let mut virt_code: Vec<u16> = Vec::new();
         let mut total_children = 0u64;
         for u in 0..n_real {
-            let mut kids: Vec<usize> = st.children(u).to_vec();
+            let mut kids: Vec<usize> = st.forest().children(u).to_vec();
             total_children += kids.len() as u64;
-            kids.sort_unstable_by_key(|&c| st.edge_first_code(c));
+            kids.sort_unstable_by_key(|&c| edge_first_code(st, c));
             match kids.len() {
                 0 => {}
                 1 => {
@@ -392,7 +403,7 @@ mod tests {
                     for (idx, &c) in kids.iter().enumerate().take(k - 1) {
                         let v = (n_real + virt_owner.len()) as u32;
                         virt_owner.push(u as u32);
-                        virt_code.push(st.edge_first_code(c));
+                        virt_code.push(edge_first_code(st, c));
                         b_parent.push(prev);
                         b_child.push([NONE; 2]);
                         if prev == u as u32 {

@@ -61,7 +61,7 @@ pub use ac::{brute_force_matches, brute_force_occurrences, AhoCorasick};
 pub use alphabet::{decode_positions, encode_binary, BinaryEncoded};
 pub use baseline::mp93_baseline;
 pub use crc::crc32;
-pub use dict::{Dictionary, Match, Matches};
+pub use dict::{append_in_order, Dictionary, Hit, Match, Matches};
 pub use dsm::{substring_match, Locus, SubstringMatcher};
 pub use matcher::{dictionary_match, DictMatcher};
 pub use mstats::matching_statistics_seq;

@@ -48,7 +48,7 @@
 //! edits keep working per segment and never build one.
 
 use crate::ac::AhoCorasick;
-use crate::dict::{Dictionary, Match, Matches};
+use crate::dict::{Dictionary, Hit, Match, Matches};
 use crate::matcher::DictMatcher;
 use pardict_pram::{Cost, Fnv1a, Pram, SplitMix64};
 use std::cmp::Reverse;
@@ -659,11 +659,7 @@ impl SegmentedMatcher {
         // Each segment's run is already in order; the stable sort finds
         // the runs and merges them.
         if self.slots.len() > 1 {
-            out.sort_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then(b.1.len.cmp(&a.1.len))
-                    .then(a.1.id.cmp(&b.1.id))
-            });
+            out.sort_by_key(|&(pos, m)| Hit::at(pos as u64, m));
         }
         out
     }

@@ -1,28 +1,16 @@
 //! The grep engine: wave-parallel decode + match with overlap stitching.
 
-use pardict_core::PatternScan;
+use pardict_core::{append_in_order, Hit, PatternScan};
 use pardict_pram::{Cost, Pram};
 use pardict_stream::{BlockIssue, DecodedBlock, StreamError, StreamReader};
-use std::cmp::Reverse;
 use std::io::{Read, Seek};
-
-/// One pattern occurrence in the decoded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrepHit {
-    /// Byte offset of the occurrence in the original (uncompressed) text.
-    pub pos: u64,
-    /// Pattern index in the dictionary.
-    pub id: u32,
-    /// Pattern length.
-    pub len: u32,
-}
 
 /// What one grep run over a container produced.
 #[derive(Debug, Clone, Default)]
 pub struct GrepSummary {
-    /// Every occurrence, ordered by position, then decreasing length, then
-    /// id.
-    pub hits: Vec<GrepHit>,
+    /// Every occurrence, in [`Hit`]'s order: position, then decreasing
+    /// length, then id.
+    pub hits: Vec<Hit>,
     /// Blocks decoded and searched (covering blocks only, not the whole
     /// container).
     pub blocks_searched: u64,
@@ -93,7 +81,7 @@ fn match_buf<M: PatternScan>(
     start: u64,
     end: u64,
     max_len: u64,
-) -> Vec<GrepHit> {
+) -> Vec<Hit> {
     let clamp = |at: u64| at.saturating_sub(b.buf_start).min(b.bytes.len() as u64) as usize;
     let hi = clamp(end + max_len.saturating_sub(1));
     let lo = clamp(start).min(hi);
@@ -101,47 +89,12 @@ fn match_buf<M: PatternScan>(
     matcher
         .find_all(pram, &b.bytes[lo..hi])
         .into_iter()
-        .map(|(pos, m)| GrepHit {
-            pos: base + pos as u64,
-            id: m.id,
-            len: m.len,
-        })
+        .map(|(pos, m)| Hit::at(base + pos as u64, m))
         // A hit ending inside the tail belongs to an earlier block;
         // keeping only hits that end past the block start makes each
         // occurrence the responsibility of exactly one block.
         .filter(|h| h.pos + u64::from(h.len) > b.block_start && h.pos >= start && h.pos < end)
         .collect()
-}
-
-/// The canonical hit order: position, then decreasing length, then id.
-fn hit_key(h: &GrepHit) -> (u64, Reverse<u32>, u32) {
-    (h.pos, Reverse(h.len), h.id)
-}
-
-/// Append one block's hits, each list in canonical order, keeping `hits`
-/// in canonical order. A block reports the hits *ending* in it, so its
-/// first hits may start in the overlap tail, before hits an earlier block
-/// reported; only the earlier hits from the block's first one on are
-/// merged, so the cost is the block's hits plus the tail's, not a sort.
-fn append_in_order(hits: &mut Vec<GrepHit>, block: Vec<GrepHit>) {
-    debug_assert!(
-        block.windows(2).all(|w| hit_key(&w[0]) < hit_key(&w[1])),
-        "a matcher's find_all reports in canonical order"
-    );
-    let Some(first) = block.first() else {
-        return;
-    };
-    let at = hits.partition_point(|h| hit_key(h) < hit_key(first));
-    let earlier: Vec<GrepHit> = hits.drain(at..).collect();
-    hits.reserve(earlier.len() + block.len());
-    let mut block = block.into_iter().peekable();
-    for e in earlier {
-        while let Some(h) = block.next_if(|h| hit_key(h) < hit_key(&e)) {
-            hits.push(h);
-        }
-        hits.push(e);
-    }
-    hits.extend(block);
 }
 
 /// Report every dictionary occurrence in the container's decoded stream,
@@ -202,7 +155,7 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
     // bytes seen so far (accumulating across blocks shorter than `m − 1`).
     let mut tail: Vec<u8> = Vec::new();
     // Each searched block's hits, in block order.
-    let mut blocks_hits: Vec<Vec<GrepHit>> = Vec::new();
+    let mut blocks_hits: Vec<Vec<Hit>> = Vec::new();
     let block_size = rdr.index().block_size as usize;
     let strict = cfg.strict;
     // One decode loop; this sink stitches each wave's buffers and runs the
@@ -302,23 +255,14 @@ mod tests {
         DictMatcher::build(&Pram::seq(), dict, 0xFEED)
     }
 
-    fn oracle(matcher: &DictMatcher, text: &[u8]) -> Vec<GrepHit> {
+    fn oracle(matcher: &DictMatcher, text: &[u8]) -> Vec<Hit> {
         let pram = Pram::seq();
-        let mut hits: Vec<GrepHit> = matcher
+        let mut hits: Vec<Hit> = matcher
             .find_all(&pram, text)
             .into_iter()
-            .map(|(pos, m)| GrepHit {
-                pos: pos as u64,
-                id: m.id,
-                len: m.len,
-            })
+            .map(|(pos, m)| Hit::at(pos as u64, m))
             .collect();
-        hits.sort_by(|a, b| {
-            a.pos
-                .cmp(&b.pos)
-                .then(b.len.cmp(&a.len))
-                .then(a.id.cmp(&b.id))
-        });
+        hits.sort();
         hits
     }
 
@@ -367,7 +311,7 @@ mod tests {
         for a in 0..n {
             for b in a..=n {
                 let got = grep_range(&pram, &m, &mut rdr, a, b, &cfg).unwrap();
-                let want: Vec<GrepHit> = all
+                let want: Vec<Hit> = all
                     .iter()
                     .copied()
                     .filter(|h| (a..b).contains(&h.pos))
@@ -387,7 +331,7 @@ mod tests {
         let all = oracle(&m, &text);
         for (a, b) in [(0u64, 10u64), (30, 95), (100, 101), (5, 5)] {
             let got = grep_range(&pram, &m, &mut rdr, a, b, &GrepConfig::default()).unwrap();
-            let expect: Vec<GrepHit> = all
+            let expect: Vec<Hit> = all
                 .iter()
                 .copied()
                 .filter(|h| h.pos >= a && h.pos < b)
@@ -447,7 +391,7 @@ mod tests {
         // successor needs no tail for those).
         let s3 = 3 * 128u64;
         let e3 = 4 * 128u64;
-        let survivors: Vec<GrepHit> = oracle(&m, &text)
+        let survivors: Vec<Hit> = oracle(&m, &text)
             .into_iter()
             .filter(|h| h.pos + u64::from(h.len) <= s3 || h.pos >= e3)
             .collect();

@@ -58,4 +58,7 @@
 
 mod grep;
 
-pub use grep::{grep_container, grep_range, GrepConfig, GrepHit, GrepSummary};
+pub use grep::{grep_container, grep_range, GrepConfig, GrepSummary};
+/// One occurrence in the decoded stream, its position an offset in the
+/// original text: the one occurrence type, [`pardict_core::Hit`].
+pub use pardict_core::Hit as GrepHit;

@@ -507,15 +507,7 @@ impl Engine {
                 .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
                 Ok(Reply::GrepContainer {
                     version: dv.version,
-                    hits: summary
-                        .hits
-                        .into_iter()
-                        .map(|h| Hit {
-                            pos: h.pos,
-                            id: h.id,
-                            len: h.len,
-                        })
-                        .collect(),
+                    hits: summary.hits,
                     corrupt_blocks: summary.issues.iter().map(|i| i.index).collect(),
                 })
             }
@@ -531,12 +523,7 @@ impl Engine {
 }
 
 fn to_hits(iter: impl Iterator<Item = (usize, pardict_core::Match)>) -> Vec<Hit> {
-    iter.map(|(pos, m)| Hit {
-        pos: pos as u64,
-        id: m.id,
-        len: m.len,
-    })
-    .collect()
+    iter.map(|(pos, m)| Hit::at(pos as u64, m)).collect()
 }
 
 #[cfg(test)]

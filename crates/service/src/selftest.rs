@@ -326,7 +326,7 @@ fn verify_reply(
                     fail(format!("request {i}: grep hit out of bounds"));
                 }
             }
-            if *version == 1 && occurrences(hits) != v1_occurrences(v1, text) {
+            if *version == 1 && *hits != v1_occurrences(v1, text) {
                 fail(format!(
                     "request {i}: v1 grep disagrees with the brute-force occurrence list"
                 ));
@@ -401,12 +401,12 @@ fn verify_reply(
             // equal the brute-force occurrence list of the raw text, in
             // order.
             if *version == 1 {
-                let (got, expect) = (occurrences(hits), v1_occurrences(v1, text));
-                if got != expect {
+                let expect = v1_occurrences(v1, text);
+                if *hits != expect {
                     fail(format!(
                         "request {i}: v1 container grep disagrees with the brute-force \
                          occurrence list ({} vs {} hits)",
-                        got.len(),
+                        hits.len(),
                         expect.len()
                     ));
                 }
@@ -415,17 +415,12 @@ fn verify_reply(
     }
 }
 
-/// A grep reply's hits as `(pos, id, len)`.
-fn occurrences(hits: &[Hit]) -> Vec<(u64, u32, u32)> {
-    hits.iter().map(|h| (h.pos, h.id, h.len)).collect()
-}
-
 /// Every occurrence of v1's patterns in `text`, by direct comparison: the
 /// grep oracle, independent of the automata that answer grep requests.
-fn v1_occurrences(v1: &DictVersion, text: &[u8]) -> Vec<(u64, u32, u32)> {
+fn v1_occurrences(v1: &DictVersion, text: &[u8]) -> Vec<Hit> {
     brute_force_occurrences(&Dictionary::new(v1.pre.patterns()), text)
         .into_iter()
-        .map(|(p, m)| (p as u64, m.id, m.len))
+        .map(|(p, m)| Hit::at(p as u64, m))
         .collect()
 }
 

@@ -220,11 +220,6 @@ pub struct ClientConfig {
     pub read_timeout: Option<Duration>,
     /// Socket write timeout; `None` blocks indefinitely.
     pub write_timeout: Option<Duration>,
-    /// On a disconnect-class I/O error (broken pipe, reset, EOF
-    /// mid-response), reconnect once and retry the request. Requests are
-    /// retried at most once and only on transport failure, never on
-    /// timeouts — a timed-out request may still be executing server-side.
-    pub reconnect: bool,
 }
 
 impl Default for ClientConfig {
@@ -233,7 +228,6 @@ impl Default for ClientConfig {
             connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            reconnect: true,
         }
     }
 }
@@ -274,7 +268,7 @@ impl Client {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connect with explicit timeouts and retry behavior.
+    /// Connect with explicit timeouts.
     ///
     /// # Errors
     /// Address resolution or connection failures (the error of the last
@@ -316,10 +310,14 @@ impl Client {
         WireResponse::decode(&reply)
     }
 
+    /// One request, answered. On a disconnect-class I/O error (broken
+    /// pipe, reset, EOF mid-response) the client reconnects once and
+    /// retries; never on a timeout — a timed-out request may still be
+    /// executing server-side.
     fn roundtrip(&mut self, req: &WireRequest) -> io::Result<WireResponse> {
         let payload = req.encode();
         match self.try_roundtrip(&payload) {
-            Err(e) if self.cfg.reconnect && is_disconnect(e.kind()) => {
+            Err(e) if is_disconnect(e.kind()) => {
                 self.reconnect()?;
                 self.try_roundtrip(&payload)
             }

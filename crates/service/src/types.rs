@@ -169,16 +169,8 @@ impl Request {
     }
 }
 
-/// One reported occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hit {
-    /// Text position.
-    pub pos: u64,
-    /// Pattern index in the dictionary.
-    pub id: u32,
-    /// Pattern length.
-    pub len: u32,
-}
+/// One reported occurrence: the one occurrence type, [`pardict_core::Hit`].
+pub use pardict_core::Hit;
 
 /// Successful operation payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

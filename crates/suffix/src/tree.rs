@@ -406,14 +406,6 @@ impl SuffixTree {
         self.label_pos[v] as usize
     }
 
-    /// Children of `v` in the forest's order, increasing id (leaves in SA
-    /// order, then internal nodes in boundary order), which the Euler tour
-    /// reads. [`Self::edges`] lists them by edge symbol.
-    #[must_use]
-    pub fn children(&self, v: usize) -> &[usize] {
-        self.forest.children(v)
-    }
-
     /// The children of `v` as `(code, child)` pairs in increasing code,
     /// `code` being the first symbol of the child's edge.
     #[must_use]
@@ -573,16 +565,6 @@ impl SuffixTree {
     pub fn contains(&self, pattern: &[u8]) -> bool {
         self.find(pattern).is_some()
     }
-
-    /// First symbol code of the edge entering `v` (undefined for the root).
-    #[must_use]
-    pub fn edge_first_code(&self, v: usize) -> SymCode {
-        debug_assert_ne!(v, self.root);
-        code_at(
-            self.padded(),
-            self.label_pos(v) + self.str_depth(self.parent(v)),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -647,7 +629,10 @@ mod tests {
             let (plo, phi) = st.leaf_range(p);
             assert!(plo <= lo && hi <= phi, "leaf range nesting");
             if !st.is_leaf(v) {
-                assert!(st.children(v).len() >= 2, "internal node with < 2 children");
+                assert!(
+                    st.forest().children(v).len() >= 2,
+                    "internal node with < 2 children"
+                );
             }
         }
         // Suffix links: σ(slink(v)) == σ(v)[1..].
@@ -883,7 +868,11 @@ mod tests {
             let (child_by_sym, wlink_by_sym) = hash_map_build(&st);
             let what = String::from_utf8_lossy(&text[..text.len().min(12)]);
             for v in 0..st.num_nodes() {
-                assert_eq!(st.edges(v).len(), st.children(v).len(), "{what}: node {v}");
+                assert_eq!(
+                    st.edges(v).len(),
+                    st.forest().children(v).len(),
+                    "{what}: node {v}"
+                );
                 for code in 0..=256 {
                     let key = sym_key(v, code);
                     let want = child_by_sym.get(&key).map(|&c| c as usize);

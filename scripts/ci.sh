@@ -302,6 +302,46 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
   exit 1
 fi
 
+# An occurrence has one type, one order and one merge: pardict_core::Hit,
+# whose Ord is the canonical order (position, then decreasing length, then
+# id), and append_in_order, which merges consecutive pieces' lists at their
+# boundaries. grep's blocks and the router's scatter ranges are such pieces,
+# so the router's gather sorts no hits.
+for def in 'struct (Grep)?Hit[ {<;]' 'fn append_in_order[(<]'; do
+  where=$(awk -v re="$def" '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        $0 ~ re { print FILENAME ":" FNR ": " $0 }' $(find crates -name '*.rs' | sort))
+  if [ "$(printf '%s\n' "$where" | cut -d: -f1)" != crates/core/src/dict.rs ]; then
+    printf '%s\n' "$where"
+    echo "ci.sh: '$def' must be defined once, in crates/core/src/dict.rs (use pardict_core::{Hit, append_in_order})" >&2
+    exit 1
+  fi
+done
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /(^|[^a-z_])(h|hits)\.sort/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/cluster/src/router.rs; then
+  echo "ci.sh: the router sorts hits (its ranges merge with pardict_core::append_in_order)" >&2
+  exit 1
+fi
+# Settings with one value are constants: a shard is excluded at its first
+# transport failure, and a client always reconnects once.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /fail_threshold|consec_failures|reconnect:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/cluster/src/*.rs crates/service/src/*.rs; then
+  echo "ci.sh: a failure threshold or a reconnect switch is back (both are fixed policy)" >&2
+  exit 1
+fi
+# The suffix tree exports no test-only API: tests read a node's children
+# off SuffixTree::forest and a child's edge symbol off SuffixTree::edges.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /edge_first_code|fn children\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/suffix/src/*.rs; then
+  echo "ci.sh: edge_first_code or SuffixTree::children is back in crates/suffix/src (test-only API)" >&2
+  exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -198,11 +198,7 @@ fn segmented_grep_equals_the_whole_text_find_all() {
         let whole: Vec<GrepHit> = matcher
             .find_all(&Pram::seq(), &text)
             .into_iter()
-            .map(|(pos, m)| GrepHit {
-                pos: pos as u64,
-                id: m.id,
-                len: m.len,
-            })
+            .map(|(pos, m)| GrepHit::at(pos as u64, m))
             .collect();
         assert!(whole.len() > 1000, "{} hits", whole.len());
         for block_size in [5, 11] {

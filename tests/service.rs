@@ -253,11 +253,7 @@ fn tangled_text(rng: &mut Rng, patterns: &[Vec<u8>], n: usize, sigma: u64) -> Ve
 
 fn hits_of(m: &Matches) -> Vec<Hit> {
     m.iter_hits()
-        .map(|(pos, m)| Hit {
-            pos: pos as u64,
-            id: m.id,
-            len: m.len,
-        })
+        .map(|(pos, m)| Hit::at(pos as u64, m))
         .collect()
 }
 
