@@ -95,7 +95,7 @@ impl ColoredAncestors {
             // whose exit exceeds mine — with laminarity this is exactly the
             // nearest *larger* value on the exit array.
             let lasts: Vec<i64> = by_entry.iter().map(|&v| -(tour.last[v] as i64)).collect();
-            let encl = ansv_seq(&lasts, Side::Left);
+            let (encl, _) = ansv_seq(&lasts, Side::Left);
             pram.ledger().round(group.len() as u64);
 
             let mut endpoints = VebTree::with_universe(universe);

@@ -9,26 +9,29 @@
 //!
 //! Every shipped LZ1 parse is one (stream blocks, Compress replies and the
 //! CLI use an empty base): Theorem 4.2's sequential half over exact,
-//! seed-free suffix arrays. Work and depth are linear in `|base| + |new|`.
+//! seed-free suffix arrays, reading Lemma 4.1's match table only at the
+//! phrase starts of `new`. Work and depth are linear in `|base| + |new|`.
 
-use crate::lz1::{decodes_back, greedy, lz1_decode, previous_matches};
+use crate::lz1::{decodes_back, lz1_decode, parse_from};
 use crate::tokens::Token;
 use pardict_pram::Pram;
 use pardict_suffix::SuffixArrays;
 
 /// Compress `new` against `base`: a token stream whose copies may
-/// reference the concatenation `base · new` at absolute positions. Copy
-/// lengths are exact; still, a parse that does not decode back to `new`
-/// gives way to the all-literal one. `base · new` must be NUL-free.
+/// reference the concatenation `base · new` at absolute positions. The
+/// greedy parse walks `new` phrase by phrase over the exact suffix arrays of
+/// `base · new`, evaluating Lemma 4.1 (leftmost longest previous factor)
+/// at each phrase start only. Copy lengths are exact; still, a parse that
+/// does not decode back to `new` gives way to the all-literal one.
+/// `base · new` must be NUL-free.
 #[must_use]
 pub fn delta_compress(pram: &Pram, base: &[u8], new: &[u8]) -> Vec<Token> {
     if new.is_empty() {
         return Vec::new();
     }
     let joint = [base, new].concat();
-    let matches = previous_matches(pram, &SuffixArrays::build_exact(pram, &joint));
     // Greedy parse of the `new` region only.
-    let tokens = greedy(pram, &joint, &matches, base.len());
+    let tokens = parse_from(pram, &SuffixArrays::build_exact(pram, &joint), base.len());
     #[cfg(test)]
     let tokens = match tests::TAMPER.with(std::cell::Cell::take) {
         Some(tamper) => tamper(tokens),

@@ -19,14 +19,18 @@
 //! **The sequential halves.** [`lz1_compress`] and [`lz1_decompress`] are
 //! the Theorem 4.2 / 4.3 reproduction and the oracles of what ships. A
 //! caller whose parallelism lies elsewhere (stream blocks, service lanes)
-//! emits with [`crate::delta_compress`] — this match table over
-//! [`SuffixArrays::build_exact`], then `greedy` — and decodes with
-//! [`lz1_decode`] (one round per phrase, `n` work).
+//! emits with [`crate::delta_compress`] and decodes with [`lz1_decode`]
+//! (one round per phrase, `n` work). Its greedy walk over
+//! [`SuffixArrays::build_exact`] needs `M[i]` only where a phrase starts,
+//! so it evaluates Lemma 4.1 there and jumps by the phrase length
+//! (Kärkkäinen–Kempa–Puglisi, CPM 2013), its nearest earlier ranks two
+//! stack passes. The seeded table and the walk call one per-position rule,
+//! so the walk's tokens are the table's greedy parse by construction.
 
 use crate::tokens::{DecodeError, Token};
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
-use pardict_rmq::{ansv_par, LinearRmq, Side, SparseTable};
+use pardict_rmq::{ansv_par, ansv_seq, LinearRmq, Side, SparseTable};
 use pardict_suffix::{SuffixArrays, SuffixTree};
 
 /// Longest-previous-factor (LPF) array: for every position `i`, the
@@ -54,28 +58,85 @@ pub fn longest_previous_factor_from_tree(pram: &Pram, st: &SuffixTree) -> Vec<(u
 /// Lemma 4.1 over the suffix array: `(leftmost src < i, maximal len)` for
 /// every position `i`, `(0, 0)` if none. `O(n)` work, `O(log n)` depth.
 pub(crate) fn previous_matches(pram: &Pram, arrays: &SuffixArrays) -> Vec<(u32, u32)> {
-    let (sa, lcp) = (&arrays.sa, &arrays.lcp);
-    let m = sa.len();
-    // Nearest ranks either side holding an earlier text position.
-    let pos: Vec<i64> = pram.tabulate(m, |r| i64::from(sa[r]));
-    let prev = ansv_par(pram, &pos, Side::Left);
-    let next = ansv_par(pram, &pos, Side::Right);
-    // L: range minima over SA values.
-    let leftmost = LinearRmq::new_min(pram, pram.tabulate(m, |r| sa[r]));
-    pram.tabulate(m - 1, |i| {
+    let sources = Sources::build(pram, arrays, |pos, side| ansv_par(pram, pos, side));
+    pram.tabulate(arrays.sa.len() - 1, |i| sources.previous_match(arrays, i))
+}
+
+/// The greedy parse of `text[from..]` (the text of `arrays`), evaluating
+/// Lemma 4.1 only where a phrase starts and jumping by the phrase's length:
+/// the table [`previous_matches`] builds, read where the parse stops
+/// (Kärkkäinen–Kempa–Puglisi). Its nearest earlier ranks are two stack
+/// passes charged as sequential loops; each phrase is one round.
+pub(crate) fn parse_from(pram: &Pram, arrays: &SuffixArrays, from: usize) -> Vec<Token> {
+    let sources = Sources::build(pram, arrays, |pos, side| {
+        let (nearest, ops) = ansv_seq(pos, side);
+        pram.ledger().sequential(ops);
+        nearest
+    });
+    let text = arrays.text();
+    let mut out = Vec::new();
+    let mut i = from;
+    while i < text.len() {
+        let (src, len) = sources.previous_match(arrays, i);
+        pram.ledger().round(1);
+        if len >= 2 {
+            out.push(Token::Copy { src, len });
+            i += len as usize;
+        } else {
+            out.push(Token::Literal(text[i]));
+            i += 1;
+        }
+    }
+    out
+}
+
+/// What Lemma 4.1 reads beside the LCP intervals, per rank: the nearest
+/// ranks either side holding an earlier text position (the previous and
+/// next smaller SA values) and range minima over SA values, whose argmin
+/// is an interval's leftmost leaf `L`.
+struct Sources {
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    leftmost: LinearRmq,
+}
+
+impl Sources {
+    /// The nearest smaller SA values by `nearest`, and the range minima.
+    fn build(
+        pram: &Pram,
+        arrays: &SuffixArrays,
+        nearest: impl Fn(&[i64], Side) -> Vec<usize>,
+    ) -> Self {
+        let (sa, m) = (&arrays.sa, arrays.sa.len());
+        let pos: Vec<i64> = pram.tabulate(m, |r| i64::from(sa[r]));
+        Self {
+            prev: nearest(&pos, Side::Left),
+            next: nearest(&pos, Side::Right),
+            leftmost: LinearRmq::new_min(pram, pram.tabulate(m, |r| sa[r])),
+        }
+    }
+
+    /// Lemma 4.1 at text position `i`: `|A[i]|` is the larger of the two
+    /// LCP range minima towards the nearest earlier ranks, `A[i]` the LCP
+    /// interval `left[k]..right[k]` of that boundary `k`, and `L[A[i]]` its
+    /// leftmost leaf; `(0, 0)` when no earlier position shares a character.
+    fn previous_match(&self, arrays: &SuffixArrays, i: usize) -> (u32, u32) {
+        let lcp = &arrays.lcp;
         let r = arrays.rank[i] as usize;
         // The least boundary towards each neighbour; on a tie both lie in
         // the same interval.
-        let left = (prev[r] != usize::MAX).then(|| lcp.query(prev[r] + 1, r));
-        let right = (next[r] != usize::MAX).then(|| lcp.query(r + 1, next[r]));
+        let (prev, next) = (self.prev[r], self.next[r]);
+        let left = (prev != usize::MAX).then(|| lcp.query(prev + 1, r));
+        let right = (next != usize::MAX).then(|| lcp.query(r + 1, next));
         match left.into_iter().chain(right).max_by_key(|&k| lcp.keys()[k]) {
             Some(k) if lcp.keys()[k] > 0 => {
                 let (lo, hi) = (arrays.left[k], arrays.right[k] - 1);
+                let leftmost = &self.leftmost;
                 (leftmost.keys()[leftmost.query(lo, hi)], lcp.keys()[k])
             }
             _ => (0, 0), // no previous occurrence: literal
         }
-    })
+    }
 }
 
 /// Parallel LZ1 compression (Theorem 4.2): `O(n)` work, polylog depth.
@@ -266,25 +327,6 @@ pub(crate) fn decodes_back(pram: &Pram, tokens: &[Token], base: &[u8], text: &[u
     out[base.len()..] == *text
 }
 
-/// The greedy parse of `text[from..]` off its match table, one phrase per
-/// round (sequential over phrases, like any LZ emitter).
-pub(crate) fn greedy(pram: &Pram, text: &[u8], lpf: &[(u32, u32)], from: usize) -> Vec<Token> {
-    let mut out = Vec::new();
-    let mut i = from;
-    while i < text.len() {
-        let (src, len) = lpf[i];
-        pram.ledger().round(1);
-        if len >= 2 {
-            out.push(Token::Copy { src, len });
-            i += len as usize;
-        } else {
-            out.push(Token::Literal(text[i]));
-            i += 1;
-        }
-    }
-    out
-}
-
 /// Previous-best parallel envelope (`O(n log n)` work, `O(log n)` depth):
 /// every position independently finds its longest previous match by binary
 /// searching the suffix array for the nearest earlier-position suffix.
@@ -423,9 +465,29 @@ mod tests {
         assert_eq!(crate::delta_compress(&pram, &[], text), tokens);
     }
 
+    /// The leftmost longest previous factor of every position, by brute
+    /// force.
+    fn brute_lpf(text: &[u8]) -> Vec<(u32, u32)> {
+        (0..text.len())
+            .map(|i| {
+                let (mut src, mut len) = (0, 0);
+                for j in 0..i {
+                    let l = text[j..].iter().zip(&text[i..]).take_while(|(a, b)| a == b);
+                    let l = l.count();
+                    if l > len {
+                        (src, len) = (j, l);
+                    }
+                }
+                (src as u32, len as u32)
+            })
+            .collect()
+    }
+
     /// The exact route's match table is the leftmost longest previous
     /// factor, by brute force, on every block shape: random (σ = 2, 4, 26),
-    /// periodic, unary, Fibonacci and incompressible.
+    /// periodic, unary, Fibonacci and incompressible. So is every phrase
+    /// of the on-demand walk, after no base and after a base it may copy
+    /// from.
     #[test]
     fn exact_lpf_is_the_leftmost_longest_previous_factor() {
         let pram = Pram::seq();
@@ -442,20 +504,39 @@ mod tests {
             ];
             for text in texts {
                 let got = previous_matches(&pram, &SuffixArrays::build_exact(&pram, &text));
-                let want: Vec<(u32, u32)> = (0..text.len())
-                    .map(|i| {
-                        let (mut src, mut len) = (0, 0);
-                        for j in 0..i {
-                            let l = text[j..].iter().zip(&text[i..]).take_while(|(a, b)| a == b);
-                            let l = l.count();
-                            if l > len {
-                                (src, len) = (j, l);
-                            }
-                        }
-                        (src as u32, len as u32)
-                    })
-                    .collect();
-                assert_eq!(got, want, "{text:?}");
+                assert_eq!(got, brute_lpf(&text), "{text:?}");
+                // An earlier version: the text with its middle byte changed.
+                let mut edited = text.clone();
+                if let Some(c) = edited.get_mut(n / 2) {
+                    *c = if *c == b'a' { b'b' } else { b'a' };
+                }
+                for base in [
+                    &[][..],
+                    &random_text(seed, 40, Alphabet::new(b'a', 4)),
+                    &edited,
+                ] {
+                    let joint = [base, &text[..]].concat();
+                    let want = brute_lpf(&joint);
+                    let tokens =
+                        parse_from(&pram, &SuffixArrays::build_exact(&pram, &joint), base.len());
+                    let mut i = base.len();
+                    for token in tokens {
+                        let (src, len) = want[i];
+                        let expect = if len >= 2 {
+                            Token::Copy { src, len }
+                        } else {
+                            Token::Literal(joint[i])
+                        };
+                        assert_eq!(
+                            token,
+                            expect,
+                            "position {i} of {joint:?} after {}",
+                            base.len()
+                        );
+                        i += token.expanded_len();
+                    }
+                    assert_eq!(i, joint.len());
+                }
             }
         }
     }
@@ -608,5 +689,67 @@ mod tests {
             per_char[2] < per_char[0] * 1.5 + 4.0,
             "unlz1 work superlinear: {per_char:?}"
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use pardict_workloads::{shaped_len, shaped_text};
+    use proptest::prelude::*;
+
+    /// The greedy parse of `text[from..]` off the whole match table.
+    fn greedy_over_table(text: &[u8], table: &[(u32, u32)], from: usize) -> Vec<Token> {
+        let mut out = Vec::new();
+        let mut i = from;
+        while i < text.len() {
+            let (src, len) = table[i];
+            out.push(if len >= 2 {
+                Token::Copy { src, len }
+            } else {
+                Token::Literal(text[i])
+            });
+            i += (len as usize).max(1);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Reading Lemma 4.1 only at phrase starts parses exactly as the
+        /// greedy walk over the whole table does, token for token: on every
+        /// block shape, at small lengths and at 2^k ± 1 up to 4 097, after
+        /// no base and after a nonempty base (another shape, or the text
+        /// with one byte changed). `delta_compress` ships that parse.
+        #[test]
+        fn on_demand_walk_equals_the_greedy_parse_of_the_whole_table(
+            shape in 0u64..8,
+            small in 0usize..301,
+            edge in 0usize..16,
+            seed in 0u64..1000,
+            base_shape in 0u64..9,
+            base_small in 1usize..301,
+        ) {
+            let text = shaped_text(shape, shaped_len(small, edge), seed);
+            let base = if base_shape < 8 {
+                shaped_text(base_shape, base_small, seed ^ 0xBA5E)
+            } else {
+                let mut edited = text.clone();
+                if let Some(c) = edited.get_mut(base_small % text.len().max(1)) {
+                    *c = if *c == b'a' { b'b' } else { b'a' };
+                }
+                edited.push(b'a');
+                edited
+            };
+            let pram = Pram::seq();
+            for base in [&[][..], &base[..]] {
+                let joint = [base, &text[..]].concat();
+                let arrays = SuffixArrays::build_exact(&pram, &joint);
+                let want = greedy_over_table(&joint, &previous_matches(&pram, &arrays), base.len());
+                prop_assert_eq!(&parse_from(&pram, &arrays, base.len()), &want);
+                prop_assert_eq!(crate::delta_compress(&pram, base, &text), want);
+            }
+        }
     }
 }

@@ -93,6 +93,13 @@ impl Ledger {
         self.charge_depth(1);
     }
 
+    /// A sequential loop of `ops` operations: `ops` work and `ops` depth.
+    #[inline]
+    pub fn sequential(&self, ops: u64) {
+        self.charge_work(ops);
+        self.charge_depth(ops);
+    }
+
     /// Current accumulated cost.
     #[inline]
     pub fn cost(&self) -> Cost {

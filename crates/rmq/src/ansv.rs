@@ -1,7 +1,7 @@
 //! All nearest smaller values (Lemma 2.4), strictly smaller: `xs[j] < xs[i]`.
 //!
-//! [`ansv_seq`] is the classic linear stack pass (used as an oracle and in
-//! sequential baselines). [`ansv_par`] is the blocked parallel version:
+//! [`ansv_seq`] is the classic linear stack pass (the oracle, and what the
+//! exact LZ1 route runs, charged by its count). [`ansv_par`] is the blocked parallel version:
 //! per-block stack passes resolve most elements; the rest search the
 //! block-minima sparse table by doubling + binary search. `O(log n)` depth;
 //! work is `O(n)` on typical inputs and `O(n log n)` adversarially — the
@@ -24,27 +24,30 @@ pub enum Side {
 pub const NONE: usize = usize::MAX;
 
 /// Sequential stack ANSV: `out[i]` is the nearest index on the chosen side
-/// holding a strictly smaller value, or [`NONE`]. `O(n)` time.
+/// holding a strictly smaller value, or [`NONE`]; and the pass's operation
+/// count, one per push and one per pop (at most `2n`). `O(n)` time.
 #[must_use]
-pub fn ansv_seq(xs: &[i64], side: Side) -> Vec<usize> {
+pub fn ansv_seq(xs: &[i64], side: Side) -> (Vec<usize>, u64) {
     let n = xs.len();
     let mut out = vec![NONE; n];
     let mut stack: Vec<usize> = Vec::new();
-    let order: Box<dyn Iterator<Item = usize>> = match side {
-        Side::Left => Box::new(0..n),
-        Side::Right => Box::new((0..n).rev()),
-    };
-    for i in order {
+    let mut ops = n as u64; // the pushes
+    let mut visit = |i: usize| {
         while let Some(&top) = stack.last() {
             if xs[top] < xs[i] {
                 break;
             }
             stack.pop();
+            ops += 1;
         }
         out[i] = stack.last().copied().unwrap_or(NONE);
         stack.push(i);
+    };
+    match side {
+        Side::Left => (0..n).for_each(&mut visit),
+        Side::Right => (0..n).rev().for_each(&mut visit),
     }
-    out
+    (out, ops)
 }
 
 /// Parallel blocked ANSV; identical output to [`ansv_seq`].
@@ -200,7 +203,7 @@ mod tests {
         let pram = Pram::seq();
         for side in [Side::Left, Side::Right] {
             let want = naive(xs, side);
-            assert_eq!(ansv_seq(xs, side), want, "seq {side:?}");
+            assert_eq!(ansv_seq(xs, side).0, want, "seq {side:?}");
             assert_eq!(ansv_par(&pram, xs, side), want, "par {side:?}");
         }
     }

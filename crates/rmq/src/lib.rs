@@ -82,7 +82,7 @@ mod proptests {
         fn ansv_par_equals_seq(xs in prop::collection::vec(-20i64..20, 0..600)) {
             let pram = Pram::seq();
             for side in [Side::Left, Side::Right] {
-                prop_assert_eq!(ansv_par(&pram, &xs, side), ansv_seq(&xs, side));
+                prop_assert_eq!(ansv_par(&pram, &xs, side), ansv_seq(&xs, side).0);
             }
         }
     }

@@ -427,8 +427,7 @@ impl Engine {
                     *lane = Lane::SeqFallback;
                     // Charge the automaton scan to the ledger by hand: the
                     // AC baseline runs outside the Pram combinators.
-                    pram.ledger().charge_work(text.len() as u64);
-                    pram.ledger().charge_depth(text.len() as u64);
+                    pram.ledger().sequential(text.len() as u64);
                     let matches = dv.pre.seg.ac_match(text);
                     return Ok(Reply::Match {
                         version: dv.version,

@@ -4,16 +4,17 @@
 //! positions `left[k]..right[k]`, between its strict nearest smaller
 //! boundaries. A consumer that needs only intervals, like Lemma 4.1's match
 //! table, never builds the tree. The two constructors differ in how they
-//! build the suffix array and the LCP array under the same tail: the seeded
-//! route runs DC3 and the fingerprint LCP in PRAM rounds, the exact route
-//! SA-IS and Kasai, each a sequential loop.
+//! build the suffix array, the LCP array and the interval bounds: the seeded
+//! route runs DC3, the fingerprint LCP and blocked ANSV in PRAM rounds, the
+//! exact route SA-IS, Kasai and two ANSV stack passes, each a sequential
+//! loop.
 
 use crate::lcp::{inverse, kasai, lcp_parallel};
 use crate::sa::suffix_array;
 use crate::sais;
 use pardict_fingerprint::{random_base, PrefixHashes};
 use pardict_pram::{Pram, SplitMix64};
-use pardict_rmq::{ansv_par, LinearRmq, Side};
+use pardict_rmq::{ansv_par, ansv_seq, LinearRmq, Side};
 
 /// Suffix array, ranks, LCP range minima and LCP-interval bounds of
 /// `text · $` (a unique 0 sentinel).
@@ -39,6 +40,7 @@ impl SuffixArrays {
     /// The seeded PRAM route: DC3, then [`lcp_parallel`](crate::lcp_parallel)
     /// (exact whp) over prefix hashes of `text · $`, which it returns too. Their
     /// base is the first draw of `seed ^ 0x5F1F`; the tree's tour takes the second.
+    /// The interval bounds are two blocked-parallel ANSV passes.
     ///
     /// # Panics
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
@@ -48,15 +50,20 @@ impl SuffixArrays {
         let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
         let hashes = PrefixHashes::build(pram, &padded, base);
         let sa = suffix_array(pram, &padded);
-        let arrays = Self::with_lcp(pram, padded, sa, |padded, sa, _| {
-            lcp_parallel(pram, padded, sa, &hashes)
-        });
+        let arrays = Self::with_lcp(
+            pram,
+            padded,
+            sa,
+            |padded, sa, _| lcp_parallel(pram, padded, sa, &hashes),
+            |ell, side| ansv_par(pram, ell, side),
+        );
         (arrays, hashes)
     }
 
     /// The exact, seed-free route: SA-IS, then Kasai's LCP over the same
-    /// ranks. Both are sequential, so each is charged its operation count (a
-    /// position per pass or a character compare each) as work and as depth.
+    /// ranks, then one stack pass per side for the interval bounds. All are
+    /// sequential, so each is charged its operation count (a position per
+    /// pass, a character compare, or a push or pop each) as work and as depth.
     ///
     /// # Panics
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
@@ -64,22 +71,33 @@ impl SuffixArrays {
     pub fn build_exact(pram: &Pram, text: &[u8]) -> Self {
         let padded = pad(text);
         let (sa, ops) = sais::suffix_array(&padded);
-        charge_sequential(pram, ops);
-        Self::with_lcp(pram, padded, sa, |padded, sa, rank| {
-            let (lcp, ops) = kasai(padded, sa, rank);
-            charge_sequential(pram, ops);
-            lcp
-        })
+        pram.ledger().sequential(ops);
+        Self::with_lcp(
+            pram,
+            padded,
+            sa,
+            |padded, sa, rank| {
+                let (lcp, ops) = kasai(padded, sa, rank);
+                pram.ledger().sequential(ops);
+                lcp
+            },
+            |ell, side| {
+                let (bounds, ops) = ansv_seq(ell, side);
+                pram.ledger().sequential(ops);
+                bounds
+            },
+        )
     }
 
     /// Both routes' tail over the suffix array `sa` of `padded`: its ranks,
     /// the LCP `lcp_of(padded, sa, rank)` returns, its range minima and every
-    /// boundary's ANSV bounds.
+    /// boundary's nearest smaller boundaries on each side, by `nearest`.
     fn with_lcp(
         pram: &Pram,
         padded: Vec<u8>,
         sa: Vec<u32>,
         lcp_of: impl FnOnce(&[u8], &[u32], &[u32]) -> Vec<u32>,
+        nearest: impl Fn(&[i64], Side) -> Vec<usize>,
     ) -> Self {
         let m = padded.len(); // number of suffixes
         pram.ledger().round(m as u64);
@@ -94,8 +112,8 @@ impl SuffixArrays {
             right: Vec::new(),
         };
         let ell: Vec<i64> = pram.tabulate(m + 1, |k| arrays.ell(k));
-        arrays.left = ansv_par(pram, &ell, Side::Left);
-        arrays.right = ansv_par(pram, &ell, Side::Right);
+        arrays.left = nearest(&ell, Side::Left);
+        arrays.right = nearest(&ell, Side::Right);
         arrays
     }
 
@@ -125,10 +143,4 @@ fn pad(text: &[u8]) -> Vec<u8> {
         "suffix tree input must be NUL-free (0 is the internal sentinel)"
     );
     [text, &[0]].concat()
-}
-
-/// Charges a sequential loop of `ops` operations: as work and as depth.
-fn charge_sequential(pram: &Pram, ops: u64) {
-    pram.ledger().charge_work(ops);
-    pram.ledger().charge_depth(ops);
 }

@@ -43,22 +43,12 @@ pub use lcp::{lcp_kasai, lcp_parallel};
 pub use sa::{suffix_array, suffix_array_naive};
 pub use tree::{sym_code, SuffixTree, SymCode, SENTINEL_CODE};
 
-/// The first `n` bytes of the Fibonacci word over `a`, `b`.
-#[cfg(test)]
-fn fibonacci(n: usize) -> Vec<u8> {
-    let (mut a, mut b) = (b"a".to_vec(), b"ab".to_vec());
-    while b.len() < n {
-        (a, b) = (b.clone(), [b, a].concat());
-    }
-    b.truncate(n);
-    b
-}
-
 #[cfg(test)]
 mod proptests {
     use super::*;
     use pardict_fingerprint::{random_base, PrefixHashes};
     use pardict_pram::Pram;
+    use pardict_workloads::{shaped_len, shaped_text};
     use proptest::prelude::*;
 
     fn nul_free_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -66,33 +56,6 @@ mod proptests {
             prop::sample::select(vec![b'a', b'b', b'c', b'd']),
             0..max_len,
         )
-    }
-
-    /// A NUL-free text of shape `shape` (0..8): random over σ = 2, 4, 26,
-    /// periodic, unary, Fibonacci, incompressible (every byte but NUL), or
-    /// `ab` repeated (every other position LMS).
-    fn shaped_text(shape: u64, n: usize, seed: u64) -> Vec<u8> {
-        let mut rng = pardict_pram::SplitMix64::new(seed);
-        let mut draw = |sigma: u64| 1 + rng.next_below(sigma) as u8;
-        match shape {
-            0..=2 => (0..n)
-                .map(|_| b'a' - 1 + draw([2, 4, 26][shape as usize]))
-                .collect(),
-            3 => {
-                let period: Vec<u8> = (0..1 + seed % 7).map(|_| b'a' - 1 + draw(4)).collect();
-                period.iter().copied().cycle().take(n).collect()
-            }
-            4 => vec![b'z'; n],
-            5 => fibonacci(n),
-            6 => (0..n).map(|_| draw(255)).collect(),
-            _ => b"ab".iter().copied().cycle().take(n).collect(),
-        }
-    }
-
-    /// Small lengths, or 2^k ± 1 up to 4 097 when `edge` picks one.
-    fn shaped_len(small: usize, edge: usize) -> usize {
-        const EDGES: [usize; 8] = [511, 513, 1023, 1025, 2047, 2049, 4095, 4097];
-        EDGES.get(edge).copied().unwrap_or(small)
     }
 
     proptest! {

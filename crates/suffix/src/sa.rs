@@ -259,7 +259,7 @@ mod tests {
             ),
             (
                 "Fibonacci",
-                [12, 14, 16].map(|k| sais_ops_per_byte(&crate::fibonacci(1 << k))),
+                [12, 14, 16].map(|k| sais_ops_per_byte(&pardict_workloads::fibonacci_word(1 << k))),
             ),
         ] {
             assert!(per_elem.iter().all(|&w| w < 25.0), "{name}: {per_elem:?}");

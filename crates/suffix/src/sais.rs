@@ -196,8 +196,9 @@ fn lms_substrings_equal<T: Symbol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fibonacci, suffix_array as dc3, suffix_array_naive};
+    use crate::{suffix_array as dc3, suffix_array_naive};
     use pardict_pram::Pram;
+    use pardict_workloads::fibonacci_word;
 
     /// SA-IS of `text · $` against the naive sort and DC3; returns the
     /// number of recursion levels.
@@ -250,13 +251,13 @@ mod tests {
     #[test]
     fn fibonacci_words() {
         for n in [5, 34, 233, 1000, 4097] {
-            check(&fibonacci(n));
+            check(&fibonacci_word(n));
         }
     }
 
     #[test]
     fn fibonacci_recurses_at_least_three_levels() {
-        let levels = check(&fibonacci(4096));
+        let levels = check(&fibonacci_word(4096));
         assert!(levels >= 3, "only {levels} levels");
     }
 }

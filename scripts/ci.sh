@@ -78,7 +78,7 @@ if grep -rnE "SpanGuard|ScopedSpan|mod collector|exec::section" crates src tests
   exit 1
 fi
 # Shipped parses have one emitter: delta_compress (exact, seed-free suffix
-# arrays, the greedy parse, one decodes_back check, the all-literal
+# arrays, the greedy walk, one decodes_back check, the all-literal
 # fallback), for stream blocks, served Compress replies and the CLI alike.
 # `pardict stats` reports the cost of Theorem 4.2's PRAM route and ships no
 # parse, so it is the one caller of lz1_compress there.
@@ -103,6 +103,22 @@ if grep -nE "SplitMix64|STREAM_SEED|PrefixHashes|lcp_parallel|random_base" \
   echo "ci.sh: a seed or fingerprint on the shipped LZ1 route (it reads SuffixArrays::build_exact)" >&2
   exit 1
 fi
+# It reads Lemma 4.1 only where a phrase starts: no whole match table and
+# no separate greedy pass over one in delta.rs.
+if grep -nE "previous_matches|greedy\(" crates/compress/src/delta.rs; then
+  echo "ci.sh: delta_compress builds the whole match table (walk it with lz1::parse_from)" >&2
+  exit 1
+fi
+# Lemma 4.1's per-position rule is written once, in lz1.rs: the seeded table
+# tabulates it and the exact walk calls it at phrase starts.
+where=$(awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /fn previous_match[(<]/ { print FILENAME ":" FNR ": " $0 }' $(find crates -name '*.rs' | sort))
+if [ "$(printf '%s\n' "$where" | cut -d: -f1)" != crates/compress/src/lz1.rs ]; then
+  printf '%s\n' "$where"
+  echo "ci.sh: Lemma 4.1's rule (fn previous_match) must be defined once, in crates/compress/src/lz1.rs" >&2
+  exit 1
+fi
 # Its suffix arrays have one builder each: the exact route sorts by SA-IS
 # (sequential, linear), never by DC3, whose polylog depth only the seeded
 # PRAM route reads; and only SuffixArrays::build_exact reaches SA-IS.
@@ -118,6 +134,17 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile }
         /sais::/ && FILENAME !~ /\/(arrays|sais)\.rs$/ { print FILENAME ":" FNR ": " $0; bad = 1 }
         END { exit !bad }' crates/suffix/src/*.rs; then
   echo "ci.sh: SA-IS called outside crates/suffix/src/{arrays,sais}.rs (use SuffixArrays::build_exact)" >&2
+  exit 1
+fi
+# Its interval bounds are two ANSV stack passes: blocked-parallel ANSV
+# belongs to the seeded builder alone, so nothing build_exact reaches in
+# arrays.rs names ansv_par.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// || /^use / { next }
+        /^ *(pub )?fn / { name = $0 }
+        /ansv_par/ && name !~ /fn build\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/suffix/src/arrays.rs; then
+  echo "ci.sh: ansv_par outside SuffixArrays::build (build_exact's bounds are ansv_seq stack passes)" >&2
   exit 1
 fi
 
@@ -190,7 +217,7 @@ fi
 
 # Blocks run the sequential halves; the PRAM routes are the reproduction.
 # A stream block's parallelism is across blocks, so it emits with the greedy
-# loop and decodes phrase by phrase: Theorems 4.2 and 4.3 are its oracles.
+# walk and decodes phrase by phrase: Theorems 4.2 and 4.3 are its oracles.
 if grep -rnE "lz1_compress\(|lz1_decompress\(|EulerTour" crates/stream/src; then
   echo "ci.sh: a PRAM LZ1 route in crates/stream/src (blocks run the sequential halves)" >&2
   exit 1

@@ -241,16 +241,19 @@ fn stream_decode_block_stays_below_4_ops_per_byte() {
 }
 
 #[test]
-fn stream_compress_block_stays_below_80_ops_per_byte() {
+fn stream_compress_block_stays_below_52_ops_per_byte() {
     // Absolute guard on the shipped route a stream block runs: exact suffix
-    // arrays, the Lemma 4.1 match table, the greedy emit and the decode-back
-    // check. With DC3 sorting the suffixes it read ≈ 331 ops/byte here; with
-    // SA-IS it reads ≈ 64. `lz1_compress` above keeps guarding Theorem 4.2.
+    // arrays, the greedy walk reading Lemma 4.1 at phrase starts only, and
+    // the decode-back check. With DC3 sorting the suffixes it read ≈ 331
+    // ops/byte here, with SA-IS ≈ 64, and ≈ 41 since the walk stopped
+    // building the whole match table and the stack passes replaced
+    // `ansv_par`; 52 is that plus a quarter. `lz1_compress` above keeps
+    // guarding Theorem 4.2.
     let n = 1usize << 15;
     let text = markov_text(7, n, Alphabet::dna());
     let (_, c) = Pram::seq().metered(|p| delta_compress(p, &[], &text));
     assert!(
-        c.work <= 80 * n as u64,
+        c.work <= 52 * n as u64,
         "delta_compress: {} ops for {n} bytes ({} per byte)",
         c.work,
         c.work / n as u64
