@@ -100,6 +100,7 @@ impl NearestMarkedAncestor {
     }
 
     /// Whether `v` itself is marked.
+    #[cfg(test)]
     #[must_use]
     pub fn is_marked(&self, v: usize) -> bool {
         self.inclusive[v] as usize == v

@@ -727,7 +727,8 @@ impl Router {
     /// boundary-straddling occurrence is found by exactly one owner; the
     /// gather step rebases positions, keeps each hit iff its **last**
     /// byte falls in the owner's responsibility span, merges issue
-    /// reports, and sorts `(pos asc, len desc, id asc)` — byte-identical
+    /// reports, and feeds the range lists, in range order, to
+    /// [`append_in_order`], the blocks' merge, with no sort — byte-identical
     /// to a single node grepping the whole container.
     ///
     /// Falls back to single-shard routing when there is nothing to fan

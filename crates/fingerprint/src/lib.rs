@@ -19,8 +19,9 @@
 //!
 //! ```
 //! use pardict_fingerprint::{random_base, PrefixHashes};
+//! use pardict_pram::Pram;
 //!
-//! let ph = PrefixHashes::build_seq(b"abracadabra", random_base(7));
+//! let ph = PrefixHashes::build(&Pram::seq(), b"abracadabra", random_base(7));
 //! assert!(ph.eq_substrings(0, 7, 4));   // "abra" == "abra"
 //! assert!(!ph.eq_substrings(0, 1, 4));  // "abra" != "brac"
 //! ```

@@ -34,8 +34,7 @@ impl Fingerprint {
 /// Prefix hashes of a byte string for O(1) substring fingerprints.
 ///
 /// `pre[i]` is the hash of `s[..i]`; `pows[i] = rⁱ`. Construction is a PRAM
-/// scan (O(n) work, O(log n) depth) in [`PrefixHashes::build`], or a plain
-/// sequential pass in [`PrefixHashes::build_seq`] when no ledger is in play.
+/// scan (O(n) work, O(log n) depth) in [`PrefixHashes::build`].
 #[derive(Debug, Clone)]
 pub struct PrefixHashes {
     base: u64,
@@ -64,7 +63,9 @@ impl PrefixHashes {
         Self { base, pre, pows }
     }
 
-    /// Sequential construction (identical table).
+    /// Sequential construction (identical table): the reference that
+    /// [`PrefixHashes::build`] is tested against.
+    #[cfg(test)]
     #[must_use]
     pub fn build_seq(s: &[u8], base: u64) -> Self {
         assert!((2..P61 - 1).contains(&base), "base must be in [2, p-2]");

@@ -9,8 +9,7 @@
 //! The resulting arrays power two consumers in this workspace:
 //!
 //! * **entry/exit times** give `O(1)` ancestor tests and subtree intervals
-//!   (used by suffix-tree LCAs, the legal-length table of Step 2A, and
-//!   nearest marked and colored ancestors);
+//!   (used by suffix-tree LCAs and nearest marked and colored ancestors);
 //! * **per-node tree roots** resolve a forest's components in linear work —
 //!   the step that makes Theorem 4.3 uncompression work-optimal where naive
 //!   pointer jumping would pay an extra log factor.
@@ -26,9 +25,6 @@ use pardict_pram::{list_rank_random_mate_full, Pram};
 pub struct EulerTour {
     /// Node visited at each tour position (length `2n - #trees`).
     pub seq: Vec<usize>,
-    /// Depth of the node at each tour position (root = 0); adjacent
-    /// positions within a tree differ by exactly ±1.
-    pub depth: Vec<u32>,
     /// First (entry) position of each node.
     pub first: Vec<usize>,
     /// Last (exit) position of each node.
@@ -45,7 +41,6 @@ impl EulerTour {
         if n == 0 {
             return Self {
                 seq: Vec::new(),
-                depth: Vec::new(),
                 first: Vec::new(),
                 last: Vec::new(),
                 root_of: Vec::new(),
@@ -127,9 +122,7 @@ impl EulerTour {
             seq_base[r] + (len_edges[r] - ranks.rank[slot]) as usize
         };
 
-        // Assemble seq and the ±1 delta sequence.
         let mut seq = vec![usize::MAX; seq_len];
-        let mut delta = vec![0i64; seq_len];
         pram.ledger().round(roots.len() as u64);
         for &r in &roots {
             seq[seq_base[r]] = r;
@@ -140,22 +133,9 @@ impl EulerTour {
             if forest.is_root(v) {
                 continue;
             }
-            let p = pos(slot);
-            if slot & 1 == 0 {
-                seq[p] = v;
-                delta[p] = 1;
-            } else {
-                seq[p] = forest.parent(v);
-                delta[p] = -1;
-            }
+            seq[pos(slot)] = if slot & 1 == 0 { v } else { forest.parent(v) };
         }
         debug_assert!(seq.iter().all(|&v| v != usize::MAX));
-
-        let depth64 = pram.scan_inclusive(&delta, 0i64, |a, b| a + b);
-        let depth: Vec<u32> = pram.map(&depth64, |_, &d| {
-            debug_assert!(d >= 0);
-            d as u32
-        });
 
         // Entry/exit positions.
         let first: Vec<usize> = pram.tabulate(n, |v| {
@@ -180,7 +160,6 @@ impl EulerTour {
 
         Self {
             seq,
-            depth,
             first,
             last,
             root_of,
@@ -191,12 +170,6 @@ impl EulerTour {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.first.len()
-    }
-
-    /// Depth of node `v` in its tree (roots have depth 0).
-    #[must_use]
-    pub fn node_depth(&self, v: usize) -> u32 {
-        self.depth[self.first[v]]
     }
 
     /// O(1) ancestor test (`u` an ancestor of `v`, inclusive). Nodes in
@@ -212,23 +185,20 @@ mod tests {
     use super::*;
     use pardict_pram::{Pram, SplitMix64};
 
-    /// Sequential DFS oracle producing (seq, depth) for a forest.
-    fn dfs_oracle(forest: &Forest) -> (Vec<usize>, Vec<u32>) {
+    /// Sequential DFS oracle producing the tour sequence of a forest.
+    fn dfs_oracle(forest: &Forest) -> Vec<usize> {
         let mut seq = Vec::new();
-        let mut depth = Vec::new();
         for r in forest.roots() {
-            dfs(forest, r, 0, &mut seq, &mut depth);
+            dfs(forest, r, &mut seq);
         }
-        (seq, depth)
+        seq
     }
 
-    fn dfs(f: &Forest, v: usize, d: u32, seq: &mut Vec<usize>, depth: &mut Vec<u32>) {
+    fn dfs(f: &Forest, v: usize, seq: &mut Vec<usize>) {
         seq.push(v);
-        depth.push(d);
         for &c in f.children(v) {
-            dfs(f, c, d + 1, seq, depth);
+            dfs(f, c, seq);
             seq.push(v);
-            depth.push(d);
         }
     }
 
@@ -250,9 +220,7 @@ mod tests {
         let pram = Pram::seq();
         let f = Forest::from_parents(&pram, &[0, 0, 0, 2, 2, 5]);
         let t = EulerTour::build(&pram, &f, 1);
-        let (seq, depth) = dfs_oracle(&f);
-        assert_eq!(t.seq, seq);
-        assert_eq!(t.depth, depth);
+        assert_eq!(t.seq, dfs_oracle(&f));
         assert_eq!(t.root_of, vec![0, 0, 0, 0, 0, 5]);
     }
 
@@ -263,9 +231,7 @@ mod tests {
             let parent = random_forest(n, roots, seed);
             let f = Forest::from_parents(&pram, &parent);
             let t = EulerTour::build(&pram, &f, seed);
-            let (seq, depth) = dfs_oracle(&f);
-            assert_eq!(t.seq, seq, "n={n}");
-            assert_eq!(t.depth, depth, "n={n}");
+            assert_eq!(t.seq, dfs_oracle(&f), "n={n}");
         }
     }
 
@@ -282,7 +248,6 @@ mod tests {
                 let p = f.parent(v);
                 assert!(t.is_ancestor(p, v));
                 assert!(!t.is_ancestor(v, p));
-                assert_eq!(t.node_depth(v), t.node_depth(p) + 1);
             }
         }
     }
@@ -303,7 +268,6 @@ mod tests {
         let f = Forest::from_parents(&pram, &[0, 1, 2]);
         let t = EulerTour::build(&pram, &f, 5);
         assert_eq!(t.seq, vec![0, 1, 2]);
-        assert_eq!(t.depth, vec![0, 0, 0]);
         assert_eq!(t.root_of, vec![0, 1, 2]);
     }
 
@@ -316,7 +280,7 @@ mod tests {
         let f = Forest::from_parents(&pram, &parent);
         let t = EulerTour::build(&pram, &f, 8);
         assert!(t.root_of.iter().all(|&r| r == 0));
-        assert_eq!(t.node_depth(n - 1), (n - 1) as u32);
+        assert_eq!(t.first[n - 1], n - 1);
     }
 
     #[test]

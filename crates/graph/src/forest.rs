@@ -18,9 +18,9 @@ impl Forest {
     ///
     /// # Panics
     /// Panics if `parent` contains an out-of-range entry. Cycles are not
-    /// detected here (they would make the Euler tour loop); callers
-    /// constructing forests from untrusted data should call
-    /// [`Forest::validate_acyclic`].
+    /// detected (they would make the Euler tour loop): every caller's
+    /// parent array is acyclic by construction, and LZ1 copy sources are
+    /// checked to point strictly earlier when their tokens are decoded.
     #[must_use]
     pub fn from_parents(pram: &Pram, parent: &[usize]) -> Self {
         let n = parent.len();
@@ -93,40 +93,6 @@ impl Forest {
     pub fn roots(&self) -> Vec<usize> {
         (0..self.len()).filter(|&v| self.is_root(v)).collect()
     }
-
-    /// Check that every node reaches a root (no cycles). `O(n)` time.
-    ///
-    /// # Errors
-    /// Returns the id of a node on a cycle if one exists.
-    pub fn validate_acyclic(&self) -> Result<(), usize> {
-        let n = self.len();
-        // 0 = unvisited, 1 = in progress, 2 = done.
-        let mut state = vec![0u8; n];
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            let mut path = Vec::new();
-            let mut v = start;
-            loop {
-                match state[v] {
-                    2 => break,
-                    1 => return Err(v),
-                    _ => {}
-                }
-                state[v] = 1;
-                path.push(v);
-                if self.is_root(v) {
-                    break;
-                }
-                v = self.parent[v];
-            }
-            for u in path {
-                state[u] = 2;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -153,22 +119,6 @@ mod tests {
         let f = Forest::from_parents(&pram, &[]);
         assert!(f.is_empty());
         assert!(f.roots().is_empty());
-        assert_eq!(f.validate_acyclic(), Ok(()));
-    }
-
-    #[test]
-    fn validate_detects_cycle() {
-        let pram = Pram::seq();
-        // 1 -> 2 -> 3 -> 1 cycle; Forest::from_parents doesn't check.
-        let f = Forest::from_parents(&pram, &[0, 2, 3, 1]);
-        assert!(f.validate_acyclic().is_err());
-    }
-
-    #[test]
-    fn validate_accepts_chain() {
-        let pram = Pram::seq();
-        let f = Forest::from_parents(&pram, &[0, 0, 1, 2, 3]);
-        assert_eq!(f.validate_acyclic(), Ok(()));
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! * **Rooted forests**: [`Forest`] — parent-array forests with child
 //!   adjacency built by stable integer sorting.
 //! * **Euler tours**: [`EulerTour`] — work-optimal tour construction via
-//!   random-mate list ranking; yields entry/exit times, ±1 depth sequences,
-//!   per-node tree roots (the §4.2 uncompression primitive), and subtree
-//!   intervals.
+//!   random-mate list ranking; yields entry/exit times, per-node tree roots
+//!   (the §4.2 uncompression primitive), and subtree intervals.
 //!
 //! Root-path folds over a suffix tree need no tree walk here: its leaves
 //! are in suffix-array order, so Step 2A reads its path maxima off two

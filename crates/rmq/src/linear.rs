@@ -129,6 +129,7 @@ impl LinearRmq {
     }
 
     /// Whether this is a min or max structure.
+    #[cfg(test)]
     #[must_use]
     pub fn is_min(&self) -> bool {
         self.min

@@ -349,6 +349,7 @@ impl Store {
     }
 
     /// Sequence number the next append will carry.
+    #[cfg(test)]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }

@@ -307,30 +307,6 @@ impl VebTree {
             self.predecessor(x)
         }
     }
-
-    /// Smallest stored key `>= x`. O(log log U).
-    #[must_use]
-    pub fn successor_or_equal(&self, x: u32) -> Option<u32> {
-        if self.contains(x) {
-            Some(x)
-        } else {
-            self.successor(x)
-        }
-    }
-
-    /// Remove and return the minimum.
-    pub fn extract_min(&mut self) -> Option<u32> {
-        let mn = self.min?;
-        self.remove_present(mn);
-        Some(mn)
-    }
-
-    /// Remove and return the maximum.
-    pub fn extract_max(&mut self) -> Option<u32> {
-        let mx = self.max?;
-        self.remove_present(mx);
-        Some(mx)
-    }
 }
 
 #[cfg(test)]
@@ -357,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_extract() {
+    fn remove_keeps_min_and_max() {
         let mut v = VebTree::new(10);
         for x in [4u32, 8, 15, 16, 23, 42] {
             v.insert(x);
@@ -365,8 +341,7 @@ mod tests {
         assert!(v.remove(15));
         assert!(!v.remove(15));
         assert_eq!(v.successor(8), Some(16));
-        assert_eq!(v.extract_min(), Some(4));
-        assert_eq!(v.extract_max(), Some(42));
+        assert!(v.remove(4) && v.remove(42));
         assert_eq!(v.min(), Some(8));
         assert_eq!(v.max(), Some(23));
         assert_eq!(v.len(), 3);
@@ -437,16 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn predecessor_or_equal_and_successor_or_equal() {
+    fn predecessor_or_equal() {
         let mut v = VebTree::new(8);
         v.insert(10);
         v.insert(20);
         assert_eq!(v.predecessor_or_equal(10), Some(10));
         assert_eq!(v.predecessor_or_equal(15), Some(10));
         assert_eq!(v.predecessor_or_equal(9), None);
-        assert_eq!(v.successor_or_equal(10), Some(10));
-        assert_eq!(v.successor_or_equal(15), Some(20));
-        assert_eq!(v.successor_or_equal(21), None);
     }
 
     /// Local copy of SplitMix64 to avoid a dev-dependency cycle.
@@ -485,8 +457,6 @@ mod proptests {
         Remove(u32),
         Succ(u32),
         Pred(u32),
-        ExtractMin,
-        ExtractMax,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -495,8 +465,6 @@ mod proptests {
             (0u32..512).prop_map(Op::Remove),
             (0u32..512).prop_map(Op::Succ),
             (0u32..512).prop_map(Op::Pred),
-            Just(Op::ExtractMin),
-            Just(Op::ExtractMax),
         ]
     }
 
@@ -519,20 +487,6 @@ mod proptests {
                         veb.predecessor(x),
                         model.range(..x).next_back().copied()
                     ),
-                    Op::ExtractMin => {
-                        let want = model.first().copied();
-                        if let Some(w) = want {
-                            model.remove(&w);
-                        }
-                        prop_assert_eq!(veb.extract_min(), want);
-                    }
-                    Op::ExtractMax => {
-                        let want = model.last().copied();
-                        if let Some(w) = want {
-                            model.remove(&w);
-                        }
-                        prop_assert_eq!(veb.extract_max(), want);
-                    }
                 }
                 prop_assert_eq!(veb.len(), model.len());
                 prop_assert_eq!(veb.min(), model.first().copied());
