@@ -69,13 +69,32 @@ fn prefix_table<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Vec<(u
 /// position starts no dictionary word).
 #[must_use]
 pub fn optimal_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    let n = text.len();
+    optimal_from_table(pram, &prefix_table(pram, matcher, text))
+}
+
+/// [`optimal_parse`] and [`greedy_parse`] of `text` from one `M` table, so
+/// Step 1 and Step 2A run once for both: `None` when the text cannot be
+/// parsed (the greedy walk is then not run), else the optimal parse and
+/// the greedy one, which can dead-end where the optimal parse does not.
+#[must_use]
+pub fn optimal_and_greedy_parse<M: PatternScan>(
+    pram: &Pram,
+    matcher: &M,
+    text: &[u8],
+) -> Option<(Parse, Option<Parse>)> {
+    let m = prefix_table(pram, matcher, text);
+    let optimal = optimal_from_table(pram, &m)?;
+    Some((optimal, greedy_from_table(pram, &m)))
+}
+
+/// §5's optimal parse of the text whose `M` table is `m`.
+fn optimal_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
+    let n = m.len();
     if n == 0 {
         return Some(Parse {
             phrases: Vec::new(),
         });
     }
-    let m = prefix_table(pram, matcher, text);
 
     // reach[x] = x + M[x]; inclusive prefix max (value, argmax).
     let reaches: Vec<(u64, u64)> = pram.tabulate(n, |x| ((x + m[x].0 as usize) as u64, x as u64));
@@ -165,8 +184,12 @@ pub fn optimal_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> O
 /// the comparison §5 is about.
 #[must_use]
 pub fn greedy_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    let n = text.len();
-    let m = prefix_table(pram, matcher, text);
+    greedy_from_table(pram, &prefix_table(pram, matcher, text))
+}
+
+/// The greedy parse of the text whose `M` table is `m`.
+fn greedy_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
+    let n = m.len();
     let mut phrases = Vec::new();
     let mut i = 0;
     pram.ledger().charge_depth(1);
@@ -367,6 +390,38 @@ mod tests {
         let opt2 = optimal_parse(&pram, &matcher2, text).unwrap();
         assert_eq!(opt2.num_phrases(), 2);
         check_parse(&opt2, &dict2, text);
+    }
+
+    /// One table gives both parses: each equal to its own function's, the
+    /// greedy one `None` where only it dead-ends, nothing for an
+    /// unparseable text, and one Step-1 pass cheaper than two.
+    #[test]
+    fn one_table_gives_both_parses() {
+        let pram = Pram::seq();
+        let dict = parseable_dict(2, Alphabet::dna(), 12);
+        let matcher = DictMatcher::build(&pram, dict, 2);
+        let text = markov_text(42, 300, Alphabet::dna());
+        let (both, c_both) = pram.metered(|p| optimal_and_greedy_parse(p, &matcher, &text));
+        let (opt, c_opt) = pram.metered(|p| optimal_parse(p, &matcher, &text));
+        let (greedy, c_greedy) = pram.metered(|p| greedy_parse(p, &matcher, &text));
+        assert_eq!(both, Some((opt.unwrap(), greedy)));
+        assert!(c_both.work < c_opt.work + c_greedy.work);
+
+        let dead_end = DictMatcher::build(
+            &pram,
+            Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec()]),
+            4,
+        );
+        let (opt, greedy) = optimal_and_greedy_parse(&pram, &dead_end, b"aabbb").unwrap();
+        assert_eq!(opt.num_phrases(), 2);
+        assert!(greedy.is_none());
+
+        let short = DictMatcher::build(
+            &pram,
+            Dictionary::new(vec![b"ab".to_vec(), b"a".to_vec()]),
+            4,
+        );
+        assert!(optimal_and_greedy_parse(&pram, &short, b"abb").is_none());
     }
 
     #[test]

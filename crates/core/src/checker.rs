@@ -17,10 +17,15 @@
 //! Lemma 3.4: if all checks pass, every claimed match really occurs.
 //!
 //! "Exactly" assumes D̂'s LCP array is correct: every comparison above is a
-//! query against it. That array comes from `pardict_suffix::lcp_parallel`,
-//! which compares fingerprints, so it is correct with high probability, not
-//! with certainty. A wrong entry could let a false claim through; the
-//! checker is exact relative to that one Monte Carlo step.
+//! query against it. A served dictionary's tree is built on exact arrays
+//! (`SuffixTree::build_exact`: SA-IS and Kasai's LCP), so for every served
+//! segment and whole-dictionary matcher the check is exact without
+//! qualification, and a served `Match` is exact. The reproduction,
+//! [`crate::DictMatcher::build`], keeps the seeded tree, whose LCP array
+//! comes from `pardict_suffix::lcp_parallel`: it compares fingerprints, so
+//! it is correct with high probability, not with certainty. There a wrong
+//! entry could let a false claim through, and the checker is exact only
+//! relative to that one Monte Carlo step.
 //!
 //! Only two kinds of position can fail any of these: a position that carries
 //! a claim, and a singleton *covered* by an earlier claim (it is dominated,

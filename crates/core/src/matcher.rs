@@ -21,10 +21,24 @@ pub struct DictMatcher {
 }
 
 impl DictMatcher {
-    /// Preprocess `dict` with fingerprint randomness from `seed`.
+    /// Preprocess `dict` with fingerprint randomness from `seed`, on the
+    /// seeded suffix tree ([`SuffixTree::build`]): Theorem 3.1's
+    /// reproduction, whose tree is right with high probability.
     #[must_use]
     pub fn build(pram: &Pram, dict: Dictionary, seed: u64) -> Self {
         Self::build_profiled(pram, dict, seed).0
+    }
+
+    /// Preprocess `dict` as [`DictMatcher::build`] does, on an exact suffix
+    /// tree ([`SuffixTree::build_exact`]) with the same hashes and coins:
+    /// the same matcher whenever `build`'s tree is right, and a tree the
+    /// §3.4 checker can trust when it is not. Served dictionaries build
+    /// here.
+    #[must_use]
+    pub fn build_exact(pram: &Pram, dict: Dictionary, seed: u64) -> Self {
+        let mut srng = stage_seeds(seed);
+        let st = SuffixTree::build_exact(pram, dict.dhat(), srng.next_u64());
+        Self::from_tree(pram, dict, st, srng.next_u64()).0
     }
 
     /// [`DictMatcher::build`] with per-stage ledger costs — the E1
@@ -36,16 +50,26 @@ impl DictMatcher {
         dict: Dictionary,
         seed: u64,
     ) -> (Self, Vec<(&'static str, pardict_pram::Cost)>) {
-        let mut srng = SplitMix64::new(SplitMix64::new(seed).next_u64());
-        let (st, c_tree) =
-            pram.metered(|p| pardict_suffix::SuffixTree::build(p, dict.dhat(), srng.next_u64()));
-        let (sub, mut stages) =
-            crate::dsm::SubstringMatcher::from_tree_profiled(pram, st, srng.next_u64());
-        let (tables, c_tables) = pram.metered(|p| Step2Tables::build(p, &dict, sub.tree()));
+        let mut srng = stage_seeds(seed);
+        let (st, c_tree) = pram.metered(|p| SuffixTree::build(p, dict.dhat(), srng.next_u64()));
+        let (matcher, mut stages) = Self::from_tree(pram, dict, st, srng.next_u64());
         let mut profile = vec![("suffix tree", c_tree)];
         profile.append(&mut stages);
-        profile.push(("step-2 tables", c_tables));
-        (Self { dict, sub, tables }, profile)
+        (matcher, profile)
+    }
+
+    /// Both routes' tail over the suffix tree `st` of `D̂`: Step 1's
+    /// substring matcher and Step 2's tables, with their stage costs.
+    fn from_tree(
+        pram: &Pram,
+        dict: Dictionary,
+        st: SuffixTree,
+        seed: u64,
+    ) -> (Self, Vec<(&'static str, pardict_pram::Cost)>) {
+        let (sub, mut stages) = SubstringMatcher::from_tree_profiled(pram, st, seed);
+        let (tables, c_tables) = pram.metered(|p| Step2Tables::build(p, &dict, sub.tree()));
+        stages.push(("step-2 tables", c_tables));
+        (Self { dict, sub, tables }, stages)
     }
 
     /// The dictionary.
@@ -120,6 +144,12 @@ impl DictMatcher {
     pub fn check(&self, pram: &Pram, text: &[u8], matches: &Matches) -> Result<(), CheckError> {
         check_matches(pram, &self.dict, self.tree(), text, matches)
     }
+}
+
+/// The per-stage seed stream of a matcher built with `seed`: the tree's
+/// seed, then the substring matcher's.
+fn stage_seeds(seed: u64) -> SplitMix64 {
+    SplitMix64::new(SplitMix64::new(seed).next_u64())
 }
 
 /// Attempts before declaring the (astronomically unlikely) systematic

@@ -29,7 +29,13 @@
 //!
 //! Dictionaries of at most [`SINGLE_SEGMENT_MAX`] patterns stay in one
 //! segment whose seed equals the classic whole-dictionary seed, so small
-//! dictionaries behave bit-identically to a bare [`DictMatcher`].
+//! dictionaries answer bit-identically to a bare [`DictMatcher`].
+//!
+//! Every segment, and the whole matcher, builds on exact suffix arrays
+//! ([`DictMatcher::build_exact`]: SA-IS and Kasai), so the §3.4 checker
+//! that vets a served answer reads a tree no fingerprint built.
+//! [`DictMatcher::build`] keeps the seeded PRAM route as Theorem 3.1's
+//! reproduction.
 //!
 //! What segmentation costs a query: every segment makes its own pass over
 //! the text, so work is Σ over segments. The passes are independent, so
@@ -42,10 +48,11 @@
 //! text in `O(n)` work whatever the dictionary size, and
 //! [`SegmentedMatcher::whole_matcher`] gets that back: one matcher over the
 //! whole list, answered through [`SegmentedMatcher::vet_whole`], passes over
-//! the text once. It costs a whole-dictionary preprocessing (≈ 590 ops per
-//! dictionary byte), so a server builds it once per version, and only when
-//! the text it serves repays that (`pardict_service`'s registry decides);
-//! edits keep working per segment and never build one.
+//! the text once. It costs a whole-dictionary preprocessing (≈ 350–400
+//! ops per dictionary byte, EXPERIMENTS E14), so a server builds it once
+//! per version, and only when the text it serves repays that
+//! (`pardict_service`'s registry decides); edits keep working per segment
+//! and never build one.
 
 use crate::ac::AhoCorasick;
 use crate::dict::{Dictionary, Hit, Match, Matches};
@@ -239,7 +246,8 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Preprocess one segment. The fingerprint seed derives from the
+    /// Preprocess one segment on an exact suffix tree
+    /// ([`DictMatcher::build_exact`]). The fingerprint seed derives from the
     /// segment's own content hash, so equal-content segments are
     /// bit-identical regardless of how they were reached.
     #[must_use]
@@ -247,7 +255,7 @@ impl Segment {
         let hash = list_hash(&patterns);
         let dict = Dictionary::new(patterns);
         let seed = hash | 1;
-        let (matcher, build_cost) = pram.metered(|p| DictMatcher::build(p, dict, seed));
+        let (matcher, build_cost) = pram.metered(|p| DictMatcher::build_exact(p, dict, seed));
         let ac = AhoCorasick::build(matcher.dictionary());
         Self {
             matcher,
@@ -343,8 +351,8 @@ impl SegmentedMatcher {
     /// [`Pram::superstep`] as wide as their patterns: `pram` is charged
     /// their Σ work and the deepest one's depth, and under a parallel
     /// `pram` they build side by side once there is enough of them to
-    /// fork. A single missing segment (a small delta) builds on the
-    /// calling thread.
+    /// fork, largest segment first. A single missing segment (a small
+    /// delta) builds on the calling thread.
     ///
     /// # Panics
     /// As [`SegmentedMatcher::build`].
@@ -388,6 +396,10 @@ impl SegmentedMatcher {
             segments_total: spans.len(),
             segments_reused: spans.len() - misses.len(),
         };
+        // Largest first: lanes are dealt items in order, so a large segment
+        // dealt last keeps one lane busy while the other idles. Each result
+        // lands in its slot, so neither an answer nor a charge moves.
+        misses.sort_by_cached_key(|(_, chunk)| Reverse(chunk.iter().map(Vec::len).sum::<usize>()));
         pram.superstep(
             misses,
             width,
@@ -581,9 +593,9 @@ impl SegmentedMatcher {
         (Matches::new(merged), fell_back)
     }
 
-    /// One [`DictMatcher`] over the whole pattern list, in global-id order
-    /// and seeded as a single segment is (`list_hash(&patterns) | 1`), so a
-    /// one-segment dictionary's whole matcher is its segment's matcher.
+    /// One [`DictMatcher`] over the whole pattern list, in global-id order,
+    /// built as a segment is (exact tree, seed `list_hash(&patterns) | 1`),
+    /// so a one-segment dictionary's whole matcher is its segment's matcher.
     /// Segments stay the unit of change; this is the unit of query, one
     /// pass over a text whatever the segment count. Answer with it through
     /// [`SegmentedMatcher::vet_whole`].
@@ -591,7 +603,7 @@ impl SegmentedMatcher {
     pub fn whole_matcher(&self, pram: &Pram) -> DictMatcher {
         let patterns = self.patterns();
         let seed = list_hash(&patterns) | 1;
-        DictMatcher::build(pram, Dictionary::new(patterns), seed)
+        DictMatcher::build_exact(pram, Dictionary::new(patterns), seed)
     }
 
     /// Las Vegas matching over `whole`, this dictionary's

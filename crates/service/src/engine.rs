@@ -22,7 +22,7 @@ use crate::registry::{DictVersion, Registry};
 use crate::types::{
     check_text, Hit, Lane, OpRequest, Reply, Request, Response, ResponseMeta, ServiceError,
 };
-use pardict_compress::{delta_compress, encode_tokens, greedy_parse, optimal_parse};
+use pardict_compress::{delta_compress, encode_tokens, optimal_and_greedy_parse};
 use pardict_pram::Pram;
 use pardict_trace::{Span, Tracer};
 use std::collections::VecDeque;
@@ -482,9 +482,8 @@ impl Engine {
             }
             OpRequest::Parse { dict, text } => {
                 let dv = self.resolve(dict)?;
-                let parse =
-                    optimal_parse(pram, &dv.pre.seg, text).ok_or(ServiceError::Unparseable)?;
-                let greedy = greedy_parse(pram, &dv.pre.seg, text);
+                let (parse, greedy) = optimal_and_greedy_parse(pram, &dv.pre.seg, text)
+                    .ok_or(ServiceError::Unparseable)?;
                 Ok(Reply::Parse {
                     version: dv.version,
                     phrases: parse.num_phrases() as u32,

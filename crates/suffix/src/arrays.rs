@@ -47,8 +47,7 @@ impl SuffixArrays {
     #[must_use]
     pub fn build(pram: &Pram, text: &[u8], seed: u64) -> (Self, PrefixHashes) {
         let padded = pad(text);
-        let base = random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64());
-        let hashes = PrefixHashes::build(pram, &padded, base);
+        let hashes = PrefixHashes::build(pram, &padded, hash_base(seed));
         let sa = suffix_array(pram, &padded);
         let arrays = Self::with_lcp(
             pram,
@@ -131,6 +130,12 @@ impl SuffixArrays {
             i64::from(self.lcp.keys()[k])
         }
     }
+}
+
+/// The Karp–Rabin base a tree built with `seed` hashes its padded text with,
+/// on either route: the first draw of `seed ^ 0x5F1F`.
+pub(crate) fn hash_base(seed: u64) -> u64 {
+    random_base(SplitMix64::new(seed ^ 0x5F1F).next_u64())
 }
 
 /// `text · $`.

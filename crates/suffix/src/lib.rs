@@ -15,7 +15,9 @@
 //! The exact, seed-free route every shipped LZ1 parse reads,
 //! [`SuffixArrays::build_exact`], sorts by SA-IS (sequential induced
 //! sorting, linear work) and takes Kasai's LCP: its parallelism is across
-//! blocks, so it pays for no polylog depth.
+//! blocks, so it pays for no polylog depth. Served dictionaries build
+//! their trees on it too ([`SuffixTree::build_exact`]), their parallelism
+//! across segments.
 //!
 //! ```
 //! use pardict_pram::Pram;
@@ -114,6 +116,39 @@ mod proptests {
             prop_assert_eq!(&exact.rank, &seeded.rank);
             prop_assert_eq!(&exact.left, &seeded.left);
             prop_assert_eq!(&exact.right, &seeded.right);
+        }
+
+        /// The tree on exact arrays is the seeded tree node for node, with
+        /// the same prefix hashes and the same tour, at the lengths above.
+        #[test]
+        fn exact_tree_equals_the_seeded_tree(
+            shape in 0u64..8,
+            small in 0usize..301,
+            edge in 0usize..16,
+            seed in 0u64..1000,
+        ) {
+            let text = shaped_text(shape, shaped_len(small, edge), seed);
+            let pram = Pram::seq();
+            let exact = SuffixTree::build_exact(&pram, &text, seed);
+            let seeded = SuffixTree::build(&pram, &text, seed);
+            prop_assert_eq!(exact.num_nodes(), seeded.num_nodes());
+            prop_assert_eq!(exact.root(), seeded.root());
+            for v in 0..exact.num_nodes() {
+                prop_assert_eq!(exact.parent(v), seeded.parent(v));
+                prop_assert_eq!(exact.str_depth(v), seeded.str_depth(v));
+                prop_assert_eq!(exact.label_pos(v), seeded.label_pos(v));
+                prop_assert_eq!(exact.slink(v), seeded.slink(v));
+                prop_assert_eq!(exact.edges(v), seeded.edges(v));
+                prop_assert_eq!(exact.wlinks(v), seeded.wlinks(v));
+                prop_assert_eq!(exact.leaf_range(v), seeded.leaf_range(v));
+            }
+            prop_assert_eq!(&exact.tour().seq, &seeded.tour().seq);
+            let (he, hs) = (exact.hashes(), seeded.hashes());
+            prop_assert_eq!(he.base(), hs.base());
+            prop_assert_eq!(he.len(), hs.len());
+            for i in 0..=he.len() {
+                prop_assert_eq!(he.fingerprint(0, i), hs.fingerprint(0, i));
+            }
         }
 
         #[test]

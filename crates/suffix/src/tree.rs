@@ -6,8 +6,11 @@
 //! between its strict nearest smaller values, and its representative is the
 //! leftmost least boundary strictly inside them (one range minimum over
 //! `lcp`), so equal-value boundaries of one interval share it. Leaves attach
-//! to the deeper of their two neighbouring boundaries. Everything is PRAM
-//! rounds: expected `O(n)` work, polylog depth.
+//! to the deeper of their two neighbouring boundaries. That tail is PRAM
+//! rounds, expected `O(n)` work and polylog depth, over either route's
+//! arrays: [`SuffixTree::build`] reads the seeded PRAM arrays (Lemma 2.1's
+//! reproduction), [`SuffixTree::build_exact`] the exact sequential ones that
+//! served dictionaries build on.
 //!
 //! Lemma 2.6 is a range minimum over the LCP array: the LCP of the suffixes
 //! at SA positions `a < b` is the least of `lcp[a + 1..=b]`, and the node
@@ -22,7 +25,7 @@
 //! the `(code, node)` pairs of its children and of its Weiner links in
 //! increasing code, at most σ + 1 of them, in one CSR each.
 
-use crate::arrays::SuffixArrays;
+use crate::arrays::{hash_base, SuffixArrays};
 use pardict_fingerprint::PrefixHashes;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{Pram, SplitMix64};
@@ -163,15 +166,38 @@ fn least_boundary(lcp: &LinearRmq, a: usize, b: usize) -> usize {
 }
 
 impl SuffixTree {
-    /// Build the suffix tree of `text` (NUL-free). Expected `O(n)` work.
+    /// Build the suffix tree of `text` (NUL-free) on the seeded PRAM route,
+    /// [`SuffixArrays::build`]: Lemma 2.1's reproduction, whose LCP array
+    /// is exact with high probability. Expected `O(n)` work.
     ///
     /// # Panics
     /// Panics if `text` contains a 0 byte (reserved for the sentinel).
     #[must_use]
     pub fn build(pram: &Pram, text: &[u8], seed: u64) -> Self {
         let (arrays, hashes) = SuffixArrays::build(pram, text, seed);
+        Self::from_arrays(pram, arrays, hashes, seed)
+    }
+
+    /// Build the suffix tree of `text` (NUL-free) on exact arrays,
+    /// [`SuffixArrays::build_exact`] (SA-IS and Kasai, charged as depth), with
+    /// the prefix hashes and tour coins [`SuffixTree::build`] draws from
+    /// `seed`. The tree equals `build`'s node for node whenever the
+    /// fingerprint LCP is right, and is right when it is not.
+    ///
+    /// # Panics
+    /// Panics if `text` contains a 0 byte (reserved for the sentinel).
+    #[must_use]
+    pub fn build_exact(pram: &Pram, text: &[u8], seed: u64) -> Self {
+        let arrays = SuffixArrays::build_exact(pram, text);
+        let hashes = PrefixHashes::build(pram, &arrays.padded, hash_base(seed));
+        Self::from_arrays(pram, arrays, hashes, seed)
+    }
+
+    /// Both routes' tail: the tree read off `arrays`, keeping `hashes`; the
+    /// tour's coins are the second draw of `seed ^ 0x5F1F`.
+    fn from_arrays(pram: &Pram, arrays: SuffixArrays, hashes: PrefixHashes, seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed ^ 0x5F1F);
-        rng.next_u64(); // the arrays' hash base
+        rng.next_u64(); // the hash base
         let (padded, sa, rank, lcp) = (&arrays.padded, &arrays.sa, &arrays.rank, &arrays.lcp);
         let (left, right) = (&arrays.left, &arrays.right);
         let m = padded.len(); // number of suffixes / leaves

@@ -303,6 +303,37 @@ if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
   exit 1
 fi
 
+# Served dictionaries build on exact arrays, at two sites: a segment
+# (Segment::build) and the whole-dictionary matcher (whole_matcher) call
+# DictMatcher::build_exact, which is the one caller of
+# SuffixTree::build_exact. The seeded builds (DC3 and the fingerprint LCP)
+# stay Theorem 3.1's reproduction, and no serving layer calls them.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        FNR == 1 { impl = ""; name = "" }
+        /^ *\/\// { next }
+        /^impl / { impl = $0 }
+        /^ *(pub(\([a-z]+\))? )?fn / { name = $0 }
+        /DictMatcher::build_exact\(/ &&
+          !(FILENAME == "crates/core/src/segmented.rs" &&
+            ((impl ~ /^impl Segment / && name ~ /fn build\(/) ||
+             (impl ~ /^impl SegmentedMatcher / && name ~ /fn whole_matcher\(/))) {
+          print FILENAME ":" FNR ": " $0; bad = 1 }
+        /SuffixTree::build_exact\(/ &&
+          !(FILENAME == "crates/core/src/matcher.rs" && impl ~ /^impl DictMatcher / &&
+            name ~ /fn build_exact\(/) {
+          print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(find crates src -path '*/tests' -prune -o -name '*.rs' -print | sort); then
+  echo "ci.sh: an exact build outside its owner (Segment::build and whole_matcher call DictMatcher::build_exact, the one caller of SuffixTree::build_exact)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        /(DictMatcher|SuffixTree)::build\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(find crates/service/src crates/cluster/src crates/store/src -name '*.rs' | sort); then
+  echo "ci.sh: a serving layer builds on the seeded route (served dictionaries build through SegmentedMatcher on exact arrays)" >&2
+  exit 1
+fi
+
 # Segments are the unit of change, one matcher the unit of query; only the
 # registry picks which answers: a served Match reaches the per-segment pass
 # or the whole-dictionary matcher through Preprocessed::match_verified.

@@ -509,9 +509,8 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
     check_text(&text)?;
     let pram = Pram::par();
     let matcher = SegmentedMatcher::build(&pram, patterns.clone());
-    let parse = optimal_parse(&pram, &matcher, &text)
+    let (parse, greedy) = optimal_and_greedy_parse(&pram, &matcher, &text)
         .ok_or("text is not parseable with this dictionary (add single-symbol words?)")?;
-    let greedy = greedy_parse(&pram, &matcher, &text);
     let mut buf = Vec::new();
     writeln!(
         buf,

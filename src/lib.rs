@@ -100,7 +100,8 @@ pub mod prelude {
     pub use pardict_compress::{
         bfs_parse, delta_compress, delta_decompress, greedy_parse, lff_parse,
         longest_previous_factor, lz1_compress, lz1_decompress, lz1_nlogn_baseline, lz77_windowed,
-        lz78_compress, lz78_decompress, optimal_parse, Parse, Phrase, Token,
+        lz78_compress, lz78_decompress, optimal_and_greedy_parse, optimal_parse, Parse, Phrase,
+        Token,
     };
     pub use pardict_core::{
         dictionary_match, dictionary_match_offline, substring_match, AhoCorasick, DictDelta,

@@ -305,3 +305,22 @@ fn served_match_after_consolidation_stays_below_20_ops_per_char() {
         second.work / n as u64
     );
 }
+
+#[test]
+fn served_build_stays_below_436_ops_per_dictionary_byte() {
+    // Absolute guard on the served preprocessing, in `dict-build`'s shape
+    // (4 000 DNA patterns, 31 869 bytes, 24 segments here): every segment on
+    // the seeded tree (DC3 and the fingerprint LCP) read ≈ 573 ops/byte;
+    // on exact arrays (SA-IS and Kasai) it reads ≈ 349, and 436 is that
+    // plus a quarter. The 2 000 guard above keeps guarding Theorem 3.1's
+    // reproduction.
+    let patterns = random_dictionary(7, 4000, 4, 12, Alphabet::dna());
+    let bytes = patterns.iter().map(Vec::len).sum::<usize>() as u64;
+    let (_, c) = Pram::seq().metered(|p| SegmentedMatcher::build(p, patterns));
+    assert!(
+        c.work <= 436 * bytes,
+        "SegmentedMatcher::build: {} ops for {bytes} dictionary bytes ({} per byte)",
+        c.work,
+        c.work / bytes
+    );
+}
