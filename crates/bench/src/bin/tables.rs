@@ -778,12 +778,13 @@ fn e14_segments(quick: bool) {
     println!("byte. `build depth` is `SegmentedMatcher::build`'s: its segments build");
     println!("in one super-step, so the deepest segment's. `build ms` is its wall");
     println!("time under `Pram::seq` and `Pram::par`, the median of 5 runs after a");
-    println!("warm-up.\n");
+    println!("warm-up. `automata B/d` is the bytes its segments' automata hold per");
+    println!("dictionary byte.\n");
     println!(
-        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth | consolidated dense | sparse | depth | build/d | build depth | build ms seq | build ms par |"
+        "| segments | patterns | dense work/n | check | depth | sparse work/n | check | depth | consolidated dense | sparse | depth | build/d | build depth | build ms seq | build ms par | automata B/d |"
     );
     println!(
-        "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|-------------|--------------|--------------|"
+        "|----------|----------|--------------|-------|-------|---------------|-------|-------|--------------------|--------|-------|---------|-------------|--------------|--------------|--------------|"
     );
     let alpha = Alphabet::dna();
     let mut find_all_rows = Vec::new();
@@ -821,15 +822,17 @@ fn e14_segments(quick: bool) {
             consolidated.push(one.cost);
         }
         let d: usize = patterns.iter().map(Vec::len).sum();
+        let automata: usize = matcher.segments().map(|seg| seg.ac().size_bytes()).sum();
         println!(
-            " {:.1} | {:.1} | {} | {:.0} | {} | {:.1} | {:.1} |",
+            " {:.1} | {:.1} | {} | {:.0} | {} | {:.1} | {:.1} | {:.1} |",
             per(consolidated[0].work, n),
             per(consolidated[1].work, n),
             consolidated[0].depth,
             per(build.cost.work, d),
             seg_seq.cost.depth,
             seg_seq.wall_ms,
-            seg_par.wall_ms
+            seg_par.wall_ms,
+            per(automata as u64, d)
         );
         let mut row = format!("| {segments} |");
         for text in [&dense, &sparse] {

@@ -5,14 +5,30 @@
 //! performance baseline in the benches, the exact oracle that every
 //! parallel result is tested against, and the reference implementation of
 //! the problem statement itself (longest pattern at each position).
+//!
+//! Transitions run over byte classes, as Theorem 3.2 renames a large
+//! alphabet to the symbols the dictionary uses: each of the `k` distinct
+//! pattern bytes is its own class, numbered from 1 in byte order, and every
+//! other byte is class 0. No pattern holds a class-0 byte, so no
+//! occurrence spans one, and class 0 leads every state to the root. A
+//! state's row holds `k + 1` transitions (DNA 5, lowercase 27), not 256,
+//! so the build takes `O(d · (k + 1))` time and space for `d` dictionary
+//! bytes.
 
 use crate::dict::{Dictionary, Match, Matches};
 
-/// Aho–Corasick automaton (goto/fail/output).
+/// Aho–Corasick automaton (goto/fail/output) over byte classes: one flat
+/// row of `k + 1` transitions per state, class 0 leading to the root (see
+/// the module docs); built in `O(d · (k + 1))`.
 #[derive(Debug)]
 pub struct AhoCorasick {
-    /// goto[state][byte] — dense transition table after BFS completion.
-    goto_: Vec<[u32; 256]>,
+    /// Byte → class: `1..=k` for the pattern bytes, 0 for the rest.
+    /// Patterns are NUL-free, so `k ≤ 255` and a class fits a byte.
+    class: [u8; 256],
+    /// Row length `k + 1`.
+    stride: usize,
+    /// `goto_[state · stride + class]`, completed by the BFS.
+    goto_: Vec<u32>,
     /// Longest pattern ending at this state (id, len), if any — following
     /// output links is pre-collapsed into a single "deepest output" entry.
     out: Vec<Option<Match>>,
@@ -21,21 +37,37 @@ pub struct AhoCorasick {
     /// Duplicate chain: the next larger id of an identical pattern, or
     /// [`NONE`]. `out` holds each chain's head.
     dup_next: Vec<u32>,
+    /// Occurrences that end on entering each state: its output chain's
+    /// patterns, duplicates included. Sizes `find_all`'s output.
+    hits: Vec<u32>,
     /// Length of the longest pattern.
     max_len: usize,
+    /// Ledger ops of the build: `d` trie inserts plus `states · (k + 1)`
+    /// completed transitions.
+    build_ops: u64,
 }
 
 const ROOT: u32 = 0;
 const NONE: u32 = u32::MAX;
 
 impl AhoCorasick {
-    /// Build the automaton in `O(d · σ)` time (dense tables).
+    /// Build the automaton in `O(d · (k + 1))` time, `k` the number of
+    /// distinct pattern bytes.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // byte values double as table indices
     pub fn build(dict: &Dictionary) -> Self {
-        let mut goto_: Vec<[u32; 256]> = vec![[u32::MAX; 256]];
+        let mut class = [0u8; 256];
+        for &c in dict.dhat() {
+            class[c as usize] = 1;
+        }
+        let mut k = 0u8;
+        for c in class.iter_mut().filter(|c| **c != 0) {
+            k += 1;
+            *c = k;
+        }
+        let stride = usize::from(k) + 1;
+        let mut goto_ = vec![NONE; stride];
         let mut out: Vec<Option<Match>> = vec![None];
-        let mut depth: Vec<u32> = vec![0];
+        let mut own: Vec<u32> = vec![0];
         let mut dup_next = vec![NONE; dict.num_patterns()];
         // Last id of each state's duplicate chain, while the trie grows.
         let mut dup_tail: Vec<u32> = vec![NONE];
@@ -44,17 +76,17 @@ impl AhoCorasick {
         for (t, p) in dict.patterns().iter().enumerate() {
             let mut s = ROOT;
             for &c in p {
-                let nxt = goto_[s as usize][c as usize];
-                s = if nxt == u32::MAX {
-                    goto_.push([u32::MAX; 256]);
+                let at = s as usize * stride + usize::from(class[c as usize]);
+                s = if goto_[at] == NONE {
+                    let ns = out.len() as u32;
+                    goto_.resize(goto_.len() + stride, NONE);
                     out.push(None);
+                    own.push(0);
                     dup_tail.push(NONE);
-                    depth.push(depth[s as usize] + 1);
-                    let ns = (goto_.len() - 1) as u32;
-                    goto_[s as usize][c as usize] = ns;
+                    goto_[at] = ns;
                     ns
                 } else {
-                    nxt
+                    goto_[at]
                 };
             }
             let m = Match {
@@ -68,47 +100,76 @@ impl AhoCorasick {
                 last => dup_next[last as usize] = m.id,
             }
             dup_tail[s as usize] = m.id;
+            own[s as usize] += 1;
         }
 
-        // BFS phase: fail links, completed goto, output links.
-        let n = goto_.len();
+        // BFS phase: fail links, completed goto, output links, hit counts.
+        let n = out.len();
         let mut fail = vec![ROOT; n];
         let mut out_link = vec![ROOT; n];
+        let mut hits = own;
         let mut queue = std::collections::VecDeque::new();
-        for c in 0..256 {
-            let s = goto_[ROOT as usize][c];
-            if s == u32::MAX {
-                goto_[ROOT as usize][c] = ROOT;
+        for t in &mut goto_[..stride] {
+            if *t == NONE {
+                *t = ROOT;
             } else {
-                fail[s as usize] = ROOT;
-                queue.push_back(s);
+                queue.push_back(*t);
             }
         }
         while let Some(s) = queue.pop_front() {
-            let f = fail[s as usize];
-            out_link[s as usize] = if out[f as usize].is_some() {
-                f
+            let (s, f) = (s as usize, fail[s as usize] as usize);
+            out_link[s] = if out[f].is_some() {
+                f as u32
             } else {
-                out_link[f as usize]
+                out_link[f]
             };
-            for c in 0..256 {
-                let t = goto_[s as usize][c];
-                if t == u32::MAX {
-                    goto_[s as usize][c] = goto_[f as usize][c];
+            hits[s] += hits[out_link[s] as usize];
+            for c in 0..stride {
+                let t = goto_[s * stride + c];
+                let via_fail = goto_[f * stride + c];
+                if t == NONE {
+                    goto_[s * stride + c] = via_fail;
                 } else {
-                    fail[t as usize] = goto_[f as usize][c];
+                    fail[t as usize] = via_fail;
                     queue.push_back(t);
                 }
             }
         }
 
         Self {
+            class,
+            stride,
             goto_,
             out,
             out_link,
             dup_next,
+            hits,
             max_len: dict.max_pattern_len(),
+            build_ops: (dict.total_len() + n * stride) as u64,
         }
+    }
+
+    /// Ledger ops of the build: `d` trie inserts plus `states · (k + 1)`
+    /// completed transitions. The build is sequential, so this is its work
+    /// and its depth.
+    #[must_use]
+    pub(crate) fn build_ops(&self) -> u64 {
+        self.build_ops
+    }
+
+    /// Bytes the automaton's tables hold (lengths, not capacities), its
+    /// own struct included.
+    #[must_use]
+    pub fn size_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + 4 * (self.goto_.len() + self.out_link.len() + self.dup_next.len() + self.hits.len())
+            + std::mem::size_of::<Option<Match>>() * self.out.len()
+    }
+
+    /// The state after reading byte `c` in state `s`.
+    #[inline]
+    fn next(&self, s: u32, c: u8) -> u32 {
+        self.goto_[s as usize * self.stride + usize::from(self.class[c as usize])]
     }
 
     /// Longest pattern occurring at every text position (the problem's
@@ -120,7 +181,7 @@ impl AhoCorasick {
         let mut best: Vec<Option<Match>> = vec![None; n];
         let mut s = ROOT;
         for (e, &c) in text.iter().enumerate() {
-            s = self.goto_[s as usize][c as usize];
+            s = self.next(s, c);
             // Enumerate all patterns ending at e via the output chain.
             let mut v = s;
             while v != ROOT {
@@ -140,32 +201,61 @@ impl AhoCorasick {
     /// decreasing length, then id; identical patterns are each reported.
     /// Sequential, `O(n + occ)`, and no comparison sort: occurrences are
     /// found by end position, so each start collects them in a ring of
-    /// `max_pattern_len` buckets (in increasing length, one per end) and
-    /// is emitted, longest first, once no later end can reach it.
+    /// buckets (in increasing length, one per end) and is emitted, longest
+    /// first, once no later end can reach it. A first pass counts the
+    /// occurrences, so the output is allocated once.
     #[must_use]
     pub fn find_all(&self, text: &[u8]) -> Vec<(usize, Match)> {
         let n = text.len();
-        let ring = self.max_len.min(n).max(1);
-        let mut starts: Vec<Vec<Match>> = vec![Vec::new(); ring];
-        let mut out = Vec::new();
+        // At least `max_pattern_len` buckets, and a power of two, so a
+        // bucket index is a mask, not a division.
+        let mask = self.max_len.min(n).max(1).next_power_of_two() - 1;
+        let mut starts: Vec<Vec<Match>> = vec![Vec::new(); mask + 1];
+        let total = self.count(text);
+        let mut out = Vec::with_capacity(total);
         let mut s = ROOT;
         for (e, &c) in text.iter().enumerate() {
-            s = self.goto_[s as usize][c as usize];
+            s = self.next(s, c);
             let mut v = s;
             while v != ROOT {
                 if let Some(m) = self.out[v as usize] {
-                    starts[(e + 1 - m.len as usize) % ring].push(m);
+                    starts[(e + 1 - m.len as usize) & mask].push(m);
                 }
                 v = self.out_link[v as usize];
             }
             if let Some(done) = (e + 1).checked_sub(self.max_len) {
-                self.emit(done, &mut starts[done % ring], &mut out);
+                self.emit(done, &mut starts[done & mask], &mut out);
             }
         }
         for done in n.saturating_sub(self.max_len - 1)..n {
-            self.emit(done, &mut starts[done % ring], &mut out);
+            self.emit(done, &mut starts[done & mask], &mut out);
         }
+        debug_assert_eq!(out.len(), total);
         out
+    }
+
+    /// Number of occurrences [`AhoCorasick::find_all`] reports in `text`.
+    /// The two halves are scanned side by side, so their transition chains
+    /// overlap. A state spells at most `max_pattern_len` bytes, so starting
+    /// the second half's chain `max_pattern_len − 1` bytes early, at the
+    /// root, gives the exact state after each of its bytes.
+    fn count(&self, text: &[u8]) -> usize {
+        let (a, b) = text.split_at(text.len() / 2);
+        let mut sb = ROOT;
+        for &c in &a[a.len().saturating_sub(self.max_len - 1)..] {
+            sb = self.next(sb, c);
+        }
+        let mut sa = ROOT;
+        let mut total = 0;
+        for (&ca, &cb) in a.iter().zip(b) {
+            sa = self.next(sa, ca);
+            sb = self.next(sb, cb);
+            total += self.hits[sa as usize] as usize + self.hits[sb as usize] as usize;
+        }
+        if let Some(&c) = b.get(a.len()) {
+            total += self.hits[self.next(sb, c) as usize] as usize;
+        }
+        total
     }
 
     /// Emit the occurrences starting at `start`, gathered in `bucket` in
@@ -233,6 +323,7 @@ pub fn brute_force_occurrences(dict: &Dictionary, text: &[u8]) -> Vec<(usize, Ma
 mod tests {
     use super::*;
     use pardict_workloads::{random_dictionary, text_with_planted_matches, Alphabet};
+    use proptest::prelude::*;
 
     fn lens(m: &Matches) -> Vec<Option<u32>> {
         m.as_slice().iter().map(|o| o.map(|mm| mm.len)).collect()
@@ -338,6 +429,63 @@ mod tests {
                     "seed={seed} n={n}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn rows_hold_one_entry_per_pattern_byte_plus_class_zero() {
+        for (alpha, stride) in [(Alphabet::dna(), 5), (Alphabet::lowercase(), 27)] {
+            let d = Dictionary::new(random_dictionary(1, 4000, 4, 12, alpha));
+            let ac = AhoCorasick::build(&d);
+            assert_eq!(ac.stride, stride);
+            assert_eq!(ac.goto_.len(), ac.out.len() * stride);
+            assert_eq!(ac.build_ops, (d.total_len() + ac.goto_.len()) as u64);
+        }
+    }
+
+    #[test]
+    fn every_nul_free_byte_gets_its_own_class() {
+        let mut patterns: Vec<Vec<u8>> = (1..=255u8).map(|c| vec![c]).collect();
+        patterns.extend([vec![0xFF, 0x01, 0xFF], vec![0x80, 0x7F], vec![0xFF, 0x01]]);
+        let d = Dictionary::new(patterns);
+        let ac = AhoCorasick::build(&d);
+        assert_eq!(ac.stride, 256);
+        assert_eq!(ac.class[0], 0);
+        assert!((1..=255u8).all(|c| ac.class[c as usize] == c));
+        let text: Vec<u8> = (0..=255u8)
+            .chain([0xFF, 0x01, 0xFF, 0, 0x80, 0x7F])
+            .collect();
+        assert_eq!(ac.match_text(&text), brute_force_matches(&d, &text));
+        assert_eq!(ac.find_all(&text), brute_force_occurrences(&d, &text));
+    }
+
+    proptest! {
+        /// Patterns over a few bytes anywhere in 1..=255 (one of them at
+        /// least 0x80); texts mix those with NUL and one arbitrary byte,
+        /// which a pattern may or may not use.
+        #[test]
+        fn class_automaton_equals_brute_force_on_any_bytes(
+            mut palette in prop::collection::vec(1u8..=255, 1..6),
+            high in 0x80u8..=0xFF,
+            foreign in any::<u8>(),
+            shapes in prop::collection::vec(prop::collection::vec(0usize..8, 1..6), 1..10),
+            text_shape in prop::collection::vec(0usize..10, 0..300),
+        ) {
+            palette.push(high);
+            let pick = |i: usize| palette[i % palette.len()];
+            let patterns = shapes.iter().map(|p| p.iter().map(|&i| pick(i)).collect()).collect();
+            let text: Vec<u8> = text_shape
+                .iter()
+                .map(|&i| match i {
+                    8 => 0,
+                    9 => foreign,
+                    _ => pick(i),
+                })
+                .collect();
+            let d = Dictionary::new(patterns);
+            let ac = AhoCorasick::build(&d);
+            prop_assert_eq!(ac.match_text(&text), brute_force_matches(&d, &text));
+            prop_assert_eq!(ac.find_all(&text), brute_force_occurrences(&d, &text));
         }
     }
 }

@@ -247,16 +247,22 @@ pub struct Segment {
 
 impl Segment {
     /// Preprocess one segment on an exact suffix tree
-    /// ([`DictMatcher::build_exact`]). The fingerprint seed derives from the
-    /// segment's own content hash, so equal-content segments are
-    /// bit-identical regardless of how they were reached.
+    /// ([`DictMatcher::build_exact`]) and build its automaton. The
+    /// fingerprint seed derives from the segment's own content hash, so
+    /// equal-content segments are bit-identical regardless of how they
+    /// were reached. Both builds are charged to the segment's
+    /// `build_cost`, the automaton's as sequential ops.
     #[must_use]
     pub fn build(pram: &Pram, patterns: Vec<Vec<u8>>) -> Self {
         let hash = list_hash(&patterns);
         let dict = Dictionary::new(patterns);
         let seed = hash | 1;
-        let (matcher, build_cost) = pram.metered(|p| DictMatcher::build_exact(p, dict, seed));
-        let ac = AhoCorasick::build(matcher.dictionary());
+        let ((matcher, ac), build_cost) = pram.metered(|p| {
+            let matcher = DictMatcher::build_exact(p, dict, seed);
+            let ac = AhoCorasick::build(matcher.dictionary());
+            p.ledger().sequential(ac.build_ops());
+            (matcher, ac)
+        });
         Self {
             matcher,
             ac,
@@ -1097,7 +1103,13 @@ mod tests {
         let patterns = pats(&["ana", "ban", "nab", "a", "ban"]);
         let seg = SegmentedMatcher::build(&pram, patterns);
         let (whole, build) = pram.metered(|p| seg.whole_matcher(p));
-        assert_eq!(build, seg.build_cost());
+        // The segment holds the whole matcher plus its automaton.
+        let ops = seg.segments().next().expect("one segment").ac().build_ops();
+        let automaton = Cost {
+            work: ops,
+            depth: ops,
+        };
+        assert_eq!(build.plus(automaton), seg.build_cost());
         let text = b"banana nab a ban";
         let m = whole.match_text(&pram, text);
         assert_eq!(m, seg.match_text(&pram, text));

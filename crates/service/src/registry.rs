@@ -39,13 +39,14 @@ const CACHE_CAP: usize = 32;
 
 /// A request consolidates a multi-segment dictionary when its text length
 /// times the segments past the first reaches `REPAY` per dictionary byte.
-/// Whole-dictionary preprocessing costs ≈ 590 ledger ops per dictionary
-/// byte (EXPERIMENTS E1), and each segment past the first costs a query
-/// ≈ 14 ops per text byte (E14), so the build repays itself once
-/// `n · (segments − 1) · 14 ≥ 590 · d`: `n · (segments − 1) ≥ 42 · d`,
-/// rounded to 40. One request must repay the build on its own, so a
-/// stream of small requests never consolidates and a delta stays cheap.
-const REPAY: usize = 40;
+/// The whole-dictionary matcher builds on exact arrays at ≈ 350–400
+/// ledger ops per dictionary byte (EXPERIMENTS E14, `build/d` 349–398),
+/// and each segment past the first costs a query ≈ 14 ops per text byte
+/// (E14), so the build repays itself once `n · (segments − 1) · 14 ≥
+/// 398 · d`: `n · (segments − 1) ≥ 28.4 · d`, rounded to 28. One request
+/// must repay the build on its own, so a stream of small requests never
+/// consolidates and a delta stays cheap.
+const REPAY: usize = 28;
 
 /// A fully preprocessed pattern set: canonical segments, each holding the
 /// Theorem 3.1 matcher for the batched lane plus an Aho–Corasick

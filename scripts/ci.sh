@@ -302,6 +302,12 @@ if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
   echo "ci.sh: SegmentedMatcher::find_all calls a segment's Monte Carlo find_all (scan seg.ac())" >&2
   exit 1
 fi
+# Automaton rows have one layout: core::ac's byte classes, one flat row of
+# k + 1 transitions per state. A dense 256-entry row is 1 KiB a state.
+if grep -nE '\[u32; *256\]' crates/core/src/ac.rs; then
+  echo "ci.sh: a dense [u32; 256] goto row in crates/core/src/ac.rs (index rows by byte class)" >&2
+  exit 1
+fi
 
 # Served dictionaries build on exact arrays, at two sites: a segment
 # (Segment::build) and the whole-dictionary matcher (whole_matcher) call
