@@ -13,13 +13,13 @@
 //! residue (expected segment size [`SEGMENT_TARGET`], hard cap
 //! [`SEGMENT_CAP`]), so segment boundaries are a pure function of the
 //! final pattern list, never of the edit history. Each segment carries its
-//! own [`DictMatcher`] and [`AhoCorasick`], seeded from the segment's own
-//! content hash. Consequently `build(final)` and
-//! `apply_delta(parent, delta)` converge to structurally *identical*
-//! matchers: an applied delta rebuilds only the segments whose pattern
-//! runs changed (reusing the rest by `Arc`), yet every query — results
-//! *and* ledger costs — is indistinguishable from a from-scratch build.
-//! That is the oracle `tests/delta.rs` enforces.
+//! own [`DictMatcher`], seeded from the segment's own content hash.
+//! Consequently `build(final)` and `apply_delta(parent, delta)` converge to
+//! structurally *identical* matchers: an applied delta rebuilds only the
+//! segments whose pattern runs changed (reusing the rest by `Arc`), plus
+//! the one automaton below, yet every query — results *and* ledger costs —
+//! is indistinguishable from a from-scratch build. That is the oracle
+//! `tests/delta.rs` enforces.
 //!
 //! Building is as independent across segments as matching is: the
 //! segments a build cannot reuse are preprocessed in one
@@ -37,25 +37,30 @@
 //! [`DictMatcher::build`] keeps the seeded PRAM route as Theorem 3.1's
 //! reproduction.
 //!
-//! What segmentation costs a query: every segment makes its own pass over
-//! the text, so work is Σ over segments. The passes are independent, so
-//! they are one [`Pram::superstep`] — depth is the deepest segment's, not
-//! the sum — and the verified path's §3.4 check per segment costs a pass
-//! over the text plus work proportional to that segment's claims: ≈ 14
-//! ops per text byte per segment (EXPERIMENTS E14).
+//! What segmentation costs a Monte Carlo query: every segment makes its
+//! own pass over the text, so work is Σ over segments. The passes are
+//! independent, so they are one [`Pram::superstep`] — depth is the deepest
+//! segment's, not the sum — and the verified path's §3.4 check per segment
+//! costs a pass over the text plus work proportional to that segment's
+//! claims: ≈ 14 ops per text byte per segment (EXPERIMENTS E14).
 //!
-//! Segments are the unit of change, not of query. Theorem 3.1 matches a
-//! text in `O(n)` work whatever the dictionary size, and
-//! [`SegmentedMatcher::whole_matcher`] gets that back: one matcher over the
-//! whole list, answered through [`SegmentedMatcher::vet_whole`], passes over
-//! the text once. It costs a whole-dictionary preprocessing (≈ 350–400
-//! ops per dictionary byte, EXPERIMENTS E14), so a server builds it once
-//! per version, and only when the text it serves repays that
+//! Segments are the unit of change, not of query. Every exact answer —
+//! [`SegmentedMatcher::find_all`], [`SegmentedMatcher::ac_match`] and the
+//! Las Vegas fallback — is one scan of one [`AhoCorasick`] over the whole
+//! list in global-id order, built after the segments on every build and
+//! delta (`O(d · (k + 1))` for `k` distinct pattern bytes, ≈ 3 ops per
+//! dictionary byte on DNA). Theorem 3.1 matches a text in `O(n)` work
+//! whatever the dictionary size, and [`SegmentedMatcher::whole_matcher`]
+//! gets that back for the Monte Carlo route: one matcher over the whole
+//! list, answered through [`SegmentedMatcher::vet_whole`], passes over the
+//! text once. It costs a whole-dictionary preprocessing (≈ 350–400 ops per
+//! dictionary byte, EXPERIMENTS E14), so a server builds it once per
+//! version, and only when the text it serves repays that
 //! (`pardict_service`'s registry decides); edits keep working per segment
 //! and never build one.
 
 use crate::ac::AhoCorasick;
-use crate::dict::{Dictionary, Hit, Match, Matches};
+use crate::dict::{Dictionary, Match, Matches};
 use crate::matcher::DictMatcher;
 use pardict_pram::{Cost, Fnv1a, Pram, SplitMix64};
 use std::cmp::Reverse;
@@ -235,37 +240,27 @@ pub fn segment_spans(patterns: &[Vec<u8>]) -> Vec<std::ops::Range<usize>> {
 }
 
 /// One immutable, shareable segment: a run of patterns with its own
-/// preprocessed matcher and exact automaton. Pattern ids inside are
-/// segment-local; [`SegmentedMatcher`] offsets them by the segment's base.
+/// preprocessed matcher. Pattern ids inside are segment-local;
+/// [`SegmentedMatcher`] offsets them by the segment's base.
 #[derive(Debug)]
 pub struct Segment {
     matcher: DictMatcher,
-    ac: AhoCorasick,
     list_hash: u64,
     build_cost: Cost,
 }
 
 impl Segment {
     /// Preprocess one segment on an exact suffix tree
-    /// ([`DictMatcher::build_exact`]) and build its automaton. The
-    /// fingerprint seed derives from the segment's own content hash, so
-    /// equal-content segments are bit-identical regardless of how they
-    /// were reached. Both builds are charged to the segment's
-    /// `build_cost`, the automaton's as sequential ops.
+    /// ([`DictMatcher::build_exact`]). The fingerprint seed derives from
+    /// the segment's own content hash, so equal-content segments are
+    /// bit-identical regardless of how they were reached.
     #[must_use]
     pub fn build(pram: &Pram, patterns: Vec<Vec<u8>>) -> Self {
         let hash = list_hash(&patterns);
         let dict = Dictionary::new(patterns);
-        let seed = hash | 1;
-        let ((matcher, ac), build_cost) = pram.metered(|p| {
-            let matcher = DictMatcher::build_exact(p, dict, seed);
-            let ac = AhoCorasick::build(matcher.dictionary());
-            p.ledger().sequential(ac.build_ops());
-            (matcher, ac)
-        });
+        let (matcher, build_cost) = pram.metered(|p| DictMatcher::build_exact(p, dict, hash | 1));
         Self {
             matcher,
-            ac,
             list_hash: hash,
             build_cost,
         }
@@ -275,12 +270,6 @@ impl Segment {
     #[must_use]
     pub fn matcher(&self) -> &DictMatcher {
         &self.matcher
-    }
-
-    /// The segment's exact automaton (segment-local pattern ids).
-    #[must_use]
-    pub fn ac(&self) -> &AhoCorasick {
-        &self.ac
     }
 
     /// Order-sensitive content hash of the segment's patterns.
@@ -311,17 +300,22 @@ pub struct SegmentBuildStats {
     pub segments_reused: usize,
 }
 
-/// A dictionary preprocessed as canonical segments (see module docs).
+/// A dictionary preprocessed as canonical segments (see module docs), plus
+/// one exact automaton over the whole list.
 ///
 /// A build preprocesses the segments it cannot reuse in one super-step (Σ
-/// work, the deepest segment's depth). A query runs every segment in one
-/// super-step too (independent passes over the same text: Σ work, the
-/// deepest segment's depth, one thread per hart under a parallel `Pram`)
-/// and merges the answers in base order as they arrive; a single-segment
-/// dictionary delegates directly, with zero overhead over [`DictMatcher`].
+/// work, the deepest segment's depth), then builds the automaton. A Monte
+/// Carlo query runs every segment in one super-step too (independent passes
+/// over the same text: Σ work, the deepest segment's depth, one thread per
+/// hart under a parallel `Pram`) and merges the answers in base order as
+/// they arrive; a single-segment dictionary delegates directly, with zero
+/// overhead over [`DictMatcher`]. Every exact answer is one scan of the
+/// automaton.
 #[derive(Debug, Clone)]
 pub struct SegmentedMatcher {
     slots: Vec<Slot>,
+    /// Aho–Corasick over every pattern, in global-id order.
+    ac: Arc<AhoCorasick>,
     identity: u64,
     num_patterns: usize,
     max_pattern_len: usize,
@@ -358,7 +352,9 @@ impl SegmentedMatcher {
     /// their Σ work and the deepest one's depth, and under a parallel
     /// `pram` they build side by side once there is enough of them to
     /// fork, largest segment first. A single missing segment (a small
-    /// delta) builds on the calling thread.
+    /// delta) builds on the calling thread. The automaton over the whole
+    /// list follows, charged as sequential ops, so every build, a delta's
+    /// included, pays it in full.
     ///
     /// # Panics
     /// As [`SegmentedMatcher::build`].
@@ -368,21 +364,18 @@ impl SegmentedMatcher {
         patterns: Vec<Vec<u8>>,
         parent: Option<&SegmentedMatcher>,
     ) -> (Self, SegmentBuildStats) {
-        assert!(!patterns.is_empty(), "dictionary must not be empty");
         let identity = multiset_identity(&patterns);
-        let num_patterns = patterns.len();
-        let max_pattern_len = patterns.iter().map(Vec::len).max().unwrap_or(0);
-        let spans = segment_spans(&patterns);
+        let dict = Dictionary::new(patterns);
+        let spans = segment_spans(dict.patterns());
         // The parent's segments not yet passed by the walk.
         let mut unseen = parent.map_or(&[][..], |p| p.slots.as_slice());
         let mut segs: Vec<Option<Arc<Segment>>> = Vec::with_capacity(spans.len());
         // The runs no parent segment holds, with their slot.
         let mut misses = Vec::new();
         let mut width = 0usize;
-        let mut rest = patterns.into_iter();
         for (slot, span) in spans.iter().enumerate() {
-            let chunk: Vec<Vec<u8>> = rest.by_ref().take(span.len()).collect();
-            let hash = list_hash(&chunk);
+            let chunk = &dict.patterns()[span.clone()];
+            let hash = list_hash(chunk);
             let found = unseen
                 .iter()
                 .position(|s| s.seg.list_hash() == hash && s.seg.patterns() == chunk);
@@ -394,7 +387,7 @@ impl SegmentedMatcher {
                 None => {
                     segs.push(None);
                     width += chunk.iter().map(Vec::len).sum::<usize>();
-                    misses.push((slot, chunk));
+                    misses.push((slot, chunk.to_vec()));
                 }
             }
         }
@@ -420,15 +413,22 @@ impl SegmentedMatcher {
                 seg: seg.expect("every segment is reused or built"),
             })
             .collect();
+        let (ac, ac_cost) = pram.metered(|p| {
+            let ac = AhoCorasick::build(&dict);
+            p.ledger().sequential(ac.build_ops());
+            ac
+        });
         let build_cost = slots
             .iter()
-            .fold(Cost::default(), |acc, s| acc.beside(s.seg.build_cost()));
+            .fold(Cost::default(), |acc, s| acc.beside(s.seg.build_cost()))
+            .plus(ac_cost);
         (
             Self {
                 slots,
+                ac: Arc::new(ac),
                 identity,
-                num_patterns,
-                max_pattern_len,
+                num_patterns: dict.num_patterns(),
+                max_pattern_len: dict.max_pattern_len(),
                 build_cost,
             },
             stats,
@@ -479,8 +479,9 @@ impl SegmentedMatcher {
     }
 
     /// Ledger cost of preprocessing every segment (whether built now or
-    /// inherited) as one super-step: Σ work, the deepest segment's depth.
-    /// A delta and a scratch build of the same list report the same cost.
+    /// inherited) as one super-step — Σ work, the deepest segment's depth —
+    /// plus the automaton's sequential build. A delta and a scratch build
+    /// of the same list report the same cost.
     #[must_use]
     pub fn build_cost(&self) -> Cost {
         self.build_cost
@@ -494,36 +495,18 @@ impl SegmentedMatcher {
         }
     }
 
-    /// The one per-segment fan-out under every multi-segment query: the
-    /// segments are independent, so they run as one [`Pram::superstep`] —
-    /// `query` on each segment under a private ledger, Σ work and the
-    /// deepest segment's depth charged to `pram` once, on up to one thread
-    /// per hart when `pram` is parallel and the text (`width`) is wide
-    /// enough. `sink` gets each segment's base and answer in base order
-    /// while later segments are still running; whatever it does with them
-    /// (merging, rebasing) is not ledger-charged.
-    fn per_segment<R: Send>(
-        &self,
-        pram: &Pram,
-        width: usize,
-        query: impl Fn(&Pram, &Segment) -> R + Sync,
-        mut sink: impl FnMut(u32, R),
-    ) {
-        pram.superstep(
-            (0..self.slots.len()).collect(),
-            width,
-            |p, i| query(p, &self.slots[i].seg),
-            |i, r| sink(self.slots[i].base, r),
-        );
-    }
-
-    /// The one merge under every per-position query. A single segment
-    /// answers for itself on `pram`; otherwise every segment answers in one
-    /// [`SegmentedMatcher::per_segment`] super-step, local ids are rebased
-    /// by the segment's base, and each position keeps the longest answer —
-    /// ties to the smallest global id. A segment's dense answer is dropped
-    /// as soon as it is merged, so only those of the segments in flight
-    /// exist at once. Also returns the OR of the segments' flags.
+    /// The one fan-out and merge under every per-position query. A single
+    /// segment answers for itself on `pram`. Otherwise the segments are
+    /// independent, so they answer in one [`Pram::superstep`]: `per_seg` on
+    /// each segment under a private ledger, Σ work and the deepest
+    /// segment's depth charged to `pram` once, on up to one thread per hart
+    /// when `pram` is parallel and the text is wide enough. The answers
+    /// arrive in base order while later segments are still running; local
+    /// ids are rebased by the segment's base, and each position keeps the
+    /// longest answer — ties to the smallest global id. The merge is not
+    /// ledger-charged, and a segment's dense answer is dropped as soon as it
+    /// is merged, so only those of the segments in flight exist at once.
+    /// Also returns the OR of the segments' flags.
     fn fold_or<T: Ranked + Send>(
         &self,
         pram: &Pram,
@@ -535,21 +518,27 @@ impl SegmentedMatcher {
         }
         let mut acc: Vec<Option<T>> = vec![None; n];
         let mut any = false;
-        self.per_segment(pram, n, per_seg, |base, (cands, flag)| {
-            any |= flag;
-            for (best, cand) in acc.iter_mut().zip(cands) {
-                let Some(mut cand) = cand else { continue };
-                let (len, id) = cand.len_id();
-                *id += base;
-                let key = (len, Reverse(*id));
-                if best.as_mut().is_none_or(|b| {
-                    let (len, id) = b.len_id();
-                    key > (len, Reverse(*id))
-                }) {
-                    *best = Some(cand);
+        pram.superstep(
+            (0..self.slots.len()).collect(),
+            n,
+            |p, i| per_seg(p, &self.slots[i].seg),
+            |i, (cands, flag)| {
+                let base = self.slots[i].base;
+                any |= flag;
+                for (best, cand) in acc.iter_mut().zip(cands) {
+                    let Some(mut cand) = cand else { continue };
+                    let (len, id) = cand.len_id();
+                    *id += base;
+                    let key = (len, Reverse(*id));
+                    if best.as_mut().is_none_or(|b| {
+                        let (len, id) = b.len_id();
+                        key > (len, Reverse(*id))
+                    }) {
+                        *best = Some(cand);
+                    }
                 }
-            }
-        });
+            },
+        );
         (acc, any)
     }
 
@@ -575,10 +564,10 @@ impl SegmentedMatcher {
     }
 
     /// Las Vegas matching without rebuilding: per segment, one Monte Carlo
-    /// pass vetted by the exact §3.4 checker, falling back to the
-    /// segment's automaton on the (astronomically rare) fingerprint
-    /// collision. Returns the merged matches plus whether any segment
-    /// fell back.
+    /// pass vetted by the exact §3.4 checker. Should any segment's check
+    /// reject (an astronomically rare fingerprint collision), the whole
+    /// request is answered by [`SegmentedMatcher::ac_match`] instead.
+    /// Returns the matches plus whether the automaton answered.
     #[must_use]
     pub fn match_text_verified(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
         self.verified_with(pram, text, |p, seg| seg.matcher().match_text(p, text))
@@ -592,11 +581,16 @@ impl SegmentedMatcher {
         text: &[u8],
         monte_carlo: impl Fn(&Pram, &Segment) -> Matches + Sync,
     ) -> (Matches, bool) {
-        let (merged, fell_back) = self.fold_or(pram, text.len(), |p, seg| {
-            let (m, fell_back) = vetted(p, seg, text, monte_carlo(p, seg));
-            (m.inner, fell_back)
+        let (merged, rejected) = self.fold_or(pram, text.len(), |p, seg| {
+            let m = monte_carlo(p, seg);
+            let rejected = seg.matcher().check(p, text, &m).is_err();
+            (m.inner, rejected)
         });
-        (Matches::new(merged), fell_back)
+        if rejected {
+            (self.ac_match(text), true)
+        } else {
+            (Matches::new(merged), false)
+        }
     }
 
     /// One [`DictMatcher`] over the whole pattern list, in global-id order,
@@ -613,12 +607,12 @@ impl SegmentedMatcher {
     }
 
     /// Las Vegas matching over `whole`, this dictionary's
-    /// [`SegmentedMatcher::whole_matcher`], as `vetted` does it per segment:
-    /// `m`, a Monte Carlo answer of `whole` for `text`, if the exact §3.4
-    /// checker accepts it, else the per-segment automata's answer
-    /// ([`SegmentedMatcher::ac_match`]) and `true`. The whole matcher keeps
-    /// the merge's rule (longest pattern, ties to the smallest global id),
-    /// so either way the reply equals [`SegmentedMatcher::match_text_verified`]'s.
+    /// [`SegmentedMatcher::whole_matcher`]: `m`, a Monte Carlo answer of
+    /// `whole` for `text`, if the exact §3.4 checker accepts it, else the
+    /// automaton's answer ([`SegmentedMatcher::ac_match`]) and `true`. The
+    /// whole matcher keeps the merge's rule (longest pattern, ties to the
+    /// smallest global id), so either way the reply equals
+    /// [`SegmentedMatcher::match_text_verified`]'s.
     #[must_use]
     pub fn vet_whole(
         &self,
@@ -635,51 +629,24 @@ impl SegmentedMatcher {
         }
     }
 
-    /// Exact matching on the per-segment automata (the sequential lane).
+    /// Exact matching on the automaton (the sequential lane): longest
+    /// pattern, ties to the smallest global id, as the merge ranks them.
     #[must_use]
     pub fn ac_match(&self, text: &[u8]) -> Matches {
-        Matches::new(self.fold(&Pram::seq(), text.len(), |_, seg| {
-            seg.ac().match_text(text).inner
-        }))
+        self.ac.match_text(text)
     }
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
     /// position, then decreasing length, then id; identical patterns are
     /// each reported, under their own ids, as [`DictMatcher::find_all`]
-    /// reports them. Exact: every segment's automaton scans the text once
-    /// ([`AhoCorasick::find_all`]), sequentially, and is charged its
-    /// `n + occ` steps as work and depth, inside one
-    /// [`SegmentedMatcher::per_segment`] super-step.
+    /// reports them. Exact: the automaton scans the text once
+    /// ([`AhoCorasick::find_all`]), sequentially, charged its `n + occ`
+    /// steps as work and as depth.
     #[must_use]
     pub fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
-        let mut out: Vec<(usize, Match)> = Vec::new();
-        self.per_segment(
-            pram,
-            text.len(),
-            |p, seg| {
-                let hits = seg.ac().find_all(text);
-                let steps = (text.len() + hits.len()) as u64;
-                p.ledger().charge_work(steps);
-                p.ledger().charge_depth(steps);
-                hits
-            },
-            |base, mut hits| {
-                for (_, m) in &mut hits {
-                    m.id += base;
-                }
-                if out.is_empty() {
-                    out = hits;
-                } else {
-                    out.append(&mut hits);
-                }
-            },
-        );
-        // Each segment's run is already in order; the stable sort finds
-        // the runs and merges them.
-        if self.slots.len() > 1 {
-            out.sort_by_key(|&(pos, m)| Hit::at(pos as u64, m));
-        }
-        out
+        let hits = self.ac.find_all(text);
+        pram.ledger().sequential((text.len() + hits.len()) as u64);
+        hits
     }
 
     /// Per-position longest pattern-*prefix* `(len, global id)` (the `M`
@@ -701,17 +668,6 @@ impl SegmentedMatcher {
     /// Segments in base order, for cache insertion by the serving layer.
     pub fn segments(&self) -> impl Iterator<Item = &Arc<Segment>> {
         self.slots.iter().map(|s| &s.seg)
-    }
-}
-
-/// One segment's share of a verified query: its Monte Carlo answer `m` if
-/// the exact §3.4 checker accepts it, else the segment's automaton's. The
-/// flag says the automaton answered.
-fn vetted(pram: &Pram, seg: &Segment, text: &[u8], m: Matches) -> (Matches, bool) {
-    if seg.matcher().check(pram, text, &m).is_ok() {
-        (m, false)
-    } else {
-        (seg.ac().match_text(text), true)
     }
 }
 
@@ -1012,21 +968,36 @@ mod tests {
         Matches::new(v)
     }
 
+    /// The ledger charge of the automaton over `patterns`: its build ops,
+    /// as work and as depth.
+    fn automaton_cost(patterns: &[Vec<u8>]) -> Cost {
+        let ops = AhoCorasick::build(&Dictionary::new(patterns.to_vec())).build_ops();
+        Cost {
+            work: ops,
+            depth: ops,
+        }
+    }
+
     #[test]
     fn rejected_monte_carlo_output_is_replaced_by_the_automaton() {
         let pram = Pram::seq();
         let patterns = random_dictionary(5, 40, 2, 8, Alphabet::dna());
-        let seg = Segment::build(&pram, patterns.clone());
+        let matcher = SegmentedMatcher::build(&pram, patterns.clone());
+        assert_eq!(matcher.num_segments(), 1);
         let text = text_with_planted_matches(6, &patterns, 900, 30, Alphabet::dna());
-        let exact = seg.ac().match_text(&text);
-        let clean = seg.matcher().match_text(&pram, &text);
+        let exact = matcher.ac_match(&text);
+        let clean = matcher.match_text(&pram, &text);
+        assert_eq!(clean, exact);
         assert_eq!(
-            vetted(&pram, &seg, &text, clean.clone()),
+            matcher.verified_with(&pram, &text, |_, _| clean.clone()),
             (clean.clone(), false)
         );
-        let bad = corrupted(&seg.patterns()[0], &text, &clean);
+        let bad = corrupted(&patterns[0], &text, &clean);
         assert_ne!(bad, exact);
-        assert_eq!(vetted(&pram, &seg, &text, bad), (exact, true));
+        assert_eq!(
+            matcher.verified_with(&pram, &text, |_, _| bad.clone()),
+            (exact, true)
+        );
     }
 
     #[test]
@@ -1101,15 +1072,12 @@ mod tests {
     fn a_single_segment_is_its_own_whole_matcher() {
         let pram = Pram::seq();
         let patterns = pats(&["ana", "ban", "nab", "a", "ban"]);
-        let seg = SegmentedMatcher::build(&pram, patterns);
+        let seg = SegmentedMatcher::build(&pram, patterns.clone());
         let (whole, build) = pram.metered(|p| seg.whole_matcher(p));
-        // The segment holds the whole matcher plus its automaton.
-        let ops = seg.segments().next().expect("one segment").ac().build_ops();
-        let automaton = Cost {
-            work: ops,
-            depth: ops,
-        };
-        assert_eq!(build.plus(automaton), seg.build_cost());
+        // The segment holds the whole matcher; the automaton sits beside it.
+        let only = seg.segments().next().expect("one segment");
+        assert_eq!(build, only.build_cost());
+        assert_eq!(build.plus(automaton_cost(&patterns)), seg.build_cost());
         let text = b"banana nab a ban";
         let m = whole.match_text(&pram, text);
         assert_eq!(m, seg.match_text(&pram, text));
@@ -1164,24 +1132,25 @@ mod tests {
                 assert_eq!(a.list_hash(), b.list_hash());
                 assert_eq!(a.build_cost(), b.build_cost());
             }
-            // Σ work, and the depth of the deepest segment — not Σ depth.
+            // Σ work, and the depth of the deepest segment — not Σ depth —
+            // then the automaton over the whole list.
             let total = seq
                 .segments()
-                .fold(Cost::default(), |acc, seg| acc.beside(seg.build_cost()));
+                .fold(Cost::default(), |acc, seg| acc.beside(seg.build_cost()))
+                .plus(automaton_cost(&patterns));
             assert_eq!(seq.build_cost(), total, "{segments} segments");
             assert_eq!(par.build_cost(), total, "{segments} segments");
             assert_eq!(seq_charged, total, "{segments} segments");
             assert_eq!(par_charged, total, "{segments} segments");
-            // A one-pattern delta rebuilds one segment and is charged that
-            // segment's own build, yet reports a scratch build's cost.
+            // A one-pattern delta rebuilds one segment and the automaton,
+            // and is charged those two builds, yet reports a scratch
+            // build's cost.
             let delta = DictDelta {
                 adds: vec![b"gattacagattaca".to_vec()],
                 removes: vec![],
             };
-            let scratch = SegmentedMatcher::build(
-                &Pram::seq(),
-                apply_delta_patterns(&patterns, &delta).unwrap(),
-            );
+            let finals = apply_delta_patterns(&patterns, &delta).unwrap();
+            let scratch = SegmentedMatcher::build(&Pram::seq(), finals.clone());
             for pram in [Pram::seq(), Pram::par()] {
                 let ((child, stats), charged) =
                     pram.metered(|p| seq.apply_delta(p, &delta).unwrap());
@@ -1191,34 +1160,40 @@ mod tests {
                     .filter(|c| !seq.segments().any(|s| Arc::ptr_eq(s, c)))
                     .collect();
                 assert_eq!(rebuilt.len(), 1);
-                assert_eq!(charged, rebuilt[0].build_cost(), "{segments} segments");
+                assert_eq!(
+                    charged,
+                    rebuilt[0].build_cost().plus(automaton_cost(&finals)),
+                    "{segments} segments"
+                );
                 assert_eq!(child.build_cost(), scratch.build_cost());
             }
         }
     }
 
     #[test]
-    fn find_all_charges_each_automaton_scan_once_in_one_superstep() {
+    fn find_all_charges_one_automaton_scan() {
         for segments in [1usize, 3, 5] {
             let patterns = dictionary_with_segments(segments);
             let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
             assert_eq!(matcher.num_segments(), segments);
             let n = 1 << 13;
             let text = text_with_planted_matches(7, &patterns, n, 25, Alphabet::dna());
-            // One step per text byte and per reported occurrence, each
-            // segment on its own: Σ work, the longest scan's depth.
-            let scans: Vec<u64> = matcher
-                .segments()
-                .map(|seg| (n + seg.ac().find_all(&text).len()) as u64)
-                .collect();
-            let want = Cost {
-                work: scans.iter().sum(),
-                depth: *scans.iter().max().unwrap(),
-            };
+            // One step per text byte and per reported occurrence, whatever
+            // the segment count.
+            let want = AhoCorasick::build(&Dictionary::new(patterns)).find_all(&text);
+            let steps = (n + want.len()) as u64;
             for pram in [Pram::seq(), Pram::par()] {
                 let (hits, cost) = pram.metered(|p| matcher.find_all(p, &text));
-                assert_eq!(cost, want, "{segments} segments, {:?}", pram.mode());
-                assert_eq!(hits.len() as u64, want.work - (segments * n) as u64);
+                assert_eq!(hits, want, "{segments} segments, {:?}", pram.mode());
+                assert_eq!(
+                    cost,
+                    Cost {
+                        work: steps,
+                        depth: steps
+                    },
+                    "{segments} segments, {:?}",
+                    pram.mode()
+                );
             }
         }
     }
@@ -1231,28 +1206,19 @@ mod tests {
         let seg = SegmentedMatcher::build(&pram, patterns.clone());
         assert!(seg.num_segments() > 1);
         let text = text_with_planted_matches(12, &patterns, 600, 50, alpha);
+        // The premise: some pattern of the first segment recurs in a later one.
+        let first = segment_spans(&patterns)[0].clone();
+        assert!(patterns[first.clone()]
+            .iter()
+            .any(|p| patterns[first.end..].contains(p)));
         let oracle = AhoCorasick::build(&Dictionary::new(patterns.clone())).match_text(&text);
-        let (got, _) = seg.match_text_verified(&pram, &text);
-        let exact = seg.ac_match(&text);
-        for i in 0..text.len() {
-            assert_eq!(
-                got.get(i).map(|m| m.len),
-                oracle.get(i).map(|m| m.len),
-                "len mismatch at {i}"
-            );
-            assert_eq!(
-                exact.get(i).map(|m| m.len),
-                oracle.get(i).map(|m| m.len),
-                "ac len mismatch at {i}"
-            );
-            if let Some(m) = got.get(i) {
-                let p = &patterns[m.id as usize];
-                assert_eq!(
-                    &text[i..i + p.len()],
-                    p.as_slice(),
-                    "claimed pattern at {i}"
-                );
-            }
-        }
+        // Duplicates across segments answer under the smallest global id,
+        // as the whole-list automaton's duplicate chains do.
+        assert_eq!(
+            seg.match_text_verified(&pram, &text),
+            (oracle.clone(), false)
+        );
+        assert_eq!(seg.match_text(&pram, &text), oracle);
+        assert_eq!(seg.ac_match(&text), oracle);
     }
 }

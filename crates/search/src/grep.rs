@@ -102,7 +102,7 @@ fn match_buf<M: PatternScan>(
 ///
 /// Equivalent to decompressing and running the matcher's `find_all` over
 /// the whole text — exact with a [`pardict_core::SegmentedMatcher`], whose
-/// `find_all` scans its segments' automata, as the engine, the router and
+/// `find_all` scans its one automaton, as the engine, the router and
 /// the CLI pass; Monte Carlo with a bare [`pardict_core::DictMatcher`] —
 /// but with at most one wave of blocks resident; see the crate docs for
 /// the stitching and accounting scheme.

@@ -5,10 +5,10 @@
 //! The paper's two halves meet here: a preprocessed §3 dictionary (matcher
 //! reuse across requests) is run over the blockwise §4 LZ1 container
 //! produced by `pardict-stream`. Served dictionaries are
-//! `SegmentedMatcher`s, whose `find_all` scans each segment's exact
-//! Aho–Corasick automaton, so `Grep`, `GrepContainer`, `grepz` and
-//! `pardict grep` replies are exact; the parallelism is across blocks and
-//! requests, not inside one block. A bare `DictMatcher` still runs
+//! `SegmentedMatcher`s, whose `find_all` scans one exact Aho–Corasick
+//! automaton over the whole pattern list, so `Grep`, `GrepContainer`,
+//! `grepz` and `pardict grep` replies are exact; the parallelism is across
+//! blocks and requests, not inside one block. A bare `DictMatcher` still runs
 //! Theorem 3.1's Monte Carlo `find_all`. The setting is the one
 //! studied by Gawrychowski (*Pattern matching in Lempel-Ziv compressed
 //! strings*, arXiv:1104.4203) and inverted by

@@ -407,7 +407,7 @@ impl Engine {
 
     /// Run one operation under the batch's Pram, recording which lane
     /// served it and whether a verified match had to fall back to the
-    /// preprocessed automata.
+    /// preprocessed automaton.
     fn execute(
         &self,
         pram: &Pram,
@@ -438,7 +438,7 @@ impl Engine {
                 // whole-dictionary matcher, or one per segment, as the
                 // registry picks) is vetted by the exact §3.4 checker; on
                 // the (astronomically rare) fingerprint collision the
-                // preprocessed automata answer instead.
+                // preprocessed automaton answers instead.
                 let (matches, rejected) = dv.pre.match_verified(pram, text);
                 *fell_back = rejected;
                 Ok(Reply::Match {

@@ -58,7 +58,7 @@ const REPAY: usize = 28;
 #[derive(Debug)]
 pub struct Preprocessed {
     /// The segmented randomized parallel matcher (Theorem 3.1 per
-    /// segment) plus per-segment exact automata. Its `identity()` is what
+    /// segment) plus one exact automaton. Its `identity()` is what
     /// `dicts` digests ship, and its `build_cost()` what a publish reports.
     pub seg: SegmentedMatcher,
     /// One Theorem 3.1 matcher over the whole pattern list, built by the
@@ -78,7 +78,7 @@ impl Preprocessed {
     /// matcher's Monte Carlo pass vetted by
     /// [`SegmentedMatcher::vet_whole`] when this query consolidates (see
     /// `REPAY`), else [`SegmentedMatcher::match_text_verified`]. Both
-    /// give the same matches; the flag says the automata answered.
+    /// give the same matches; the flag says the automaton answered.
     ///
     /// The consolidating query builds the matcher on `pram`, so the build
     /// is charged to it, under a `consolidate` trace span carrying the

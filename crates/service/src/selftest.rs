@@ -416,7 +416,7 @@ fn verify_reply(
 }
 
 /// Every occurrence of v1's patterns in `text`, by direct comparison: the
-/// grep oracle, independent of the automata that answer grep requests.
+/// grep oracle, independent of the automaton that answers grep requests.
 fn v1_occurrences(v1: &DictVersion, text: &[u8]) -> Vec<Hit> {
     brute_force_occurrences(&Dictionary::new(v1.pre.patterns()), text)
         .into_iter()

@@ -7,7 +7,9 @@
 
 use crate::engine::Engine;
 use crate::types::{OpRequest, Request, ServiceError};
-use crate::wire::{self, error_from_wire, read_frame, write_frame, WireRequest, WireResponse};
+use crate::wire::{
+    self, error_from_wire, read_frame, write_frame, WireRequest, WireResponse, MAX_FRAME,
+};
 use pardict_trace::TraceCtx;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -104,19 +106,34 @@ fn accept_loop(listener: &TcpListener, conn_name: &str, handler: &Arc<Handler>, 
     }
 }
 
-/// Serve one connection until EOF or an I/O error.
+/// Serve one connection until EOF or an I/O error. A reply too large for
+/// one frame goes out as a `BadRequest` error naming its size, and the
+/// connection stays open: closing it would make the client reconnect and
+/// run the request again.
 fn serve_connection(stream: TcpStream, handler: &Handler) -> io::Result<()> {
+    let bad_request = ServiceError::BadRequest(String::new()).code();
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     while let Some(payload) = read_frame(&mut reader)? {
         let resp = match WireRequest::decode(&payload) {
             Err(e) => WireResponse::Error {
-                code: ServiceError::BadRequest(String::new()).code(),
+                code: bad_request,
                 message: format!("malformed request: {e}"),
             },
             Ok(req) => handler(req),
         };
-        write_frame(&mut writer, &resp.encode())?;
+        let mut reply = resp.encode();
+        if reply.len() > MAX_FRAME as usize {
+            reply = WireResponse::Error {
+                code: bad_request,
+                message: format!(
+                    "reply of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+                    reply.len()
+                ),
+            }
+            .encode();
+        }
+        write_frame(&mut writer, &reply)?;
     }
     Ok(())
 }
@@ -629,6 +646,49 @@ mod tests {
         let report = client.metrics().unwrap();
         assert!(report.contains("pardict-service metrics"));
 
+        server.stop();
+        engine.shutdown();
+    }
+
+    #[test]
+    fn an_oversize_reply_is_an_error_on_an_open_connection() {
+        let engine = test_engine();
+        let mut server = Server::start(engine.clone(), "127.0.0.1:0").unwrap();
+        let patterns = ["a", "aa", "aaa", "aaaa"].map(|p| p.as_bytes().to_vec());
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.publish("a", patterns.to_vec()).unwrap().unwrap();
+        // Raw frames on one socket: a `Client` would reconnect and hide a
+        // dropped connection.
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut call = |req: WireRequest| {
+            write_frame(&mut conn, &req.encode()).unwrap();
+            let reply = read_frame(&mut conn)
+                .unwrap()
+                .expect("the connection stays open");
+            WireResponse::decode(&reply).unwrap()
+        };
+        // 4n − 6 hits of 16 bytes each, after a 14-byte head: just over
+        // the frame cap.
+        let text = vec![b'a'; (1 << 20) + (1 << 12)];
+        let size = 14 + 16 * (4 * text.len() - 6);
+        let grep = WireRequest::Op {
+            tag: wire::tag::GREP,
+            dict: "a".into(),
+            text,
+            timeout_ms: 0,
+        };
+        assert_eq!(
+            call(grep),
+            WireResponse::Error {
+                code: ServiceError::BadRequest(String::new()).code(),
+                message: format!("reply of {size} bytes exceeds the {MAX_FRAME}-byte frame cap"),
+            }
+        );
+        assert_eq!(call(WireRequest::Ping), WireResponse::Pong);
+        let greps = engine.metrics().op(crate::types::OpKind::Grep);
+        assert_eq!(greps.count.get(), 1, "the grep ran once");
         server.stop();
         engine.shutdown();
     }

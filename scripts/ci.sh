@@ -244,7 +244,7 @@ fi
 
 # Fork-join has one owner per layer too: core forks nothing itself, and a
 # multi-segment query reaches its segments only through the one fan-out
-# helper (SegmentedMatcher::per_segment over Pram::superstep).
+# and merge (SegmentedMatcher::fold_or over Pram::superstep).
 if grep -rn "thread::scope" crates/core/src; then
   echo "ci.sh: a private fork-join in crates/core/src (use Pram::superstep)" >&2
   exit 1
@@ -273,10 +273,10 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit }
         /^ *(pub )?fn / { name = $0 }
         /for .* in &self\.slots|self\.slots\.iter\(\)/ { loops[name] = 1 }
-        /\.matcher\(\)|\.ac\(\)/ { calls[name] = 1 }
-        END { for (f in loops) if (f in calls && f !~ /fn per_segment/) { print f; bad = 1 }
+        /\.matcher\(\)/ { calls[name] = 1 }
+        END { for (f in loops) if (f in calls && f !~ /fn fold_or/) { print f; bad = 1 }
               exit !bad }' crates/core/src/segmented.rs; then
-  echo "ci.sh: a per-slot query loop in segmented.rs outside per_segment" >&2
+  echo "ci.sh: a per-slot query loop in segmented.rs outside fold_or" >&2
   exit 1
 fi
 # Builds are as independent across segments as queries: the segments a
@@ -291,15 +291,25 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   echo "ci.sh: Segment::build outside a Pram::superstep in segmented.rs (build the misses side by side)" >&2
   exit 1
 fi
-# The served occurrence list has one owner: SegmentedMatcher::find_all scans
-# the segments' exact automata and never reads Theorem 3.1's Monte Carlo
-# find_all, which DictMatcher keeps as the reproduction.
-if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
-        inside { line = $0; gsub(/[ \t]/, "", line); body = body line }
-        inside && /^    }$/ { inside = 0
-                              if (body ~ /matcher\(\)\.find_all\(/) { print FILENAME ":" start ": matcher().find_all("; bad = 1 } }
+# Every exact answer has one owner: the automaton over the whole list,
+# built once per version in SegmentedMatcher::build_with_reuse. find_all is
+# its one scan, already in canonical order, so it never sorts, and it never
+# reads Theorem 3.1's Monte Carlo find_all, which DictMatcher keeps as the
+# reproduction.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^ *\/\// { next }
+        /^ *(pub )?fn / { name = $0 }
+        /AhoCorasick::build\(/ && name !~ /fn build_with_reuse\(/ { print FILENAME ":" FNR ": " name; bad = 1 }
         END { exit !bad }' crates/core/src/segmented.rs; then
-  echo "ci.sh: SegmentedMatcher::find_all calls a segment's Monte Carlo find_all (scan seg.ac())" >&2
+  echo "ci.sh: an automaton built outside SegmentedMatcher::build_with_reuse in segmented.rs (one automaton per version)" >&2
+  exit 1
+fi
+if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
+        inside && !/^ *\/\// { line = $0; gsub(/[ \t]/, "", line); body = body line }
+        inside && /^    }$/ { inside = 0
+                              if (body ~ /matcher\(\)\.find_all\(|\.sort/) { print FILENAME ":" start ": " body; bad = 1 } }
+        END { exit !bad }' crates/core/src/segmented.rs; then
+  echo "ci.sh: SegmentedMatcher::find_all sorts or calls a segment's Monte Carlo find_all (scan the automaton once)" >&2
   exit 1
 fi
 # Automaton rows have one layout: core::ac's byte classes, one flat row of

@@ -237,7 +237,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let matcher = SegmentedMatcher::build(&pram, patterns.clone());
     let (matches, fell_back) = matcher.match_text_verified(&pram, &text);
     if fell_back {
-        eprintln!("pardict: the §3.4 checker rejected a Monte Carlo pass; that segment's automaton answered");
+        eprintln!("pardict: the §3.4 checker rejected a Monte Carlo pass; the automaton answered");
     }
     for (i, m) in matches.iter_hits() {
         writeln!(

@@ -312,9 +312,9 @@ fn served_build_stays_below_436_ops_per_dictionary_byte() {
     // (4 000 DNA patterns, 31 869 bytes, 24 segments here): every segment on
     // the seeded tree (DC3 and the fingerprint LCP) read ≈ 573 ops/byte;
     // on exact arrays (SA-IS and Kasai) it reads ≈ 349, and 436 is that
-    // plus a quarter. With each segment's byte-class automaton charged too
-    // (125 774 ops, ≈ 4 a byte) it reads ≈ 353. The 2 000 guard above keeps
-    // guarding Theorem 3.1's reproduction.
+    // plus a quarter. With the byte-class automaton over the whole list
+    // charged too (94 019 ops, ≈ 3 a byte) it reads ≈ 352. The 2 000 guard
+    // above keeps guarding Theorem 3.1's reproduction.
     let patterns = random_dictionary(7, 4000, 4, 12, Alphabet::dna());
     let bytes = patterns.iter().map(Vec::len).sum::<usize>() as u64;
     let (_, c) = Pram::seq().metered(|p| SegmentedMatcher::build(p, patterns));

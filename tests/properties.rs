@@ -398,11 +398,13 @@ fn segmented_dictionary(segments: usize) -> &'static Matchers {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The served occurrence list is exact and canonical: the segments'
-    /// automata, a brute-force scan and the whole-list Theorem 3.1
-    /// `find_all` give the same list in the same order (position, then
-    /// decreasing length, then id; every duplicate under its own id), on
-    /// dense, sparse and overlapping texts from empty up to 600 bytes.
+    /// The served occurrence list is exact and canonical: the automaton, a
+    /// brute-force scan and the whole-list Theorem 3.1 `find_all` give the
+    /// same list in the same order (position, then decreasing length, then
+    /// id; every duplicate under its own id), on dense, sparse and
+    /// overlapping texts from empty up to 600 bytes. The automaton's and the
+    /// verified segments' longest matches equal a brute-force scan's, ties
+    /// to the smallest global id.
     #[test]
     fn segmented_find_all_equals_brute_force_and_the_whole_list_matcher(
         segments in 1usize..=5,
@@ -428,5 +430,8 @@ proptest! {
         let dict = Dictionary::new(patterns.clone());
         prop_assert_eq!(&got, &pardict::core::brute_force_occurrences(&dict, &text));
         prop_assert_eq!(&got, &whole.find_all(&pram, &text));
+        let longest = pardict::core::brute_force_matches(&dict, &text);
+        prop_assert_eq!(&segmented.ac_match(&text), &longest);
+        prop_assert_eq!(segmented.match_text_verified(&pram, &text), (longest, false));
     }
 }

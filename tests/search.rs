@@ -175,7 +175,7 @@ fn pattern_spanning_multiple_boundaries_is_found() {
 }
 
 /// Grep with a served dictionary — a `SegmentedMatcher`, whose `find_all`
-/// scans its segments' exact automata — reports exactly that `find_all`
+/// scans its one exact automaton — reports exactly that `find_all`
 /// over the raw text, in its order: one and three segments, duplicate
 /// patterns, blocks shorter than the longest pattern, the whole container
 /// and ranges, under `Pram::seq` and `Pram::par`.

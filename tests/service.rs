@@ -209,7 +209,7 @@ fn selftest_smoke() {
     assert!(report.contains("batches"));
 }
 
-// ---- one matcher per query: consolidated ≡ segmented ≡ automata ----
+// ---- one matcher per query: consolidated ≡ segmented ≡ automaton ----
 
 use pardict::pram::SplitMix64 as Rng;
 use pardict::service::Hit;
@@ -273,7 +273,7 @@ proptest! {
 
     /// Along a delta chain, every version answers a short `Match` the same
     /// before and after a long one consolidates it, and both equal the
-    /// per-segment automata. The long request pays for the one build; the
+    /// automaton's. The long request pays for the one build; the
     /// short one after it costs exactly the whole matcher's verified query,
     /// which charges the same in `seq` as in `par`.
     #[test]
