@@ -22,7 +22,7 @@
 //! checksum — the oracle pins down the documented best-effort behavior
 //! instead of pretending the format detects what it cannot.
 
-use pardict_core::{crc32, DictMatcher};
+use pardict_core::{crc32, SegmentedMatcher};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_search::{grep_container, GrepConfig, GrepHit};
 use pardict_stream::layout::ContainerLayout;
@@ -380,7 +380,7 @@ pub struct FaultContext<'a> {
     /// Layout of `container`.
     pub layout: &'a ContainerLayout,
     /// When present, the compressed-domain grep differential also runs.
-    pub matcher: Option<&'a DictMatcher>,
+    pub matcher: Option<&'a SegmentedMatcher>,
     /// Grep hits on the clean container, in `Hit` order (ignored without
     /// `matcher`).
     pub clean_hits: &'a [GrepHit],

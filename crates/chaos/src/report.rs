@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pardict_core::bytes::{Endian, Writer};
-use pardict_core::{dictionary_match, DictMatcher, Dictionary};
+use pardict_core::{dictionary_match, Dictionary, SegmentedMatcher};
 use pardict_pram::{Pram, SplitMix64};
 use pardict_search::{grep_container, GrepConfig};
 use pardict_service::wire::{read_frame, tag, write_frame, WireRequest, WireResponse};
@@ -195,7 +195,7 @@ fn container_round(seed: u64, round: usize, lines: &mut Vec<String>) {
 
     let audited = audit_seq_par(&format!("round {round}"), |pram, auditor| {
         let mut out = Vec::new();
-        let matcher = DictMatcher::build(pram, Dictionary::new(patterns.clone()), 0xA5);
+        let matcher = SegmentedMatcher::build(pram, patterns.clone());
         auditor.step(pram, "matcher build");
         let clean_hits = {
             let mut rdr = match StreamReader::open(Cursor::new(&container[..])) {

@@ -102,30 +102,6 @@ impl DictMatcher {
         Matches::new(inner)
     }
 
-    /// Every pattern occurrence in the text, as `(position, match)` pairs
-    /// ordered by position, then decreasing length, then id — the
-    /// classical "report all occurrences" output, derived from the same
-    /// `S[i]` loci in output-sensitive time. Identical patterns are each
-    /// reported, under their own ids. Monte Carlo like
-    /// [`DictMatcher::match_text`]; the exact answer for a served
-    /// dictionary is [`crate::SegmentedMatcher::find_all`].
-    #[must_use]
-    pub fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, crate::dict::Match)> {
-        let loci = substring_match(pram, &self.sub, text);
-        let per_pos: Vec<Vec<crate::dict::Match>> = pram.tabulate_costed(loci.len(), |i| {
-            let v = self.tables.all_patterns_at(&self.dict, loci[i]);
-            let cost = v.len() as u64 + 1;
-            (v, cost)
-        });
-        let mut out = Vec::new();
-        for (i, ms) in per_pos.into_iter().enumerate() {
-            for m in ms {
-                out.push((i, m));
-            }
-        }
-        out
-    }
-
     /// Step 2A only: for every position, the longest *pattern-prefix*
     /// length and a certificate pattern id — the `M` array of §5's static
     /// dictionary compression (which assumes the prefix property, so any
@@ -295,48 +271,6 @@ mod tests {
                 "i={i}"
             );
         }
-    }
-
-    #[test]
-    fn find_all_reports_every_occurrence() {
-        let pram = Pram::seq();
-        let alpha = Alphabet::dna();
-        let dict = Dictionary::new(random_dictionary(61, 12, 1, 5, alpha));
-        let text = text_with_planted_matches(62, dict.patterns(), 300, 35, alpha);
-        let matcher = DictMatcher::build(&pram, dict.clone(), 63);
-        let mut got = matcher.find_all(&pram, &text);
-        got.sort_by_key(|&(i, m)| (i, m.id));
-        // Brute-force oracle: every (position, pattern) occurrence.
-        let mut want = Vec::new();
-        for i in 0..text.len() {
-            for (t, p) in dict.patterns().iter().enumerate() {
-                if i + p.len() <= text.len() && &text[i..i + p.len()] == p.as_slice() {
-                    want.push((
-                        i,
-                        crate::dict::Match {
-                            id: t as u32,
-                            len: p.len() as u32,
-                        },
-                    ));
-                }
-            }
-        }
-        want.sort_by_key(|&(i, m)| (i, m.id));
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn find_all_expands_duplicate_patterns() {
-        let pram = Pram::seq();
-        let dict = Dictionary::new(vec![b"ab".to_vec(), b"ab".to_vec(), b"b".to_vec()]);
-        let matcher = DictMatcher::build(&pram, dict, 1);
-        let hits = matcher.find_all(&pram, b"ab");
-        let at0: Vec<u32> = hits
-            .iter()
-            .filter(|&&(i, _)| i == 0)
-            .map(|&(_, m)| m.id)
-            .collect();
-        assert_eq!(at0, vec![0, 1], "both duplicate ids reported");
     }
 
     #[test]

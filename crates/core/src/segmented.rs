@@ -566,8 +566,9 @@ impl SegmentedMatcher {
     /// Las Vegas matching without rebuilding: per segment, one Monte Carlo
     /// pass vetted by the exact §3.4 checker. Should any segment's check
     /// reject (an astronomically rare fingerprint collision), the whole
-    /// request is answered by [`SegmentedMatcher::ac_match`] instead.
-    /// Returns the matches plus whether the automaton answered.
+    /// request is answered by [`SegmentedMatcher::ac_match`] instead, its
+    /// scan charged `n` steps. Returns the matches plus whether the
+    /// automaton answered.
     #[must_use]
     pub fn match_text_verified(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
         self.verified_with(pram, text, |p, seg| seg.matcher().match_text(p, text))
@@ -587,7 +588,7 @@ impl SegmentedMatcher {
             (m.inner, rejected)
         });
         if rejected {
-            (self.ac_match(text), true)
+            self.fallback(pram, text)
         } else {
             (Matches::new(merged), false)
         }
@@ -625,8 +626,15 @@ impl SegmentedMatcher {
         if whole.check(pram, text, &m).is_ok() {
             (m, false)
         } else {
-            (self.ac_match(text), true)
+            self.fallback(pram, text)
         }
+    }
+
+    /// The Las Vegas fallback: the automaton's answer, flagged, with its
+    /// scan charged as a sequential loop of `n` steps.
+    fn fallback(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
+        pram.ledger().sequential(text.len() as u64);
+        (self.ac_match(text), true)
     }
 
     /// Exact matching on the automaton (the sequential lane): longest
@@ -638,10 +646,9 @@ impl SegmentedMatcher {
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
     /// position, then decreasing length, then id; identical patterns are
-    /// each reported, under their own ids, as [`DictMatcher::find_all`]
-    /// reports them. Exact: the automaton scans the text once
-    /// ([`AhoCorasick::find_all`]), sequentially, charged its `n + occ`
-    /// steps as work and as depth.
+    /// each reported, under their own ids. The one occurrence route: the
+    /// automaton scans the text once ([`AhoCorasick::find_all`]),
+    /// sequentially, charged its `n + occ` steps as work and as depth.
     #[must_use]
     pub fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
         let hits = self.ac.find_all(text);
@@ -690,54 +697,24 @@ impl Ranked for (u32, u32) {
     }
 }
 
-/// Matching interface shared by [`DictMatcher`] (one preprocessed set) and
-/// [`SegmentedMatcher`] (canonical segments): what the compression parses
-/// and compressed-domain grep need from a dictionary.
+/// The §5 `M` array the static-dictionary parses read, from a
+/// [`DictMatcher`] (one preprocessed set) or a [`SegmentedMatcher`]
+/// (canonical segments). Monte Carlo, like [`DictMatcher::match_text`].
+/// Occurrence lists are [`SegmentedMatcher::find_all`]'s automaton scan.
 pub trait PatternScan {
-    /// Longest pattern at every text position.
-    fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches;
-    /// Every occurrence as `(position, match)`, ordered by position, then
-    /// decreasing length, then id.
-    fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)>;
     /// Per-position longest pattern-prefix `(len, certificate id)`.
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>>;
-    /// Length of the longest pattern.
-    fn max_pattern_len(&self) -> usize;
 }
 
 impl PatternScan for DictMatcher {
-    fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
-        Self::match_text(self, pram, text)
-    }
-
-    fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
-        Self::find_all(self, pram, text)
-    }
-
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
         Self::pattern_prefixes(self, pram, text)
-    }
-
-    fn max_pattern_len(&self) -> usize {
-        self.dictionary().max_pattern_len()
     }
 }
 
 impl PatternScan for SegmentedMatcher {
-    fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
-        Self::match_text(self, pram, text)
-    }
-
-    fn find_all(&self, pram: &Pram, text: &[u8]) -> Vec<(usize, Match)> {
-        Self::find_all(self, pram, text)
-    }
-
     fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
         Self::pattern_prefixes(self, pram, text)
-    }
-
-    fn max_pattern_len(&self) -> usize {
-        Self::max_pattern_len(self)
     }
 }
 
@@ -904,7 +881,6 @@ mod tests {
         );
         let text = b"banana nab a ban";
         assert_eq!(seg.match_text(&pram, text), bare.match_text(&pram, text));
-        assert_eq!(seg.find_all(&pram, text), bare.find_all(&pram, text));
         assert_eq!(
             seg.pattern_prefixes(&pram, text),
             bare.pattern_prefixes(&pram, text)
@@ -978,6 +954,13 @@ mod tests {
         }
     }
 
+    /// The ledger charge of the automaton's scan of `text`: one step a
+    /// byte, as work and as depth.
+    fn scan_cost(text: &[u8]) -> Cost {
+        let n = text.len() as u64;
+        Cost { work: n, depth: n }
+    }
+
     #[test]
     fn rejected_monte_carlo_output_is_replaced_by_the_automaton() {
         let pram = Pram::seq();
@@ -998,6 +981,12 @@ mod tests {
             matcher.verified_with(&pram, &text, |_, _| bad.clone()),
             (exact, true)
         );
+        // The rejected call costs the check of its claims, then the
+        // automaton's sequential scan of the text.
+        let only = matcher.segments().next().unwrap().matcher();
+        let (_, check) = pram.metered(|p| only.check(p, &text, &bad));
+        let (_, rejected) = pram.metered(|p| matcher.verified_with(p, &text, |_, _| bad.clone()));
+        assert_eq!(rejected, check.plus(scan_cost(&text)));
     }
 
     #[test]
@@ -1065,7 +1054,10 @@ mod tests {
             matcher.vet_whole(&pram, &whole, &text, clean),
             (exact.clone(), false)
         );
-        assert_eq!(matcher.vet_whole(&pram, &whole, &text, bad), (exact, true));
+        let (_, check) = pram.metered(|p| whole.check(p, &text, &bad));
+        let (reply, rejected) = pram.metered(|p| matcher.vet_whole(p, &whole, &text, bad));
+        assert_eq!(reply, (exact, true));
+        assert_eq!(rejected, check.plus(scan_cost(&text)));
     }
 
     #[test]

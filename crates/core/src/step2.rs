@@ -43,10 +43,6 @@ pub(crate) struct Step2Tables {
     /// `P_t[..l]`, as (len, id); (0, MAX) if none.
     f_len: Vec<u32>,
     f_pat: Vec<u32>,
-    /// For each pattern id: the next pattern with the identical string
-    /// (ascending ids; u32::MAX terminates). Lets occurrence enumeration
-    /// report every duplicate.
-    dup_next: Vec<u32>,
 }
 
 /// A Step 2A scan element `(best, cert, m)`: the map `x ↦ max(best, min(x, m))`
@@ -166,25 +162,11 @@ impl Step2Tables {
         let f_len: Vec<u32> = pram.map(&scanned, |_, &(_, l, _)| l);
         let f_pat: Vec<u32> = pram.map(&scanned, |_, &(_, _, p)| p);
 
-        // Duplicate chains: identical patterns share a (fp, len) key.
-        let mut groups: HashMap<(u64, u32), u32> = HashMap::new();
-        let mut dup_next = vec![u32::MAX; dict.num_patterns()];
-        pram.ledger().round(dict.num_patterns() as u64);
-        for t in (0..dict.num_patterns()).rev() {
-            let (off, len) = (dict.offset(t), dict.pattern_len(t));
-            let key = (st.hashes().substring(off, len), len as u32);
-            if let Some(&nxt) = groups.get(&key) {
-                dup_next[t] = nxt;
-            }
-            groups.insert(key, t as u32);
-        }
-
         Self {
             best_len: best.iter().map(|&(l, _)| l).collect(),
             best_cert: best.iter().map(|&(_, c)| c).collect(),
             f_len,
             f_pat,
-            dup_next,
         }
     }
 
@@ -203,32 +185,6 @@ impl Step2Tables {
         debug_assert_ne!(cert, u32::MAX);
         let t = dict.pattern_of(cert as usize) as u32;
         Some((b, t))
-    }
-
-    /// All complete patterns that occur at a position, longest first, by
-    /// walking the `F` chain from `B[i]` downwards and expanding duplicate
-    /// groups. O(1) per reported match (output-sensitive).
-    pub(crate) fn all_patterns_at(&self, dict: &Dictionary, locus: Locus) -> Vec<Match> {
-        let mut out = Vec::new();
-        let Some((b, t)) = self.pattern_prefix(dict, locus) else {
-            return out;
-        };
-        let off = dict.offset(t as usize);
-        let mut l = b;
-        while l >= 1 {
-            let j = off + l as usize - 1;
-            let len = self.f_len[j];
-            if len == 0 {
-                break;
-            }
-            let mut id = self.f_pat[j];
-            while id != u32::MAX {
-                out.push(Match { id, len });
-                id = self.dup_next[id as usize];
-            }
-            l = len - 1;
-        }
-        out
     }
 
     /// `M[i]`: the longest complete pattern from `B[i]` and its

@@ -1,6 +1,6 @@
 //! The grep engine: wave-parallel decode + match with overlap stitching.
 
-use pardict_core::{append_in_order, Hit, PatternScan};
+use pardict_core::{append_in_order, Hit, SegmentedMatcher};
 use pardict_pram::{Cost, Pram};
 use pardict_stream::{BlockIssue, DecodedBlock, StreamError, StreamReader};
 use std::io::{Read, Seek};
@@ -74,9 +74,9 @@ struct SearchBuf {
 /// starting in `start..end`. A hit starting before `end` ends before
 /// `end + max_len − 1`, so only the buffer from `start` to there is
 /// scanned.
-fn match_buf<M: PatternScan>(
+fn match_buf(
     pram: &Pram,
-    matcher: &M,
+    matcher: &SegmentedMatcher,
     b: &SearchBuf,
     start: u64,
     end: u64,
@@ -100,20 +100,18 @@ fn match_buf<M: PatternScan>(
 /// Report every dictionary occurrence in the container's decoded stream,
 /// without materializing that stream.
 ///
-/// Equivalent to decompressing and running the matcher's `find_all` over
-/// the whole text — exact with a [`pardict_core::SegmentedMatcher`], whose
-/// `find_all` scans its one automaton, as the engine, the router and
-/// the CLI pass; Monte Carlo with a bare [`pardict_core::DictMatcher`] —
-/// but with at most one wave of blocks resident; see the crate docs for
-/// the stitching and accounting scheme.
+/// Equivalent to decompressing and running
+/// [`SegmentedMatcher::find_all`] (one exact automaton scan) over the whole
+/// text, but with at most one wave of blocks resident; see the crate docs
+/// for the stitching and accounting scheme.
 ///
 /// # Errors
 /// Structural container failures always abort; block-local corruption
 /// aborts only under [`GrepConfig::strict`] and is otherwise reported in
 /// the summary with matches suppressed in the affected span.
-pub fn grep_container<R: Read + Seek, M: PatternScan + Sync>(
+pub fn grep_container<R: Read + Seek>(
     pram: &Pram,
-    matcher: &M,
+    matcher: &SegmentedMatcher,
     rdr: &mut StreamReader<R>,
     cfg: &GrepConfig,
 ) -> Result<GrepSummary, StreamError> {
@@ -128,9 +126,9 @@ pub fn grep_container<R: Read + Seek, M: PatternScan + Sync>(
 /// # Errors
 /// [`StreamError::RangeOutOfBounds`] for ranges past the end; otherwise
 /// as [`grep_container`].
-pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
+pub fn grep_range<R: Read + Seek>(
     pram: &Pram,
-    matcher: &M,
+    matcher: &SegmentedMatcher,
     rdr: &mut StreamReader<R>,
     start: u64,
     end: u64,
@@ -236,7 +234,7 @@ pub fn grep_range<R: Read + Seek, M: PatternScan + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pardict_core::{DictMatcher, Dictionary};
+    use pardict_core::{brute_force_occurrences, Dictionary};
     use pardict_stream::{compress_stream, StreamConfig};
 
     fn pack(data: &[u8], block_size: usize) -> Vec<u8> {
@@ -250,15 +248,16 @@ mod tests {
             .0
     }
 
-    fn matcher(patterns: &[&str]) -> DictMatcher {
-        let dict = Dictionary::new(patterns.iter().map(|p| p.as_bytes().to_vec()).collect());
-        DictMatcher::build(&Pram::seq(), dict, 0xFEED)
+    fn matcher(patterns: &[&str]) -> SegmentedMatcher {
+        let patterns = patterns.iter().map(|p| p.as_bytes().to_vec()).collect();
+        SegmentedMatcher::build(&Pram::seq(), patterns)
     }
 
-    fn oracle(matcher: &DictMatcher, text: &[u8]) -> Vec<Hit> {
-        let pram = Pram::seq();
-        let mut hits: Vec<Hit> = matcher
-            .find_all(&pram, text)
+    /// Every occurrence in the raw text by direct comparison, independent
+    /// of the matcher under test.
+    fn oracle(matcher: &SegmentedMatcher, text: &[u8]) -> Vec<Hit> {
+        let dict = Dictionary::new(matcher.patterns());
+        let mut hits: Vec<Hit> = brute_force_occurrences(&dict, text)
             .into_iter()
             .map(|(pos, m)| Hit::at(pos as u64, m))
             .collect();

@@ -4,12 +4,11 @@
 //!
 //! The paper's two halves meet here: a preprocessed §3 dictionary (matcher
 //! reuse across requests) is run over the blockwise §4 LZ1 container
-//! produced by `pardict-stream`. Served dictionaries are
-//! `SegmentedMatcher`s, whose `find_all` scans one exact Aho–Corasick
+//! produced by `pardict-stream`. Grep takes a served dictionary, a
+//! `SegmentedMatcher`, whose `find_all` scans one exact Aho–Corasick
 //! automaton over the whole pattern list, so `Grep`, `GrepContainer`,
 //! `grepz` and `pardict grep` replies are exact; the parallelism is across
-//! blocks and requests, not inside one block. A bare `DictMatcher` still runs
-//! Theorem 3.1's Monte Carlo `find_all`. The setting is the one
+//! blocks and requests, not inside one block. The setting is the one
 //! studied by Gawrychowski (*Pattern matching in Lempel-Ziv compressed
 //! strings*, arXiv:1104.4203) and inverted by
 //! Fischer–Gagie–Gawrychowski–Kociumaka (*Approximating LZ77 via
@@ -29,7 +28,7 @@
 //! correct even when patterns are longer than whole blocks (a hit may
 //! straddle many boundaries).
 //!
-//! Each block's hits come from its matcher's `find_all` in canonical order
+//! Each block's hits come from the matcher's `find_all` in canonical order
 //! (position, then decreasing length, then id); only those starting in the
 //! tail can precede hits an earlier block reported, so they are merged into
 //! place instead of the whole list being sorted. A range grep scans each

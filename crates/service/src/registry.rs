@@ -48,10 +48,11 @@ const CACHE_CAP: usize = 32;
 /// consolidates and a delta stays cheap.
 const REPAY: usize = 28;
 
-/// A fully preprocessed pattern set: canonical segments, each holding the
-/// Theorem 3.1 matcher for the batched lane plus an Aho–Corasick
-/// automaton for the sequential small-request lane (built once here so
-/// the fallback stays amortized too). Segmentation is what makes
+/// A fully preprocessed pattern set: canonical segments, each holding a
+/// Theorem 3.1 matcher for the batched lane, plus one Aho–Corasick
+/// automaton over the whole list for the sequential small-request lane,
+/// occurrence lists and the Las Vegas fallback (built once per version, so
+/// those stay amortized too). Segmentation is what makes
 /// [`Registry::publish_delta`] cheap: an applied delta rebuilds only the
 /// segments its patterns touch and `Arc`-shares the rest, while staying
 /// structurally identical to a from-scratch build of the same final set.

@@ -293,9 +293,9 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
 fi
 # Every exact answer has one owner: the automaton over the whole list,
 # built once per version in SegmentedMatcher::build_with_reuse. find_all is
-# its one scan, already in canonical order, so it never sorts, and it never
-# reads Theorem 3.1's Monte Carlo find_all, which DictMatcher keeps as the
-# reproduction.
+# its one scan, already in canonical order, so it never sorts, and it is
+# the only occurrence list: Theorem 3.1's matcher answers M[i] and the §5
+# M array, never every occurrence.
 if awk '/^#\[cfg\(test\)\]/ { exit }
         /^ *\/\// { next }
         /^ *(pub )?fn / { name = $0 }
@@ -307,9 +307,21 @@ fi
 if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
         inside && !/^ *\/\// { line = $0; gsub(/[ \t]/, "", line); body = body line }
         inside && /^    }$/ { inside = 0
-                              if (body ~ /matcher\(\)\.find_all\(|\.sort/) { print FILENAME ":" start ": " body; bad = 1 } }
+                              if (body ~ /\.sort/) { print FILENAME ":" start ": " body; bad = 1 } }
         END { exit !bad }' crates/core/src/segmented.rs; then
-  echo "ci.sh: SegmentedMatcher::find_all sorts or calls a segment's Monte Carlo find_all (scan the automaton once)" >&2
+  echo "ci.sh: SegmentedMatcher::find_all sorts (the automaton's scan is already in canonical order)" >&2
+  exit 1
+fi
+# So no second occurrence route comes back: no find_all on DictMatcher, no
+# duplicate-chain table in Step 2 to feed one, and grep takes the served
+# SegmentedMatcher, not a PatternScan.
+if awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^ *\/\// { next }
+        FILENAME ~ /matcher\.rs$/ && /fn find_all/ ||
+        FILENAME ~ /step2\.rs$/ && /all_patterns_at|dup_next/ ||
+        FILENAME ~ /search\/src\// && /PatternScan/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/core/src/matcher.rs crates/core/src/step2.rs crates/search/src/*.rs; then
+  echo "ci.sh: a second occurrence route (an occurrence list is SegmentedMatcher::find_all's automaton scan)" >&2
   exit 1
 fi
 # Automaton rows have one layout: core::ac's byte classes, one flat row of

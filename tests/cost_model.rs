@@ -313,8 +313,10 @@ fn served_build_stays_below_436_ops_per_dictionary_byte() {
     // the seeded tree (DC3 and the fingerprint LCP) read ≈ 573 ops/byte;
     // on exact arrays (SA-IS and Kasai) it reads ≈ 349, and 436 is that
     // plus a quarter. With the byte-class automaton over the whole list
-    // charged too (94 019 ops, ≈ 3 a byte) it reads ≈ 352. The 2 000 guard
-    // above keeps guarding Theorem 3.1's reproduction.
+    // charged too (94 019 ops, ≈ 3 a byte) it reads ≈ 352, and without
+    // Step 2's duplicate-chain table (one round of `num_patterns` a build)
+    // 351.6: 11 203 482 ops. The 2 000 guard above keeps guarding Theorem
+    // 3.1's reproduction.
     let patterns = random_dictionary(7, 4000, 4, 12, Alphabet::dna());
     let bytes = patterns.iter().map(Vec::len).sum::<usize>() as u64;
     let (_, c) = Pram::seq().metered(|p| SegmentedMatcher::build(p, patterns));

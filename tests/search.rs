@@ -20,11 +20,11 @@ fn pack(data: &[u8], block_size: usize) -> Vec<u8> {
         .0
 }
 
-/// All occurrences in the raw text, normalized for comparison.
-fn oracle(matcher: &DictMatcher, text: &[u8]) -> Vec<(u64, u32, u32)> {
-    let pram = Pram::seq();
-    let mut hits: Vec<(u64, u32, u32)> = matcher
-        .find_all(&pram, text)
+/// All occurrences in the raw text by direct comparison, normalized for
+/// comparison: independent of the matcher under test.
+fn oracle(matcher: &SegmentedMatcher, text: &[u8]) -> Vec<(u64, u32, u32)> {
+    let dict = Dictionary::new(matcher.patterns());
+    let mut hits: Vec<(u64, u32, u32)> = pardict::core::brute_force_occurrences(&dict, text)
         .into_iter()
         .map(|(p, m)| (p as u64, m.id, m.len))
         .collect();
@@ -32,7 +32,7 @@ fn oracle(matcher: &DictMatcher, text: &[u8]) -> Vec<(u64, u32, u32)> {
     hits
 }
 
-fn grep_hits(matcher: &DictMatcher, container: &[u8]) -> Vec<(u64, u32, u32)> {
+fn grep_hits(matcher: &SegmentedMatcher, container: &[u8]) -> Vec<(u64, u32, u32)> {
     let pram = Pram::seq();
     let mut rdr = StreamReader::open(std::io::Cursor::new(container)).unwrap();
     let summary = grep_container(&pram, matcher, &mut rdr, &GrepConfig::default()).unwrap();
@@ -59,11 +59,9 @@ proptest! {
             1..6,
         ),
         block_size in 1usize..48,
-        seed in 0u64..1000,
     ) {
-        let dict = Dictionary::new(pats);
         let pram = Pram::seq();
-        let matcher = DictMatcher::build(&pram, dict, seed);
+        let matcher = SegmentedMatcher::build(&pram, pats);
         let packed = pack(&text, block_size);
         prop_assert_eq!(grep_hits(&matcher, &packed), oracle(&matcher, &text));
     }
@@ -77,9 +75,9 @@ proptest! {
         a_frac in 0usize..10_000,
         b_frac in 0usize..10_000,
     ) {
-        let dict = Dictionary::new(vec![b"xy".to_vec(), b"yx".to_vec(), b"xyx".to_vec()]);
+        let patterns = vec![b"xy".to_vec(), b"yx".to_vec(), b"xyx".to_vec()];
         let pram = Pram::seq();
-        let matcher = DictMatcher::build(&pram, dict, 7);
+        let matcher = SegmentedMatcher::build(&pram, patterns);
         let packed = pack(&text, block_size);
 
         let n = text.len() as u64;
@@ -120,9 +118,7 @@ proptest! {
         wave in 1usize..5,
         corrupt in 0usize..10_000,
     ) {
-        let dict = Dictionary::new(pats);
-        let build = Pram::seq();
-        let matcher = DictMatcher::build(&build, dict, 0xA11);
+        let matcher = SegmentedMatcher::build(&Pram::seq(), pats);
         let mut packed = pack(&text, block_size);
         // Half the cases flip one payload byte of an arbitrary block: both
         // modes must report the same issues and skip the same spans.
@@ -161,9 +157,9 @@ fn pattern_spanning_multiple_boundaries_is_found() {
         text.extend_from_slice(needle);
         text.extend_from_slice(&[b'z'; 3][..(i % 4)]);
     }
-    let dict = Dictionary::new(vec![needle.to_vec(), b"cad".to_vec()]);
+    let patterns = vec![needle.to_vec(), b"cad".to_vec()];
     let pram = Pram::seq();
-    let matcher = DictMatcher::build(&pram, dict, 99);
+    let matcher = SegmentedMatcher::build(&pram, patterns);
     // 4-byte blocks: every occurrence of the 11-byte needle crosses at
     // least two block boundaries.
     let packed = pack(&text, 4);
@@ -232,9 +228,8 @@ fn segmented_grep_equals_the_whole_text_find_all() {
 fn range_grep_work_is_block_local() {
     let data = markov_text(0x005E_A2C4, 64 * 1024, Alphabet::dna());
     let packed = pack(&data, 4096); // 16 blocks
-    let dict = Dictionary::new(vec![b"ACGT".to_vec(), b"TTT".to_vec(), b"GATTACA".to_vec()]);
-    let build_pram = Pram::seq();
-    let matcher = DictMatcher::build(&build_pram, dict, 0xBEEF);
+    let patterns = vec![b"ACGT".to_vec(), b"TTT".to_vec(), b"GATTACA".to_vec()];
+    let matcher = SegmentedMatcher::build(&Pram::seq(), patterns);
     let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
 
     let pram_full = Pram::seq();
@@ -272,9 +267,9 @@ fn corrupt_block_is_skipped_named_and_strict_fails() {
     let data = markov_text(0x00C0_FFEE, 8 * 1024, Alphabet::lowercase());
     let block_size = 1024; // 8 blocks
     let mut packed = pack(&data, block_size);
-    let dict = Dictionary::new(vec![b"th".to_vec(), b"ing".to_vec(), b"qu".to_vec()]);
+    let patterns = vec![b"th".to_vec(), b"ing".to_vec(), b"qu".to_vec()];
     let pram = Pram::seq();
-    let matcher = DictMatcher::build(&pram, dict, 3);
+    let matcher = SegmentedMatcher::build(&pram, patterns);
     let clean = grep_hits(&matcher, &packed);
 
     // Flip the first payload byte of block 4.
@@ -320,10 +315,10 @@ fn corrupt_block_is_skipped_named_and_strict_fails() {
 fn grep_is_mode_independent() {
     let data = markov_text(0xD00D, 20_000, Alphabet::lowercase());
     let packed = pack(&data, 2048);
-    let dict = Dictionary::new(vec![b"the".to_vec(), b"and".to_vec(), b"tion".to_vec()]);
+    let patterns = vec![b"the".to_vec(), b"and".to_vec(), b"tion".to_vec()];
     let seq = Pram::seq();
     let par = Pram::par();
-    let matcher = DictMatcher::build(&seq, dict, 11);
+    let matcher = SegmentedMatcher::build(&seq, patterns);
 
     let mut rdr_a = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
     let (a, ca) =
@@ -343,8 +338,10 @@ fn grep_is_mode_independent() {
 /// phrase-by-phrase decode. So a block's depth is dominated by its SA-IS
 /// pass, then its stack passes, its Kasai pass and its phrase count, and the
 /// compress row also pays for decoding each parse back and comparing it with
-/// its block. `read_all`/`read_range` depth follows the hardware-derived wave
-/// width, so only their work is pinned.
+/// its block. Grep scans each block's buffer with the version's automaton,
+/// charged its `n + occ` steps as work and as depth, so its depth is the
+/// wave's longest scans. `read_all`/`read_range` depth follows the
+/// hardware-derived wave width, so only their work is pinned.
 #[test]
 fn wave_loops_charge_the_parent_ledger_goldens() {
     let text = markov_text(0x6000, 6000, Alphabet::dna());
@@ -366,22 +363,22 @@ fn wave_loops_charge_the_parent_ledger_goldens() {
     }
     assert_eq!(packed.len(), 3928);
 
-    let dict = Dictionary::new(vec![
+    let patterns = vec![
         b"ACGT".to_vec(),
         b"TTT".to_vec(),
         b"GATTACA".to_vec(),
         b"CA".to_vec(),
-    ]);
-    let matcher = DictMatcher::build(&Pram::seq(), dict, 0x601D);
+    ];
+    let matcher = SegmentedMatcher::build(&Pram::seq(), patterns);
     let mut rdr = StreamReader::open(std::io::Cursor::new(&packed)).unwrap();
-    for (wave, depth) in [(1, 2539), (3, 894)] {
+    for (wave, depth) in [(1, 7_645), (3, 2_659)] {
         let cfg = GrepConfig {
             wave,
             strict: false,
         };
         let summary = grep_container(&Pram::seq(), &matcher, &mut rdr, &cfg).unwrap();
         let want = Cost {
-            work: 70_277,
+            work: 21_540,
             depth,
         };
         assert_eq!(summary.cost, want, "wave {wave}");
@@ -429,8 +426,8 @@ fn fetch_issues_precede_decode_issues_within_a_wave() {
         })
     ));
 
-    let dict = Dictionary::new(vec![b"ACGT".to_vec(), b"TTT".to_vec()]);
-    let matcher = DictMatcher::build(&pram, dict, 5);
+    let patterns = vec![b"ACGT".to_vec(), b"TTT".to_vec()];
+    let matcher = SegmentedMatcher::build(&pram, patterns);
     let cfg = GrepConfig {
         wave: 4,
         strict: false,

@@ -123,7 +123,6 @@ proptest! {
 #[test]
 fn seq_and_par_traces_report_identical_total_work() {
     let patterns = random_dictionary(0x5EC_0411, 12, 3, 8, Alphabet::dna());
-    let dict = Dictionary::new(patterns);
     let text: Vec<u8> = (0..4096u32)
         .map(|i| b"ACGT"[(i % 7 % 4) as usize])
         .collect();
@@ -134,7 +133,7 @@ fn seq_and_par_traces_report_identical_total_work() {
     let total_work = |pram: &Pram| -> (u64, usize) {
         let t = tracer(3);
         let ctx = t.begin_trace().expect("sampled");
-        let matcher = DictMatcher::build(pram, dict.clone(), 0x77);
+        let matcher = SegmentedMatcher::build(pram, patterns.clone());
         with_scope(&t, ctx, || {
             let mut rdr = StreamReader::open(std::io::Cursor::new(&container)).expect("container");
             grep_container(pram, &matcher, &mut rdr, &GrepConfig::default()).expect("grep");
