@@ -369,12 +369,12 @@ fn e6_static(quick: bool) {
         &[1 << 11, 1 << 13],
     ) {
         let msg = markov_text(50 + n as u64, n, alpha);
-        let p1 = Pram::seq();
-        let (opt, s_opt) = sample(&p1, |p| optimal_parse(p, &matcher, &msg));
-        let p2 = Pram::seq();
-        let (bfs, s_bfs) = sample(&p2, |p| bfs_parse(p, &matcher, &msg));
-        let greedy = greedy_parse(&pram, &matcher, &msg).unwrap();
-        let lff = lff_parse(&pram, &matcher, &msg).unwrap();
+        let m_of = |p: &Pram| matcher.pattern_prefixes(p, &msg);
+        let (opt, s_opt) = sample(&Pram::seq(), |p| optimal_parse(p, &m_of(p)));
+        let (bfs, s_bfs) = sample(&Pram::seq(), |p| bfs_parse(p, &m_of(p)));
+        let m = m_of(&pram);
+        let greedy = greedy_parse(&pram, n, |x| m[x]).unwrap();
+        let lff = lff_parse(&pram, &m).unwrap();
         let (opt, bfs) = (opt.unwrap(), bfs.unwrap());
         assert_eq!(opt.num_phrases(), bfs.num_phrases());
         println!(
@@ -403,10 +403,9 @@ fn e6_static(quick: bool) {
         let pram = Pram::seq();
         let matcher = DictMatcher::build(&pram, dict, 79);
         let msg = corpus[n..2 * n].to_vec();
-        let p1 = Pram::seq();
-        let (o, s_opt) = sample(&p1, |p| optimal_parse(p, &matcher, &msg));
-        let p2 = Pram::seq();
-        let (b, s_bfs) = sample(&p2, |p| bfs_parse(p, &matcher, &msg));
+        let m_of = |p: &Pram| matcher.pattern_prefixes(p, &msg);
+        let (o, s_opt) = sample(&Pram::seq(), |p| optimal_parse(p, &m_of(p)));
+        let (b, s_bfs) = sample(&Pram::seq(), |p| bfs_parse(p, &m_of(p)));
         assert_eq!(o.unwrap().num_phrases(), b.unwrap().num_phrases());
         println!(
             "| {wl} | {:.1} | {:.1} |",

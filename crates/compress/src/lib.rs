@@ -48,9 +48,7 @@ pub use lz1::{
     lz1_decompress, lz1_decompress_jump, lz1_nlogn_baseline,
 };
 pub use lz78::{lz78_compress, lz78_decompress, Lz78Token};
-pub use static_parse::{
-    bfs_parse, greedy_parse, lff_parse, optimal_and_greedy_parse, optimal_parse, Parse, Phrase,
-};
+pub use static_parse::{bfs_parse, greedy_parse, lff_parse, optimal_parse, Parse, Phrase};
 pub use tokens::{
     decode_tokens, decode_tokens_from, encode_tokens, encoded_size, DecodeError, Token,
 };

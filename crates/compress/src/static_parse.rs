@@ -2,19 +2,30 @@
 //!
 //! The dictionary has the *prefix property* (every prefix of a pattern is a
 //! dictionary word), so a phrase at position `i` may have any length up to
-//! `M[i]` — the longest pattern prefix starting there, delivered by the
-//! dictionary matcher's Step 2A. The optimal (fewest-phrases) parse is a
-//! shortest `0 → n` path in the reference graph `G`; §5's insight is that
-//! *dominating* edges suffice (Lemma 5.1), and those form a tree computable
-//! from prefix maxima and ranks alone (Lemma 5.2) — `O(n)` work instead of
-//! the `O(n³ log² n)` shortest-path machinery of the previous best [AS92].
+//! `M[i]` — the longest pattern prefix starting there. The optimal
+//! (fewest-phrases) parse is a shortest `0 → n` path in the reference graph
+//! `G`; §5's insight is that *dominating* edges suffice (Lemma 5.1), and
+//! those form a tree computable from prefix maxima and ranks alone
+//! (Lemma 5.2) — `O(n)` work instead of the `O(n³ log² n)` shortest-path
+//! machinery of the previous best [AS92].
 //!
-//! Comparators: [`greedy_parse`] (longest-match-first, sub-optimal),
-//! [`lff_parse`] (longest-fragment-first heuristic from the compression
-//! literature), and [`bfs_parse`] — an [AS92]-flavoured exact shortest-path
-//! baseline whose work is `Θ(Σ M[i])`, the blow-up the paper avoids.
+//! The parses read a *claim table*: `(len, pattern)` per position, where
+//! `pattern`'s prefix of length `len` occurs there. [`optimal_parse`] needs
+//! only what Lemma 5.2 reads, so any table whose claims occur and whose
+//! prefix maxima of `x + len` equal `M`'s gives the same cuts: `M` itself
+//! (Step 2A, [`pardict_core::DictMatcher::pattern_prefixes`], Theorem 5.3's
+//! reproduction), or the exact one-scan table of the version's automaton
+//! ([`pardict_core::SegmentedMatcher::reach_table`]), which a served parse
+//! reads. [`greedy_parse`] asks for `M` only where its phrases start
+//! ([`pardict_core::SegmentedMatcher::longest_prefix_at`] when served).
+//!
+//! Comparators, on the true `M`: [`greedy_parse`] (longest-match-first,
+//! sub-optimal), [`lff_parse`] (longest-fragment-first heuristic from the
+//! compression literature), and [`bfs_parse`] — an [AS92]-flavoured exact
+//! shortest-path baseline whose work is `Θ(Σ M[i])`, the blow-up the paper
+//! avoids.
 
-use pardict_core::{Dictionary, PatternScan};
+use pardict_core::Dictionary;
 use pardict_graph::{EulerTour, Forest};
 use pardict_pram::{ceil_log2, Pram};
 
@@ -56,39 +67,24 @@ impl Parse {
     }
 }
 
-/// The per-position longest-pattern-prefix table `M` (with certificates),
-/// as plain integers: `(len, pattern)`, `len == 0` when no word starts
-/// there.
-fn prefix_table<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Vec<(u32, u32)> {
-    let raw = matcher.pattern_prefixes(pram, text);
-    pram.map(&raw, |_, &o| o.map_or((0, u32::MAX), |(l, t)| (l, t)))
+/// A claim's length, 0 for none.
+fn len_of(claim: Option<(u32, u32)>) -> usize {
+    claim.map_or(0, |(len, _)| len as usize)
 }
 
-/// §5 optimal parse: `O(n)` work, `O(log d + log n)` depth after
-/// preprocessing. Returns `None` when the text cannot be parsed (some
-/// position starts no dictionary word).
+/// A claim's pattern, `u32::MAX` for none.
+fn pattern_of(claim: Option<(u32, u32)>) -> u32 {
+    claim.map_or(u32::MAX, |(_, pattern)| pattern)
+}
+
+/// §5 optimal parse of the text whose claim table is `m`: `O(n)` work,
+/// `O(log n)` depth after the table. `m` may be `M` or any table whose
+/// claims occur and whose prefix maxima of `x + len` equal `M`'s (see the
+/// module docs); the cuts, and so the phrase texts and count, are `M`'s,
+/// only the certifying patterns may differ. Returns `None` when the text
+/// cannot be parsed (some position is reached by no dictionary word).
 #[must_use]
-pub fn optimal_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    optimal_from_table(pram, &prefix_table(pram, matcher, text))
-}
-
-/// [`optimal_parse`] and [`greedy_parse`] of `text` from one `M` table, so
-/// Step 1 and Step 2A run once for both: `None` when the text cannot be
-/// parsed (the greedy walk is then not run), else the optimal parse and
-/// the greedy one, which can dead-end where the optimal parse does not.
-#[must_use]
-pub fn optimal_and_greedy_parse<M: PatternScan>(
-    pram: &Pram,
-    matcher: &M,
-    text: &[u8],
-) -> Option<(Parse, Option<Parse>)> {
-    let m = prefix_table(pram, matcher, text);
-    let optimal = optimal_from_table(pram, &m)?;
-    Some((optimal, greedy_from_table(pram, &m)))
-}
-
-/// §5's optimal parse of the text whose `M` table is `m`.
-fn optimal_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
+pub fn optimal_parse(pram: &Pram, m: &[Option<(u32, u32)>]) -> Option<Parse> {
     let n = m.len();
     if n == 0 {
         return Some(Parse {
@@ -97,7 +93,7 @@ fn optimal_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
     }
 
     // reach[x] = x + M[x]; inclusive prefix max (value, argmax).
-    let reaches: Vec<(u64, u64)> = pram.tabulate(n, |x| ((x + m[x].0 as usize) as u64, x as u64));
+    let reaches: Vec<(u64, u64)> = pram.tabulate(n, |x| ((x + len_of(m[x])) as u64, x as u64));
     let pm = pram.scan_inclusive(
         &reaches,
         (0, u64::MAX),
@@ -170,38 +166,35 @@ fn optimal_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
     debug_assert_eq!(*cuts.last().unwrap(), n);
     let phrases: Vec<Phrase> = pram.tabulate(cuts.len() - 1, |k| {
         let (x, y) = (cuts[k], cuts[k + 1]);
-        debug_assert!(y - x <= m[x].0 as usize);
+        debug_assert!(y - x <= len_of(m[x]));
         Phrase {
             start: x,
             len: y - x,
-            pattern: m[x].1,
+            pattern: pattern_of(m[x]),
         }
     });
     Some(Parse { phrases })
 }
 
-/// Greedy parse: always take the longest word. Sub-optimal in general —
-/// the comparison §5 is about.
+/// Greedy parse of an `n`-byte text: always take the longest word, which
+/// `longest_at(x)` gives as `M[x]` (`None` when no word starts at `x`),
+/// asked only where a phrase starts. Sub-optimal in general — the
+/// comparison §5 is about.
 #[must_use]
-pub fn greedy_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    greedy_from_table(pram, &prefix_table(pram, matcher, text))
-}
-
-/// The greedy parse of the text whose `M` table is `m`.
-fn greedy_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
-    let n = m.len();
+pub fn greedy_parse(
+    pram: &Pram,
+    n: usize,
+    mut longest_at: impl FnMut(usize) -> Option<(u32, u32)>,
+) -> Option<Parse> {
     let mut phrases = Vec::new();
     let mut i = 0;
     pram.ledger().charge_depth(1);
     while i < n {
-        let (len, pat) = m[i];
-        if len == 0 {
-            return None;
-        }
+        let (len, pattern) = longest_at(i).filter(|&(len, _)| len > 0)?;
         phrases.push(Phrase {
             start: i,
             len: len as usize,
-            pattern: pat,
+            pattern,
         });
         i += len as usize;
         pram.ledger().charge_work(1);
@@ -213,12 +206,11 @@ fn greedy_from_table(pram: &Pram, m: &[(u32, u32)]) -> Option<Parse> {
 /// the paper's introduction cites): place the longest fragments first,
 /// then parse the gaps greedily.
 #[must_use]
-pub fn lff_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    let n = text.len();
-    let m = prefix_table(pram, matcher, text);
+pub fn lff_parse(pram: &Pram, m: &[Option<(u32, u32)>]) -> Option<Parse> {
+    let n = m.len();
     // Positions by decreasing fragment length.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| std::cmp::Reverse(m[i].0));
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(len_of(m[i])));
     pram.ledger()
         .charge_work((n as u64) * u64::from(ceil_log2(n.max(2))));
     pram.ledger().charge_depth(u64::from(ceil_log2(n.max(2))));
@@ -226,7 +218,7 @@ pub fn lff_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
     let mut covered = vec![false; n];
     let mut placed: Vec<Phrase> = Vec::new();
     for &i in &order {
-        let len = m[i].0 as usize;
+        let len = len_of(m[i]);
         if len == 0 {
             break;
         }
@@ -238,7 +230,7 @@ pub fn lff_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
         placed.push(Phrase {
             start: i,
             len,
-            pattern: m[i].1,
+            pattern: pattern_of(m[i]),
         });
     }
     // Parse the gaps greedily, capping phrases at the gap boundary.
@@ -254,14 +246,14 @@ pub fn lff_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
         }
         let mut j = i;
         while j < gap_end {
-            let len = (m[j].0 as usize).min(gap_end - j);
+            let len = len_of(m[j]).min(gap_end - j);
             if len == 0 {
                 return None;
             }
             placed.push(Phrase {
                 start: j,
                 len,
-                pattern: m[j].1,
+                pattern: pattern_of(m[j]),
             });
             pram.ledger().charge_work(1);
             j += len;
@@ -277,9 +269,8 @@ pub fn lff_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
 /// charged honestly; exists as the E6 comparator and the optimality
 /// oracle.
 #[must_use]
-pub fn bfs_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Option<Parse> {
-    let n = text.len();
-    let m = prefix_table(pram, matcher, text);
+pub fn bfs_parse(pram: &Pram, m: &[Option<(u32, u32)>]) -> Option<Parse> {
+    let n = m.len();
     let mut dist = vec![u32::MAX; n + 1];
     let mut from = vec![usize::MAX; n + 1];
     dist[0] = 0;
@@ -288,7 +279,7 @@ pub fn bfs_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
         if dist[x] == u32::MAX {
             continue;
         }
-        let reach = m[x].0 as usize;
+        let reach = len_of(m[x]);
         work += reach as u64 + 1;
         for y in x + 1..=x + reach {
             if dist[y] == u32::MAX {
@@ -310,7 +301,7 @@ pub fn bfs_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
         phrases.push(Phrase {
             start: x,
             len: y - x,
-            pattern: m[x].1,
+            pattern: pattern_of(m[x]),
         });
         y = x;
     }
@@ -321,7 +312,7 @@ pub fn bfs_parse<M: PatternScan>(pram: &Pram, matcher: &M, text: &[u8]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pardict_core::DictMatcher;
+    use pardict_core::{AhoCorasick, DictMatcher};
     use pardict_workloads::{markov_text, prefix_heavy_dictionary, random_text, Alphabet};
 
     /// A dictionary guaranteed to parse any text over `alpha`: all single
@@ -330,6 +321,12 @@ mod tests {
         let mut patterns: Vec<Vec<u8>> = (0..alpha.size()).map(|i| vec![alpha.symbol(i)]).collect();
         patterns.extend(prefix_heavy_dictionary(seed, words, 3, 5, alpha));
         Dictionary::new(patterns)
+    }
+
+    /// Step 2A's `M` for `text`, through a seeded Theorem 3.1 matcher.
+    fn prefixes(dict: &Dictionary, seed: u64, text: &[u8]) -> Vec<Option<(u32, u32)>> {
+        let pram = Pram::seq();
+        DictMatcher::build(&pram, dict.clone(), seed).pattern_prefixes(&pram, text)
     }
 
     fn check_parse(parse: &Parse, dict: &Dictionary, text: &[u8]) {
@@ -348,12 +345,12 @@ mod tests {
             let pram = Pram::seq();
             let alpha = Alphabet::dna();
             let dict = parseable_dict(seed, alpha, 12);
-            let matcher = DictMatcher::build(&pram, dict.clone(), seed);
             let text = markov_text(seed + 40, 300, alpha);
-            let opt = optimal_parse(&pram, &matcher, &text).expect("parseable");
-            let bfs = bfs_parse(&pram, &matcher, &text).expect("parseable");
-            let greedy = greedy_parse(&pram, &matcher, &text).expect("parseable");
-            let lff = lff_parse(&pram, &matcher, &text).expect("parseable");
+            let m = prefixes(&dict, seed, &text);
+            let opt = optimal_parse(&pram, &m).expect("parseable");
+            let bfs = bfs_parse(&pram, &m).expect("parseable");
+            let greedy = greedy_parse(&pram, m.len(), |x| m[x]).expect("parseable");
+            let lff = lff_parse(&pram, &m).expect("parseable");
             check_parse(&opt, &dict, &text);
             check_parse(&bfs, &dict, &text);
             check_parse(&greedy, &dict, &text);
@@ -374,10 +371,10 @@ mod tests {
         // forced into aab|b|b (3 phrases); optimal parses a|abbb (2).
         let pram = Pram::seq();
         let dict = Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec(), b"b".to_vec()]);
-        let matcher = DictMatcher::build(&pram, dict.clone(), 3);
         let text = b"aabbb";
-        let opt = optimal_parse(&pram, &matcher, text).unwrap();
-        let greedy = greedy_parse(&pram, &matcher, text).unwrap();
+        let m = prefixes(&dict, 3, text);
+        let opt = optimal_parse(&pram, &m).unwrap();
+        let greedy = greedy_parse(&pram, m.len(), |x| m[x]).unwrap();
         assert_eq!(opt.num_phrases(), 2);
         assert_eq!(greedy.num_phrases(), 3);
         check_parse(&opt, &dict, text);
@@ -385,62 +382,60 @@ mod tests {
         // Without the single-character word, greedy dead-ends entirely
         // while the optimal parse still exists.
         let dict2 = Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec()]);
-        let matcher2 = DictMatcher::build(&pram, dict2.clone(), 4);
-        assert!(greedy_parse(&pram, &matcher2, text).is_none());
-        let opt2 = optimal_parse(&pram, &matcher2, text).unwrap();
+        let m2 = prefixes(&dict2, 4, text);
+        assert!(greedy_parse(&pram, m2.len(), |x| m2[x]).is_none());
+        let opt2 = optimal_parse(&pram, &m2).unwrap();
         assert_eq!(opt2.num_phrases(), 2);
         check_parse(&opt2, &dict2, text);
     }
 
-    /// One table gives both parses: each equal to its own function's, the
-    /// greedy one `None` where only it dead-ends, nothing for an
-    /// unparseable text, and one Step-1 pass cheaper than two.
+    /// The automaton's reach table is not `M` (it claims less), but it
+    /// cuts where `M` does: the same phrase texts, each certified by a
+    /// pattern that spells it; and a greedy over the trie walk cuts as the
+    /// greedy over `M` does. Only the certifying patterns may differ.
     #[test]
-    fn one_table_gives_both_parses() {
+    fn the_reach_table_cuts_where_m_does() {
         let pram = Pram::seq();
-        let dict = parseable_dict(2, Alphabet::dna(), 12);
-        let matcher = DictMatcher::build(&pram, dict, 2);
-        let text = markov_text(42, 300, Alphabet::dna());
-        let (both, c_both) = pram.metered(|p| optimal_and_greedy_parse(p, &matcher, &text));
-        let (opt, c_opt) = pram.metered(|p| optimal_parse(p, &matcher, &text));
-        let (greedy, c_greedy) = pram.metered(|p| greedy_parse(p, &matcher, &text));
-        assert_eq!(both, Some((opt.unwrap(), greedy)));
-        assert!(c_both.work < c_opt.work + c_greedy.work);
-
-        let dead_end = DictMatcher::build(
-            &pram,
-            Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec()]),
-            4,
-        );
-        let (opt, greedy) = optimal_and_greedy_parse(&pram, &dead_end, b"aabbb").unwrap();
-        assert_eq!(opt.num_phrases(), 2);
-        assert!(greedy.is_none());
-
-        let short = DictMatcher::build(
-            &pram,
-            Dictionary::new(vec![b"ab".to_vec(), b"a".to_vec()]),
-            4,
-        );
-        assert!(optimal_and_greedy_parse(&pram, &short, b"abb").is_none());
+        for seed in 0..4u64 {
+            let dict = parseable_dict(seed, Alphabet::dna(), 12);
+            let text = markov_text(seed + 7, 400, Alphabet::dna());
+            let ac = AhoCorasick::build(&dict);
+            let m = prefixes(&dict, seed, &text);
+            let reach = ac.reach_table(&text);
+            assert_ne!(reach, m);
+            let (want, got) = (optimal_parse(&pram, &m), optimal_parse(&pram, &reach));
+            let cuts = |p: &Parse| {
+                p.phrases
+                    .iter()
+                    .map(|ph| (ph.start, ph.len))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(cuts(got.as_ref().unwrap()), cuts(want.as_ref().unwrap()));
+            check_parse(&got.unwrap(), &dict, &text);
+            let greedy = greedy_parse(&pram, text.len(), |x| ac.longest_prefix_at(&text, x));
+            let want = greedy_parse(&pram, m.len(), |x| m[x]).unwrap();
+            assert_eq!(cuts(greedy.as_ref().unwrap()), cuts(&want));
+            check_parse(&greedy.unwrap(), &dict, &text);
+        }
     }
 
     #[test]
     fn unparseable_text_returns_none() {
         let pram = Pram::seq();
         let dict = Dictionary::new(vec![b"ab".to_vec(), b"a".to_vec()]);
-        let matcher = DictMatcher::build(&pram, dict, 4);
-        assert!(optimal_parse(&pram, &matcher, b"abb").is_none());
-        assert!(greedy_parse(&pram, &matcher, b"abb").is_none());
-        assert!(bfs_parse(&pram, &matcher, b"abb").is_none());
+        let m = prefixes(&dict, 4, b"abb");
+        assert!(optimal_parse(&pram, &m).is_none());
+        assert!(greedy_parse(&pram, m.len(), |x| m[x]).is_none());
+        assert!(bfs_parse(&pram, &m).is_none());
+        assert!(optimal_parse(&pram, &AhoCorasick::build(&dict).reach_table(b"abb")).is_none());
     }
 
     #[test]
     fn empty_text() {
         let pram = Pram::seq();
-        let dict = Dictionary::new(vec![b"a".to_vec()]);
-        let matcher = DictMatcher::build(&pram, dict, 5);
-        let p = optimal_parse(&pram, &matcher, b"").unwrap();
+        let p = optimal_parse(&pram, &[]).unwrap();
         assert_eq!(p.num_phrases(), 0);
+        assert_eq!(greedy_parse(&pram, 0, |_| None).unwrap().num_phrases(), 0);
     }
 
     #[test]
@@ -450,11 +445,10 @@ mod tests {
         let mut bfs_per_char = Vec::new();
         for n in [1usize << 11, 1 << 13, 1 << 15] {
             let pram = Pram::seq();
-            let dict = parseable_dict(9, alpha, 30);
-            let matcher = DictMatcher::build(&pram, dict, 10);
             let text = random_text(n as u64, n, alpha);
-            let (_, c_opt) = pram.metered(|p| optimal_parse(p, &matcher, &text));
-            let (_, c_bfs) = pram.metered(|p| bfs_parse(p, &matcher, &text));
+            let m = prefixes(&parseable_dict(9, alpha, 30), 10, &text);
+            let (_, c_opt) = pram.metered(|p| optimal_parse(p, &m));
+            let (_, c_bfs) = pram.metered(|p| bfs_parse(p, &m));
             opt_per_char.push(c_opt.work as f64 / n as f64);
             bfs_per_char.push(c_bfs.work as f64 / n as f64);
         }

@@ -40,6 +40,11 @@ pub struct AhoCorasick {
     /// Occurrences that end on entering each state: its output chain's
     /// patterns, duplicates included. Sizes `find_all`'s output.
     hits: Vec<u32>,
+    /// Trie depth of each state: the length of the string it spells.
+    depth: Vec<u32>,
+    /// Certificate of each state: the smallest id of a pattern through it,
+    /// which is the pattern that created it, as patterns insert in id order.
+    cert: Vec<u32>,
     /// Length of the longest pattern.
     max_len: usize,
     /// Ledger ops of the build: `d` trie inserts plus `states · (k + 1)`
@@ -68,6 +73,8 @@ impl AhoCorasick {
         let mut goto_ = vec![NONE; stride];
         let mut out: Vec<Option<Match>> = vec![None];
         let mut own: Vec<u32> = vec![0];
+        let mut depth: Vec<u32> = vec![0];
+        let mut cert: Vec<u32> = vec![NONE];
         let mut dup_next = vec![NONE; dict.num_patterns()];
         // Last id of each state's duplicate chain, while the trie grows.
         let mut dup_tail: Vec<u32> = vec![NONE];
@@ -82,6 +89,8 @@ impl AhoCorasick {
                     goto_.resize(goto_.len() + stride, NONE);
                     out.push(None);
                     own.push(0);
+                    depth.push(depth[s as usize] + 1);
+                    cert.push(t as u32);
                     dup_tail.push(NONE);
                     goto_[at] = ns;
                     ns
@@ -144,6 +153,8 @@ impl AhoCorasick {
             out_link,
             dup_next,
             hits,
+            depth,
+            cert,
             max_len: dict.max_pattern_len(),
             build_ops: (dict.total_len() + n * stride) as u64,
         }
@@ -161,9 +172,10 @@ impl AhoCorasick {
     /// own struct included.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + 4 * (self.goto_.len() + self.out_link.len() + self.dup_next.len() + self.hits.len())
-            + std::mem::size_of::<Option<Match>>() * self.out.len()
+        // A state holds a row, an `out` entry and four `u32`s: its output
+        // link, hit count, depth and certificate.
+        let per_state = 4 * (self.stride + 4) + std::mem::size_of::<Option<Match>>();
+        std::mem::size_of::<Self>() + per_state * self.out.len() + 4 * self.dup_next.len()
     }
 
     /// The state after reading byte `c` in state `s`.
@@ -232,6 +244,43 @@ impl AhoCorasick {
         }
         debug_assert_eq!(out.len(), total);
         out
+    }
+
+    /// §5's claim table in one scan: the state after end `j` is the longest
+    /// trie node ending there, so `a_j = j + 1 − depth` is the smallest start
+    /// of one, and `R[a_j]` is its `(len, certificate)`; `a_j` never
+    /// decreases, so the last end naming a start is its longest. Every claim
+    /// occurs, and `x + R[x]` has the prefix maxima of `x + M[x]`, `M` the
+    /// longest pattern prefix at each position. Sequential, `n` steps.
+    #[must_use]
+    pub fn reach_table(&self, text: &[u8]) -> Vec<Option<(u32, u32)>> {
+        let mut reach = vec![None; text.len()];
+        let mut s = ROOT;
+        for (j, &c) in text.iter().enumerate() {
+            s = self.next(s, c);
+            let len = self.depth[s as usize];
+            if len > 0 {
+                reach[j + 1 - len as usize] = Some((len, self.cert[s as usize]));
+            }
+        }
+        reach
+    }
+
+    /// The longest trie node starting at `start` (§5's `M[start]`, the
+    /// longest pattern prefix there) as `(len, certificate)`, by walking
+    /// trie edges only: a transition is a trie edge exactly when it goes
+    /// one level deeper. Reads `len + 1` bytes, or up to the text's end.
+    #[must_use]
+    pub fn longest_prefix_at(&self, text: &[u8], start: usize) -> Option<(u32, u32)> {
+        let mut s = ROOT;
+        for &c in &text[start..] {
+            let t = self.next(s, c);
+            if self.depth[t as usize] != self.depth[s as usize] + 1 {
+                break;
+            }
+            s = t;
+        }
+        (s != ROOT).then(|| (self.depth[s as usize], self.cert[s as usize]))
     }
 
     /// Number of occurrences [`AhoCorasick::find_all`] reports in `text`.
@@ -459,7 +508,88 @@ mod tests {
         assert_eq!(ac.find_all(&text), brute_force_occurrences(&d, &text));
     }
 
+    /// §5's `M`, the longest pattern prefix at each position as `(len,
+    /// smallest id of a pattern with that prefix)`, by direct comparison.
+    fn brute_force_prefixes(dict: &Dictionary, text: &[u8]) -> Vec<Option<(u32, u32)>> {
+        let common =
+            |i: usize, p: &[u8]| p.iter().zip(&text[i..]).take_while(|(a, b)| a == b).count();
+        let best = |i| {
+            dict.patterns()
+                .iter()
+                .map(|p| common(i, p))
+                .enumerate()
+                .max_by_key(|&(t, len)| (len, std::cmp::Reverse(t)))
+        };
+        (0..text.len())
+            .map(|i| {
+                best(i)
+                    .filter(|&(_, len)| len > 0)
+                    .map(|(t, len)| (len as u32, t as u32))
+            })
+            .collect()
+    }
+
+    /// Prefix maxima of `x + claim[x]`, `claim` a §5 claim table.
+    fn prefix_max_reach(claims: &[Option<(u32, u32)>]) -> Vec<usize> {
+        let mut best = 0;
+        let reach = |(x, c): (usize, &Option<(u32, u32)>)| x + c.map_or(0, |(l, _)| l as usize);
+        claims
+            .iter()
+            .enumerate()
+            .map(|xc| {
+                best = best.max(reach(xc));
+                best
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_periodic_text_reaches_as_far_as_its_prefix_table() {
+        let d = Dictionary::new(vec![b"a".to_vec(), b"a".repeat(64)]);
+        let ac = AhoCorasick::build(&d);
+        let text = b"a".repeat(200);
+        let reach = ac.reach_table(&text);
+        let m = brute_force_prefixes(&d, &text);
+        assert_eq!(reach[0], Some((64, 1)));
+        assert_eq!(reach[136], Some((64, 1)));
+        assert_eq!(reach[137], None);
+        assert_eq!(m[137], Some((63, 1)));
+        assert_eq!(prefix_max_reach(&reach), prefix_max_reach(&m));
+        assert_eq!(ac.longest_prefix_at(&text, 150), Some((50, 1)));
+        assert_eq!(ac.longest_prefix_at(&text, 0), Some((64, 1)));
+        assert_eq!(ac.longest_prefix_at(b"ab", 1), None);
+    }
+
     proptest! {
+        /// The reach table has `M`'s prefix maxima and claims only what
+        /// occurs, and the trie walk from any start is `M` there, on
+        /// prefix-heavy dictionaries with duplicates over σ ≤ 3.
+        #[test]
+        fn reach_table_and_trie_walk_agree_with_brute_force_prefixes(
+            shapes in prop::collection::vec(prop::collection::vec(0u8..3, 1..7), 1..6),
+            dup in 0usize..6,
+            text in prop::collection::vec(0u8..4, 0..40),
+        ) {
+            let mut patterns: Vec<Vec<u8>> =
+                shapes.iter().map(|p| p.iter().map(|&c| b'a' + c).collect()).collect();
+            patterns.push(patterns[dup % patterns.len()].clone());
+            let text: Vec<u8> = text.iter().map(|&c| b'a' + c).collect();
+            let d = Dictionary::new(patterns);
+            let ac = AhoCorasick::build(&d);
+            let m = brute_force_prefixes(&d, &text);
+            let reach = ac.reach_table(&text);
+            prop_assert_eq!(prefix_max_reach(&reach), prefix_max_reach(&m));
+            for (x, claim) in reach.iter().enumerate() {
+                if let Some((len, id)) = *claim {
+                    let p = &d.patterns()[id as usize];
+                    prop_assert!(text[x..].starts_with(&p[..len as usize]));
+                }
+            }
+            for (x, &want) in m.iter().enumerate() {
+                prop_assert_eq!(ac.longest_prefix_at(&text, x), want);
+            }
+        }
+
         /// Patterns over a few bytes anywhere in 1..=255 (one of them at
         /// least 0x80); texts mix those with NUL and one arbitrary byte,
         /// which a pattern may or may not use.

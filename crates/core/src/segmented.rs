@@ -45,9 +45,10 @@
 //! claims: ≈ 14 ops per text byte per segment (EXPERIMENTS E14).
 //!
 //! Segments are the unit of change, not of query. Every exact answer —
-//! [`SegmentedMatcher::find_all`], [`SegmentedMatcher::ac_match`] and the
-//! Las Vegas fallback — is one scan of one [`AhoCorasick`] over the whole
-//! list in global-id order, built after the segments on every build and
+//! [`SegmentedMatcher::find_all`], [`SegmentedMatcher::ac_match`], the Las
+//! Vegas fallback, and §5's inputs [`SegmentedMatcher::reach_table`] and
+//! [`SegmentedMatcher::longest_prefix_at`] — reads one [`AhoCorasick`] over
+//! the whole list in global-id order, built after the segments on every build and
 //! delta (`O(d · (k + 1))` for `k` distinct pattern bytes, ≈ 3 ops per
 //! dictionary byte on DNA). Theorem 3.1 matches a text in `O(n)` work
 //! whatever the dictionary size, and [`SegmentedMatcher::whole_matcher`]
@@ -487,14 +488,6 @@ impl SegmentedMatcher {
         self.build_cost
     }
 
-    /// The single segment, when there is exactly one (the fast path).
-    fn single(&self) -> Option<&Segment> {
-        match self.slots.as_slice() {
-            [only] if only.base == 0 => Some(&only.seg),
-            _ => None,
-        }
-    }
-
     /// The one fan-out and merge under every per-position query. A single
     /// segment answers for itself on `pram`. Otherwise the segments are
     /// independent, so they answer in one [`Pram::superstep`]: `per_seg` on
@@ -507,16 +500,16 @@ impl SegmentedMatcher {
     /// ledger-charged, and a segment's dense answer is dropped as soon as it
     /// is merged, so only those of the segments in flight exist at once.
     /// Also returns the OR of the segments' flags.
-    fn fold_or<T: Ranked + Send>(
+    fn fold_or(
         &self,
         pram: &Pram,
         n: usize,
-        per_seg: impl Fn(&Pram, &Segment) -> (Vec<Option<T>>, bool) + Sync,
-    ) -> (Vec<Option<T>>, bool) {
-        if let Some(seg) = self.single() {
-            return per_seg(pram, seg);
+        per_seg: impl Fn(&Pram, &Segment) -> (Vec<Option<Match>>, bool) + Sync,
+    ) -> (Vec<Option<Match>>, bool) {
+        if let [only] = self.slots.as_slice() {
+            return per_seg(pram, &only.seg);
         }
-        let mut acc: Vec<Option<T>> = vec![None; n];
+        let mut acc: Vec<Option<Match>> = vec![None; n];
         let mut any = false;
         pram.superstep(
             (0..self.slots.len()).collect(),
@@ -526,14 +519,11 @@ impl SegmentedMatcher {
                 let base = self.slots[i].base;
                 any |= flag;
                 for (best, cand) in acc.iter_mut().zip(cands) {
-                    let Some(mut cand) = cand else { continue };
-                    let (len, id) = cand.len_id();
-                    *id += base;
-                    let key = (len, Reverse(*id));
-                    if best.as_mut().is_none_or(|b| {
-                        let (len, id) = b.len_id();
-                        key > (len, Reverse(*id))
-                    }) {
+                    let Some(Match { id, len }) = cand else {
+                        continue;
+                    };
+                    let cand = Match { id: id + base, len };
+                    if best.is_none_or(|b| (len, Reverse(cand.id)) > (b.len, Reverse(b.id))) {
                         *best = Some(cand);
                     }
                 }
@@ -542,25 +532,14 @@ impl SegmentedMatcher {
         (acc, any)
     }
 
-    /// [`SegmentedMatcher::fold_or`] for queries with nothing to flag.
-    fn fold<T: Ranked + Send>(
-        &self,
-        pram: &Pram,
-        n: usize,
-        per_seg: impl Fn(&Pram, &Segment) -> Vec<Option<T>> + Sync,
-    ) -> Vec<Option<T>> {
-        self.fold_or(pram, n, |p, seg| (per_seg(p, seg), false)).0
-    }
-
     /// Longest pattern at every text position (merged across segments:
     /// longest wins, ties to the smallest global id). Monte Carlo like
     /// [`DictMatcher::match_text`]; verify with
     /// [`SegmentedMatcher::match_text_verified`].
     #[must_use]
     pub fn match_text(&self, pram: &Pram, text: &[u8]) -> Matches {
-        Matches::new(self.fold(pram, text.len(), |p, seg| {
-            seg.matcher().match_text(p, text).inner
-        }))
+        let per_seg = |p: &Pram, seg: &Segment| (seg.matcher().match_text(p, text).inner, false);
+        Matches::new(self.fold_or(pram, text.len(), per_seg).0)
     }
 
     /// Las Vegas matching without rebuilding: per segment, one Monte Carlo
@@ -588,7 +567,7 @@ impl SegmentedMatcher {
             (m.inner, rejected)
         });
         if rejected {
-            self.fallback(pram, text)
+            (self.match_exact(pram, text), true)
         } else {
             (Matches::new(merged), false)
         }
@@ -626,22 +605,25 @@ impl SegmentedMatcher {
         if whole.check(pram, text, &m).is_ok() {
             (m, false)
         } else {
-            self.fallback(pram, text)
+            (self.match_exact(pram, text), true)
         }
-    }
-
-    /// The Las Vegas fallback: the automaton's answer, flagged, with its
-    /// scan charged as a sequential loop of `n` steps.
-    fn fallback(&self, pram: &Pram, text: &[u8]) -> (Matches, bool) {
-        pram.ledger().sequential(text.len() as u64);
-        (self.ac_match(text), true)
     }
 
     /// Exact matching on the automaton (the sequential lane): longest
     /// pattern, ties to the smallest global id, as the merge ranks them.
+    /// Uncharged; [`SegmentedMatcher::match_exact`] charges the scan.
     #[must_use]
     pub fn ac_match(&self, text: &[u8]) -> Matches {
         self.ac.match_text(text)
+    }
+
+    /// [`SegmentedMatcher::ac_match`] charged as the sequential loop it
+    /// is: `n` steps of work and of depth. The small-request lane and the
+    /// Las Vegas fallback both answer through it.
+    #[must_use]
+    pub fn match_exact(&self, pram: &Pram, text: &[u8]) -> Matches {
+        pram.ledger().sequential(text.len() as u64);
+        self.ac_match(text)
     }
 
     /// Every occurrence as `(position, match)` with global ids, ordered by
@@ -656,14 +638,27 @@ impl SegmentedMatcher {
         hits
     }
 
-    /// Per-position longest pattern-*prefix* `(len, global id)` (the `M`
-    /// array of §5's static compression), merged across segments like
-    /// [`SegmentedMatcher::match_text`].
+    /// The automaton's §5 claim table ([`AhoCorasick::reach_table`]):
+    /// claims that occur, with the prefix maxima of the longest pattern
+    /// prefix at each position, so §5's optimal parse cuts where it would
+    /// on `M` itself. One scan, charged `n` steps as work and as depth.
     #[must_use]
-    pub fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
-        self.fold(pram, text.len(), |p, seg| {
-            seg.matcher().pattern_prefixes(p, text)
-        })
+    pub fn reach_table(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
+        pram.ledger().sequential(text.len() as u64);
+        self.ac.reach_table(text)
+    }
+
+    /// §5's `M[start]`, the longest pattern prefix at `start`, as
+    /// `(len, global id)` ([`AhoCorasick::longest_prefix_at`]), charged the
+    /// bytes its trie walk reads. A greedy parse reads `M` only where its
+    /// phrases start, so its walks read at most `n + phrases` bytes.
+    #[must_use]
+    pub fn longest_prefix_at(&self, pram: &Pram, text: &[u8], start: usize) -> Option<(u32, u32)> {
+        let claim = self.ac.longest_prefix_at(text, start);
+        let len = claim.map_or(0, |(len, _)| len as usize);
+        pram.ledger()
+            .sequential((len + 1).min(text.len() - start) as u64);
+        claim
     }
 
     /// Length of the longest pattern.
@@ -675,46 +670,6 @@ impl SegmentedMatcher {
     /// Segments in base order, for cache insertion by the serving layer.
     pub fn segments(&self) -> impl Iterator<Item = &Arc<Segment>> {
         self.slots.iter().map(|s| &s.seg)
-    }
-}
-
-/// A per-position answer [`SegmentedMatcher::fold_or`] can rank and rebase:
-/// its length, and its pattern id (segment-local until rebased).
-trait Ranked: Copy {
-    fn len_id(&mut self) -> (u32, &mut u32);
-}
-
-impl Ranked for Match {
-    fn len_id(&mut self) -> (u32, &mut u32) {
-        (self.len, &mut self.id)
-    }
-}
-
-/// `(len, id)`, as [`DictMatcher::pattern_prefixes`] reports.
-impl Ranked for (u32, u32) {
-    fn len_id(&mut self) -> (u32, &mut u32) {
-        (self.0, &mut self.1)
-    }
-}
-
-/// The §5 `M` array the static-dictionary parses read, from a
-/// [`DictMatcher`] (one preprocessed set) or a [`SegmentedMatcher`]
-/// (canonical segments). Monte Carlo, like [`DictMatcher::match_text`].
-/// Occurrence lists are [`SegmentedMatcher::find_all`]'s automaton scan.
-pub trait PatternScan {
-    /// Per-position longest pattern-prefix `(len, certificate id)`.
-    fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>>;
-}
-
-impl PatternScan for DictMatcher {
-    fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
-        Self::pattern_prefixes(self, pram, text)
-    }
-}
-
-impl PatternScan for SegmentedMatcher {
-    fn pattern_prefixes(&self, pram: &Pram, text: &[u8]) -> Vec<Option<(u32, u32)>> {
-        Self::pattern_prefixes(self, pram, text)
     }
 }
 
@@ -881,10 +836,6 @@ mod tests {
         );
         let text = b"banana nab a ban";
         assert_eq!(seg.match_text(&pram, text), bare.match_text(&pram, text));
-        assert_eq!(
-            seg.pattern_prefixes(&pram, text),
-            bare.pattern_prefixes(&pram, text)
-        );
     }
 
     #[test]
@@ -1186,6 +1137,30 @@ mod tests {
                     "{segments} segments, {:?}",
                     pram.mode()
                 );
+            }
+        }
+    }
+
+    /// The §5 inputs read the one automaton whatever the segment count:
+    /// the reach table for one `n`-step scan, each trie walk for the bytes
+    /// it reads, the same in seq and par.
+    #[test]
+    fn section_5_inputs_charge_their_automaton_reads() {
+        for segments in [1usize, 3] {
+            let patterns = dictionary_with_segments(segments);
+            let matcher = SegmentedMatcher::build(&Pram::seq(), patterns.clone());
+            let text = text_with_planted_matches(9, &patterns, 1 << 12, 25, Alphabet::dna());
+            let ac = AhoCorasick::build(&Dictionary::new(patterns));
+            for pram in [Pram::seq(), Pram::par()] {
+                let (reach, cost) = pram.metered(|p| matcher.reach_table(p, &text));
+                assert_eq!(reach, ac.reach_table(&text));
+                assert_eq!(cost, scan_cost(&text));
+                for start in [0, 100, text.len() - 1] {
+                    let (m, cost) = pram.metered(|p| matcher.longest_prefix_at(p, &text, start));
+                    assert_eq!(m, ac.longest_prefix_at(&text, start));
+                    let read = (m.map_or(0, |(len, _)| len as usize) + 1).min(text.len() - start);
+                    assert_eq!(cost, scan_cost(&text[..read]));
+                }
             }
         }
     }

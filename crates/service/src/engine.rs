@@ -22,7 +22,7 @@ use crate::registry::{DictVersion, Registry};
 use crate::types::{
     check_text, Hit, Lane, OpRequest, Reply, Request, Response, ResponseMeta, ServiceError,
 };
-use pardict_compress::{delta_compress, encode_tokens, optimal_and_greedy_parse};
+use pardict_compress::{delta_compress, encode_tokens, greedy_parse, optimal_parse};
 use pardict_pram::Pram;
 use pardict_trace::{Span, Tracer};
 use std::collections::VecDeque;
@@ -425,10 +425,7 @@ impl Engine {
                 let dv = self.resolve(dict)?;
                 if text.len() < self.inner.cfg.seq_threshold {
                     *lane = Lane::SeqFallback;
-                    // Charge the automaton scan to the ledger by hand: the
-                    // AC baseline runs outside the Pram combinators.
-                    pram.ledger().sequential(text.len() as u64);
-                    let matches = dv.pre.seg.ac_match(text);
+                    let matches = dv.pre.seg.match_exact(pram, text);
                     return Ok(Reply::Match {
                         version: dv.version,
                         hits: to_hits(matches.iter_hits()),
@@ -481,9 +478,14 @@ impl Engine {
                 Ok(Reply::Compress { phrases, payload })
             }
             OpRequest::Parse { dict, text } => {
+                // Exact and linear, on the version's automaton: one scan, then
+                // trie walks from the greedy phrase starts only.
                 let dv = self.resolve(dict)?;
-                let (parse, greedy) = optimal_and_greedy_parse(pram, &dv.pre.seg, text)
+                let seg = &dv.pre.seg;
+                let parse = optimal_parse(pram, &seg.reach_table(pram, text))
                     .ok_or(ServiceError::Unparseable)?;
+                let greedy =
+                    greedy_parse(pram, text.len(), |x| seg.longest_prefix_at(pram, text, x));
                 Ok(Reply::Parse {
                     version: dv.version,
                     phrases: parse.num_phrases() as u32,

@@ -55,10 +55,10 @@ fn main() {
 
     // --- 3. Optimal static-dictionary compression (Theorem 5.3) --------
     let dict = Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec(), b"b".to_vec()]);
-    let matcher = DictMatcher::build(&pram, dict.clone(), 3);
+    let ac = AhoCorasick::build(&dict);
     let text = b"aabbb";
-    let optimal = optimal_parse(&pram, &matcher, text).unwrap();
-    let greedy = greedy_parse(&pram, &matcher, text).unwrap();
+    let optimal = optimal_parse(&pram, &ac.reach_table(text)).unwrap();
+    let greedy = greedy_parse(&pram, text.len(), |x| ac.longest_prefix_at(text, x)).unwrap();
     println!("static parse of {:?}:", String::from_utf8_lossy(text));
     println!(
         "  optimal: {} phrases, greedy: {} phrases",

@@ -39,10 +39,11 @@ fn main() {
         // Messages are excerpts of the corpus the codebook was trained on
         // (the realistic transmission case), so codebook words hit often.
         let msg = training[n..2 * n].to_vec();
-        let (opt, c_opt) = pram.metered(|p| optimal_parse(p, &matcher, &msg));
-        let (bfs, c_bfs) = pram.metered(|p| bfs_parse(p, &matcher, &msg));
-        let greedy = greedy_parse(&pram, &matcher, &msg);
-        let lff = lff_parse(&pram, &matcher, &msg);
+        let (opt, c_opt) = pram.metered(|p| optimal_parse(p, &matcher.pattern_prefixes(p, &msg)));
+        let (bfs, c_bfs) = pram.metered(|p| bfs_parse(p, &matcher.pattern_prefixes(p, &msg)));
+        let m = matcher.pattern_prefixes(&pram, &msg);
+        let greedy = greedy_parse(&pram, n, |x| m[x]);
+        let lff = lff_parse(&pram, &m);
         let (opt, bfs, greedy, lff) = (opt.unwrap(), bfs.unwrap(), greedy.unwrap(), lff.unwrap());
         assert_eq!(opt.expand(&dict), msg);
         assert_eq!(opt.num_phrases(), bfs.num_phrases(), "optimality");

@@ -314,14 +314,17 @@ if awk '/^    pub fn find_all\(/ { inside = 1; start = FNR; body = "" }
 fi
 # So no second occurrence route comes back: no find_all on DictMatcher, no
 # duplicate-chain table in Step 2 to feed one, and grep takes the served
-# SegmentedMatcher, not a PatternScan.
+# SegmentedMatcher. And no second §5 input: a served Parse reads the
+# version's automaton, so no PatternScan trait, no Ranked answer type for
+# the fold, and no Step 2A pattern_prefixes call in the service or the CLI.
 if awk '/^#\[cfg\(test\)\]/ { nextfile }
         /^ *\/\// { next }
         FILENAME ~ /matcher\.rs$/ && /fn find_all/ ||
         FILENAME ~ /step2\.rs$/ && /all_patterns_at|dup_next/ ||
-        FILENAME ~ /search\/src\// && /PatternScan/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-        END { exit !bad }' crates/core/src/matcher.rs crates/core/src/step2.rs crates/search/src/*.rs; then
-  echo "ci.sh: a second occurrence route (an occurrence list is SegmentedMatcher::find_all's automaton scan)" >&2
+        /PatternScan|trait Ranked/ ||
+        FILENAME ~ /^(crates\/service\/src|src\/bin)\// && /pattern_prefixes\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(find crates/*/src src -name '*.rs' | sort); then
+  echo "ci.sh: a second occurrence route or §5 input (occurrence lists and a served Parse read the version's automaton)" >&2
   exit 1
 fi
 # Automaton rows have one layout: core::ac's byte classes, one flat row of

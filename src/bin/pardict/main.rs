@@ -504,13 +504,15 @@ fn cmd_cat(args: &[String]) -> Result<(), String> {
 
 fn cmd_parse(args: &[String]) -> Result<(), String> {
     let (pos, dict, out) = split_args(args)?;
-    let patterns = read_dict(dict)?;
+    let dict = Dictionary::new(read_dict(dict)?);
     let text = read_input(&pos)?;
     check_text(&text)?;
+    // The §5 parses read only the automaton: no Theorem 3.1 structure.
+    let ac = AhoCorasick::build(&dict);
     let pram = Pram::par();
-    let matcher = SegmentedMatcher::build(&pram, patterns.clone());
-    let (parse, greedy) = optimal_and_greedy_parse(&pram, &matcher, &text)
+    let parse = optimal_parse(&pram, &ac.reach_table(&text))
         .ok_or("text is not parseable with this dictionary (add single-symbol words?)")?;
+    let greedy = greedy_parse(&pram, text.len(), |x| ac.longest_prefix_at(&text, x));
     let mut buf = Vec::new();
     writeln!(
         buf,
@@ -523,7 +525,7 @@ fn cmd_parse(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| format!("formatting output: {e}"))?;
     for ph in &parse.phrases {
-        let p = &patterns[ph.pattern as usize];
+        let p = &dict.patterns()[ph.pattern as usize];
         writeln!(
             buf,
             "{}\t{}",

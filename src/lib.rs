@@ -39,16 +39,18 @@
 //!
 //! * **Optimal static-dictionary compression (Theorem 5.3)** — fewest
 //!   dictionary references against a prefix-closed dictionary, via
-//!   dominating references only:
+//!   dominating references only. The parse reads a table of longest
+//!   pattern prefixes: Step 2A's `M` (`DictMatcher::pattern_prefixes`), or
+//!   the automaton's one-scan table, which cuts where `M` does:
 //!
 //! ```
 //! use pardict::prelude::*;
 //!
 //! let pram = Pram::seq();
 //! let dict = Dictionary::new(vec![b"aab".to_vec(), b"abbb".to_vec(), b"b".to_vec()]);
-//! let matcher = DictMatcher::build(&pram, dict.clone(), 3);
-//! let optimal = optimal_parse(&pram, &matcher, b"aabbb").unwrap();
-//! let greedy = greedy_parse(&pram, &matcher, b"aabbb").unwrap();
+//! let (ac, text) = (AhoCorasick::build(&dict), b"aabbb");
+//! let optimal = optimal_parse(&pram, &ac.reach_table(text)).unwrap();
+//! let greedy = greedy_parse(&pram, text.len(), |x| ac.longest_prefix_at(text, x)).unwrap();
 //! assert_eq!(optimal.num_phrases(), 2); // a | abbb
 //! assert_eq!(greedy.num_phrases(), 3);  // aab | b | b — greedy is not optimal
 //! ```
@@ -100,8 +102,7 @@ pub mod prelude {
     pub use pardict_compress::{
         bfs_parse, delta_compress, delta_decompress, greedy_parse, lff_parse,
         longest_previous_factor, lz1_compress, lz1_decompress, lz1_nlogn_baseline, lz77_windowed,
-        lz78_compress, lz78_decompress, optimal_and_greedy_parse, optimal_parse, Parse, Phrase,
-        Token,
+        lz78_compress, lz78_decompress, optimal_parse, Parse, Phrase, Token,
     };
     pub use pardict_core::{
         dictionary_match, dictionary_match_offline, substring_match, AhoCorasick, DictDelta,

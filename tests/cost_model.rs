@@ -101,13 +101,62 @@ fn theorem_5_3_static_parse_work_linear() {
     let mut works = Vec::new();
     for &n in &ns {
         let msg = markov_text(10 + n as u64, n, alpha);
-        let (p, c) = pram.metered(|q| optimal_parse(q, &matcher, &msg));
+        // Step 1 and 2A's `M`, then the dominating-edge parse.
+        let (p, c) = pram.metered(|q| optimal_parse(q, &matcher.pattern_prefixes(q, &msg)));
         assert!(p.is_some());
         works.push(c.work);
     }
     assert!(
         flatness(&ns, &works) < 1.35,
         "parse work/n not flat: {works:?}"
+    );
+}
+
+#[test]
+fn served_parse_charge_does_not_grow_with_the_longest_word() {
+    // A served `Parse` reads the version's automaton: one scan for the
+    // optimal parse's claim table, and trie walks from the greedy phrase
+    // starts only, ≈ n + phrases bytes. Over 64 KiB of `a`, a walk from
+    // every start would read Σ M[i] ≈ 4 096 · n bytes against `{a, a^4096}`
+    // and ≈ 64 · n against `{a, a^64}`. The engine runs each batch on a
+    // parallel Pram; the same route on a sequential one charges the same.
+    use pardict::service::{Engine, EngineConfig, Metrics, OpRequest, Registry, Reply, Request};
+    use std::sync::Arc;
+    let text = vec![b'a'; 1 << 16];
+    let served = |long: usize| {
+        let metrics = Arc::new(Metrics::default());
+        let registry = Arc::new(Registry::new(Arc::clone(&metrics)));
+        let engine = Engine::new(
+            EngineConfig {
+                workers: 0,
+                ..EngineConfig::default()
+            },
+            registry,
+            metrics,
+        );
+        let patterns = vec![b"a".to_vec(), b"a".repeat(long)];
+        engine.registry().publish("d", patterns.clone()).unwrap();
+        let resp = engine.call(Request::new(OpRequest::Parse {
+            dict: "d".into(),
+            text: text.clone(),
+        }));
+        let Ok(Reply::Parse { phrases, .. }) = resp.result else {
+            panic!("parse failed: {:?}", resp.result)
+        };
+        assert_eq!(phrases as usize, text.len().div_ceil(long));
+        let matcher = SegmentedMatcher::build(&Pram::seq(), patterns);
+        let (_, seq) = Pram::seq().metered(|p| {
+            let optimal = optimal_parse(p, &matcher.reach_table(p, &text));
+            let greedy = greedy_parse(p, text.len(), |x| matcher.longest_prefix_at(p, &text, x));
+            (optimal, greedy)
+        });
+        assert_eq!(resp.meta.cost, seq, "{{a, a^{long}}}: par and seq charges");
+        resp.meta.cost.work
+    };
+    let (short, long) = (served(64), served(4096));
+    assert!(
+        long * 10 <= short * 11 && short * 10 <= long * 11,
+        "served parse of 64 KiB: {short} ops against {{a, a^64}}, {long} against {{a, a^4096}}"
     );
 }
 

@@ -100,9 +100,10 @@ fn theorem_5_3_optimal_parse_equals_bfs_on_workloads() {
         let matcher = DictMatcher::build(&pram, dict.clone(), seed + 2);
         let msg = markov_text(seed + 3, 1500, alpha);
 
-        let opt = optimal_parse(&pram, &matcher, &msg).unwrap();
-        let bfs = bfs_parse(&pram, &matcher, &msg).unwrap();
-        let greedy = greedy_parse(&pram, &matcher, &msg).unwrap();
+        let m = matcher.pattern_prefixes(&pram, &msg);
+        let opt = optimal_parse(&pram, &m).unwrap();
+        let bfs = bfs_parse(&pram, &m).unwrap();
+        let greedy = greedy_parse(&pram, m.len(), |x| m[x]).unwrap();
         assert_eq!(opt.num_phrases(), bfs.num_phrases(), "seed {seed}");
         assert!(opt.num_phrases() <= greedy.num_phrases());
         assert_eq!(opt.expand(&dict), msg);

@@ -75,8 +75,113 @@ fn dictionary() -> impl Strategy<Value = Vec<Vec<u8>>> {
     )
 }
 
+/// §5's `M` by brute force: the longest pattern at each position over the
+/// dictionary's prefix closure is its longest pattern prefix there (ids
+/// name the closure's words; only the lengths are compared).
+fn brute_force_prefixes(patterns: &[Vec<u8>], text: &[u8]) -> Vec<Option<(u32, u32)>> {
+    let closure = patterns
+        .iter()
+        .flat_map(|p| (1..=p.len()).map(|l| p[..l].to_vec()));
+    let m = pardict::core::brute_force_matches(&Dictionary::new(closure.collect()), text);
+    m.as_slice()
+        .iter()
+        .map(|c| c.map(|c| (c.len, c.id)))
+        .collect()
+}
+
+/// A §5 case over the first `sigma` letters: patterns drawn from
+/// `shapes`, each one fresh, an extension of the one before (prefix-heavy),
+/// a duplicate of an earlier one, or a single letter; and a text of
+/// `pieces`, each a prefix of a pattern or one letter, where with `foreign`
+/// a letter may lie beyond `sigma`, which no pattern uses (unparseable).
+fn section_5_case(
+    sigma: u8,
+    shapes: &[(Vec<u8>, u8)],
+    pieces: &[(u8, u8)],
+    foreign: bool,
+) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let letter = |b: u8, sigma: u8| b'a' + b % sigma;
+    let mut patterns: Vec<Vec<u8>> = Vec::new();
+    for (shape, kind) in shapes {
+        let fresh: Vec<u8> = shape.iter().map(|&b| letter(b, sigma)).collect();
+        let p = match (kind, patterns.last()) {
+            (0, Some(last)) => [last.clone(), fresh].concat(),
+            (1, Some(_)) => patterns[shape[0] as usize % patterns.len()].clone(),
+            (2, _) => fresh[..1].to_vec(),
+            _ => fresh,
+        };
+        patterns.push(p);
+    }
+    let text_sigma = sigma + u8::from(foreign);
+    let mut text = Vec::new();
+    for &(pick, len) in pieces {
+        let p = &patterns[pick as usize % patterns.len()];
+        match pick % 4 {
+            0 => text.push(letter(len, text_sigma)),
+            _ => text.extend_from_slice(&p[..1 + len as usize % p.len()]),
+        }
+    }
+    (patterns, text)
+}
+
+/// The served §5 parses: the optimal parse of the automaton's reach table
+/// and the greedy parse over its trie walks.
+fn served_parses(matcher: &SegmentedMatcher, text: &[u8]) -> (Option<Parse>, Option<Parse>) {
+    let pram = Pram::seq();
+    let optimal = optimal_parse(&pram, &matcher.reach_table(&pram, text));
+    let greedy = greedy_parse(&pram, text.len(), |x| {
+        matcher.longest_prefix_at(&pram, text, x)
+    });
+    (optimal, greedy)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The served parses are exact: their counts equal the shortest-path
+    /// `bfs_parse` and a greedy walk over a brute-force `M`, over σ ∈
+    /// {1, 2, 3, 26}, on prefix-heavy, duplicate and unparseable cases; and
+    /// every phrase's certificate spells the phrase.
+    #[test]
+    fn served_parses_equal_the_oracles_on_a_brute_force_m(
+        sigma in prop::sample::select(vec![1u8, 2, 3, 26]),
+        shapes in prop::collection::vec((prop::collection::vec(any::<u8>(), 1..7), 0u8..5), 1..8),
+        pieces in prop::collection::vec((any::<u8>(), any::<u8>()), 0..24),
+        foreign in 0u8..4,
+    ) {
+        let (patterns, text) = section_5_case(sigma, &shapes, &pieces, foreign == 0);
+        let dict = Dictionary::new(patterns.clone());
+        let (optimal, greedy) = served_parses(&SegmentedMatcher::build(&Pram::seq(), patterns), &text);
+        let pram = Pram::seq();
+        let m = brute_force_prefixes(dict.patterns(), &text);
+        let count = |p: Option<Parse>| p.map(|p| p.num_phrases());
+        prop_assert_eq!(count(optimal.clone()), count(bfs_parse(&pram, &m)));
+        prop_assert_eq!(count(greedy.clone()), count(greedy_parse(&pram, m.len(), |x| m[x])));
+        for ph in optimal.iter().chain(&greedy).flat_map(|p| &p.phrases) {
+            prop_assert_eq!(
+                dict.patterns()[ph.pattern as usize].get(..ph.len),
+                Some(&text[ph.start..ph.start + ph.len])
+            );
+        }
+    }
+
+    /// Crochemore–Langiu–Mignosi: a suffix-closed dictionary's words (its
+    /// prefixes) are closed under factors, and then the greedy parse is
+    /// optimal. The served optimal count equals the served greedy count.
+    #[test]
+    fn served_greedy_is_optimal_on_suffix_closed_dictionaries(
+        sigma in prop::sample::select(vec![1u8, 2, 3, 26]),
+        shapes in prop::collection::vec((prop::collection::vec(any::<u8>(), 1..7), 0u8..5), 1..6),
+        pieces in prop::collection::vec((any::<u8>(), any::<u8>()), 0..24),
+        foreign in 0u8..4,
+    ) {
+        let (mut patterns, text) = section_5_case(sigma, &shapes, &pieces, foreign == 0);
+        let suffixes: Vec<Vec<u8>> =
+            patterns.iter().flat_map(|p| (1..p.len()).map(|i| p[i..].to_vec())).collect();
+        patterns.extend(suffixes);
+        let (optimal, greedy) = served_parses(&SegmentedMatcher::build(&Pram::seq(), patterns), &text);
+        prop_assert_eq!(optimal.map(|p| p.num_phrases()), greedy.map(|p| p.num_phrases()));
+    }
 
     #[test]
     fn lz1_roundtrips(text in small_alpha_text(300), seed in 0u64..1000) {
@@ -136,10 +241,10 @@ proptest! {
         let mut words = vec![vec![b'a'], vec![b'b'], vec![b'c']];
         words.extend(extra);
         let dict = Dictionary::new(words);
-        let matcher = DictMatcher::build(&pram, dict.clone(), seed);
-        let opt = optimal_parse(&pram, &matcher, &text).expect("parseable");
-        let bfs = bfs_parse(&pram, &matcher, &text).expect("parseable");
-        let greedy = greedy_parse(&pram, &matcher, &text).expect("parseable");
+        let m = DictMatcher::build(&pram, dict.clone(), seed).pattern_prefixes(&pram, &text);
+        let opt = optimal_parse(&pram, &m).expect("parseable");
+        let bfs = bfs_parse(&pram, &m).expect("parseable");
+        let greedy = greedy_parse(&pram, m.len(), |x| m[x]).expect("parseable");
         prop_assert_eq!(opt.num_phrases(), bfs.num_phrases());
         prop_assert!(opt.num_phrases() <= greedy.num_phrases());
         prop_assert_eq!(opt.expand(&dict), text.clone());

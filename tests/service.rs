@@ -63,6 +63,20 @@ fn engine_hits(engine: &Engine, dict: &str, text: &[u8]) -> (u64, Vec<(u64, u32)
     }
 }
 
+/// §5's `M` by brute force: the longest pattern at each position over the
+/// dictionary's prefix closure is its longest pattern prefix there (ids
+/// name the closure's words; only the lengths are compared).
+fn brute_force_prefixes(patterns: &[Vec<u8>], text: &[u8]) -> Vec<Option<(u32, u32)>> {
+    let closure = patterns
+        .iter()
+        .flat_map(|p| (1..=p.len()).map(|l| p[..l].to_vec()));
+    let m = pardict::core::brute_force_matches(&Dictionary::new(closure.collect()), text);
+    m.as_slice()
+        .iter()
+        .map(|c| c.map(|c| (c.len, c.id)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -134,8 +148,10 @@ proptest! {
         prop_assert_eq!(&got_after, &expect_v2);
     }
 
-    /// The engine's `parse` agrees with the library's `optimal_parse`
-    /// (phrase count), including the unparseable case.
+    /// The engine's `parse` agrees with independent oracles on a
+    /// brute-force `M`: its optimal count with the shortest-path
+    /// `bfs_parse`, its greedy count with a greedy walk, and the
+    /// unparseable case with both.
     #[test]
     fn engine_parse_equals_library(
         patterns in dictionary(),
@@ -144,22 +160,24 @@ proptest! {
         let engine = inline_engine(64);
         engine.registry().publish("d", patterns.clone()).unwrap();
         let pram = Pram::seq();
-        let matcher = DictMatcher::build(&pram, Dictionary::new(patterns), 0xA5);
-        let want = optimal_parse(&pram, &matcher, &text);
+        let m = brute_force_prefixes(&patterns, &text);
+        let want = bfs_parse(&pram, &m).map(|p| p.num_phrases());
+        let want_greedy = greedy_parse(&pram, m.len(), |x| m[x]).map(|p| p.num_phrases());
 
         let resp = engine.call(Request::new(OpRequest::Parse {
             dict: "d".into(),
             text: text.clone(),
         }));
         match (want, resp.result) {
-            (Some(p), Ok(Reply::Parse { phrases, .. })) => {
-                prop_assert_eq!(phrases as usize, p.num_phrases());
+            (Some(p), Ok(Reply::Parse { phrases, greedy_phrases, .. })) => {
+                prop_assert_eq!(phrases as usize, p);
+                prop_assert_eq!(greedy_phrases.map(|g| g as usize), want_greedy);
             }
             (None, Err(ServiceError::Unparseable)) => {}
             (want, got) => prop_assert!(
                 false,
-                "parse disagreement: library {:?} vs engine {:?}",
-                want.map(|p| p.num_phrases()),
+                "parse disagreement: oracle {:?} vs engine {:?}",
+                want,
                 got
             ),
         }
@@ -181,7 +199,14 @@ fn per_request_cost_attribution_is_nonzero_and_lane_tagged() {
     }));
     assert!(small.result.is_ok());
     assert_eq!(small.meta.lane, Lane::SeqFallback);
-    assert!(small.meta.cost.work > 0);
+    // One automaton scan: n steps of work and of depth.
+    assert_eq!(
+        small.meta.cost,
+        Cost {
+            work: 11,
+            depth: 11
+        }
+    );
 
     // Large text: batched PRAM lane, with ledger work at least linear-ish.
     let large = engine.call(Request::new(OpRequest::Match {

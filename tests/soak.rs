@@ -118,8 +118,9 @@ fn run_static_parse(seeds: u64, n: usize, msg: std::ops::Range<usize>) {
         let dict = Dictionary::new(words);
         let matcher = DictMatcher::build(&pram, dict.clone(), seed + 2);
         let msg = &corpus[msg.clone()];
-        let opt = optimal_parse(&pram, &matcher, msg).unwrap();
-        let bfs = bfs_parse(&pram, &matcher, msg).unwrap();
+        let m = matcher.pattern_prefixes(&pram, msg);
+        let opt = optimal_parse(&pram, &m).unwrap();
+        let bfs = bfs_parse(&pram, &m).unwrap();
         assert_eq!(opt.num_phrases(), bfs.num_phrases(), "seed {seed}");
         assert_eq!(opt.expand(&dict), msg);
     }
